@@ -10,10 +10,13 @@
 //!    SwissTM and TLSTM alike;
 //! 2. after the STM commit, the batch's *write* operations plus the plan
 //!    parameters (shard count, effective group count) are encoded as a
-//!    record and handed to the group-commit [`LogWriter`]; the committer
-//!    parks until its LSN is durable per the configured [`FsyncPolicy`]
-//!    before acknowledging the client. Reads are never logged — a
-//!    read-mostly batch's record carries only its few writes.
+//!    record and handed to the group-commit [`LogWriter`]
+//!    ([`DurableKvSession::submit`]); the batch is acknowledged to the
+//!    client only once its LSN is durable per the configured
+//!    [`FsyncPolicy`] — the blocking calls park on the returned
+//!    [`CommitTicket`], the network front-end polls it and executes later
+//!    rounds meanwhile. Reads are never logged — a read-mostly batch's
+//!    record carries only its few writes.
 //!
 //! The shared sequence word is a deliberate serialisation point: every
 //! logged batch conflicts on it, which is exactly what makes the stamp a
@@ -65,7 +68,8 @@ use txlog::codec::Cursor;
 use txlog::files::{prune_obsolete_with, write_snapshot_with};
 use txlog::recovery::recover_with;
 use txlog::{
-    CrashPoints, FsyncPolicy, LogWriter, RealFs, RetryPolicy, WalError, WalFs, WalOptions,
+    CommitTicket, CrashPoints, FsyncPolicy, LogWriter, RealFs, RetryPolicy, WalError, WalFs,
+    WalOptions,
 };
 use txmem::{SeqRefRuntime, TxMem, TxRuntime, WordAddr};
 
@@ -510,9 +514,64 @@ fn op_writes(op: &KvOp) -> bool {
 }
 
 impl<R: TxRuntime> DurableKvSession<R> {
+    /// The split primitive every durable write goes through: executes `ops`
+    /// as one atomic transaction **in memory**, hands the batch's redo
+    /// record to the WAL and returns the replies together with the
+    /// [`CommitTicket`] *instead of waiting on it*. The caller decides when
+    /// to acknowledge: nothing in `replies` may be shown to a client before
+    /// the ticket reports durable ([`CommitTicket::wait`], or
+    /// [`CommitTicket::poll`] from a thread with other work to do — the
+    /// network front-end keeps executing later rounds while this one's
+    /// fsync is in flight). Read-only batches skip the log and return no
+    /// ticket.
+    ///
+    /// # Errors
+    ///
+    /// Only the refusals of a log that is already dead —
+    /// [`WalError::Degraded`] after a storage failure, [`WalError::Crashed`]
+    /// after a crash — which are issued **before** the in-memory commit, so
+    /// the store state is untouched. (If the writer dies in the instant
+    /// between that check and the append, the same error is returned with
+    /// the commit standing unacknowledged, as when a ticket fails.) A
+    /// failure of the record itself surfaces through the ticket — see
+    /// [`Self::batch`].
+    pub fn submit(
+        &mut self,
+        ops: Vec<KvOp>,
+    ) -> Result<(Vec<KvReply>, Option<CommitTicket>), WalError> {
+        if !ops.iter().any(op_writes) {
+            return Ok((self.inner.batch(ops), None));
+        }
+        // Fail fast while the log is dead: refusing *before* the in-memory
+        // commit keeps degraded-mode write attempts free of side effects
+        // (and off the sequence word).
+        //
+        // The read guard is held from the pre-check through the staging of
+        // the append so the commit and its record land on the *same* writer:
+        // `try_rearm` (which takes the write side) can then only snapshot
+        // between whole commit+append pairs, never between a commit and its
+        // append — a gap that would leave the replacement writer waiting
+        // forever for an LSN that went to the poisoned one. The durability
+        // wait happens on the ticket, outside the guard.
+        let writer = self.wal.read();
+        if let Some(failure) = writer.failure() {
+            self.wal.observe_health(health_code(Some(&failure)));
+            return Err(match failure {
+                WalError::Crashed => WalError::Crashed,
+                WalError::Storage { .. } | WalError::Degraded => WalError::Degraded,
+            });
+        }
+        // Encode before execution (the ops move into the transaction);
+        // the LSN lives in the frame header, not the payload.
+        let payload = encode_record(self.shards, self.groups, &ops);
+        let (replies, lsn) = self.inner.batch_logged(ops, self.seq);
+        Ok((replies, Some(writer.append(lsn, payload)?)))
+    }
+
     /// Executes `ops` as one atomic transaction; if the batch contains any
-    /// write, parks until its redo record is durable before returning.
-    /// Read-only batches skip the log entirely.
+    /// write, parks until its redo record is durable before returning
+    /// ([`Self::submit`], then [`CommitTicket::wait`]). Read-only batches
+    /// skip the log entirely.
     ///
     /// # Errors
     ///
@@ -528,36 +587,10 @@ impl<R: TxRuntime> DurableKvSession<R> {
     ///   batch arrived; it was refused **before** the in-memory commit, so
     ///   the store state is untouched. Reads keep working throughout.
     pub fn batch(&mut self, ops: Vec<KvOp>) -> Result<Vec<KvReply>, WalError> {
-        if !ops.iter().any(op_writes) {
-            return Ok(self.inner.batch(ops));
+        let (replies, ticket) = self.submit(ops)?;
+        if let Some(ticket) = ticket {
+            ticket.wait()?;
         }
-        // Fail fast while the log is dead: refusing *before* the in-memory
-        // commit keeps degraded-mode write attempts free of side effects
-        // (and off the sequence word).
-        //
-        // The read guard is held from the pre-check through the staging of
-        // the append so the commit and its record land on the *same* writer:
-        // `try_rearm` (which takes the write side) can then only snapshot
-        // between whole commit+append pairs, never between a commit and its
-        // append — a gap that would leave the replacement writer waiting
-        // forever for an LSN that went to the poisoned one. Only the
-        // durability wait happens outside the guard.
-        let (replies, ticket) = {
-            let writer = self.wal.read();
-            if let Some(failure) = writer.failure() {
-                self.wal.observe_health(health_code(Some(&failure)));
-                return Err(match failure {
-                    WalError::Crashed => WalError::Crashed,
-                    WalError::Storage { .. } | WalError::Degraded => WalError::Degraded,
-                });
-            }
-            // Encode before execution (the ops move into the transaction);
-            // the LSN lives in the frame header, not the payload.
-            let payload = encode_record(self.shards, self.groups, &ops);
-            let (replies, lsn) = self.inner.batch_logged(ops, self.seq);
-            (replies, writer.append(lsn, payload)?)
-        };
-        ticket.wait()?;
         Ok(replies)
     }
 
@@ -565,9 +598,10 @@ impl<R: TxRuntime> DurableKvSession<R> {
     /// atomic, durable transaction and splits the replies back per
     /// sub-batch: the coalesced batch carries one commit sequence number,
     /// one redo record and one group-commit ticket, so N client requests
-    /// amortise a single STM commit *and* a single fsync acknowledgement —
-    /// the seam the network front-end's server-side coalescing builds on.
-    /// If no sub-batch contains a write, the log is skipped entirely.
+    /// amortise a single STM commit *and* a single fsync acknowledgement
+    /// (the blocking form of what the network front-end does with
+    /// [`Self::submit`]). If no sub-batch contains a write, the log is
+    /// skipped entirely.
     ///
     /// # Errors
     ///

@@ -65,7 +65,7 @@ pub use server::{KvServer, KvServerConfig, KvSession};
 pub use store::{KvStore, KvStoreParams};
 
 pub use txlog::{
-    CrashPoints, Fault, FaultBudget, FaultError, FaultFs, FaultPlan, FsyncPolicy, RealFs,
-    RetryPolicy, StorageOp, WalError, WalFs,
+    CommitTicket, CrashPoints, Fault, FaultBudget, FaultError, FaultFs, FaultPlan, FsyncPolicy,
+    RealFs, RetryPolicy, StorageOp, WalError, WalFs,
 };
 pub use txmem::{Abort, TxMem, WordAddr};

@@ -231,8 +231,8 @@ impl<R: TxRuntime> KvSession<R> {
 
     /// Executes several independently-submitted sub-batches (typically one
     /// per client request) as **one** atomic transaction and splits the
-    /// replies back per sub-batch — the server-side coalescing seam the
-    /// network front-end builds on: N requests share one plan, one commit.
+    /// replies back per sub-batch — server-side coalescing: N requests share
+    /// one plan, one commit.
     /// Request order and operation order within each request are preserved;
     /// empty sub-batches yield empty reply lists.
     pub fn batch_with_replies(&mut self, requests: Vec<Vec<KvOp>>) -> Vec<Vec<KvReply>> {

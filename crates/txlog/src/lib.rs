@@ -18,8 +18,9 @@
 //!   order) and appends each batch in a single `write` to a preallocated
 //!   segment, while a second sync stage fsyncs the previous batch per the
 //!   configured [`FsyncPolicy`] — fsync latency overlaps the next batch's
-//!   fill. Committers wait on a [`CommitTicket`] whose fast path is one
-//!   atomic load of the durable watermark. The writer honors the `wal::*`
+//!   fill. Committers wait on — or, with other work to do, poll — a
+//!   [`CommitTicket`] whose fast path is one atomic load of the durable
+//!   watermark. The writer honors the `wal::*`
 //!   crash points of [`tlstm_testutil::CrashPoints`] for deterministic
 //!   crash-injection tests;
 //! * [`recovery`] + [`files`] — snapshot files, log segments, and the

@@ -26,7 +26,11 @@
 //! that [`CommitTicket::wait`] loads first — a committer whose record is
 //! already durable returns without touching the lock or parking. Laggards
 //! fall back to one shared condvar that is woken **once per fsync**, so the
-//! ack fan-out is O(1) per batch, not O(committers).
+//! ack fan-out is O(1) per batch, not O(committers). A committer with other
+//! work to do does not wait at all: [`CommitTicket::poll`] answers from the
+//! watermark (and a lock-free death flag), [`CommitTicket::wait_timeout`]
+//! parks on the same condvar for a bounded time — the network front-end
+//! keeps executing later rounds and lets many records share the fsync.
 //!
 //! The [`FsyncPolicy`] decides when the sync stage runs:
 //! [`Always`](FsyncPolicy::Always) fsyncs every written batch (pipelined with
@@ -71,7 +75,7 @@
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -230,6 +234,10 @@ struct Shared {
     /// record became durable right before the writer died report `Ok`
     /// instead of `Crashed`. Always ≥ the durable watermark.
     synced_watermark: AtomicU64,
+    /// Lock-free mirror of `State::failure.is_some()`, so a pending ticket
+    /// can be polled without the state lock. Stored (release) under the
+    /// state lock right after the failure, loaded (acquire) without it.
+    dead: AtomicBool,
     /// The sync stage's handle to the current segment (swapped at rotation).
     /// Held only across a single `fsync` or the rotation swap.
     sync_file: Mutex<Box<dyn WalFile>>,
@@ -257,6 +265,7 @@ impl Shared {
                 txobs::metrics::wal().faults.inc();
             }
             state.failure = Some(error);
+            self.dead.store(true, Ordering::Release);
         }
         self.ack_cv.notify_all();
         self.work_cv.notify_one();
@@ -321,8 +330,10 @@ pub struct WalHandle {
     shared: Arc<Shared>,
 }
 
-/// A committer's claim ticket for one appended record.
-#[derive(Debug)]
+/// A committer's claim ticket for one appended record. Cloneable: a caller
+/// that gates later work on this record (the network front-end parks
+/// read-only rounds behind its last write) holds a second claim on it.
+#[derive(Debug, Clone)]
 #[must_use = "wait on the ticket to learn whether the record became durable"]
 pub struct CommitTicket {
     shared: Arc<Shared>,
@@ -369,6 +380,7 @@ impl LogWriter {
             }),
             durable_watermark: AtomicU64::new(options.start_lsn),
             synced_watermark: AtomicU64::new(options.start_lsn),
+            dead: AtomicBool::new(false),
             sync_file: Mutex::new(sync_file),
             work_cv: Condvar::new(),
             sync_cv: Condvar::new(),
@@ -575,6 +587,27 @@ impl WalHandle {
 }
 
 impl CommitTicket {
+    /// The ack fast path: one atomic load of the durable watermark, no lock.
+    fn acked(&self) -> bool {
+        self.shared.durable_watermark.load(Ordering::Acquire) > self.lsn
+    }
+
+    /// The ticket's outcome as of `state`: `None` while the record is
+    /// neither durable nor lost. A dead writer fails the ticket with its
+    /// root cause — unless a successful fsync had already covered the LSN
+    /// (the synced watermark), in which case the record is durable even
+    /// though the ack never ran.
+    fn outcome(&self, state: &State) -> Option<Result<(), WalError>> {
+        if state.durable_upto > self.lsn {
+            return Some(Ok(()));
+        }
+        let failure = state.failure.as_ref()?;
+        if self.shared.synced_watermark.load(Ordering::Acquire) > self.lsn {
+            return Some(Ok(()));
+        }
+        Some(Err(failure.clone()))
+    }
+
     /// Waits until the record is durable per the writer's fsync policy.
     ///
     /// Fast path: one atomic load of the durable watermark — a record the
@@ -592,21 +625,13 @@ impl CommitTicket {
     /// case it is durable regardless of the writer dying before the ack and
     /// `Ok` is returned.
     pub fn wait(self) -> Result<(), WalError> {
-        if self.shared.durable_watermark.load(Ordering::Acquire) > self.lsn {
+        if self.acked() {
             return Ok(());
         }
         let mut state = lock(&self.shared.state);
         loop {
-            if state.durable_upto > self.lsn {
-                return Ok(());
-            }
-            if let Some(failure) = &state.failure {
-                // The writer died — but the record may have made it to disk
-                // under a successful fsync whose ack never ran.
-                if self.shared.synced_watermark.load(Ordering::Acquire) > self.lsn {
-                    return Ok(());
-                }
-                return Err(failure.clone());
+            if let Some(outcome) = self.outcome(&state) {
+                return outcome;
             }
             state = self
                 .shared
@@ -614,6 +639,41 @@ impl CommitTicket {
                 .wait(state)
                 .expect("WAL mutex poisoned: a writer thread panicked mid-update");
         }
+    }
+
+    /// [`Self::wait`] without parking: `None` while the record is still in
+    /// flight, otherwise exactly what `wait` would return. While the writer
+    /// is healthy this is two atomic loads and no lock, so a caller with
+    /// other work to do (the network front-end's release step) can ask
+    /// every iteration.
+    pub fn poll(&self) -> Option<Result<(), WalError>> {
+        if self.acked() {
+            return Some(Ok(()));
+        }
+        if !self.shared.dead.load(Ordering::Acquire) {
+            return None;
+        }
+        self.outcome(&lock(&self.shared.state))
+    }
+
+    /// [`Self::poll`] that first parks on the ack condvar for at most
+    /// `timeout`: an fsync or a writer failure wakes the caller at once.
+    /// Wakes early (with `None`) when an ack that does not reach this
+    /// record is broadcast.
+    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<(), WalError>> {
+        if self.acked() {
+            return Some(Ok(()));
+        }
+        let state = lock(&self.shared.state);
+        if let Some(outcome) = self.outcome(&state) {
+            return Some(outcome);
+        }
+        let (state, _) = self
+            .shared
+            .ack_cv
+            .wait_timeout(state, timeout)
+            .expect("WAL mutex poisoned: a writer thread panicked mid-update");
+        self.outcome(&state)
     }
 
     /// The record's log sequence number.

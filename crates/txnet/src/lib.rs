@@ -6,11 +6,12 @@
 //! [`txmem::TxRuntime`].
 //!
 //! ```text
-//!   clients ──TCP──▶ serving thread ──┐
-//!   clients ──TCP──▶ serving thread ──┤   coalesced drain:
-//!                      poll loop      │   one KvSession::batch
-//!                      (accept/read/  ├─▶ (durable: one LSN, one
-//!                       decode/flush) │    WAL ticket) per iteration
+//!   clients ──TCP──▶ serving thread ──┐   per iteration: one coalesced
+//!   clients ──TCP──▶ serving thread ──┤   round = one store batch
+//!                      poll loop      │   (durable: one LSN, one WAL
+//!                      (accept/read/  ├─▶  record), committed in memory;
+//!                       decode/exec/  │   replies parked until the WAL's
+//!                       park/release) │   durable watermark covers them
 //!   clients ──TCP──▶ serving thread ──┘
 //! ```
 //!
@@ -26,10 +27,14 @@
 //!   the live connection) via [`ProtocolError::is_frame_level`].
 //! * [`server`] / [`client`] — the nonblocking poll-loop server whose
 //!   serving threads **coalesce** every request decoded in one poll
-//!   iteration (across all of the thread's connections) into a single
-//!   [`txkv::KvSession::batch_with_replies`] call — N clients share one STM
-//!   commit and, on the durable path, one group-commit fsync ticket — and
-//!   the blocking pipelined client the open-loop load generator drives.
+//!   iteration (across all of the thread's connections) into a single store
+//!   batch — N clients share one STM commit and, on the durable path, one
+//!   WAL record — and **pipeline** durability: a round is committed in
+//!   memory ([`txkv::DurableKvSession::submit`]), its replies wait in a
+//!   per-thread FIFO for the durable watermark, and the thread executes the
+//!   next round meanwhile, so the rounds of one sync interval share one
+//!   fsync. And the blocking pipelined client the open-loop load generator
+//!   drives.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -50,4 +55,6 @@ pub use proto::{
     decode_reply, decode_request, encode_err_reply, encode_ok_reply, encode_request, ERR_WAL,
     PROTO_VERSION,
 };
-pub use server::{NetServer, NetServerConfig};
+pub use server::{
+    NetServer, NetServerConfig, PARKED_ROUNDS_LIMIT, WRITE_BUF_HARD_LIMIT, WRITE_BUF_SOFT_LIMIT,
+};

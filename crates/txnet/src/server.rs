@@ -1,5 +1,5 @@
 //! The serving front-end: a hand-rolled thread-per-core nonblocking TCP
-//! server with **server-side batch coalescing**.
+//! server with **server-side batch coalescing** and **pipelined durability**.
 //!
 //! Each serving thread owns a nonblocking clone of the listener and a private
 //! set of connections, and runs a small readiness poll loop:
@@ -8,39 +8,85 @@
 //!    one accepting thread);
 //! 2. drain every readable connection's bytes and decode complete request
 //!    frames;
-//! 3. **coalesce** all requests decoded this iteration — across all of the
-//!    thread's connections — into one [`KvSession::batch_with_replies`]
-//!    call (durable path: one [`DurableKvSession::batch_with_replies`],
-//!    i.e. one commit sequence number, one redo record, one group-commit
-//!    ticket shared by every coalesced request);
-//! 4. fan the replies back out by request-id and flush writable connections.
+//! 3. **execute**: all requests decoded this iteration — across all of the
+//!    thread's connections — commit as one store batch, *in memory*
+//!    ([`KvSession::batch`]; durable path: one [`DurableKvSession::submit`],
+//!    i.e. one commit sequence number, one redo record and one group-commit
+//!    ticket shared by every coalesced request — which the thread does
+//!    **not** wait on);
+//! 4. **park**: the round — its routes, its encoded replies and its *gate* —
+//!    goes onto the thread's FIFO, and the loop is free to read, decode and
+//!    execute the next round while this one's fsync is in flight;
+//! 5. **release**: rounds leave the head of the FIFO once the WAL's durable
+//!    watermark covers their gate (one atomic load); only then are their
+//!    reply frames queued, and writable connections flushed.
 //!
-//! Step 3 is the point of the design: N clients' concurrent batches share a
-//! single STM commit and a single WAL acknowledgement, which is the
-//! group-commit WAL's design point — fsync cost amortises across every
-//! request that arrived during the previous sync window.
+//! Step 3 is the point of the coalescing: N clients' concurrent batches share
+//! a single STM commit and a single WAL record. Steps 4–5 are what lets the
+//! group-commit WAL run at its design point: the serving thread keeps
+//! committing rounds during the sync interval, so every round that arrived
+//! in it lands under one fsync instead of one fsync per round.
+//!
+//! **The gate** of a round is the highest LSN this thread had appended when
+//! the round committed: a round with writes is gated by its own ticket, a
+//! read-only round by the ticket of the last round still parked ahead of it.
+//! No reply therefore ever exposes one of this thread's writes before it is
+//! durable, and — the FIFO being strict — replies on a connection leave in
+//! request order. In-memory rounds carry no gate and pass through the same
+//! FIFO within the iteration that executed them: there is one reply path.
 //!
 //! Error containment follows [`ProtocolError::is_frame_level`]: a corrupt
-//! frame closes the connection cleanly (after flushing queued replies); a
-//! CRC-valid but undecodable request is answered on the live connection with
-//! a typed error reply. A durability failure answers every coalesced request
-//! with an [`crate::proto::ERR_WAL`] error reply; connections stay open and
-//! later read-only batches keep serving (mirroring the degraded-mode
-//! contract of [`DurableKvSession::batch`]).
+//! frame closes the connection cleanly (after its parked and queued replies
+//! have left); a CRC-valid but undecodable request is answered on the live
+//! connection with a typed error reply that travels through the FIFO like
+//! any other, so it cannot overtake an earlier request's reply. A durability
+//! failure follows the [`CommitTicket::wait`] contract: parked rounds a
+//! successful fsync had covered are answered OK, the others — and every
+//! later write, refused before its in-memory commit — with an
+//! [`crate::proto::ERR_WAL`] error reply; connections stay open and
+//! read-only batches keep serving (the degraded-mode contract of
+//! [`DurableKvSession::batch`]).
+//!
+//! Nothing a peer does makes a thread's memory grow without bound: parked
+//! requests are capped at [`PARKED_ROUNDS_LIMIT`] rounds' worth (sockets are
+//! then left unread — TCP backpressure), and a connection that does not read
+//! its replies stops being read from at [`WRITE_BUF_SOFT_LIMIT`] unflushed
+//! bytes and is closed at [`WRITE_BUF_HARD_LIMIT`].
 
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use txkv::{DurableKvSession, DurableKvStore, KvOp, KvReply, KvServer, KvSession, WalError};
+use txkv::{
+    CommitTicket, DurableKvSession, DurableKvStore, KvOp, KvReply, KvServer, KvSession, WalError,
+};
 use txmem::TxRuntime;
 
 use crate::error::ProtocolError;
 use crate::frame::{decode_frame, encode_frame_into, FrameDecode, DEFAULT_MAX_FRAME_LEN};
 use crate::proto;
+
+/// How many full coalescing windows
+/// ([`NetServerConfig::max_coalesced_requests`]) of requests a serving
+/// thread parks behind the durable watermark before it stops reading
+/// sockets. Four windows already cover one group-commit interval of the
+/// repo's benchmark; the rest is headroom for slower disks.
+pub const PARKED_ROUNDS_LIMIT: usize = 16;
+
+/// Unflushed reply bytes above which a connection is no longer read from:
+/// a peer that pipelines without reading its replies stalls itself instead
+/// of growing the server. One maximum-size reply frame.
+pub const WRITE_BUF_SOFT_LIMIT: usize = DEFAULT_MAX_FRAME_LEN as usize;
+
+/// Unflushed reply bytes above which a connection is closed. Only requests
+/// already decoded when the soft limit tripped can carry a connection past
+/// it, so this is reached by a peer that asks for far more than it reads.
+pub const WRITE_BUF_HARD_LIMIT: usize = 16 * WRITE_BUF_SOFT_LIMIT;
 
 /// Configuration of a [`NetServer`].
 #[derive(Debug, Clone)]
@@ -51,13 +97,14 @@ pub struct NetServerConfig {
     pub threads: usize,
     /// Upper bound on a request frame's payload length.
     pub max_frame_len: u32,
-    /// How long an idle serving thread sleeps between poll iterations.
+    /// How long an idle serving thread sleeps between poll iterations (with
+    /// rounds parked it waits on the WAL's ack instead, for at most this
+    /// long, so an fsync wakes it at once).
     pub idle_sleep: Duration,
     /// Upper bound on requests coalesced into one store batch. The batch
-    /// executes as a single transaction (and a single WAL ticket), so this
+    /// executes as a single transaction (and a single WAL record), so this
     /// bounds commit latency when many connections are readable at once;
-    /// excess requests stay in the kernel's socket buffers — TCP
-    /// backpressure — and execute in subsequent iterations, scanned from a
+    /// excess requests wait for a subsequent iteration, scanned from a
     /// rotating start so no connection starves.
     pub max_coalesced_requests: usize,
 }
@@ -73,7 +120,7 @@ impl Default for NetServerConfig {
     }
 }
 
-/// What a serving thread executes its coalesced drains against: an
+/// What a serving thread executes its coalesced rounds against: an
 /// in-memory session or a durable one. One per thread (sessions are
 /// per-thread handles).
 enum Backend<R: TxRuntime> {
@@ -82,10 +129,16 @@ enum Backend<R: TxRuntime> {
 }
 
 impl<R: TxRuntime> Backend<R> {
-    fn execute(&mut self, requests: Vec<Vec<KvOp>>) -> Result<Vec<Vec<KvReply>>, WalError> {
+    /// Commits one coalesced round in memory. The durable path also returns
+    /// the ticket of the round's redo record — the round's gate — without
+    /// waiting on it; an `Err` is a refusal *before* the commit.
+    fn execute(
+        &mut self,
+        ops: Vec<KvOp>,
+    ) -> Result<(Vec<KvReply>, Option<CommitTicket>), WalError> {
         match self {
-            Backend::Mem(session) => Ok(session.batch_with_replies(requests)),
-            Backend::Durable(session) => session.batch_with_replies(requests),
+            Backend::Mem(session) => Ok((session.batch(ops), None)),
+            Backend::Durable(session) => session.submit(ops),
         }
     }
 }
@@ -138,9 +191,10 @@ impl NetServer {
         Self::start(Shared::Mem(server), addr, config)
     }
 
-    /// Serves the durable [`DurableKvStore`] on `addr`: every acknowledged
-    /// write reply is durable per the store's fsync policy, and coalesced
-    /// requests share one WAL ticket.
+    /// Serves the durable [`DurableKvStore`] on `addr`: no reply leaves
+    /// before every write it could have observed is durable per the store's
+    /// fsync policy, coalesced requests share one WAL record, and rounds
+    /// committed during one sync interval share one fsync.
     ///
     /// # Errors
     ///
@@ -188,9 +242,10 @@ impl NetServer {
         self.addr
     }
 
-    /// Signals the serving threads to stop and joins them. Open connections
-    /// are dropped; in-flight replies that were already queued are flushed
-    /// by the final poll iteration before the flag is observed.
+    /// Signals the serving threads to stop and joins them. Each thread first
+    /// resolves the rounds it still has parked (waiting out the fsync they
+    /// are gated on) and flushes their replies once; then its connections
+    /// are dropped.
     pub fn shutdown(mut self) {
         self.shutdown_and_join();
     }
@@ -211,28 +266,131 @@ impl Drop for NetServer {
 
 /// One connection's state inside a serving thread.
 struct Conn {
+    /// Unique within the thread and increasing in accept order, so routes
+    /// find their connection by binary search even after others were reaped.
+    id: u64,
     stream: TcpStream,
     /// Bytes read but not yet decoded (at most one partial frame after a
-    /// decode pass).
+    /// decode pass that did not fill the coalescing window).
     read_buf: Vec<u8>,
     /// Encoded reply frames not yet accepted by the socket.
     write_buf: Vec<u8>,
     /// Prefix of `write_buf` already written.
     written: usize,
-    /// `false` once the connection is condemned (EOF, I/O error, or a
-    /// frame-level protocol violation): queued replies are still flushed,
-    /// then the connection is dropped.
+    /// Requests of this connection whose replies are still parked in the
+    /// thread's FIFO; the connection outlives them even when condemned.
+    parked: usize,
+    /// `false` once the connection is condemned (EOF, I/O error, a
+    /// frame-level protocol violation, or the write-buffer hard limit):
+    /// parked and queued replies are still flushed, then the connection is
+    /// dropped.
     open: bool,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+    fn new(id: u64, stream: TcpStream) -> Conn {
         Conn {
+            id,
             stream,
             read_buf: Vec::new(),
             write_buf: Vec::new(),
             written: 0,
+            parked: 0,
             open: true,
+        }
+    }
+
+    /// Reads whatever the socket holds into `read_buf`; `true` if any bytes
+    /// arrived.
+    fn fill(&mut self, scratch: &mut [u8]) -> bool {
+        let mut progressed = false;
+        loop {
+            match self.stream.read(scratch) {
+                Ok(0) => {
+                    // EOF: whatever complete frames are already buffered
+                    // still get decoded, executed and answered.
+                    self.open = false;
+                    break;
+                }
+                Ok(n) => {
+                    progressed = true;
+                    txobs::metrics::net().bytes_in.add(n as u64);
+                    self.read_buf.extend_from_slice(&scratch[..n]);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.open = false;
+                    break;
+                }
+            }
+        }
+        progressed
+    }
+
+    /// Decodes buffered request frames into `round` (their operations into
+    /// the round's flat `ops` list) until the coalescing `window` is full;
+    /// an undecoded tail stays in `read_buf` for the next iteration.
+    fn decode_into(
+        &mut self,
+        round: &mut Round,
+        ops: &mut Vec<KvOp>,
+        window: usize,
+        max_frame_len: u32,
+    ) {
+        let net = txobs::metrics::net();
+        let mut offset = 0usize;
+        while round.routes.len() < window {
+            match decode_frame(&self.read_buf[offset..], max_frame_len) {
+                Ok(FrameDecode::Frame {
+                    req_id,
+                    payload,
+                    consumed,
+                }) => {
+                    offset += consumed;
+                    txobs::trace::trace(txobs::EventKind::NetRead, payload.len() as u64);
+                    net.requests.inc();
+                    let (span, executed) = match proto::decode_request(&payload) {
+                        Ok(request) => {
+                            let start = ops.len();
+                            ops.extend(request);
+                            round.executed += 1;
+                            (start..ops.len(), true)
+                        }
+                        Err(error) => {
+                            // Payload-level: a typed error reply on the live
+                            // connection, parked with the round so it leaves
+                            // in request order.
+                            debug_assert!(!error.is_frame_level());
+                            net.protocol_errors.inc();
+                            let reply =
+                                proto::encode_err_reply(error.wire_code(), &error.to_string());
+                            (push_payload(&mut round.payloads, &reply), false)
+                        }
+                    };
+                    round.routes.push(Route {
+                        conn: self.id,
+                        req_id,
+                        span,
+                        executed,
+                    });
+                    self.parked += 1;
+                }
+                Ok(FrameDecode::Incomplete) => break,
+                Err(error) => {
+                    // Frame-level: the stream is desynced; close once the
+                    // replies already parked or queued have left.
+                    let _: ProtocolError = error;
+                    net.protocol_errors.inc();
+                    self.open = false;
+                    self.read_buf.clear();
+                    offset = 0;
+                    break;
+                }
+            }
+        }
+        if offset > 0 {
+            self.read_buf.drain(..offset);
         }
     }
 
@@ -271,8 +429,123 @@ impl Conn {
         }
     }
 
-    fn flushed(&self) -> bool {
-        self.written == self.write_buf.len()
+    /// Reply bytes queued but not yet accepted by the socket.
+    fn unflushed(&self) -> usize {
+        self.write_buf.len() - self.written
+    }
+
+    /// Closes a connection that is past [`WRITE_BUF_HARD_LIMIT`]: the socket
+    /// is shut down both ways and everything buffered for it is discarded
+    /// (replies still parked for it are discarded by the failing writes).
+    fn abort(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.open = false;
+        self.read_buf = Vec::new();
+        self.write_buf = Vec::new();
+        self.written = 0;
+    }
+}
+
+/// One request's way back: the connection and request-id its reply goes to,
+/// and where the reply's payload is.
+struct Route {
+    conn: u64,
+    req_id: u64,
+    /// An executed request's span in the round's flat operation list — and,
+    /// once the round has executed, its reply payload's span in
+    /// [`Round::payloads`]. A rejected request's span is its typed error
+    /// payload's from the start.
+    span: Range<usize>,
+    /// `false` for a request rejected at decode (payload-level protocol
+    /// error): its reply is fixed, whatever becomes of the round.
+    executed: bool,
+}
+
+/// Appends one encoded reply payload to a round's buffer; returns its span.
+fn push_payload(payloads: &mut Vec<u8>, payload: &[u8]) -> Range<usize> {
+    let start = payloads.len();
+    payloads.extend_from_slice(payload);
+    start..payloads.len()
+}
+
+/// One executed round waiting in a serving thread's FIFO for its gate.
+struct Round {
+    /// The round's requests, in decode order.
+    routes: Vec<Route>,
+    /// How many of them executed (the rest were rejected at decode).
+    executed: usize,
+    /// The encoded reply payloads the routes' spans point into.
+    payloads: Vec<u8>,
+    /// The WAL record this round's replies wait for: the round's own if it
+    /// wrote, else the gate of the round parked ahead of it. `None` if
+    /// nothing this thread appended is still in flight.
+    gate: Option<CommitTicket>,
+    /// When the round committed and was parked.
+    committed: Instant,
+}
+
+impl Round {
+    fn new() -> Round {
+        Round {
+            routes: Vec::new(),
+            executed: 0,
+            payloads: Vec::new(),
+            gate: None,
+            committed: Instant::now(),
+        }
+    }
+
+    /// Empties a released round for reuse; its buffers keep their capacity
+    /// (short of what one oversized reply made of it).
+    fn recycle(mut self) -> Round {
+        self.routes.clear();
+        self.executed = 0;
+        self.payloads.clear();
+        self.payloads.shrink_to(WRITE_BUF_SOFT_LIMIT);
+        self.gate = None;
+        self
+    }
+
+    /// Queues the round's reply frames on their connections. `outcome` is
+    /// the verdict on the round's gate: after a durability failure every
+    /// executed request is answered with the typed [`proto::ERR_WAL`] error
+    /// instead of its reply.
+    fn release(&self, outcome: Result<(), WalError>, conns: &mut [Conn]) {
+        debug_assert!(
+            outcome.is_err()
+                || self
+                    .gate
+                    .as_ref()
+                    .is_none_or(|gate| gate.poll() == Some(Ok(()))),
+            "a round's replies must not leave before its gate is durable"
+        );
+        // The argument is the durable watermark the round waited for (0:
+        // none), matching what `wal-fsync` and `wal-watermark` carry.
+        let waited_for = self.gate.as_ref().map_or(0, |gate| gate.lsn() + 1);
+        txobs::trace::trace(txobs::EventKind::NetRelease, waited_for);
+        let net = txobs::metrics::net();
+        net.parked_rounds.sub(1);
+        net.ack_lag_ns.record_ns(
+            self.committed
+                .elapsed()
+                .as_nanos()
+                .min(u128::from(u64::MAX)) as u64,
+        );
+        let wal_error = outcome
+            .err()
+            .map(|wal| proto::encode_err_reply(proto::ERR_WAL, &wal.to_string()));
+        for route in &self.routes {
+            let index = conns
+                .binary_search_by_key(&route.conn, |conn| conn.id)
+                .expect("a connection outlives its parked replies");
+            let conn = &mut conns[index];
+            conn.parked -= 1;
+            let payload = match &wal_error {
+                Some(error) if route.executed => error,
+                _ => &self.payloads[route.span.clone()],
+            };
+            conn.queue_reply(route.req_id, payload);
+        }
     }
 }
 
@@ -284,13 +557,18 @@ fn serve_loop<R: TxRuntime>(
     config: &NetServerConfig,
 ) {
     let net = txobs::metrics::net();
-    let max_coalesced = config.max_coalesced_requests.max(1);
+    let window = config.max_coalesced_requests.max(1);
+    let park_limit = window.saturating_mul(PARKED_ROUNDS_LIMIT);
     let mut conns: Vec<Conn> = Vec::new();
+    let mut next_conn_id = 0u64;
     let mut scratch = vec![0u8; 64 * 1024];
-    // Reused across iterations: the routes (connection, request-id) and the
-    // decoded request batches of one coalesced drain, index-aligned.
-    let mut routes: Vec<(usize, u64)> = Vec::new();
-    let mut requests: Vec<Vec<KvOp>> = Vec::new();
+    // Executed rounds whose replies wait for the durable watermark, oldest
+    // first, and how many requests they hold.
+    let mut parked: VecDeque<Round> = VecDeque::new();
+    let mut parked_requests = 0usize;
+    // Released rounds, kept for their buffers: a steady-state iteration
+    // allocates no route or payload storage.
+    let mut spare: Vec<Round> = Vec::new();
     // Where the read/decode scan starts, advanced every iteration: when the
     // coalescing window fills before the scan completes, the connections
     // that were skipped go first next time.
@@ -308,7 +586,8 @@ fn serve_loop<R: TxRuntime>(
                     }
                     let _ = stream.set_nodelay(true);
                     net.connections.add(1);
-                    conns.push(Conn::new(stream));
+                    conns.push(Conn::new(next_conn_id, stream));
+                    next_conn_id += 1;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -316,135 +595,134 @@ fn serve_loop<R: TxRuntime>(
             }
         }
 
-        // 2. Read and decode, scanning from a rotating start.
-        routes.clear();
-        requests.clear();
+        // 2. Read and decode, scanning from a rotating start — unless enough
+        // requests are parked already: then the bytes stay in the kernel's
+        // socket buffers (TCP backpressure) until the WAL catches up.
+        let mut round = spare.pop().unwrap_or_else(Round::new);
+        let mut ops: Vec<KvOp> = Vec::new();
         let n_conns = conns.len();
         scan_start = if n_conns == 0 {
             0
         } else {
             (scan_start + 1) % n_conns
         };
-        for step in 0..n_conns {
-            let index = (scan_start + step) % n_conns;
-            let conn = &mut conns[index];
-            if !conn.open {
-                continue;
-            }
-            // The coalescing window is full: leave this connection's bytes
-            // in the kernel buffer (backpressure) for a later iteration.
-            if requests.len() >= max_coalesced {
-                continue;
-            }
-            loop {
-                match conn.stream.read(&mut scratch) {
-                    Ok(0) => {
-                        // EOF: whatever complete frames are already buffered
-                        // still get decoded, executed and answered below.
-                        conn.open = false;
-                        break;
-                    }
-                    Ok(n) => {
-                        busy = true;
-                        net.bytes_in.add(n as u64);
-                        conn.read_buf.extend_from_slice(&scratch[..n]);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.open = false;
-                        break;
-                    }
-                }
-            }
-            let mut offset = 0usize;
-            loop {
-                if requests.len() >= max_coalesced {
-                    // Window full mid-connection: the undecoded tail stays
-                    // in `read_buf` for the next iteration.
+        if parked_requests < park_limit {
+            for step in 0..n_conns {
+                // The coalescing window is full: the remaining connections
+                // keep their bytes for a later iteration.
+                if round.routes.len() >= window {
                     break;
                 }
-                match decode_frame(&conn.read_buf[offset..], config.max_frame_len) {
-                    Ok(FrameDecode::Frame {
-                        req_id,
-                        payload,
-                        consumed,
-                    }) => {
-                        offset += consumed;
-                        txobs::trace::trace(txobs::EventKind::NetRead, payload.len() as u64);
-                        net.requests.inc();
-                        match proto::decode_request(&payload) {
-                            Ok(ops) => {
-                                routes.push((index, req_id));
-                                requests.push(ops);
-                            }
-                            Err(error) => {
-                                // Payload-level: typed error reply, live
-                                // connection.
-                                debug_assert!(!error.is_frame_level());
-                                net.protocol_errors.inc();
-                                conn.queue_reply(
-                                    req_id,
-                                    &proto::encode_err_reply(error.wire_code(), &error.to_string()),
-                                );
-                            }
-                        }
-                    }
-                    Ok(FrameDecode::Incomplete) => break,
-                    Err(error) => {
-                        // Frame-level: the stream is desynced; close after
-                        // flushing whatever replies are already queued.
-                        let _: ProtocolError = error;
-                        net.protocol_errors.inc();
-                        conn.open = false;
-                        conn.read_buf.clear();
-                        offset = 0;
-                        break;
-                    }
+                let conn = &mut conns[(scan_start + step) % n_conns];
+                // A peer that does not read its replies is not read from.
+                if !conn.open || conn.unflushed() > WRITE_BUF_SOFT_LIMIT {
+                    continue;
                 }
-            }
-            if offset > 0 {
-                conn.read_buf.drain(..offset);
+                busy |= conn.fill(&mut scratch);
+                conn.decode_into(&mut round, &mut ops, window, config.max_frame_len);
             }
         }
 
-        // 3. Coalesce: every request decoded this iteration — across all of
-        // this thread's connections — executes as ONE store batch.
-        if !requests.is_empty() {
+        // 3. Execute: every request decoded this iteration — across all of
+        // this thread's connections — commits as ONE store batch, in memory.
+        if round.executed > 0 {
             busy = true;
-            txobs::trace::trace(txobs::EventKind::NetBatch, requests.len() as u64);
+            txobs::trace::trace(txobs::EventKind::NetBatch, round.executed as u64);
             net.coalesced_batches.inc();
-            net.coalesced_requests.add(requests.len() as u64);
-            match backend.execute(std::mem::take(&mut requests)) {
-                Ok(replies) => {
-                    debug_assert_eq!(replies.len(), routes.len());
-                    for (&(index, req_id), reply) in routes.iter().zip(&replies) {
-                        conns[index].queue_reply(req_id, &proto::encode_ok_reply(reply));
+            net.coalesced_requests.add(round.executed as u64);
+            let Round {
+                routes,
+                payloads,
+                gate,
+                ..
+            } = &mut round;
+            let executed = routes.iter_mut().filter(|route| route.executed);
+            match backend.execute(ops) {
+                Ok((replies, ticket)) => {
+                    for route in executed {
+                        let reply = proto::encode_ok_reply(&replies[route.span.clone()]);
+                        route.span = push_payload(payloads, &reply);
                     }
+                    *gate = ticket;
                 }
                 Err(wal) => {
-                    // The whole coalesced batch failed to (or was refused
-                    // before) commit; answer every request with the typed
-                    // durability error and keep serving.
+                    // Refused before the in-memory commit (the log is
+                    // already dead): every request gets the typed
+                    // durability error — through the FIFO, behind the
+                    // replies of the rounds ahead.
                     let reply = proto::encode_err_reply(proto::ERR_WAL, &wal.to_string());
-                    for &(index, req_id) in &routes {
-                        conns[index].queue_reply(req_id, &reply);
+                    let span = push_payload(payloads, &reply);
+                    for route in executed {
+                        route.span = span.clone();
                     }
                 }
             }
         }
 
-        // 4. Flush and reap.
+        // 4. Park. A round that appended nothing inherits the gate of the
+        // round ahead of it: its reads may have seen that round's writes.
+        if round.routes.is_empty() {
+            spare.push(round);
+        } else {
+            if round.gate.is_none() {
+                round.gate = parked.back().and_then(|ahead| ahead.gate.clone());
+            }
+            round.committed = Instant::now();
+            parked_requests += round.routes.len();
+            net.parked_rounds.add(1);
+            parked.push_back(round);
+        }
+
+        // 5. Release, flush and reap. Rounds leave the head of the FIFO once
+        // their gate is resolved: durable (or no gate at all) → their
+        // replies; writer dead → `ERR_WAL` unless the last successful fsync
+        // had covered them.
+        while let Some(round) = parked.front() {
+            let outcome = match &round.gate {
+                None => Ok(()),
+                Some(gate) => match gate.poll() {
+                    Some(outcome) => outcome,
+                    None => break,
+                },
+            };
+            round.release(outcome, &mut conns);
+            parked_requests -= round.routes.len();
+            // The peers are about to answer: look at the sockets again
+            // before sleeping.
+            busy = true;
+            let round = parked.pop_front().expect("the head was just inspected");
+            spare.push(round.recycle());
+        }
         let before = conns.len();
         for conn in &mut conns {
             conn.flush();
+            if conn.unflushed() > WRITE_BUF_HARD_LIMIT {
+                conn.abort();
+            }
         }
-        conns.retain(|conn| conn.open || !conn.flushed());
+        conns.retain(|conn| conn.open || conn.unflushed() > 0 || conn.parked > 0);
         net.connections.sub((before - conns.len()) as u64);
 
         if !busy {
-            std::thread::sleep(config.idle_sleep);
+            // With rounds parked, the next event is either a socket or the
+            // fsync they wait for: sleep on the latter, which wakes at once.
+            match parked.front().and_then(|round| round.gate.as_ref()) {
+                Some(gate) => {
+                    let _ = gate.wait_timeout(config.idle_sleep);
+                }
+                None => std::thread::sleep(config.idle_sleep),
+            }
         }
     }
-    txobs::metrics::net().connections.sub(conns.len() as u64);
+
+    // Shutdown: resolve what is still parked — a blocking wait per gate, for
+    // an fsync that is already due — and flush once.
+    for round in parked.drain(..) {
+        let outcome = round.gate.clone().map_or(Ok(()), CommitTicket::wait);
+        round.release(outcome, &mut conns);
+    }
+    for conn in &mut conns {
+        conn.flush();
+    }
+    net.connections.sub(conns.len() as u64);
 }

@@ -1,7 +1,7 @@
 //! Loopback conformance: the network front-end against the `RefStore`
 //! oracle, on every runtime.
 //!
-//! Three contracts (ISSUE 10, satellite):
+//! Four contracts:
 //!
 //! * concurrent clients' interleaved batches observe exactly the semantics
 //!   of applying each batch atomically — every reply matches the oracle;
@@ -9,11 +9,16 @@
 //!   STM commits;
 //! * the durable path survives an injected WAL crash point with dense LSNs —
 //!   every acknowledged write is recovered, degraded reads keep serving
-//!   over the wire, and a recovered store serves the network again.
+//!   over the wire, and a recovered store serves the network again;
+//! * a peer that pipelines requests without reading its replies cannot make
+//!   the server grow: it stops being read from at the write buffer's soft
+//!   limit, is closed at the hard limit, and other connections keep being
+//!   served throughout.
 
-use std::io::Write;
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use swisstm::SwisstmRuntime;
 use tlstm::TlstmRuntime;
@@ -26,6 +31,7 @@ use txlog::crash_points;
 use txmem::{SeqRefRuntime, TxConfig, TxRuntime};
 use txnet::{
     encode_frame, encode_request, NetClient, NetError, NetServer, NetServerConfig, ERR_WAL,
+    WRITE_BUF_HARD_LIMIT,
 };
 
 const SHARDS: u64 = 8;
@@ -313,6 +319,141 @@ fn durable_loopback_survives_a_crash_point_with_dense_lsns() {
             client.get(9_999).expect("post-recovery read"),
             Some(vec![1, 2, 3])
         );
+        net.shutdown();
+    });
+}
+
+/// A server whose key 1 holds an 8 KiB value, so a request of `n` gets of it
+/// is ~`9n` bytes and its reply `8n` KiB: replies outgrow requests 900-fold.
+fn serve_big_value() -> NetServer {
+    let server = Arc::new(KvServer::<SeqRefRuntime>::new(&KvServerConfig::default()));
+    server.populate([(1, (0..1024).collect())]);
+    NetServer::serve(server, ("127.0.0.1", 0), &net_config(1)).expect("bind failed")
+}
+
+fn big_reply_request(req_id: u64, gets: usize) -> Vec<u8> {
+    encode_frame(req_id, &encode_request(&vec![KvOp::Get { key: 1 }; gets]))
+}
+
+/// A full round-trip on a fresh, well-behaved connection.
+fn assert_others_are_served(net: &NetServer, key: u64) {
+    let mut client = NetClient::connect(net.addr()).expect("connect failed");
+    client.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+    client
+        .put(key, vec![key])
+        .expect("put beside a slow reader");
+    assert_eq!(
+        client.get(key).expect("get beside a slow reader"),
+        Some(vec![key])
+    );
+}
+
+#[test]
+fn a_peer_that_never_reads_stalls_itself_and_nobody_else() {
+    with_default_watchdog(|| {
+        // What the kernel's socket buffers can hold of the request stream
+        // at most (Linux caps one at 4–6 MiB); a peer still sending beyond
+        // this is being read from.
+        const REQUEST_BYTES_CAP: usize = 64 << 20;
+        const STALLED_FOR: Duration = Duration::from_millis(300);
+        let net = serve_big_value();
+        let mut greedy = TcpStream::connect(net.addr()).expect("connect failed");
+        greedy.set_nonblocking(true).unwrap();
+
+        // Pipeline 32 KiB-reply requests, never reading, until the socket
+        // has refused more for a while: the server stopped reading this
+        // connection. Without the soft limit it would read on — and buffer
+        // 900 bytes of reply for every request byte — to the cap.
+        let mut sent_bytes = 0usize;
+        let mut next_id = 1u64;
+        let mut frame = big_reply_request(next_id, 4);
+        let mut frame_at = 0usize;
+        let mut last_progress = Instant::now();
+        while last_progress.elapsed() < STALLED_FOR {
+            assert!(
+                sent_bytes < REQUEST_BYTES_CAP,
+                "the server kept reading a peer that never reads its replies"
+            );
+            match greedy.write(&frame[frame_at..]) {
+                Ok(n) => {
+                    sent_bytes += n;
+                    frame_at += n;
+                    last_progress = Instant::now();
+                    if frame_at == frame.len() {
+                        next_id += 1;
+                        frame = big_reply_request(next_id, 4);
+                        frame_at = 0;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(e) => panic!("the slow reader's connection failed: {e}"),
+            }
+        }
+        let complete_requests = next_id - 1;
+
+        // The stalled peer costs nobody else anything.
+        assert_others_are_served(&net, 77);
+
+        // Not closed, nothing lost: once the peer reads, its replies arrive
+        // in request order and the server resumes reading its requests.
+        greedy.set_nonblocking(false).unwrap();
+        greedy.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+        let mut client_buf = Vec::new();
+        let mut scratch = vec![0u8; 256 * 1024];
+        let mut answered = 0u64;
+        while answered < complete_requests.min(512) {
+            let n = greedy.read(&mut scratch).expect("slow reader catching up");
+            assert!(n > 0, "the server closed a connection below the hard limit");
+            client_buf.extend_from_slice(&scratch[..n]);
+            let mut consumed_total = 0usize;
+            while let Ok(txnet::FrameDecode::Frame {
+                req_id,
+                payload,
+                consumed,
+            }) =
+                txnet::decode_frame(&client_buf[consumed_total..], txnet::DEFAULT_MAX_FRAME_LEN)
+            {
+                answered += 1;
+                assert_eq!(req_id, answered, "replies must keep the request order");
+                assert_eq!(payload.get(1), Some(&0), "reply {req_id} is not OK");
+                consumed_total += consumed;
+            }
+            client_buf.drain(..consumed_total);
+        }
+        net.shutdown();
+    });
+}
+
+#[test]
+fn a_peer_owed_more_than_the_hard_limit_is_closed() {
+    with_default_watchdog(|| {
+        let net = serve_big_value();
+        let mut greedy = TcpStream::connect(net.addr()).expect("connect failed");
+
+        // One request whose reply is twice the hard limit: the soft limit
+        // has no say in what a single round queues, and the peer reads
+        // nothing of it.
+        let gets = 2 * WRITE_BUF_HARD_LIMIT / (8 * 1024);
+        greedy
+            .write_all(&big_reply_request(1, gets))
+            .expect("oversized request");
+
+        // The server drops the connection instead of holding the reply: the
+        // peer's further requests start failing (the first few still land in
+        // socket buffers).
+        let deadline = Instant::now() + READ_TIMEOUT;
+        let mut next_id = 2u64;
+        while greedy.write_all(&big_reply_request(next_id, 1)).is_ok() {
+            assert!(
+                Instant::now() < deadline,
+                "the server kept a connection it owed twice the hard limit"
+            );
+            next_id += 1;
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_others_are_served(&net, 78);
         net.shutdown();
     });
 }

@@ -6,7 +6,9 @@
 //! typed protocol error and a live connection (payload-level corruption
 //! inside a CRC-valid frame) or a clean connection close (frame-level
 //! corruption) — never a panic, never a desynced reply stream. The server
-//! keeps serving other connections throughout.
+//! keeps serving other connections throughout, and a typed error reply takes
+//! its place in the request order: it travels through the same round FIFO as
+//! the replies around it.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -14,7 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tlstm_testutil::with_default_watchdog;
-use txkv::{KvOp, KvServer, KvServerConfig};
+use txkv::{KvOp, KvReply, KvServer, KvServerConfig};
 use txmem::SeqRefRuntime;
 use txnet::{encode_frame, encode_request, NetClient, NetError, NetServer, NetServerConfig};
 
@@ -227,6 +229,75 @@ fn payload_level_corruption_gets_a_typed_reply_on_a_live_connection() {
         }
         // … but the server itself keeps serving.
         assert_server_alive(addr, 7004);
+        server.shutdown();
+    });
+}
+
+#[test]
+fn interleaved_good_and_bad_pipelined_requests_are_answered_in_request_order() {
+    with_default_watchdog(|| {
+        let server = start_server();
+        let mut client = NetClient::connect(server.addr()).expect("connect failed");
+        client.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+
+        // One write, so the frames reach the server together and are decoded
+        // in one pass: executed requests and rejected ones share a round.
+        // An error reply queued at decode time would overtake the replies of
+        // the good requests ahead of it.
+        let bad_version = vec![9u8];
+        let trailing_byte = {
+            let mut p = encode_request(&[KvOp::Get { key: 1 }]);
+            p.push(0);
+            p
+        };
+        let stream: [(u64, Vec<u8>, Option<u8>); 7] = [
+            (
+                1,
+                encode_request(&[KvOp::Put {
+                    key: 1,
+                    value: vec![11],
+                }]),
+                None,
+            ),
+            (2, bad_version.clone(), Some(4)),
+            (3, encode_request(&[KvOp::Get { key: 1 }]), None),
+            (4, trailing_byte, Some(6)),
+            (5, bad_version, Some(4)),
+            (
+                6,
+                encode_request(&[KvOp::Put {
+                    key: 1,
+                    value: vec![12],
+                }]),
+                None,
+            ),
+            (7, encode_request(&[KvOp::Get { key: 1 }]), None),
+        ];
+        let mut wire = Vec::new();
+        for (req_id, payload, _) in &stream {
+            wire.extend_from_slice(&encode_frame(*req_id, payload));
+        }
+        client.stream().write_all(&wire).expect("pipelined write");
+        let mut gets = Vec::new();
+        for (req_id, _, want_code) in &stream {
+            let (got_id, result) = client.recv().expect("pipelined recv");
+            assert_eq!(got_id, *req_id, "replies must keep the request order");
+            match (result, want_code) {
+                (Err(remote), Some(code)) => assert_eq!(remote.code, *code, "request {req_id}"),
+                (Ok(replies), None) => gets.extend(replies),
+                (other, _) => panic!("request {req_id}: unexpected reply {other:?}"),
+            }
+        }
+        // The good requests executed in order around the rejected ones.
+        assert_eq!(
+            gets,
+            vec![
+                KvReply::Inserted(true),
+                KvReply::Value(Some(vec![11])),
+                KvReply::Inserted(false),
+                KvReply::Value(Some(vec![12])),
+            ]
+        );
         server.shutdown();
     });
 }

@@ -307,11 +307,18 @@ pub struct NetMetrics {
     pub protocol_errors: Counter,
     /// Currently connected clients.
     pub connections: Gauge,
+    /// Executed rounds whose replies are parked behind the durable
+    /// watermark, across all serving threads.
+    pub parked_rounds: Gauge,
+    /// Ack lag: from a round's in-memory commit to the release of its
+    /// replies (the wait for the fsync covering it; ~0 for in-memory
+    /// rounds).
+    pub ack_lag_ns: AtomicHistogram,
 }
 
 /// Point-in-time copy of the [`NetMetrics`] counters, subtractable across a
-/// benchmark run (the `connections` gauge is instantaneous and therefore not
-/// part of the snapshot).
+/// benchmark run (the gauges are instantaneous and therefore not part of the
+/// snapshot).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NetSnapshot {
     /// See [`NetMetrics::requests`].
@@ -415,6 +422,8 @@ static NET: NetMetrics = NetMetrics {
     coalesced_requests: Counter::new(),
     protocol_errors: Counter::new(),
     connections: Gauge::new(),
+    parked_rounds: Gauge::new(),
+    ack_lag_ns: AtomicHistogram::new(),
 };
 
 /// The process-wide WAL writer metrics.
@@ -532,12 +541,18 @@ pub fn metrics_text() -> String {
         ("txobs_wal_watermark_lag", &wal.watermark_lag),
         ("txobs_kv_health", &kv().health),
         ("txobs_net_connections", &net().connections),
+        ("txobs_net_parked_rounds", &net().parked_rounds),
     ] {
         let _ = writeln!(out, "# TYPE {name} gauge");
         let _ = writeln!(out, "{name} {}", gauge.get());
     }
     render_histogram(&mut out, "txobs_wal_append_ns", &wal.append_ns.snapshot());
     render_histogram(&mut out, "txobs_wal_fsync_ns", &wal.fsync_ns.snapshot());
+    render_histogram(
+        &mut out,
+        "txobs_net_ack_lag_ns",
+        &net().ack_lag_ns.snapshot(),
+    );
     let dynamic = published().lock().unwrap_or_else(|e| e.into_inner());
     if !dynamic.is_empty() {
         let _ = writeln!(out, "# published snapshots");
@@ -706,6 +721,8 @@ mod tests {
     #[test]
     fn exposition_round_trips_through_the_parser() {
         wal().fsync_ns.record_ns(123_456);
+        net().ack_lag_ns.record_ns(2_000_000);
+        net().parked_rounds.add(3);
         kv().health.set(crate::trace::health::HEALTHY);
         publish(
             "tmbench_tx_commits",
@@ -725,6 +742,9 @@ mod tests {
                 && s.labels.iter().any(|(k, _)| k == "le")));
         assert!(find("txobs_wal_fsync_ns_sum").is_some());
         assert!(find("txobs_wal_fsync_ns_count").is_some());
+        // The serving front-end's parked stage: gauge and ack-lag histogram.
+        assert_eq!(find("txobs_net_parked_rounds").map(|s| s.value), Some(3.0));
+        assert!(find("txobs_net_ack_lag_ns_sum").is_some_and(|s| s.value >= 2_000_000.0));
         let dynamic = find("tmbench_tx_commits").expect("published sample present");
         assert_eq!(dynamic.value, 991.0);
         assert!(dynamic

@@ -76,6 +76,11 @@ pub enum EventKind {
     /// A serving thread wrote one reply frame back to a connection; the
     /// argument is the reply's payload length in bytes.
     NetWrite = 14,
+    /// A serving thread released one parked round: its replies may leave
+    /// now. The argument is the durable watermark the round waited for (its
+    /// gate's LSN + 1, comparable with [`EventKind::WalFsyncDone`]'s
+    /// argument), or 0 if it waited for nothing.
+    NetRelease = 15,
 }
 
 impl EventKind {
@@ -96,6 +101,7 @@ impl EventKind {
             12 => EventKind::NetRead,
             13 => EventKind::NetBatch,
             14 => EventKind::NetWrite,
+            15 => EventKind::NetRelease,
             _ => return None,
         })
     }
@@ -116,6 +122,7 @@ impl EventKind {
             EventKind::NetRead => "net-read",
             EventKind::NetBatch => "net-batch",
             EventKind::NetWrite => "net-write",
+            EventKind::NetRelease => "net-release",
         }
     }
 }
@@ -575,6 +582,7 @@ mod tests {
                 trace(EventKind::WalFsyncStart, 0);
                 trace(EventKind::WalFsyncDone, 7);
                 trace(EventKind::KvHealth, health::DEGRADED);
+                trace(EventKind::NetRelease, 8);
             })
             .unwrap()
             .join()
@@ -590,6 +598,7 @@ mod tests {
         assert!(json.contains("\"ph\":\"B\"") && json.contains("\"ph\":\"E\""));
         assert!(json.contains("\"name\":\"wal-fsync\""));
         assert!(json.contains("\"health\":\"degraded\""));
+        assert!(json.contains("\"name\":\"net-release\",\"args\":{\"arg\":8}"));
         // Quotes and braces must balance for any JSON parser to accept it.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
