@@ -120,6 +120,13 @@ pub enum WorkloadKind {
         /// Read-modify-writes per transaction.
         ops_per_txn: u64,
     },
+    /// The per-access cost of a *long* transaction: 2 048 read-modify-writes
+    /// over a region wide enough that almost every one takes a new lock, as
+    /// one transaction — and, on a speculative runtime, one task. The 64-op
+    /// `overhead-*` rows cannot see a cost that grows with the number of
+    /// locks a transaction already holds; this pair of rows (`swisstm`
+    /// against `tlstm`) reads it off directly.
+    OverheadWrite2k,
     /// YCSB-style serving workload over the `txkv` sharded transactional
     /// key-value store (zipfian key choice; batches split into speculative
     /// tasks under TLSTM).
@@ -175,6 +182,7 @@ impl WorkloadKind {
             WorkloadKind::OverheadWrite { ops_per_txn } => {
                 format!("overhead-write-n{ops_per_txn}")
             }
+            WorkloadKind::OverheadWrite2k => "overhead-write-2k".to_string(),
             WorkloadKind::Kv { mix } => format!("kv-{}", mix.label()),
             // The fsync policy is a run-time modifier (`--fsync`), not part
             // of the identity: scenario names must stay stable so baselines
@@ -210,7 +218,9 @@ impl WorkloadKind {
             WorkloadKind::RbTree { .. } => "rbtree",
             WorkloadKind::VacationLow | WorkloadKind::VacationHigh => "vacation",
             WorkloadKind::Stmbench7 { .. } => "stmbench7",
-            WorkloadKind::OverheadRead { .. } | WorkloadKind::OverheadWrite { .. } => "overhead",
+            WorkloadKind::OverheadRead { .. }
+            | WorkloadKind::OverheadWrite { .. }
+            | WorkloadKind::OverheadWrite2k => "overhead",
             WorkloadKind::Kv { .. } => "kv",
             WorkloadKind::KvDurable { .. } => "kv-durable",
             WorkloadKind::NetKv { durable: None, .. } => "net-kv",
@@ -225,6 +235,7 @@ impl WorkloadKind {
             WorkloadKind::VacationLow | WorkloadKind::VacationHigh => &[2],
             WorkloadKind::Stmbench7 { .. } => &[3],
             WorkloadKind::OverheadRead { .. } | WorkloadKind::OverheadWrite { .. } => &[2],
+            WorkloadKind::OverheadWrite2k => &[1],
             // A 16-op batch splits into KV_BATCH_GROUPS shard-group tasks.
             WorkloadKind::Kv { .. }
             | WorkloadKind::KvDurable { .. }
@@ -394,6 +405,16 @@ fn measure_on<R: TxRuntime>(spec: &ScenarioSpec, config: &WorkloadConfig) -> Run
             };
             overhead::measure::<R>(&params, config)
         }
+        WorkloadKind::OverheadWrite2k => {
+            let ops_per_txn = 2048;
+            let params = OverheadParams {
+                // One lock (four words) per operation.
+                words: 4 * ops_per_txn,
+                threads: spec.threads,
+                ..OverheadParams::write_heavy(ops_per_txn)
+            };
+            overhead::measure::<R>(&params, config)
+        }
         WorkloadKind::Kv { mix } | WorkloadKind::KvDurable { mix, .. } => {
             let params = KvParams {
                 tasks_per_txn: kv_task_split::<R>(spec),
@@ -487,6 +508,7 @@ pub fn default_workloads() -> Vec<WorkloadKind> {
         WorkloadKind::Stmbench7 { read_pct: 10 },
         WorkloadKind::OverheadRead { ops_per_txn: 64 },
         WorkloadKind::OverheadWrite { ops_per_txn: 64 },
+        WorkloadKind::OverheadWrite2k,
         WorkloadKind::Kv { mix: KvMix::A },
         WorkloadKind::Kv { mix: KvMix::B },
         WorkloadKind::Kv {

@@ -54,6 +54,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod acquired;
 pub mod cm;
 pub mod runtime;
 pub mod session;

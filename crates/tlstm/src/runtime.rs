@@ -227,20 +227,20 @@ impl TlstmRuntime {
     pub fn register_uthread(self: &Arc<Self>, spec_depth: usize) -> UThread {
         let ptid = self.ptids.allocate();
         let shared = Arc::new(UThreadShared::new(ptid, spec_depth));
+        let new_worker = || Worker {
+            substrate: Arc::clone(&self.substrate),
+            uthread: Arc::clone(&shared),
+            cm: self.cm,
+            tickets: Arc::clone(&self.tickets),
+        };
         let mut senders = Vec::with_capacity(spec_depth);
         let mut workers = Vec::with_capacity(spec_depth);
         for lane in 0..spec_depth {
             let (tx, rx): (Sender<WorkItem>, Receiver<WorkItem>) = unbounded();
-            let worker = Worker {
-                substrate: Arc::clone(&self.substrate),
-                uthread: Arc::clone(&shared),
-                cm: self.cm,
-                tickets: Arc::clone(&self.tickets),
-                queue: rx,
-            };
+            let worker = new_worker();
             let handle = std::thread::Builder::new()
                 .name(format!("tlstm-u{ptid}-w{lane}"))
-                .spawn(move || worker.run())
+                .spawn(move || worker.run(rx))
                 .expect("failed to spawn TLSTM worker thread");
             senders.push(tx);
             workers.push(handle);
@@ -248,6 +248,7 @@ impl TlstmRuntime {
         let (done_tx, done_rx) = unbounded();
         UThread {
             runtime: Arc::clone(self),
+            inline: new_worker(),
             shared,
             senders,
             workers,
@@ -278,6 +279,8 @@ impl TlstmRuntime {
 pub struct UThread {
     runtime: Arc<TlstmRuntime>,
     shared: Arc<UThreadShared>,
+    /// Runs the sequential-fallback transactions on the driving thread.
+    inline: Worker,
     senders: Vec<Sender<WorkItem>>,
     workers: Vec<JoinHandle<()>>,
     next_serial: Cell<u64>,
@@ -393,7 +396,6 @@ impl UThread {
                 let serial = start_serial + offset as u64;
                 let item = WorkItem {
                     serial,
-                    try_commit: serial == commit_serial,
                     txn: Arc::clone(&txn),
                     body,
                     done: self.done_tx.clone(),
@@ -564,15 +566,8 @@ impl UThread {
                 commit_serial,
                 commit_serial,
             ));
-            crate::worker::run_task_inline(
-                &self.runtime.substrate,
-                self.runtime.cm,
-                &self.runtime.tickets,
-                &self.shared,
-                &replacement,
-                &merged.tasks[0],
-                &mut bufs,
-            );
+            self.inline
+                .run_task(&replacement, commit_serial, &merged.tasks[0], &mut bufs);
             debug_assert!(replacement.is_committed());
             outcomes.push(TxnOutcome {
                 start_serial: txn.start_serial(),
@@ -619,15 +614,8 @@ impl UThread {
                 start_serial,
                 start_serial,
             ));
-            crate::worker::run_task_inline(
-                &self.runtime.substrate,
-                self.runtime.cm,
-                &self.runtime.tickets,
-                &self.shared,
-                &txn,
-                &spec.tasks[0],
-                &mut bufs,
-            );
+            self.inline
+                .run_task(&txn, start_serial, &spec.tasks[0], &mut bufs);
             debug_assert!(txn.is_committed());
             outcomes.push(TxnOutcome {
                 start_serial,

@@ -20,15 +20,16 @@
 
 use std::sync::Arc;
 
-use txmem::chain::ChainRead;
+use txmem::chain::{ChainRead, WriteChain};
 use txmem::{
     Abort, AbortReason, CmDecision, LockIndex, OwnerHandle, OwnerToken, TxMem, TxSubstrate,
     WordAddr, WriteSet, LOCKED,
 };
 
+use crate::acquired::AcquiredLocks;
 use crate::cm::TaskAwareCm;
 use crate::txn_state::{TaskLogs, TaskReadEntry, TxnShared};
-use crate::uthread_state::UThreadShared;
+use crate::uthread_state::{TaskSlot, UThreadShared};
 
 /// Busy-spin iterations before falling back to `yield` (spinning is skipped
 /// entirely on single-core hosts).
@@ -52,7 +53,7 @@ pub(crate) struct TaskBufs {
     /// Log-structured buffered writes.
     write_set: WriteSet,
     /// Locks under which this task created chain entries.
-    acquired: Vec<LockIndex>,
+    acquired: AcquiredLocks,
     /// Commit-task scratch: the whole transaction's `(lock, pre-lock
     /// version)` pairs, sorted by lock index (replaces the former
     /// `old_versions` hash map).
@@ -71,7 +72,10 @@ pub struct TaskCtx<'rt> {
     /// The owning user-thread's statistics shard.
     stats: &'rt txmem::StatsShard,
     cm: TaskAwareCm,
-    uthread: Arc<UThreadShared>,
+    uthread: &'rt UThreadShared,
+    /// The task's `owners[]` slot, resolved once: `check_signals` runs on
+    /// every access and must not pay the `serial mod SPECDEPTH` division.
+    slot: &'rt TaskSlot,
     txn: Arc<TxnShared>,
     txn_owner: OwnerHandle,
     serial: u64,
@@ -98,10 +102,9 @@ impl<'rt> TaskCtx<'rt> {
     pub(crate) fn new(
         substrate: &'rt TxSubstrate,
         cm: TaskAwareCm,
-        uthread: Arc<UThreadShared>,
+        uthread: &'rt UThreadShared,
         txn: Arc<TxnShared>,
         serial: u64,
-        try_commit: bool,
         bufs: &'rt mut TaskBufs,
     ) -> Self {
         let token = OwnerToken::from_id(uthread.ptid());
@@ -109,6 +112,7 @@ impl<'rt> TaskCtx<'rt> {
         let valid_ts = substrate.clock.now();
         let last_writer_events = uthread.writer_events();
         let stats = substrate.stats.shard(uthread.ptid());
+        let try_commit = serial == txn.commit_serial();
         debug_assert!(
             bufs.acquired.is_empty(),
             "recycled buffers must be handed over with no chain entries"
@@ -118,6 +122,7 @@ impl<'rt> TaskCtx<'rt> {
             stats,
             cm,
             uthread,
+            slot: uthread.slot(serial),
             txn,
             txn_owner,
             serial,
@@ -178,14 +183,6 @@ impl<'rt> TaskCtx<'rt> {
 
     // --- crate-internal lifecycle -------------------------------------------
 
-    pub(crate) fn uthread(&self) -> &Arc<UThreadShared> {
-        &self.uthread
-    }
-
-    pub(crate) fn txn(&self) -> &Arc<TxnShared> {
-        &self.txn
-    }
-
     /// Prepares the context for a (re-)execution attempt of the task body.
     /// Clearing retains the recycled buffers' capacity.
     pub(crate) fn reset_for_attempt(&mut self) {
@@ -199,14 +196,13 @@ impl<'rt> TaskCtx<'rt> {
         self.bufs.acquired.clear();
         self.valid_ts = self.substrate.clock.now();
         self.last_writer_events = self.uthread.writer_events();
-        let slot = self.uthread.slot(self.serial);
-        slot.install(self.serial);
+        self.slot.install(self.serial);
     }
 
     /// Removes every speculative chain entry this task installed and releases
     /// write locks whose chains become empty. Called on every rollback.
     pub(crate) fn remove_chain_entries(&mut self) {
-        for &idx in &self.bufs.acquired {
+        for &idx in self.bufs.acquired.as_slice() {
             let entry = self.substrate.locks.entry(idx);
             let mut chain = entry.chain();
             chain.remove_serial(self.serial);
@@ -238,7 +234,7 @@ impl<'rt> TaskCtx<'rt> {
         if self.txn.abort_requested() {
             return Err(Abort::new(AbortReason::TransactionAbortSignal));
         }
-        if self.uthread.slot(self.serial).is_aborted(self.serial) {
+        if self.slot.is_aborted(self.serial) {
             return Err(Abort::new(AbortReason::TaskAbortSignal));
         }
         Ok(())
@@ -374,18 +370,19 @@ impl<'rt> TaskCtx<'rt> {
 
     fn read_word(&mut self, addr: WordAddr) -> Result<u64, Abort> {
         self.check_signals()?;
-        // Reads from the task's own writes need no validation; the write
-        // set's bloom summary answers the dominant "not written by me" case
-        // with two bit tests, keeping read-only tasks off any lookup path.
-        if let Some(value) = self.bufs.write_set.lookup(addr) {
-            return Ok(value);
-        }
         let (idx, entry) = self.substrate.locks.lookup(addr);
         loop {
             if entry.writer_token() != self.token {
                 // Not locked by this user-thread (or just released): read the
-                // committed value exactly as SwissTM would.
+                // committed value exactly as SwissTM would. A word this task
+                // wrote is under a lock its user-thread holds, so this test
+                // also answers "not written by me" without probing the write
+                // set (whose bloom summary saturates on long tasks).
                 return self.read_committed(idx, entry, addr);
+            }
+            // Reads from the task's own writes need no validation.
+            if let Some(value) = self.bufs.write_set.lookup(addr) {
+                return Ok(value);
             }
             let probe = {
                 // `try_chain` never allocates: a missing chain behaves like
@@ -460,9 +457,17 @@ impl<'rt> TaskCtx<'rt> {
 
     // --- speculative write (Algorithm 2) ---------------------------------------
 
-    fn record_own_write(&mut self, idx: LockIndex, addr: WordAddr, value: u64) {
-        let entry = self.substrate.locks.entry(idx);
-        entry.chain().record_write(
+    /// Records the write in the lock's chain (the caller holds its mutex and
+    /// has established that this task may write under the lock) and buffers
+    /// the value in the write set. Shared by every write-recording path.
+    fn record_own_write(
+        &mut self,
+        chain: &mut WriteChain,
+        idx: LockIndex,
+        addr: WordAddr,
+        value: u64,
+    ) {
+        chain.record_write(
             self.uthread.ptid(),
             self.serial,
             self.txn.start_serial(),
@@ -470,16 +475,6 @@ impl<'rt> TaskCtx<'rt> {
             addr,
             value,
         );
-        self.note_own_write(idx, addr, value);
-    }
-
-    /// Local bookkeeping after a write has been recorded in the lock's
-    /// chain: remember the acquired lock and buffer the value in the write
-    /// set. Shared by every write-recording path.
-    fn note_own_write(&mut self, idx: LockIndex, addr: WordAddr, value: u64) {
-        if !self.bufs.acquired.contains(&idx) {
-            self.bufs.acquired.push(idx);
-        }
         if !self.bufs.write_set.update(addr, value) {
             self.bufs.write_set.insert_new(addr, value, idx);
         }
@@ -489,8 +484,8 @@ impl<'rt> TaskCtx<'rt> {
         self.check_signals()?;
         let (idx, entry) = self.substrate.locks.lookup(addr);
         // Fast path: this task already has a chain entry under this lock.
-        if self.bufs.acquired.contains(&idx) {
-            self.record_own_write(idx, addr, value);
+        if self.bufs.acquired.holds(idx) {
+            self.record_own_write(&mut entry.chain(), idx, addr, value);
             return Ok(());
         }
         enum WwAction {
@@ -507,7 +502,7 @@ impl<'rt> TaskCtx<'rt> {
             let token = entry.writer_token();
             let action = if token.is_unlocked() {
                 if entry.try_acquire_writer(self.token).is_ok() {
-                    self.record_own_write(idx, addr, value);
+                    self.record_own_write(&mut entry.chain(), idx, addr, value);
                     WwAction::Acquired
                 } else {
                     WwAction::Retry
@@ -528,16 +523,7 @@ impl<'rt> TaskCtx<'rt> {
                                 // this (future) task rolls back (Alg. 2 line 45).
                                 WwAction::SelfAbort
                             } else {
-                                chain.record_write(
-                                    self.uthread.ptid(),
-                                    self.serial,
-                                    self.txn.start_serial(),
-                                    &self.txn_owner,
-                                    addr,
-                                    value,
-                                );
-                                drop(chain);
-                                self.note_own_write(idx, addr, value);
+                                self.record_own_write(&mut chain, idx, addr, value);
                                 WwAction::Acquired
                             }
                         }
@@ -564,12 +550,20 @@ impl<'rt> TaskCtx<'rt> {
                 WwAction::InterThread
             };
             match action {
-                WwAction::Acquired => break,
+                WwAction::Acquired => {
+                    let first_under_lock = self.bufs.acquired.insert(idx);
+                    debug_assert!(first_under_lock, "the fast path handles held locks");
+                    break;
+                }
                 WwAction::SelfAbort => {
                     return Err(Abort::new(AbortReason::IntraThreadWaw));
                 }
                 WwAction::SignalRunning(target) => {
-                    self.uthread.slot(target).signal_abort(target);
+                    // The target may be parked in `task_commit` waiting for
+                    // its past (this task included): wake it on delivery.
+                    if self.uthread.slot(target).signal_abort(target) {
+                        self.uthread.notify();
+                    }
                     self.uthread.wait_slice();
                     continue;
                 }
@@ -644,7 +638,8 @@ impl<'rt> TaskCtx<'rt> {
         std::mem::swap(&mut logs.read_log, &mut self.bufs.read_log);
         std::mem::swap(&mut logs.task_read_log, &mut self.bufs.task_read_log);
         self.bufs.write_set.append_values_to(&mut logs.writes);
-        logs.acquired.extend_from_slice(&self.bufs.acquired);
+        logs.acquired
+            .extend_from_slice(self.bufs.acquired.as_slice());
         logs
     }
 
@@ -658,14 +653,18 @@ impl<'rt> TaskCtx<'rt> {
     /// Returns [`Abort`] when the task (or its whole transaction) must roll
     /// back; the worker loop interprets the abort reason.
     pub(crate) fn task_commit(&mut self) -> Result<(), Abort> {
-        // Wait for all past tasks of the user-thread to complete (line 66).
-        loop {
-            self.check_signals()?;
-            if self.uthread.completed_task() >= self.serial.saturating_sub(1) {
-                break;
-            }
-            self.uthread.wait_slice();
-        }
+        // Wait for all past tasks of the user-thread to complete (line 66),
+        // or for a signal that makes waiting pointless (lines 67-68). Every
+        // one of these events notifies the user-thread, so the wait parks
+        // instead of competing with the past task for a core.
+        let (uthread, slot, serial) = (self.uthread, self.slot, self.serial);
+        let txn = &self.txn;
+        uthread.wait_until(|| {
+            uthread.completed_task() >= serial.saturating_sub(1)
+                || txn.abort_requested()
+                || slot.is_aborted(serial)
+        });
+        self.check_signals()?;
         // Final intra-thread WAR validation (lines 69-70).
         self.maybe_validate_task()?;
 
@@ -676,19 +675,17 @@ impl<'rt> TaskCtx<'rt> {
             let logs = self.make_logs();
             self.txn.publish_logs(self.serial, logs);
             self.uthread.mark_completed(self.serial, wrote);
-            loop {
-                if self.txn.is_committed() {
-                    // The commit-task dismantled the transaction's chain
-                    // entries; hand the recycled buffers to the next task
-                    // with a clean acquired list.
-                    self.bufs.acquired.clear();
-                    return Ok(());
-                }
-                if self.txn.rollback_started() {
-                    return Err(Abort::new(AbortReason::TransactionAbortSignal));
-                }
-                self.uthread.wait_slice();
+            let txn = &self.txn;
+            self.uthread
+                .wait_until(|| txn.is_committed() || txn.rollback_started());
+            if !self.txn.is_committed() {
+                return Err(Abort::new(AbortReason::TransactionAbortSignal));
             }
+            // The commit-task dismantled the transaction's chain entries;
+            // hand the recycled buffers to the next task with a clean
+            // acquired list.
+            self.bufs.acquired.clear();
+            return Ok(());
         }
         // Commit-task: commit the whole user-transaction (lines 78-94).
         self.check_signals()?;

@@ -42,14 +42,11 @@ impl TaskSlot {
     }
 
     /// Signals the task `target_serial` to abort, but only if it still
-    /// occupies this slot. Returns `true` if the signal was delivered.
+    /// occupies this slot. Returns `true` if this call delivered the signal
+    /// (`false` for a stale serial or a flag that was already raised).
     pub fn signal_abort(&self, target_serial: u64) -> bool {
-        if self.serial.load(Ordering::Acquire) == target_serial {
-            self.aborted_internally.store(true, Ordering::Release);
-            true
-        } else {
-            false
-        }
+        self.serial.load(Ordering::Acquire) == target_serial
+            && !self.aborted_internally.swap(true, Ordering::AcqRel)
     }
 
     /// `true` if task `serial` currently occupies the slot and has been asked
@@ -67,6 +64,10 @@ pub struct UThreadShared {
     ptid: u32,
     /// Maximum number of simultaneously active tasks (`SPECDEPTH`).
     spec_depth: usize,
+    /// Whether waiting tasks may busy-spin: only when the host has a core
+    /// for each of the user-thread's workers *and* their driver. Otherwise
+    /// a spinning waiter takes its core from the task it is waiting for.
+    spin_waits: bool,
     /// Serial of the last completed task (0 = none yet). `completed-task`.
     completed_task: AtomicU64,
     /// Serial of the last completed *writer* task. `completed-writer`.
@@ -103,6 +104,7 @@ impl UThreadShared {
         UThreadShared {
             ptid,
             spec_depth,
+            spin_waits: txmem::pause::cores() > spec_depth,
             completed_task: AtomicU64::new(0),
             completed_writer: AtomicU64::new(0),
             writer_events: AtomicU64::new(0),
@@ -180,9 +182,8 @@ impl UThreadShared {
     /// parks on the condition variable (with a timeout that bounds the effect
     /// of a missed wake-up).
     pub fn wait_until(&self, mut predicate: impl FnMut() -> bool) {
-        // Spin phase (pointless on a single-core host, where spinning starves
-        // the very thread being waited on).
-        if txmem::pause::multi_core() {
+        // Spin phase (see `spin_waits`).
+        if self.spin_waits {
             for _ in 0..2_000 {
                 if predicate() {
                     return;
@@ -227,7 +228,7 @@ impl UThreadShared {
     /// non-counter state (such as lock chains): spins, then yields, without
     /// parking — the caller re-checks its own condition after every call.
     pub fn wait_slice(&self) {
-        if txmem::pause::multi_core() {
+        if self.spin_waits {
             for _ in 0..128 {
                 std::hint::spin_loop();
             }

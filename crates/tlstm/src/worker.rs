@@ -10,7 +10,8 @@
 //!
 //! * **individual task rollback** (intra-thread WAR/WAW, losing an
 //!   inter-thread conflict): remove the task's speculative chain entries,
-//!   reset its logs and re-run the body;
+//!   reset its logs and re-run the body — after an intra-thread loss, only
+//!   once every past task has completed;
 //! * **user-transaction rollback**: every task removes its own entries and
 //!   acknowledges; the commit-task waits for all acknowledgements, resets the
 //!   user-thread counters, bumps the rollback epoch and everyone re-executes.
@@ -30,9 +31,13 @@ use crate::TaskFn;
 
 /// After this many rollbacks of the same user-transaction, its tasks fall back
 /// to executing in program order (each task waits for all past tasks to
-/// complete before running its body). This breaks pathological intra-thread
-/// write-after-write livelocks at the cost of serialising the transaction —
-/// the behaviour the paper reports for write-heavy long traversals.
+/// complete before running its body). Intra-thread livelock no longer needs
+/// it — a task that loses to its past restarts in program order anyway — but
+/// under heavy *inter-thread* contention it does: a transaction that other
+/// user-threads have already rolled back twice re-acquires its locks one
+/// task at a time instead of speculating into the same conflict (64
+/// committers × 4 tasks on 2 vCPUs run several times slower, with several
+/// times the aborts, without it; EXPERIMENTS.md, "TLSTM access path (PR 23)").
 const PESSIMISTIC_AFTER_ROLLBACKS: u32 = 2;
 
 /// After this many rollbacks a transaction turns greedy (draws a
@@ -51,8 +56,6 @@ const GREEDY_AFTER_CM_SELF_ABORTS: u32 = 3;
 pub(crate) struct WorkItem {
     /// Serial number of the task.
     pub serial: u64,
-    /// `true` if this is the commit-task of its user-transaction.
-    pub try_commit: bool,
     /// Shared state of the enclosing user-transaction.
     pub txn: Arc<TxnShared>,
     /// The task body.
@@ -65,18 +68,18 @@ impl std::fmt::Debug for WorkItem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorkItem")
             .field("serial", &self.serial)
-            .field("try_commit", &self.try_commit)
             .finish_non_exhaustive()
     }
 }
 
-/// Long-lived state of one worker thread.
+/// Everything needed to run tasks of one user-thread: the long-lived state
+/// of a worker thread, and of the user-thread's own inline (sequential
+/// fallback) execution.
 pub(crate) struct Worker {
     pub substrate: Arc<TxSubstrate>,
     pub uthread: Arc<UThreadShared>,
     pub cm: TaskAwareCm,
     pub tickets: Arc<GreedyTicket>,
-    pub queue: Receiver<WorkItem>,
 }
 
 impl std::fmt::Debug for Worker {
@@ -88,14 +91,14 @@ impl std::fmt::Debug for Worker {
 }
 
 impl Worker {
-    /// The worker main loop: runs tasks from the queue until the channel is
+    /// The worker main loop: runs tasks from `queue` until the channel is
     /// closed (the user-thread handle was dropped).
     ///
     /// Between tasks the worker first spins briefly on the queue (the next
     /// task of a pipelined batch is usually already there, and parking the
     /// thread would put an OS wake-up on the critical path of every
     /// transaction) before falling back to a blocking receive.
-    pub fn run(self) {
+    pub fn run(self, queue: Receiver<WorkItem>) {
         // On a single-core host, spinning on the queue starves the producer;
         // fall through to the blocking receive immediately.
         let spin_budget = if txmem::pause::multi_core() {
@@ -109,7 +112,7 @@ impl Worker {
         'outer: loop {
             let mut item = None;
             for i in 0..spin_budget {
-                match self.queue.try_recv() {
+                match queue.try_recv() {
                     Ok(work) => {
                         item = Some(work);
                         break;
@@ -126,21 +129,30 @@ impl Worker {
             }
             let item = match item {
                 Some(work) => work,
-                None => match self.queue.recv() {
+                None => match queue.recv() {
                     Ok(work) => work,
                     Err(_) => break,
                 },
             };
-            self.run_task(&item, &mut bufs);
+            self.run_task(&item.txn, item.serial, &item.body, &mut bufs);
             // The receiver of `done` may already be gone if the caller timed
             // out; that is not an error for the worker.
             let _ = item.done.send(item.serial);
         }
     }
 
-    /// Executes one task until it retires (its user-transaction commits),
-    /// building its speculative state inside the worker's recycled `bufs`.
-    fn run_task(&self, item: &WorkItem, bufs: &mut TaskBufs) {
+    /// Executes task `serial` of `txn` until it retires (its
+    /// user-transaction commits, or the user-thread abandons it), building
+    /// its speculative state inside the recycled `bufs`. This is the one
+    /// attempt/abort/rollback loop of the runtime: worker lanes and the
+    /// user-thread's inline sequential fallback both run it.
+    pub(crate) fn run_task(
+        &self,
+        txn: &Arc<TxnShared>,
+        serial: u64,
+        body: &TaskFn,
+        bufs: &mut TaskBufs,
+    ) {
         // Task activity is attributed to the owning *user*-thread's shard, not
         // to the worker's OS thread, so per-shard snapshots read as
         // per-user-thread breakdowns.
@@ -149,10 +161,9 @@ impl Worker {
         let mut ctx = TaskCtx::new(
             &self.substrate,
             self.cm,
-            Arc::clone(&self.uthread),
-            Arc::clone(&item.txn),
-            item.serial,
-            item.try_commit,
+            &self.uthread,
+            Arc::clone(txn),
+            serial,
             bufs,
         );
         let mut attempt = 0u32;
@@ -160,8 +171,8 @@ impl Worker {
             attempt = attempt.wrapping_add(1);
             // If a rollback of this transaction is already pending, join it
             // before (re-)executing the body.
-            if item.txn.abort_requested() {
-                self.participate_in_rollback(&mut ctx);
+            if txn.abort_requested() {
+                self.participate_in_rollback(txn, serial);
             }
             // Abort-storm fallback: the user-thread abandoned speculative
             // execution of this transaction. The rollback that was requested
@@ -170,64 +181,74 @@ impl Worker {
             // above, and `finish_rollback` clears the request), so the task
             // can simply vacate — the user-thread re-runs the transaction
             // sequentially inline.
-            if item.txn.abandoned() && !item.txn.abort_requested() {
+            if txn.abandoned() && !txn.abort_requested() {
                 return;
             }
             // Pessimistic fallback: after repeated transaction rollbacks, run
             // the tasks of this transaction in program order.
-            if item.txn.rollbacks() >= PESSIMISTIC_AFTER_ROLLBACKS {
-                let uthread = Arc::clone(&self.uthread);
-                let serial = item.serial;
-                let txn = Arc::clone(&item.txn);
-                uthread.wait_until(|| {
-                    uthread.completed_task() >= serial.saturating_sub(1) || txn.abort_requested()
-                });
-                if item.txn.abort_requested() {
+            if txn.rollbacks() >= PESSIMISTIC_AFTER_ROLLBACKS {
+                self.wait_for_past(txn, serial);
+                if txn.abort_requested() {
                     continue;
                 }
             }
             ctx.reset_for_attempt();
-            let outcome = (item.body)(&mut ctx).and_then(|()| ctx.task_commit());
-            match outcome {
-                Ok(()) => {
-                    stats.bump(&stats.task_commits);
-                    ctx.flush_op_counters();
-                    return;
-                }
-                Err(abort) => {
-                    stats.bump(&stats.task_aborts);
-                    stats.record_abort_reason(abort.reason);
-                    txobs::tx_abort(abort.reason.trace_cause());
-                    ctx.remove_chain_entries();
-                    if abort.reason == AbortReason::InterThreadWriteConflict
-                        && item.txn.note_cm_self_abort() >= GREEDY_AFTER_CM_SELF_ABORTS
-                        && item.txn.priority() == crate::txn_state::TIMID_PRIORITY
-                    {
-                        item.txn.set_priority(self.tickets.draw());
-                    }
-                    if abort.reason == AbortReason::TransactionAbortSignal
-                        || item.txn.abort_requested()
-                    {
-                        self.participate_in_rollback(&mut ctx);
-                    }
-                    // Back off before re-executing, while holding no locks or
-                    // chain entries. Without this, a signalled future task can
-                    // phase-lock with the past writer that keeps signalling
-                    // it: the future task releases and re-acquires the
-                    // contested write lock faster than the (yielding) past
-                    // writer re-samples it, so the writer never gets the lock
-                    // and the pair livelocks. Sleeping with the lock free
-                    // guarantees the past writer's next sample succeeds.
-                    Self::abort_backoff(attempt);
-                }
+            let outcome = body(&mut ctx).and_then(|()| ctx.task_commit());
+            let Err(abort) = outcome else {
+                stats.bump(&stats.task_commits);
+                ctx.flush_op_counters();
+                return;
+            };
+            stats.bump(&stats.task_aborts);
+            stats.record_abort_reason(abort.reason);
+            txobs::tx_abort(abort.reason.trace_cause());
+            ctx.remove_chain_entries();
+            if abort.reason == AbortReason::InterThreadWriteConflict
+                && txn.note_cm_self_abort() >= GREEDY_AFTER_CM_SELF_ABORTS
+                && txn.priority() == crate::txn_state::TIMID_PRIORITY
+            {
+                txn.set_priority(self.tickets.draw());
+            }
+            if abort.reason == AbortReason::TransactionAbortSignal || txn.abort_requested() {
+                self.participate_in_rollback(txn, serial);
+            }
+            // Re-execute only once the cause of the abort has passed, holding
+            // no locks or chain entries meanwhile.
+            match abort.reason {
+                // The task lost to a task of its own past. Re-running before
+                // that task completes can only lose again (and a signalled
+                // future task that re-acquires the contested lock faster than
+                // the past writer re-samples it livelocks the pair), so the
+                // restart waits for the event it lost to — the rule
+                // Algorithm 1 line 11 applies to a read of a running writer.
+                // With its whole past complete the task cannot suffer a
+                // second intra-thread conflict.
+                AbortReason::IntraThreadWar
+                | AbortReason::IntraThreadWaw
+                | AbortReason::TaskAbortSignal => self.wait_for_past(txn, serial),
+                // Other user-threads (and user retries) offer no completion
+                // event to wait for: back off for a while instead.
+                _ => Self::abort_backoff(attempt),
             }
         }
     }
 
-    /// Exponential backoff between re-execution attempts of an aborted task:
-    /// the first few retries only yield, later ones sleep for exponentially
-    /// longer (capped), which breaks intra-thread signal/re-acquire livelocks.
-    pub(crate) fn abort_backoff(attempt: u32) {
+    /// Blocks until every past task of the user-thread has completed, or
+    /// until `txn` must first be rolled back or vacated (the past tasks of an
+    /// abandoned transaction vacate without ever completing).
+    fn wait_for_past(&self, txn: &TxnShared, serial: u64) {
+        self.uthread.wait_until(|| {
+            self.uthread.completed_task() >= serial.saturating_sub(1)
+                || txn.abort_requested()
+                || txn.abandoned()
+        });
+    }
+
+    /// Exponential backoff between re-execution attempts of a task aborted
+    /// by an inter-thread conflict, a failed read validation or a user
+    /// retry: the first few retries only yield, later ones sleep for
+    /// exponentially longer (capped).
+    fn abort_backoff(attempt: u32) {
         match attempt {
             0..=2 => std::thread::yield_now(),
             n => {
@@ -238,104 +259,64 @@ impl Worker {
     }
 
     /// Joins the coordinated rollback of the task's user-transaction.
-    fn participate_in_rollback(&self, ctx: &mut TaskCtx<'_>) {
-        participate_in_rollback(&self.substrate, &self.tickets, ctx);
+    ///
+    /// Non-commit tasks acknowledge and wait for the rollback epoch to
+    /// advance; the commit-task drives the protocol (waits for every other
+    /// task, resets the user-thread counters and re-arms the transaction).
+    fn participate_in_rollback(&self, txn: &TxnShared, serial: u64) {
+        let uthread = &self.uthread;
+        if serial == txn.commit_serial() {
+            txn.start_rollback();
+            let needed = (txn.n_tasks() - 1) as u32;
+            uthread.wait_until(|| txn.acks() >= needed);
+            uthread.reset_after_rollback(txn.start_serial());
+            let stats = self.substrate.stats.shard(uthread.ptid());
+            stats.bump(&stats.tx_aborts);
+            if txn.rollbacks() + 1 >= GREEDY_AFTER_ROLLBACKS
+                && txn.priority() == crate::txn_state::TIMID_PRIORITY
+            {
+                txn.set_priority(self.tickets.draw());
+            }
+            txn.finish_rollback();
+        } else {
+            let epoch = txn.epoch();
+            txn.ack_abort();
+            uthread.wait_until(|| txn.epoch() > epoch);
+        }
     }
 }
 
-/// Joins the coordinated rollback of the task's user-transaction.
-///
-/// Non-commit tasks acknowledge and wait for the rollback epoch to
-/// advance; the commit-task drives the protocol (waits for every other
-/// task, resets the user-thread counters and re-arms the transaction).
-fn participate_in_rollback(
-    substrate: &Arc<TxSubstrate>,
-    tickets: &Arc<GreedyTicket>,
-    ctx: &mut TaskCtx<'_>,
-) {
-    let txn = Arc::clone(ctx.txn());
-    let uthread = Arc::clone(ctx.uthread());
-    if ctx.is_commit_task() {
-        txn.start_rollback();
-        let needed = (txn.n_tasks() - 1) as u32;
-        uthread.wait_until(|| txn.acks() >= needed);
-        uthread.reset_after_rollback(txn.start_serial());
-        let stats = substrate.stats.shard(uthread.ptid());
-        stats.bump(&stats.tx_aborts);
-        if txn.rollbacks() + 1 >= GREEDY_AFTER_ROLLBACKS
-            && txn.priority() == crate::txn_state::TIMID_PRIORITY
-        {
-            txn.set_priority(tickets.draw());
-        }
-        txn.finish_rollback();
-    } else {
-        let epoch = txn.epoch();
-        txn.ack_abort();
-        uthread.wait_until(|| txn.epoch() > epoch);
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+    use tlstm_testutil::with_watchdog;
+    use txmem::{Abort, TxConfig};
 
-/// Runs one (merged, single-task) user-transaction to retirement on the
-/// *calling* thread: the sequential-fallback execution path.
-///
-/// This is the same retry/rollback protocol as [`Worker::run_task`], minus
-/// the storm gate and pessimistic program-order waits — an inline transaction
-/// has exactly one task, runs start-to-commit on the driving thread, and
-/// holds its write locks only for the duration of the call. That removes the
-/// cross-thread task handoffs whose wake-up latency dominates a loaded
-/// single-core host, which is precisely why the storm fallback routes merged
-/// batches through here instead of through the worker lanes.
-pub(crate) fn run_task_inline(
-    substrate: &Arc<TxSubstrate>,
-    cm: TaskAwareCm,
-    tickets: &Arc<GreedyTicket>,
-    uthread: &Arc<UThreadShared>,
-    txn: &Arc<TxnShared>,
-    body: &TaskFn,
-    bufs: &mut TaskBufs,
-) {
-    debug_assert_eq!(txn.start_serial(), txn.commit_serial());
-    let stats = substrate.stats.shard(uthread.ptid());
-    stats.bump(&stats.task_starts);
-    let mut ctx = TaskCtx::new(
-        substrate,
-        cm,
-        Arc::clone(uthread),
-        Arc::clone(txn),
-        txn.commit_serial(),
-        true,
-        bufs,
-    );
-    let mut attempt = 0u32;
-    loop {
-        attempt = attempt.wrapping_add(1);
-        if txn.abort_requested() {
-            participate_in_rollback(substrate, tickets, &mut ctx);
-        }
-        ctx.reset_for_attempt();
-        let outcome = (body)(&mut ctx).and_then(|()| ctx.task_commit());
-        match outcome {
-            Ok(()) => {
-                stats.bump(&stats.task_commits);
-                ctx.flush_op_counters();
-                return;
-            }
-            Err(abort) => {
-                stats.bump(&stats.task_aborts);
-                stats.record_abort_reason(abort.reason);
-                txobs::tx_abort(abort.reason.trace_cause());
-                ctx.remove_chain_entries();
-                if abort.reason == AbortReason::InterThreadWriteConflict
-                    && txn.note_cm_self_abort() >= GREEDY_AFTER_CM_SELF_ABORTS
-                    && txn.priority() == crate::txn_state::TIMID_PRIORITY
-                {
-                    txn.set_priority(tickets.draw());
-                }
-                if abort.reason == AbortReason::TransactionAbortSignal || txn.abort_requested() {
-                    participate_in_rollback(substrate, tickets, &mut ctx);
-                }
-                Worker::abort_backoff(attempt);
-            }
-        }
+    /// The past tasks of an abandoned transaction vacate without completing,
+    /// so a task that lost to its past and is waiting for it must vacate too
+    /// — the user-thread cannot re-run the transaction before every lane has
+    /// drained.
+    #[test]
+    fn a_task_waiting_for_its_past_vacates_when_the_transaction_is_abandoned() {
+        with_watchdog(Duration::from_secs(10), || {
+            let uthread = Arc::new(UThreadShared::new(0, 2));
+            let worker = Worker {
+                substrate: Arc::new(TxSubstrate::new(TxConfig::small())),
+                uthread: Arc::clone(&uthread),
+                cm: TaskAwareCm::default(),
+                tickets: Arc::new(GreedyTicket::new()),
+            };
+            let txn = Arc::new(TxnShared::new(uthread, 1, 2));
+            // Task 2 loses to task 1, which never runs; the storm detector's
+            // abandonment lands while task 2 is rolling back.
+            let abandon = Arc::clone(&txn);
+            let body: TaskFn = Arc::new(move |_ctx: &mut TaskCtx<'_>| {
+                abandon.set_abandoned();
+                Err(Abort::new(AbortReason::IntraThreadWaw))
+            });
+            worker.run_task(&txn, 2, &body, &mut TaskBufs::default());
+            assert!(!txn.is_committed());
+        });
     }
 }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use tlstm::{task, TaskCtx, TlstmRuntime, TxnSpec};
-use tlstm_testutil::{bounded_threads, with_default_watchdog};
+use tlstm_testutil::{bounded_threads, with_default_watchdog, TestRng};
 use txmem::{TxConfig, TxMem};
 
 fn config(depth: usize) -> TxConfig {
@@ -234,5 +234,84 @@ fn whole_transaction_rollbacks_keep_multi_word_invariants() {
             rt.heap().load_committed(b),
             "a/b invariant broken by a partial transaction restart"
         );
+    });
+}
+
+/// Conflict-directed re-execution: a task that loses an intra-thread
+/// conflict re-runs only after its whole past has completed, so it cannot
+/// lose to its past a second time. On one user-thread (no inter-thread
+/// rollbacks) running k-task transactions, the intra-thread aborts are
+/// therefore bounded by (k − 1) per committed transaction.
+///
+/// The workload is the write traversal of STMBench7's tiny graph
+/// (`Stmbench7Params::tiny()`: 9 base assemblies, each referencing 2 of 6
+/// shared composite parts of 4 atomic parts), rebuilt here because this crate
+/// cannot depend on `tlstm-workloads`: every task bumps the `date` of each
+/// atomic part its bases reach, so sibling tasks truly depend on each other.
+#[test]
+fn a_task_loses_to_its_past_at_most_once() {
+    const BASES: u64 = 9;
+    const COMPOSITES_PER_BASE: u64 = 2;
+    const POOL: u64 = 6;
+    const ATOMICS: u64 = 4;
+    // An atomic part's words; `date` sits where STMBench7 keeps it.
+    const ATOMIC_WORDS: u64 = 5;
+    const DATE: u64 = 3;
+    with_default_watchdog(|| {
+        for k in [2u64, 3] {
+            let rt = TlstmRuntime::new(config(k as usize));
+            let parts = rt.heap().alloc(POOL * ATOMICS * ATOMIC_WORDS).unwrap();
+            let date_of = move |composite: u64, atomic: u64| {
+                parts.offset((composite * ATOMICS + atomic) * ATOMIC_WORDS + DATE)
+            };
+            let mut rng = TestRng::new(0x57B7);
+            let bases: Vec<Vec<u64>> = (0..BASES)
+                .map(|_| (0..COMPOSITES_PER_BASE).map(|_| rng.below(POOL)).collect())
+                .collect();
+            let bases = Arc::new(bases);
+            let u = rt.register_uthread(k as usize);
+            let traversals = 300u64;
+            for _ in 0..traversals {
+                let tasks = (0..k)
+                    .map(|t| {
+                        let bases = Arc::clone(&bases);
+                        task(move |ctx: &mut TaskCtx<'_>| {
+                            // Task t owns every k-th base, as a subtree split does.
+                            for base in bases.iter().skip(t as usize).step_by(k as usize) {
+                                for &composite in base {
+                                    for a in 0..ATOMICS {
+                                        let v = ctx.read(date_of(composite, a))?;
+                                        ctx.write(date_of(composite, a), v + 1)?;
+                                    }
+                                }
+                            }
+                            Ok(())
+                        })
+                    })
+                    .collect();
+                u.run_transaction(tasks);
+            }
+            // Sequential semantics: every reference to a composite bumped
+            // each of its parts once per traversal.
+            for composite in 0..POOL {
+                let refs = bases.iter().flatten().filter(|&&c| c == composite).count() as u64;
+                for a in 0..ATOMICS {
+                    let date = rt.heap().load_committed(date_of(composite, a));
+                    assert_eq!(date, refs * traversals);
+                }
+            }
+            let stats = rt.stats();
+            assert_eq!(stats.tx_commits, traversals);
+            assert_eq!(stats.tx_aborts, 0, "one user-thread never rolls back whole");
+            let intra = stats.aborts_intra_war + stats.aborts_intra_waw + stats.aborts_task_signal;
+            assert!(
+                intra <= (k - 1) * stats.tx_commits,
+                "k = {k}: a task lost to its past more than once, stats: {stats}"
+            );
+            assert_eq!(
+                stats.task_aborts, intra,
+                "no other abort cause, stats: {stats}"
+            );
+        }
     });
 }

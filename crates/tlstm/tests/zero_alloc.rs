@@ -8,9 +8,12 @@
 //! speculative state in steady state.
 //!
 //! The proof: after warm-up, the allocation count of a batch of transactions
-//! with **256 ops per task** must not exceed that of an identical batch with
-//! **4 ops per task** by more than one allocation per transaction of slack.
-//! Any per-operation allocation would add hundreds per transaction.
+//! with **2 048 ops per task** must not exceed that of an identical batch
+//! with **4 ops per task** by more than one allocation per transaction of
+//! slack. Any per-operation allocation would add thousands per transaction.
+//! At 2 048 writes a task holds about a thousand locks, so the batch also
+//! covers the acquired-locks index well past its first table: once grown, it
+//! too is recycled without allocating.
 //!
 //! This file deliberately contains a single `#[test]` so no concurrent test
 //! pollutes the global counter.
@@ -25,7 +28,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const TASKS: usize = 2;
 /// Words each task owns privately (disjoint across tasks, so the batch is
 /// deterministic: no intra-thread write/write conflicts).
-const TASK_WORDS: u64 = 512;
+const TASK_WORDS: u64 = 4096;
+/// Operations per task of the large batch.
+const LARGE_OPS: u64 = 2048;
 
 /// Submits one user-transaction of [`TASKS`] tasks, each performing `ops`
 /// reads and `ops` writes over its private slice of the region.
@@ -59,7 +64,12 @@ fn run_batch(u: &UThread, region: WordAddr, rounds: std::ops::Range<u64>, ops: u
 
 #[test]
 fn task_op_paths_do_not_allocate_per_operation() {
-    let rt = TlstmRuntime::new(TxConfig::small());
+    // A lock per four words of both regions, so a large task really holds
+    // ~1 000 distinct locks instead of aliasing into `small()`'s 256.
+    let rt = TlstmRuntime::new(TxConfig {
+        lock_table_bits: 12,
+        ..TxConfig::small()
+    });
     let region = rt.heap().alloc(TASKS as u64 * TASK_WORDS).unwrap();
     let u = rt.register_uthread(TASKS);
 
@@ -67,24 +77,26 @@ fn task_op_paths_do_not_allocate_per_operation() {
     // buffers, the chains' entry pools and the log pool to the footprint of
     // the *large* variant.
     for round in 0..32 {
-        run_txn(&u, region, round, 256);
+        run_txn(&u, region, round, LARGE_OPS);
         run_txn(&u, region, round, 4);
     }
 
     let txns = 64u64;
     let small = run_batch(&u, region, 100..100 + txns, 4);
-    let large = run_batch(&u, region, 200..200 + txns, 256);
-    eprintln!("allocations over {txns} txns: {small} at 4 ops/task, {large} at 256 ops/task");
+    let large = run_batch(&u, region, 200..200 + txns, LARGE_OPS);
+    eprintln!(
+        "allocations over {txns} txns: {small} at 4 ops/task, {large} at {LARGE_OPS} ops/task"
+    );
 
     // The per-transaction orchestration cost (TxnShared, work items, task
     // closures, channel traffic) is identical in both batches; any
-    // per-operation allocation in the task paths would add ~500 allocations
+    // per-operation allocation in the task paths would add ~4 000 allocations
     // per transaction to the large batch. Allow one allocation per
     // transaction of slack for incidental variance.
     assert!(
         large <= small + txns,
         "task paths allocate per operation: {txns} txns took {small} allocations \
-         at 4 ops/task but {large} at 256 ops/task"
+         at 4 ops/task but {large} at {LARGE_OPS} ops/task"
     );
 
     let stats = rt.stats();

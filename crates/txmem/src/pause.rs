@@ -8,17 +8,22 @@
 
 use std::sync::OnceLock;
 
-/// `true` if the host exposes more than one unit of parallelism.
+/// The host's units of parallelism.
 ///
-/// Cached after the first call; defaults to `true` when the parallelism
-/// cannot be determined.
-pub fn multi_core() -> bool {
-    static CACHE: OnceLock<bool> = OnceLock::new();
+/// Cached after the first call; `usize::MAX` (spinning always allowed) when
+/// the parallelism cannot be determined.
+pub fn cores() -> usize {
+    static CACHE: OnceLock<usize> = OnceLock::new();
     *CACHE.get_or_init(|| {
         std::thread::available_parallelism()
-            .map(|n| n.get() > 1)
-            .unwrap_or(true)
+            .map(|n| n.get())
+            .unwrap_or(usize::MAX)
     })
+}
+
+/// `true` if the host exposes more than one unit of parallelism.
+pub fn multi_core() -> bool {
+    cores() > 1
 }
 
 /// Backs off inside a wait loop: spins on the `iteration`-th call only while
