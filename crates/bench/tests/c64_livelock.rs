@@ -1,16 +1,17 @@
 //! Regression test for the TLSTM `c64` single-core livelock collapse.
 //!
-//! 64 committers × 4 speculative tasks used to livelock on intra-batch
-//! conflicts when the host has a single core: whole batches re-executed over
-//! and over (hundreds of ops/s, ~10⁵ aborts) while SwissTM pushed thousands.
-//! The abort-storm detector in `tlstm::UThread::execute` now falls back to
-//! sequential plan execution after consecutive stormy batches, which must
-//! keep TLSTM within an order of magnitude of SwissTM on one bounded core.
+//! 64 committers × 4 speculative tasks livelock on intra-batch conflicts
+//! when the host has a single core: whole batches re-execute over and over
+//! (hundreds of ops/s, ~10⁵ aborts) while SwissTM pushes a million. A
+//! session registered on a host without a spare core therefore gets no
+//! worker lanes (`TlstmRuntime::register_uthread_default`) and runs each
+//! batch's tasks merged on the committing thread, which must keep TLSTM
+//! within an order of magnitude of SwissTM on one bounded core.
 //!
-//! On multi-core hosts the detector is disarmed (speculation is never
-//! degraded there), so the test re-executes itself pinned to CPU 0 with
-//! `taskset`; `available_parallelism` honours the affinity mask, so the
-//! child process arms the detector exactly as a real single-core host would.
+//! On multi-core hosts sessions speculate, so the test re-executes itself
+//! pinned to CPU 0 with `taskset`; `available_parallelism` honours the
+//! affinity mask, so sessions in the child process are built exactly as on a
+//! real single-core host.
 
 use std::time::Duration;
 

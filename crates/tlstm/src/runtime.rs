@@ -1,6 +1,6 @@
 //! The TLSTM runtime and the user-thread handle.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -10,8 +10,8 @@ use swisstm::cm::GreedyTicket;
 use txmem::{Abort, DirectMem, StatsSnapshot, ThreadIdAllocator, TxConfig, TxHeap, TxSubstrate};
 
 use crate::cm::TaskAwareCm;
-use crate::task::TaskCtx;
-use crate::txn_state::TxnShared;
+use crate::task::{TaskBufs, TaskCtx};
+use crate::txn_state::{assert_task_count, TxnShared};
 use crate::uthread_state::UThreadShared;
 use crate::worker::{WorkItem, Worker};
 use crate::TaskFn;
@@ -78,57 +78,11 @@ impl std::fmt::Debug for TxnSpec {
     }
 }
 
-/// Consecutive stormy batches (at least one whole-transaction rollback in
-/// the batch) before [`UThread::execute`] falls back to sequential plan
-/// execution. Chosen low: on a single core a rollback storm has no upside,
-/// and one merged batch re-probes speculation cheaply after the cooldown.
-const STORM_STREAK_THRESHOLD: u32 = 3;
-
-/// Batches executed sequentially (tasks merged) before speculation is
-/// re-probed. Amortises the cost of the occasional stormy re-probe without
-/// permanently giving up on speculative execution.
-const STORM_COOLDOWN_BATCHES: u32 = 64;
-
-/// Upper bound on the geometrically-escalating cooldown window (see
-/// [`UThread::arm_storm_cooldown`]). A workload that storms on every
-/// re-probe settles into sequential stretches of this many batches.
-const STORM_COOLDOWN_MAX: u32 = 32 * 1024;
-
-/// Whole-transaction rollbacks of a single in-flight batch that trip the
-/// detector mid-batch (the batch is re-executing wholesale).
-const STORM_BATCH_ROLLBACKS: u32 = 2;
-
-/// Contention-manager self-aborts of a single in-flight transaction that
-/// trip the detector mid-batch. A livelocked `c64`-style batch racks these
-/// up at tens per millisecond, so this threshold fires within a few tens of
-/// milliseconds while healthy batches stay far below it.
-const STORM_CM_RETRIES: u32 = 512;
-
-/// After a batch has been in flight this long, lower-grade churn (any
-/// rollback, or [`STORM_PATIENCE_CM_RETRIES`] CM self-aborts) also counts as
-/// a storm. Pure slowness without churn never trips the detector.
-const STORM_PATIENCE: std::time::Duration = std::time::Duration::from_millis(250);
-
-/// CM self-abort floor for the patience-based trip.
-const STORM_PATIENCE_CM_RETRIES: u32 = 64;
-
-/// `true` if any in-flight transaction of the batch shows storm-grade churn.
-fn batch_storming(pending: &[Arc<TxnShared>], elapsed: std::time::Duration) -> bool {
-    let patient = elapsed >= STORM_PATIENCE;
-    pending.iter().any(|txn| {
-        !txn.is_committed()
-            && (txn.rollbacks() >= STORM_BATCH_ROLLBACKS
-                || txn.cm_retries() >= STORM_CM_RETRIES
-                || (patient
-                    && (txn.rollbacks() > 0 || txn.cm_retries() >= STORM_PATIENCE_CM_RETRIES)))
-    })
-}
-
 /// Merges a transaction's tasks into one composite task that runs the bodies
 /// in program order. Sequential semantics are unchanged — tasks already
 /// observe earlier tasks' writes, and an abort re-executes every body — but
-/// the merged form cannot suffer intra-transaction conflicts, which is what
-/// the abort-storm fallback needs.
+/// the merged form needs no task hand-off and cannot suffer
+/// intra-transaction conflicts.
 fn merge_sequential(spec: TxnSpec) -> TxnSpec {
     if spec.tasks.len() <= 1 {
         return spec;
@@ -212,19 +166,37 @@ impl TlstmRuntime {
         self.substrate.stats.reset();
     }
 
-    /// Registers a user-thread with the substrate's default speculative depth.
+    /// Registers a user-thread with the substrate's default speculative
+    /// depth, letting the host decide where its tasks run: with a spare core
+    /// ([`txmem::pause::multi_core`]) it gets `spec_depth` worker lanes and
+    /// speculates; without one it gets none, and [`UThread::execute`] runs
+    /// every transaction's tasks merged in program order on the calling
+    /// thread — speculation that cannot overlap anything only adds hand-offs
+    /// and conflicts. This is the constructor behind [`TxRuntime::session`],
+    /// i.e. the one everything that serves traffic uses.
+    ///
+    /// [`TxRuntime::session`]: txmem::TxRuntime::session
     pub fn register_uthread_default(self: &Arc<Self>) -> UThread {
-        self.register_uthread(self.substrate.config.spec_depth)
+        self.new_uthread(self.substrate.config.spec_depth, txmem::pause::multi_core())
     }
 
     /// Registers a user-thread with an explicit speculative depth
     /// (`SPECDEPTH`): the maximum number of simultaneously active tasks, and
-    /// therefore also the number of worker threads spawned for it.
+    /// therefore also the number of worker threads spawned for it. Here the
+    /// caller decides: the user-thread speculates on exactly `spec_depth`
+    /// lanes whatever the host looks like (protocol tests and ablation
+    /// benchmarks rely on that).
     ///
     /// # Panics
     ///
     /// Panics if `spec_depth` is zero.
     pub fn register_uthread(self: &Arc<Self>, spec_depth: usize) -> UThread {
+        self.new_uthread(spec_depth, true)
+    }
+
+    /// Builds a user-thread of depth `spec_depth` with one worker lane per
+    /// task slot (`lanes`), or with none.
+    fn new_uthread(self: &Arc<Self>, spec_depth: usize, lanes: bool) -> UThread {
         let ptid = self.ptids.allocate();
         let shared = Arc::new(UThreadShared::new(ptid, spec_depth));
         let new_worker = || Worker {
@@ -233,9 +205,10 @@ impl TlstmRuntime {
             cm: self.cm,
             tickets: Arc::clone(&self.tickets),
         };
-        let mut senders = Vec::with_capacity(spec_depth);
-        let mut workers = Vec::with_capacity(spec_depth);
-        for lane in 0..spec_depth {
+        let n_lanes = if lanes { spec_depth } else { 0 };
+        let mut senders = Vec::with_capacity(n_lanes);
+        let mut workers = Vec::with_capacity(n_lanes);
+        for lane in 0..n_lanes {
             let (tx, rx): (Sender<WorkItem>, Receiver<WorkItem>) = unbounded();
             let worker = new_worker();
             let handle = std::thread::Builder::new()
@@ -249,28 +222,21 @@ impl TlstmRuntime {
         UThread {
             runtime: Arc::clone(self),
             inline: new_worker(),
+            inline_bufs: RefCell::default(),
             shared,
             senders,
             workers,
             next_serial: Cell::new(1),
             done_tx,
             done_rx,
-            // Speculation on a single core cannot overlap tasks on other
-            // cores, so a rollback storm there is pure livelock; on
-            // multi-core hosts the fallback stays disarmed and speculative
-            // execution is never degraded.
-            storm_enabled: Cell::new(!txmem::pause::multi_core()),
-            storm_streak: Cell::new(0),
-            storm_cooldown: Cell::new(0),
-            storm_cooldown_len: Cell::new(STORM_COOLDOWN_BATCHES),
-            storm_fallbacks: Cell::new(0),
         }
     }
 }
 
 /// A TLSTM user-thread: the handle the application uses to submit
 /// user-transactions, which the runtime decomposes onto `SPECDEPTH` worker
-/// threads.
+/// threads — or, when it was registered without lanes (see
+/// [`TlstmRuntime::register_uthread_default`]), runs on the calling thread.
 ///
 /// The handle is `Send` (it can be moved to the application thread that drives
 /// it) but not `Sync`; each user-thread is driven by one application thread,
@@ -279,20 +245,17 @@ impl TlstmRuntime {
 pub struct UThread {
     runtime: Arc<TlstmRuntime>,
     shared: Arc<UThreadShared>,
-    /// Runs the sequential-fallback transactions on the driving thread.
+    /// Runs the transactions of a lane-less user-thread on the driving
+    /// thread, in `inline_bufs` (recycled across batches, as a lane worker
+    /// recycles its own).
     inline: Worker,
+    inline_bufs: RefCell<TaskBufs>,
+    /// One queue per worker lane; empty for a lane-less user-thread.
     senders: Vec<Sender<WorkItem>>,
     workers: Vec<JoinHandle<()>>,
     next_serial: Cell<u64>,
     done_tx: Sender<u64>,
     done_rx: Receiver<u64>,
-    // Abort-storm fallback state. Plain `Cell`s: a `UThread` is `Send` but
-    // not `Sync`, so these are only ever touched by the driving thread.
-    storm_enabled: Cell<bool>,
-    storm_streak: Cell<u32>,
-    storm_cooldown: Cell<u32>,
-    storm_cooldown_len: Cell<u32>,
-    storm_fallbacks: Cell<u64>,
 }
 
 impl UThread {
@@ -311,37 +274,6 @@ impl UThread {
         &self.runtime
     }
 
-    /// Whether the abort-storm sequential fallback is armed. Defaults to
-    /// armed only on single-core hosts (where a rollback storm is livelock
-    /// by construction); on multi-core hosts the fallback is unreachable.
-    pub fn storm_fallback_enabled(&self) -> bool {
-        self.storm_enabled.get()
-    }
-
-    /// Overrides the abort-storm fallback arming (tests and experiments).
-    /// Disarming also clears any in-progress streak or cooldown, so the next
-    /// batch runs fully speculative.
-    pub fn set_storm_fallback(&self, enabled: bool) {
-        self.storm_enabled.set(enabled);
-        if !enabled {
-            self.storm_streak.set(0);
-            self.storm_cooldown.set(0);
-            self.storm_cooldown_len.set(STORM_COOLDOWN_BATCHES);
-        }
-    }
-
-    /// `true` while the user-thread is inside a sequential-fallback cooldown
-    /// window (the next [`execute`](UThread::execute) call merges tasks).
-    pub fn storm_active(&self) -> bool {
-        self.storm_cooldown.get() > 0
-    }
-
-    /// Number of batches this user-thread has executed sequentially because
-    /// the abort-storm detector tripped.
-    pub fn storm_fallbacks(&self) -> u64 {
-        self.storm_fallbacks.get()
-    }
-
     /// Submits a batch of user-transactions for (speculative, pipelined)
     /// execution and blocks until every one of them has committed.
     ///
@@ -349,40 +281,26 @@ impl UThread {
     /// tasks — including tasks of *future* transactions — run speculatively in
     /// parallel up to the speculative depth.
     ///
-    /// On single-core hosts an abort-storm detector watches for consecutive
-    /// batches that suffer whole-transaction rollbacks; after
-    /// `STORM_STREAK_THRESHOLD` stormy batches in a row the next
-    /// `STORM_COOLDOWN_BATCHES` batches run with each transaction's tasks
-    /// merged into one (sequential plan execution, identical semantics),
-    /// which breaks the intra-batch conflict livelock. Speculation is
-    /// re-probed when the cooldown expires.
+    /// Whether the tasks speculate was decided when the user-thread was
+    /// registered, not here: a user-thread without worker lanes runs each
+    /// transaction's tasks merged into one, in program order, on the calling
+    /// thread (identical semantics, no hand-offs, no intra-transaction
+    /// conflicts).
     ///
     /// # Panics
     ///
     /// Panics if any transaction has more tasks than the speculative depth
     /// (such a transaction could never commit).
     pub fn execute(&self, txns: Vec<TxnSpec>) -> Vec<TxnOutcome> {
-        if self.storm_enabled.get() && self.storm_cooldown.get() > 0 {
-            self.storm_cooldown.set(self.storm_cooldown.get() - 1);
-            self.storm_fallbacks.set(self.storm_fallbacks.get() + 1);
+        if self.senders.is_empty() {
             return self.execute_sequential(txns);
         }
         let stats = self.runtime.substrate.stats.shard(self.shared.ptid());
         let mut pending: Vec<Arc<TxnShared>> = Vec::with_capacity(txns.len());
-        // When the storm detector is armed, keep each transaction's bodies
-        // (cheap `Arc` clones): if the detector abandons the batch mid-flight
-        // the transactions are re-run sequentially from these.
-        let mut retained: Vec<Vec<TaskFn>> = Vec::new();
-        if self.storm_enabled.get() {
-            retained.reserve(txns.len());
-        }
         let mut total_tasks = 0usize;
         for spec in txns {
             stats.bump(&stats.tx_starts);
             txobs::tx_begin();
-            if self.storm_enabled.get() {
-                retained.push(spec.tasks.clone());
-            }
             let n = spec.tasks.len() as u64;
             let start_serial = self.next_serial.get();
             let commit_serial = start_serial + n - 1;
@@ -410,8 +328,6 @@ impl UThread {
         }
         let mut received = 0usize;
         let mut idle_spins = 0u32;
-        let batch_started = std::time::Instant::now();
-        let mut storm_tripped = false;
         // Spinning before the blocking receive only pays off when the worker
         // threads can retire tasks on other cores in the meantime.
         let spin_budget = if txmem::pause::multi_core() {
@@ -443,16 +359,10 @@ impl UThread {
                 }
                 continue;
             }
-            // A livelocked batch retires tasks rarely, so an armed detector
-            // must wake often enough to sample the in-flight transactions; a
-            // healthy or already-tripped batch can sleep the full watchdog
-            // interval.
-            let slice = if self.storm_enabled.get() && !storm_tripped {
-                std::time::Duration::from_millis(10)
-            } else {
-                std::time::Duration::from_millis(500)
-            };
-            match self.done_rx.recv_timeout(slice) {
+            match self
+                .done_rx
+                .recv_timeout(std::time::Duration::from_millis(500))
+            {
                 Ok(_) => {
                     received += 1;
                     idle_spins = 0;
@@ -463,147 +373,41 @@ impl UThread {
                     if self.workers.iter().any(|w| w.is_finished()) {
                         panic!("a TLSTM worker thread terminated unexpectedly (task panicked?)");
                     }
-                    if self.storm_enabled.get()
-                        && !storm_tripped
-                        && batch_storming(&pending, batch_started.elapsed())
-                    {
-                        // The batch is livelocking right now: abandon
-                        // speculative execution of everything still in
-                        // flight. The requested rollback dismantles the
-                        // tasks' speculative state (releasing every held
-                        // write lock), the workers then vacate their tasks,
-                        // and once the lanes have drained the transactions
-                        // are re-run sequentially below.
-                        storm_tripped = true;
-                        self.storm_streak.set(STORM_STREAK_THRESHOLD);
-                        self.arm_storm_cooldown();
-                        for txn in &pending {
-                            if !txn.is_committed() {
-                                txn.set_abandoned();
-                                txn.request_abort();
-                            }
-                        }
-                    }
                 }
                 Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
                     panic!("TLSTM worker channels disconnected unexpectedly");
                 }
             }
         }
-        let outcomes: Vec<TxnOutcome> = if storm_tripped {
-            self.finish_abandoned(pending, retained)
-        } else {
-            pending
-                .into_iter()
-                .map(|txn| {
-                    debug_assert!(txn.is_committed());
-                    TxnOutcome {
-                        start_serial: txn.start_serial(),
-                        commit_serial: txn.commit_serial(),
-                        rollbacks: txn.rollbacks(),
-                    }
-                })
-                .collect()
-        };
-        if self.storm_enabled.get() {
-            // A "stormy" batch is one that needed at least one whole-batch
-            // re-execution. Streaks only accumulate over speculative batches
-            // (cooldown batches neither extend nor reset them), and tripping
-            // does not clear the streak: if the re-probe after a cooldown
-            // storms again, the fallback re-engages after a single batch.
-            if outcomes.iter().any(|o| o.rollbacks > 0) {
-                let streak = self.storm_streak.get().saturating_add(1);
-                self.storm_streak.set(streak);
-                if streak >= STORM_STREAK_THRESHOLD && self.storm_cooldown.get() == 0 {
-                    self.arm_storm_cooldown();
-                }
-            } else {
-                self.storm_streak.set(0);
-            }
-        }
-        outcomes
-    }
-
-    /// Completes a batch whose speculative execution the storm detector
-    /// abandoned: transactions that still managed to commit keep their
-    /// outcome, and the abandoned ones (fully rolled back, their worker
-    /// lanes vacated) are re-run sequentially on this thread in program
-    /// order.
-    fn finish_abandoned(
-        &self,
-        pending: Vec<Arc<TxnShared>>,
-        retained: Vec<Vec<TaskFn>>,
-    ) -> Vec<TxnOutcome> {
-        debug_assert_eq!(pending.len(), retained.len());
-        let mut bufs = crate::task::TaskBufs::default();
-        let mut outcomes = Vec::with_capacity(pending.len());
-        for (txn, bodies) in pending.into_iter().zip(retained) {
-            if txn.is_committed() {
-                // A batch-mate's rollback may have clamped the completion
-                // counter below this transaction's (already committed)
-                // serials; restore it so later replacements and the next
-                // batch observe their predecessors as complete.
-                self.shared.mark_completed(txn.commit_serial(), false);
-                outcomes.push(TxnOutcome {
+        pending
+            .into_iter()
+            .map(|txn| {
+                debug_assert!(txn.is_committed());
+                TxnOutcome {
                     start_serial: txn.start_serial(),
                     commit_serial: txn.commit_serial(),
                     rollbacks: txn.rollbacks(),
-                });
-                continue;
-            }
-            debug_assert!(txn.abandoned());
-            // The transaction's own serials were rolled back and its tasks
-            // vacated; run its replacement as a single merged task at the
-            // original commit serial, skipping the vacated intermediate
-            // serials so the commit-order invariant (`completed_task >=
-            // serial - 1`) holds for the replacement and for later
-            // transactions of the batch.
-            let commit_serial = txn.commit_serial();
-            self.shared.mark_completed(commit_serial - 1, false);
-            let merged = merge_sequential(TxnSpec { tasks: bodies });
-            let replacement = Arc::new(TxnShared::new(
-                Arc::clone(&self.shared),
-                commit_serial,
-                commit_serial,
-            ));
-            self.inline
-                .run_task(&replacement, commit_serial, &merged.tasks[0], &mut bufs);
-            debug_assert!(replacement.is_committed());
-            outcomes.push(TxnOutcome {
-                start_serial: txn.start_serial(),
-                commit_serial,
-                rollbacks: txn.rollbacks().saturating_add(replacement.rollbacks()),
-            });
-        }
-        outcomes
+                }
+            })
+            .collect()
     }
 
-    /// Arms (or re-arms) a sequential-fallback cooldown window. Each re-trip
-    /// lengthens the next window geometrically: a workload that keeps
-    /// storming every time speculation is re-probed converges to long
-    /// sequential stretches with rare, cheap probes, instead of paying a
-    /// collapse-and-drain cycle every [`STORM_COOLDOWN_BATCHES`] batches.
-    fn arm_storm_cooldown(&self) {
-        let len = self.storm_cooldown_len.get();
-        self.storm_cooldown.set(len);
-        self.storm_cooldown_len
-            .set(len.saturating_mul(8).min(STORM_COOLDOWN_MAX));
-        self.storm_fallbacks.set(self.storm_fallbacks.get() + 1);
-    }
-
-    /// Executes a cooldown batch sequentially: every transaction is merged
-    /// into a single task and run start-to-commit on the calling thread.
+    /// [`execute`](UThread::execute) for a user-thread without worker lanes:
+    /// every transaction is merged into a single task and run
+    /// start-to-commit on the calling thread.
     ///
     /// Semantics are identical to speculative execution (tasks already
     /// observe earlier tasks' writes, aborts re-execute the whole
-    /// transaction), but there are no cross-thread task handoffs — on the
-    /// saturated single-core hosts where the abort-storm fallback engages,
-    /// those handoffs cost more than the transactions themselves.
+    /// transaction), but there are no cross-thread task handoffs — on a host
+    /// without a spare core those cost more than the transactions themselves.
     fn execute_sequential(&self, txns: Vec<TxnSpec>) -> Vec<TxnOutcome> {
         let stats = self.runtime.substrate.stats.shard(self.shared.ptid());
-        let mut bufs = crate::task::TaskBufs::default();
+        let mut bufs = self.inline_bufs.borrow_mut();
         let mut outcomes = Vec::with_capacity(txns.len());
         for spec in txns {
+            // The merged transaction is one task whatever it was built from;
+            // hold it to the limits its speculative form would have met.
+            assert_task_count(spec.tasks.len() as u64, self.shared.spec_depth());
             let spec = merge_sequential(spec);
             stats.bump(&stats.tx_starts);
             txobs::tx_begin();
@@ -834,13 +638,28 @@ mod tests {
 
     #[test]
     fn oversized_transaction_panics() {
+        // With worker lanes or without, a transaction the speculative depth
+        // cannot hold — or an empty one — is refused with the same message.
         let rt = runtime();
-        let u = rt.register_uthread(2);
         let t = task(|_ctx: &mut TaskCtx<'_>| Ok(()));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            u.run_transaction(vec![t.clone(), t.clone(), t.clone()]);
-        }));
-        assert!(result.is_err());
+        for lanes in [true, false] {
+            for (tasks, expected) in [
+                (vec![t.clone(); 3], "cannot run under speculative depth 2"),
+                (Vec::new(), "needs at least one task"),
+            ] {
+                let u = rt.new_uthread(2, lanes);
+                let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    u.execute(vec![TxnSpec { tasks }]);
+                }))
+                .expect_err("a malformed transaction must be refused");
+                let message = panic
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| panic.downcast_ref::<&str>().copied())
+                    .expect("assertion message");
+                assert!(message.contains(expected), "lanes={lanes}: {message}");
+            }
+        }
     }
 
     #[test]
@@ -849,121 +668,35 @@ mod tests {
         assert_send::<UThread>();
     }
 
-    /// One batch whose only transaction suffers exactly one
-    /// whole-transaction rollback: the single (commit) task aborts with the
-    /// transaction-abort signal on its first execution, which makes it drive
-    /// the rollback protocol itself, then succeeds on the retry.
-    fn run_stormy_batch(u: &UThread, counter: txmem::WordAddr) -> TxnOutcome {
-        let aborted = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let outcome = u
-            .execute(vec![TxnSpec::single(move |ctx: &mut TaskCtx<'_>| {
-                if !aborted.swap(true, std::sync::atomic::Ordering::Relaxed) {
-                    return Err(Abort::new(txmem::AbortReason::TransactionAbortSignal));
-                }
-                let v = ctx.read(counter)?;
-                ctx.write(counter, v + 1)
-            })])
-            .pop()
-            .unwrap();
-        assert!(outcome.rollbacks >= 1, "batch must have been stormy");
-        outcome
-    }
-
     #[test]
-    fn abort_storm_trips_the_sequential_fallback() {
+    fn only_default_registration_consults_the_host() {
         let rt = runtime();
-        let counter = rt.heap().alloc(1).unwrap();
-        let u = rt.register_uthread(2);
-        u.set_storm_fallback(true);
-        assert!(!u.storm_active());
-        for _ in 0..STORM_STREAK_THRESHOLD {
-            assert!(!u.storm_active());
-            run_stormy_batch(&u, counter);
-        }
-        assert!(
-            u.storm_active(),
-            "K consecutive stormy batches must trip it"
-        );
-        // Fallback batches run with merged tasks but identical semantics.
-        let bump = task(move |ctx: &mut TaskCtx<'_>| {
-            let v = ctx.read(counter)?;
-            ctx.write(counter, v + 1)
-        });
-        let txns: Vec<TxnSpec> = (0..4)
-            .map(|_| TxnSpec::new(vec![bump.clone(), bump.clone()]))
-            .collect();
-        let outcomes = u.execute(txns);
-        assert_eq!(outcomes.len(), 4);
-        assert!(u.storm_fallbacks() >= 1);
-        assert_eq!(
-            rt.heap().load_committed(counter),
-            STORM_STREAK_THRESHOLD as u64 + 8
-        );
-        // The cooldown expires after STORM_COOLDOWN_BATCHES batches and
-        // speculation is re-probed.
-        for _ in 0..STORM_COOLDOWN_BATCHES {
-            let _ = u.execute(vec![TxnSpec::single(move |ctx: &mut TaskCtx<'_>| {
-                let v = ctx.read(counter)?;
-                ctx.write(counter, v + 1)
-            })]);
-            if !u.storm_active() {
-                break;
-            }
-        }
-        assert!(!u.storm_active(), "cooldown must expire");
-    }
-
-    #[test]
-    fn interrupted_storms_do_not_trip_the_fallback() {
-        let rt = runtime();
-        let counter = rt.heap().alloc(1).unwrap();
-        let u = rt.register_uthread(2);
-        u.set_storm_fallback(true);
-        // Clean batches between stormy ones reset the streak.
-        for _ in 0..3 {
-            run_stormy_batch(&u, counter);
-            run_stormy_batch(&u, counter);
-            u.atomic(move |ctx| {
-                let v = ctx.read(counter)?;
-                ctx.write(counter, v + 1)
-            });
-            assert!(!u.storm_active());
-        }
-    }
-
-    #[test]
-    fn disarmed_detector_never_falls_back() {
-        let rt = runtime();
-        let counter = rt.heap().alloc(1).unwrap();
-        let u = rt.register_uthread(2);
-        u.set_storm_fallback(false);
-        assert!(!u.storm_fallback_enabled());
-        for _ in 0..4 * STORM_STREAK_THRESHOLD {
-            run_stormy_batch(&u, counter);
-        }
-        assert!(!u.storm_active());
-        assert_eq!(u.storm_fallbacks(), 0);
+        assert_eq!(rt.register_uthread(3).workers.len(), 3);
+        let expected = if txmem::pause::multi_core() {
+            rt.substrate().config.spec_depth
+        } else {
+            0
+        };
+        assert_eq!(rt.register_uthread_default().workers.len(), expected);
+        assert_eq!(rt.new_uthread(3, false).workers.len(), 0);
     }
 
     #[test]
     fn merged_tasks_preserve_program_order_semantics() {
-        // Force the fallback on and re-run the write-after-write pattern:
-        // the later task's value must still win inside the merged task.
+        // A lane-less user-thread merges the tasks; re-run the
+        // write-after-write pattern: the later task's value must still win
+        // inside the merged task.
         let rt = runtime();
-        let counter = rt.heap().alloc(1).unwrap();
         let a = rt.heap().alloc(1).unwrap();
-        let u = rt.register_uthread(2);
-        u.set_storm_fallback(true);
-        for _ in 0..STORM_STREAK_THRESHOLD {
-            run_stormy_batch(&u, counter);
-        }
-        assert!(u.storm_active());
+        let u = rt.new_uthread(2, false);
         let first = task(move |ctx: &mut TaskCtx<'_>| ctx.write(a, 1));
         let second = task(move |ctx: &mut TaskCtx<'_>| {
             let v = ctx.read(a)?;
             ctx.write(a, v + 41)
         });
-        u.run_transaction(vec![first, second]);
+        let outcome = u.run_transaction(vec![first, second]);
         assert_eq!(rt.heap().load_committed(a), 42);
+        assert_eq!(outcome.start_serial, outcome.commit_serial);
+        assert_eq!(rt.stats().task_commits, 1);
     }
 }

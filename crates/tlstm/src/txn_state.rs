@@ -69,6 +69,16 @@ impl TaskLogs {
     }
 }
 
+/// Panics unless a user-transaction of `n_tasks` tasks can run on a
+/// user-thread of speculative depth `spec_depth`.
+pub(crate) fn assert_task_count(n_tasks: u64, spec_depth: usize) {
+    assert!(n_tasks > 0, "a user-transaction needs at least one task");
+    assert!(
+        n_tasks as usize <= spec_depth,
+        "a user-transaction with {n_tasks} tasks cannot run under speculative depth {spec_depth}"
+    );
+}
+
 /// State shared by all tasks of one user-transaction.
 #[derive(Debug)]
 pub struct TxnShared {
@@ -102,12 +112,6 @@ pub struct TxnShared {
     cm_retries: AtomicU32,
     /// Two-phase greedy priority of the whole user-transaction.
     priority: AtomicU64,
-    /// The user-thread has abandoned speculative execution of this
-    /// transaction (abort-storm fallback): once the pending rollback has
-    /// dismantled the tasks' speculative state, workers vacate their tasks
-    /// instead of re-executing and the user-thread re-runs the transaction
-    /// sequentially inline.
-    abandoned: AtomicBool,
     /// Logs published by completed tasks, keyed by serial.
     logs: Mutex<Vec<(u64, TaskLogs)>>,
 }
@@ -122,15 +126,9 @@ impl TxnShared {
     /// speculative depth (such a transaction could never complete, because all
     /// of its tasks must be simultaneously active at commit time).
     pub fn new(uthread: Arc<UThreadShared>, start_serial: u64, commit_serial: u64) -> Self {
-        assert!(
-            commit_serial >= start_serial,
-            "a user-transaction needs at least one task"
-        );
-        let n_tasks = commit_serial - start_serial + 1;
-        assert!(
-            n_tasks as usize <= uthread.spec_depth(),
-            "a user-transaction with {n_tasks} tasks cannot run under speculative depth {}",
-            uthread.spec_depth()
+        assert_task_count(
+            (commit_serial + 1).saturating_sub(start_serial),
+            uthread.spec_depth(),
         );
         TxnShared {
             uthread,
@@ -145,7 +143,6 @@ impl TxnShared {
             acks: AtomicU32::new(0),
             cm_retries: AtomicU32::new(0),
             priority: AtomicU64::new(TIMID_PRIORITY),
-            abandoned: AtomicBool::new(false),
             logs: Mutex::new(Vec::new()),
         }
     }
@@ -220,27 +217,6 @@ impl TxnShared {
     /// transaction and returns the running total.
     pub fn note_cm_self_abort(&self) -> u32 {
         self.cm_retries.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Contention-manager self-aborts recorded so far (the abort-storm
-    /// detector samples this while the transaction is in flight).
-    pub fn cm_retries(&self) -> u32 {
-        self.cm_retries.load(Ordering::Relaxed)
-    }
-
-    /// `true` once the user-thread has abandoned speculative execution of
-    /// this transaction (abort-storm fallback): after the pending rollback
-    /// completes, every worker vacates its task instead of re-executing it,
-    /// and the user-thread re-runs the transaction sequentially inline.
-    pub fn abandoned(&self) -> bool {
-        self.abandoned.load(Ordering::Acquire)
-    }
-
-    /// Abandons speculative execution of this transaction (call together
-    /// with [`request_abort`](Self::request_abort); the rollback is what
-    /// dismantles the tasks' speculative state before they vacate).
-    pub fn set_abandoned(&self) {
-        self.abandoned.store(true, Ordering::Release);
     }
 
     /// Current greedy priority.

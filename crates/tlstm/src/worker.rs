@@ -73,8 +73,7 @@ impl std::fmt::Debug for WorkItem {
 }
 
 /// Everything needed to run tasks of one user-thread: the long-lived state
-/// of a worker thread, and of the user-thread's own inline (sequential
-/// fallback) execution.
+/// of a worker thread, and of a lane-less user-thread's own inline execution.
 pub(crate) struct Worker {
     pub substrate: Arc<TxSubstrate>,
     pub uthread: Arc<UThreadShared>,
@@ -142,10 +141,10 @@ impl Worker {
     }
 
     /// Executes task `serial` of `txn` until it retires (its
-    /// user-transaction commits, or the user-thread abandons it), building
-    /// its speculative state inside the recycled `bufs`. This is the one
-    /// attempt/abort/rollback loop of the runtime: worker lanes and the
-    /// user-thread's inline sequential fallback both run it.
+    /// user-transaction commits), building its speculative state inside the
+    /// recycled `bufs`. This is the one attempt/abort/rollback loop of the
+    /// runtime: worker lanes and a lane-less user-thread's inline execution
+    /// both run it.
     pub(crate) fn run_task(
         &self,
         txn: &Arc<TxnShared>,
@@ -173,16 +172,6 @@ impl Worker {
             // before (re-)executing the body.
             if txn.abort_requested() {
                 self.participate_in_rollback(txn, serial);
-            }
-            // Abort-storm fallback: the user-thread abandoned speculative
-            // execution of this transaction. The rollback that was requested
-            // alongside the abandonment has dismantled this task's
-            // speculative state (the check sits after the participation
-            // above, and `finish_rollback` clears the request), so the task
-            // can simply vacate — the user-thread re-runs the transaction
-            // sequentially inline.
-            if txn.abandoned() && !txn.abort_requested() {
-                return;
             }
             // Pessimistic fallback: after repeated transaction rollbacks, run
             // the tasks of this transaction in program order.
@@ -234,13 +223,10 @@ impl Worker {
     }
 
     /// Blocks until every past task of the user-thread has completed, or
-    /// until `txn` must first be rolled back or vacated (the past tasks of an
-    /// abandoned transaction vacate without ever completing).
+    /// until `txn` must first be rolled back.
     fn wait_for_past(&self, txn: &TxnShared, serial: u64) {
         self.uthread.wait_until(|| {
-            self.uthread.completed_task() >= serial.saturating_sub(1)
-                || txn.abort_requested()
-                || txn.abandoned()
+            self.uthread.completed_task() >= serial.saturating_sub(1) || txn.abort_requested()
         });
     }
 
@@ -283,40 +269,5 @@ impl Worker {
             txn.ack_abort();
             uthread.wait_until(|| txn.epoch() > epoch);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::time::Duration;
-    use tlstm_testutil::with_watchdog;
-    use txmem::{Abort, TxConfig};
-
-    /// The past tasks of an abandoned transaction vacate without completing,
-    /// so a task that lost to its past and is waiting for it must vacate too
-    /// — the user-thread cannot re-run the transaction before every lane has
-    /// drained.
-    #[test]
-    fn a_task_waiting_for_its_past_vacates_when_the_transaction_is_abandoned() {
-        with_watchdog(Duration::from_secs(10), || {
-            let uthread = Arc::new(UThreadShared::new(0, 2));
-            let worker = Worker {
-                substrate: Arc::new(TxSubstrate::new(TxConfig::small())),
-                uthread: Arc::clone(&uthread),
-                cm: TaskAwareCm::default(),
-                tickets: Arc::new(GreedyTicket::new()),
-            };
-            let txn = Arc::new(TxnShared::new(uthread, 1, 2));
-            // Task 2 loses to task 1, which never runs; the storm detector's
-            // abandonment lands while task 2 is rolling back.
-            let abandon = Arc::clone(&txn);
-            let body: TaskFn = Arc::new(move |_ctx: &mut TaskCtx<'_>| {
-                abandon.set_abandoned();
-                Err(Abort::new(AbortReason::IntraThreadWaw))
-            });
-            worker.run_task(&txn, 2, &body, &mut TaskBufs::default());
-            assert!(!txn.is_committed());
-        });
     }
 }

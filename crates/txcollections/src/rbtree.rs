@@ -771,17 +771,16 @@ mod tests {
 
     #[test]
     fn random_workload_matches_reference_model() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
         let heap = heap();
         let mut mem = DirectMem::new(&heap);
         let tree = TxRbTree::create(&mut mem).unwrap();
         let mut reference = std::collections::BTreeMap::new();
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = tlstm_testutil::TestRng::new(42);
         for _ in 0..2000 {
-            let key = rng.gen_range(0..200u64);
-            match rng.gen_range(0..3) {
+            let key = rng.below(200);
+            match rng.below(3) {
                 0 => {
-                    let value = rng.gen_range(0..1000u64);
+                    let value = rng.below(1000);
                     let inserted = tree.insert(&mut mem, key, value).unwrap();
                     assert_eq!(inserted, reference.insert(key, value).is_none());
                 }

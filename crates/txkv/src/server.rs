@@ -571,10 +571,13 @@ mod tests {
         let replies = session.batch(ops);
         assert_eq!(replies.len(), 32);
         let stats = server.stats();
-        assert!(
+        // The plan always has several groups; TLSTM runs them as separate
+        // tasks only where the host has a core to overlap them on.
+        assert_eq!(
             stats.task_commits > stats.tx_commits,
-            "a split batch must commit more tasks than transactions \
-             (tasks={}, txns={})",
+            txmem::pause::multi_core(),
+            "a split batch commits more tasks than transactions exactly on a \
+             multi-core host (tasks={}, txns={})",
             stats.task_commits,
             stats.tx_commits
         );
