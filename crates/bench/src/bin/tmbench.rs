@@ -1,29 +1,30 @@
-//! `tmbench` — the unified benchmark runner of the TLSTM reproduction.
+//! `tmbench` — the runtime matrix of the TLSTM reproduction.
 //!
-//! One tool drives every workload (red-black tree, Vacation low/high,
-//! STMBench7 read/write mixes) on both runtimes (SwissTM, TLSTM) over a
-//! configurable thread matrix, prints a human-readable table, and emits the
-//! versioned JSON report the CI perf-smoke gate consumes.
+//! Measures the paper's runtimes: the default matrix (red-black tree,
+//! Vacation low/high, STMBench7 read/write mixes, the fast-path overhead
+//! rows and the in-process `txkv` serving rows) on every registered runtime
+//! over a configurable thread axis, or one of the paper's four figures as a
+//! fixed preset (`--figure 1a|1b|2a|2b`). It prints a table and writes a
+//! JSON report; nothing in-tree reads the report back. The regression gate
+//! and the serving stack (sockets, WAL) are measured by `benchmark/run.sh`.
 //!
 //! ```text
-//! tmbench --quick --out BENCH_results.json        # measure, write report
-//! tmbench --baseline BENCH_baseline.json --gate 10
-//!                                                 # diff current vs baseline
-//! tmbench --check-schema BENCH_results.json       # validate a report file
+//! tmbench --quick --out BENCH_results.json        # default matrix
+//! tmbench --figure 2b                             # Figure 2b's series
 //! tmbench --quick --trace trace.json --metrics-out metrics.prom
 //!                                                 # with observability output
 //! ```
 //!
 //! Run `tmbench --help` for the full flag list. Exit codes: 0 on success,
-//! 1 on regression/validation failure, 2 on usage errors.
+//! 2 on usage and I/O errors.
 
 use std::process::ExitCode;
 use std::time::Duration;
 
-use tlstm_bench::report::{diff_reports, BenchReport};
+use tlstm_bench::report::BenchReport;
 use tlstm_bench::scenarios::{
-    build_scenarios, find_runtime, pinned_workload_labels, run_matrix, runtime_names,
-    workload_selectors, MatrixSelection, RuntimeEntry,
+    build_scenarios, figure_scenarios, find_runtime, pinned_workload_labels, run_matrix,
+    runtime_names, workload_selectors, MatrixSelection, RuntimeEntry, ScenarioSpec,
 };
 use tlstm_bench::{cell, env_u32, env_u64, DEFAULT_BENCH_MS};
 use tlstm_workloads::kv::FsyncPolicy;
@@ -32,18 +33,35 @@ use tlstm_workloads::WorkloadConfig;
 /// Duration per data point for `--quick` runs when nothing overrides it.
 const QUICK_BENCH_MS: u64 = 50;
 
-/// Default report path, shared with the CI workflow and `scripts/bench.sh`.
-const DEFAULT_REPORT_PATH: &str = "BENCH_results.json";
-
 const USAGE: &str = "\
-tmbench — unified TLSTM/SwissTM benchmark runner
+tmbench — the TLSTM/SwissTM runtime matrix and the paper's figures
 
 USAGE:
-    tmbench [OPTIONS]                      run the scenario matrix
-    tmbench --baseline OLD.json [--current NEW.json] --gate PCT
-                                           diff two reports, exit 1 on regression
-    tmbench --check-schema [FILE]          validate a report file
-    tmbench --list                         print the scenario matrix and exit
+    tmbench [OPTIONS]                      run the default scenario matrix
+    tmbench --figure ID [OPTIONS]          run one figure of the paper
+    tmbench --list                         print the scenarios and exit
+
+SCENARIO OPTIONS:
+    --figure ID          the series of one figure of the paper instead of the
+                         default matrix: 1a (rbtree speed-up vs lookups per
+                         transaction), 1b (Vacation vs clients), 2a
+                         (STMBench7 vs read-only %), 2b (STMBench7 mixes on
+                         1-3 threads). Fixes workloads, threads and runtimes,
+                         so it excludes --workloads, --threads and --runtimes
+    --threads A,B,...    thread counts to measure (default: 1)
+    --workloads LIST     comma-separated families (rbtree,vacation,stmbench7,
+                         overhead,kv,kv-durable) or concrete labels (kv-a,
+                         kv-a-durable, rbtree-n16,...); default: all.
+                         kv-a-durable-cN rows (N = 1, 8, 64) are the
+                         multi-committer sweep: they pin N client threads on
+                         one WAL and ignore --threads
+    --runtimes LIST      comma-separated runtimes from the registry:
+                         swisstm,tlstm,seqref (default: all registered;
+                         seqref is the sequential conformance reference)
+    --fsync POLICY       WAL fsync policy of the kv-durable scenarios: always,
+                         group, group:<ms>, none (default: group; scenario
+                         names are unaffected, so runs stay comparable)
+    --list               print scenario names without running anything
 
 MEASUREMENT OPTIONS:
     --quick              short runs (50 ms/point) for smoke testing
@@ -51,28 +69,6 @@ MEASUREMENT OPTIONS:
                          (default: TLSTM_BENCH_MS, else 300; 50 with --quick)
     --reps N             repetitions to average (default: TLSTM_BENCH_REPS, else 1)
     --seed N             workload RNG seed (default: TLSTM_BENCH_SEED, else 0xC0FFEE)
-    --threads A,B,...    thread counts to measure (default: 1)
-    --workloads LIST     comma-separated families (rbtree,vacation,stmbench7,
-                         overhead,kv,kv-durable,net-kv,net-kv-durable) or
-                         concrete labels (kv-a, kv-a-durable, net-kv-a,
-                         rbtree-n16,...); default: all.
-                         kv-a-durable-cN rows (N = 1, 8, 64) are the
-                         multi-committer sweep: they pin N client threads on
-                         one WAL and ignore --threads. net-kv-a-durable-cN
-                         rows (N = 1, 16, 64) are the connection sweep: they
-                         pin N client connections the same way
-    --runtimes LIST      comma-separated runtimes from the registry:
-                         swisstm,tlstm,seqref (default: all registered;
-                         seqref is the sequential conformance reference)
-    --fsync POLICY       WAL fsync policy of the kv-durable and
-                         net-kv-durable scenarios: always, group, group:<ms>,
-                         none (default: group; scenario names are unaffected,
-                         so reports stay comparable against the baseline)
-    --offered-load N     open-loop offered load of the net-kv scenarios, in
-                         total requests/second (default: peak — every
-                         connection keeps its pipeline window full). Like
-                         --fsync, a run modifier: sweep it across runs to
-                         plot tail latency against offered load
     --out FILE           write the JSON report to FILE
 
 OBSERVABILITY OPTIONS:
@@ -84,15 +80,8 @@ OBSERVABILITY OPTIONS:
                          KV health gauge, per-scenario throughput and
                          commit/abort counters) to FILE
 
-GATE OPTIONS:
-    --baseline FILE      baseline report to diff against
-    --current FILE       current report (default: BENCH_results.json)
-    --gate PCT           regression threshold in percent (default: 10)
-
 MISC:
-    --check-schema [FILE]  validate FILE (default: BENCH_results.json)
-    --list                 print scenario names without running anything
-    --help                 this text
+    --help               this text
 ";
 
 #[derive(Debug, Default)]
@@ -105,14 +94,10 @@ struct CliArgs {
     workloads: Vec<String>,
     runtimes: Vec<&'static RuntimeEntry>,
     fsync: Option<FsyncPolicy>,
-    offered_load: Option<u64>,
+    figure: Option<Vec<ScenarioSpec>>,
     out: Option<String>,
     trace: Option<String>,
     metrics_out: Option<String>,
-    baseline: Option<String>,
-    current: Option<String>,
-    gate_pct: Option<f64>,
-    check_schema: Option<String>,
     list: bool,
     help: bool,
 }
@@ -167,7 +152,7 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
                     threads.push(n);
                 }
                 // Dedupe (keeping order): repeated counts would produce
-                // duplicate scenario names, which the report schema rejects.
+                // duplicate scenario names, i.e. ambiguous report rows.
                 let mut seen = std::collections::HashSet::new();
                 threads.retain(|n| seen.insert(*n));
                 if threads.is_empty() {
@@ -208,53 +193,29 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
                 let v = value_of(&mut i, arg)?;
                 cli.fsync = Some(FsyncPolicy::parse(v.trim())?);
             }
-            "--offered-load" => {
+            "--figure" => {
                 let v = value_of(&mut i, arg)?;
-                let rate: u64 = v
-                    .parse()
-                    .map_err(|e| format!("invalid --offered-load '{v}': {e}"))?;
-                if rate == 0 {
-                    return Err("--offered-load must be positive".to_string());
-                }
-                cli.offered_load = Some(rate);
+                let rows = figure_scenarios(v.trim())
+                    .ok_or_else(|| format!("unknown figure '{v}' (want one of: 1a, 1b, 2a, 2b)"))?;
+                cli.figure = Some(rows);
             }
             "--out" => cli.out = Some(value_of(&mut i, arg)?),
             "--trace" => cli.trace = Some(value_of(&mut i, arg)?),
             "--metrics-out" => cli.metrics_out = Some(value_of(&mut i, arg)?),
-            "--baseline" => cli.baseline = Some(value_of(&mut i, arg)?),
-            "--current" => cli.current = Some(value_of(&mut i, arg)?),
-            "--gate" => {
-                let v = value_of(&mut i, arg)?;
-                let pct: f64 = v
-                    .parse()
-                    .map_err(|e| format!("invalid --gate '{v}': {e}"))?;
-                if !(0.0..=100.0).contains(&pct) {
-                    return Err(format!("--gate must be in 0..=100, got {pct}"));
-                }
-                cli.gate_pct = Some(pct);
-            }
-            "--check-schema" => {
-                // Optional value: a following token that is not a flag.
-                let file = match args.get(i + 1) {
-                    Some(next) if !next.starts_with("--") => {
-                        i += 1;
-                        next.clone()
-                    }
-                    _ => DEFAULT_REPORT_PATH.to_string(),
-                };
-                cli.check_schema = Some(file);
-            }
             other => return Err(format!("unknown flag '{other}' (see --help)")),
         }
         i += 1;
     }
+    if cli.figure.is_some()
+        && (cli.threads.is_some() || !cli.workloads.is_empty() || !cli.runtimes.is_empty())
+    {
+        return Err(
+            "--figure fixes the workloads, threads and runtimes of its rows; \
+drop --workloads, --threads and --runtimes"
+                .to_string(),
+        );
+    }
     Ok(cli)
-}
-
-fn load_report(path: &str) -> Result<BenchReport, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    BenchReport::parse(&text)
-        .map_err(|errors| format!("{path} is invalid:\n  {}", errors.join("\n  ")))
 }
 
 fn workload_config(cli: &CliArgs) -> WorkloadConfig {
@@ -310,63 +271,22 @@ fn print_report_table(report: &BenchReport) {
                 format!("p99 {}µs", wal.fsync_p99_ns / 1000),
             );
         }
-        if let Some(net) = &s.net {
-            println!(
-                "{:<34} {:>14} {:>12} {:>12} {:>10} {:>10}",
-                "  net",
-                format!("{:.1} req/batch", net.mean_coalesced_requests),
-                format!("{} reqs", net.requests),
-                format!("{} batches", net.coalesced_batches),
-                format!("{} errs", net.protocol_errors),
-                format!("{} KiB out", net.bytes_out / 1024),
-            );
-        }
     }
 }
 
 /// The non-fatal stderr warning for an explicit `--threads` axis combined
-/// with rows that pin their own thread count (committer- or
-/// connection-sweep rows). Those rows silently ignore the flag, which is
-/// intended — but worth saying out loud so a sweep run is never
-/// misinterpreted.
+/// with rows that pin their own thread count (the committer-sweep rows).
+/// Those rows silently ignore the flag, which is intended — but worth saying
+/// out loud so a sweep run is never misinterpreted.
 fn threads_ignored_warning(explicit_threads: bool, pinned_labels: &[String]) -> Option<String> {
     if !explicit_threads || pinned_labels.is_empty() {
         return None;
     }
     Some(format!(
         "warning: --threads is ignored by the pinned sweep rows: {} \
-(they run at their own committer/connection counts)",
+(they run at their own committer counts)",
         pinned_labels.join(", ")
     ))
-}
-
-fn run_gate(cli: &CliArgs) -> ExitCode {
-    let baseline_path = cli
-        .baseline
-        .as_deref()
-        .expect("gate mode requires --baseline");
-    let current_path = cli.current.as_deref().unwrap_or(DEFAULT_REPORT_PATH);
-    let gate_pct = cli.gate_pct.unwrap_or(10.0);
-    let (baseline, current) = match (load_report(baseline_path), load_report(current_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (b, c) => {
-            for err in [b.err(), c.err()].into_iter().flatten() {
-                eprintln!("error: {err}");
-            }
-            return ExitCode::from(2);
-        }
-    };
-    let outcome = diff_reports(&baseline, &current, gate_pct);
-    println!("# gate: {current_path} vs baseline {baseline_path} (threshold {gate_pct}%)");
-    print!("{outcome}");
-    if outcome.has_regressions() {
-        let n = outcome.regressions().count() + outcome.missing_in_current.len();
-        eprintln!("gate FAILED: {n} regression(s) beyond {gate_pct}%");
-        ExitCode::from(1)
-    } else {
-        println!("gate passed: no scenario regressed beyond {gate_pct}%");
-        ExitCode::SUCCESS
-    }
 }
 
 /// Streams the collected trace rings to `path` as Chrome trace-event JSON.
@@ -397,27 +317,6 @@ fn publish_scenario_metrics(report: &BenchReport) {
     }
 }
 
-fn run_check_schema(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("error: cannot read {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let problems = BenchReport::validate(&text);
-    if problems.is_empty() {
-        println!("{path}: schema OK");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("{path}: schema INVALID");
-        for p in &problems {
-            eprintln!("  - {p}");
-        }
-        ExitCode::from(1)
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = match parse_args(&args) {
@@ -431,21 +330,16 @@ fn main() -> ExitCode {
         print!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    if let Some(path) = &cli.check_schema {
-        return run_check_schema(path);
-    }
-    if cli.baseline.is_some() {
-        return run_gate(&cli);
-    }
 
-    let selection = MatrixSelection {
-        threads: cli.threads.clone().unwrap_or_else(|| vec![1]),
-        workload_families: cli.workloads.clone(),
-        runtimes: cli.runtimes.clone(),
-        fsync: cli.fsync,
-        offered_load: cli.offered_load,
+    let scenarios = match &cli.figure {
+        Some(rows) => rows.clone(),
+        None => build_scenarios(&MatrixSelection {
+            threads: cli.threads.clone().unwrap_or_else(|| vec![1]),
+            workload_families: cli.workloads.clone(),
+            runtimes: cli.runtimes.clone(),
+            fsync: cli.fsync,
+        }),
     };
-    let scenarios = build_scenarios(&selection);
     if scenarios.is_empty() {
         eprintln!("error: the selected matrix is empty");
         return ExitCode::from(2);
@@ -505,25 +399,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn offered_load_flag_parses_and_rejects_zero() {
-        let args: Vec<String> = ["--offered-load", "25000"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(parse_args(&args).unwrap().offered_load, Some(25_000));
-        let args: Vec<String> = ["--offered-load", "0"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(parse_args(&args).is_err());
-        assert_eq!(parse_args(&[]).unwrap().offered_load, None);
-    }
-
-    #[test]
     fn pinned_rows_warn_only_with_an_explicit_thread_axis() {
         let pinned = vec![
+            "kv-a-durable-c1".to_string(),
             "kv-a-durable-c64".to_string(),
-            "net-kv-a-durable-c64".to_string(),
         ];
         // No --threads: the pinned rows are just the matrix, nothing to say.
         assert_eq!(threads_ignored_warning(false, &pinned), None);
@@ -532,7 +411,7 @@ mod tests {
         // Both: warn, naming every pinned row.
         let warning = threads_ignored_warning(true, &pinned).expect("must warn");
         assert!(warning.starts_with("warning:"), "{warning}");
+        assert!(warning.contains("kv-a-durable-c1"), "{warning}");
         assert!(warning.contains("kv-a-durable-c64"), "{warning}");
-        assert!(warning.contains("net-kv-a-durable-c64"), "{warning}");
     }
 }

@@ -1,12 +1,10 @@
-//! A minimal JSON value model, serialiser and parser.
+//! A minimal JSON value model and serialiser.
 //!
 //! The build environment has no access to crates.io (see the workspace
-//! `vendor/` shims), so the benchmark reporter carries its own JSON layer
+//! `vendor/` shims), so the benchmark reporter carries its own JSON writer
 //! instead of depending on `serde`. It supports exactly what the
 //! [`report`](crate::report) schema needs: objects (with preserved key
-//! order), arrays, strings, finite numbers, booleans and `null`.
-
-use std::fmt;
+//! order), arrays, strings, finite numbers and booleans.
 
 /// A JSON value.
 ///
@@ -14,8 +12,6 @@ use std::fmt;
 /// and diff-friendly.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
-    /// `null`.
-    Null,
     /// `true` / `false`.
     Bool(bool),
     /// A finite number (serialised without a trailing `.0` when integral).
@@ -34,64 +30,6 @@ impl Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
-    /// Looks up a key in an object; `None` for missing keys or non-objects.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The value as a finite `f64`, if it is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a `u64`, if it is a non-negative integral number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
-    }
-
-    /// The value as a string slice, if it is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The value as a bool, if it is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as an array slice, if it is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The value as an object's key/value pairs, if it is an object.
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-
     /// Serialises the value as pretty-printed JSON (2-space indent, trailing
     /// newline), deterministic for a given value.
     pub fn to_pretty_string(&self) -> String {
@@ -103,7 +41,6 @@ impl Json {
 
     fn write_pretty(&self, out: &mut String, depth: usize) {
         match self {
-            Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => out.push_str(&format_number(*n)),
             Json::Str(s) => write_escaped(out, s),
@@ -140,26 +77,6 @@ impl Json {
                 out.push('}');
             }
         }
-    }
-
-    /// Parses a JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] with a byte offset and description on malformed
-    /// input (including trailing garbage after the document).
-    pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut parser = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        parser.skip_ws();
-        let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(parser.error("trailing characters after JSON document"));
-        }
-        Ok(value)
     }
 }
 
@@ -204,230 +121,17 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// A parse error: byte offset into the input plus a description.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset the error was detected at.
-    pub offset: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "JSON error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn error(&self, message: &str) -> JsonError {
-        JsonError {
-            offset: self.pos,
-            message: message.to_string(),
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected '{}'", byte as char)))
-        }
-    }
-
-    fn literal(&mut self, text: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else {
-            Err(self.error(&format!("expected literal '{text}'")))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, JsonError> {
-        match self.peek() {
-            None => Err(self.error("unexpected end of input")),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(self.error(&format!("unexpected character '{}'", other as char))),
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.error("expected ',' or ']' in array")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.error("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("invalid \\u escape"))?;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.error("invalid escape sequence")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing on
-                    // a char boundary is safe via the chars iterator).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .ok()
-            .filter(|n| n.is_finite())
-            .map(Json::Num)
-            .ok_or_else(|| JsonError {
-                offset: start,
-                message: format!("invalid number '{text}'"),
-            })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn roundtrips_nested_values() {
-        let value = Json::obj(vec![
-            ("name", Json::Str("rbtree/swisstm".to_string())),
-            ("ops", Json::Num(123456.0)),
-            ("ratio", Json::Num(0.125)),
-            ("quick", Json::Bool(true)),
-            ("nothing", Json::Null),
-            (
-                "nested",
-                Json::Arr(vec![Json::Num(1.0), Json::obj(vec![("k", Json::Num(2.0))])]),
-            ),
-        ]);
-        let text = value.to_pretty_string();
-        let parsed = Json::parse(&text).unwrap();
-        assert_eq!(parsed, value);
-    }
-
-    #[test]
-    fn escapes_and_unescapes_strings() {
+    fn escapes_strings() {
         let value = Json::Str("a \"quoted\"\nline\twith \\ and ünïcode \u{1}".to_string());
-        let text = value.to_pretty_string();
-        assert_eq!(Json::parse(&text).unwrap(), value);
+        assert_eq!(
+            value.to_pretty_string(),
+            "\"a \\\"quoted\\\"\\nline\\twith \\\\ and ünïcode \\u0001\"\n"
+        );
     }
 
     #[test]
@@ -435,40 +139,5 @@ mod tests {
         assert_eq!(Json::Num(42.0).to_pretty_string().trim(), "42");
         assert_eq!(Json::Num(-7.0).to_pretty_string().trim(), "-7");
         assert!(Json::Num(0.5).to_pretty_string().trim().contains('.'));
-    }
-
-    #[test]
-    fn accessors_extract_typed_values() {
-        let v = Json::parse(r#"{"a": 3, "b": "x", "c": [1, 2], "d": true, "e": 2.5}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_u64(), Some(3));
-        assert_eq!(v.get("b").unwrap().as_str(), Some("x"));
-        assert_eq!(v.get("c").unwrap().as_array().unwrap().len(), 2);
-        assert_eq!(v.get("d").unwrap().as_bool(), Some(true));
-        assert_eq!(v.get("e").unwrap().as_f64(), Some(2.5));
-        assert_eq!(v.get("e").unwrap().as_u64(), None, "2.5 is not integral");
-        assert!(v.get("missing").is_none());
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        for bad in [
-            "",
-            "{",
-            "[1, ]x",
-            "{\"a\": }",
-            "{\"a\": 1} trailing",
-            "\"unterminated",
-            "nul",
-            "1e999",
-        ] {
-            assert!(Json::parse(bad).is_err(), "accepted malformed: {bad:?}");
-        }
-    }
-
-    #[test]
-    fn parses_whitespace_and_empty_containers() {
-        let v = Json::parse(" { \"a\" : [ ] , \"b\" : { } } ").unwrap();
-        assert_eq!(v.get("a").unwrap().as_array().unwrap().len(), 0);
-        assert_eq!(v.get("b").unwrap().as_object().unwrap().len(), 0);
     }
 }

@@ -1,22 +1,16 @@
-//! Benchmark tooling for the TLSTM reproduction.
+//! Benchmark tooling for the TLSTM reproduction: the `tmbench` runner's
+//! library half.
 //!
-//! Three layers live here:
+//! * [`scenarios`] — the workload × runtime × thread × task matrix, and the
+//!   paper's four figures as fixed presets of it (`tmbench --figure`);
+//! * [`report`] — the versioned JSON benchmark report (`BENCH_results.json`);
+//! * [`json`] — the dependency-free JSON writer the report is built on.
 //!
-//! * [`report`] — the versioned JSON benchmark report (`BENCH_results.json`),
-//!   its validation, and the baseline-diff regression gate;
-//! * [`scenarios`] — the workload × runtime × thread × task matrix driven by
-//!   the `tmbench` binary;
-//! * [`json`] — the dependency-free JSON layer the report is built on.
-//!
-//! plus the helpers shared by the figure-regeneration binaries (`fig1a`,
-//! `fig1b`, `fig2a`, `fig2b`), which print the same series the corresponding
-//! figures of the paper plot as plain-text tables.
+//! `tmbench` measures the paper's runtimes. The serving stack and the
+//! regression gate are `benchmark/run.sh`'s; neither tool reads the other's
+//! numbers.
 
 #![warn(missing_docs)]
-
-use std::time::Duration;
-
-use tlstm_workloads::WorkloadConfig;
 
 pub mod json;
 pub mod report;
@@ -68,29 +62,6 @@ pub fn env_u32(name: &str, default: u32) -> u32 {
     })
 }
 
-/// Builds the workload configuration used by the figure binaries and
-/// `tmbench`.
-///
-/// The measured duration per data point defaults to [`DEFAULT_BENCH_MS`] and
-/// can be overridden with the `TLSTM_BENCH_MS` environment variable; the
-/// repetition count (the paper averages three runs) with `TLSTM_BENCH_REPS`.
-/// Malformed values fall back to the defaults with a warning on stderr.
-pub fn config_from_env() -> WorkloadConfig {
-    let ms = env_u64("TLSTM_BENCH_MS", DEFAULT_BENCH_MS);
-    let reps = env_u32("TLSTM_BENCH_REPS", 1);
-    WorkloadConfig {
-        duration: Duration::from_millis(ms),
-        repetitions: reps,
-        seed: 0xC0FFEE,
-    }
-}
-
-/// Prints a table header followed by a separator line.
-pub fn print_header(title: &str, columns: &[&str]) {
-    println!("# {title}");
-    println!("{}", columns.join("\t"));
-}
-
 /// Formats a floating-point cell with sensible precision for throughput.
 pub fn cell(value: f64) -> String {
     if value >= 1000.0 {
@@ -108,9 +79,8 @@ mod tests {
     #[test]
     fn env_defaults_are_sane() {
         let _lock = EnvVarGuard::lock_only();
-        let cfg = config_from_env();
-        assert!(cfg.duration >= Duration::from_millis(1));
-        assert!(cfg.repetitions >= 1);
+        assert!(env_u64("TLSTM_BENCH_MS", DEFAULT_BENCH_MS) >= 1);
+        assert!(env_u32("TLSTM_BENCH_REPS", 1) >= 1);
     }
 
     #[test]
@@ -133,15 +103,6 @@ mod tests {
         for bad in ["abc", "", "12ms", "-5", "1.5"] {
             assert_eq!(parse_env_u64("TLSTM_BENCH_MS", Some(bad), 300), 300);
         }
-    }
-
-    #[test]
-    fn config_from_env_survives_malformed_environment() {
-        let _ms = EnvVarGuard::set("TLSTM_BENCH_MS", "not-a-number");
-        let _reps = EnvVarGuard::set_unlocked("TLSTM_BENCH_REPS", "3");
-        let cfg = config_from_env();
-        assert_eq!(cfg.duration, Duration::from_millis(DEFAULT_BENCH_MS));
-        assert_eq!(cfg.repetitions, 3);
     }
 
     #[test]

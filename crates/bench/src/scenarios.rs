@@ -4,9 +4,10 @@
 //! The default matrix covers every workload of the paper's evaluation —
 //! the red-black-tree micro-benchmark (Figure 1a), both Vacation contention
 //! levels (Figure 1b) and both STMBench7 traversal mixes (Figures 2a/2b) —
-//! on every registered runtime, at the task splits the figures use. The
-//! thread list is configurable so later scaling PRs can benchmark wider
-//! matrices with the same tool.
+//! on every registered runtime, at the task splits the figures use — plus
+//! the fast-path overhead rows and the in-process `txkv` serving rows. The
+//! thread list is configurable. [`figure_scenarios`] holds the four figures
+//! themselves as fixed presets over the same workloads and registry.
 //!
 //! Runtimes are not enumerated in scenario code: every [`TxRuntime`] that
 //! should appear in the matrix is one [`RuntimeEntry`] in
@@ -17,7 +18,6 @@ use swisstm::SwisstmRuntime;
 use tlstm::TlstmRuntime;
 use tlstm_workloads::harness::RunMetrics;
 use tlstm_workloads::kv::{self, FsyncPolicy, KvDurability, KvMix, KvParams};
-use tlstm_workloads::net_kv::{self, NetKvParams};
 use tlstm_workloads::overhead::{self, OverheadParams};
 use tlstm_workloads::rbtree_bench::{self, RbTreeBenchParams};
 use tlstm_workloads::stmbench7::{self, Stmbench7Params};
@@ -25,9 +25,7 @@ use tlstm_workloads::vacation::{self, VacationParams};
 use tlstm_workloads::WorkloadConfig;
 use txmem::{SeqRefRuntime, TxRuntime};
 
-use crate::report::{
-    BenchReport, LatencySummary, NetSummary, ScenarioResult, WalSummary, SCHEMA_VERSION,
-};
+use crate::report::{BenchReport, LatencySummary, ScenarioResult, WalSummary, SCHEMA_VERSION};
 
 /// One registered runtime: its stable name, its task-execution mode, and the
 /// monomorphized entry point that measures any scenario on it.
@@ -149,25 +147,6 @@ pub enum WorkloadKind {
         /// is part of the scenario identity (`kv-a-durable-c64`).
         committers: Option<usize>,
     },
-    /// The KV serving workload driven **over the wire**: a loopback `txnet`
-    /// server front-ends the store, hit by the multi-connection open-loop
-    /// load generator. The scenario's thread axis is the *connection* count;
-    /// server-side coalescing drains all readable connections into one store
-    /// batch, so the `-cN` sweep reads off how throughput scales with
-    /// offered concurrency.
-    NetKv {
-        /// The operation mix (A, B, C or scan-heavy).
-        mix: KvMix,
-        /// `Some(fsync)`: serve a durable store — every write batch is
-        /// redo-logged and waits for its acknowledgement. As with
-        /// [`WorkloadKind::KvDurable`], durability is scenario identity but
-        /// the fsync policy is the `--fsync` run modifier.
-        durable: Option<FsyncPolicy>,
-        /// `Some(n)`: a connection-sweep row — pin `n` client connections,
-        /// ignoring the matrix's `--threads` axis (the same contract as the
-        /// committer-pinned `kv-a-durable-cN` rows).
-        connections: Option<usize>,
-    },
 }
 
 impl WorkloadKind {
@@ -185,29 +164,15 @@ impl WorkloadKind {
             WorkloadKind::OverheadWrite2k => "overhead-write-2k".to_string(),
             WorkloadKind::Kv { mix } => format!("kv-{}", mix.label()),
             // The fsync policy is a run-time modifier (`--fsync`), not part
-            // of the identity: scenario names must stay stable so baselines
-            // keep matching. A pinned committer count *is* identity — the
-            // sweep rows measure different offered loads.
+            // of the identity: scenario names must stay stable so runs with
+            // different policies compare row by row. A pinned committer
+            // count *is* identity — the sweep rows measure different loads.
             WorkloadKind::KvDurable {
                 mix,
                 committers: Some(n),
                 ..
             } => format!("kv-{}-durable-c{n}", mix.label()),
             WorkloadKind::KvDurable { mix, .. } => format!("kv-{}-durable", mix.label()),
-            WorkloadKind::NetKv {
-                mix,
-                durable,
-                connections,
-            } => {
-                let mut label = format!("net-kv-{}", mix.label());
-                if durable.is_some() {
-                    label.push_str("-durable");
-                }
-                if let Some(n) = connections {
-                    label.push_str(&format!("-c{n}"));
-                }
-                label
-            }
         }
     }
 
@@ -223,8 +188,6 @@ impl WorkloadKind {
             | WorkloadKind::OverheadWrite2k => "overhead",
             WorkloadKind::Kv { .. } => "kv",
             WorkloadKind::KvDurable { .. } => "kv-durable",
-            WorkloadKind::NetKv { durable: None, .. } => "net-kv",
-            WorkloadKind::NetKv { .. } => "net-kv-durable",
         }
     }
 
@@ -237,9 +200,7 @@ impl WorkloadKind {
             WorkloadKind::OverheadRead { .. } | WorkloadKind::OverheadWrite { .. } => &[2],
             WorkloadKind::OverheadWrite2k => &[1],
             // A 16-op batch splits into KV_BATCH_GROUPS shard-group tasks.
-            WorkloadKind::Kv { .. }
-            | WorkloadKind::KvDurable { .. }
-            | WorkloadKind::NetKv { .. } => &[KV_BATCH_GROUPS],
+            WorkloadKind::Kv { .. } | WorkloadKind::KvDurable { .. } => &[KV_BATCH_GROUPS],
         }
     }
 
@@ -254,15 +215,6 @@ impl WorkloadKind {
                 fsync,
                 committers,
             },
-            WorkloadKind::NetKv {
-                mix,
-                durable: Some(_),
-                connections,
-            } => WorkloadKind::NetKv {
-                mix,
-                durable: Some(fsync),
-                connections,
-            },
             other => other,
         }
     }
@@ -273,15 +225,14 @@ impl WorkloadKind {
     pub fn pinned_threads(&self) -> Option<usize> {
         match self {
             WorkloadKind::KvDurable { committers, .. } => *committers,
-            WorkloadKind::NetKv { connections, .. } => *connections,
             _ => None,
         }
     }
 }
 
 /// The labels of scenarios that pin their own thread count — the
-/// committer-pinned `kv-a-durable-cN` rows and the connection-pinned
-/// `net-kv-…-cN` rows, which ignore an explicit `--threads` axis. `tmbench`
+/// committer-pinned `kv-a-durable-cN` rows, which ignore an explicit
+/// `--threads` axis. `tmbench`
 /// warns (non-fatally) when the user passes `--threads` alongside them, so
 /// a sweep run never silently measures something other than what the flag
 /// suggests. Sorted and deduplicated for stable warning text.
@@ -309,16 +260,10 @@ pub struct ScenarioSpec {
     pub workload: WorkloadKind,
     /// The registry entry of the runtime to measure.
     pub runtime: &'static RuntimeEntry,
-    /// User-threads driving the workload (for network workloads: client
-    /// connections).
+    /// User-threads driving the workload.
     pub threads: usize,
     /// Tasks per user-transaction (always 1 on sequential runtimes).
     pub tasks_per_txn: usize,
-    /// `Some(r)`: open-loop offered load in requests/second for network
-    /// workloads (`--offered-load`). A run modifier like `--fsync`: it is
-    /// not part of the scenario name, so tail-latency-vs-load sweeps diff
-    /// cleanly across runs. Ignored by in-process workloads.
-    pub offered_load: Option<u64>,
 }
 
 impl ScenarioSpec {
@@ -355,7 +300,6 @@ impl ScenarioSpec {
             },
             stats: metrics.stats,
             wal: metrics.wal.as_ref().map(WalSummary::from_snapshot),
-            net: metrics.net.as_ref().map(NetSummary::from_snapshot),
         }
     }
 }
@@ -427,20 +371,6 @@ fn measure_on<R: TxRuntime>(spec: &ScenarioSpec, config: &WorkloadConfig) -> Run
             };
             kv::measure::<R>(&params, config)
         }
-        WorkloadKind::NetKv { mix, durable, .. } => {
-            let params = NetKvParams {
-                // The scenario's thread axis is the connection count; the
-                // offered-load modifier rides on the spec.
-                connections: spec.threads,
-                offered_load: spec.offered_load,
-                ..NetKvParams::new(KvParams {
-                    tasks_per_txn: kv_task_split::<R>(spec),
-                    durable: durable.map(|fsync| KvDurability { fsync }),
-                    ..KvParams::mix(*mix)
-                })
-            };
-            net_kv::measure::<R>(&params, config)
-        }
     }
 }
 
@@ -479,11 +409,6 @@ pub struct MatrixSelection {
     /// `None` keeps the default matrix's policy. Scenario names are not
     /// affected — the modifier exists to compare policies across runs.
     pub fsync: Option<FsyncPolicy>,
-    /// Offered-load override for the network scenarios (`--offered-load`),
-    /// in total requests/second; `None` runs them at peak (full windows).
-    /// Scenario names are not affected — sweep the modifier across runs to
-    /// plot tail latency against offered load.
-    pub offered_load: Option<u64>,
 }
 
 impl Default for MatrixSelection {
@@ -493,7 +418,6 @@ impl Default for MatrixSelection {
             workload_families: Vec::new(),
             runtimes: Vec::new(),
             fsync: None,
-            offered_load: None,
         }
     }
 }
@@ -546,37 +470,6 @@ pub fn default_workloads() -> Vec<WorkloadKind> {
             mix: KvMix::A,
             fsync: FsyncPolicy::default(),
             committers: Some(64),
-        },
-        // The wire-served twins: the same store behind the txnet front-end,
-        // driven by the open-loop generator. The delta vs kv-a is the
-        // serving pipeline's cost; the durable connection sweep reads off
-        // how server-side coalescing amortises STM commits and fsyncs as
-        // connections pile up (one coalesced batch = one commit = one WAL
-        // ticket, shared by every request drained in that poll iteration).
-        WorkloadKind::NetKv {
-            mix: KvMix::A,
-            durable: None,
-            connections: None,
-        },
-        WorkloadKind::NetKv {
-            mix: KvMix::A,
-            durable: Some(FsyncPolicy::default()),
-            connections: None,
-        },
-        WorkloadKind::NetKv {
-            mix: KvMix::A,
-            durable: Some(FsyncPolicy::default()),
-            connections: Some(1),
-        },
-        WorkloadKind::NetKv {
-            mix: KvMix::A,
-            durable: Some(FsyncPolicy::default()),
-            connections: Some(16),
-        },
-        WorkloadKind::NetKv {
-            mix: KvMix::A,
-            durable: Some(FsyncPolicy::default()),
-            connections: Some(64),
         },
     ]
 }
@@ -635,7 +528,6 @@ pub fn build_scenarios(selection: &MatrixSelection) -> Vec<ScenarioSpec> {
                             runtime,
                             threads,
                             tasks_per_txn: tasks,
-                            offered_load: selection.offered_load,
                         });
                     }
                 } else {
@@ -644,13 +536,80 @@ pub fn build_scenarios(selection: &MatrixSelection) -> Vec<ScenarioSpec> {
                         runtime,
                         threads,
                         tasks_per_txn: 1,
-                        offered_load: selection.offered_load,
                     });
                 }
             }
         }
     }
     scenarios
+}
+
+/// The rows of one of the paper's figures (`1a`, `1b`, `2a`, `2b`): every
+/// point of every series the figure plots, as scenarios of the same matrix
+/// (`tmbench --figure`). `None` for an unknown figure id.
+pub fn figure_scenarios(figure: &str) -> Option<Vec<ScenarioSpec>> {
+    let row = |workload: &WorkloadKind, runtime: &str, threads: usize, tasks_per_txn: usize| {
+        ScenarioSpec {
+            workload: workload.clone(),
+            runtime: find_runtime(runtime).expect("figure runtimes are registered"),
+            threads,
+            tasks_per_txn,
+        }
+    };
+    let mut rows = Vec::new();
+    match figure {
+        // 1a: TLSTM-2/-4 speed-up over SwissTM vs lookups per transaction.
+        "1a" => {
+            for ops_per_txn in [2, 4, 8, 16, 32, 64] {
+                let w = WorkloadKind::RbTree { ops_per_txn };
+                rows.extend([
+                    row(&w, "swisstm", 1, 1),
+                    row(&w, "tlstm", 1, 2),
+                    row(&w, "tlstm", 1, 4),
+                ]);
+            }
+        }
+        // 1b: Vacation throughput vs clients, both contention levels.
+        "1b" => {
+            for w in [WorkloadKind::VacationLow, WorkloadKind::VacationHigh] {
+                for clients in 1..=10 {
+                    rows.extend([
+                        row(&w, "swisstm", clients, 1),
+                        row(&w, "tlstm", clients, 1),
+                        row(&w, "tlstm", clients, 2),
+                    ]);
+                }
+            }
+        }
+        // 2a: STMBench7 vs read-only %: SwissTM on 1 and 3 threads against
+        // one TLSTM thread split into 3 tasks.
+        "2a" => {
+            for read_pct in [0, 25, 50, 75, 100] {
+                let w = WorkloadKind::Stmbench7 { read_pct };
+                rows.extend([
+                    row(&w, "swisstm", 1, 1),
+                    row(&w, "swisstm", 3, 1),
+                    row(&w, "tlstm", 1, 3),
+                ]);
+            }
+        }
+        // 2b: the standard STMBench7 mixes on 1-3 threads, TLSTM at 3 and 9
+        // tasks per thread.
+        "2b" => {
+            for read_pct in [10, 60, 90] {
+                let w = WorkloadKind::Stmbench7 { read_pct };
+                for threads in 1..=3 {
+                    rows.extend([
+                        row(&w, "swisstm", threads, 1),
+                        row(&w, "tlstm", threads, 3),
+                        row(&w, "tlstm", threads, 9),
+                    ]);
+                }
+            }
+        }
+        _ => return None,
+    }
+    Some(rows)
 }
 
 /// Runs every scenario and assembles the versioned report. `progress` is
@@ -718,8 +677,6 @@ mod tests {
             "overhead",
             "kv",
             "kv-durable",
-            "net-kv",
-            "net-kv-durable",
         ] {
             assert!(scenarios.iter().any(|s| s.workload.family() == family));
         }
@@ -741,7 +698,6 @@ mod tests {
             workload_families: vec!["rbtree".to_string()],
             runtimes: vec![find_runtime("swisstm").unwrap()],
             fsync: None,
-            offered_load: None,
         };
         let scenarios = build_scenarios(&selection);
         assert_eq!(
@@ -760,7 +716,6 @@ mod tests {
             workload_families: vec!["kv-a".to_string(), "kv-scan".to_string()],
             runtimes: Vec::new(),
             fsync: None,
-            offered_load: None,
         };
         let scenarios = build_scenarios(&selection);
         assert!(!scenarios.is_empty());
@@ -773,7 +728,6 @@ mod tests {
             workload_families: vec!["kv".to_string()],
             runtimes: Vec::new(),
             fsync: None,
-            offered_load: None,
         };
         let labels: std::collections::HashSet<String> = build_scenarios(&selection)
             .iter()
@@ -804,13 +758,6 @@ mod tests {
             "kv-a-durable-c1",
             "kv-a-durable-c8",
             "kv-a-durable-c64",
-            "net-kv",
-            "net-kv-a",
-            "net-kv-durable",
-            "net-kv-a-durable",
-            "net-kv-a-durable-c1",
-            "net-kv-a-durable-c16",
-            "net-kv-a-durable-c64",
         ] {
             assert!(
                 selectors.iter().any(|s| s == token),
@@ -824,7 +771,6 @@ mod tests {
             workload_families: vec!["kv".to_string()],
             runtimes: Vec::new(),
             fsync: None,
-            offered_load: None,
         };
         assert!(build_scenarios(&selection)
             .iter()
@@ -838,7 +784,6 @@ mod tests {
             workload_families: vec!["kv-durable".to_string(), "kv-a".to_string()],
             runtimes: vec![find_runtime("swisstm").unwrap()],
             fsync: Some(FsyncPolicy::None),
-            offered_load: None,
         };
         let scenarios = build_scenarios(&selection);
         assert!(!scenarios.is_empty());
@@ -864,7 +809,6 @@ mod tests {
             workload_families: vec!["kv-durable".to_string()],
             runtimes: vec![find_runtime("swisstm").unwrap()],
             fsync: None,
-            offered_load: None,
         };
         let scenarios = build_scenarios(&selection);
         // Each cN row appears exactly once, at its own thread count,
@@ -905,88 +849,17 @@ mod tests {
     }
 
     #[test]
-    fn net_rows_pin_connections_and_carry_the_load_modifier() {
-        let selection = MatrixSelection {
-            threads: vec![1, 2],
-            workload_families: vec!["net-kv".to_string(), "net-kv-durable".to_string()],
-            runtimes: vec![find_runtime("swisstm").unwrap()],
-            fsync: None,
-            offered_load: Some(50_000),
-        };
-        let scenarios = build_scenarios(&selection);
-        // The connection sweep pins its own thread (= connection) count.
-        for (label, want) in [
-            ("net-kv-a-durable-c1", 1),
-            ("net-kv-a-durable-c16", 16),
-            ("net-kv-a-durable-c64", 64),
-        ] {
-            let rows: Vec<_> = scenarios
-                .iter()
-                .filter(|s| s.workload.label() == label)
-                .collect();
-            assert_eq!(rows.len(), 1, "{label}");
-            assert_eq!(rows[0].threads, want, "{label}");
-        }
-        assert!(scenarios
-            .iter()
-            .any(|s| s.name() == "net-kv-a-durable-c64/swisstm/t64/k1"));
-        // Unpinned net rows expand over the thread axis; every row carries
-        // the offered-load modifier without it leaking into the name.
-        assert_eq!(
-            scenarios
-                .iter()
-                .filter(|s| s.workload.label() == "net-kv-a")
-                .count(),
-            2
-        );
-        for s in &scenarios {
-            assert_eq!(s.offered_load, Some(50_000), "{}", s.name());
-            assert!(!s.name().contains("50"), "{}", s.name());
-        }
-        // The fsync modifier reaches durable net rows and preserves the
-        // pinned connection count; memory net rows are untouched.
-        let sweep = WorkloadKind::NetKv {
-            mix: KvMix::A,
-            durable: Some(FsyncPolicy::default()),
-            connections: Some(16),
-        };
-        let modified = sweep.with_fsync(FsyncPolicy::None);
-        assert_eq!(modified.pinned_threads(), Some(16));
-        assert!(matches!(
-            modified,
-            WorkloadKind::NetKv {
-                durable: Some(FsyncPolicy::None),
-                ..
-            }
-        ));
-        let mem = WorkloadKind::NetKv {
-            mix: KvMix::A,
-            durable: None,
-            connections: None,
-        };
-        assert_eq!(mem.clone().with_fsync(FsyncPolicy::Always), mem);
-    }
-
-    #[test]
     fn pinned_workload_labels_name_the_rows_that_ignore_threads() {
         let scenarios = build_scenarios(&MatrixSelection {
             threads: vec![4],
             workload_families: Vec::new(),
             runtimes: vec![find_runtime("seqref").unwrap()],
             fsync: None,
-            offered_load: None,
         });
         let labels = pinned_workload_labels(&scenarios);
         assert_eq!(
             labels,
-            [
-                "kv-a-durable-c1",
-                "kv-a-durable-c64",
-                "kv-a-durable-c8",
-                "net-kv-a-durable-c1",
-                "net-kv-a-durable-c16",
-                "net-kv-a-durable-c64",
-            ]
+            ["kv-a-durable-c1", "kv-a-durable-c64", "kv-a-durable-c8"]
         );
         // A selection without pinned rows warns about nothing.
         let scenarios = build_scenarios(&MatrixSelection {
@@ -994,33 +867,82 @@ mod tests {
             workload_families: vec!["rbtree".to_string()],
             runtimes: Vec::new(),
             fsync: None,
-            offered_load: None,
         });
         assert!(pinned_workload_labels(&scenarios).is_empty());
     }
 
     #[test]
-    fn net_rows_measure_through_the_registry() {
-        // One registry-dispatched net scenario end to end: server boot,
-        // open-loop generator, and the net summary on the report row.
-        let spec = ScenarioSpec {
-            workload: WorkloadKind::NetKv {
-                mix: KvMix::A,
-                durable: None,
-                connections: Some(2),
-            },
-            runtime: find_runtime("seqref").unwrap(),
-            threads: 2,
-            tasks_per_txn: 1,
-            offered_load: None,
+    fn figure_presets_list_exactly_the_paper_series() {
+        let rows = |figure: &str| -> Vec<String> {
+            let specs = figure_scenarios(figure).expect("known figure");
+            for spec in &specs {
+                assert!(
+                    RUNTIME_REGISTRY
+                        .iter()
+                        .any(|r| std::ptr::eq(r, spec.runtime)),
+                    "{} bypasses the registry",
+                    spec.name()
+                );
+            }
+            let names: Vec<String> = specs.iter().map(ScenarioSpec::name).collect();
+            let unique: std::collections::HashSet<&String> = names.iter().collect();
+            assert_eq!(unique.len(), names.len(), "figure {figure} repeats a row");
+            names
         };
-        assert_eq!(spec.name(), "net-kv-a-c2/seqref/t2/k1");
+        let mut want = Vec::new();
+        for n in [2, 4, 8, 16, 32, 64] {
+            for series in ["swisstm/t1/k1", "tlstm/t1/k2", "tlstm/t1/k4"] {
+                want.push(format!("rbtree-n{n}/{series}"));
+            }
+        }
+        assert_eq!(rows("1a"), want);
+        want.clear();
+        for level in ["low", "high"] {
+            for c in 1..=10 {
+                for series in ["swisstm", "tlstm"].map(|rt| format!("{rt}/t{c}/k1")) {
+                    want.push(format!("vacation-{level}/{series}"));
+                }
+                want.push(format!("vacation-{level}/tlstm/t{c}/k2"));
+            }
+        }
+        assert_eq!(rows("1b"), want);
+        want.clear();
+        for r in [0, 25, 50, 75, 100] {
+            for series in ["swisstm/t1/k1", "swisstm/t3/k1", "tlstm/t1/k3"] {
+                want.push(format!("stmbench7-r{r}/{series}"));
+            }
+        }
+        assert_eq!(rows("2a"), want);
+        want.clear();
+        for r in [10, 60, 90] {
+            for t in 1..=3 {
+                for (rt, k) in [("swisstm", 1), ("tlstm", 3), ("tlstm", 9)] {
+                    want.push(format!("stmbench7-r{r}/{rt}/t{t}/k{k}"));
+                }
+            }
+        }
+        assert_eq!(rows("2b"), want);
+        for (figure, n) in [("1a", 18), ("1b", 60), ("2a", 15), ("2b", 27)] {
+            assert_eq!(rows(figure).len(), n, "figure {figure}");
+        }
+        for unknown in ["", "1c", "3a", "1A", "fig1a"] {
+            assert!(figure_scenarios(unknown).is_none(), "{unknown:?}");
+        }
+    }
+
+    #[test]
+    fn nine_task_stmbench7_split_runs_through_the_registry() {
+        // Spec depth 9 (one task per depth-2 subtree) is reached only by
+        // figure 2b: run that row once, for a short window.
+        let spec = figure_scenarios("2b")
+            .unwrap()
+            .into_iter()
+            .find(|s| s.name() == "stmbench7-r60/tlstm/t1/k9")
+            .expect("figure 2b has the k9 row");
         let result = spec.run(&WorkloadConfig::quick());
-        assert!(result.ops > 0, "net scenario made no progress");
-        let net = result.net.expect("net rows must carry the net summary");
-        assert!(net.replies > 0);
-        assert!(net.mean_coalesced_requests >= 1.0);
-        assert!(result.wal.is_none(), "memory net rows must not claim a WAL");
+        assert_eq!(result.tasks_per_txn, 9);
+        assert!(result.ops > 0, "k9 traversals made no progress");
+        assert!(result.stats.tx_commits > 0);
     }
 
     #[test]
@@ -1030,7 +952,6 @@ mod tests {
             runtime: find_runtime("tlstm").unwrap(),
             threads: 2,
             tasks_per_txn: 3,
-            offered_load: None,
         };
         assert_eq!(spec.name(), "stmbench7-r90/tlstm/t2/k3");
     }
@@ -1046,7 +967,6 @@ mod tests {
             runtime: find_runtime("seqref").unwrap(),
             threads: 1,
             tasks_per_txn: 1,
-            offered_load: None,
         };
         assert_eq!(spec.name(), "rbtree-n4/seqref/t1/k1");
         let config = WorkloadConfig::quick();

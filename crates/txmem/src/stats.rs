@@ -80,19 +80,6 @@ macro_rules! counters {
             pub fn fields(&self) -> Vec<(&'static str, u64)> {
                 vec![$((stringify!($field), self.$field),)+]
             }
-
-            /// Sets the counter named `name`; returns `false` if no counter by
-            /// that name exists. The inverse of [`Self::fields`], used when
-            /// parsing serialised reports.
-            pub fn set_field(&mut self, name: &str, value: u64) -> bool {
-                match name {
-                    $(stringify!($field) => {
-                        self.$field = value;
-                        true
-                    })+
-                    _ => false,
-                }
-            }
         }
     };
 }
@@ -447,17 +434,24 @@ mod tests {
     }
 
     #[test]
-    fn fields_roundtrip_through_set_field() {
-        let mut snap = StatsSnapshot::default();
-        assert!(snap.set_field("tx_commits", 17));
-        assert!(snap.set_field("cm_self_aborts", 3));
-        assert!(!snap.set_field("no_such_counter", 1));
-        assert_eq!(snap.tx_commits, 17);
-        assert_eq!(snap.cm_self_aborts, 3);
-        let mut rebuilt = StatsSnapshot::default();
-        for (name, value) in snap.fields() {
-            assert!(rebuilt.set_field(name, value), "unknown field {name}");
-        }
-        assert_eq!(rebuilt, snap);
+    fn fields_name_every_counter_exactly_once() {
+        // The tmbench JSON report writes one entry per `fields()` pair, so
+        // every counter must appear, once, under its own name.
+        let snap = StatsSnapshot {
+            tx_commits: 17,
+            cm_self_aborts: 3,
+            ..Default::default()
+        };
+        let fields = snap.fields();
+        assert_eq!(
+            fields.len(),
+            std::mem::size_of::<StatsSnapshot>() / std::mem::size_of::<u64>(),
+            "a counter is missing from fields()"
+        );
+        let names: std::collections::HashSet<&str> = fields.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names.len(), fields.len(), "a counter is named twice");
+        assert!(fields.contains(&("tx_commits", 17)));
+        assert!(fields.contains(&("cm_self_aborts", 3)));
+        assert_eq!(fields.iter().map(|(_, v)| v).sum::<u64>(), 20);
     }
 }

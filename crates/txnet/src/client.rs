@@ -1,10 +1,9 @@
 //! The blocking client: one TCP connection, pipelined request frames.
 //!
-//! [`NetClient::batch`] is the simple call-and-wait form. The open-loop load
-//! generator uses the split [`NetClient::send`] / [`NetClient::recv`] pair
-//! instead: it issues requests on its own schedule (regardless of whether
-//! earlier replies have arrived) and drains replies as they come back, which
-//! is what makes offered load independent of service time — and what gives
+//! [`NetClient::batch`] is the simple call-and-wait form. A pipelining caller
+//! uses the split [`NetClient::send`] / [`NetClient::recv`] pair instead: it
+//! issues requests on its own schedule (regardless of whether earlier replies
+//! have arrived) and drains replies as they come back, which is what gives
 //! the server-side coalescer multiple in-flight requests to merge.
 
 use std::io::{self, Read, Write};

@@ -47,11 +47,14 @@
 //! read-only batches keep serving (the degraded-mode contract of
 //! [`DurableKvSession::batch`]).
 //!
-//! Nothing a peer does makes a thread's memory grow without bound: parked
-//! requests are capped at [`PARKED_ROUNDS_LIMIT`] rounds' worth (sockets are
-//! then left unread — TCP backpressure), and a connection that does not read
-//! its replies stops being read from at [`WRITE_BUF_SOFT_LIMIT`] unflushed
-//! bytes and is closed at [`WRITE_BUF_HARD_LIMIT`].
+//! Nothing a peer does makes a thread's memory grow without bound: a
+//! connection's undecoded bytes stop being read at one maximal frame
+//! ([`NetServerConfig::max_frame_len`] plus the header), parked requests are
+//! capped at [`PARKED_ROUNDS_LIMIT`] rounds' worth — past either, the bytes
+//! wait in the kernel's socket buffers (TCP backpressure) — and a connection
+//! that does not read its replies stops being read from at
+//! [`WRITE_BUF_SOFT_LIMIT`] unflushed bytes and is closed at
+//! [`WRITE_BUF_HARD_LIMIT`].
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -68,7 +71,9 @@ use txkv::{
 use txmem::TxRuntime;
 
 use crate::error::ProtocolError;
-use crate::frame::{decode_frame, encode_frame_into, FrameDecode, DEFAULT_MAX_FRAME_LEN};
+use crate::frame::{
+    decode_frame, encode_frame_into, FrameDecode, DEFAULT_MAX_FRAME_LEN, FRAME_HEADER_LEN,
+};
 use crate::proto;
 
 /// How many full coalescing windows
@@ -270,8 +275,8 @@ struct Conn {
     /// find their connection by binary search even after others were reaped.
     id: u64,
     stream: TcpStream,
-    /// Bytes read but not yet decoded (at most one partial frame after a
-    /// decode pass that did not fill the coalescing window).
+    /// Bytes read but not yet decoded. [`Conn::fill`] stops reading once
+    /// this holds one maximal frame, so it never exceeds that plus one read.
     read_buf: Vec<u8>,
     /// Encoded reply frames not yet accepted by the socket.
     write_buf: Vec<u8>,
@@ -300,11 +305,12 @@ impl Conn {
         }
     }
 
-    /// Reads whatever the socket holds into `read_buf`; `true` if any bytes
-    /// arrived.
-    fn fill(&mut self, scratch: &mut [u8]) -> bool {
+    /// Reads what the socket holds into `read_buf` until it holds one
+    /// maximal frame — which always fits, so decoding always progresses — and
+    /// leaves the rest in the kernel; `true` if any bytes arrived.
+    fn fill(&mut self, scratch: &mut [u8], max_frame_len: u32) -> bool {
         let mut progressed = false;
-        loop {
+        while self.read_buf.len() < FRAME_HEADER_LEN + max_frame_len as usize {
             match self.stream.read(scratch) {
                 Ok(0) => {
                     // EOF: whatever complete frames are already buffered
@@ -618,7 +624,7 @@ fn serve_loop<R: TxRuntime>(
                 if !conn.open || conn.unflushed() > WRITE_BUF_SOFT_LIMIT {
                     continue;
                 }
-                busy |= conn.fill(&mut scratch);
+                busy |= conn.fill(&mut scratch, config.max_frame_len);
                 conn.decode_into(&mut round, &mut ops, window, config.max_frame_len);
             }
         }
@@ -725,4 +731,44 @@ fn serve_loop<R: TxRuntime>(
         conn.flush();
     }
     net.connections.sub(conns.len() as u64);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::encode_frame;
+
+    #[test]
+    fn a_fast_pipelining_peer_cannot_grow_the_read_buffer() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        // 8 MiB of pipelined requests, written as fast as the socket takes
+        // them, while the server drains one coalescing window per round.
+        let frame = encode_frame(7, &proto::encode_request(&[KvOp::Get { key: 1 }]));
+        let frames = (8 << 20) / frame.len();
+        let writer = std::thread::spawn(move || peer.write_all(&frame.repeat(frames)));
+
+        let mut conn = Conn::new(0, stream);
+        let mut scratch = vec![0u8; 64 * 1024];
+        let (mut decoded, mut peak) = (0, 0);
+        loop {
+            conn.fill(&mut scratch, DEFAULT_MAX_FRAME_LEN);
+            peak = peak.max(conn.read_buf.len());
+            let mut round = Round::new();
+            conn.decode_into(&mut round, &mut Vec::new(), 64, DEFAULT_MAX_FRAME_LEN);
+            decoded += round.routes.len();
+            if !conn.open && round.routes.is_empty() {
+                break;
+            }
+        }
+        writer.join().unwrap().unwrap();
+        assert_eq!(decoded, frames, "every request is decoded, none lost");
+        let bound = FRAME_HEADER_LEN + DEFAULT_MAX_FRAME_LEN as usize + scratch.len();
+        assert!(
+            peak <= bound,
+            "read_buf peaked at {peak} B, bound {bound} B"
+        );
+    }
 }

@@ -73,11 +73,6 @@ impl Throughput {
             self.ops as f64 / self.elapsed.as_secs_f64()
         }
     }
-
-    /// Operations per millisecond (the unit of Figure 1b).
-    pub fn ops_per_ms(&self) -> f64 {
-        self.ops_per_sec() / 1_000.0
-    }
 }
 
 impl fmt::Display for Throughput {
@@ -112,9 +107,6 @@ pub struct RunMetrics {
     /// WAL pipeline activity attributable to the run (batch/fsync counters
     /// and latency histograms); `None` for non-durable workloads.
     pub wal: Option<txobs::metrics::WalSnapshot>,
-    /// Network front-end activity attributable to the run (request/reply and
-    /// coalescing counters); `None` for in-process workloads.
-    pub net: Option<txobs::metrics::NetSnapshot>,
 }
 
 impl RunMetrics {
@@ -125,19 +117,12 @@ impl RunMetrics {
             latency,
             stats,
             wal: None,
-            net: None,
         }
     }
 
     /// Attaches the WAL pipeline activity observed during the run.
     pub fn with_wal(mut self, wal: txobs::metrics::WalSnapshot) -> Self {
         self.wal = Some(wal);
-        self
-    }
-
-    /// Attaches the network front-end activity observed during the run.
-    pub fn with_net(mut self, net: txobs::metrics::NetSnapshot) -> Self {
-        self.net = Some(net);
         self
     }
 }
@@ -229,7 +214,6 @@ pub fn average_metrics(
     let mut latency = LatencyHistogram::new();
     let mut stats = StatsSnapshot::default();
     let mut wal: Option<txobs::metrics::WalSnapshot> = None;
-    let mut net: Option<txobs::metrics::NetSnapshot> = None;
     for rep in 0..repetitions {
         let run = make_run(rep);
         total_ops += run.throughput.ops;
@@ -238,9 +222,6 @@ pub fn average_metrics(
         stats = stats.merged(&run.stats);
         if let Some(run_wal) = run.wal {
             wal.get_or_insert_with(Default::default).merge(&run_wal);
-        }
-        if let Some(run_net) = run.net {
-            net.get_or_insert_with(Default::default).merge(&run_net);
         }
     }
     RunMetrics {
@@ -251,7 +232,6 @@ pub fn average_metrics(
         latency,
         stats,
         wal,
-        net,
     }
 }
 
@@ -326,7 +306,6 @@ mod tests {
             elapsed: Duration::from_millis(500),
         };
         assert!((t.ops_per_sec() - 2000.0).abs() < 1.0);
-        assert!((t.ops_per_ms() - 2.0).abs() < 0.01);
         assert!(t.to_string().contains("1000 ops"));
         let zero = Throughput {
             ops: 10,

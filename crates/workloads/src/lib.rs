@@ -16,16 +16,13 @@
 //!   graph whose "long traversals" are split into 3 or 9 tasks
 //!   (Figures 2a and 2b);
 //! * [`harness`] — duration-based throughput measurement utilities shared by
-//!   the figure-regeneration binaries in the `tlstm-bench` crate;
+//!   the workloads and the `tmbench` runner in the `tlstm-bench` crate;
 //! * [`kv`] — the YCSB-style serving workload over the `txkv` sharded
 //!   transactional key-value store (zipfian/uniform key choice, mixes
 //!   A/B/C/scan-heavy, batches split into speculative tasks under TLSTM);
 //! * [`overhead`] — single-thread uncontended microworkloads (read-only and
 //!   write-heavy) that isolate the raw per-operation fast-path overhead of
-//!   each runtime, used to track the zero-allocation hot-path work;
-//! * [`net_kv`] — the KV serving workload driven over the wire: a
-//!   multi-connection open-loop load generator against a loopback `txnet`
-//!   server, measuring the full frame → coalesced-batch → reply pipeline.
+//!   each runtime, used to track the zero-allocation hot-path work.
 //!
 //! All workload *operations* are written once against [`txmem::TxMem`], so the
 //! exact same operation code runs on SwissTM transactions and on TLSTM tasks —
@@ -36,7 +33,6 @@
 
 pub mod harness;
 pub mod kv;
-pub mod net_kv;
 pub mod overhead;
 pub mod rbtree_bench;
 pub mod stmbench7;

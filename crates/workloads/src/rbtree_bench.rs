@@ -12,14 +12,11 @@
 
 use std::sync::atomic::Ordering;
 
-use swisstm::SwisstmRuntime;
-use tlstm::TlstmRuntime;
 use txcollections::TxRbTree;
 use txmem::{run_boxed_tasks, Abort, BoxedTaskBody, TxConfig, TxMem, TxRuntime, TxSession};
 
 use crate::harness::{
-    average_metrics, chunk_ranges, run_threads_metrics, DetRng, RunMetrics, Throughput,
-    WorkloadConfig,
+    average_metrics, chunk_ranges, run_threads_metrics, DetRng, RunMetrics, WorkloadConfig,
 };
 
 /// Parameters of the red-black-tree micro-benchmark.
@@ -135,67 +132,6 @@ pub fn measure<R: TxRuntime>(params: &RbTreeBenchParams, config: &WorkloadConfig
     })
 }
 
-/// Measures the benchmark on any [`TxRuntime`], returning just the
-/// throughput.
-pub fn run<R: TxRuntime>(params: &RbTreeBenchParams, config: &WorkloadConfig) -> Throughput {
-    measure::<R>(params, config).throughput
-}
-
-/// One row of the Figure 1a series: lookups per transaction and the measured
-/// speed-up of TLSTM over SwissTM.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig1aPoint {
-    /// Lookups per transaction (`N`).
-    pub ops_per_txn: u64,
-    /// SwissTM throughput (lookups per second).
-    pub swisstm_ops_per_sec: f64,
-    /// TLSTM throughput (lookups per second).
-    pub tlstm_ops_per_sec: f64,
-}
-
-impl Fig1aPoint {
-    /// TLSTM speed-up over SwissTM.
-    pub fn speedup(&self) -> f64 {
-        if self.swisstm_ops_per_sec == 0.0 {
-            0.0
-        } else {
-            self.tlstm_ops_per_sec / self.swisstm_ops_per_sec
-        }
-    }
-}
-
-/// Regenerates one Figure 1a series (one TLSTM task count across the
-/// transaction sizes).
-pub fn fig1a_series(
-    ops_per_txn_values: &[u64],
-    tasks_per_txn: usize,
-    config: &WorkloadConfig,
-) -> Vec<Fig1aPoint> {
-    ops_per_txn_values
-        .iter()
-        .map(|&ops_per_txn| {
-            let params = RbTreeBenchParams {
-                ops_per_txn,
-                tasks_per_txn,
-                ..Default::default()
-            };
-            let swisstm = run::<SwisstmRuntime>(
-                &RbTreeBenchParams {
-                    tasks_per_txn: 1,
-                    ..params.clone()
-                },
-                config,
-            );
-            let tlstm = run::<TlstmRuntime>(&params, config);
-            Fig1aPoint {
-                ops_per_txn,
-                swisstm_ops_per_sec: swisstm.ops_per_sec(),
-                tlstm_ops_per_sec: tlstm.ops_per_sec(),
-            }
-        })
-        .collect()
-}
-
 /// Correctness cross-check used by tests: runs `txns` deterministic lookup
 /// transactions and returns the total hit count. The same `(params, seed)`
 /// pair must produce the same count on every runtime — each task writes its
@@ -240,6 +176,8 @@ pub fn hit_count<R: TxRuntime>(params: &RbTreeBenchParams, txns: u64, seed: u64)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swisstm::SwisstmRuntime;
+    use tlstm::TlstmRuntime;
     use txmem::SeqRefRuntime;
 
     fn tiny() -> RbTreeBenchParams {
@@ -256,9 +194,9 @@ mod tests {
     fn every_runtime_makes_progress() {
         let config = WorkloadConfig::quick();
         let params = tiny();
-        assert!(run::<SwisstmRuntime>(&params, &config).ops > 0);
-        assert!(run::<TlstmRuntime>(&params, &config).ops > 0);
-        assert!(run::<SeqRefRuntime>(&params, &config).ops > 0);
+        assert!(measure::<SwisstmRuntime>(&params, &config).throughput.ops > 0);
+        assert!(measure::<TlstmRuntime>(&params, &config).throughput.ops > 0);
+        assert!(measure::<SeqRefRuntime>(&params, &config).throughput.ops > 0);
     }
 
     #[test]
@@ -270,18 +208,6 @@ mod tests {
         assert_eq!(sw, tl);
         assert_eq!(sw, sq);
         assert!(sw > 0, "the stream should hit at least once");
-    }
-
-    #[test]
-    fn fig1a_series_has_one_point_per_requested_size() {
-        let config = WorkloadConfig::quick();
-        let points = fig1a_series(&[2, 8], 2, &config);
-        assert_eq!(points.len(), 2);
-        for p in &points {
-            assert!(p.swisstm_ops_per_sec > 0.0);
-            assert!(p.tlstm_ops_per_sec > 0.0);
-            assert!(p.speedup() > 0.0);
-        }
     }
 
     #[test]

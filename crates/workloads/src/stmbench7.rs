@@ -18,15 +18,12 @@
 
 use std::sync::atomic::Ordering;
 
-use swisstm::SwisstmRuntime;
-use tlstm::TlstmRuntime;
 use txmem::{
     run_boxed_tasks, Abort, BoxedTaskBody, TxConfig, TxMem, TxRuntime, TxSession, WordAddr,
 };
 
 use crate::harness::{
-    average_metrics, chunk_ranges, run_threads_metrics, DetRng, RunMetrics, Throughput,
-    WorkloadConfig,
+    average_metrics, chunk_ranges, run_threads_metrics, DetRng, RunMetrics, WorkloadConfig,
 };
 
 // Complex assembly node: [kind=0, child0, child1, child2]
@@ -323,12 +320,6 @@ pub fn measure<R: TxRuntime>(params: &Stmbench7Params, config: &WorkloadConfig) 
     })
 }
 
-/// Measures the long-traversal workload on any [`TxRuntime`], returning just
-/// the throughput.
-pub fn run<R: TxRuntime>(params: &Stmbench7Params, config: &WorkloadConfig) -> Throughput {
-    measure::<R>(params, config).throughput
-}
-
 /// Conformance helper: applies `n` write traversals of the freshly populated
 /// graph and returns every atomic part's final `date`, keyed (and ordered)
 /// by atomic id. Sequential semantics make the result a pure function of
@@ -378,101 +369,11 @@ fn collect_dates_rec<M: TxMem + ?Sized>(
     }
 }
 
-/// One Figure 2a data point: throughput at a given read-only percentage.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig2aPoint {
-    /// Percentage of read-only traversals.
-    pub read_pct: u64,
-    /// SwissTM with 1 thread.
-    pub swisstm_1: f64,
-    /// SwissTM with 3 threads.
-    pub swisstm_3: f64,
-    /// TLSTM with 1 thread and 3 tasks.
-    pub tlstm_1_3: f64,
-}
-
-/// Regenerates Figure 2a: one user-thread with 3 tasks vs SwissTM with 1 and
-/// 3 threads, across read-only percentages.
-pub fn fig2a_series(
-    base: &Stmbench7Params,
-    read_pcts: &[u64],
-    config: &WorkloadConfig,
-) -> Vec<Fig2aPoint> {
-    read_pcts
-        .iter()
-        .map(|&read_pct| {
-            let mut params = base.clone();
-            params.read_pct = read_pct;
-            params.threads = 1;
-            params.tasks_per_txn = 1;
-            let swisstm_1 = run::<SwisstmRuntime>(&params, config).ops_per_sec();
-            params.threads = 3;
-            let swisstm_3 = run::<SwisstmRuntime>(&params, config).ops_per_sec();
-            params.threads = 1;
-            params.tasks_per_txn = 3;
-            let tlstm_1_3 = run::<TlstmRuntime>(&params, config).ops_per_sec();
-            Fig2aPoint {
-                read_pct,
-                swisstm_1,
-                swisstm_3,
-                tlstm_1_3,
-            }
-        })
-        .collect()
-}
-
-/// One Figure 2b data point: throughput of the three systems at a given
-/// thread count and workload mix.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig2bPoint {
-    /// Percentage of read-only traversals (10 = write-dominated,
-    /// 60 = read-write, 90 = read-dominated).
-    pub read_pct: u64,
-    /// Number of user-threads.
-    pub threads: usize,
-    /// SwissTM throughput (traversals/s).
-    pub swisstm: f64,
-    /// TLSTM, 3 tasks per thread.
-    pub tlstm_3: f64,
-    /// TLSTM, 9 tasks per thread.
-    pub tlstm_9: f64,
-}
-
-/// Regenerates Figure 2b: SwissTM vs TLSTM with 3 and 9 tasks per thread, for
-/// 1..=3 user-threads and the three standard STMBench7 mixes.
-pub fn fig2b_series(
-    base: &Stmbench7Params,
-    read_pcts: &[u64],
-    thread_counts: &[usize],
-    config: &WorkloadConfig,
-) -> Vec<Fig2bPoint> {
-    let mut out = Vec::new();
-    for &read_pct in read_pcts {
-        for &threads in thread_counts {
-            let mut params = base.clone();
-            params.read_pct = read_pct;
-            params.threads = threads;
-            params.tasks_per_txn = 1;
-            let swisstm = run::<SwisstmRuntime>(&params, config).ops_per_sec();
-            params.tasks_per_txn = 3;
-            let tlstm_3 = run::<TlstmRuntime>(&params, config).ops_per_sec();
-            params.tasks_per_txn = 9;
-            let tlstm_9 = run::<TlstmRuntime>(&params, config).ops_per_sec();
-            out.push(Fig2bPoint {
-                read_pct,
-                threads,
-                swisstm,
-                tlstm_3,
-                tlstm_9,
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swisstm::SwisstmRuntime;
+    use tlstm::TlstmRuntime;
     use txmem::DirectMem;
 
     #[test]
@@ -536,10 +437,15 @@ mod tests {
         let mut params = Stmbench7Params::tiny();
         params.threads = 1;
         let config = WorkloadConfig::quick();
-        assert!(run::<SwisstmRuntime>(&params, &config).ops > 0);
-        assert!(run::<txmem::SeqRefRuntime>(&params, &config).ops > 0);
+        assert!(measure::<SwisstmRuntime>(&params, &config).throughput.ops > 0);
+        assert!(
+            measure::<txmem::SeqRefRuntime>(&params, &config)
+                .throughput
+                .ops
+                > 0
+        );
         params.tasks_per_txn = 3;
-        assert!(run::<TlstmRuntime>(&params, &config).ops > 0);
+        assert!(measure::<TlstmRuntime>(&params, &config).throughput.ops > 0);
     }
 
     #[test]

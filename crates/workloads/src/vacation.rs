@@ -14,16 +14,13 @@
 
 use std::sync::atomic::Ordering;
 
-use swisstm::SwisstmRuntime;
-use tlstm::TlstmRuntime;
 use txcollections::{TxRbTree, TxSortedList};
 use txmem::{
     run_boxed_tasks, Abort, BoxedTaskBody, TxConfig, TxMem, TxRuntime, TxSession, WordAddr,
 };
 
 use crate::harness::{
-    average_metrics, chunk_ranges, run_threads_metrics, DetRng, RunMetrics, Throughput,
-    WorkloadConfig,
+    average_metrics, chunk_ranges, run_threads_metrics, DetRng, RunMetrics, WorkloadConfig,
 };
 
 /// The three reservable resource kinds.
@@ -425,11 +422,6 @@ pub fn measure<R: TxRuntime>(params: &VacationParams, config: &WorkloadConfig) -
     })
 }
 
-/// Measures Vacation on any [`TxRuntime`], returning just the throughput.
-pub fn run<R: TxRuntime>(params: &VacationParams, config: &WorkloadConfig) -> Throughput {
-    measure::<R>(params, config).throughput
-}
-
 /// Conformance helper: applies `txns` transactions of the deterministic
 /// stream seeded with `seed` and returns the final total of used units. The
 /// result is a pure function of `(params, txns, seed)` and must be identical
@@ -450,49 +442,11 @@ pub fn stream_total_used<R: TxRuntime>(params: &VacationParams, txns: u64, seed:
         .expect("direct reads cannot abort")
 }
 
-/// One Figure 1b data point.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig1bPoint {
-    /// Number of clients (user-threads).
-    pub clients: usize,
-    /// SwissTM throughput (operations per millisecond).
-    pub swisstm_ops_per_ms: f64,
-    /// TLSTM with one task per transaction.
-    pub tlstm1_ops_per_ms: f64,
-    /// TLSTM with two tasks per transaction.
-    pub tlstm2_ops_per_ms: f64,
-}
-
-/// Regenerates one Figure 1b series (one contention level across client
-/// counts).
-pub fn fig1b_series(
-    base: &VacationParams,
-    client_counts: &[usize],
-    config: &WorkloadConfig,
-) -> Vec<Fig1bPoint> {
-    client_counts
-        .iter()
-        .map(|&clients| {
-            let mut params = base.clone();
-            params.clients = clients;
-            params.tasks_per_txn = 1;
-            let swisstm = run::<SwisstmRuntime>(&params, config);
-            let tlstm1 = run::<TlstmRuntime>(&params, config);
-            params.tasks_per_txn = 2;
-            let tlstm2 = run::<TlstmRuntime>(&params, config);
-            Fig1bPoint {
-                clients,
-                swisstm_ops_per_ms: swisstm.ops_per_ms(),
-                tlstm1_ops_per_ms: tlstm1.ops_per_ms(),
-                tlstm2_ops_per_ms: tlstm2.ops_per_ms(),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swisstm::SwisstmRuntime;
+    use tlstm::TlstmRuntime;
     use txmem::DirectMem;
 
     #[test]
@@ -588,9 +542,14 @@ mod tests {
         let mut params = VacationParams::tiny();
         params.clients = 2;
         let config = WorkloadConfig::quick();
-        assert!(run::<SwisstmRuntime>(&params, &config).ops > 0);
-        assert!(run::<TlstmRuntime>(&params, &config).ops > 0);
-        assert!(run::<txmem::SeqRefRuntime>(&params, &config).ops > 0);
+        assert!(measure::<SwisstmRuntime>(&params, &config).throughput.ops > 0);
+        assert!(measure::<TlstmRuntime>(&params, &config).throughput.ops > 0);
+        assert!(
+            measure::<txmem::SeqRefRuntime>(&params, &config)
+                .throughput
+                .ops
+                > 0
+        );
     }
 
     #[test]
