@@ -8,7 +8,7 @@ use std::sync::Arc;
 use swisstm::SwisstmRuntime;
 use tlstm::{task, TaskCtx, TlstmRuntime, TxnSpec};
 use tlstm_testutil::{with_default_watchdog, TestRng};
-use txcollections::{TxCounter, TxHashMap, TxQueue, TxRbTree};
+use txcollections::{TxHashMap, TxRbTree};
 use txmem::{Abort, TxConfig, TxMem};
 
 /// One workload operation against the shared collection set.
@@ -18,11 +18,10 @@ enum Op {
     TreeRemove(u64),
     MapInsert(u64, u64),
     MapRemove(u64),
-    Enqueue(u64),
-    /// Dequeue one element and add it to the counter (links two structures
-    /// inside one transaction, so partial execution would be observable).
-    DequeueIntoCounter,
-    CounterAdd(u64),
+    /// Move the key, if present, from the tree to the map (links two
+    /// structures inside one transaction, so partial execution would be
+    /// observable).
+    MoveTreeToMap(u64),
 }
 
 /// The collection handles (plain `Copy` word addresses).
@@ -30,8 +29,6 @@ enum Op {
 struct World {
     tree: TxRbTree,
     map: TxHashMap,
-    queue: TxQueue,
-    counter: TxCounter,
 }
 
 impl World {
@@ -39,8 +36,6 @@ impl World {
         Ok(World {
             tree: TxRbTree::create(mem)?,
             map: TxHashMap::create(mem, 8)?,
-            queue: TxQueue::create(mem)?,
-            counter: TxCounter::create(mem)?,
         })
     }
 
@@ -50,14 +45,13 @@ impl World {
             Op::TreeRemove(k) => self.tree.remove(mem, k).map(|_| ()),
             Op::MapInsert(k, v) => self.map.insert(mem, k, v).map(|_| ()),
             Op::MapRemove(k) => self.map.remove(mem, k).map(|_| ()),
-            Op::Enqueue(v) => self.queue.enqueue(mem, v),
-            Op::DequeueIntoCounter => {
-                if let Some(v) = self.queue.dequeue(mem)? {
-                    self.counter.add(mem, v % 1000)?;
+            Op::MoveTreeToMap(k) => {
+                if let Some(v) = self.tree.get(mem, k)? {
+                    self.tree.remove(mem, k)?;
+                    self.map.insert(mem, k, v)?;
                 }
                 Ok(())
             }
-            Op::CounterAdd(d) => self.counter.add(mem, d).map(|_| ()),
         }
     }
 
@@ -66,16 +60,7 @@ impl World {
         let tree = self.tree.to_vec(mem)?;
         let mut map = self.map.to_vec(mem)?;
         map.sort_unstable();
-        let mut queue = Vec::new();
-        while let Some(v) = self.queue.dequeue(mem)? {
-            queue.push(v);
-        }
-        Ok(Snapshot {
-            tree,
-            map,
-            queue,
-            counter: self.counter.get(mem)?,
-        })
+        Ok(Snapshot { tree, map })
     }
 }
 
@@ -83,8 +68,6 @@ impl World {
 struct Snapshot {
     tree: Vec<(u64, u64)>,
     map: Vec<(u64, u64)>,
-    queue: Vec<u64>,
-    counter: u64,
 }
 
 /// Deterministic stream of transactions (each a short list of ops).
@@ -94,14 +77,12 @@ fn generate_transactions(seed: u64, n_txns: usize) -> Vec<Vec<Op>> {
         .map(|_| {
             let len = 1 + rng.below(4) as usize;
             (0..len)
-                .map(|_| match rng.below(7) {
+                .map(|_| match rng.below(5) {
                     0 => Op::TreeInsert(rng.below(64), rng.next_u64() % 1000),
                     1 => Op::TreeRemove(rng.below(64)),
                     2 => Op::MapInsert(rng.below(48), rng.next_u64() % 1000),
                     3 => Op::MapRemove(rng.below(48)),
-                    4 => Op::Enqueue(rng.below(500)),
-                    5 => Op::DequeueIntoCounter,
-                    _ => Op::CounterAdd(rng.below(10)),
+                    _ => Op::MoveTreeToMap(rng.below(64)),
                 })
                 .collect()
         })
@@ -286,16 +267,16 @@ fn conformance_survives_forced_aborts_through_recycled_contexts() {
 
 #[test]
 fn conformance_holds_under_intra_transaction_dependencies() {
-    // Every transaction enqueues then immediately dequeues-into-counter, so
-    // the second task of the split observes the first task's speculative
-    // write through the redo-log chain; any forwarding bug changes the
-    // committed counter.
+    // Every transaction inserts a fresh tree key, then immediately moves it
+    // to the map, so the second task of the split observes the first task's
+    // speculative write through the redo-log chain; any forwarding bug
+    // loses the key or leaves it in the tree.
     with_default_watchdog(|| {
         let txns: Vec<Vec<Op>> = (0..200u64)
             .map(|i| {
                 vec![
-                    Op::Enqueue(i),
-                    Op::DequeueIntoCounter,
+                    Op::TreeInsert(64 + i, i),
+                    Op::MoveTreeToMap(64 + i),
                     Op::TreeInsert(i % 32, i),
                 ]
             })
@@ -305,8 +286,11 @@ fn conformance_holds_under_intra_transaction_dependencies() {
         let tlstm = run_on_tlstm(&txns, 3, 3);
         assert_eq!(swisstm, reference);
         assert_eq!(tlstm, reference);
-        // The queue drains completely, so the counter is the whole story.
-        assert_eq!(reference.queue, Vec::<u64>::new());
-        assert_eq!(reference.counter, (0..200u64).sum::<u64>());
+        // Every fresh key moved, so the map is the whole story.
+        assert_eq!(
+            reference.map,
+            (0..200u64).map(|i| (64 + i, i)).collect::<Vec<_>>()
+        );
+        assert!(reference.tree.iter().all(|&(k, _)| k < 32));
     });
 }

@@ -9,9 +9,8 @@
 //!   the backing store of the Vacation reservation tables);
 //! * [`TxSortedList`] — a sorted singly-linked list (customer reservation
 //!   lists in Vacation, index lists in STMBench7);
-//! * [`TxHashMap`] — a fixed-bucket chained hash map;
-//! * [`TxQueue`] — a FIFO queue;
-//! * [`TxCounter`] — a shared counter word.
+//! * [`TxHashMap`] — a fixed-bucket chained hash map (the shards of
+//!   `txkv`'s store).
 //!
 //! Every structure is a thin, `Copy` handle around the heap address of its
 //! header block; the memory itself lives in the shared [`txmem::TxHeap`].
@@ -35,16 +34,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod counter;
 pub mod hashmap;
 pub mod list;
-pub mod queue;
 pub mod rbtree;
 
-pub use counter::TxCounter;
 pub use hashmap::TxHashMap;
 pub use list::TxSortedList;
-pub use queue::TxQueue;
 pub use rbtree::TxRbTree;
 
 pub use txmem::{Abort, TxMem, WordAddr};

@@ -3,9 +3,9 @@
 //! red-black tree keeps its balancing invariants.
 
 use proptest::prelude::*;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
-use txcollections::{TxCounter, TxHashMap, TxQueue, TxRbTree, TxSortedList};
+use txcollections::{TxHashMap, TxRbTree, TxSortedList};
 use txmem::{DirectMem, TxConfig, TxHeap};
 
 fn big_heap() -> TxHeap {
@@ -118,28 +118,6 @@ proptest! {
         prop_assert_eq!(contents, expected);
     }
 
-    #[test]
-    fn queue_matches_vecdeque(ops in prop::collection::vec(prop::option::of(any::<u64>()), 0..200)) {
-        let heap = big_heap();
-        let mut mem = DirectMem::new(&heap);
-        let queue = TxQueue::create(&mut mem).unwrap();
-        let mut model = VecDeque::new();
-        // `Some(v)` enqueues v, `None` dequeues.
-        for op in ops {
-            match op {
-                Some(v) => {
-                    queue.enqueue(&mut mem, v).unwrap();
-                    model.push_back(v);
-                }
-                None => {
-                    prop_assert_eq!(queue.dequeue(&mut mem).unwrap(), model.pop_front());
-                }
-            }
-            prop_assert_eq!(queue.peek(&mut mem).unwrap(), model.front().copied());
-            prop_assert_eq!(queue.len(&mut mem).unwrap(), model.len() as u64);
-        }
-    }
-
     /// Removal-heavy rb-tree sequences over a small key space, with the
     /// balancing invariants re-checked after *every* mutation — this drives
     /// the rebalance-on-delete paths (red sibling rotations, double-black
@@ -188,67 +166,5 @@ proptest! {
             tree.check_invariants(&mut mem).unwrap();
         }
         prop_assert!(tree.is_empty(&mut mem).unwrap());
-    }
-
-    /// Alternating bursts of enqueues and dequeues (including full drains)
-    /// exercise the queue's empty/non-empty boundary transitions, where the
-    /// head/tail pointers are re-linked.
-    #[test]
-    fn queue_drain_refill_cycles_match_vecdeque(
-        bursts in prop::collection::vec((1..20u64, 0..30u64), 1..24)
-    ) {
-        let heap = big_heap();
-        let mut mem = DirectMem::new(&heap);
-        let queue = TxQueue::create(&mut mem).unwrap();
-        let mut model = VecDeque::new();
-        let mut next_value = 0u64;
-        for (enqueues, dequeues) in bursts {
-            for _ in 0..enqueues {
-                queue.enqueue(&mut mem, next_value).unwrap();
-                model.push_back(next_value);
-                next_value += 1;
-            }
-            // Dequeue possibly more than is present to hit the empty case.
-            for _ in 0..dequeues {
-                prop_assert_eq!(queue.dequeue(&mut mem).unwrap(), model.pop_front());
-            }
-            prop_assert_eq!(queue.len(&mut mem).unwrap(), model.len() as u64);
-            prop_assert_eq!(queue.peek(&mut mem).unwrap(), model.front().copied());
-            prop_assert_eq!(queue.is_empty(&mut mem).unwrap(), model.is_empty());
-        }
-        // FIFO order must survive to the very end.
-        while let Some(expected) = model.pop_front() {
-            prop_assert_eq!(queue.dequeue(&mut mem).unwrap(), Some(expected));
-        }
-        prop_assert_eq!(queue.dequeue(&mut mem).unwrap(), None);
-    }
-
-    /// The counter behaves like a plain u64 accumulator under arbitrary
-    /// add/sub/set sequences (sub saturates at zero by contract).
-    #[test]
-    fn counter_matches_u64_model(
-        ops in prop::collection::vec((0..3u64, 0..1000u64), 0..100)
-    ) {
-        let heap = big_heap();
-        let mut mem = DirectMem::new(&heap);
-        let counter = TxCounter::create(&mut mem).unwrap();
-        let mut model = 0u64;
-        for (kind, amount) in ops {
-            match kind {
-                0 => {
-                    counter.add(&mut mem, amount).unwrap();
-                    model += amount;
-                }
-                1 => {
-                    counter.sub(&mut mem, amount).unwrap();
-                    model = model.saturating_sub(amount);
-                }
-                _ => {
-                    counter.set(&mut mem, amount).unwrap();
-                    model = amount;
-                }
-            }
-            prop_assert_eq!(counter.get(&mut mem).unwrap(), model);
-        }
     }
 }

@@ -10,7 +10,8 @@
 //!    SwissTM and TLSTM alike;
 //! 2. after the STM commit, the batch's *write* operations plus the plan
 //!    parameters (shard count, effective group count) are encoded as a
-//!    record and handed to the group-commit [`LogWriter`]
+//!    record — each write through [`crate::ops::encode_op`], the encoding
+//!    `txnet` requests use too — and handed to the group-commit [`LogWriter`]
 //!    ([`DurableKvSession::submit`]); the batch is acknowledged to the
 //!    client only once its LSN is durable per the configured
 //!    [`FsyncPolicy`] — the blocking calls park on the returned
@@ -64,7 +65,7 @@ use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use swisstm::SwisstmRuntime;
 use tlstm::TlstmRuntime;
-use txlog::codec::Cursor;
+use txlog::codec::{put_words, Cursor};
 use txlog::files::{prune_obsolete_with, write_snapshot_with};
 use txlog::recovery::recover_with;
 use txlog::{
@@ -73,11 +74,12 @@ use txlog::{
 };
 use txmem::{SeqRefRuntime, TxMem, TxRuntime, WordAddr};
 
-use crate::ops::{KvOp, KvReply};
+use crate::ops::{decode_op, encode_op, KvOp, KvReply};
 use crate::server::{KvServer, KvServerConfig, KvSession};
 use crate::store::KvStore;
 
-/// Version tag of the record and snapshot payload encodings.
+/// Version tag of the record and snapshot payload encodings. Both are pinned
+/// byte for byte by a golden test: a change to either must bump this.
 const PAYLOAD_VERSION: u32 = 1;
 
 /// Configuration of a [`DurableKvStore`].
@@ -447,10 +449,7 @@ impl<R: TxRuntime> DurableKvStore<R> {
                 payload.extend_from_slice(&(entries.len() as u64).to_le_bytes());
                 for (key, value) in entries {
                     payload.extend_from_slice(&key.to_le_bytes());
-                    payload.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                    for word in value {
-                        payload.extend_from_slice(&word.to_le_bytes());
-                    }
+                    put_words(&mut payload, &value);
                 }
             }
             Ok((lsn, payload))
@@ -705,20 +704,10 @@ impl BatchRecord {
     }
 }
 
-const OP_PUT: u8 = 1;
-const OP_DELETE: u8 = 2;
-const OP_CAS: u8 = 3;
-
-fn put_words(out: &mut Vec<u8>, words: &[u64]) {
-    out.extend_from_slice(&(words.len() as u32).to_le_bytes());
-    for &word in words {
-        out.extend_from_slice(&word.to_le_bytes());
-    }
-}
-
-/// Encodes one batch as a redo-record payload (the frame adds LSN and CRC).
-/// `ops` is the **full** batch — the effective group count is derived from
-/// its length before the reads are dropped from the encoding.
+/// Encodes one batch as a redo-record payload (the frame adds LSN and CRC):
+/// a header, then the writes through [`encode_op`]. `ops` is the **full**
+/// batch — the effective group count is derived from its length before the
+/// reads are dropped from the encoding.
 pub fn encode_record(shards: u64, groups: usize, ops: &[KvOp]) -> Vec<u8> {
     // Mirror `plan_batch`'s clamp so replay partitions exactly like the
     // original execution did.
@@ -730,29 +719,13 @@ pub fn encode_record(shards: u64, groups: usize, ops: &[KvOp]) -> Vec<u8> {
     out.extend_from_slice(&(effective_groups as u32).to_le_bytes());
     out.extend_from_slice(&(writes.clone().count() as u32).to_le_bytes());
     for op in writes {
-        match op {
-            KvOp::Put { key, value } => {
-                out.push(OP_PUT);
-                out.extend_from_slice(&key.to_le_bytes());
-                put_words(&mut out, value);
-            }
-            KvOp::Delete { key } => {
-                out.push(OP_DELETE);
-                out.extend_from_slice(&key.to_le_bytes());
-            }
-            KvOp::Cas { key, expected, new } => {
-                out.push(OP_CAS);
-                out.extend_from_slice(&key.to_le_bytes());
-                put_words(&mut out, expected);
-                put_words(&mut out, new);
-            }
-            KvOp::Get { .. } | KvOp::Scan { .. } => unreachable!("reads are filtered out"),
-        }
+        encode_op(&mut out, op);
     }
     out
 }
 
-/// Decodes a redo-record payload; `None` on any structural violation.
+/// Decodes a redo-record payload; `None` on any structural violation,
+/// including a read operation, which no record carries.
 pub fn decode_record(payload: &[u8]) -> Option<BatchRecord> {
     let mut cur = Cursor::new(payload);
     if cur.u32()? != PAYLOAD_VERSION {
@@ -766,20 +739,7 @@ pub fn decode_record(payload: &[u8]) -> Option<BatchRecord> {
     }
     let mut ops = Vec::with_capacity(n_ops);
     for _ in 0..n_ops {
-        let op = match cur.u8()? {
-            OP_PUT => KvOp::Put {
-                key: cur.u64()?,
-                value: cur.words()?,
-            },
-            OP_DELETE => KvOp::Delete { key: cur.u64()? },
-            OP_CAS => KvOp::Cas {
-                key: cur.u64()?,
-                expected: cur.words()?,
-                new: cur.words()?,
-            },
-            _ => return None,
-        };
-        ops.push(op);
+        ops.push(decode_op(&mut cur).ok().filter(op_writes)?);
     }
     cur.done().then_some(BatchRecord {
         shards,
@@ -940,9 +900,14 @@ mod tests {
         padded.push(0);
         assert_eq!(decode_record(&padded), None);
         // A wrong version is rejected.
-        let mut wrong = good;
+        let mut wrong = good.clone();
         wrong[0] ^= 0xFF;
         assert_eq!(decode_record(&wrong), None);
+        // A read is a well-formed operation, but no record carries one.
+        let mut with_read = good;
+        with_read[16..20].copy_from_slice(&3u32.to_le_bytes());
+        encode_op(&mut with_read, &KvOp::Get { key: 3 });
+        assert_eq!(decode_record(&with_read), None);
     }
 
     #[test]
@@ -958,10 +923,7 @@ mod tests {
             payload.extend_from_slice(&(entries.len() as u64).to_le_bytes());
             for &(key, value) in *entries {
                 payload.extend_from_slice(&key.to_le_bytes());
-                payload.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                for &word in value {
-                    payload.extend_from_slice(&word.to_le_bytes());
-                }
+                put_words(&mut payload, value);
             }
         }
         assert_eq!(

@@ -59,7 +59,10 @@ pub mod server;
 pub mod store;
 
 pub use durable::{DurableKvConfig, DurableKvSession, DurableKvStore, Health, RecoveryReport};
-pub use ops::{checksum, plan_batch, shard_of, split_replies, KvOp, KvReply};
+pub use ops::{
+    checksum, decode_op, encode_op, plan_batch, shard_of, split_replies, KvOp, KvReply,
+    OpDecodeError,
+};
 pub use ref_store::RefStore;
 pub use server::{KvServer, KvServerConfig, KvSession};
 pub use store::{KvStore, KvStoreParams};

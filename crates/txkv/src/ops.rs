@@ -11,6 +11,14 @@
 //! under SwissTM and in the reference oracle the plan is applied sequentially.
 //! Because every execution path shares the same plan, identical batches
 //! produce identical replies and identical committed state on all three.
+//!
+//! [`encode_op`]/[`decode_op`] are the one byte encoding of a [`KvOp`], for
+//! the WAL's redo records (`crate::durable`) and `txnet`'s requests alike: a
+//! tag byte — Put 1, Delete 2, Cas 3 (the WAL's since its first format), Get
+//! 4, Scan 5 — then the keys as `u64`s and the values as word lists
+//! ([`txlog::codec::put_words`]), little-endian.
+
+use txlog::codec::{put_words, Cursor};
 
 /// Number of hash shards is bounded so a shard directory always fits in one
 /// small heap block.
@@ -70,6 +78,89 @@ impl KvOp {
             KvOp::Scan { lo, .. } => *lo,
         }
     }
+}
+
+const OP_PUT: u8 = 1;
+const OP_DELETE: u8 = 2;
+const OP_CAS: u8 = 3;
+const OP_GET: u8 = 4;
+const OP_SCAN: u8 = 5;
+
+/// Appends the encoding of `op` to `out`.
+pub fn encode_op(out: &mut Vec<u8>, op: &KvOp) {
+    match op {
+        KvOp::Put { key, value } => {
+            out.push(OP_PUT);
+            out.extend_from_slice(&key.to_le_bytes());
+            put_words(out, value);
+        }
+        KvOp::Delete { key } => {
+            out.push(OP_DELETE);
+            out.extend_from_slice(&key.to_le_bytes());
+        }
+        KvOp::Cas { key, expected, new } => {
+            out.push(OP_CAS);
+            out.extend_from_slice(&key.to_le_bytes());
+            put_words(out, expected);
+            put_words(out, new);
+        }
+        KvOp::Get { key } => {
+            out.push(OP_GET);
+            out.extend_from_slice(&key.to_le_bytes());
+        }
+        KvOp::Scan { lo, hi, limit } => {
+            out.push(OP_SCAN);
+            for word in [lo, hi, limit] {
+                out.extend_from_slice(&word.to_le_bytes());
+            }
+        }
+    }
+}
+
+/// Why [`decode_op`] rejected its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OpDecodeError {
+    /// The tag byte names no operation.
+    UnknownTag(u8),
+    /// The input ended inside the operation.
+    Truncated,
+}
+
+/// Decodes the operation at the cursor. Never panics on arbitrary bytes.
+///
+/// # Errors
+///
+/// An unknown tag, or input that ends inside the operation.
+pub fn decode_op(cur: &mut Cursor<'_>) -> Result<KvOp, OpDecodeError> {
+    let tag = cur.u8().ok_or(OpDecodeError::Truncated)?;
+    match tag {
+        OP_PUT | OP_DELETE | OP_CAS | OP_GET | OP_SCAN => {
+            decode_fields(tag, cur).ok_or(OpDecodeError::Truncated)
+        }
+        other => Err(OpDecodeError::UnknownTag(other)),
+    }
+}
+
+/// The fields of an operation whose (known) tag was just read.
+fn decode_fields(tag: u8, cur: &mut Cursor<'_>) -> Option<KvOp> {
+    Some(match tag {
+        OP_PUT => KvOp::Put {
+            key: cur.u64()?,
+            value: cur.words()?,
+        },
+        OP_DELETE => KvOp::Delete { key: cur.u64()? },
+        OP_CAS => KvOp::Cas {
+            key: cur.u64()?,
+            expected: cur.words()?,
+            new: cur.words()?,
+        },
+        OP_GET => KvOp::Get { key: cur.u64()? },
+        _ => KvOp::Scan {
+            lo: cur.u64()?,
+            hi: cur.u64()?,
+            limit: cur.u64()?,
+        },
+    })
 }
 
 /// The reply to one [`KvOp`].

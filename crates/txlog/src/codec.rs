@@ -1,10 +1,21 @@
 //! Defensive little-endian decoding shared by everything that parses
-//! recovered bytes (the snapshot reader here, the record/snapshot payload
-//! codecs layered on `txlog` by `txkv::durable`).
+//! recovered or received bytes (the snapshot reader here, the `KvOp` codec
+//! of `txkv::ops`, the record/snapshot payloads of `txkv::durable` and the
+//! wire payloads of `txnet::proto`), plus [`put_words`], the writing twin of
+//! [`Cursor::words`].
 //!
 //! Recovery code must never panic on arbitrary disk content, so every read
 //! is bounds-checked and returns `None` past the end — one audited cursor
 //! instead of hand-rolled slice indexing at each call site.
+
+/// Appends `words` as a `u32`-length-prefixed list of little-endian `u64`s,
+/// the layout [`Cursor::words`] reads back.
+pub fn put_words(out: &mut Vec<u8>, words: &[u64]) {
+    out.extend_from_slice(&(words.len() as u32).to_le_bytes());
+    for &word in words {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+}
 
 /// A bounds-checked little-endian reading cursor over a byte slice.
 #[derive(Debug)]
@@ -73,9 +84,7 @@ mod tests {
         let mut bytes = vec![7u8];
         bytes.extend_from_slice(&0xABCD_u32.to_le_bytes());
         bytes.extend_from_slice(&u64::MAX.to_le_bytes());
-        bytes.extend_from_slice(&2u32.to_le_bytes());
-        bytes.extend_from_slice(&1u64.to_le_bytes());
-        bytes.extend_from_slice(&2u64.to_le_bytes());
+        put_words(&mut bytes, &[1, 2]);
         let mut cur = Cursor::new(&bytes);
         assert_eq!(cur.u8(), Some(7));
         assert_eq!(cur.u32(), Some(0xABCD));

@@ -1,26 +1,30 @@
-//! The on-disk record framing.
-//!
-//! A log segment is a byte-concatenation of *frames*:
+//! The frame format of the log and the wire:
 //!
 //! ```text
 //! ┌─────────┬─────────┬─────────┬─────────┬──────────────────┐
-//! │ magic   │ len     │ lsn     │ crc32   │ payload          │
-//! │ "TXLG"  │ u32 LE  │ u64 LE  │ u32 LE  │ len bytes        │
-//! │ 4 bytes │ 4 bytes │ 8 bytes │ 4 bytes │                  │
+//! │ magic   │ len     │ word    │ crc32   │ payload          │
+//! │ 4 bytes │ u32 LE  │ u64 LE  │ u32 LE  │ len bytes        │
 //! └─────────┴─────────┴─────────┴─────────┴──────────────────┘
 //! ```
 //!
-//! The CRC covers `len | lsn | payload`, so a bit flip anywhere in a frame
-//! (header fields included) fails validation; the magic catches desynced
-//! scans cheaply before the CRC is even computed. [`read_frames`] validates a
-//! byte buffer frame-by-frame and stops at the first violation — which is
-//! exactly the torn-tail rule: everything before the first invalid frame is
-//! trusted, everything from it on is discarded.
+//! The magic names the stream: [`FRAME_MAGIC`] `"TXLG"` marks a log record,
+//! whose word is its LSN; `txnet`'s `"TXNT"` marks a request or reply, whose
+//! word is its request-id. The CRC covers `len | word | payload`, so a bit
+//! flip anywhere in a frame fails validation, and the magic catches a
+//! desynced stream — or the other stream's frame — at its first wrong byte.
+//!
+//! [`decode_frame`] is the one decoder. A mere prefix of a frame is
+//! [`FrameError::Incomplete`] (a socket reads more bytes); anything else it
+//! rejects is corruption. [`read_frames`] scans a segment with it and stops
+//! at the first frame it rejects, which is the torn-tail rule: everything
+//! before that frame is trusted, everything from it on is discarded.
 
-/// Frame magic: marks the start of every record frame.
+use std::fmt;
+
+/// Frame magic of a log record.
 pub const FRAME_MAGIC: [u8; 4] = *b"TXLG";
 
-/// Size of the fixed frame header (magic + len + lsn + crc).
+/// Size of the fixed frame header (magic + len + word + crc).
 pub const FRAME_HEADER_LEN: usize = 20;
 
 /// Folds `bytes` into a raw (pre-inverted) CRC-32 state — the streaming
@@ -56,38 +60,98 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc32_fold(!0, bytes)
 }
 
-/// CRC-32 over the logical concatenation of `parts`, hashed in streaming
-/// steps — so multi-part frame layouts (header fields in one buffer, payload
-/// in another) validate without copying into a contiguous buffer. Shared
-/// with the network protocol's frame codec, which reuses this CRC idiom.
-pub fn crc32_parts(parts: &[&[u8]]) -> u32 {
-    !parts.iter().fold(!0, |state, part| crc32_fold(state, part))
-}
-
-/// The CRC a frame with this `lsn` and `payload` must carry. Hashed in two
+/// The CRC a frame with this `word` and `payload` must carry. Hashed in two
 /// streaming steps (stack header, payload in place) — no allocation or copy
 /// on the group-commit write path.
-fn frame_crc(lsn: u64, payload: &[u8]) -> u32 {
+fn frame_crc(word: u64, payload: &[u8]) -> u32 {
     let mut header = [0u8; 12];
     header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&lsn.to_le_bytes());
+    header[4..].copy_from_slice(&word.to_le_bytes());
     !crc32_fold(crc32_fold(!0, &header), payload)
 }
 
-/// Appends one encoded frame for `(lsn, payload)` to `out`.
-pub fn encode_frame_into(out: &mut Vec<u8>, lsn: u64, payload: &[u8]) {
-    out.extend_from_slice(&FRAME_MAGIC);
+/// Appends one encoded frame for `(word, payload)` under `magic` to `out`.
+pub fn encode_frame_into(out: &mut Vec<u8>, magic: [u8; 4], word: u64, payload: &[u8]) {
+    out.extend_from_slice(&magic);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&lsn.to_le_bytes());
-    out.extend_from_slice(&frame_crc(lsn, payload).to_le_bytes());
+    out.extend_from_slice(&word.to_le_bytes());
+    out.extend_from_slice(&frame_crc(word, payload).to_le_bytes());
     out.extend_from_slice(payload);
 }
 
-/// One encoded frame (convenience over [`encode_frame_into`]).
-pub fn encode_frame(lsn: u64, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    encode_frame_into(&mut out, lsn, payload);
-    out
+/// One CRC-valid frame, its payload borrowed from the decoded buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame<'a> {
+    /// The header word: an LSN in a log segment, a request-id on the wire.
+    pub word: u64,
+    /// The validated payload.
+    pub payload: &'a [u8],
+    /// Total frame size (header + payload): where the next frame starts.
+    pub len: usize,
+}
+
+/// Why [`decode_frame`] returned no frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameError {
+    /// The buffer holds only a prefix of a frame (possibly none of it).
+    Incomplete,
+    /// The magic bytes present are not the expected ones (zero-padded).
+    BadMagic([u8; 4]),
+    /// The header claims a payload longer than the caller's limit.
+    Oversized(u32),
+    /// The CRC does not match the frame's contents.
+    BadCrc {
+        /// The header word the corrupt frame claims (untrustworthy).
+        word: u64,
+    },
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FrameError::Incomplete => f.write_str("incomplete frame"),
+            FrameError::BadMagic(found) => write!(f, "bad frame magic {found:02X?}"),
+            FrameError::Oversized(len) => write!(f, "frame payload length {len} over limit"),
+            FrameError::BadCrc { word } => write!(f, "frame CRC mismatch (claimed word {word})"),
+        }
+    }
+}
+
+impl std::error::Error for FrameError {}
+
+/// Decodes the `magic` frame at the start of `buf`, rejecting a payload
+/// length claim above `max_len`. Never panics on arbitrary input.
+///
+/// # Errors
+///
+/// [`FrameError::Incomplete`] for a prefix of a frame; every other variant
+/// means the bytes are not a frame of this stream.
+pub fn decode_frame(buf: &[u8], magic: [u8; 4], max_len: u32) -> Result<Frame<'_>, FrameError> {
+    // The magic prefix present so far must match: catching a desync at the
+    // first wrong byte beats waiting for a header that will never parse.
+    let seen = buf.len().min(4);
+    if buf[..seen] != magic[..seen] {
+        let mut found = [0u8; 4];
+        found[..seen].copy_from_slice(&buf[..seen]);
+        return Err(FrameError::BadMagic(found));
+    }
+    if buf.len() < FRAME_HEADER_LEN {
+        return Err(FrameError::Incomplete);
+    }
+    let payload_len = u32::from_le_bytes(buf[4..8].try_into().unwrap());
+    if payload_len > max_len {
+        return Err(FrameError::Oversized(payload_len));
+    }
+    let word = u64::from_le_bytes(buf[8..16].try_into().unwrap());
+    let crc = u32::from_le_bytes(buf[16..20].try_into().unwrap());
+    let len = FRAME_HEADER_LEN + payload_len as usize;
+    let payload = buf
+        .get(FRAME_HEADER_LEN..len)
+        .ok_or(FrameError::Incomplete)?;
+    if frame_crc(word, payload) != crc {
+        return Err(FrameError::BadCrc { word });
+    }
+    Ok(Frame { word, payload, len })
 }
 
 /// The result of scanning a byte buffer for frames.
@@ -102,41 +166,22 @@ pub struct FrameScan {
     pub truncation: Option<String>,
 }
 
-/// Scans `bytes` as a sequence of frames, stopping at the first torn or
+/// Scans `bytes` as a sequence of log frames, stopping at the first torn or
 /// corrupt frame. Never panics on arbitrary input.
 pub fn read_frames(bytes: &[u8]) -> FrameScan {
     let mut records = Vec::new();
     let mut offset = 0usize;
     let truncation = loop {
-        let remaining = &bytes[offset..];
-        if remaining.is_empty() {
+        if offset == bytes.len() {
             break None;
         }
-        if remaining.len() < FRAME_HEADER_LEN {
-            break Some(format!(
-                "torn frame header at byte {offset}: {} of {FRAME_HEADER_LEN} header bytes",
-                remaining.len()
-            ));
+        match decode_frame(&bytes[offset..], FRAME_MAGIC, u32::MAX) {
+            Ok(frame) => {
+                records.push((frame.word, frame.payload.to_vec()));
+                offset += frame.len;
+            }
+            Err(error) => break Some(format!("{error} at byte {offset}")),
         }
-        if remaining[..4] != FRAME_MAGIC {
-            break Some(format!("bad frame magic at byte {offset}"));
-        }
-        let len = u32::from_le_bytes(remaining[4..8].try_into().unwrap()) as usize;
-        let lsn = u64::from_le_bytes(remaining[8..16].try_into().unwrap());
-        let crc = u32::from_le_bytes(remaining[16..20].try_into().unwrap());
-        let payload = &remaining[FRAME_HEADER_LEN..];
-        if payload.len() < len {
-            break Some(format!(
-                "torn frame payload at byte {offset} (lsn {lsn}): {} of {len} payload bytes",
-                payload.len()
-            ));
-        }
-        let payload = &payload[..len];
-        if frame_crc(lsn, payload) != crc {
-            break Some(format!("CRC mismatch at byte {offset} (claimed lsn {lsn})"));
-        }
-        records.push((lsn, payload.to_vec()));
-        offset += FRAME_HEADER_LEN + len;
     };
     FrameScan {
         records,
@@ -149,6 +194,17 @@ pub fn read_frames(bytes: &[u8]) -> FrameScan {
 mod tests {
     use super::*;
 
+    /// The log's magic and the wire's (`txnet::FRAME_MAGIC`).
+    const MAGICS: [[u8; 4]; 2] = [FRAME_MAGIC, *b"TXNT"];
+
+    const MAX_LEN: u32 = 1 << 20;
+
+    fn frame(magic: [u8; 4], word: u64, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_frame_into(&mut out, magic, word, payload);
+        out
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard IEEE CRC-32 check values.
@@ -159,74 +215,136 @@ mod tests {
 
     #[test]
     fn streaming_frame_crc_equals_the_buffered_form() {
-        for (lsn, payload) in [(0u64, &b""[..]), (7, b"x"), (u64::MAX, b"hello frame")] {
-            let mut buffered = Vec::new();
-            buffered.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            buffered.extend_from_slice(&lsn.to_le_bytes());
+        for (word, payload) in [(0u64, &b""[..]), (7, b"x"), (u64::MAX, b"hello frame")] {
+            let mut buffered = (payload.len() as u32).to_le_bytes().to_vec();
+            buffered.extend_from_slice(&word.to_le_bytes());
             buffered.extend_from_slice(payload);
-            assert_eq!(frame_crc(lsn, payload), crc32(&buffered));
+            assert_eq!(frame_crc(word, payload), crc32(&buffered));
         }
     }
 
     #[test]
     fn frames_round_trip() {
-        let mut buf = Vec::new();
-        encode_frame_into(&mut buf, 0, b"hello");
-        encode_frame_into(&mut buf, 1, b"");
-        encode_frame_into(&mut buf, 2, &[0xAB; 300]);
-        let scan = read_frames(&buf);
-        assert_eq!(scan.truncation, None);
-        assert_eq!(scan.valid_bytes, buf.len());
-        assert_eq!(
-            scan.records,
-            vec![
-                (0, b"hello".to_vec()),
-                (1, Vec::new()),
-                (2, vec![0xAB; 300]),
-            ]
-        );
+        let cases = [(0u64, &b""[..]), (7, b"x"), (u64::MAX, &[0xAB; 300])];
+        let mut segment = Vec::new();
+        for magic in MAGICS {
+            for (word, payload) in cases {
+                let buf = frame(magic, word, payload);
+                let len = buf.len();
+                assert_eq!(
+                    decode_frame(&buf, magic, MAX_LEN),
+                    Ok(Frame { word, payload, len })
+                );
+                if magic == FRAME_MAGIC {
+                    segment.extend_from_slice(&buf);
+                }
+            }
+        }
+        let scan = read_frames(&segment);
+        assert_eq!((scan.valid_bytes, scan.truncation), (segment.len(), None));
+        let records: Vec<_> = cases.iter().map(|&(w, p)| (w, p.to_vec())).collect();
+        assert_eq!(scan.records, records);
     }
 
     #[test]
     fn every_truncation_of_the_last_frame_is_detected() {
-        let mut buf = encode_frame(0, b"stable");
-        let keep = buf.len();
-        encode_frame_into(&mut buf, 1, b"torn tail record");
-        for cut in keep..buf.len() {
-            let scan = read_frames(&buf[..cut]);
-            assert_eq!(scan.records.len(), 1, "cut at {cut}");
-            assert_eq!(scan.valid_bytes, keep, "cut at {cut}");
-            assert!(scan.truncation.is_some() || cut == keep, "cut at {cut}");
+        // Every prefix of a frame is `Incomplete` to the decoder — a socket
+        // reads on — and a torn tail to the segment scan.
+        for magic in MAGICS {
+            let good = frame(magic, 1, b"torn tail record");
+            for cut in 0..good.len() {
+                let got = decode_frame(&good[..cut], magic, MAX_LEN);
+                assert_eq!(got, Err(FrameError::Incomplete), "cut at {cut}");
+            }
+        }
+        let mut segment = frame(FRAME_MAGIC, 0, b"stable");
+        let keep = segment.len();
+        segment.extend_from_slice(&frame(FRAME_MAGIC, 1, b"torn tail record"));
+        for cut in keep + 1..segment.len() {
+            let scan = read_frames(&segment[..cut]);
+            assert_eq!(
+                (scan.records.len(), scan.valid_bytes),
+                (1, keep),
+                "cut at {cut}"
+            );
+            assert!(scan.truncation.is_some(), "cut at {cut}");
         }
     }
 
     #[test]
     fn every_single_byte_flip_in_a_frame_is_detected() {
-        let prefix = encode_frame(0, b"stable");
-        let frame = encode_frame(1, b"payload!");
-        for i in 0..frame.len() {
-            for bit in 0..8u8 {
-                let mut buf = prefix.clone();
-                let mut corrupt = frame.clone();
+        for magic in MAGICS {
+            let good = frame(magic, 1, b"payload!");
+            for (i, bit) in (0..good.len()).flat_map(|i| (0..8).map(move |bit| (i, bit))) {
+                let mut corrupt = good.clone();
                 corrupt[i] ^= 1 << bit;
-                buf.extend_from_slice(&corrupt);
-                let scan = read_frames(&buf);
-                assert_eq!(
-                    scan.records,
-                    vec![(0, b"stable".to_vec())],
-                    "flip byte {i} bit {bit} must invalidate only the flipped frame"
-                );
-                assert_eq!(scan.valid_bytes, prefix.len());
-                assert!(scan.truncation.is_some());
+                match decode_frame(&corrupt, magic, MAX_LEN) {
+                    Ok(_) => panic!("flip {i}.{bit} produced a valid frame"),
+                    // Only a flip that grows the length claim leaves the
+                    // frame incomplete; its CRC fails once the bytes arrive.
+                    Err(FrameError::Incomplete) => assert!((4..8).contains(&i), "flip {i}.{bit}"),
+                    Err(_) => {}
+                }
             }
         }
     }
 
     #[test]
+    fn oversized_length_claims_fail_fast() {
+        let mut buf = frame(*b"TXNT", 1, b"ok");
+        buf[4..8].copy_from_slice(&(MAX_LEN + 1).to_le_bytes());
+        let got = decode_frame(&buf, *b"TXNT", MAX_LEN);
+        assert_eq!(got, Err(FrameError::Oversized(MAX_LEN + 1)));
+    }
+
+    #[test]
+    fn desync_is_caught_before_a_full_header_arrives() {
+        for magic in MAGICS {
+            for (buf, want) in [
+                (&b"JUNK"[..], FrameError::BadMagic(*b"JUNK")),
+                // Even a single wrong byte is enough ...
+                (b"X", FrameError::BadMagic(*b"X\0\0\0")),
+                // ... while a correct partial magic is just incomplete.
+                (b"TX", FrameError::Incomplete),
+            ] {
+                assert_eq!(decode_frame(buf, magic, MAX_LEN), Err(want), "{buf:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn log_and_wire_frames_never_pass_for_each_other() {
+        let mut segment = frame(FRAME_MAGIC, 0, b"record");
+        let keep = segment.len();
+        // A log frame on a socket is a desync: the connection closes.
+        let got = decode_frame(&segment, *b"TXNT", MAX_LEN);
+        assert_eq!(got, Err(FrameError::BadMagic(FRAME_MAGIC)));
+        // A wire frame inside a segment is a torn tail.
+        segment.extend_from_slice(&frame(*b"TXNT", 1, b"request"));
+        let scan = read_frames(&segment);
+        assert_eq!((scan.records.len(), scan.valid_bytes), (1, keep));
+        assert!(scan.truncation.is_some());
+    }
+
+    #[test]
+    fn back_to_back_frames_decode_sequentially() {
+        let mut buf = frame(*b"TXNT", 1, b"first");
+        encode_frame_into(&mut buf, *b"TXNT", 2, b"second");
+        let first = decode_frame(&buf, *b"TXNT", MAX_LEN).expect("first frame");
+        let second = decode_frame(&buf[first.len..], *b"TXNT", MAX_LEN).expect("second frame");
+        assert_eq!(
+            (first.word, second.word, second.payload),
+            (1, 2, &b"second"[..])
+        );
+        assert_eq!(first.len + second.len, buf.len());
+    }
+
+    #[test]
     fn empty_input_is_a_clean_scan() {
         let scan = read_frames(&[]);
-        assert_eq!(scan.records, Vec::new());
-        assert_eq!(scan.valid_bytes, 0);
-        assert_eq!(scan.truncation, None);
+        assert_eq!(
+            (scan.records, scan.valid_bytes, scan.truncation),
+            (vec![], 0, None)
+        );
     }
 }

@@ -10,9 +10,10 @@
 //!
 //! Three pieces:
 //!
-//! * [`frame`] — the on-disk record framing: length-prefixed, CRC-32
-//!   protected frames that recovery can validate byte-by-byte, so a torn
-//!   tail (a crash mid-append) is detected and cleanly discarded;
+//! * [`frame`] — the record framing: length-prefixed, CRC-32 protected
+//!   frames that recovery can validate byte-by-byte, so a torn tail (a
+//!   crash mid-append) is detected and cleanly discarded. `txnet` frames
+//!   its wire with the same codec under a magic of its own;
 //! * [`LogWriter`] — the **pipelined group-commit** writer: an append stage
 //!   drains committed records (re-sequencing out-of-order arrivals into LSN
 //!   order) and appends each batch in a single `write` to a preallocated
@@ -57,7 +58,7 @@ pub mod vfs;
 pub mod writer;
 
 pub use files::{list_segments, list_snapshots, prune_obsolete, read_snapshot, write_snapshot};
-pub use frame::{crc32, crc32_parts, read_frames, FrameScan};
+pub use frame::{crc32, read_frames, FrameScan};
 pub use recovery::{recover, RecoveredLog};
 pub use tlstm_testutil::CrashPoints;
 pub use vfs::{

@@ -161,13 +161,13 @@ pub fn recover_with(fs: &dyn WalFs, dir: &Path) -> io::Result<RecoveredLog> {
 mod tests {
     use super::*;
     use crate::files::{segment_path, write_snapshot};
-    use crate::frame::encode_frame_into;
+    use crate::frame::{encode_frame_into, FRAME_MAGIC};
     use tlstm_testutil::TempDir;
 
     fn write_segment(dir: &Path, start: u64, records: &[(u64, &[u8])]) {
         let mut bytes = Vec::new();
         for &(lsn, payload) in records {
-            encode_frame_into(&mut bytes, lsn, payload);
+            encode_frame_into(&mut bytes, FRAME_MAGIC, lsn, payload);
         }
         std::fs::write(segment_path(dir, start), bytes).unwrap();
     }
@@ -223,9 +223,9 @@ mod tests {
     fn torn_tail_is_discarded_and_repaired() {
         let dir = TempDir::new("txlog-recover");
         let mut bytes = Vec::new();
-        encode_frame_into(&mut bytes, 0, b"keep me");
+        encode_frame_into(&mut bytes, FRAME_MAGIC, 0, b"keep me");
         let keep = bytes.len();
-        encode_frame_into(&mut bytes, 1, b"torn record");
+        encode_frame_into(&mut bytes, FRAME_MAGIC, 1, b"torn record");
         let torn = keep + (bytes.len() - keep) / 2;
         std::fs::write(segment_path(dir.path(), 0), &bytes[..torn]).unwrap();
 
@@ -254,9 +254,9 @@ mod tests {
         // an older incarnation beyond a gap, the stale segment is deleted.
         let dir = TempDir::new("txlog-recover");
         let mut bytes = Vec::new();
-        encode_frame_into(&mut bytes, 0, b"a");
+        encode_frame_into(&mut bytes, FRAME_MAGIC, 0, b"a");
         let keep = bytes.len();
-        encode_frame_into(&mut bytes, 1, b"torn");
+        encode_frame_into(&mut bytes, FRAME_MAGIC, 1, b"torn");
         std::fs::write(segment_path(dir.path(), 0), &bytes[..bytes.len() - 3]).unwrap();
         write_segment(dir.path(), 5, &[(5, b"stale")]);
 

@@ -83,7 +83,7 @@ use std::time::{Duration, Instant};
 use tlstm_testutil::CrashPoints;
 
 use crate::files::segment_path;
-use crate::frame::encode_frame_into;
+use crate::frame::{encode_frame_into, FRAME_MAGIC};
 use crate::vfs::{StorageOp, WalFile, WalFs};
 use crate::{crash_points, FsyncPolicy, RealFs, WalError, CRASH_POINT_ENV};
 
@@ -735,7 +735,7 @@ impl AppendStage {
                     match state.pending.remove(&next) {
                         Some(payload) => {
                             last_frame_start = batch.len();
-                            encode_frame_into(&mut batch, next, &payload);
+                            encode_frame_into(&mut batch, FRAME_MAGIC, next, &payload);
                             state.next_append = next + 1;
                             frames += 1;
                         }

@@ -7,7 +7,7 @@
 use std::path::Path;
 
 use tlstm_testutil::TempDir;
-use txlog::frame::{encode_frame_into, FRAME_HEADER_LEN};
+use txlog::frame::{encode_frame_into, FRAME_HEADER_LEN, FRAME_MAGIC};
 use txlog::{files, recover};
 
 /// Builds a segment of `n` records with distinct payload lengths and returns
@@ -18,7 +18,7 @@ fn build_log(n: u64) -> (Vec<u8>, Vec<usize>) {
     let mut boundaries = vec![0];
     for lsn in 0..n {
         let payload: Vec<u8> = (0..(7 + lsn * 3)).map(|i| (lsn * 31 + i) as u8).collect();
-        encode_frame_into(&mut bytes, lsn, &payload);
+        encode_frame_into(&mut bytes, FRAME_MAGIC, lsn, &payload);
         boundaries.push(bytes.len());
     }
     (bytes, boundaries)

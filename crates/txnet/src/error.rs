@@ -16,6 +16,8 @@
 use std::fmt;
 use std::io;
 
+use txkv::OpDecodeError;
+
 /// A violation of the wire protocol, detected by either side.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtocolError {
@@ -88,12 +90,22 @@ impl fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
+impl From<OpDecodeError> for ProtocolError {
+    fn from(error: OpDecodeError) -> Self {
+        match error {
+            OpDecodeError::UnknownTag(tag) => ProtocolError::UnknownTag(tag),
+            OpDecodeError::Truncated => ProtocolError::Malformed,
+        }
+    }
+}
+
 /// An error reply the server sent back for one request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemoteError {
     /// The server-assigned error code: [`ProtocolError::wire_code`] values
     /// for request decoding failures, [`crate::proto::ERR_WAL`] for a
-    /// durability failure.
+    /// durability failure, [`crate::proto::ERR_REPLY_TOO_LARGE`] for an
+    /// executed request whose reply exceeds the frame limit.
     pub code: u8,
     /// Human-readable description from the server.
     pub message: String,

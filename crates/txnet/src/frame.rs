@@ -1,54 +1,26 @@
-//! The wire framing: `txlog`'s CRC frame idiom adapted to a byte stream.
-//!
-//! ```text
-//! ┌─────────┬─────────┬──────────┬─────────┬──────────────────┐
-//! │ magic   │ len     │ req-id   │ crc32   │ payload          │
-//! │ "TXNT"  │ u32 LE  │ u64 LE   │ u32 LE  │ len bytes        │
-//! │ 4 bytes │ 4 bytes │ 8 bytes  │ 4 bytes │                  │
-//! └─────────┴─────────┴──────────┴─────────┴──────────────────┘
-//! ```
-//!
-//! Identical layout to [`txlog::frame`] with the LSN slot carrying the
-//! request-id, and the same validation rule: the CRC covers
-//! `len | req-id | payload` (computed with the shared [`txlog::crc32_parts`]
-//! streaming fold), so a bit flip anywhere in a frame fails validation, and
-//! the magic catches desynced streams before the CRC is even computed.
-//!
-//! One rule differs from the on-disk scan, because a socket is not a file:
-//! an *incomplete* frame is not an error — the decoder reports
-//! [`FrameDecode::Incomplete`] and the caller reads more bytes. Only frames
-//! that are demonstrably corrupt (bad magic, oversized length claim, CRC
-//! mismatch) are [`ProtocolError`]s, and all of them are frame-level: after
-//! any of them the stream boundary is untrustworthy and the connection must
-//! be closed.
+//! The wire framing: [`txlog::frame`]'s codec under the magic `"TXNT"`, the
+//! request-id in the header word. A socket is not a file: a prefix of a frame
+//! is [`FrameDecode::Incomplete`] (read more bytes), and every other
+//! rejection is the matching frame-level [`ProtocolError`] (close the
+//! connection).
+
+use txlog::frame::{self, FrameError};
 
 use crate::error::ProtocolError;
 
+pub use txlog::frame::FRAME_HEADER_LEN;
+
 /// Frame magic: marks the start of every protocol frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"TXNT";
-
-/// Size of the fixed frame header (magic + len + req-id + crc).
-pub const FRAME_HEADER_LEN: usize = 20;
 
 /// Default upper bound on a frame's payload length. A corrupt length claim
 /// above the limit is rejected immediately instead of stalling the stream
 /// waiting for bytes that will never arrive.
 pub const DEFAULT_MAX_FRAME_LEN: u32 = 1 << 20;
 
-/// The CRC a frame with this request-id and payload must carry.
-fn frame_crc(req_id: u64, payload: &[u8]) -> u32 {
-    let len = (payload.len() as u32).to_le_bytes();
-    let id = req_id.to_le_bytes();
-    txlog::crc32_parts(&[&len, &id, payload])
-}
-
 /// Appends one encoded frame for `(req_id, payload)` to `out`.
 pub fn encode_frame_into(out: &mut Vec<u8>, req_id: u64, payload: &[u8]) {
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&req_id.to_le_bytes());
-    out.extend_from_slice(&frame_crc(req_id, payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    frame::encode_frame_into(out, FRAME_MAGIC, req_id, payload);
 }
 
 /// One encoded frame (convenience over [`encode_frame_into`]).
@@ -75,73 +47,32 @@ pub enum FrameDecode {
     Incomplete,
 }
 
-/// Attempts to decode the frame at the start of `buf`.
-///
-/// Never panics on arbitrary input. Corruption (bad magic, length claim
-/// above `max_frame_len`, CRC mismatch) is an error; a mere prefix is
-/// [`FrameDecode::Incomplete`].
+/// Attempts to decode the frame at the start of `buf`. Never panics on
+/// arbitrary input.
 ///
 /// # Errors
 ///
 /// All returned [`ProtocolError`]s are frame-level: the stream can no longer
 /// be trusted and the connection should be closed.
 pub fn decode_frame(buf: &[u8], max_frame_len: u32) -> Result<FrameDecode, ProtocolError> {
-    if buf.len() < FRAME_HEADER_LEN {
-        // The magic prefix present so far must still match: catching a
-        // desync at the first wrong byte beats waiting for a full header
-        // that will never parse.
-        let seen = buf.len().min(4);
-        if buf[..seen] != FRAME_MAGIC[..seen] {
-            let mut found = [0u8; 4];
-            found[..seen].copy_from_slice(&buf[..seen]);
-            return Err(ProtocolError::BadMagic(found));
-        }
-        return Ok(FrameDecode::Incomplete);
+    match frame::decode_frame(buf, FRAME_MAGIC, max_frame_len) {
+        Ok(frame) => Ok(FrameDecode::Frame {
+            req_id: frame.word,
+            payload: frame.payload.to_vec(),
+            consumed: frame.len,
+        }),
+        Err(FrameError::Incomplete) => Ok(FrameDecode::Incomplete),
+        Err(FrameError::BadMagic(found)) => Err(ProtocolError::BadMagic(found)),
+        Err(FrameError::Oversized(len)) => Err(ProtocolError::Oversized(len)),
+        Err(FrameError::BadCrc { word }) => Err(ProtocolError::BadCrc {
+            claimed_request: word,
+        }),
     }
-    if buf[..4] != FRAME_MAGIC {
-        return Err(ProtocolError::BadMagic(buf[..4].try_into().unwrap()));
-    }
-    let len = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-    if len > max_frame_len {
-        return Err(ProtocolError::Oversized(len));
-    }
-    let req_id = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-    let crc = u32::from_le_bytes(buf[16..20].try_into().unwrap());
-    let total = FRAME_HEADER_LEN + len as usize;
-    if buf.len() < total {
-        return Ok(FrameDecode::Incomplete);
-    }
-    let payload = &buf[FRAME_HEADER_LEN..total];
-    if frame_crc(req_id, payload) != crc {
-        return Err(ProtocolError::BadCrc {
-            claimed_request: req_id,
-        });
-    }
-    Ok(FrameDecode::Frame {
-        req_id,
-        payload: payload.to_vec(),
-        consumed: total,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frames_round_trip() {
-        for (id, payload) in [(0u64, &b""[..]), (7, b"x"), (u64::MAX, b"hello frame")] {
-            let buf = encode_frame(id, payload);
-            assert_eq!(
-                decode_frame(&buf, DEFAULT_MAX_FRAME_LEN),
-                Ok(FrameDecode::Frame {
-                    req_id: id,
-                    payload: payload.to_vec(),
-                    consumed: buf.len(),
-                })
-            );
-        }
-    }
 
     #[test]
     fn prefixes_are_incomplete_not_errors() {
@@ -173,63 +104,11 @@ mod tests {
                         assert!((4..8).contains(&i), "flip {i}.{bit} claimed {claimed}");
                         assert!(claimed as usize > frame.len() - FRAME_HEADER_LEN);
                     }
-                    // A flip that *shrinks* the length claim re-frames the
-                    // buffer; the CRC must still catch it.
                     Ok(FrameDecode::Frame { .. }) => {
                         panic!("flip {i}.{bit} produced a valid frame")
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn oversized_length_claims_fail_fast() {
-        let mut buf = encode_frame(1, b"ok");
-        buf[4..8].copy_from_slice(&(DEFAULT_MAX_FRAME_LEN + 1).to_le_bytes());
-        assert_eq!(
-            decode_frame(&buf, DEFAULT_MAX_FRAME_LEN),
-            Err(ProtocolError::Oversized(DEFAULT_MAX_FRAME_LEN + 1))
-        );
-    }
-
-    #[test]
-    fn desync_is_caught_before_a_full_header_arrives() {
-        assert_eq!(
-            decode_frame(b"JUNK", DEFAULT_MAX_FRAME_LEN),
-            Err(ProtocolError::BadMagic(*b"JUNK"))
-        );
-        // Even a single wrong byte is enough.
-        assert!(matches!(
-            decode_frame(b"X", DEFAULT_MAX_FRAME_LEN),
-            Err(ProtocolError::BadMagic(_))
-        ));
-        // A correct partial magic is just an incomplete frame.
-        assert_eq!(
-            decode_frame(b"TX", DEFAULT_MAX_FRAME_LEN),
-            Ok(FrameDecode::Incomplete)
-        );
-    }
-
-    #[test]
-    fn back_to_back_frames_decode_sequentially() {
-        let mut buf = Vec::new();
-        encode_frame_into(&mut buf, 1, b"first");
-        encode_frame_into(&mut buf, 2, b"second");
-        let Ok(FrameDecode::Frame {
-            req_id, consumed, ..
-        }) = decode_frame(&buf, DEFAULT_MAX_FRAME_LEN)
-        else {
-            panic!("first frame must decode");
-        };
-        assert_eq!(req_id, 1);
-        let Ok(FrameDecode::Frame {
-            req_id, payload, ..
-        }) = decode_frame(&buf[consumed..], DEFAULT_MAX_FRAME_LEN)
-        else {
-            panic!("second frame must decode");
-        };
-        assert_eq!(req_id, 2);
-        assert_eq!(payload, b"second");
     }
 }

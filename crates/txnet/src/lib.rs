@@ -17,14 +17,14 @@
 //!
 //! Three pieces:
 //!
-//! * [`frame`] — the wire framing: `magic "TXNT" | len | request-id | crc |
-//!   payload`, reusing [`txlog::frame`]'s CRC idiom (the CRC covers
-//!   `len | request-id | payload` via the shared [`txlog::crc32_parts`]), so
-//!   torn and bit-flipped frames are detected exactly like torn WAL tails.
-//! * [`proto`] — request/reply payload codecs mirroring [`txkv::ops`]
-//!   one-to-one; decoders never panic on arbitrary bytes and classify every
-//!   violation as frame-level (close) or payload-level (typed error reply on
-//!   the live connection) via [`ProtocolError::is_frame_level`].
+//! * [`frame`] — the wire framing: [`txlog::frame`]'s codec under the magic
+//!   `"TXNT"` (`magic | len | request-id | crc | payload`), so torn and
+//!   bit-flipped frames are detected exactly like torn WAL tails.
+//! * [`proto`] — request/reply payload codecs; a request's operations are
+//!   encoded by [`txkv::encode_op`], like a WAL record's. Decoders never
+//!   panic on arbitrary bytes and classify every violation as frame-level
+//!   (close) or payload-level (typed error reply on the live connection)
+//!   via [`ProtocolError::is_frame_level`].
 //! * [`server`] / [`client`] — the nonblocking poll-loop server whose
 //!   serving threads **coalesce** every request decoded in one poll
 //!   iteration (across all of the thread's connections) into a single store
@@ -52,8 +52,8 @@ pub use frame::{
     FRAME_HEADER_LEN, FRAME_MAGIC,
 };
 pub use proto::{
-    decode_reply, decode_request, encode_err_reply, encode_ok_reply, encode_request, ERR_WAL,
-    PROTO_VERSION,
+    decode_reply, decode_request, encode_err_reply, encode_ok_reply, encode_request,
+    ERR_REPLY_TOO_LARGE, ERR_WAL, PROTO_VERSION,
 };
 pub use server::{
     NetServer, NetServerConfig, PARKED_ROUNDS_LIMIT, WRITE_BUF_HARD_LIMIT, WRITE_BUF_SOFT_LIMIT,

@@ -1,36 +1,33 @@
 //! Request and reply payload codecs.
 //!
 //! A request payload is one client batch — a list of [`KvOp`]s executed as
-//! one atomic transaction — and a reply payload is either the matching
-//! [`KvReply`] list or a typed error. The operation vocabulary mirrors
-//! [`txkv::ops`] one-to-one, so the protocol adds framing and nothing else;
-//! the encoding style (version byte, tag bytes, `u32`-prefixed word lists,
-//! the defensive [`Cursor`]) follows the redo-record codec in
-//! `txkv::durable`.
+//! one atomic transaction: the version byte, a `u32` op count, then each
+//! operation in [`txkv::ops`]'s encoding ([`txkv::encode_op`], the one the
+//! WAL's redo records use), so the protocol adds framing and nothing else.
+//! A reply payload is either the matching [`KvReply`] list or a typed error.
 //!
 //! Decoders never panic on arbitrary bytes: every structural violation is a
 //! typed payload-level [`ProtocolError`], which the server answers on the
 //! still-live connection (the frame around the payload was CRC-valid, so
 //! the request-id is trustworthy).
 
-use txkv::{KvOp, KvReply};
-use txlog::codec::Cursor;
+use txkv::{decode_op, encode_op, KvOp, KvReply};
+use txlog::codec::{put_words, Cursor};
 
 use crate::error::{ProtocolError, RemoteError};
 
-/// Version byte leading every request and reply payload.
-pub const PROTO_VERSION: u8 = 1;
+/// Version byte leading every request and reply payload. Version 2 took
+/// its operation tags from [`txkv::ops`].
+pub const PROTO_VERSION: u8 = 2;
 
 /// Error-reply code for a durability (WAL) failure — the request was
 /// well-formed but could not be made durable. Protocol failures use
 /// [`ProtocolError::wire_code`] values (1..=7) instead.
 pub const ERR_WAL: u8 = 32;
 
-const OP_GET: u8 = 1;
-const OP_PUT: u8 = 2;
-const OP_DELETE: u8 = 3;
-const OP_CAS: u8 = 4;
-const OP_SCAN: u8 = 5;
+/// Error-reply code for a reply that would not fit in one frame: the
+/// request **was executed** (its writes stand), only its answer is withheld.
+pub const ERR_REPLY_TOO_LARGE: u8 = 33;
 
 const REPLY_VALUE: u8 = 1;
 const REPLY_INSERTED: u8 = 2;
@@ -41,10 +38,12 @@ const REPLY_SCAN: u8 = 5;
 const STATUS_OK: u8 = 0;
 const STATUS_ERR: u8 = 1;
 
-fn put_words(out: &mut Vec<u8>, words: &[u64]) {
-    out.extend_from_slice(&(words.len() as u32).to_le_bytes());
-    for &word in words {
-        out.extend_from_slice(&word.to_le_bytes());
+/// Reads the version byte every payload starts with.
+fn read_version(cur: &mut Cursor<'_>) -> Result<(), ProtocolError> {
+    match cur.u8() {
+        Some(PROTO_VERSION) => Ok(()),
+        Some(other) => Err(ProtocolError::BadVersion(other)),
+        None => Err(ProtocolError::Malformed),
     }
 }
 
@@ -54,33 +53,7 @@ pub fn encode_request(ops: &[KvOp]) -> Vec<u8> {
     out.push(PROTO_VERSION);
     out.extend_from_slice(&(ops.len() as u32).to_le_bytes());
     for op in ops {
-        match op {
-            KvOp::Get { key } => {
-                out.push(OP_GET);
-                out.extend_from_slice(&key.to_le_bytes());
-            }
-            KvOp::Put { key, value } => {
-                out.push(OP_PUT);
-                out.extend_from_slice(&key.to_le_bytes());
-                put_words(&mut out, value);
-            }
-            KvOp::Delete { key } => {
-                out.push(OP_DELETE);
-                out.extend_from_slice(&key.to_le_bytes());
-            }
-            KvOp::Cas { key, expected, new } => {
-                out.push(OP_CAS);
-                out.extend_from_slice(&key.to_le_bytes());
-                put_words(&mut out, expected);
-                put_words(&mut out, new);
-            }
-            KvOp::Scan { lo, hi, limit } => {
-                out.push(OP_SCAN);
-                out.extend_from_slice(&lo.to_le_bytes());
-                out.extend_from_slice(&hi.to_le_bytes());
-                out.extend_from_slice(&limit.to_le_bytes());
-            }
-        }
+        encode_op(&mut out, op);
     }
     out
 }
@@ -92,41 +65,14 @@ pub fn encode_request(ops: &[KvOp]) -> Vec<u8> {
 /// All returned errors are payload-level (the connection stays live).
 pub fn decode_request(payload: &[u8]) -> Result<Vec<KvOp>, ProtocolError> {
     let mut cur = Cursor::new(payload);
-    match cur.u8() {
-        Some(PROTO_VERSION) => {}
-        Some(other) => return Err(ProtocolError::BadVersion(other)),
-        None => return Err(ProtocolError::Malformed),
-    }
+    read_version(&mut cur)?;
     let n_ops = cur.u32().ok_or(ProtocolError::Malformed)? as usize;
     if n_ops > payload.len() {
         return Err(ProtocolError::Malformed);
     }
     let mut ops = Vec::with_capacity(n_ops);
     for _ in 0..n_ops {
-        let op = match cur.u8().ok_or(ProtocolError::Malformed)? {
-            OP_GET => KvOp::Get {
-                key: cur.u64().ok_or(ProtocolError::Malformed)?,
-            },
-            OP_PUT => KvOp::Put {
-                key: cur.u64().ok_or(ProtocolError::Malformed)?,
-                value: cur.words().ok_or(ProtocolError::Malformed)?,
-            },
-            OP_DELETE => KvOp::Delete {
-                key: cur.u64().ok_or(ProtocolError::Malformed)?,
-            },
-            OP_CAS => KvOp::Cas {
-                key: cur.u64().ok_or(ProtocolError::Malformed)?,
-                expected: cur.words().ok_or(ProtocolError::Malformed)?,
-                new: cur.words().ok_or(ProtocolError::Malformed)?,
-            },
-            OP_SCAN => KvOp::Scan {
-                lo: cur.u64().ok_or(ProtocolError::Malformed)?,
-                hi: cur.u64().ok_or(ProtocolError::Malformed)?,
-                limit: cur.u64().ok_or(ProtocolError::Malformed)?,
-            },
-            other => return Err(ProtocolError::UnknownTag(other)),
-        };
-        ops.push(op);
+        ops.push(decode_op(&mut cur)?);
     }
     if !cur.done() {
         return Err(ProtocolError::Malformed);
@@ -198,11 +144,7 @@ pub fn encode_err_reply(code: u8, message: &str) -> Vec<u8> {
 /// [`ProtocolError`] when the payload itself violates the wire format.
 pub fn decode_reply(payload: &[u8]) -> Result<Result<Vec<KvReply>, RemoteError>, ProtocolError> {
     let mut cur = Cursor::new(payload);
-    match cur.u8() {
-        Some(PROTO_VERSION) => {}
-        Some(other) => return Err(ProtocolError::BadVersion(other)),
-        None => return Err(ProtocolError::Malformed),
-    }
+    read_version(&mut cur)?;
     match cur.u8().ok_or(ProtocolError::Malformed)? {
         STATUS_OK => {}
         STATUS_ERR => {

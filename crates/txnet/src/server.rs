@@ -39,7 +39,9 @@
 //! frame closes the connection cleanly (after its parked and queued replies
 //! have left); a CRC-valid but undecodable request is answered on the live
 //! connection with a typed error reply that travels through the FIFO like
-//! any other, so it cannot overtake an earlier request's reply. A durability
+//! any other, so it cannot overtake an earlier request's reply, and so does
+//! the [`crate::proto::ERR_REPLY_TOO_LARGE`] that stands in for a reply over
+//! the frame limit (the request executed; the connection stays). A durability
 //! failure follows the [`CommitTicket::wait`] contract: parked rounds a
 //! successful fsync had covered are answered OK, the others — and every
 //! later write, refused before its in-memory commit — with an
@@ -100,7 +102,9 @@ pub struct NetServerConfig {
     /// coalescing happens *within* a thread, so fewer threads mean wider
     /// coalescing and more threads mean more parallel commits.
     pub threads: usize,
-    /// Upper bound on a request frame's payload length.
+    /// Upper bound on a frame's payload length, both ways: a longer request
+    /// closes its connection, a longer reply is replaced by a
+    /// [`proto::ERR_REPLY_TOO_LARGE`] error reply.
     pub max_frame_len: u32,
     /// How long an idle serving thread sleeps between poll iterations (with
     /// rounds parked it waits on the WAL's ack instead, for at most this
@@ -646,7 +650,17 @@ fn serve_loop<R: TxRuntime>(
             match backend.execute(ops) {
                 Ok((replies, ticket)) => {
                     for route in executed {
-                        let reply = proto::encode_ok_reply(&replies[route.span.clone()]);
+                        let mut reply = proto::encode_ok_reply(&replies[route.span.clone()]);
+                        if reply.len() > config.max_frame_len as usize {
+                            // The peer would take this frame for corruption.
+                            let message = format!(
+                                "the request was executed, but its {}-byte reply exceeds \
+                                 the {}-byte frame limit",
+                                reply.len(),
+                                config.max_frame_len
+                            );
+                            reply = proto::encode_err_reply(proto::ERR_REPLY_TOO_LARGE, &message);
+                        }
                         route.span = push_payload(payloads, &reply);
                     }
                     *gate = ticket;

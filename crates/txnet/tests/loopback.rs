@@ -1,7 +1,7 @@
 //! Loopback conformance: the network front-end against the `RefStore`
 //! oracle, on every runtime.
 //!
-//! Four contracts:
+//! Five contracts:
 //!
 //! * concurrent clients' interleaved batches observe exactly the semantics
 //!   of applying each batch atomically — every reply matches the oracle;
@@ -13,7 +13,9 @@
 //! * a peer that pipelines requests without reading its replies cannot make
 //!   the server grow: it stops being read from at the write buffer's soft
 //!   limit, is closed at the hard limit, and other connections keep being
-//!   served throughout.
+//!   served throughout;
+//! * a request whose reply would exceed the frame limit executes and is
+//!   answered with a typed error, on a connection that stays usable.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -30,8 +32,8 @@ use txkv::{
 use txlog::crash_points;
 use txmem::{SeqRefRuntime, TxConfig, TxRuntime};
 use txnet::{
-    encode_frame, encode_request, NetClient, NetError, NetServer, NetServerConfig, ERR_WAL,
-    WRITE_BUF_HARD_LIMIT,
+    encode_frame, encode_request, NetClient, NetError, NetServer, NetServerConfig,
+    DEFAULT_MAX_FRAME_LEN, ERR_REPLY_TOO_LARGE, ERR_WAL, WRITE_BUF_HARD_LIMIT,
 };
 
 const SHARDS: u64 = 8;
@@ -325,10 +327,14 @@ fn durable_loopback_survives_a_crash_point_with_dense_lsns() {
 
 /// A server whose key 1 holds an 8 KiB value, so a request of `n` gets of it
 /// is ~`9n` bytes and its reply `8n` KiB: replies outgrow requests 900-fold.
-fn serve_big_value() -> NetServer {
+fn serve_big_value(max_frame_len: u32) -> NetServer {
     let server = Arc::new(KvServer::<SeqRefRuntime>::new(&KvServerConfig::default()));
     server.populate([(1, (0..1024).collect())]);
-    NetServer::serve(server, ("127.0.0.1", 0), &net_config(1)).expect("bind failed")
+    let config = NetServerConfig {
+        max_frame_len,
+        ..net_config(1)
+    };
+    NetServer::serve(server, ("127.0.0.1", 0), &config).expect("bind failed")
 }
 
 fn big_reply_request(req_id: u64, gets: usize) -> Vec<u8> {
@@ -356,7 +362,7 @@ fn a_peer_that_never_reads_stalls_itself_and_nobody_else() {
         // this is being read from.
         const REQUEST_BYTES_CAP: usize = 64 << 20;
         const STALLED_FOR: Duration = Duration::from_millis(300);
-        let net = serve_big_value();
+        let net = serve_big_value(DEFAULT_MAX_FRAME_LEN);
         let mut greedy = TcpStream::connect(net.addr()).expect("connect failed");
         greedy.set_nonblocking(true).unwrap();
 
@@ -429,7 +435,10 @@ fn a_peer_that_never_reads_stalls_itself_and_nobody_else() {
 #[test]
 fn a_peer_owed_more_than_the_hard_limit_is_closed() {
     with_default_watchdog(|| {
-        let net = serve_big_value();
+        // A reply over the frame limit is refused with ERR_REPLY_TOO_LARGE,
+        // so only a server that allows frames past the hard limit can owe
+        // one request that much.
+        let net = serve_big_value(4 * WRITE_BUF_HARD_LIMIT as u32);
         let mut greedy = TcpStream::connect(net.addr()).expect("connect failed");
 
         // One request whose reply is twice the hard limit: the soft limit
@@ -454,6 +463,48 @@ fn a_peer_owed_more_than_the_hard_limit_is_closed() {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_others_are_served(&net, 78);
+        net.shutdown();
+    });
+}
+
+#[test]
+fn a_reply_over_the_frame_limit_is_a_typed_error_on_a_live_connection() {
+    with_default_watchdog(|| {
+        let server = Arc::new(KvServer::<SeqRefRuntime>::new(&KvServerConfig::default()));
+        let net = NetServer::serve(server, ("127.0.0.1", 0), &net_config(1)).expect("bind failed");
+        let mut client = NetClient::connect(net.addr()).expect("connect failed");
+        client.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+
+        // An 800 KB request, legal under the 1 MiB frame limit, stores a
+        // value two reads of which make a 1.6 MB reply.
+        let big: Vec<u64> = (0..100_000).collect();
+        assert!(client
+            .put(1, big.clone())
+            .expect("a request under the limit"));
+        let oversized = [
+            KvOp::Put {
+                key: 2,
+                value: vec![22],
+            },
+            KvOp::Get { key: 1 },
+            KvOp::Get { key: 1 },
+        ];
+        match client.batch(&oversized) {
+            Err(NetError::Remote(remote)) => {
+                assert_eq!(remote.code, ERR_REPLY_TOO_LARGE, "{}", remote.message);
+                assert!(
+                    remote.message.contains("was executed"),
+                    "{}",
+                    remote.message
+                );
+            }
+            other => panic!("an oversized reply must be a typed error, got {other:?}"),
+        }
+
+        // The same connection serves the next request, and the oversized
+        // batch's write stands.
+        assert_eq!(client.get(2).expect("the next request"), Some(vec![22]));
+        assert_eq!(client.get(1).expect("a reply under the limit"), Some(big));
         net.shutdown();
     });
 }

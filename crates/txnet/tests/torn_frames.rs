@@ -17,6 +17,7 @@ use std::time::Duration;
 
 use tlstm_testutil::with_default_watchdog;
 use txkv::{KvOp, KvReply, KvServer, KvServerConfig};
+use txlog::frame::encode_frame_into;
 use txmem::SeqRefRuntime;
 use txnet::{encode_frame, encode_request, NetClient, NetError, NetServer, NetServerConfig};
 
@@ -159,6 +160,20 @@ fn garbage_and_desynced_streams_close_cleanly() {
             other => panic!("frame then garbage: expected one reply frame, got {other:?}"),
         }
         assert_server_alive(addr, 7003);
+        server.shutdown();
+    });
+}
+
+#[test]
+fn a_log_frame_on_the_socket_closes_the_connection() {
+    with_default_watchdog(|| {
+        let server = start_server();
+        // A valid WAL record frame: right CRC, wrong stream.
+        let mut record = Vec::new();
+        let payload = encode_request(&[KvOp::Get { key: 1 }]);
+        encode_frame_into(&mut record, txlog::frame::FRAME_MAGIC, 42, &payload);
+        assert!(send_and_drain(server.addr(), &record, "log frame").is_empty());
+        assert_server_alive(server.addr(), 7005);
         server.shutdown();
     });
 }
