@@ -11,9 +11,12 @@
 //! TLSTM then decomposes each user-thread further into **speculative tasks**
 //! that run out of order on a small pool of worker threads (at most
 //! `SPECDEPTH` simultaneously active tasks per user-thread) and *commit in
-//! program order*. A user-transaction is a consecutive sequence of one or more
-//! tasks; its last task (the *commit-task*) commits the whole transaction on
-//! behalf of all of them.
+//! program order*. Here that pool is process-wide and the user-thread's own
+//! thread is one of its lanes ([`UThread::execute`]); a transaction with more
+//! tasks than the lanes it can borrow runs them merged, in program order. A
+//! user-transaction is a consecutive sequence of one or more tasks; its last
+//! task (the *commit-task*) commits the whole transaction on behalf of all of
+//! them.
 //!
 //! The runtime guarantees:
 //!
@@ -56,6 +59,7 @@
 
 mod acquired;
 pub mod cm;
+mod pool;
 pub mod runtime;
 pub mod session;
 pub mod task;

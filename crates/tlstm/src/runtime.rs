@@ -2,14 +2,12 @@
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use swisstm::cm::GreedyTicket;
 use txmem::{Abort, DirectMem, StatsSnapshot, ThreadIdAllocator, TxConfig, TxHeap, TxSubstrate};
 
 use crate::cm::TaskAwareCm;
+use crate::pool::{self, AbortOnUnwind, Claim};
 use crate::task::{TaskBufs, TaskCtx};
 use crate::txn_state::{assert_task_count, TxnShared};
 use crate::uthread_state::UThreadShared;
@@ -78,24 +76,33 @@ impl std::fmt::Debug for TxnSpec {
     }
 }
 
-/// Merges a transaction's tasks into one composite task that runs the bodies
-/// in program order. Sequential semantics are unchanged — tasks already
-/// observe earlier tasks' writes, and an abort re-executes every body — but
-/// the merged form needs no task hand-off and cannot suffer
-/// intra-transaction conflicts.
-fn merge_sequential(spec: TxnSpec) -> TxnSpec {
-    if spec.tasks.len() <= 1 {
-        return spec;
+/// Merges tasks into one composite task that runs the bodies in program
+/// order. Sequential semantics are unchanged — tasks already observe earlier
+/// tasks' writes, and an abort re-executes every body — but the merged form
+/// needs no task hand-off and cannot suffer intra-transaction conflicts.
+fn merge_sequential(mut tasks: Vec<TaskFn>) -> TaskFn {
+    if tasks.len() == 1 {
+        return tasks.pop().expect("one task");
     }
-    let tasks = spec.tasks;
-    TxnSpec {
-        tasks: vec![Arc::new(move |ctx: &mut TaskCtx<'_>| {
-            for body in &tasks {
-                body(ctx)?;
-            }
-            Ok(())
-        })],
+    Arc::new(move |ctx: &mut TaskCtx<'_>| {
+        for body in &tasks {
+            body(ctx)?;
+        }
+        Ok(())
+    })
+}
+
+/// Splits `items` into at most `groups` contiguous runs whose lengths differ
+/// by at most one, the longer runs first.
+fn split_contiguous<T>(mut items: Vec<T>, groups: usize) -> Vec<Vec<T>> {
+    let groups = groups.min(items.len());
+    let mut runs = Vec::with_capacity(groups);
+    for left in (1..=groups).rev() {
+        // This run takes its share of what is left, rounded up.
+        let rest = items.split_off(items.len().div_ceil(left));
+        runs.push(std::mem::replace(&mut items, rest));
     }
+    runs
 }
 
 /// Outcome of one committed user-transaction.
@@ -167,76 +174,55 @@ impl TlstmRuntime {
     }
 
     /// Registers a user-thread with the substrate's default speculative
-    /// depth, letting the host decide where its tasks run: with a spare core
-    /// ([`txmem::pause::multi_core`]) it gets `spec_depth` worker lanes and
-    /// speculates; without one it gets none, and [`UThread::execute`] runs
-    /// every transaction's tasks merged in program order on the calling
-    /// thread — speculation that cannot overlap anything only adds hand-offs
-    /// and conflicts. This is the constructor behind [`TxRuntime::session`],
-    /// i.e. the one everything that serves traffic uses.
+    /// depth, letting the host decide how many lanes its tasks run on: each
+    /// [`UThread::execute`] claims only helpers idle in the process-wide
+    /// pool, and all such user-threads together hold at most `cores − 1` at
+    /// once ([`txmem::pause::cores`]). A one-core host thus runs everything
+    /// on the calling thread; on any host a single-task transaction never
+    /// leaves it. This is the constructor behind [`TxRuntime::session`], i.e.
+    /// the one everything that serves traffic uses.
     ///
     /// [`TxRuntime::session`]: txmem::TxRuntime::session
     pub fn register_uthread_default(self: &Arc<Self>) -> UThread {
-        self.new_uthread(self.substrate.config.spec_depth, txmem::pause::multi_core())
+        self.new_uthread(self.substrate.config.spec_depth, Claim::Idle)
     }
 
     /// Registers a user-thread with an explicit speculative depth
-    /// (`SPECDEPTH`): the maximum number of simultaneously active tasks, and
-    /// therefore also the number of worker threads spawned for it. Here the
-    /// caller decides: the user-thread speculates on exactly `spec_depth`
-    /// lanes whatever the host looks like (protocol tests and ablation
-    /// benchmarks rely on that).
+    /// (`SPECDEPTH`): the maximum number of simultaneously active tasks. Here
+    /// the caller decides: each [`UThread::execute`] gets its full crew,
+    /// spawning pool helpers when too few are idle, so every task runs as
+    /// its own speculative task whatever the host looks like (protocol tests
+    /// and ablation benchmarks rely on that).
     ///
     /// # Panics
     ///
     /// Panics if `spec_depth` is zero.
     pub fn register_uthread(self: &Arc<Self>, spec_depth: usize) -> UThread {
-        self.new_uthread(spec_depth, true)
+        self.new_uthread(spec_depth, Claim::Full)
     }
 
-    /// Builds a user-thread of depth `spec_depth` with one worker lane per
-    /// task slot (`lanes`), or with none.
-    fn new_uthread(self: &Arc<Self>, spec_depth: usize, lanes: bool) -> UThread {
-        let ptid = self.ptids.allocate();
-        let shared = Arc::new(UThreadShared::new(ptid, spec_depth));
-        let new_worker = || Worker {
-            substrate: Arc::clone(&self.substrate),
-            uthread: Arc::clone(&shared),
-            cm: self.cm,
-            tickets: Arc::clone(&self.tickets),
-        };
-        let n_lanes = if lanes { spec_depth } else { 0 };
-        let mut senders = Vec::with_capacity(n_lanes);
-        let mut workers = Vec::with_capacity(n_lanes);
-        for lane in 0..n_lanes {
-            let (tx, rx): (Sender<WorkItem>, Receiver<WorkItem>) = unbounded();
-            let worker = new_worker();
-            let handle = std::thread::Builder::new()
-                .name(format!("tlstm-u{ptid}-w{lane}"))
-                .spawn(move || worker.run(rx))
-                .expect("failed to spawn TLSTM worker thread");
-            senders.push(tx);
-            workers.push(handle);
-        }
-        let (done_tx, done_rx) = unbounded();
+    fn new_uthread(self: &Arc<Self>, spec_depth: usize, claim: Claim) -> UThread {
+        let shared = Arc::new(UThreadShared::new(self.ptids.allocate(), spec_depth));
         UThread {
             runtime: Arc::clone(self),
-            inline: new_worker(),
-            inline_bufs: RefCell::default(),
+            worker: Worker {
+                substrate: Arc::clone(&self.substrate),
+                uthread: Arc::clone(&shared),
+                cm: self.cm,
+                tickets: Arc::clone(&self.tickets),
+                claim,
+            },
             shared,
-            senders,
-            workers,
+            inline_bufs: RefCell::default(),
             next_serial: Cell::new(1),
-            done_tx,
-            done_rx,
         }
     }
 }
 
 /// A TLSTM user-thread: the handle the application uses to submit
-/// user-transactions, which the runtime decomposes onto `SPECDEPTH` worker
-/// threads — or, when it was registered without lanes (see
-/// [`TlstmRuntime::register_uthread_default`]), runs on the calling thread.
+/// user-transactions. It owns no threads: each [`execute`](UThread::execute)
+/// runs its tasks on the calling thread and on helpers borrowed from a
+/// process-wide pool.
 ///
 /// The handle is `Send` (it can be moved to the application thread that drives
 /// it) but not `Sync`; each user-thread is driven by one application thread,
@@ -245,17 +231,12 @@ impl TlstmRuntime {
 pub struct UThread {
     runtime: Arc<TlstmRuntime>,
     shared: Arc<UThreadShared>,
-    /// Runs the transactions of a lane-less user-thread on the driving
-    /// thread, in `inline_bufs` (recycled across batches, as a lane worker
-    /// recycles its own).
-    inline: Worker,
+    /// The calling thread's lane-0 context, cloned into every helper job.
+    worker: Worker,
+    /// Lane 0's speculative buffers, recycled across batches as a helper
+    /// recycles its own.
     inline_bufs: RefCell<TaskBufs>,
-    /// One queue per worker lane; empty for a lane-less user-thread.
-    senders: Vec<Sender<WorkItem>>,
-    workers: Vec<JoinHandle<()>>,
     next_serial: Cell<u64>,
-    done_tx: Sender<u64>,
-    done_rx: Receiver<u64>,
 }
 
 impl UThread {
@@ -279,106 +260,66 @@ impl UThread {
     ///
     /// Transactions in the batch are executed in program order, but their
     /// tasks — including tasks of *future* transactions — run speculatively in
-    /// parallel up to the speculative depth.
+    /// parallel on a *crew*: the calling thread (lane 0) plus the pool helpers
+    /// this call can claim, `min(spec_depth, tasks in the batch) − 1` at most
+    /// (how many it gets, the registration decided). A transaction with more
+    /// tasks than the crew has lanes runs as that many contiguous groups,
+    /// each merged in program order: identical semantics, fewer hand-offs.
     ///
-    /// Whether the tasks speculate was decided when the user-thread was
-    /// registered, not here: a user-thread without worker lanes runs each
-    /// transaction's tasks merged into one, in program order, on the calling
-    /// thread (identical semantics, no hand-offs, no intra-transaction
-    /// conflicts).
+    /// A panicking task body unwinds out of a crew of one and aborts the
+    /// process otherwise: its crew could never retire the transaction.
     ///
     /// # Panics
     ///
-    /// Panics if any transaction has more tasks than the speculative depth
-    /// (such a transaction could never commit).
+    /// Panics, before running anything, if any transaction has more tasks
+    /// than the speculative depth (such a transaction could never commit).
     pub fn execute(&self, txns: Vec<TxnSpec>) -> Vec<TxnOutcome> {
-        if self.senders.is_empty() {
-            return self.execute_sequential(txns);
+        let depth = self.shared.spec_depth();
+        for spec in &txns {
+            assert_task_count(spec.tasks.len() as u64, depth);
         }
+        let tasks: usize = txns.iter().map(TxnSpec::len).sum();
+        let helpers = pool::claim(tasks.min(depth).saturating_sub(1), self.worker.claim);
+        let crew = helpers.len() + 1;
         let stats = self.runtime.substrate.stats.shard(self.shared.ptid());
+        let mut lanes: Vec<Vec<WorkItem>> = (0..crew).map(|_| Vec::new()).collect();
         let mut pending: Vec<Arc<TxnShared>> = Vec::with_capacity(txns.len());
-        let mut total_tasks = 0usize;
         for spec in txns {
             stats.bump(&stats.tx_starts);
             txobs::tx_begin();
-            let n = spec.tasks.len() as u64;
+            let groups = split_contiguous(spec.tasks, crew);
             let start_serial = self.next_serial.get();
-            let commit_serial = start_serial + n - 1;
+            let commit_serial = start_serial + groups.len() as u64 - 1;
             self.next_serial.set(commit_serial + 1);
             let txn = Arc::new(TxnShared::new(
                 Arc::clone(&self.shared),
                 start_serial,
                 commit_serial,
             ));
-            for (offset, body) in spec.tasks.into_iter().enumerate() {
-                let serial = start_serial + offset as u64;
-                let item = WorkItem {
+            for (serial, group) in (start_serial..).zip(groups) {
+                lanes[serial as usize % crew].push(WorkItem {
                     serial,
                     txn: Arc::clone(&txn),
-                    body,
-                    done: self.done_tx.clone(),
-                };
-                let lane = (serial as usize) % self.senders.len();
-                self.senders[lane]
-                    .send(item)
-                    .expect("TLSTM worker thread terminated unexpectedly");
-                total_tasks += 1;
+                    body: merge_sequential(group),
+                });
             }
             pending.push(txn);
         }
-        let mut received = 0usize;
-        let mut idle_spins = 0u32;
-        // Spinning before the blocking receive only pays off when the worker
-        // threads can retire tasks on other cores in the meantime.
-        let spin_budget = if txmem::pause::multi_core() {
-            4_000u32
-        } else {
-            0
-        };
-        while received < total_tasks {
-            // Spin briefly first: task retirement is usually imminent, and a
-            // blocking receive would put an OS wake-up on every transaction's
-            // critical path.
-            match self.done_rx.try_recv() {
-                Ok(_) => {
-                    received += 1;
-                    idle_spins = 0;
-                    continue;
-                }
-                Err(crossbeam::channel::TryRecvError::Empty) => {}
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                    panic!("TLSTM worker channels disconnected unexpectedly");
-                }
-            }
-            idle_spins += 1;
-            if idle_spins < spin_budget {
-                if idle_spins % 256 == 255 {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-                continue;
-            }
-            match self
-                .done_rx
-                .recv_timeout(std::time::Duration::from_millis(500))
-            {
-                Ok(_) => {
-                    received += 1;
-                    idle_spins = 0;
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
-                    // A panicking worker would otherwise turn into a silent
-                    // hang: surface it as a loud failure instead.
-                    if self.workers.iter().any(|w| w.is_finished()) {
-                        panic!("a TLSTM worker thread terminated unexpectedly (task panicked?)");
-                    }
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    panic!("TLSTM worker channels disconnected unexpectedly");
-                }
-            }
+        // Slots stay `serial mod spec_depth`. Each lane runs its serials in
+        // order, each to retirement, and transactions commit in serial order,
+        // so the running tasks are always the crew's lowest unretired serials
+        // r .. r + crew − 1. Since crew ≤ spec_depth they occupy distinct
+        // slots, and serial s + spec_depth reinstalls s's slot only once
+        // r > s, i.e. after s's transaction has committed.
+        let own = lanes.remove(0);
+        let _abort = (crew > 1).then_some(AbortOnUnwind);
+        self.shared.start_helper_lanes(helpers.len());
+        for (helper, items) in helpers.iter().zip(lanes) {
+            helper.start(self.worker.clone(), items);
         }
+        self.worker
+            .run_lane(own, &mut self.inline_bufs.borrow_mut());
+        self.shared.wait_for_helper_lanes();
         pending
             .into_iter()
             .map(|txn| {
@@ -390,44 +331,6 @@ impl UThread {
                 }
             })
             .collect()
-    }
-
-    /// [`execute`](UThread::execute) for a user-thread without worker lanes:
-    /// every transaction is merged into a single task and run
-    /// start-to-commit on the calling thread.
-    ///
-    /// Semantics are identical to speculative execution (tasks already
-    /// observe earlier tasks' writes, aborts re-execute the whole
-    /// transaction), but there are no cross-thread task handoffs — on a host
-    /// without a spare core those cost more than the transactions themselves.
-    fn execute_sequential(&self, txns: Vec<TxnSpec>) -> Vec<TxnOutcome> {
-        let stats = self.runtime.substrate.stats.shard(self.shared.ptid());
-        let mut bufs = self.inline_bufs.borrow_mut();
-        let mut outcomes = Vec::with_capacity(txns.len());
-        for spec in txns {
-            // The merged transaction is one task whatever it was built from;
-            // hold it to the limits its speculative form would have met.
-            assert_task_count(spec.tasks.len() as u64, self.shared.spec_depth());
-            let spec = merge_sequential(spec);
-            stats.bump(&stats.tx_starts);
-            txobs::tx_begin();
-            let start_serial = self.next_serial.get();
-            self.next_serial.set(start_serial + 1);
-            let txn = Arc::new(TxnShared::new(
-                Arc::clone(&self.shared),
-                start_serial,
-                start_serial,
-            ));
-            self.inline
-                .run_task(&txn, start_serial, &spec.tasks[0], &mut bufs);
-            debug_assert!(txn.is_committed());
-            outcomes.push(TxnOutcome {
-                start_serial,
-                commit_serial: start_serial,
-                rollbacks: txn.rollbacks(),
-            });
-        }
-        outcomes
     }
 
     /// Runs a single user-transaction decomposed into `tasks` and blocks until
@@ -447,17 +350,6 @@ impl UThread {
         self.execute(vec![TxnSpec::single(body)])
             .pop()
             .expect("execute returns one outcome per submitted transaction")
-    }
-}
-
-impl Drop for UThread {
-    fn drop(&mut self) {
-        // Closing the queues makes the workers' `recv` fail and terminates
-        // their loops.
-        self.senders.clear();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -596,23 +488,20 @@ mod tests {
         let rt = runtime();
         let counter = rt.heap().alloc(1).unwrap();
         let per_thread = 100u64;
-        let mut drivers = Vec::new();
-        for _ in 0..2 {
-            let rt = Arc::clone(&rt);
-            drivers.push(std::thread::spawn(move || {
-                let u = rt.register_uthread(2);
-                let bump = task(move |ctx: &mut TaskCtx<'_>| {
-                    let v = ctx.read(counter)?;
-                    ctx.write(counter, v + 1)
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let u = rt.register_uthread(2);
+                    let bump = task(move |ctx: &mut TaskCtx<'_>| {
+                        let v = ctx.read(counter)?;
+                        ctx.write(counter, v + 1)
+                    });
+                    for _ in 0..per_thread {
+                        u.run_transaction(vec![bump.clone(), bump.clone()]);
+                    }
                 });
-                for _ in 0..per_thread {
-                    u.run_transaction(vec![bump.clone(), bump.clone()]);
-                }
-            }));
-        }
-        for d in drivers {
-            d.join().unwrap();
-        }
+            }
+        });
         assert_eq!(rt.heap().load_committed(counter), 2 * 2 * per_thread);
     }
 
@@ -638,18 +527,21 @@ mod tests {
 
     #[test]
     fn oversized_transaction_panics() {
-        // With worker lanes or without, a transaction the speculative depth
-        // cannot hold — or an empty one — is refused with the same message.
+        // Whatever crew it would get, a transaction the speculative depth
+        // cannot hold — or an empty one — is refused with the same message,
+        // and a batch that holds one commits nothing.
         let rt = runtime();
+        let a = rt.heap().alloc(1).unwrap();
         let t = task(|_ctx: &mut TaskCtx<'_>| Ok(()));
-        for lanes in [true, false] {
+        let ok = TxnSpec::single(move |ctx: &mut TaskCtx<'_>| ctx.write(a, 1));
+        for claim in [Claim::Full, Claim::Idle] {
             for (tasks, expected) in [
                 (vec![t.clone(); 3], "cannot run under speculative depth 2"),
                 (Vec::new(), "needs at least one task"),
             ] {
-                let u = rt.new_uthread(2, lanes);
+                let u = rt.new_uthread(2, claim);
                 let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    u.execute(vec![TxnSpec { tasks }]);
+                    u.execute(vec![ok.clone(), TxnSpec { tasks }]);
                 }))
                 .expect_err("a malformed transaction must be refused");
                 let message = panic
@@ -657,7 +549,8 @@ mod tests {
                     .map(String::as_str)
                     .or_else(|| panic.downcast_ref::<&str>().copied())
                     .expect("assertion message");
-                assert!(message.contains(expected), "lanes={lanes}: {message}");
+                assert!(message.contains(expected), "{claim:?}: {message}");
+                assert_eq!(rt.heap().load_committed(a), 0, "{claim:?}");
             }
         }
     }
@@ -670,33 +563,63 @@ mod tests {
 
     #[test]
     fn only_default_registration_consults_the_host() {
+        // An explicit depth always gets its full crew; a default session
+        // gets at most `cores − 1` helpers, once other tests' default
+        // sessions leave them idle, and merges onto its crew.
         let rt = runtime();
-        assert_eq!(rt.register_uthread(3).workers.len(), 3);
-        let expected = if txmem::pause::multi_core() {
-            rt.substrate().config.spec_depth
-        } else {
-            0
-        };
-        assert_eq!(rt.register_uthread_default().workers.len(), expected);
-        assert_eq!(rt.new_uthread(3, false).workers.len(), 0);
+        let t = task(|_ctx: &mut TaskCtx<'_>| Ok(()));
+        rt.register_uthread(3).run_transaction(vec![t.clone(); 3]);
+        assert_eq!(rt.stats().task_commits, 3);
+        let u = rt.register_uthread_default();
+        let lanes = txmem::pause::cores().min(3) as u64;
+        for _ in 0..1000 {
+            rt.reset_stats();
+            u.run_transaction(vec![t.clone(); 3]);
+            if rt.stats().task_commits == lanes {
+                break;
+            }
+        }
+        assert_eq!(rt.stats().task_commits, lanes);
     }
 
     #[test]
     fn merged_tasks_preserve_program_order_semantics() {
-        // A lane-less user-thread merges the tasks; re-run the
-        // write-after-write pattern: the later task's value must still win
-        // inside the merged task.
+        // A default session's crew has at most `cores` lanes, so a
+        // transaction of `cores + 1` tasks is always merged, its first group
+        // holding at least the first two tasks (all of them on one core):
+        // the later task's write must still win inside the merged task.
         let rt = runtime();
         let a = rt.heap().alloc(1).unwrap();
-        let u = rt.new_uthread(2, false);
-        let first = task(move |ctx: &mut TaskCtx<'_>| ctx.write(a, 1));
-        let second = task(move |ctx: &mut TaskCtx<'_>| {
+        let k = txmem::pause::cores() + 1;
+        let u = rt.new_uthread(k, Claim::Idle);
+        let mut tasks = vec![task(move |ctx: &mut TaskCtx<'_>| ctx.write(a, 1))];
+        tasks.push(task(move |ctx: &mut TaskCtx<'_>| {
             let v = ctx.read(a)?;
             ctx.write(a, v + 41)
-        });
-        let outcome = u.run_transaction(vec![first, second]);
+        }));
+        tasks.resize(k, task(|_ctx: &mut TaskCtx<'_>| Ok(())));
+        let outcome = u.run_transaction(tasks);
         assert_eq!(rt.heap().load_committed(a), 42);
-        assert_eq!(outcome.start_serial, outcome.commit_serial);
-        assert_eq!(rt.stats().task_commits, 1);
+        let ran = rt.stats().task_commits;
+        assert_eq!(ran, outcome.commit_serial - outcome.start_serial + 1);
+        assert!(ran < k as u64, "{ran} of {k} tasks ran unmerged");
+        if !txmem::pause::multi_core() {
+            assert_eq!(ran, 1);
+        }
+    }
+
+    #[test]
+    fn contiguous_split_keeps_order_and_puts_the_longer_runs_first() {
+        let runs = split_contiguous((0..7).collect(), 3);
+        assert_eq!(runs, vec![vec![0, 1, 2], vec![3, 4], vec![5, 6]]);
+        for n in 1..20 {
+            for groups in 1..8 {
+                let runs = split_contiguous((0..n).collect(), groups);
+                assert_eq!(runs.len(), groups.min(n));
+                let lens: Vec<usize> = runs.iter().map(Vec::len).collect();
+                assert!(lens.windows(2).all(|w| w[0] == w[1] || w[0] == w[1] + 1));
+                assert_eq!(runs.concat(), (0..n).collect::<Vec<_>>());
+            }
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! The [`TxRuntime`]/[`TxSession`] implementation for TLSTM.
 //!
 //! The generic session API hands bodies in by *borrowed* closure
-//! (`&impl Fn` / `&mut dyn FnMut` — no `'static`, no `Arc`), while TLSTM's
-//! task machinery transports bodies to its worker threads as
+//! (`&impl Fn` / `&mut dyn FnMut` — no `'static`, no `Arc`), while a TLSTM
+//! task may run on a pool helper, a `'static` thread, and so travels as
 //! `Arc<dyn Fn + Send + Sync + 'static>` ([`TaskFn`]). Bridging the two
 //! without forcing every caller to clone its state into `'static` closures
 //! is what this module's small dose of `unsafe` buys: the borrowed bodies
@@ -13,20 +13,21 @@
 //! # Safety argument
 //!
 //! The erased pointers are dereferenced only inside task bodies, and the
-//! worker model (`crate::worker`) guarantees for every task:
+//! crew model (`crate::worker`) guarantees for every task (a merged group of
+//! bodies is one task):
 //!
-//! 1. its body is invoked by exactly one lane worker (task serials are
-//!    pinned to lanes), never by two threads at once;
-//! 2. re-executions are strictly sequential on that worker;
-//! 3. the body is never invoked again after the worker signals completion,
-//!    and `execute` returns only after *all* tasks have signalled.
-//!
-//! A user-thread without lanes runs every body inside `execute`, on the
-//! calling thread, which satisfies all three trivially.
+//! 1. it runs on exactly one lane — the calling thread or one claimed
+//!    helper, fixed by its serial — never on two threads at once;
+//! 2. re-executions are strictly sequential on that lane;
+//! 3. no body is invoked after the task retires, and `execute` returns only
+//!    after the caller has run its own lane and every helper has reported
+//!    its lane finished;
+//! 4. nor can `execute` unwind early: a panic on any lane while helpers are
+//!    out aborts the process (`crate::pool::AbortOnUnwind`).
 //!
 //! Hence every dereference happens-before `execute` returns, while the
 //! borrowed closures and result slot are still alive on the caller's stack.
-//! The `Arc<TaskFn>` clones a worker may still hold after retirement are
+//! The `Arc<TaskFn>` clones a lane may still hold after retirement are
 //! only dropped, never called — and dropping a closure that captures raw
 //! pointers runs no user code.
 
@@ -41,14 +42,14 @@ use crate::TaskFn;
 /// A `Send + Sync` wrapper for the raw pointers smuggled into a task.
 ///
 /// Safety: see the module-level argument — the pointees outlive every
-/// dereference, and the worker model serialises all accesses to them.
+/// dereference, and the crew model serialises all accesses to them.
 struct Smuggled<T: ?Sized>(*const T);
 
 unsafe impl<T: ?Sized> Send for Smuggled<T> {}
 unsafe impl<T: ?Sized> Sync for Smuggled<T> {}
 
 /// Like [`Smuggled`], but mutable: one task body owns one group closure
-/// exclusively (each [`TaskBody`] is a distinct `&mut`), and the worker model
+/// exclusively (each [`TaskBody`] is a distinct `&mut`), and the crew model
 /// serialises that task's executions.
 struct SmuggledMut<T: ?Sized>(*mut T);
 
@@ -103,9 +104,10 @@ impl TxRuntime for TlstmRuntime {
     /// Registers a user-thread whose speculative depth is the substrate's
     /// [`TxConfig::spec_depth`] — callers that submit task groups size the
     /// config accordingly (e.g. `KvServerConfig` raises it to the batch's
-    /// group count). The caller decides the depth; the host decides whether
-    /// it is used: without a spare core the session gets no worker lanes and
-    /// runs its task groups merged, in program order, on the calling thread
+    /// group count). The caller decides the depth; the host decides how much
+    /// of it is used: a task group runs on the calling thread plus the pool
+    /// helpers that are idle, merged in program order onto that crew — on a
+    /// one-core host, all on the calling thread
     /// ([`TlstmRuntime::register_uthread_default`]).
     fn session(self: &Arc<Self>) -> UThread {
         self.register_uthread_default()
@@ -179,7 +181,7 @@ impl TxSession for UThread {
                     // field) so its `Send + Sync` impls apply.
                     let erased = &erased;
                     // SAFETY: module-level argument — this task's executions
-                    // are serialised on one lane worker and end before
+                    // are serialised on one lane and end before
                     // `execute` returns; each group body is captured by
                     // exactly one task, so no two tasks alias the same
                     // `&mut` closure.
@@ -238,15 +240,21 @@ mod tests {
             mem.write(block.offset(1), v * 2)
         };
         let mut tasks: [TaskBody<'_>; 2] = [&mut first, &mut second];
-        session.run_tasks(&mut tasks);
+        // The group runs as two tasks only on a helper: never on one core,
+        // and on more once other tests' default sessions leave one idle.
+        let expected_tasks = if txmem::pause::multi_core() { 2 } else { 1 };
+        for _ in 0..1000 {
+            rt.reset_stats();
+            session.run_tasks(&mut tasks);
+            if TxRuntime::stats(&*rt).task_commits == expected_tasks {
+                break;
+            }
+        }
         assert_eq!(rt.heap().load_committed(block), 5);
         assert_eq!(rt.heap().load_committed(block.offset(1)), 10);
         assert_eq!(results, vec![5], "second task saw the first task's write");
         let stats = TxRuntime::stats(&*rt);
         assert_eq!(stats.tx_commits, 1);
-        // Whether the group ran as two tasks or merged into one is the
-        // host's call (`register_uthread_default`).
-        let expected_tasks = if txmem::pause::multi_core() { 2 } else { 1 };
         assert_eq!(stats.task_commits, expected_tasks);
     }
 

@@ -9,9 +9,10 @@
 //! ## Recycled task state
 //!
 //! All per-task speculative state lives in a `TaskBufs` owned by the
-//! *worker thread* and lent to each [`TaskCtx`] it runs: the read logs, the
-//! log-structured write set ([`txmem::WriteSet`]) and the acquired-locks and
-//! commit scratch vectors are recycled across attempts **and across tasks**.
+//! *lane* — the calling thread or a pool helper — and lent to each
+//! [`TaskCtx`] it runs: the read logs, the log-structured write set
+//! ([`txmem::WriteSet`]) and the acquired-locks and commit scratch vectors
+//! are recycled across attempts **and across tasks**.
 //! Published [`TaskLogs`] are drawn from (and returned to) a per-user-thread
 //! pool, so in steady state the task read/write/commit/rollback paths stop
 //! allocating; only the per-transaction orchestration (the `TxnShared`
@@ -39,9 +40,9 @@ fn contention_pause(iteration: u32) {
     txmem::pause::contention_pause(iteration, SPIN_BEFORE_YIELD);
 }
 
-/// Recyclable speculative buffers of one worker thread.
+/// Recyclable speculative buffers of one lane.
 ///
-/// A worker creates one `TaskBufs` for its lifetime and lends it to every
+/// A lane keeps one `TaskBufs` for its lifetime and lends it to every
 /// [`TaskCtx`] it runs; all vectors and the write set retain their capacity
 /// across attempts and tasks.
 #[derive(Debug, Default)]
@@ -65,7 +66,7 @@ pub(crate) struct TaskBufs {
 /// The same context is reused across re-executions of the task (after
 /// intra-thread or inter-thread conflicts); `TaskCtx::reset_for_attempt`
 /// clears the speculative state between attempts. The backing buffers come
-/// from the worker's recycled `TaskBufs`.
+/// from the lane's recycled `TaskBufs`.
 #[derive(Debug)]
 pub struct TaskCtx<'rt> {
     substrate: &'rt TxSubstrate,
@@ -302,26 +303,15 @@ impl<'rt> TaskCtx<'rt> {
 
     // --- inter-thread validation (inherited from SwissTM) ---------------------
 
-    /// Validates the committed-read log against the lock table.
-    fn validate_reads(&self, locked_by_me: Option<&[(LockIndex, u64)]>) -> bool {
-        Self::validate_read_entries(self.substrate, &self.bufs.read_log, locked_by_me)
-    }
-
-    /// `locked_by_me` is the commit-task's `(lock, pre-lock version)` list,
-    /// sorted by lock index (binary-searchable).
-    fn validate_read_entries(
-        substrate: &TxSubstrate,
-        entries: &[(LockIndex, u64)],
-        locked_by_me: Option<&[(LockIndex, u64)]>,
-    ) -> bool {
-        substrate.locks.validate_read_log(entries, locked_by_me)
-    }
-
     /// Tries to extend `valid-ts` to the current commit timestamp.
     fn extend(&mut self) -> Result<(), Abort> {
         let target = self.substrate.clock.now();
         self.stats.bump(&self.stats.validations);
-        if self.validate_reads(None) {
+        if self
+            .substrate
+            .locks
+            .validate_read_log(&self.bufs.read_log, None)
+        {
             self.valid_ts = target;
             self.stats.bump(&self.stats.extensions);
             Ok(())
@@ -577,40 +567,27 @@ impl<'rt> TaskCtx<'rt> {
                     // contention management (Alg. 2 lines 41-43, 54-64).
                     // `try_chain` keeps this inspection allocation-free: a
                     // missing chain reads as "no entry yet", i.e. Wait.
-                    let decision = {
-                        match entry.try_chain().as_deref().and_then(|c| c.newest()) {
-                            None => CmDecision::Wait,
-                            // Ownership switched to our own user-thread since
-                            // the token read: retry and take the intra-thread
-                            // path instead of contending against ourselves.
-                            Some(spec) if spec.ptid == self.uthread.ptid() => CmDecision::Wait,
-                            Some(spec) => self.cm.resolve(&self.txn, spec.owner.as_ref()),
-                        }
+                    let decision = match entry.try_chain().as_deref().and_then(|c| c.newest()) {
+                        None => CmDecision::Wait,
+                        // Ownership switched to our own user-thread since the
+                        // token read: retry and take the intra-thread path
+                        // instead of contending against ourselves.
+                        Some(spec) if spec.ptid == self.uthread.ptid() => CmDecision::Wait,
+                        Some(spec) => self.cm.resolve(&self.txn, spec.owner.as_ref()),
                     };
                     match decision {
                         CmDecision::AbortSelf => {
                             self.stats.bump(&self.stats.cm_self_aborts);
                             return Err(Abort::new(AbortReason::InterThreadWriteConflict));
                         }
-                        CmDecision::AbortOwner => {
-                            self.stats.bump(&self.stats.cm_owner_aborts);
-                            contention_pause(spin);
-                            spin = spin.wrapping_add(1);
-                            continue;
-                        }
-                        CmDecision::Wait => {
-                            contention_pause(spin);
-                            spin = spin.wrapping_add(1);
-                            continue;
-                        }
+                        CmDecision::AbortOwner => self.stats.bump(&self.stats.cm_owner_aborts),
+                        CmDecision::Wait => {}
                     }
                 }
-                WwAction::Retry => {
-                    contention_pause(spin);
-                    spin = spin.wrapping_add(1);
-                    continue;
-                }
+                WwAction::Retry => {}
             }
+            contention_pause(spin);
+            spin = spin.wrapping_add(1);
         }
         // Post-write consistency checks (Algorithm 2, lines 52-53).
         let version = entry.version();
@@ -711,9 +688,10 @@ impl<'rt> TaskCtx<'rt> {
             let same_ts = all.windows(2).all(|w| w[0].1.valid_ts == w[1].1.valid_ts);
             if !same_ts {
                 self.stats.bump(&self.stats.validations);
-                let valid = all.iter().all(|(_, logs)| {
-                    Self::validate_read_entries(self.substrate, &logs.read_log, None)
-                });
+                let locks = &self.substrate.locks;
+                let valid = all
+                    .iter()
+                    .all(|(_, logs)| locks.validate_read_log(&logs.read_log, None));
                 if !valid {
                     self.txn.request_abort();
                     self.recycle_collected_logs(all);
@@ -743,18 +721,13 @@ impl<'rt> TaskCtx<'rt> {
         }
         let ts = self.substrate.clock.tick();
         self.stats.bump(&self.stats.validations);
-        let mut valid = true;
-        for (_, logs) in &all {
-            if !Self::validate_read_entries(
-                self.substrate,
-                &logs.read_log,
-                Some(&self.bufs.commit_locks),
-            ) {
-                valid = false;
-                break;
-            }
-        }
-        if !valid {
+        // Reads under a lock this commit holds check its pre-lock version.
+        let locked_by_me = Some(self.bufs.commit_locks.as_slice());
+        let locks = &self.substrate.locks;
+        if !all
+            .iter()
+            .all(|(_, logs)| locks.validate_read_log(&logs.read_log, locked_by_me))
+        {
             for &(idx, prev) in &self.bufs.commit_locks {
                 self.substrate.locks.entry(idx).set_version(prev);
             }

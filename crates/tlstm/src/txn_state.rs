@@ -365,27 +365,13 @@ mod tests {
     #[test]
     fn log_publication_overwrites_by_serial() {
         let t = txn(4, 1, 2);
-        t.publish_logs(
-            1,
-            TaskLogs {
-                valid_ts: 3,
+        for (serial, valid_ts) in [(1, 3), (2, 4), (1, 9)] {
+            let logs = TaskLogs {
+                valid_ts,
                 ..Default::default()
-            },
-        );
-        t.publish_logs(
-            2,
-            TaskLogs {
-                valid_ts: 4,
-                ..Default::default()
-            },
-        );
-        t.publish_logs(
-            1,
-            TaskLogs {
-                valid_ts: 9,
-                ..Default::default()
-            },
-        );
+            };
+            t.publish_logs(serial, logs);
+        }
         let logs = t.collect_logs();
         assert_eq!(logs.len(), 2);
         assert_eq!(logs[0].0, 1);

@@ -3,9 +3,10 @@
 //! Every task running on behalf of a user-thread shares one
 //! [`UThreadShared`]: the `completed-task` / `completed-writer` counters of
 //! the paper, the `owners[SPECDEPTH]` slot array used to signal individual
-//! tasks, and a condition variable that waiters use instead of burning CPU.
+//! tasks, the running `execute`'s count of unfinished helper lanes, and a
+//! condition variable that waiters use instead of burning CPU.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
@@ -64,8 +65,8 @@ pub struct UThreadShared {
     ptid: u32,
     /// Maximum number of simultaneously active tasks (`SPECDEPTH`).
     spec_depth: usize,
-    /// Whether waiting tasks may busy-spin: only when the host has a core
-    /// for each of the user-thread's workers *and* their driver. Otherwise
+    /// Whether waiting tasks may busy-spin: only when the host has more
+    /// cores than the user-thread can have lanes (`spec_depth`). Otherwise
     /// a spinning waiter takes its core from the task it is waiting for.
     spin_waits: bool,
     /// Serial of the last completed task (0 = none yet). `completed-task`.
@@ -80,6 +81,10 @@ pub struct UThreadShared {
     writer_events: AtomicU64,
     /// `owners[SPECDEPTH]`.
     owners: Box<[TaskSlot]>,
+    /// Helper lanes of the running `execute` that have not finished yet. A
+    /// helper's release decrement, acquired by the caller's wait, publishes
+    /// everything its lane's tasks did (result slots included).
+    helper_lanes: AtomicUsize,
     /// Progress lock + condition variable: notified whenever any of the
     /// counters above change or a transaction commits / aborts.
     progress_lock: Mutex<()>,
@@ -109,6 +114,7 @@ impl UThreadShared {
             completed_writer: AtomicU64::new(0),
             writer_events: AtomicU64::new(0),
             owners: owners.into_boxed_slice(),
+            helper_lanes: AtomicUsize::new(0),
             progress_lock: Mutex::new(()),
             progress_cv: Condvar::new(),
             log_pool: Mutex::new(Vec::new()),
@@ -166,6 +172,22 @@ impl UThreadShared {
         let _ = self.completed_writer.fetch_min(floor, Ordering::AcqRel);
         self.writer_events.fetch_add(1, Ordering::AcqRel);
         self.notify();
+    }
+
+    /// Arms the counter for an `execute` that hands `lanes` jobs to helpers.
+    pub(crate) fn start_helper_lanes(&self, lanes: usize) {
+        self.helper_lanes.store(lanes, Ordering::Release);
+    }
+
+    /// A helper reports that its lane's last task has retired.
+    pub(crate) fn finish_helper_lane(&self) {
+        self.helper_lanes.fetch_sub(1, Ordering::AcqRel);
+        self.notify();
+    }
+
+    /// Blocks the caller until every helper lane of its `execute` finished.
+    pub(crate) fn wait_for_helper_lanes(&self) {
+        self.wait_until(|| self.helper_lanes.load(Ordering::Acquire) == 0);
     }
 
     /// Wakes every task waiting on this user-thread's progress.
@@ -240,7 +262,6 @@ impl UThreadShared {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn slots_map_serials_modulo_depth() {
@@ -303,17 +324,18 @@ mod tests {
 
     #[test]
     fn wait_until_observes_concurrent_progress() {
-        let u = Arc::new(UThreadShared::new(0, 2));
-        let u2 = Arc::clone(&u);
-        let waiter = std::thread::spawn(move || {
-            u2.wait_until(|| u2.completed_task() >= 3);
-            u2.completed_task()
+        let u = UThreadShared::new(0, 2);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| {
+                u.wait_until(|| u.completed_task() >= 3);
+                u.completed_task()
+            });
+            std::thread::sleep(Duration::from_millis(10));
+            u.mark_completed(1, false);
+            u.mark_completed(2, false);
+            u.mark_completed(3, false);
+            assert!(waiter.join().unwrap() >= 3);
         });
-        std::thread::sleep(Duration::from_millis(10));
-        u.mark_completed(1, false);
-        u.mark_completed(2, false);
-        u.mark_completed(3, false);
-        assert!(waiter.join().unwrap() >= 3);
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Worker threads: the execution engine behind a TLSTM user-thread.
+//! Task execution: the attempt/abort/rollback loop every lane runs.
 //!
-//! Each user-thread owns `SPECDEPTH` worker threads. Task `serial` is always
-//! dispatched to worker `serial mod SPECDEPTH`; because a worker does not pick
-//! up its next task until the current one has *retired* (its user-transaction
-//! committed), at most `SPECDEPTH` tasks of the user-thread are active at any
-//! time — exactly the admission rule of the paper.
+//! A user-thread owns no threads. Each [`UThread::execute`] runs on a *crew*:
+//! the calling thread as lane 0 plus the helpers it borrows from the
+//! process-wide pool. Task `serial` runs on lane `serial mod crew`, which
+//! starts its next task only once this one has *retired* (its
+//! user-transaction committed): at most `crew ≤ SPECDEPTH` tasks of the
+//! user-thread are active at any time, the paper's admission rule.
 //!
-//! The worker loop also implements the rollback protocols:
+//! `Worker::run_task` implements the rollback protocols:
 //!
 //! * **individual task rollback** (intra-thread WAR/WAW, losing an
 //!   inter-thread conflict): remove the task's speculative chain entries,
@@ -15,15 +16,16 @@
 //! * **user-transaction rollback**: every task removes its own entries and
 //!   acknowledges; the commit-task waits for all acknowledgements, resets the
 //!   user-thread counters, bumps the rollback epoch and everyone re-executes.
+//!
+//! [`UThread::execute`]: crate::UThread::execute
 
 use std::sync::Arc;
-
-use crossbeam::channel::{Receiver, Sender};
 
 use swisstm::cm::GreedyTicket;
 use txmem::{AbortReason, TxSubstrate};
 
 use crate::cm::TaskAwareCm;
+use crate::pool::Claim;
 use crate::task::{TaskBufs, TaskCtx};
 use crate::txn_state::TxnShared;
 use crate::uthread_state::UThreadShared;
@@ -36,8 +38,8 @@ use crate::TaskFn;
 /// under heavy *inter-thread* contention it does: a transaction that other
 /// user-threads have already rolled back twice re-acquires its locks one
 /// task at a time instead of speculating into the same conflict (64
-/// committers × 4 tasks on 2 vCPUs run several times slower, with several
-/// times the aborts, without it; EXPERIMENTS.md, "TLSTM access path (PR 23)").
+/// committers × 4 tasks on 2 vCPUs lose ~15 % of their throughput, with
+/// more rollbacks, without it; EXPERIMENTS.md, "borrowed lanes").
 const PESSIMISTIC_AFTER_ROLLBACKS: u32 = 2;
 
 /// After this many rollbacks a transaction turns greedy (draws a
@@ -52,7 +54,7 @@ const GREEDY_AFTER_ROLLBACKS: u32 = 2;
 /// [`GREEDY_AFTER_ROLLBACKS`] alone never breaks the tie.
 const GREEDY_AFTER_CM_SELF_ABORTS: u32 = 3;
 
-/// A unit of work sent to a worker: one task of one user-transaction.
+/// One task of one user-transaction, queued on a lane.
 pub(crate) struct WorkItem {
     /// Serial number of the task.
     pub serial: u64,
@@ -60,100 +62,35 @@ pub(crate) struct WorkItem {
     pub txn: Arc<TxnShared>,
     /// The task body.
     pub body: TaskFn,
-    /// Notified (with the task serial) when the task has retired.
-    pub done: Sender<u64>,
 }
 
-impl std::fmt::Debug for WorkItem {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkItem")
-            .field("serial", &self.serial)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Everything needed to run tasks of one user-thread: the long-lived state
-/// of a worker thread, and of a lane-less user-thread's own inline execution.
+/// Everything needed to run tasks of one user-thread: the caller's lane-0
+/// context, cloned into each job it hands to a helper.
+#[derive(Clone, Debug)]
 pub(crate) struct Worker {
     pub substrate: Arc<TxSubstrate>,
     pub uthread: Arc<UThreadShared>,
     pub cm: TaskAwareCm,
     pub tickets: Arc<GreedyTicket>,
-}
-
-impl std::fmt::Debug for Worker {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Worker")
-            .field("ptid", &self.uthread.ptid())
-            .finish_non_exhaustive()
-    }
+    /// How the user-thread's crews are claimed (its registration decided).
+    pub claim: Claim,
 }
 
 impl Worker {
-    /// The worker main loop: runs tasks from `queue` until the channel is
-    /// closed (the user-thread handle was dropped).
-    ///
-    /// Between tasks the worker first spins briefly on the queue (the next
-    /// task of a pipelined batch is usually already there, and parking the
-    /// thread would put an OS wake-up on the critical path of every
-    /// transaction) before falling back to a blocking receive.
-    pub fn run(self, queue: Receiver<WorkItem>) {
-        // On a single-core host, spinning on the queue starves the producer;
-        // fall through to the blocking receive immediately.
-        let spin_budget = if txmem::pause::multi_core() {
-            4_000u32
-        } else {
-            0
-        };
-        // One set of speculative buffers for the worker's lifetime, recycled
-        // across every task and attempt it runs.
-        let mut bufs = TaskBufs::default();
-        'outer: loop {
-            let mut item = None;
-            for i in 0..spin_budget {
-                match queue.try_recv() {
-                    Ok(work) => {
-                        item = Some(work);
-                        break;
-                    }
-                    Err(crossbeam::channel::TryRecvError::Empty) => {
-                        if i % 256 == 255 {
-                            std::thread::yield_now();
-                        } else {
-                            std::hint::spin_loop();
-                        }
-                    }
-                    Err(crossbeam::channel::TryRecvError::Disconnected) => break 'outer,
-                }
-            }
-            let item = match item {
-                Some(work) => work,
-                None => match queue.recv() {
-                    Ok(work) => work,
-                    Err(_) => break,
-                },
-            };
-            self.run_task(&item.txn, item.serial, &item.body, &mut bufs);
-            // The receiver of `done` may already be gone if the caller timed
-            // out; that is not an error for the worker.
-            let _ = item.done.send(item.serial);
+    /// Runs one lane's tasks in serial order, each until it retires.
+    pub(crate) fn run_lane(&self, items: Vec<WorkItem>, bufs: &mut TaskBufs) {
+        for item in items {
+            self.run_task(&item.txn, item.serial, &item.body, bufs);
         }
     }
 
     /// Executes task `serial` of `txn` until it retires (its
     /// user-transaction commits), building its speculative state inside the
     /// recycled `bufs`. This is the one attempt/abort/rollback loop of the
-    /// runtime: worker lanes and a lane-less user-thread's inline execution
-    /// both run it.
-    pub(crate) fn run_task(
-        &self,
-        txn: &Arc<TxnShared>,
-        serial: u64,
-        body: &TaskFn,
-        bufs: &mut TaskBufs,
-    ) {
+    /// runtime: the caller's lane and every helper lane run it.
+    fn run_task(&self, txn: &Arc<TxnShared>, serial: u64, body: &TaskFn, bufs: &mut TaskBufs) {
         // Task activity is attributed to the owning *user*-thread's shard, not
-        // to the worker's OS thread, so per-shard snapshots read as
+        // to the lane's OS thread, so per-shard snapshots read as
         // per-user-thread breakdowns.
         let stats = self.substrate.stats.shard(self.uthread.ptid());
         stats.bump(&stats.task_starts);

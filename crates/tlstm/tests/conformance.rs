@@ -167,7 +167,7 @@ fn run_on_swisstm_with_aborts(txns: &[Vec<Op>]) -> Snapshot {
 
 /// Like [`run_on_tlstm`], but the first attempt of every transaction's
 /// commit-task forces an abort, driving task rollback and re-execution
-/// through the workers' recycled buffers on every transaction.
+/// through the lanes' recycled buffers on every transaction.
 fn run_on_tlstm_with_aborts(txns: &[Vec<Op>], depth: usize, split: usize) -> Snapshot {
     use std::sync::atomic::{AtomicBool, Ordering};
     assert!(split >= 1 && split <= depth);

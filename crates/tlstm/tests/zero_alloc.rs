@@ -3,7 +3,7 @@
 //! TLSTM's *orchestration* layer allocates a constant amount per submitted
 //! user-transaction (the shared `TxnShared` handle, one work item and one
 //! task closure per task) — but the task read/write/commit/rollback paths
-//! must not allocate per *operation*: the worker's recycled `TaskBufs`, the
+//! must not allocate per *operation*: each lane's recycled `TaskBufs`, the
 //! pooled `TaskLogs` and the lock chains' recycled entry buffers absorb all
 //! speculative state in steady state.
 //!
@@ -73,7 +73,7 @@ fn task_op_paths_do_not_allocate_per_operation() {
     let region = rt.heap().alloc(TASKS as u64 * TASK_WORDS).unwrap();
     let u = rt.register_uthread(TASKS);
 
-    // Warm-up: materialise heap segments, grow the workers' recycled
+    // Warm-up: materialise heap segments, grow the lanes' recycled
     // buffers, the chains' entry pools and the log pool to the footprint of
     // the *large* variant.
     for round in 0..32 {
@@ -89,7 +89,7 @@ fn task_op_paths_do_not_allocate_per_operation() {
     );
 
     // The per-transaction orchestration cost (TxnShared, work items, task
-    // closures, channel traffic) is identical in both batches; any
+    // closures, the helper claim and its lane) is identical in both batches; any
     // per-operation allocation in the task paths would add ~4 000 allocations
     // per transaction to the large batch. Allow one allocation per
     // transaction of slack for incidental variance.
