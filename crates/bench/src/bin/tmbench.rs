@@ -3,14 +3,17 @@
 //! Measures the paper's runtimes: the default matrix (red-black tree,
 //! Vacation low/high, STMBench7 read/write mixes, the fast-path overhead
 //! rows and the in-process `txkv` serving rows) on every registered runtime
-//! over a configurable thread axis, or one of the paper's four figures as a
-//! fixed preset (`--figure 1a|1b|2a|2b`). It prints a table and writes a
-//! JSON report; nothing in-tree reads the report back. The regression gate
-//! and the serving stack (sockets, WAL) are measured by `benchmark/run.sh`.
+//! over a configurable thread axis, or a fixed preset: one of the paper's
+//! four figures (`--figure 1a|1b|2a|2b`) or the speculation ablation
+//! (`--figure ablation`: spec-depth sweep, chained reads, intra-thread WAW).
+//! It prints a table and writes a JSON report; nothing in-tree reads the
+//! report back. The regression gate and the serving stack (sockets, WAL)
+//! are measured by `benchmark/run.sh`.
 //!
 //! ```text
 //! tmbench --quick --out BENCH_results.json        # default matrix
 //! tmbench --figure 2b                             # Figure 2b's series
+//! tmbench --figure ablation --reps 3              # TLSTM's task-split cost
 //! tmbench --quick --trace trace.json --metrics-out metrics.prom
 //!                                                 # with observability output
 //! ```
@@ -38,7 +41,7 @@ tmbench — the TLSTM/SwissTM runtime matrix and the paper's figures
 
 USAGE:
     tmbench [OPTIONS]                      run the default scenario matrix
-    tmbench --figure ID [OPTIONS]          run one figure of the paper
+    tmbench --figure ID [OPTIONS]          run one figure of the paper, or the ablation
     tmbench --list                         print the scenarios and exit
 
 SCENARIO OPTIONS:
@@ -46,8 +49,10 @@ SCENARIO OPTIONS:
                          default matrix: 1a (rbtree speed-up vs lookups per
                          transaction), 1b (Vacation vs clients), 2a
                          (STMBench7 vs read-only %), 2b (STMBench7 mixes on
-                         1-3 threads). Fixes workloads, threads and runtimes,
-                         so it excludes --workloads, --threads and --runtimes
+                         1-3 threads), ablation (TLSTM's task-split cost:
+                         spec-depth sweep, chained reads, intra-thread WAW).
+                         Fixes workloads, threads and runtimes, so it
+                         excludes --workloads, --threads and --runtimes
     --threads A,B,...    thread counts to measure (default: 1)
     --workloads LIST     comma-separated families (rbtree,vacation,stmbench7,
                          overhead,kv,kv-durable) or concrete labels (kv-a,
@@ -77,8 +82,7 @@ OBSERVABILITY OPTIONS:
                          Perfetto / chrome://tracing)
     --metrics-out FILE   after the run, write the txobs metrics exposition
                          (Prometheus text format: WAL append/fsync histograms,
-                         KV health gauge, per-scenario throughput and
-                         commit/abort counters) to FILE
+                         KV health gauge, network counters) to FILE
 
 MISC:
     --help               this text
@@ -195,8 +199,9 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             }
             "--figure" => {
                 let v = value_of(&mut i, arg)?;
-                let rows = figure_scenarios(v.trim())
-                    .ok_or_else(|| format!("unknown figure '{v}' (want one of: 1a, 1b, 2a, 2b)"))?;
+                let rows = figure_scenarios(v.trim()).ok_or_else(|| {
+                    format!("unknown figure '{v}' (want one of: 1a, 1b, 2a, 2b, ablation)")
+                })?;
                 cli.figure = Some(rows);
             }
             "--out" => cli.out = Some(value_of(&mut i, arg)?),
@@ -298,25 +303,6 @@ fn write_trace_file(path: &str) -> std::io::Result<()> {
     writer.flush()
 }
 
-/// Publishes per-scenario results into the txobs exposition, so
-/// `--metrics-out` carries the run's transaction counters next to the live
-/// WAL/KV metrics.
-fn publish_scenario_metrics(report: &BenchReport) {
-    for s in &report.scenarios {
-        let labels = [("scenario", s.name.as_str())];
-        txobs::metrics::publish("tmbench_ops_per_sec", &labels, s.ops_per_sec);
-        txobs::metrics::publish("tmbench_tx_commits", &labels, s.stats.tx_commits as f64);
-        txobs::metrics::publish("tmbench_tx_aborts", &labels, s.stats.tx_aborts as f64);
-        for (cause, rate) in s.abort_rates() {
-            txobs::metrics::publish(
-                "tmbench_abort_rate_per_sec",
-                &[("scenario", s.name.as_str()), ("cause", cause)],
-                rate,
-            );
-        }
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cli = match parse_args(&args) {
@@ -384,7 +370,6 @@ fn main() -> ExitCode {
         );
     }
     if let Some(path) = &cli.metrics_out {
-        publish_scenario_metrics(&report);
         if let Err(e) = std::fs::write(path, txobs::metrics::metrics_text()) {
             eprintln!("error: cannot write {path}: {e}");
             return ExitCode::from(2);

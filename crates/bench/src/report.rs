@@ -15,7 +15,7 @@ use crate::json::Json;
 /// Version of the `BENCH_results.json` schema produced by this build.
 ///
 /// Bump on any incompatible change to the report shape.
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Summary of a per-transaction latency distribution, in nanoseconds.
 ///
@@ -151,26 +151,6 @@ pub struct ScenarioResult {
 }
 
 impl ScenarioResult {
-    /// Abort rates in aborts per second, derived from `stats` and
-    /// `elapsed_ms`: the total first, then the per-cause breakdown.
-    ///
-    /// Rates are 0 when the measured window is empty.
-    pub fn abort_rates(&self) -> [(&'static str, f64); 9] {
-        let secs = self.elapsed_ms / 1000.0;
-        let rate = |n: u64| if secs > 0.0 { n as f64 / secs } else { 0.0 };
-        [
-            ("total", rate(self.stats.tx_aborts)),
-            ("read_validation", rate(self.stats.aborts_read_validation)),
-            ("inter_ww", rate(self.stats.aborts_inter_ww)),
-            ("intra_war", rate(self.stats.aborts_intra_war)),
-            ("intra_waw", rate(self.stats.aborts_intra_waw)),
-            ("tx_signal", rate(self.stats.aborts_tx_signal)),
-            ("task_signal", rate(self.stats.aborts_task_signal)),
-            ("user_retry", rate(self.stats.aborts_user_retry)),
-            ("oom", rate(self.stats.aborts_oom)),
-        ]
-    }
-
     fn to_json(&self) -> Json {
         let mut json = Json::obj(vec![
             ("name", Json::Str(self.name.clone())),
@@ -189,15 +169,6 @@ impl ScenarioResult {
                         .fields()
                         .into_iter()
                         .map(|(k, v)| (k.to_string(), Json::Num(v as f64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "abort_rates_per_sec",
-                Json::Obj(
-                    self.abort_rates()
-                        .into_iter()
-                        .map(|(k, v)| (k.to_string(), Json::Num(v)))
                         .collect(),
                 ),
             ),
@@ -328,7 +299,6 @@ mod tests {
         };
         s.stats = StatsSnapshot::default();
         s.wal = Some(empty_wal);
-        assert!(s.abort_rates().iter().all(|(_, r)| *r == 0.0));
 
         let text = report.to_json_string();
         assert!(
@@ -340,22 +310,6 @@ mod tests {
         for (name, _) in StatsSnapshot::default().fields() {
             assert!(text.contains(&format!("\"{name}\": 0")), "{name} missing");
         }
-    }
-
-    #[test]
-    fn abort_rates_divide_counts_by_elapsed_seconds() {
-        let scenario = sample_scenario("rbtree-n16/swisstm/t1/k1", 100_000.0);
-        let rates = scenario.abort_rates();
-        let secs = scenario.elapsed_ms / 1000.0;
-        assert_eq!(rates[0], ("total", 10.0 / secs));
-        assert!(rates.contains(&("read_validation", 6.0 / secs)));
-        assert!(rates.contains(&("inter_ww", 4.0 / secs)));
-        assert!(rates.contains(&("oom", 0.0)));
-
-        // An empty window reports zero rates rather than dividing by zero.
-        let mut empty = scenario;
-        empty.elapsed_ms = 0.0;
-        assert!(empty.abort_rates().iter().all(|(_, r)| *r == 0.0));
     }
 
     #[test]

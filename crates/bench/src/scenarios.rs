@@ -7,7 +7,8 @@
 //! on every registered runtime, at the task splits the figures use — plus
 //! the fast-path overhead rows and the in-process `txkv` serving rows. The
 //! thread list is configurable. [`figure_scenarios`] holds the four figures
-//! themselves as fixed presets over the same workloads and registry.
+//! themselves, and the speculation ablation, as fixed presets over the same
+//! workloads and registry.
 //!
 //! Runtimes are not enumerated in scenario code: every [`TxRuntime`] that
 //! should appear in the matrix is one [`RuntimeEntry`] in
@@ -125,6 +126,17 @@ pub enum WorkloadKind {
     /// locks a transaction already holds; this pair of rows (`swisstm`
     /// against `tlstm`) reads it off directly.
     OverheadWrite2k,
+    /// `ops_per_txn` read-modify-writes per transaction over a region of only
+    /// `words` words, so the tasks of one transaction write the same words:
+    /// with one word every task reads its predecessor's write (chained
+    /// reads), with a few every task overwrites them (intra-thread WAW).
+    /// Only the `ablation` preset runs it.
+    SharedWrite {
+        /// Read-modify-writes per transaction.
+        ops_per_txn: u64,
+        /// Words the read-modify-writes are spread over.
+        words: u64,
+    },
     /// YCSB-style serving workload over the `txkv` sharded transactional
     /// key-value store (zipfian key choice; batches split into speculative
     /// tasks under TLSTM).
@@ -162,6 +174,9 @@ impl WorkloadKind {
                 format!("overhead-write-n{ops_per_txn}")
             }
             WorkloadKind::OverheadWrite2k => "overhead-write-2k".to_string(),
+            WorkloadKind::SharedWrite { ops_per_txn, words } => {
+                format!("shared-write-n{ops_per_txn}-w{words}")
+            }
             WorkloadKind::Kv { mix } => format!("kv-{}", mix.label()),
             // The fsync policy is a run-time modifier (`--fsync`), not part
             // of the identity: scenario names must stay stable so runs with
@@ -185,7 +200,8 @@ impl WorkloadKind {
             WorkloadKind::Stmbench7 { .. } => "stmbench7",
             WorkloadKind::OverheadRead { .. }
             | WorkloadKind::OverheadWrite { .. }
-            | WorkloadKind::OverheadWrite2k => "overhead",
+            | WorkloadKind::OverheadWrite2k
+            | WorkloadKind::SharedWrite { .. } => "overhead",
             WorkloadKind::Kv { .. } => "kv",
             WorkloadKind::KvDurable { .. } => "kv-durable",
         }
@@ -198,7 +214,7 @@ impl WorkloadKind {
             WorkloadKind::VacationLow | WorkloadKind::VacationHigh => &[2],
             WorkloadKind::Stmbench7 { .. } => &[3],
             WorkloadKind::OverheadRead { .. } | WorkloadKind::OverheadWrite { .. } => &[2],
-            WorkloadKind::OverheadWrite2k => &[1],
+            WorkloadKind::OverheadWrite2k | WorkloadKind::SharedWrite { .. } => &[1],
             // A 16-op batch splits into KV_BATCH_GROUPS shard-group tasks.
             WorkloadKind::Kv { .. } | WorkloadKind::KvDurable { .. } => &[KV_BATCH_GROUPS],
         }
@@ -356,6 +372,15 @@ fn measure_on<R: TxRuntime>(spec: &ScenarioSpec, config: &WorkloadConfig) -> Run
                 words: 4 * ops_per_txn,
                 threads: spec.threads,
                 ..OverheadParams::write_heavy(ops_per_txn)
+            };
+            overhead::measure::<R>(&params, config)
+        }
+        WorkloadKind::SharedWrite { ops_per_txn, words } => {
+            let params = OverheadParams {
+                words: *words,
+                tasks_per_txn: spec.tasks_per_txn,
+                threads: spec.threads,
+                ..OverheadParams::write_heavy(*ops_per_txn)
             };
             overhead::measure::<R>(&params, config)
         }
@@ -546,7 +571,9 @@ pub fn build_scenarios(selection: &MatrixSelection) -> Vec<ScenarioSpec> {
 
 /// The rows of one of the paper's figures (`1a`, `1b`, `2a`, `2b`): every
 /// point of every series the figure plots, as scenarios of the same matrix
-/// (`tmbench --figure`). `None` for an unknown figure id.
+/// (`tmbench --figure`); or, for `ablation`, the two costs TLSTM's speed-ups
+/// must amortise — splitting a transaction into k tasks, and conflicts
+/// between the tasks of one transaction. `None` for an unknown id.
 pub fn figure_scenarios(figure: &str) -> Option<Vec<ScenarioSpec>> {
     let row = |workload: &WorkloadKind, runtime: &str, threads: usize, tasks_per_txn: usize| {
         ScenarioSpec {
@@ -605,6 +632,37 @@ pub fn figure_scenarios(figure: &str) -> Option<Vec<ScenarioSpec>> {
                         row(&w, "tlstm", threads, 9),
                     ]);
                 }
+            }
+        }
+        // The ablation, one thread throughout: 64 independent reads split
+        // across k tasks (the spec-depth sweep); 8 RMWs of one shared word,
+        // each task reading its predecessor's write (chained reads); and 24
+        // RMWs of 8 shared words, every task writing the same words
+        // (intra-thread WAW).
+        "ablation" => {
+            let series: [(WorkloadKind, &[usize]); 3] = [
+                (
+                    WorkloadKind::OverheadRead { ops_per_txn: 64 },
+                    &[1, 2, 3, 4, 8],
+                ),
+                (
+                    WorkloadKind::SharedWrite {
+                        ops_per_txn: 8,
+                        words: 1,
+                    },
+                    &[2, 4, 8],
+                ),
+                (
+                    WorkloadKind::SharedWrite {
+                        ops_per_txn: 24,
+                        words: 8,
+                    },
+                    &[1, 3],
+                ),
+            ];
+            for (w, splits) in &series {
+                rows.push(row(w, "swisstm", 1, 1));
+                rows.extend(splits.iter().map(|&k| row(w, "tlstm", 1, k)));
             }
         }
         _ => return None,
@@ -922,7 +980,31 @@ mod tests {
             }
         }
         assert_eq!(rows("2b"), want);
-        for (figure, n) in [("1a", 18), ("1b", 60), ("2a", 15), ("2b", 27)] {
+        assert_eq!(
+            rows("ablation"),
+            [
+                "overhead-read-n64/swisstm/t1/k1",
+                "overhead-read-n64/tlstm/t1/k1",
+                "overhead-read-n64/tlstm/t1/k2",
+                "overhead-read-n64/tlstm/t1/k3",
+                "overhead-read-n64/tlstm/t1/k4",
+                "overhead-read-n64/tlstm/t1/k8",
+                "shared-write-n8-w1/swisstm/t1/k1",
+                "shared-write-n8-w1/tlstm/t1/k2",
+                "shared-write-n8-w1/tlstm/t1/k4",
+                "shared-write-n8-w1/tlstm/t1/k8",
+                "shared-write-n24-w8/swisstm/t1/k1",
+                "shared-write-n24-w8/tlstm/t1/k1",
+                "shared-write-n24-w8/tlstm/t1/k3",
+            ]
+        );
+        for (figure, n) in [
+            ("1a", 18),
+            ("1b", 60),
+            ("2a", 15),
+            ("2b", 27),
+            ("ablation", 13),
+        ] {
             assert_eq!(rows(figure).len(), n, "figure {figure}");
         }
         for unknown in ["", "1c", "3a", "1A", "fig1a"] {

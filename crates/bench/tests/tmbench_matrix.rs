@@ -71,7 +71,13 @@ fn tmbench(args: &[&str]) -> std::process::Output {
 
 #[test]
 fn figure_presets_list_their_series_and_reject_usage_errors() {
-    for (figure, rows) in [("1a", 18), ("1b", 60), ("2a", 15), ("2b", 27)] {
+    for (figure, rows) in [
+        ("1a", 18),
+        ("1b", 60),
+        ("2a", 15),
+        ("2b", 27),
+        ("ablation", 13),
+    ] {
         let out = tmbench(&["--figure", figure, "--list"]);
         assert!(out.status.success(), "--figure {figure} --list failed");
         let listed = String::from_utf8(out.stdout).unwrap();

@@ -112,15 +112,6 @@ pub fn list_snapshots_with(fs: &dyn WalFs, dir: &Path) -> io::Result<Vec<(u64, P
     Ok(snapshots)
 }
 
-/// Fsyncs the directory itself, making renames/creations/unlinks of its
-/// entries durable. Without this, a power failure after
-/// [`prune_obsolete`] could persist the unlink of an old snapshot while the
-/// rename of its replacement is still only in the page cache — losing
-/// acknowledged writes even under `fsync=always`.
-pub fn sync_dir(dir: &Path) -> io::Result<()> {
-    RealFs.sync_dir(dir)
-}
-
 /// Writes the snapshot covering records below `lsn` atomically (temp file,
 /// fsync, rename, directory fsync) and returns its final path. Older
 /// snapshots are left for [`prune_obsolete`].

@@ -25,8 +25,6 @@ pub struct TxConfig {
     /// Default speculative depth (`SPECDEPTH`): the maximum number of
     /// simultaneously active tasks per user-thread in the TLSTM runtime.
     pub spec_depth: usize,
-    /// Number of times a waiting operation spins before yielding the CPU.
-    pub spin_limit: u32,
 }
 
 impl TxConfig {
@@ -39,7 +37,6 @@ impl TxConfig {
             lock_table_bits: 8,
             words_per_lock: 4,
             spec_depth: 4,
-            spin_limit: 64,
         }
     }
 
@@ -85,7 +82,6 @@ impl Default for TxConfig {
             lock_table_bits: 20,
             words_per_lock: 4,
             spec_depth: 4,
-            spin_limit: 128,
         }
     }
 }

@@ -3,19 +3,16 @@
 //!
 //! The hot-path instruments ([`Counter`], [`Gauge`], [`AtomicHistogram`]) are
 //! plain relaxed atomics reachable through `&'static` structs — no registry
-//! lookup, no locking, no allocation on the update path. The WAL writer and
-//! the durable KV store update [`wal()`] and [`kv()`]; anything else (e.g.
-//! per-scenario transaction counters from the bench harness) can be
-//! [`publish`]ed as dynamic gauges at exposition time.
+//! lookup, no locking, no allocation on the update path. The WAL writer, the
+//! durable KV store and the network front-end update [`wal()`], [`kv()`] and
+//! [`net()`].
 //!
 //! [`metrics_text()`] renders everything in the Prometheus text format;
 //! [`parse_exposition`] is the matching minimal parser, used by tests and CI
 //! to prove the exposition round-trips.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
 
 use crate::histogram::{LatencyHistogram, LATENCY_BUCKETS};
 
@@ -441,46 +438,6 @@ pub fn net() -> &'static NetMetrics {
     &NET
 }
 
-fn published() -> &'static Mutex<BTreeMap<String, f64>> {
-    static PUBLISHED: OnceLock<Mutex<BTreeMap<String, f64>>> = OnceLock::new();
-    PUBLISHED.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
-/// Publishes (or overwrites) a dynamic gauge sample rendered verbatim into
-/// [`metrics_text`]. `labels` become the Prometheus label set. Not a hot
-/// path: intended for end-of-run publication of snapshots (e.g. per-scenario
-/// transaction counters).
-pub fn publish(name: &str, labels: &[(&str, &str)], value: f64) {
-    let mut key = String::from(name);
-    if !labels.is_empty() {
-        key.push('{');
-        for (i, (k, v)) in labels.iter().enumerate() {
-            if i > 0 {
-                key.push(',');
-            }
-            let _ = write!(
-                key,
-                "{k}=\"{}\"",
-                v.replace('\\', "\\\\").replace('"', "\\\"")
-            );
-        }
-        key.push('}');
-    }
-    published()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .insert(key, value);
-}
-
-/// Clears all [`publish`]ed dynamic samples (static hot-path metrics are
-/// process-cumulative and are not reset).
-pub fn clear_published() {
-    published()
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .clear();
-}
-
 fn render_histogram(out: &mut String, name: &str, hist: &LatencyHistogram) {
     let _ = writeln!(out, "# TYPE {name} histogram");
     let mut cumulative = 0u64;
@@ -504,8 +461,8 @@ fn render_histogram(out: &mut String, name: &str, hist: &LatencyHistogram) {
     let _ = writeln!(out, "{name}_count {}", hist.count());
 }
 
-/// Renders every metric — the static WAL and KV instruments plus all
-/// [`publish`]ed samples — in the Prometheus text exposition format.
+/// Renders every metric — the static WAL, KV and network instruments — in
+/// the Prometheus text exposition format.
 pub fn metrics_text() -> String {
     let mut out = String::new();
     let wal = wal();
@@ -553,13 +510,6 @@ pub fn metrics_text() -> String {
         "txobs_net_ack_lag_ns",
         &net().ack_lag_ns.snapshot(),
     );
-    let dynamic = published().lock().unwrap_or_else(|e| e.into_inner());
-    if !dynamic.is_empty() {
-        let _ = writeln!(out, "# published snapshots");
-        for (key, value) in dynamic.iter() {
-            let _ = writeln!(out, "{key} {value}");
-        }
-    }
     out
 }
 
@@ -724,11 +674,6 @@ mod tests {
         net().ack_lag_ns.record_ns(2_000_000);
         net().parked_rounds.add(3);
         kv().health.set(crate::trace::health::HEALTHY);
-        publish(
-            "tmbench_tx_commits",
-            &[("scenario", "kv-a-c8"), ("runtime", "swisstm")],
-            991.0,
-        );
         let text = metrics_text();
         let samples = parse_exposition(&text).expect("own exposition must parse");
         let find = |name: &str| samples.iter().find(|s| s.name == name);
@@ -745,17 +690,6 @@ mod tests {
         // The serving front-end's parked stage: gauge and ack-lag histogram.
         assert_eq!(find("txobs_net_parked_rounds").map(|s| s.value), Some(3.0));
         assert!(find("txobs_net_ack_lag_ns_sum").is_some_and(|s| s.value >= 2_000_000.0));
-        let dynamic = find("tmbench_tx_commits").expect("published sample present");
-        assert_eq!(dynamic.value, 991.0);
-        assert!(dynamic
-            .labels
-            .iter()
-            .any(|(k, v)| k == "scenario" && v == "kv-a-c8"));
-        clear_published();
-        assert!(parse_exposition(&metrics_text())
-            .unwrap()
-            .iter()
-            .all(|s| s.name != "tmbench_tx_commits"));
     }
 
     #[test]

@@ -128,24 +128,13 @@ impl RunMetrics {
 }
 
 /// Runs `driver` on `n_threads` OS threads for `duration` and returns the
-/// aggregated throughput.
+/// aggregated throughput and latency.
 ///
 /// Each driver receives its thread index, a stop flag to poll between
-/// operations and a counter to add committed operations to.
-pub fn run_threads<F>(n_threads: usize, duration: Duration, driver: F) -> Throughput
-where
-    F: Fn(usize, &AtomicBool, &AtomicU64) + Send + Sync,
-{
-    let (throughput, _latency) =
-        run_threads_metrics(n_threads, duration, |idx, stop, ops, _hist| {
-            driver(idx, stop, ops)
-        });
-    throughput
-}
-
-/// Like [`run_threads`], but each driver thread additionally owns a
-/// [`LatencyHistogram`] to record per-transaction latencies into; the
-/// per-thread histograms are merged and returned alongside the throughput.
+/// operations, a counter to add committed operations to, and a
+/// [`LatencyHistogram`] of its own to record per-transaction latencies into;
+/// the per-thread histograms are merged and returned alongside the
+/// throughput.
 pub fn run_threads_metrics<F>(
     n_threads: usize,
     duration: Duration,
@@ -184,22 +173,6 @@ where
         },
         merged,
     )
-}
-
-/// Averages the throughput of `repetitions` runs produced by `make_run`.
-pub fn average_runs(repetitions: u32, mut make_run: impl FnMut(u32) -> Throughput) -> Throughput {
-    let repetitions = repetitions.max(1);
-    let mut total_ops = 0u64;
-    let mut total_time = Duration::ZERO;
-    for rep in 0..repetitions {
-        let t = make_run(rep);
-        total_ops += t.ops;
-        total_time += t.elapsed;
-    }
-    Throughput {
-        ops: total_ops / u64::from(repetitions),
-        elapsed: total_time / repetitions,
-    }
 }
 
 /// Averages the throughput of `repetitions` runs produced by `make_run`,
@@ -312,33 +285,6 @@ mod tests {
             elapsed: Duration::ZERO,
         };
         assert_eq!(zero.ops_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn run_threads_counts_all_threads() {
-        let t = run_threads(4, Duration::from_millis(50), |_idx, stop, ops| {
-            while !stop.load(Ordering::Relaxed) {
-                ops.fetch_add(1, Ordering::Relaxed);
-                std::thread::yield_now();
-            }
-        });
-        assert!(t.ops > 4, "all threads should contribute");
-        assert!(t.elapsed >= Duration::from_millis(50));
-    }
-
-    #[test]
-    fn average_runs_divides_by_repetitions() {
-        let mut calls = 0;
-        let avg = average_runs(3, |_| {
-            calls += 1;
-            Throughput {
-                ops: 300,
-                elapsed: Duration::from_millis(30),
-            }
-        });
-        assert_eq!(calls, 3);
-        assert_eq!(avg.ops, 300);
-        assert_eq!(avg.elapsed, Duration::from_millis(30));
     }
 
     #[test]

@@ -111,6 +111,32 @@ fn run_ops<M: TxMem + ?Sized>(
     Ok(())
 }
 
+/// Runs the transaction seeded by `txn_seed` as `tasks` tasks covering
+/// disjoint, consecutive ranges of its op stream; a single task goes
+/// through [`TxSession::run`], which keeps the steady state allocation-free.
+fn run_txn<S: TxSession>(
+    session: &mut S,
+    region: WordAddr,
+    params: &OverheadParams,
+    tasks: usize,
+    txn_seed: u64,
+) {
+    if tasks <= 1 {
+        session.run(|mem| run_ops(mem, region, params, txn_seed, 0, params.ops_per_txn));
+        return;
+    }
+    let chunk = params.ops_per_txn.div_ceil(tasks as u64).max(1);
+    let mut bodies: Vec<BoxedTaskBody<'_>> = (0..tasks as u64)
+        .map(|t| {
+            let lo = (t * chunk).min(params.ops_per_txn);
+            let hi = ((t + 1) * chunk).min(params.ops_per_txn);
+            Box::new(move |mem: &mut dyn TxMem| run_ops(mem, region, params, txn_seed, lo, hi))
+                as BoxedTaskBody<'_>
+        })
+        .collect();
+    run_boxed_tasks(session, &mut bodies);
+}
+
 /// Allocates one private region per thread.
 fn regions(heap: &txmem::TxHeap, params: &OverheadParams) -> Vec<WordAddr> {
     (0..params.threads.max(1))
@@ -125,9 +151,7 @@ fn regions(heap: &txmem::TxHeap, params: &OverheadParams) -> Vec<WordAddr> {
 ///
 /// On a speculative runtime each transaction is split into
 /// `tasks_per_txn` tasks covering disjoint ranges of the same deterministic
-/// op stream; sequential runtimes always run the whole stream as one body
-/// (and the single-body path goes through [`TxSession::run`], which keeps
-/// the steady state allocation-free).
+/// op stream; sequential runtimes always run the whole stream as one body.
 pub fn measure<R: TxRuntime>(params: &OverheadParams, config: &WorkloadConfig) -> RunMetrics {
     average_metrics(config.repetitions, |rep| {
         let runtime = R::new(params.substrate_config());
@@ -145,26 +169,10 @@ pub fn measure<R: TxRuntime>(params: &OverheadParams, config: &WorkloadConfig) -
                 let region = regions[thread_index];
                 let mut seeds =
                     DetRng::new(config.seed ^ (thread_index as u64 + 1) ^ (u64::from(rep) << 32));
-                let chunk = params.ops_per_txn.div_ceil(tasks as u64).max(1);
                 while !stop.load(Ordering::Relaxed) {
                     let txn_seed = seeds.next_u64();
                     let t0 = std::time::Instant::now();
-                    if tasks <= 1 {
-                        session.run(|mem| {
-                            run_ops(mem, region, params, txn_seed, 0, params.ops_per_txn)
-                        });
-                    } else {
-                        let mut bodies: Vec<BoxedTaskBody<'_>> = (0..tasks as u64)
-                            .map(|t| {
-                                let lo = (t * chunk).min(params.ops_per_txn);
-                                let hi = ((t + 1) * chunk).min(params.ops_per_txn);
-                                Box::new(move |mem: &mut dyn TxMem| {
-                                    run_ops(mem, region, params, txn_seed, lo, hi)
-                                }) as BoxedTaskBody<'_>
-                            })
-                            .collect();
-                        run_boxed_tasks(&mut session, &mut bodies);
-                    }
+                    run_txn(&mut session, region, params, tasks, txn_seed);
                     hist.record(t0.elapsed());
                     ops.fetch_add(params.ops_per_txn, Ordering::Relaxed);
                 }
@@ -228,6 +236,36 @@ mod tests {
         let config = WorkloadConfig::quick();
         let m = measure::<SwisstmRuntime>(&tiny(true), &config);
         assert_eq!(m.stats.tx_aborts, 0, "single-thread run must be abort-free");
+    }
+
+    #[test]
+    fn chained_task_split_commits_every_rmw_in_program_order() {
+        // One word, 8 RMWs split into 4 tasks: every task reads the value its
+        // predecessor wrote, so the committed word equals the number of
+        // committed RMWs only if program order holds through the split.
+        fn check<R: TxRuntime>() {
+            let params = OverheadParams {
+                words: 1,
+                tasks_per_txn: 4,
+                ..OverheadParams::write_heavy(8)
+            };
+            let runtime = R::new(params.substrate_config());
+            let word = regions(runtime.heap(), &params)[0];
+            let mut session = runtime.session();
+            let txns = 100;
+            for txn_seed in 0..txns {
+                run_txn(&mut session, word, &params, params.tasks_per_txn, txn_seed);
+            }
+            assert_eq!(
+                runtime.heap().load_committed(word),
+                txns * params.ops_per_txn,
+                "{}",
+                R::LABEL
+            );
+        }
+        check::<SwisstmRuntime>();
+        check::<tlstm::TlstmRuntime>();
+        check::<SeqRefRuntime>();
     }
 
     #[test]
