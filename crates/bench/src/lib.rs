@@ -11,6 +11,7 @@
 //! numbers.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod json;
 pub mod report;

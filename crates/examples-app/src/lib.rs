@@ -12,3 +12,5 @@
 //!   transactions within one user-thread and the program-order guarantee.
 //!
 //! Run them with `cargo run -p tlstm-examples --release --bin <name>`.
+
+#![forbid(unsafe_code)]

@@ -41,21 +41,25 @@
 //! // One user-thread, speculative depth 2.
 //! let uthread = runtime.register_uthread(2);
 //!
-//! // A user-transaction made of two tasks: each increments the counter.
-//! let bump = move |ctx: &mut TaskCtx<'_>| {
+//! // A user-transaction made of two tasks: each adds `step` to the counter.
+//! // Task bodies may borrow the caller's locals, because `execute` returns
+//! // only once every task has retired.
+//! let step = 3;
+//! let bump = |ctx: &mut TaskCtx<'_>| {
 //!     let v = ctx.read(counter)?;
-//!     ctx.write(counter, v + 1)?;
+//!     ctx.write(counter, v + step)?;
 //!     Ok(())
 //! };
 //! let txn = TxnSpec::new(vec![task(bump), task(bump)]);
 //! uthread.execute(vec![txn]);
 //!
-//! assert_eq!(runtime.heap().load_committed(counter), 2);
+//! assert_eq!(runtime.heap().load_committed(counter), 6);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(unsafe_code)]
 
 mod acquired;
 pub mod cm;
@@ -80,5 +84,8 @@ pub use txmem::{Abort, AbortReason, StatsSnapshot, TxConfig, TxMem, WordAddr};
 ///
 /// A task body may be re-executed an arbitrary number of times (after
 /// intra-thread or inter-thread conflicts), so it must confine its side
-/// effects to transactional memory accessed through the [`TaskCtx`].
-pub type TaskFn = std::sync::Arc<dyn Fn(&mut TaskCtx<'_>) -> Result<(), Abort> + Send + Sync>;
+/// effects to transactional memory accessed through the [`TaskCtx`]. It may
+/// borrow for `'a`: [`UThread::execute`] returns only once every task it was
+/// given has retired.
+pub type TaskFn<'a> =
+    std::sync::Arc<dyn Fn(&mut TaskCtx<'_>) -> Result<(), Abort> + Send + Sync + 'a>;

@@ -23,10 +23,11 @@ pub(crate) enum Claim {
 }
 
 /// One helper lane of an `execute`: its tasks in serial order, and the
-/// calling user-thread's context to run them in.
+/// calling user-thread's context to run them in. The items' borrow is
+/// erased (`UThread::execute` argues why that is sound).
 struct Job {
     worker: Worker,
-    items: Vec<WorkItem>,
+    items: Vec<WorkItem<'static>>,
 }
 
 /// A helper thread's mailbox.
@@ -92,7 +93,7 @@ impl Helper {
     }
 
     /// Hands this claimed helper a lane of `worker`'s user-thread.
-    pub(crate) fn start(&self, worker: Worker, items: Vec<WorkItem>) {
+    pub(crate) fn start(&self, worker: Worker, items: Vec<WorkItem<'static>>) {
         *self.job.lock() = Some(Job { worker, items });
         self.wake.notify_one();
     }
@@ -112,6 +113,8 @@ impl Helper {
             };
             {
                 let _abort = AbortOnUnwind;
+                // Consumes the items: the borrowed bodies are gone before
+                // the caller hears the lane is done.
                 worker.run_lane(items, &mut bufs);
             }
             // Idle before the caller hears the lane is done, so its next
@@ -130,7 +133,7 @@ impl Helper {
 /// Aborts the process, after the panic message, when dropped during a panic.
 /// Guards every lane that runs while helpers are out: a panicked task never
 /// retires, so the rest of its crew would wait forever — and unwinding the
-/// caller would free borrowed bodies (`crate::session`) helpers still run.
+/// caller would free borrowed bodies (`UThread::execute`) helpers still run.
 pub(crate) struct AbortOnUnwind;
 
 impl Drop for AbortOnUnwind {

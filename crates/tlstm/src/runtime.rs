@@ -15,9 +15,9 @@ use crate::worker::{WorkItem, Worker};
 use crate::TaskFn;
 
 /// Wraps a closure into a [`TaskFn`] (convenience for building [`TxnSpec`]s).
-pub fn task<F>(f: F) -> TaskFn
+pub fn task<'a, F>(f: F) -> TaskFn<'a>
 where
-    F: Fn(&mut TaskCtx<'_>) -> Result<(), Abort> + Send + Sync + 'static,
+    F: Fn(&mut TaskCtx<'_>) -> Result<(), Abort> + Send + Sync + 'a,
 {
     Arc::new(f)
 }
@@ -30,17 +30,17 @@ where
 /// compile-time/runtime concern — but the number of tasks must not exceed the
 /// user-thread's speculative depth.
 #[derive(Clone)]
-pub struct TxnSpec {
-    tasks: Vec<TaskFn>,
+pub struct TxnSpec<'a> {
+    tasks: Vec<TaskFn<'a>>,
 }
 
-impl TxnSpec {
+impl<'a> TxnSpec<'a> {
     /// Builds a user-transaction from its tasks, in program order.
     ///
     /// # Panics
     ///
     /// Panics if `tasks` is empty.
-    pub fn new(tasks: Vec<TaskFn>) -> Self {
+    pub fn new(tasks: Vec<TaskFn<'a>>) -> Self {
         assert!(
             !tasks.is_empty(),
             "a user-transaction needs at least one task"
@@ -52,7 +52,7 @@ impl TxnSpec {
     /// STM transaction).
     pub fn single<F>(f: F) -> Self
     where
-        F: Fn(&mut TaskCtx<'_>) -> Result<(), Abort> + Send + Sync + 'static,
+        F: Fn(&mut TaskCtx<'_>) -> Result<(), Abort> + Send + Sync + 'a,
     {
         TxnSpec::new(vec![task(f)])
     }
@@ -68,28 +68,12 @@ impl TxnSpec {
     }
 }
 
-impl std::fmt::Debug for TxnSpec {
+impl std::fmt::Debug for TxnSpec<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TxnSpec")
             .field("tasks", &self.tasks.len())
             .finish()
     }
-}
-
-/// Merges tasks into one composite task that runs the bodies in program
-/// order. Sequential semantics are unchanged — tasks already observe earlier
-/// tasks' writes, and an abort re-executes every body — but the merged form
-/// needs no task hand-off and cannot suffer intra-transaction conflicts.
-fn merge_sequential(mut tasks: Vec<TaskFn>) -> TaskFn {
-    if tasks.len() == 1 {
-        return tasks.pop().expect("one task");
-    }
-    Arc::new(move |ctx: &mut TaskCtx<'_>| {
-        for body in &tasks {
-            body(ctx)?;
-        }
-        Ok(())
-    })
 }
 
 /// Splits `items` into at most `groups` contiguous runs whose lengths differ
@@ -264,7 +248,11 @@ impl UThread {
     /// this call can claim, `min(spec_depth, tasks in the batch) − 1` at most
     /// (how many it gets, the registration decided). A transaction with more
     /// tasks than the crew has lanes runs as that many contiguous groups,
-    /// each merged in program order: identical semantics, fewer hand-offs.
+    /// each one task that runs its bodies in program order: identical
+    /// semantics, fewer hand-offs, no intra-group conflicts.
+    ///
+    /// The call is *scoped*: task bodies may borrow the caller's state, since
+    /// every body has been run and dropped by the time it returns.
     ///
     /// A panicking task body unwinds out of a crew of one and aborts the
     /// process otherwise: its crew could never retire the transaction.
@@ -273,7 +261,7 @@ impl UThread {
     ///
     /// Panics, before running anything, if any transaction has more tasks
     /// than the speculative depth (such a transaction could never commit).
-    pub fn execute(&self, txns: Vec<TxnSpec>) -> Vec<TxnOutcome> {
+    pub fn execute<'a>(&self, txns: Vec<TxnSpec<'a>>) -> Vec<TxnOutcome> {
         let depth = self.shared.spec_depth();
         for spec in &txns {
             assert_task_count(spec.tasks.len() as u64, depth);
@@ -282,7 +270,7 @@ impl UThread {
         let helpers = pool::claim(tasks.min(depth).saturating_sub(1), self.worker.claim);
         let crew = helpers.len() + 1;
         let stats = self.runtime.substrate.stats.shard(self.shared.ptid());
-        let mut lanes: Vec<Vec<WorkItem>> = (0..crew).map(|_| Vec::new()).collect();
+        let mut lanes: Vec<Vec<WorkItem<'a>>> = (0..crew).map(|_| Vec::new()).collect();
         let mut pending: Vec<Arc<TxnShared>> = Vec::with_capacity(txns.len());
         for spec in txns {
             stats.bump(&stats.tx_starts);
@@ -296,11 +284,11 @@ impl UThread {
                 start_serial,
                 commit_serial,
             ));
-            for (serial, group) in (start_serial..).zip(groups) {
+            for (serial, bodies) in (start_serial..).zip(groups) {
                 lanes[serial as usize % crew].push(WorkItem {
                     serial,
                     txn: Arc::clone(&txn),
-                    body: merge_sequential(group),
+                    bodies,
                 });
             }
             pending.push(txn);
@@ -314,6 +302,23 @@ impl UThread {
         let own = lanes.remove(0);
         let _abort = (crew > 1).then_some(AbortOnUnwind);
         self.shared.start_helper_lanes(helpers.len());
+        // Helpers are pooled `'static` threads, so their lanes' bodies travel
+        // with the borrow `'a` erased.
+        //
+        // SAFETY: every use of a helper lane's items happens-before this call
+        // returns, while `'a` is still live:
+        // 1. a helper drops its job's items before it calls
+        //    `finish_helper_lane` (`Helper::serve`: `run_lane` consumes them);
+        // 2. `execute` returns only after `wait_for_helper_lanes`, whose
+        //    acquire load sees every helper's release decrement;
+        // 3. `_abort` is live from the first `start` until that wait returns,
+        //    so no unwind can skip the wait: a panic aborts the process.
+        // Only the lifetime changes, so the layouts are identical.
+        // `tests/helper_pool.rs` checks 1 and 2 by counting body references.
+        #[allow(unsafe_code)]
+        let lanes = unsafe {
+            std::mem::transmute::<Vec<Vec<WorkItem<'a>>>, Vec<Vec<WorkItem<'static>>>>(lanes)
+        };
         for (helper, items) in helpers.iter().zip(lanes) {
             helper.start(self.worker.clone(), items);
         }
@@ -335,7 +340,7 @@ impl UThread {
 
     /// Runs a single user-transaction decomposed into `tasks` and blocks until
     /// it commits.
-    pub fn run_transaction(&self, tasks: Vec<TaskFn>) -> TxnOutcome {
+    pub fn run_transaction(&self, tasks: Vec<TaskFn<'_>>) -> TxnOutcome {
         self.execute(vec![TxnSpec::new(tasks)])
             .pop()
             .expect("execute returns one outcome per submitted transaction")
@@ -345,7 +350,7 @@ impl UThread {
     /// blocks until it commits.
     pub fn atomic<F>(&self, body: F) -> TxnOutcome
     where
-        F: Fn(&mut TaskCtx<'_>) -> Result<(), Abort> + Send + Sync + 'static,
+        F: Fn(&mut TaskCtx<'_>) -> Result<(), Abort> + Send + Sync,
     {
         self.execute(vec![TxnSpec::single(body)])
             .pop()

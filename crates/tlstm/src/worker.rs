@@ -55,13 +55,14 @@ const GREEDY_AFTER_ROLLBACKS: u32 = 2;
 const GREEDY_AFTER_CM_SELF_ABORTS: u32 = 3;
 
 /// One task of one user-transaction, queued on a lane.
-pub(crate) struct WorkItem {
+pub(crate) struct WorkItem<'a> {
     /// Serial number of the task.
     pub serial: u64,
     /// Shared state of the enclosing user-transaction.
     pub txn: Arc<TxnShared>,
-    /// The task body.
-    pub body: TaskFn,
+    /// The task's bodies, run in program order: one, or a contiguous group
+    /// of the transaction's tasks merged onto this lane.
+    pub bodies: Vec<TaskFn<'a>>,
 }
 
 /// Everything needed to run tasks of one user-thread: the caller's lane-0
@@ -78,9 +79,9 @@ pub(crate) struct Worker {
 
 impl Worker {
     /// Runs one lane's tasks in serial order, each until it retires.
-    pub(crate) fn run_lane(&self, items: Vec<WorkItem>, bufs: &mut TaskBufs) {
+    pub(crate) fn run_lane(&self, items: Vec<WorkItem<'_>>, bufs: &mut TaskBufs) {
         for item in items {
-            self.run_task(&item.txn, item.serial, &item.body, bufs);
+            self.run_task(&item, bufs);
         }
     }
 
@@ -88,7 +89,12 @@ impl Worker {
     /// user-transaction commits), building its speculative state inside the
     /// recycled `bufs`. This is the one attempt/abort/rollback loop of the
     /// runtime: the caller's lane and every helper lane run it.
-    fn run_task(&self, txn: &Arc<TxnShared>, serial: u64, body: &TaskFn, bufs: &mut TaskBufs) {
+    fn run_task(&self, item: &WorkItem<'_>, bufs: &mut TaskBufs) {
+        let &WorkItem {
+            serial,
+            ref txn,
+            ref bodies,
+        } = item;
         // Task activity is attributed to the owning *user*-thread's shard, not
         // to the lane's OS thread, so per-shard snapshots read as
         // per-user-thread breakdowns.
@@ -119,7 +125,10 @@ impl Worker {
                 }
             }
             ctx.reset_for_attempt();
-            let outcome = body(&mut ctx).and_then(|()| ctx.task_commit());
+            let outcome = bodies
+                .iter()
+                .try_for_each(|body| body(&mut ctx))
+                .and_then(|()| ctx.task_commit());
             let Err(abort) = outcome else {
                 stats.bump(&stats.task_commits);
                 ctx.flush_op_counters();

@@ -1,5 +1,6 @@
 //! The process-wide helper pool: how many threads TLSTM sessions cost, where
-//! a single-task transaction runs, and what a panicking helper does.
+//! a single-task transaction runs, that helpers are done with borrowed task
+//! bodies when `execute` returns, and what a panicking helper does.
 //!
 //! The thread-count and panic cases re-run themselves alone in a child
 //! process (`run_alone`), so no other test's threads are counted and an
@@ -8,11 +9,11 @@
 use std::io::Read;
 use std::process::{Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use tlstm::{task, TaskCtx, TlstmRuntime, TxnSpec};
-use txmem::{TxConfig, TxMem, TxRuntime, TxSession};
+use txmem::{TxConfig, TxMem, TxRuntime, TxSession, WordAddr};
 
 /// Set in the re-run child: the case runs instead of spawning the child.
 const CHILD_ENV: &str = "TLSTM_HELPER_POOL_CHILD";
@@ -119,6 +120,96 @@ fn a_single_task_run_stays_on_the_calling_thread() {
         assert_eq!(ran_on, caller);
     }
     assert_eq!(rt.heap().load_committed(counter), 50);
+}
+
+/// A task body's capture whose destructor takes a while. `execute` must
+/// outwait it as well: a destructor may still touch borrowed state.
+struct SlowDrop(Arc<()>);
+
+impl Drop for SlowDrop {
+    fn drop(&mut self) {
+        std::thread::sleep(Duration::from_micros(50));
+    }
+}
+
+#[test]
+fn execute_returns_only_after_every_lane_dropped_its_bodies() {
+    // `execute` erases its bodies' borrow to hand them to pooled helpers; that
+    // is sound only because no lane still holds one when it returns. Every
+    // body holds a clone of `probe`, so the count shows any that survive.
+    const ROUNDS: u64 = 200;
+    let rt = TlstmRuntime::new(TxConfig::small());
+    let words = rt.heap().alloc(12).unwrap();
+    // A full crew: two helper lanes beside the caller's, on any host.
+    let u = rt.register_uthread(3);
+    let probe = Arc::new(());
+    for round in 0..ROUNDS {
+        let batch: Vec<TxnSpec> = (0..4u64)
+            .map(|t| {
+                let bodies = (0..3u64)
+                    .map(|k| {
+                        let probe = SlowDrop(Arc::clone(&probe));
+                        let word = words.offset(t * 3 + k);
+                        task(move |ctx: &mut TaskCtx<'_>| {
+                            assert!(Arc::strong_count(&probe.0) > 1);
+                            let v = ctx.read(word)?;
+                            ctx.write(word, v + 1)
+                        })
+                    })
+                    .collect();
+                TxnSpec::new(bodies)
+            })
+            .collect();
+        u.execute(batch);
+        assert_eq!(
+            Arc::strong_count(&probe),
+            1,
+            "round {round}: a lane still held a task body after execute returned"
+        );
+    }
+    for w in 0..12 {
+        assert_eq!(rt.heap().load_committed(words.offset(w)), ROUNDS);
+    }
+}
+
+#[test]
+fn task_bodies_on_helpers_borrow_the_callers_stack() {
+    let rt = TlstmRuntime::new(TxConfig::small());
+    let u = rt.register_uthread(3);
+    let caller = std::thread::current().id();
+    for round in 0..20u64 {
+        let owned: Vec<WordAddr> = (0..3u64)
+            .map(|i| {
+                let word = rt.heap().alloc(1).unwrap();
+                rt.heap().store_committed(word, round * 10 + i);
+                word
+            })
+            .collect();
+        let words: &[WordAddr] = &owned;
+        let results = Mutex::new(vec![0u64; 3]);
+        let off_caller = AtomicUsize::new(0);
+        let bodies = (0..3)
+            .map(|i| {
+                let (results, off_caller) = (&results, &off_caller);
+                task(move |ctx: &mut TaskCtx<'_>| {
+                    results.lock().unwrap()[i] = ctx.read(words[i])?;
+                    if std::thread::current().id() != caller {
+                        off_caller.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Ok(())
+                })
+            })
+            .collect();
+        u.execute(vec![TxnSpec::new(bodies)]);
+        let expected: Vec<u64> = (0..3).map(|i| round * 10 + i).collect();
+        assert_eq!(results.into_inner().unwrap(), expected);
+        // Task `serial` runs on lane `serial mod 3`: two of each round's
+        // three serials fall on the crew's helper lanes.
+        assert!(
+            off_caller.into_inner() >= 2,
+            "round {round}: the tasks did not run on helpers"
+        );
+    }
 }
 
 #[test]

@@ -40,7 +40,7 @@ pub struct KvServerConfig {
     /// the plan in order. All runtimes must use the same value to produce
     /// identical batch semantics.
     pub batch_tasks: usize,
-    /// Substrate configuration (heap size, lock table, spin limits).
+    /// Substrate configuration (heap size, lock table, speculative depth).
     pub tx: TxConfig,
 }
 

@@ -37,8 +37,7 @@
 //!
 //! let dir = TempDir::new("txlog-doc");
 //! let writer = LogWriter::open(dir.path(), &WalOptions::default()).unwrap();
-//! let handle = writer.handle();
-//! let ticket = handle.append(0, b"first record".to_vec()).unwrap();
+//! let ticket = writer.append(0, b"first record".to_vec()).unwrap();
 //! ticket.wait().unwrap(); // parks until LSN 0 is durable
 //! drop(writer);
 //!
@@ -49,6 +48,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
 
 pub mod codec;
 pub mod files;
@@ -64,9 +64,7 @@ pub use tlstm_testutil::CrashPoints;
 pub use vfs::{
     Fault, FaultBudget, FaultError, FaultFs, FaultPlan, RealFs, StorageOp, WalFile, WalFs,
 };
-pub use writer::{
-    CommitTicket, LogWriter, RetryPolicy, WalHandle, WalOptions, DEFAULT_SEGMENT_PREALLOC,
-};
+pub use writer::{CommitTicket, LogWriter, RetryPolicy, WalOptions, DEFAULT_SEGMENT_PREALLOC};
 
 use std::fmt;
 use std::time::Duration;

@@ -19,7 +19,7 @@
 //! only a crash can leave one behind, and recovery treats an all-zero tail
 //! as clean preallocation residue, not corruption.
 //!
-//! Committers hand records to the writer via [`WalHandle::append`] **after**
+//! Committers hand records to the writer via [`LogWriter::append`] **after**
 //! their STM commit assigned the LSN, then wait on the returned
 //! [`CommitTicket`]. Acknowledgement is a *sequence watermark*: the sync
 //! stage publishes `durable_upto` both under the state lock and as an atomic
@@ -323,13 +323,6 @@ pub struct LogWriter {
     sync_thread: Option<JoinHandle<()>>,
 }
 
-/// A cheap cloneable handle for submitting records to the writer from any
-/// thread.
-#[derive(Debug, Clone)]
-pub struct WalHandle {
-    shared: Arc<Shared>,
-}
-
 /// A committer's claim ticket for one appended record. Cloneable: a caller
 /// that gates later work on this record (the network front-end parks
 /// read-only rounds behind its last write) holds a second claim on it.
@@ -420,21 +413,56 @@ impl LogWriter {
         })
     }
 
-    /// A handle for submitting records from other threads.
-    pub fn handle(&self) -> WalHandle {
-        WalHandle {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// Submits one record (see [`WalHandle::append`]).
+    /// Submits the record `(lsn, payload)` for group commit. LSNs must be
+    /// dense and unique (they are assigned by an STM commit-time counter);
+    /// arrival order is free. Returns the ticket to wait on. One map insert
+    /// and one `notify_one` under a short critical section; committers on
+    /// any number of threads share the writer by reference.
+    ///
+    /// An `lsn` below the durable watermark returns a pre-acknowledged
+    /// ticket without staging anything: the record is already durably
+    /// covered (a snapshot taken at re-arm subsumed it).
     ///
     /// # Errors
     ///
-    /// Returns [`WalError::Crashed`]/[`WalError::Degraded`] if the writer is
-    /// dead.
+    /// Returns [`WalError::Crashed`] if the writer died from a simulated
+    /// crash or was shut down, [`WalError::Degraded`] if an earlier storage
+    /// failure poisoned the log — either way the record will never be
+    /// durable through this writer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lsn` was already appended or is already pending (a caller
+    /// logic error, not a recoverable condition).
     pub fn append(&self, lsn: u64, payload: Vec<u8>) -> Result<CommitTicket, WalError> {
-        self.handle().append(lsn, payload)
+        let mut state = lock(&self.shared.state);
+        if state.shutdown {
+            return Err(WalError::Crashed);
+        }
+        if let Some(failure) = &state.failure {
+            return Err(refusal(failure));
+        }
+        if lsn < state.durable_upto {
+            return Ok(CommitTicket {
+                shared: Arc::clone(&self.shared),
+                lsn,
+            });
+        }
+        assert!(
+            lsn >= state.next_append && !state.pending.contains_key(&lsn),
+            "LSN {lsn} appended twice (next_append {})",
+            state.next_append
+        );
+        state.pending.insert(lsn, payload);
+        let wal = txobs::metrics::wal();
+        wal.enqueued.inc();
+        wal.queue_depth.set(state.pending.len() as u64);
+        txobs::trace::trace(txobs::EventKind::WalEnqueue, lsn);
+        self.shared.work_cv.notify_one();
+        Ok(CommitTicket {
+            shared: Arc::clone(&self.shared),
+            lsn,
+        })
     }
 
     /// Asks the writer to close the current segment and start a new one (the
@@ -512,77 +540,6 @@ impl Drop for LogWriter {
         if let Some(thread) = self.sync_thread.take() {
             let _ = thread.join();
         }
-    }
-}
-
-impl WalHandle {
-    /// Submits the record `(lsn, payload)` for group commit. LSNs must be
-    /// dense and unique (they are assigned by an STM commit-time counter);
-    /// arrival order is free. Returns the ticket to wait on. One map insert
-    /// and one `notify_one` under a short critical section.
-    ///
-    /// An `lsn` below the durable watermark returns a pre-acknowledged
-    /// ticket without staging anything: the record is already durably
-    /// covered (a snapshot taken at re-arm subsumed it).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WalError::Crashed`] if the writer died from a simulated
-    /// crash or was shut down, [`WalError::Degraded`] if an earlier storage
-    /// failure poisoned the log — either way the record will never be
-    /// durable through this writer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lsn` was already appended or is already pending (a caller
-    /// logic error, not a recoverable condition).
-    pub fn append(&self, lsn: u64, payload: Vec<u8>) -> Result<CommitTicket, WalError> {
-        let mut state = lock(&self.shared.state);
-        if state.shutdown {
-            return Err(WalError::Crashed);
-        }
-        if let Some(failure) = &state.failure {
-            return Err(refusal(failure));
-        }
-        if lsn < state.durable_upto {
-            return Ok(CommitTicket {
-                shared: Arc::clone(&self.shared),
-                lsn,
-            });
-        }
-        assert!(
-            lsn >= state.next_append && !state.pending.contains_key(&lsn),
-            "LSN {lsn} appended twice (next_append {})",
-            state.next_append
-        );
-        state.pending.insert(lsn, payload);
-        let wal = txobs::metrics::wal();
-        wal.enqueued.inc();
-        wal.queue_depth.set(state.pending.len() as u64);
-        txobs::trace::trace(txobs::EventKind::WalEnqueue, lsn);
-        self.shared.work_cv.notify_one();
-        Ok(CommitTicket {
-            shared: Arc::clone(&self.shared),
-            lsn,
-        })
-    }
-
-    /// All records with `lsn <` this are durable and acknowledged (the
-    /// locked, authoritative read).
-    pub fn durable_lsn(&self) -> u64 {
-        lock(&self.shared.state).durable_upto
-    }
-
-    /// Lock-free snapshot of the durable watermark (see
-    /// [`LogWriter::durable_watermark`]).
-    pub fn durable_watermark(&self) -> u64 {
-        self.shared.durable_watermark.load(Ordering::Acquire)
-    }
-
-    /// The writer's first failure (`None` while healthy). The store layer's
-    /// fail-fast check before staging a batch.
-    pub fn failure(&self) -> Option<WalError> {
-        lock(&self.shared.state).failure.clone()
     }
 }
 

@@ -73,15 +73,14 @@ fn concurrent_committers_all_become_durable() {
             FsyncPolicy::None,
         ] {
             let writer = LogWriter::open(dir.path(), &options(fsync)).unwrap();
-            let handle = writer.handle();
             std::thread::scope(|scope| {
                 for thread in 0..4u64 {
-                    let handle = handle.clone();
+                    let writer = &writer;
                     scope.spawn(move || {
                         // Interleaved LSNs across threads: 0,4,8,... etc.
                         for i in 0..16u64 {
                             let lsn = i * 4 + thread;
-                            let ticket = handle.append(lsn, payload(lsn)).unwrap();
+                            let ticket = writer.append(lsn, payload(lsn)).unwrap();
                             ticket.wait().unwrap();
                         }
                     });
@@ -113,14 +112,13 @@ fn notify_one_wakeups_are_never_lost_under_contention() {
         ] {
             let dir = TempDir::new("txlog-wal-wakeup");
             let writer = LogWriter::open(dir.path(), &options(fsync)).unwrap();
-            let handle = writer.handle();
             std::thread::scope(|scope| {
                 for thread in 0..THREADS {
-                    let handle = handle.clone();
+                    let writer = &writer;
                     scope.spawn(move || {
                         for i in 0..PER_THREAD {
                             let lsn = i * THREADS + thread;
-                            let ticket = handle.append(lsn, payload(lsn)).unwrap();
+                            let ticket = writer.append(lsn, payload(lsn)).unwrap();
                             ticket.wait().unwrap();
                         }
                     });
@@ -155,10 +153,9 @@ fn ticket_storm_acks_densely_and_watermark_agrees() {
         const PER_THREAD: u64 = 4;
         let dir = TempDir::new("txlog-wal-storm");
         let writer = LogWriter::open(dir.path(), &options(FsyncPolicy::Always)).unwrap();
-        let handle = writer.handle();
         std::thread::scope(|scope| {
             for thread in 0..THREADS {
-                let handle = handle.clone();
+                let writer = &writer;
                 scope.spawn(move || {
                     // Append the thread's highest LSN first (no waiting), so
                     // arrival order is heavily out-of-order across threads.
@@ -166,7 +163,7 @@ fn ticket_storm_acks_densely_and_watermark_agrees() {
                         .rev()
                         .map(|i| {
                             let lsn = i * THREADS + thread;
-                            handle.append(lsn, payload(lsn)).unwrap()
+                            writer.append(lsn, payload(lsn)).unwrap()
                         })
                         .collect();
                     for ticket in tickets {
@@ -175,12 +172,12 @@ fn ticket_storm_acks_densely_and_watermark_agrees() {
                         // Dense ack order: an acknowledged record is covered
                         // by the watermark, which in turn never runs ahead of
                         // the locked authoritative read.
-                        let watermark = handle.durable_watermark();
+                        let watermark = writer.durable_watermark();
                         assert!(
                             watermark > lsn,
                             "acked LSN {lsn} above watermark {watermark}"
                         );
-                        let locked = handle.durable_lsn();
+                        let locked = writer.durable_lsn();
                         assert!(
                             watermark <= locked,
                             "fast path ({watermark}) ahead of the locked read ({locked})"

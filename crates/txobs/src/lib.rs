@@ -20,6 +20,7 @@
 //! test harness — can emit into it.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod histogram;
 pub mod metrics;
