@@ -57,13 +57,13 @@ impl LatencySummary {
 pub struct WalSummary {
     /// Records enqueued to the WAL during the window.
     pub enqueued: u64,
-    /// Batches the append stage wrote.
+    /// Batches the WAL writer wrote.
     pub batches: u64,
     /// Mean records per append batch (0 when no batches were written).
     pub mean_batch_records: f64,
-    /// Total bytes written by the append stage.
+    /// Total bytes written by the WAL writer.
     pub batch_bytes: u64,
-    /// fsync calls issued by the sync stage.
+    /// fsync calls issued by the WAL writer.
     pub fsyncs: u64,
     /// Median append (write_batch) latency.
     pub append_p50_ns: u64,
@@ -73,7 +73,7 @@ pub struct WalSummary {
     pub fsync_p50_ns: u64,
     /// 99th-percentile fsync latency.
     pub fsync_p99_ns: u64,
-    /// Storage-layer retries performed by the append stage.
+    /// Storage-layer retries performed by the WAL writer.
     pub retries: u64,
     /// Storage faults that latched the writer into a failed state.
     pub faults: u64,

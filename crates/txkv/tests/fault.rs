@@ -24,7 +24,7 @@ const SHARDS: u64 = 8;
 const GROUPS: usize = 4;
 
 /// Counts every panic anywhere in the process: degradation must be made of
-/// typed errors, not unwinding stage threads.
+/// typed errors, not an unwinding writer thread.
 static PANICS: AtomicUsize = AtomicUsize::new(0);
 
 fn install_panic_counter() {

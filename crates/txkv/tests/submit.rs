@@ -4,12 +4,12 @@
 //!
 //! The interleavings are forced, not slept for: the store's log goes through
 //! a [`WalFs`] whose `fdatasync` parks at a gate the test opens, so "the
-//! sync stage is inside the fsync that covers exactly batch A" is a state
-//! the test waits for. Contracts:
+//! writer is inside the fsync that covers exactly batch A" is a state the
+//! test waits for. Contracts:
 //!
-//! * overlap — batches submitted while an fsync is in flight all land under
-//!   the *next* one: 4 batches, 2 fsyncs, where 4 blocking
-//!   [`DurableKvSession::batch`] calls need 4;
+//! * overlap — batches submitted while an fsync is in flight wait in the
+//!   writer's pending map and all land under the *next* one: 4 batches,
+//!   2 fsyncs, where 4 blocking [`DurableKvSession::batch`] calls need 4;
 //! * no early ack — a ticket stays pending, and `durable_lsn` stays put,
 //!   until the fsync covering its record has returned;
 //! * a writer that dies with several tickets outstanding resolves each by
@@ -123,9 +123,6 @@ impl WalFile for GateFile {
     fn set_len(&self, len: u64) -> io::Result<()> {
         self.inner.set_len(len)
     }
-    fn try_clone(&self) -> io::Result<Box<dyn WalFile>> {
-        Ok(self.fs.wrap(self.inner.try_clone()?))
-    }
 }
 
 impl WalFs for GateFs {
@@ -203,14 +200,14 @@ fn oracle_prefix(n: u64) -> Vec<(u64, Vec<u64>)> {
     oracle.dump()
 }
 
-/// The process-wide count of records the WAL append stage has written; the
-/// tests of this file hold [`serial`] so only their own store moves it.
-fn records_written() -> u64 {
-    txobs::metrics::wal().snapshot().batch_records
+/// The process-wide count of records handed to the WAL writer; the tests of
+/// this file hold [`serial`] so only their own store moves it.
+fn records_enqueued() -> u64 {
+    txobs::metrics::wal().enqueued.get()
 }
 
-fn wait_for_records_written(target: u64) {
-    while records_written() < target {
+fn wait_for_records_enqueued(target: u64) {
+    while records_enqueued() < target {
         std::thread::yield_now();
     }
 }
@@ -244,16 +241,17 @@ fn batches_submitted_during_an_fsync_share_the_next_one() {
         assert_eq!(replies, vec![KvReply::Value(None)]);
         assert!(ticket.is_none());
 
-        // Batch 0 enters the pipeline alone; the sync stage parks inside the
-        // fsync that covers exactly it.
-        let written = records_written();
+        // Batch 0 enters the log alone; the writer parks inside the fsync
+        // that covers exactly it.
+        let enqueued = records_enqueued();
         fs.close();
         let first = submit_write(&mut session, 0);
         fs.wait_for_parked_fsync();
 
-        // Batches 1..4 commit and are written while that fsync is in flight.
+        // Batches 1..4 commit while that fsync is in flight and wait for the
+        // writer's next turn.
         let rest: Vec<CommitTicket> = (1..4).map(|n| submit_write(&mut session, n)).collect();
-        wait_for_records_written(written + 4);
+        wait_for_records_enqueued(enqueued + 4);
 
         // Committed in memory, acknowledged to nobody.
         assert_eq!(session.get(3), Some(vec![3, 9]));
@@ -288,19 +286,18 @@ fn batches_submitted_during_an_fsync_share_the_next_one() {
     });
 }
 
-/// A store whose acknowledged history is batch 0, with the sync stage parked
-/// inside the fsync that covers exactly batch 1 — whose ticket is returned.
+/// A store whose acknowledged history is batches `0..acked`, with the writer
+/// parked inside the fsync that covers exactly batch `acked` — whose ticket
+/// is returned.
 struct Rig {
     dir: TempDir,
     fs: GateFs,
     crash: CrashPoints,
     store: DurableKvStore<Runtime>,
     session: DurableKvSession<Runtime>,
-    /// `records_written()` once batch 1 is on its way to the file.
-    written: u64,
 }
 
-fn rig_with_an_fsync_in_flight() -> (Rig, CommitTicket) {
+fn rig_with_an_fsync_in_flight(acked: u64) -> (Rig, CommitTicket) {
     let dir = TempDir::new("txkv-submit-crash");
     let fs = GateFs::default();
     let crash = CrashPoints::disabled();
@@ -308,10 +305,11 @@ fn rig_with_an_fsync_in_flight() -> (Rig, CommitTicket) {
         DurableKvStore::<Runtime>::boot(dir.path(), &config(Arc::new(fs.clone()), crash.clone()))
             .expect("boot failed");
     let mut session = store.session();
-    session.batch(batch(0)).expect("the acknowledged prefix");
-    let written = records_written() + 1;
+    for n in 0..acked {
+        session.batch(batch(n)).expect("the acknowledged prefix");
+    }
     fs.close();
-    let in_flight = submit_write(&mut session, 1);
+    let in_flight = submit_write(&mut session, acked);
     fs.wait_for_parked_fsync();
     let rig = Rig {
         dir,
@@ -319,7 +317,6 @@ fn rig_with_an_fsync_in_flight() -> (Rig, CommitTicket) {
         crash,
         store,
         session,
-        written,
     };
     (rig, in_flight)
 }
@@ -352,22 +349,23 @@ fn a_ticket_the_last_fsync_covered_is_ok_although_the_writer_died_before_the_ack
     with_default_watchdog(|| {
         let _serial = serial();
         let point = crash_points::AFTER_FSYNC_BEFORE_ACK;
-        let (mut rig, covered) = rig_with_an_fsync_in_flight();
-        // Batch 2 is written while batch 1's fsync is in flight; the point
-        // fires when that fsync returns, so no fsync ever covers batch 2.
+        let (mut rig, covered) = rig_with_an_fsync_in_flight(1);
+        // Batch 2 waits for the writer while batch 1's fsync is in flight;
+        // the point fires when that fsync returns, so batch 2 is never
+        // written, let alone covered.
         let uncovered = submit_write(&mut rig.session, 2);
-        wait_for_records_written(rig.written + 1);
         rig.crash.arm(point);
         assert_eq!(covered.poll(), None);
         rig.fs.open();
         assert_eq!(covered.wait(), Ok(()));
         assert_eq!(uncovered.wait(), Err(WalError::Crashed));
-        // Both acknowledged batches are recovered; the written-but-unsynced
-        // one may or may not have survived; the refused one never ran.
+        // Both batches an fsync covered are recovered; the unwritten one and
+        // the refused one are not.
         let recovered = rig.recover(point);
-        assert!(
-            recovered == oracle_prefix(2) || recovered == oracle_prefix(3),
-            "not a prefix holding the acknowledged batches: {recovered:?}"
+        assert_eq!(
+            recovered,
+            oracle_prefix(2),
+            "not the prefix of the covered batches"
         );
     });
 }
@@ -377,12 +375,16 @@ fn tickets_no_fsync_covered_fail_with_the_root_cause() {
     with_default_watchdog(|| {
         let _serial = serial();
         let point = crash_points::AFTER_APPEND_BEFORE_FSYNC;
-        let (mut rig, first) = rig_with_an_fsync_in_flight();
-        // The point fires in the append stage right after batch 2 is
-        // written, while batch 1's fsync is still parked at the gate: the
-        // writer dies with two tickets outstanding and no fsync behind them.
-        rig.crash.arm(point);
+        let (mut rig, acked) = rig_with_an_fsync_in_flight(0);
+        // Batches 1 and 2 wait for the writer while batch 0's fsync is
+        // parked at the gate. Once it returns, the writer writes the two as
+        // one batch and the point fires: it dies with two tickets
+        // outstanding and no fsync behind them.
+        let first = submit_write(&mut rig.session, 1);
         let second = submit_write(&mut rig.session, 2);
+        rig.crash.arm(point);
+        rig.fs.open();
+        assert_eq!(acked.wait(), Ok(()));
         assert_eq!(second.clone().wait(), Err(WalError::Crashed));
         assert_eq!(first.poll(), Some(Err(WalError::Crashed)));
         assert_eq!(
@@ -390,7 +392,6 @@ fn tickets_no_fsync_covered_fail_with_the_root_cause() {
             Some(Err(WalError::Crashed)),
             "a resolved ticket must not park"
         );
-        rig.fs.open();
         // Only batch 0 was acknowledged; either unsynced record may have
         // reached the file, in order.
         let recovered = rig.recover(point);

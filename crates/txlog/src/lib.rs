@@ -14,14 +14,13 @@
 //!   frames that recovery can validate byte-by-byte, so a torn tail (a
 //!   crash mid-append) is detected and cleanly discarded. `txnet` frames
 //!   its wire with the same codec under a magic of its own;
-//! * [`LogWriter`] — the **pipelined group-commit** writer: an append stage
-//!   drains committed records (re-sequencing out-of-order arrivals into LSN
-//!   order) and appends each batch in a single `write` to a preallocated
-//!   segment, while a second sync stage fsyncs the previous batch per the
-//!   configured [`FsyncPolicy`] — fsync latency overlaps the next batch's
-//!   fill. Committers wait on — or, with other work to do, poll — a
-//!   [`CommitTicket`] whose fast path is one atomic load of the durable
-//!   watermark. The writer honors the `wal::*`
+//! * [`LogWriter`] — the **group-commit** writer: one thread drains
+//!   committed records (re-sequencing out-of-order arrivals into LSN order),
+//!   appends each batch in a single `write` to a preallocated segment and
+//!   fsyncs it per the configured [`FsyncPolicy`]; records that arrive
+//!   during an fsync share the next one. Committers wait on — or, with
+//!   other work to do, poll — a [`CommitTicket`] whose fast path is one
+//!   atomic load of the durable watermark. The writer honors the `wal::*`
 //!   crash points of [`tlstm_testutil::CrashPoints`] for deterministic
 //!   crash-injection tests;
 //! * [`recovery`] + [`files`] — snapshot files, log segments, and the

@@ -119,13 +119,12 @@ pub trait WalFile: Send + fmt::Debug {
     fn sync_all(&self) -> io::Result<()>;
     /// Truncates or extends the file.
     fn set_len(&self, len: u64) -> io::Result<()>;
-    /// A second handle to the same open file (the sync stage's handle).
-    fn try_clone(&self) -> io::Result<Box<dyn WalFile>>;
 }
 
 /// The file-system surface of the WAL: everything `writer`, `files` and
-/// `recovery` touch. Implementations must be shareable across the writer
-/// threads ([`Send`] + [`Sync`]).
+/// `recovery` touch. Implementations must be shareable across threads
+/// ([`Send`] + [`Sync`]): the writer thread shares one with whoever opened
+/// the log.
 pub trait WalFs: Send + Sync + fmt::Debug {
     /// `create_dir_all`.
     fn create_dir_all(&self, dir: &Path) -> io::Result<()>;
@@ -178,9 +177,6 @@ impl WalFile for RealFile {
     }
     fn set_len(&self, len: u64) -> io::Result<()> {
         self.0.set_len(len)
-    }
-    fn try_clone(&self) -> io::Result<Box<dyn WalFile>> {
-        Ok(Box::new(RealFile(self.0.try_clone()?)))
     }
 }
 
@@ -626,12 +622,6 @@ impl WalFile for FaultFile {
             return Err(error);
         }
         self.inner.set_len(len)
-    }
-    fn try_clone(&self) -> io::Result<Box<dyn WalFile>> {
-        Ok(Box::new(FaultFile {
-            inner: self.inner.try_clone()?,
-            plan: self.plan.clone(),
-        }))
     }
 }
 

@@ -1,16 +1,22 @@
-//! The pipelined group-commit log writer.
+//! The group-commit log writer: one `txlog-writer` thread that owns the
+//! current segment file. Each turn of its loop:
 //!
-//! Two stages, two threads:
+//! 1. waits for work: a contiguous run of pending records, a rotation
+//!    request, shutdown, or the [`Group`](FsyncPolicy::Group) deadline of
+//!    records already written;
+//! 2. drains committed `(lsn, payload)` records from the pending map
+//!    (re-sequencing out-of-order arrivals so the on-disk log is always a
+//!    dense, in-order prefix), encodes them into one batch buffer and
+//!    `write`s it;
+//! 3. fsyncs when the [`FsyncPolicy`] says it is due — at once for
+//!    [`Always`](FsyncPolicy::Always), at `last_fsync + interval` for
+//!    [`Group`](FsyncPolicy::Group), never for [`None`](FsyncPolicy::None)
+//!    (which acknowledges right after the `write`) — and acknowledges every
+//!    record the fsync covered.
 //!
-//! * the **append stage** owns the current segment file. It drains committed
-//!   `(lsn, payload)` records from the pending map (re-sequencing
-//!   out-of-order arrivals so the on-disk log is always a dense, in-order
-//!   prefix), encodes them into one batch buffer and `write`s it — then
-//!   immediately loops to fill the next batch;
-//! * the **sync stage** fsyncs what the append stage has written and
-//!   acknowledges committers. While it is inside `fsync(2)` for batch N, the
-//!   append stage is already encoding and writing batch N+1 — the fsync
-//!   latency overlaps the next batch's fill instead of serialising with it.
+//! Committers never block the writer: records that arrive while it is
+//! inside `fsync(2)` collect in the pending map and go out together as the
+//! next batch, under the next fsync.
 //!
 //! Segments are pre-allocated with `set_len` when created, so steady-state
 //! appends stay inside the allocated extent and `sync_data` never pays a
@@ -21,8 +27,8 @@
 //!
 //! Committers hand records to the writer via [`LogWriter::append`] **after**
 //! their STM commit assigned the LSN, then wait on the returned
-//! [`CommitTicket`]. Acknowledgement is a *sequence watermark*: the sync
-//! stage publishes `durable_upto` both under the state lock and as an atomic
+//! [`CommitTicket`]. Acknowledgement is a *sequence watermark*: the writer
+//! publishes `durable_upto` both under the state lock and as an atomic
 //! that [`CommitTicket::wait`] loads first — a committer whose record is
 //! already durable returns without touching the lock or parking. Laggards
 //! fall back to one shared condvar that is woken **once per fsync**, so the
@@ -32,12 +38,6 @@
 //! parks on the same condvar for a bounded time — the network front-end
 //! keeps executing later rounds and lets many records share the fsync.
 //!
-//! The [`FsyncPolicy`] decides when the sync stage runs:
-//! [`Always`](FsyncPolicy::Always) fsyncs every written batch (pipelined with
-//! the next fill), [`Group`](FsyncPolicy::Group) fsyncs on an interval clock,
-//! [`None`](FsyncPolicy::None) skips the sync stage entirely — the append
-//! stage acknowledges right after the `write`.
-//!
 //! ## Failure model
 //!
 //! All storage goes through the [`WalFs`]/[`WalFile`] traits (production:
@@ -45,25 +45,25 @@
 //! one policy:
 //!
 //! * **Failed appends retry.** A failed `write` may be transient (and may
-//!   have landed a short prefix); the append stage truncates the segment
-//!   back to the last good byte, restores the cursor and retries with
-//!   exponential backoff, bounded by [`RetryPolicy`]. Exhausted retries
-//!   poison the log with [`WalError::Storage`].
+//!   have landed a short prefix); the writer truncates the segment back to
+//!   the last good byte, restores the cursor and retries with exponential
+//!   backoff, bounded by [`RetryPolicy`]. Exhausted retries poison the log
+//!   with [`WalError::Storage`].
 //! * **A failed fsync is never retried.** After a failed `fsync(2)` the
 //!   kernel may have dropped the dirty pages while keeping them clean in
 //!   cache, so a *later* fsync that returns success proves nothing about
-//!   them (the "fsyncgate" hazard). The sync stage poisons the log
-//!   immediately; `durable_upto` and the watermark only ever advance over
-//!   bytes a **successful** fsync covered.
+//!   them (the "fsyncgate" hazard). The writer poisons the log immediately;
+//!   `durable_upto` and the watermark only ever advance over bytes a
+//!   **successful** fsync covered.
 //! * **A poisoned log refuses new work without side effects.** In-flight
 //!   committers get the root-cause [`WalError::Storage`]; later appends and
 //!   rotations get [`WalError::Degraded`] up front. The store layer can
 //!   then keep serving reads and re-arm onto a fresh log (see
 //!   `txkv::durable`).
 //!
-//! Both stages also honor the [`crate::crash_points`] of the configured
-//! [`CrashPoints`] registry: when one fires, the stage abandons all I/O
-//! exactly at that pipeline position, marks the log dead with
+//! The writer also honors the [`crate::crash_points`] of the configured
+//! [`CrashPoints`] registry: when one fires, it abandons all I/O exactly at
+//! that pipeline position, marks the log dead with
 //! [`WalError::Crashed`] and fails every unacknowledged ticket — an
 //! in-process, deterministic stand-in for the machine dying at that instant.
 //! The one exception is a ticket whose LSN a successful fsync had already
@@ -179,7 +179,7 @@ impl Default for WalOptions {
 /// transitions, so a thread that panicked while holding one may have left
 /// the state torn. Serving from it could acknowledge non-durable records —
 /// strictly worse than crashing — so the panic is propagated loudly instead
-/// of recovered. (Stage threads themselves never panic on I/O failure: those
+/// of recovered. (The writer thread itself never panics on I/O failure: those
 /// paths return typed [`WalError`]s; a poisoned lock therefore indicates a
 /// bug, not a storage fault.)
 fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -192,22 +192,19 @@ fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
 struct State {
     /// Committed records not yet written, keyed by LSN (re-sequencing buffer).
     pending: BTreeMap<u64, Vec<u8>>,
-    /// The next LSN the writer will append — everything below is in the file.
+    /// The next LSN the writer will append — everything below is in the file
+    /// (or, while the writer is between drain and `write`, in its batch).
     next_append: u64,
-    /// All records with `lsn < durable_upto` are durable and acknowledged.
-    /// Mirrored into [`Shared::durable_watermark`] under this lock.
+    /// All records with `lsn < durable_upto` are durable and acknowledged
+    /// (≤ `next_append`; below it from a drain until the ack, which under
+    /// [`FsyncPolicy::Group`] can be an interval later). Mirrored into
+    /// [`Shared::durable_watermark`] under this lock.
     durable_upto: u64,
-    /// All records with `lsn < written_upto` are written (≥ durable_upto
-    /// while an fsync is pending, equal at rest).
-    written_upto: u64,
     /// Rotation handshake: requests vs completions.
     rotations_requested: u64,
     rotations_done: u64,
     /// Start LSN of the segment currently being written.
     segment_start: u64,
-    /// The append stage exited after a clean shutdown; the sync stage owes
-    /// one final flush-and-ack before marking the log dead.
-    append_done: bool,
     /// The first failure the writer suffered, if any. `Some` means nothing
     /// further will be written or acknowledged: [`WalError::Crashed`] for a
     /// simulated crash, [`WalError::Storage`] for a poisoned log.
@@ -219,6 +216,13 @@ struct State {
 impl State {
     fn dead(&self) -> bool {
         self.failure.is_some()
+    }
+
+    /// Records appended but not yet acknowledged durable: the written ones
+    /// an fsync still owes plus everything pending. The value of
+    /// [`txobs::metrics::WalMetrics::queue_depth`].
+    fn unacknowledged(&self) -> u64 {
+        self.next_append - self.durable_upto + self.pending.len() as u64
     }
 }
 
@@ -238,23 +242,17 @@ struct Shared {
     /// can be polled without the state lock. Stored (release) under the
     /// state lock right after the failure, loaded (acquire) without it.
     dead: AtomicBool,
-    /// The sync stage's handle to the current segment (swapped at rotation).
-    /// Held only across a single `fsync` or the rotation swap.
-    sync_file: Mutex<Box<dyn WalFile>>,
-    /// Wakes the append stage (new work, rotation request, shutdown).
+    /// Wakes the writer thread (new work, rotation request, shutdown).
     /// Exactly one waiter — notify with `notify_one`.
     work_cv: Condvar,
-    /// Wakes the sync stage (bytes written, shutdown handoff). Exactly one
-    /// waiter — notify with `notify_one`.
-    sync_cv: Condvar,
     /// Wakes committers and rotation waiters (durability advanced, death).
     ack_cv: Condvar,
 }
 
 impl Shared {
-    /// Records the writer's (first) failure and wakes everyone: in-flight
-    /// committers fail with the root cause, both stages exit, new work is
-    /// refused.
+    /// Records the writer's (first) failure and wakes every waiter: in-flight
+    /// committers fail with the root cause, new work is refused. Called only
+    /// by the writer thread, which exits right after.
     fn fail(&self, error: WalError) {
         let mut state = lock(&self.state);
         if state.failure.is_none() {
@@ -268,8 +266,6 @@ impl Shared {
             self.dead.store(true, Ordering::Release);
         }
         self.ack_cv.notify_all();
-        self.work_cv.notify_one();
-        self.sync_cv.notify_one();
     }
 
     /// Records that a successful fsync covered everything below `upto`.
@@ -287,11 +283,12 @@ impl Shared {
         if upto > state.durable_upto {
             state.durable_upto = upto;
             self.note_synced(upto);
+            // The gauge before the watermark: a committer that sees its ack
+            // also sees the queue it left.
+            txobs::metrics::wal()
+                .queue_depth
+                .set(state.unacknowledged());
             self.durable_watermark.store(upto, Ordering::Release);
-            let wal = txobs::metrics::wal();
-            wal.watermark_lag
-                .set(state.written_upto.saturating_sub(upto));
-            wal.queue_depth.set(state.pending.len() as u64);
             txobs::trace::trace(txobs::EventKind::WalWatermark, upto);
             self.ack_cv.notify_all();
         }
@@ -309,18 +306,16 @@ fn refusal(failure: &WalError) -> WalError {
     }
 }
 
-/// The pipelined group-commit write-ahead-log writer: owns the append and
-/// sync threads.
+/// The group-commit write-ahead-log writer: owns the `txlog-writer` thread.
 ///
 /// Dropping the writer performs a clean shutdown: the contiguous pending
 /// prefix is flushed, the segment is trimmed to its written bytes, fsynced
-/// and acknowledged, then both threads exit (any record stranded behind a
+/// and acknowledged, then the thread exits (any record stranded behind a
 /// sequence gap fails its ticket).
 #[derive(Debug)]
 pub struct LogWriter {
     shared: Arc<Shared>,
-    append_thread: Option<JoinHandle<()>>,
-    sync_thread: Option<JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
 }
 
 /// A committer's claim ticket for one appended record. Cloneable: a caller
@@ -335,7 +330,7 @@ pub struct CommitTicket {
 
 impl LogWriter {
     /// Opens (creating if needed) the log directory and starts the writer
-    /// threads on a fresh segment starting at `options.start_lsn`. An
+    /// thread on a fresh segment starting at `options.start_lsn`. An
     /// existing file of that name is truncated — after recovery this is
     /// exactly the repaired tail position, so nothing valid is lost. The
     /// segment is preallocated per [`WalOptions::preallocate_bytes`].
@@ -357,59 +352,41 @@ impl LogWriter {
         // The segment's directory entry must be durable before any record
         // written to it is acknowledged.
         fs.sync_dir(dir)?;
-        let sync_file = file.try_clone()?;
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 pending: BTreeMap::new(),
                 next_append: options.start_lsn,
                 durable_upto: options.start_lsn,
-                written_upto: options.start_lsn,
                 rotations_requested: 0,
                 rotations_done: 0,
                 segment_start: options.start_lsn,
-                append_done: false,
                 failure: None,
                 shutdown: false,
             }),
             durable_watermark: AtomicU64::new(options.start_lsn),
             synced_watermark: AtomicU64::new(options.start_lsn),
             dead: AtomicBool::new(false),
-            sync_file: Mutex::new(sync_file),
             work_cv: Condvar::new(),
-            sync_cv: Condvar::new(),
             ack_cv: Condvar::new(),
         });
-        let append_thread = {
-            let stage = AppendStage {
-                shared: Arc::clone(&shared),
-                fs: Arc::clone(&fs),
-                dir: dir.to_path_buf(),
-                file,
-                written_bytes: 0,
-                preallocate: options.preallocate_bytes,
-                fsync: options.fsync,
-                retry: options.retry,
-                crash: options.crash_points.clone(),
-            };
-            std::thread::Builder::new()
-                .name("txlog-append".to_string())
-                .spawn(move || stage.run())?
+        let writer = Writer {
+            shared: Arc::clone(&shared),
+            fs,
+            dir: dir.to_path_buf(),
+            file,
+            written_bytes: 0,
+            last_fsync: Instant::now(),
+            preallocate: options.preallocate_bytes,
+            fsync: options.fsync,
+            retry: options.retry,
+            crash: options.crash_points.clone(),
         };
-        let sync_thread = {
-            let stage = SyncStage {
-                shared: Arc::clone(&shared),
-                fsync: options.fsync,
-                crash: options.crash_points.clone(),
-                last_fsync: Instant::now(),
-            };
-            std::thread::Builder::new()
-                .name("txlog-sync".to_string())
-                .spawn(move || stage.run())?
-        };
+        let thread = std::thread::Builder::new()
+            .name("txlog-writer".to_string())
+            .spawn(move || writer.run())?;
         Ok(LogWriter {
             shared,
-            append_thread: Some(append_thread),
-            sync_thread: Some(sync_thread),
+            thread: Some(thread),
         })
     }
 
@@ -456,7 +433,7 @@ impl LogWriter {
         state.pending.insert(lsn, payload);
         let wal = txobs::metrics::wal();
         wal.enqueued.inc();
-        wal.queue_depth.set(state.pending.len() as u64);
+        wal.queue_depth.set(state.unacknowledged());
         txobs::trace::trace(txobs::EventKind::WalEnqueue, lsn);
         self.shared.work_cv.notify_one();
         Ok(CommitTicket {
@@ -527,17 +504,9 @@ impl LogWriter {
 
 impl Drop for LogWriter {
     fn drop(&mut self) {
-        {
-            let mut state = lock(&self.shared.state);
-            state.shutdown = true;
-            self.shared.work_cv.notify_one();
-        }
-        // The append stage drains and exits first, handing the sync stage
-        // the final flush; join in pipeline order.
-        if let Some(thread) = self.append_thread.take() {
-            let _ = thread.join();
-        }
-        if let Some(thread) = self.sync_thread.take() {
+        lock(&self.shared.state).shutdown = true;
+        self.shared.work_cv.notify_one();
+        if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }
     }
@@ -567,8 +536,8 @@ impl CommitTicket {
 
     /// Waits until the record is durable per the writer's fsync policy.
     ///
-    /// Fast path: one atomic load of the durable watermark — a record the
-    /// sync stage has already covered returns without locking or parking.
+    /// Fast path: one atomic load of the durable watermark — a record an
+    /// fsync has already covered returns without locking or parking.
     /// Otherwise the committer parks on the shared ack condvar, which is
     /// broadcast once per fsync.
     ///
@@ -639,9 +608,10 @@ impl CommitTicket {
     }
 }
 
-/// Stage 1: drains pending records, encodes and writes batches, rotates
-/// segments. Owns the segment file's write handle.
-struct AppendStage {
+/// The writer thread: drains pending records, encodes and writes batches,
+/// fsyncs them per the [`FsyncPolicy`], acknowledges committers and rotates
+/// segments. Owns the segment file.
+struct Writer {
     shared: Arc<Shared>,
     fs: Arc<dyn WalFs>,
     dir: PathBuf,
@@ -649,17 +619,15 @@ struct AppendStage {
     /// Valid bytes written to the current segment (the trim point for
     /// rotation/shutdown; everything beyond is preallocated zeros).
     written_bytes: u64,
+    /// When the last fsync returned: the [`FsyncPolicy::Group`] clock.
+    last_fsync: Instant,
     preallocate: u64,
     fsync: FsyncPolicy,
     retry: RetryPolicy,
     crash: CrashPoints,
 }
 
-impl AppendStage {
-    fn fail(&self, error: WalError) {
-        self.shared.fail(error);
-    }
-
+impl Writer {
     fn run(mut self) {
         let mut batch = Vec::new();
         loop {
@@ -667,25 +635,36 @@ impl AppendStage {
             batch.clear();
             let mut last_frame_start = 0usize;
             let mut frames = 0u64;
-            let batch_upto;
+            let written_upto;
+            let owed;
             let rotate_now;
             let exit_now;
             {
                 let mut state: MutexGuard<'_, State> = lock(&self.shared.state);
                 loop {
-                    if state.dead() {
-                        return;
-                    }
                     let has_work = state.pending.contains_key(&state.next_append);
                     let rotate_pending = state.rotations_requested > state.rotations_done;
                     if has_work || rotate_pending || state.shutdown {
                         break;
                     }
-                    state = self
-                        .shared
-                        .work_cv
-                        .wait(state)
-                        .expect("WAL mutex poisoned: a writer thread panicked mid-update");
+                    state = if state.next_append > state.durable_upto {
+                        // Written records still owe their group fsync: sleep
+                        // until it is due, collecting what arrives meanwhile.
+                        let left = self.fsync_wait();
+                        if left.is_zero() {
+                            break;
+                        }
+                        self.shared
+                            .work_cv
+                            .wait_timeout(state, left)
+                            .expect("WAL mutex poisoned: a writer thread panicked mid-update")
+                            .0
+                    } else {
+                        self.shared
+                            .work_cv
+                            .wait(state)
+                            .expect("WAL mutex poisoned: a writer thread panicked mid-update")
+                    };
                 }
                 loop {
                     let next = state.next_append;
@@ -699,7 +678,8 @@ impl AppendStage {
                         None => break,
                     }
                 }
-                batch_upto = state.next_append;
+                written_upto = state.next_append;
+                owed = written_upto > state.durable_upto;
                 rotate_now = state.rotations_requested > state.rotations_done;
                 // A clean shutdown flushes the contiguous prefix; records
                 // stranded behind a sequence gap can never be written and
@@ -710,7 +690,7 @@ impl AppendStage {
             // Phase 2 (unlocked): write the batch, honoring the crash points.
             if !batch.is_empty() {
                 if self.crash.should_crash(crash_points::BEFORE_APPEND) {
-                    return self.fail(WalError::Crashed);
+                    return self.shared.fail(WalError::Crashed);
                 }
                 if self.crash.should_crash(crash_points::MID_FRAME) {
                     // Write everything up to the middle of the last frame:
@@ -719,12 +699,12 @@ impl AppendStage {
                     let torn = last_frame_start + (batch.len() - last_frame_start) / 2;
                     let _ = self.file.write_all(&batch[..torn]);
                     let _ = self.file.sync_data();
-                    return self.fail(WalError::Crashed);
+                    return self.shared.fail(WalError::Crashed);
                 }
                 txobs::trace::trace(txobs::EventKind::WalAppendStart, frames);
                 let append_started = Instant::now();
                 if let Err(error) = self.write_batch(&batch) {
-                    return self.fail(error);
+                    return self.shared.fail(error);
                 }
                 let wal = txobs::metrics::wal();
                 wal.batches.inc();
@@ -737,49 +717,53 @@ impl AppendStage {
                         .min(u128::from(u64::MAX)) as u64,
                 );
                 txobs::trace::trace(txobs::EventKind::WalAppendDone, batch.len() as u64);
-                // This check must precede publishing `written_upto`: once
-                // published, the sync stage may fsync and acknowledge the
-                // batch, and this point means the bytes never became durable.
                 if self
                     .crash
                     .should_crash(crash_points::AFTER_APPEND_BEFORE_FSYNC)
                 {
-                    return self.fail(WalError::Crashed);
-                }
-                if matches!(self.fsync, FsyncPolicy::None) {
-                    // No sync stage under `fsync=none`: acknowledge as soon
-                    // as the OS has the bytes. No fsync ever covers these
-                    // records, so a crash before the ack fails the tickets.
-                    {
-                        let mut state = lock(&self.shared.state);
-                        state.written_upto = batch_upto;
-                    }
-                    if self
-                        .crash
-                        .should_crash(crash_points::AFTER_FSYNC_BEFORE_ACK)
-                    {
-                        return self.fail(WalError::Crashed);
-                    }
-                    self.shared.ack_durable(batch_upto);
-                } else {
-                    // Publish the batch to the sync stage and immediately
-                    // loop to fill the next one — the fsync overlaps it.
-                    let mut state = lock(&self.shared.state);
-                    state.written_upto = batch_upto;
-                    self.shared.sync_cv.notify_one();
+                    return self.shared.fail(WalError::Crashed);
                 }
             }
 
-            // Phase 3: segment rotation (requested after a snapshot).
+            // Phase 3: fsync (unless the policy is `None`) and acknowledge
+            // once the policy says the written records are due.
+            if owed && self.fsync_wait().is_zero() {
+                if self.fsync != FsyncPolicy::None {
+                    if let Err(error) = self.sync(written_upto, false) {
+                        return self.shared.fail(error);
+                    }
+                }
+                if self
+                    .crash
+                    .should_crash(crash_points::AFTER_FSYNC_BEFORE_ACK)
+                {
+                    return self.shared.fail(WalError::Crashed);
+                }
+                self.shared.ack_durable(written_upto);
+            }
+
+            // Phase 4: segment rotation (requested after a snapshot).
             if rotate_now {
-                if let Err(error) = self.rotate_segment() {
-                    return self.fail(error);
+                if let Err(error) = self.rotate_segment(written_upto) {
+                    return self.shared.fail(error);
                 }
             }
 
             if exit_now {
-                return self.finish();
+                return self.finish(written_upto);
             }
+        }
+    }
+
+    /// How long until written records are owed their fsync and ack: the
+    /// rest of the interval under [`FsyncPolicy::Group`], zero (at once)
+    /// otherwise.
+    fn fsync_wait(&self) -> Duration {
+        match self.fsync {
+            FsyncPolicy::Group(interval) => {
+                (self.last_fsync + interval).saturating_duration_since(Instant::now())
+            }
+            FsyncPolicy::Always | FsyncPolicy::None => Duration::ZERO,
         }
     }
 
@@ -814,12 +798,41 @@ impl AppendStage {
         }
     }
 
-    /// Closes the current segment cleanly and opens the next one at the
-    /// current append position. The outgoing segment is trimmed to its
-    /// written bytes and fsynced **before** the successor exists, so
-    /// non-newest segments never carry a zero tail — recovery relies on
-    /// that to treat any mid-scan stop as the end of history.
-    fn rotate_segment(&mut self) -> Result<(), WalError> {
+    /// Fsyncs the segment — `sync_all` when `all`, which also persists a
+    /// trim — and records that it covered every record below `upto`. That
+    /// record is made *before* the caller consults a post-fsync crash point:
+    /// a ticket whose LSN is covered is durable even if the writer dies
+    /// before the ack.
+    ///
+    /// A failure is never retried: the kernel may have dropped the dirty
+    /// pages while marking them clean, so a later fsync's success would
+    /// prove nothing about these bytes (fsyncgate). The caller poisons the
+    /// log and the watermark stays where the last successful fsync left it.
+    fn sync(&mut self, upto: u64, all: bool) -> Result<(), WalError> {
+        txobs::trace::trace(txobs::EventKind::WalFsyncStart, 0);
+        let fsync_started = Instant::now();
+        let synced = if all {
+            self.file.sync_all()
+        } else {
+            self.file.sync_data()
+        };
+        synced.map_err(|e| WalError::storage(StorageOp::Fsync, e.kind()))?;
+        let wal = txobs::metrics::wal();
+        wal.fsyncs.inc();
+        wal.fsync_ns
+            .record_ns(fsync_started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
+        txobs::trace::trace(txobs::EventKind::WalFsyncDone, upto);
+        self.last_fsync = Instant::now();
+        self.shared.note_synced(upto);
+        Ok(())
+    }
+
+    /// Closes the current segment cleanly and opens the next one at
+    /// `next_start`, the current append position. The outgoing segment is
+    /// trimmed to its written bytes and fsynced **before** the successor
+    /// exists, so non-newest segments never carry a zero tail — recovery
+    /// relies on that to treat any mid-scan stop as the end of history.
+    fn rotate_segment(&mut self, next_start: u64) -> Result<(), WalError> {
         if self.crash.should_crash(crash_points::BEFORE_ROTATE_FSYNC) {
             return Err(WalError::Crashed);
         }
@@ -831,13 +844,9 @@ impl AppendStage {
         self.file
             .sync_all()
             .map_err(|e| WalError::storage(StorageOp::Fsync, e.kind()))?;
-        let (next_start, flushed_upto) = {
-            let state = lock(&self.shared.state);
-            (state.next_append, state.written_upto)
-        };
         // Everything written so far lives in the outgoing segment and the
         // sync_all above covered it.
-        self.shared.note_synced(flushed_upto);
+        self.shared.note_synced(next_start);
         let file = self
             .fs
             .create(&segment_path(&self.dir, next_start))
@@ -863,19 +872,10 @@ impl AppendStage {
         {
             return Err(WalError::Crashed);
         }
-        // Swap the sync stage's handle before declaring the rotation done:
-        // every record at or past `next_start` lands in the new file, and
-        // everything before it was made durable by the sync_all above.
-        *lock(&self.shared.sync_file) = file
-            .try_clone()
-            .map_err(|e| WalError::storage(StorageOp::Open, e.kind()))?;
         self.file = file;
         self.written_bytes = 0;
+        self.shared.ack_durable(next_start);
         let mut state = lock(&self.shared.state);
-        state.durable_upto = state.durable_upto.max(state.written_upto);
-        self.shared
-            .durable_watermark
-            .store(state.durable_upto, Ordering::Release);
         state.segment_start = next_start;
         state.rotations_done += 1;
         txobs::metrics::wal().rotations.inc();
@@ -885,123 +885,19 @@ impl AppendStage {
     }
 
     /// Clean shutdown: trim the preallocated tail so the log ends at a frame
-    /// boundary, then hand the sync stage the final flush-and-ack.
-    fn finish(self) {
+    /// boundary, fsync and acknowledge everything written below
+    /// `written_upto`, then mark the log dead so any ticket stranded behind
+    /// a sequence gap fails instead of hanging.
+    fn finish(mut self, written_upto: u64) {
         if let Err(error) = self.file.set_len(self.written_bytes) {
-            return self.fail(WalError::storage(StorageOp::SetLen, error.kind()));
+            return self
+                .shared
+                .fail(WalError::storage(StorageOp::SetLen, error.kind()));
         }
-        let mut state = lock(&self.shared.state);
-        state.append_done = true;
-        self.shared.sync_cv.notify_one();
-    }
-}
-
-/// Stage 2: fsyncs written batches per the [`FsyncPolicy`] and acknowledges
-/// committers through the watermark. Runs concurrently with the append
-/// stage's next fill.
-struct SyncStage {
-    shared: Arc<Shared>,
-    fsync: FsyncPolicy,
-    crash: CrashPoints,
-    last_fsync: Instant,
-}
-
-impl SyncStage {
-    fn fail(&self, error: WalError) {
-        self.shared.fail(error);
-    }
-
-    fn run(mut self) {
-        loop {
-            let ack_upto;
-            let finish;
-            {
-                let mut state = lock(&self.shared.state);
-                loop {
-                    if state.dead() {
-                        return;
-                    }
-                    if state.append_done {
-                        break;
-                    }
-                    if state.written_upto > state.durable_upto {
-                        match self.fsync {
-                            // Group: wait out the interval clock, collecting
-                            // everything written in the meantime under one
-                            // fsync.
-                            FsyncPolicy::Group(interval) => {
-                                let deadline = self.last_fsync + interval;
-                                let now = Instant::now();
-                                if now >= deadline {
-                                    break;
-                                }
-                                let (guard, _) = self
-                                    .shared
-                                    .sync_cv
-                                    .wait_timeout(state, deadline - now)
-                                    .expect(
-                                        "WAL mutex poisoned: a writer thread panicked mid-update",
-                                    );
-                                state = guard;
-                            }
-                            _ => break,
-                        }
-                    } else {
-                        state = self
-                            .shared
-                            .sync_cv
-                            .wait(state)
-                            .expect("WAL mutex poisoned: a writer thread panicked mid-update");
-                    }
-                }
-                ack_upto = state.written_upto;
-                finish = state.append_done;
-            }
-
-            // The fsync itself, outside the state lock: the append stage
-            // keeps filling the next batch while this runs. On the final
-            // flush sync_all also persists the shutdown trim.
-            txobs::trace::trace(txobs::EventKind::WalFsyncStart, 0);
-            let fsync_started = Instant::now();
-            let synced = {
-                let file = lock(&self.shared.sync_file);
-                if finish {
-                    file.sync_all()
-                } else {
-                    file.sync_data()
-                }
-            };
-            if let Err(error) = synced {
-                // Never retried: the kernel may have dropped the dirty pages
-                // while marking them clean, so a later fsync's success would
-                // prove nothing about these bytes (fsyncgate). The log is
-                // poisoned and the watermark stays exactly where the last
-                // successful fsync left it.
-                return self.fail(WalError::storage(StorageOp::Fsync, error.kind()));
-            }
-            let wal = txobs::metrics::wal();
-            wal.fsyncs.inc();
-            wal.fsync_ns
-                .record_ns(fsync_started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-            txobs::trace::trace(txobs::EventKind::WalFsyncDone, ack_upto);
-            self.last_fsync = Instant::now();
-            // Record what this successful fsync covered *before* consulting
-            // the crash point: a ticket whose LSN is covered is durable even
-            // if the writer dies before the ack below.
-            self.shared.note_synced(ack_upto);
-            if !finish
-                && self
-                    .crash
-                    .should_crash(crash_points::AFTER_FSYNC_BEFORE_ACK)
-            {
-                return self.fail(WalError::Crashed);
-            }
-            self.shared.ack_durable(ack_upto);
-            if finish {
-                // Clean end of the pipeline: mark the log dead so any ticket
-                // stranded behind a sequence gap fails instead of hanging.
-                return self.fail(WalError::Crashed);
-            }
+        if let Err(error) = self.sync(written_upto, true) {
+            return self.shared.fail(error);
         }
+        self.shared.ack_durable(written_upto);
+        self.shared.fail(WalError::Crashed);
     }
 }

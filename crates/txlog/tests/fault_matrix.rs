@@ -14,7 +14,7 @@
 //!
 //! A process-wide panic-hook counter verifies the "zero panics" half of the
 //! contract: no test in this binary expects a panic, so the counter must
-//! stay zero however the faults land in the writer threads.
+//! stay zero however the faults land in the writer thread.
 
 use std::io::ErrorKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -31,11 +31,11 @@ const TEST_PREALLOC: u64 = 64 * 1024;
 
 static PANICS: AtomicUsize = AtomicUsize::new(0);
 
-/// Counts every panic in the process (writer threads included) on top of the
-/// default hook. Tests assert the count stays zero — a fault that panicked a
-/// stage thread instead of propagating a typed error would be invisible to
-/// the test body otherwise (stage panics are swallowed by the join in
-/// `LogWriter::drop`).
+/// Counts every panic in the process (the writer thread included) on top of
+/// the default hook. Tests assert the count stays zero — a fault that
+/// panicked the writer thread instead of propagating a typed error would be
+/// invisible to the test body otherwise (its panic is swallowed by the join
+/// in `LogWriter::drop`).
 fn install_panic_counter() {
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
@@ -222,7 +222,7 @@ fn enospc_short_write_leaves_a_repairable_log() {
 
 /// The fsyncgate pin: a failed fsync is never retried-and-acked. The durable
 /// watermark stays exactly where the last *successful* fsync left it, the
-/// sync stage poisons the log with `Storage { Fsync, .. }`, and — because the
+/// writer poisons the log with `Storage { Fsync, .. }`, and — because the
 /// fault budget is `Times(1)` — a later fsync *would* succeed, which must
 /// not matter: no later fsync is ever issued against the poisoned segment.
 #[test]
@@ -268,7 +268,7 @@ fn a_failed_fsync_never_advances_the_durable_watermark() {
             assert_eq!(
                 plan.fired_count(StorageOp::Fsync),
                 1,
-                "{ctx}: the sync stage retried a failed fsync"
+                "{ctx}: the writer retried a failed fsync"
             );
 
             // Record 3's bytes were written (never fsynced): in-process

@@ -1,4 +1,4 @@
-//! Integration tests of the pipelined group-commit writer: re-sequencing,
+//! Integration tests of the group-commit writer: re-sequencing,
 //! fsync policies, rotation, preallocation trims, clean shutdown, watermark
 //! acknowledgement, and deterministic crash injection on both the append and
 //! the rotation path.
@@ -95,11 +95,10 @@ fn concurrent_committers_all_become_durable() {
     });
 }
 
-/// Lost-wakeup regression for the `notify_one` stage handoffs: each condvar
-/// in the pipeline has exactly one consumer, so a swallowed notification
-/// would strand the writer (and this test would hit the watchdog). Many
-/// concurrent appenders hammer the `work_cv`/`sync_cv` edges under every
-/// fsync policy.
+/// Lost-wakeup regression for the writer's `notify_one` wake-up: its
+/// condvar has exactly one consumer, so a swallowed notification would
+/// strand the writer (and this test would hit the watchdog). Many concurrent
+/// appenders hammer the `work_cv` edge under every fsync policy.
 #[test]
 fn notify_one_wakeups_are_never_lost_under_contention() {
     with_default_watchdog(|| {
@@ -325,6 +324,37 @@ fn clean_shutdown_flushes_under_every_policy() {
             let log = recover(dir.path()).unwrap();
             assert_eq!(log.records.len(), 10, "{fsync:?}");
         }
+    });
+}
+
+/// A rotation acknowledges what its `sync_all` covered through the same path
+/// as an fsync: records written under a group interval that never expires
+/// become durable by `rotate()` alone, and the watermark agrees with the
+/// locked read afterwards.
+#[test]
+fn rotation_alone_acknowledges_written_records() {
+    with_default_watchdog(|| {
+        let dir = TempDir::new("txlog-wal-rotate-ack");
+        let writer = LogWriter::open(
+            dir.path(),
+            &options(FsyncPolicy::Group(Duration::from_secs(60))),
+        )
+        .unwrap();
+        let tickets: Vec<_> = (0..4)
+            .map(|lsn| writer.append(lsn, payload(lsn)).unwrap())
+            .collect();
+        assert!(
+            tickets.iter().all(|ticket| ticket.poll().is_none()),
+            "no fsync is due for a minute"
+        );
+        assert_eq!(writer.rotate(), Ok(4));
+        for ticket in &tickets {
+            assert_eq!(ticket.poll(), Some(Ok(())), "LSN {}", ticket.lsn());
+        }
+        assert_eq!(writer.durable_lsn(), 4);
+        assert_eq!(writer.durable_watermark(), writer.durable_lsn());
+        drop(writer);
+        assert_eq!(recover(dir.path()).unwrap().next_lsn, 4);
     });
 }
 

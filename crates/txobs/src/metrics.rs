@@ -158,14 +158,14 @@ impl Default for AtomicHistogram {
     }
 }
 
-/// Hot-path metrics of the two-stage WAL writer.
+/// Hot-path metrics of the WAL writer.
 #[derive(Debug, Default)]
 pub struct WalMetrics {
-    /// Commit batches handed to the append stage.
+    /// Commit batches handed to the writer.
     pub enqueued: Counter,
     /// Batches not yet acknowledged durable (enqueue minus watermark).
     pub queue_depth: Gauge,
-    /// Physical write batches issued by the append stage.
+    /// Physical write batches issued by the writer.
     pub batches: Counter,
     /// Log records coalesced across all write batches.
     pub batch_records: Counter,
@@ -173,14 +173,11 @@ pub struct WalMetrics {
     pub batch_bytes: Counter,
     /// Latency of each physical batch write.
     pub append_ns: AtomicHistogram,
-    /// Fsyncs issued by the sync stage.
+    /// Fsyncs issued by the writer.
     pub fsyncs: Counter,
     /// Latency of each fsync.
     pub fsync_ns: AtomicHistogram,
-    /// LSNs written but not yet durable (append watermark minus durable
-    /// watermark).
-    pub watermark_lag: Gauge,
-    /// Transient write errors retried by the append stage.
+    /// Transient write errors retried by the writer.
     pub retries: Counter,
     /// Terminal WAL faults (the writer died).
     pub faults: Counter,
@@ -399,7 +396,6 @@ static WAL: WalMetrics = WalMetrics {
     append_ns: AtomicHistogram::new(),
     fsyncs: Counter::new(),
     fsync_ns: AtomicHistogram::new(),
-    watermark_lag: Gauge::new(),
     retries: Counter::new(),
     faults: Counter::new(),
     rotations: Counter::new(),
@@ -495,7 +491,6 @@ pub fn metrics_text() -> String {
     }
     for (name, gauge) in [
         ("txobs_wal_queue_depth", &wal.queue_depth),
-        ("txobs_wal_watermark_lag", &wal.watermark_lag),
         ("txobs_kv_health", &kv().health),
         ("txobs_net_connections", &net().connections),
         ("txobs_net_parked_rounds", &net().parked_rounds),

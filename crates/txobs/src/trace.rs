@@ -42,19 +42,19 @@ pub enum EventKind {
     /// A transaction attempt aborted; the argument is the abort-cause code
     /// (see [`cause`]).
     TxAbort = 2,
-    /// A commit batch was handed to the WAL append stage; the argument is the
+    /// A commit batch was handed to the WAL writer; the argument is the
     /// batch's LSN.
     WalEnqueue = 3,
-    /// The WAL append stage started writing a batch; the argument is the
-    /// number of records in the batch.
+    /// The WAL writer started writing a batch; the argument is the number of
+    /// records in the batch.
     WalAppendStart = 4,
-    /// The WAL append stage finished writing a batch; the argument is the
-    /// number of bytes written.
+    /// The WAL writer finished writing a batch; the argument is the number
+    /// of bytes written.
     WalAppendDone = 5,
-    /// The WAL sync stage started an fsync.
+    /// The WAL writer started an fsync.
     WalFsyncStart = 6,
-    /// The WAL sync stage finished an fsync; the argument is the durable
-    /// watermark it published.
+    /// The WAL writer finished an fsync; the argument is the watermark it
+    /// covered (every LSN below is durable).
     WalFsyncDone = 7,
     /// The durable watermark advanced; the argument is the new watermark LSN.
     WalWatermark = 8,
@@ -374,7 +374,7 @@ fn escape_json(s: &str, out: &mut String) {
 /// Writes all rings as Chrome trace-event JSON (the `traceEvents` array
 /// format), loadable in Perfetto or `chrome://tracing`.
 ///
-/// WAL append and fsync stages become duration (`B`/`E`) pairs; every other
+/// WAL appends and fsyncs become duration (`B`/`E`) pairs; every other
 /// event is an instant. Timestamps are microseconds since the trace epoch.
 pub fn write_chrome_trace(w: &mut dyn Write) -> io::Result<()> {
     let rings: Vec<Arc<Ring>> = registry().lock().unwrap_or_else(|e| e.into_inner()).clone();
