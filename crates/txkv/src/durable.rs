@@ -1,13 +1,14 @@
 //! The durable front-end: `txkv` over the [`txlog`] write-ahead log.
 //!
-//! A [`DurableKvStore`] wraps a [`KvServer`] (either runtime) with a
+//! A [`DurableKvStore`] wraps a [`KvServer`] (any runtime) with a
 //! **logical redo log** above the STM commit point:
 //!
 //! 1. every batch that contains a write is stamped with a **commit sequence
 //!    number** (LSN) by reading and incrementing a dedicated heap word
-//!    *inside* the batch's transaction ([`KvSession::batch_logged`]) — STM
+//!    *inside* the batch's transaction (the same planned executor
+//!    [`KvSession::batch`] runs, with the sequence word as its stamp) — STM
 //!    serialisability makes the LSN order identical to the commit order, on
-//!    SwissTM and TLSTM alike;
+//!    every runtime alike;
 //! 2. after the STM commit, the batch's *write* operations plus the plan
 //!    parameters (shard count, effective group count) are encoded as a
 //!    record — each write through [`crate::ops::encode_op`], the encoding
@@ -27,7 +28,7 @@
 //! scenarios measure against their in-memory twins.
 //!
 //! Because TLSTM batch tasks and SwissTM sequential plans execute the *same
-//! deterministic plan* (PR 4's conformance property), both runtimes log the
+//! deterministic plan* (PR 4's conformance property), every runtime logs the
 //! identical record stream — so recovery is runtime-agnostic: replaying the
 //! records sequentially in plan order reproduces the committed state
 //! regardless of which runtime (or which task split) produced the log.
@@ -63,8 +64,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use swisstm::SwisstmRuntime;
-use tlstm::TlstmRuntime;
 use txlog::codec::{put_words, Cursor};
 use txlog::files::{prune_obsolete_with, write_snapshot_with};
 use txlog::recovery::recover_with;
@@ -72,7 +71,7 @@ use txlog::{
     CommitTicket, CrashPoints, FsyncPolicy, LogWriter, RealFs, RetryPolicy, WalError, WalFs,
     WalOptions,
 };
-use txmem::{SeqRefRuntime, TxMem, TxRuntime, WordAddr};
+use txmem::{TxMem, TxRuntime, TxSession, WordAddr};
 
 use crate::ops::{decode_op, encode_op, KvOp, KvReply};
 use crate::server::{KvServer, KvServerConfig, KvSession};
@@ -202,52 +201,18 @@ pub struct DurableKvStore<R: TxRuntime> {
     recovery: RecoveryReport,
 }
 
-impl DurableKvStore<SwisstmRuntime> {
-    /// Boots a durable store on the SwissTM runtime, recovering whatever the
-    /// log directory holds (an empty/missing directory boots a fresh store).
+impl<R: TxRuntime> DurableKvStore<R> {
+    /// Boots a durable store on runtime `R`, recovering whatever the log
+    /// directory holds (an empty/missing directory boots a fresh store).
+    /// Recovery replays snapshot and records through
+    /// [`DirectMem`](txmem::DirectMem) and is therefore runtime-agnostic: the
+    /// log stream is identical on every runtime.
     ///
     /// # Errors
     ///
     /// Propagates file-system failures and undecodable (version-mismatched)
     /// log content. Torn/corrupt tails are *not* errors — they are discarded
     /// per the recovery invariants.
-    pub fn swisstm(dir: &Path, config: &DurableKvConfig) -> io::Result<Self> {
-        Self::boot(dir, config)
-    }
-}
-
-impl DurableKvStore<TlstmRuntime> {
-    /// Boots a durable store on the TLSTM runtime (batches split into
-    /// speculative tasks; the log stream is identical to SwissTM's).
-    ///
-    /// # Errors
-    ///
-    /// See [`DurableKvStore::swisstm`].
-    pub fn tlstm(dir: &Path, config: &DurableKvConfig) -> io::Result<Self> {
-        Self::boot(dir, config)
-    }
-}
-
-impl DurableKvStore<SeqRefRuntime> {
-    /// Boots a durable store on the sequential global-lock reference runtime
-    /// (the log stream is identical to the transactional runtimes').
-    ///
-    /// # Errors
-    ///
-    /// See [`DurableKvStore::swisstm`].
-    pub fn seqref(dir: &Path, config: &DurableKvConfig) -> io::Result<Self> {
-        Self::boot(dir, config)
-    }
-}
-
-impl<R: TxRuntime> DurableKvStore<R> {
-    /// Boots a durable store on runtime `R`, recovering whatever the log
-    /// directory holds. Recovery replays snapshot and records through
-    /// [`DirectMem`](txmem::DirectMem) and is therefore runtime-agnostic.
-    ///
-    /// # Errors
-    ///
-    /// See [`DurableKvStore::swisstm`].
     pub fn boot(dir: &Path, config: &DurableKvConfig) -> io::Result<Self> {
         let recovered = recover_with(config.fs.as_ref(), dir)?;
         let server = KvServer::<R>::new(&config.server);
@@ -437,14 +402,13 @@ impl<R: TxRuntime> DurableKvStore<R> {
         let store = self.server.store();
         let seq = self.seq;
         let n_shards = store.shards();
-        let mut session = self.server.session();
-        session.transact(move |mut mem| {
+        self.server.session().session.run(|mem| {
             let lsn = mem.read(seq)?;
             let mut payload = Vec::new();
             payload.extend_from_slice(&PAYLOAD_VERSION.to_le_bytes());
             payload.extend_from_slice(&n_shards.to_le_bytes());
             for shard in 0..n_shards {
-                let entries = store.dump_shard(&mut mem, shard)?;
+                let entries = store.dump_shard(mem, shard)?;
                 payload.extend_from_slice(&shard.to_le_bytes());
                 payload.extend_from_slice(&(entries.len() as u64).to_le_bytes());
                 for (key, value) in entries {
@@ -560,10 +524,10 @@ impl<R: TxRuntime> DurableKvSession<R> {
                 WalError::Storage { .. } | WalError::Degraded => WalError::Degraded,
             });
         }
-        // Encode before execution (the ops move into the transaction);
-        // the LSN lives in the frame header, not the payload.
+        // The LSN lives in the frame header, not the payload.
         let payload = encode_record(self.shards, self.groups, &ops);
-        let (replies, lsn) = self.inner.batch_logged(ops, self.seq);
+        let (replies, lsn) = self.inner.execute(&ops, Some(self.seq));
+        let lsn = lsn.expect("a stamped write batch carries its LSN");
         Ok((replies, Some(writer.append(lsn, payload)?)))
     }
 

@@ -3,7 +3,7 @@
 //! The serving-shaped subsystem of the TLSTM reproduction: a concurrent,
 //! transactionally-consistent key-value store layered on the word heap
 //! ([`txmem`]) and the transactional collections ([`txcollections`]), generic
-//! over both runtimes through the shared [`txmem::TxMem`] trait.
+//! over every runtime through the shared [`txmem::TxMem`] trait.
 //!
 //! Three layers:
 //!
@@ -12,8 +12,9 @@
 //!   never rehashes) plus a [`txcollections::TxRbTree`] secondary index that
 //!   serves ordered `scan(lo..hi)` queries. Operations: `get`, `put`,
 //!   `delete`, `cas`, `scan`, and multi-operation atomic batches.
-//! * [`KvServer`] / [`KvSession`] — the in-process front-end: one runtime
-//!   (SwissTM or TLSTM) and per-client session handles. Under TLSTM a batch
+//! * [`KvServer`] / [`KvSession`] — the in-process front-end: one of the
+//!   three runtimes (SwissTM, TLSTM or the sequential `seqref` reference) and
+//!   per-client session handles. Under TLSTM a batch
 //!   is split into speculative tasks, one per shard-group, demonstrating the
 //!   paper's TLS-inside-transactions win on long multi-key operations.
 //! * [`RefStore`] — the sequential oracle with identical semantics
@@ -33,9 +34,10 @@
 //! ## Example
 //!
 //! ```rust
+//! use tlstm::TlstmRuntime;
 //! use txkv::{KvOp, KvReply, KvServer, KvServerConfig};
 //!
-//! let server = KvServer::tlstm(&KvServerConfig::default());
+//! let server = KvServer::<TlstmRuntime>::new(&KvServerConfig::default());
 //! server.populate((0..100u64).map(|k| (k, vec![k, k])));
 //!
 //! let mut session = server.session();

@@ -15,14 +15,12 @@
 //! one transaction, which is what makes the runtimes directly comparable
 //! (and conformance-testable against [`crate::RefStore::batch`]).
 //!
-//! [`KvServer::swisstm`], [`KvServer::tlstm`] and [`KvServer::seqref`] are
-//! thin aliases of the generic [`KvServer::new`] for the registered runtimes.
+//! A server is booted on a runtime by naming it:
+//! `KvServer::<TlstmRuntime>::new(&config)`.
 
-use swisstm::SwisstmRuntime;
-use tlstm::TlstmRuntime;
 use txmem::{
-    run_boxed_tasks, Abort, BoxedTaskBody, DirectMem, SeqRefRuntime, StatsSnapshot, TxConfig,
-    TxHeap, TxMem, TxRuntime, TxSession, WordAddr,
+    run_boxed_tasks, Abort, BoxedTaskBody, DirectMem, StatsSnapshot, TxConfig, TxMem, TxRuntime,
+    TxSession, WordAddr,
 };
 
 use std::sync::Arc;
@@ -101,11 +99,6 @@ impl<R: TxRuntime> KvServer<R> {
         R::LABEL
     }
 
-    /// The shared transactional heap.
-    pub fn heap(&self) -> &TxHeap {
-        self.runtime.heap()
-    }
-
     /// Non-transactional direct access (initialisation and test inspection
     /// only — never while sessions are running).
     pub fn direct(&self) -> DirectMem<'_> {
@@ -128,11 +121,6 @@ impl<R: TxRuntime> KvServer<R> {
         self.runtime.stats()
     }
 
-    /// Per-shard statistics snapshots (see [`TxRuntime::stats_per_shard`]).
-    pub fn stats_per_shard(&self) -> Vec<StatsSnapshot> {
-        self.runtime.stats_per_shard()
-    }
-
     /// Opens a session. Each client thread needs its own.
     pub fn session(&self) -> KvSession<R> {
         KvSession {
@@ -143,32 +131,10 @@ impl<R: TxRuntime> KvServer<R> {
     }
 }
 
-impl KvServer<SwisstmRuntime> {
-    /// Boots a server on the SwissTM baseline runtime.
-    pub fn swisstm(config: &KvServerConfig) -> Self {
-        Self::new(config)
-    }
-}
-
-impl KvServer<TlstmRuntime> {
-    /// Boots a server on the TLSTM runtime (batches split into speculative
-    /// tasks).
-    pub fn tlstm(config: &KvServerConfig) -> Self {
-        Self::new(config)
-    }
-}
-
-impl KvServer<SeqRefRuntime> {
-    /// Boots a server on the sequential global-lock reference runtime.
-    pub fn seqref(config: &KvServerConfig) -> Self {
-        Self::new(config)
-    }
-}
-
 /// A per-client handle: submits operations and batches to the server.
 #[derive(Debug)]
 pub struct KvSession<R: TxRuntime> {
-    session: R::Session,
+    pub(crate) session: R::Session,
     store: KvStore,
     batch_tasks: usize,
 }
@@ -226,7 +192,7 @@ impl<R: TxRuntime> KvSession<R> {
     /// [`crate::ops::plan_batch`]); under a speculative runtime each
     /// non-empty shard-group runs as its own task.
     pub fn batch(&mut self, ops: Vec<KvOp>) -> Vec<KvReply> {
-        self.batch_inner(ops, None).0
+        self.execute(&ops, None).0
     }
 
     /// Executes several independently-submitted sub-batches (typically one
@@ -241,34 +207,22 @@ impl<R: TxRuntime> KvSession<R> {
         crate::ops::split_replies(&lens, replies)
     }
 
-    /// Like [`Self::batch`], but additionally stamps the transaction with a
-    /// **commit sequence number**: the word at `seq` is read and incremented
-    /// *inside* the transaction, so the returned numbers of concurrent
-    /// batches are dense and ordered exactly as the STM serialises their
-    /// commits — the property the durable front-end's redo log relies on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ops` is empty (there is nothing to stamp).
-    pub fn batch_logged(&mut self, ops: Vec<KvOp>, seq: WordAddr) -> (Vec<KvReply>, u64) {
-        assert!(!ops.is_empty(), "cannot stamp an empty batch");
-        let (replies, lsn) = self.batch_inner(ops, Some(seq));
-        (
-            replies,
-            lsn.expect("stamped batches always produce a sequence"),
-        )
-    }
-
-    fn batch_inner(
+    /// The one path from a batch to a transaction. With a `stamp` word, the
+    /// transaction also reads and increments it and returns the value read:
+    /// a **commit sequence number**, dense and ordered exactly as the STM
+    /// serialises the commits of concurrent stamped batches — the property
+    /// the durable front-end's redo log relies on. An empty batch runs no
+    /// transaction and is never stamped.
+    pub(crate) fn execute(
         &mut self,
-        ops: Vec<KvOp>,
-        seq: Option<WordAddr>,
+        ops: &[KvOp],
+        stamp: Option<WordAddr>,
     ) -> (Vec<KvReply>, Option<u64>) {
         if ops.is_empty() {
             return (Vec::new(), None);
         }
         let store = self.store;
-        let groups: Vec<Vec<usize>> = plan_batch(&ops, store.shards(), self.batch_tasks)
+        let groups: Vec<Vec<usize>> = plan_batch(ops, store.shards(), self.batch_tasks)
             .into_iter()
             .filter(|group| !group.is_empty())
             .collect();
@@ -277,109 +231,90 @@ impl<R: TxRuntime> KvSession<R> {
             // monomorphized transaction: the memory operations inline into
             // the runtime's transaction loop instead of going through the
             // task group's `&mut dyn TxMem` erasure.
-            let ops_ref = &ops;
-            let groups_ref = &groups;
+            let groups = &groups;
             let (filled, lsn) = self.session.run(|mem| {
-                let lsn = match seq {
-                    Some(seq) => {
-                        let lsn = mem.read(seq)?;
-                        mem.write(seq, lsn + 1)?;
-                        Some(lsn)
-                    }
-                    None => None,
-                };
-                let mut filled: Vec<(usize, KvReply)> = Vec::with_capacity(ops_ref.len());
-                for group in groups_ref {
-                    for &index in group {
-                        filled.push((index, store.apply(mem, &ops_ref[index])?));
-                    }
+                let lsn = stamp_batch(mem, stamp)?;
+                let mut filled = Vec::with_capacity(ops.len());
+                for group in groups {
+                    apply_group(store, mem, ops, group, &mut filled)?;
                 }
                 Ok((filled, lsn))
             });
-            debug_assert_eq!(lsn.is_some(), seq.is_some());
-            let mut replies: Vec<Option<KvReply>> = vec![None; ops.len()];
-            for (index, reply) in filled {
-                replies[index] = Some(reply);
-            }
-            return (
-                replies
-                    .into_iter()
-                    .map(|r| r.expect("plan covers every op"))
-                    .collect(),
-                lsn,
-            );
+            return (scatter(ops.len(), filled), lsn);
         }
-        // One reply vector per group, filled inside the transaction. The
-        // sequence stamp rides in the first group's body; its position inside
-        // the transaction is irrelevant for the commit order it captures.
-        let mut group_replies: Vec<Vec<(usize, KvReply)>> =
-            groups.iter().map(|g| Vec::with_capacity(g.len())).collect();
-        let mut lsn_out: Option<u64> = None;
-        {
-            let mut lsn_slot = Some(&mut lsn_out);
-            let mut pending_seq = seq;
-            let ops = &ops;
-            let mut bodies: Vec<BoxedTaskBody<'_>> = groups
-                .iter()
-                .zip(group_replies.iter_mut())
-                .map(|(group, replies)| {
-                    let task_seq = pending_seq.take();
-                    let mut task_lsn = if task_seq.is_some() {
-                        lsn_slot.take()
-                    } else {
-                        None
-                    };
-                    let body = move |mem: &mut dyn TxMem| -> Result<(), Abort> {
-                        if let Some(seq) = task_seq {
-                            let lsn = mem.read(seq)?;
-                            mem.write(seq, lsn + 1)?;
-                            // Re-executions overwrite the slot, so only the
-                            // committed execution's stamp survives (same
-                            // idiom as the reply slots below).
-                            **task_lsn.as_mut().expect("stamping body owns the slot") = Some(lsn);
-                        }
-                        // A body may re-execute after a conflict; start each
-                        // execution from an empty reply slot so only the
-                        // committed execution's replies survive.
-                        replies.clear();
-                        for &index in group {
-                            replies.push((index, store.apply(mem, &ops[index])?));
-                        }
-                        Ok(())
-                    };
-                    Box::new(body) as BoxedTaskBody<'_>
-                })
-                .collect();
-            run_boxed_tasks(&mut self.session, &mut bodies);
-        }
-        debug_assert_eq!(lsn_out.is_some(), seq.is_some());
-        let mut replies: Vec<Option<KvReply>> = vec![None; ops.len()];
-        for filled in group_replies {
-            for (index, reply) in filled {
-                replies[index] = Some(reply);
-            }
-        }
+        // One slot per group, filled inside the transaction; a body may
+        // re-execute after a conflict, and each execution overwrites its
+        // slot, so only the committed execution's stamp and replies survive.
+        // Group 0 carries the stamp: its position inside the transaction is
+        // irrelevant for the commit order it captures.
+        let mut slots: Vec<_> = groups
+            .iter()
+            .map(|group| (None, Vec::with_capacity(group.len())))
+            .collect();
+        let mut bodies: Vec<BoxedTaskBody<'_>> = groups
+            .iter()
+            .zip(slots.iter_mut())
+            .enumerate()
+            .map(|(i, (group, (lsn, replies)))| {
+                let stamp = if i == 0 { stamp } else { None };
+                Box::new(move |mem: &mut dyn TxMem| {
+                    *lsn = stamp_batch(mem, stamp)?;
+                    replies.clear();
+                    apply_group(store, mem, ops, group, replies)
+                }) as BoxedTaskBody<'_>
+            })
+            .collect();
+        run_boxed_tasks(&mut self.session, &mut bodies);
+        drop(bodies);
+        let lsn = slots[0].0;
         (
-            replies
-                .into_iter()
-                .map(|r| r.expect("plan covers every op"))
-                .collect(),
-            lsn_out,
+            scatter(
+                ops.len(),
+                slots.into_iter().flat_map(|(_, replies)| replies),
+            ),
+            lsn,
         )
     }
+}
 
-    /// Runs `body` as one atomic transaction (a single task under a
-    /// speculative runtime) and returns its committed result. The closure
-    /// receives a `&mut dyn TxMem`, so store code generic over the memory
-    /// runs inside it on any runtime; like any transaction body it may
-    /// re-execute and must be side-effect free apart from its return value.
-    pub fn transact<T, F>(&mut self, body: F) -> T
-    where
-        F: Fn(&mut dyn TxMem) -> Result<T, Abort> + Send + Sync,
-        T: Send,
-    {
-        self.session.run(move |mem| body(mem as &mut dyn TxMem))
+/// Reads and increments the `stamp` word, if any, returning the value read.
+fn stamp_batch<M: TxMem + ?Sized>(
+    mem: &mut M,
+    stamp: Option<WordAddr>,
+) -> Result<Option<u64>, Abort> {
+    let Some(seq) = stamp else {
+        return Ok(None);
+    };
+    let lsn = mem.read(seq)?;
+    mem.write(seq, lsn + 1)?;
+    Ok(Some(lsn))
+}
+
+/// Applies one shard-group of the plan, appending `(op index, reply)` pairs.
+fn apply_group<M: TxMem + ?Sized>(
+    store: KvStore,
+    mem: &mut M,
+    ops: &[KvOp],
+    group: &[usize],
+    out: &mut Vec<(usize, KvReply)>,
+) -> Result<(), Abort> {
+    for &index in group {
+        out.push((index, store.apply(mem, &ops[index])?));
     }
+    Ok(())
+}
+
+/// Puts the `(op index, reply)` pairs of a committed plan back in submission
+/// order.
+fn scatter(len: usize, filled: impl IntoIterator<Item = (usize, KvReply)>) -> Vec<KvReply> {
+    let mut replies: Vec<Option<KvReply>> = vec![None; len];
+    for (index, reply) in filled {
+        replies[index] = Some(reply);
+    }
+    replies
+        .into_iter()
+        .map(|r| r.expect("plan covers every op"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -387,7 +322,9 @@ mod tests {
     use super::*;
     use crate::ops::checksum;
     use crate::RefStore;
-    use txmem::TxConfig;
+    use swisstm::SwisstmRuntime;
+    use tlstm::TlstmRuntime;
+    use txmem::{SeqRefRuntime, TxConfig};
 
     fn test_config(batch_tasks: usize) -> KvServerConfig {
         KvServerConfig {
@@ -403,9 +340,9 @@ mod tests {
     /// Runs `check` once per registered runtime (the pluggability the
     /// [`TxRuntime`] redesign exists to guarantee).
     fn on_every_runtime(batch_tasks: usize, check: impl Fn(&dyn ServerUnderTest)) {
-        check(&KvServer::swisstm(&test_config(batch_tasks)));
-        check(&KvServer::tlstm(&test_config(batch_tasks)));
-        check(&KvServer::seqref(&test_config(batch_tasks)));
+        check(&KvServer::<SwisstmRuntime>::new(&test_config(batch_tasks)));
+        check(&KvServer::<TlstmRuntime>::new(&test_config(batch_tasks)));
+        check(&KvServer::<SeqRefRuntime>::new(&test_config(batch_tasks)));
     }
 
     /// Object-safe view of a server used to iterate heterogeneous
@@ -514,7 +451,7 @@ mod tests {
 
     #[test]
     fn coalesced_requests_share_one_transaction_and_split_replies() {
-        let server = KvServer::swisstm(&test_config(4));
+        let server = KvServer::<SwisstmRuntime>::new(&test_config(4));
         server.populate((0..32u64).map(|k| (k, vec![k])));
         let mut oracle = RefStore::new(8);
         for k in 0..32u64 {
@@ -563,7 +500,7 @@ mod tests {
 
     #[test]
     fn tlstm_batches_actually_split_into_tasks() {
-        let server = KvServer::tlstm(&test_config(4));
+        let server = KvServer::<TlstmRuntime>::new(&test_config(4));
         server.populate((0..64u64).map(|k| (k, vec![k])));
         let mut session = server.session();
         // A batch over many keys lands in several shard-groups.
@@ -592,10 +529,16 @@ mod tests {
     #[test]
     fn generic_servers_expose_runtime_labels() {
         assert_eq!(
-            KvServer::swisstm(&test_config(1)).runtime_label(),
+            KvServer::<SwisstmRuntime>::new(&test_config(1)).runtime_label(),
             "swisstm"
         );
-        assert_eq!(KvServer::tlstm(&test_config(1)).runtime_label(), "tlstm");
-        assert_eq!(KvServer::seqref(&test_config(1)).runtime_label(), "seqref");
+        assert_eq!(
+            KvServer::<TlstmRuntime>::new(&test_config(1)).runtime_label(),
+            "tlstm"
+        );
+        assert_eq!(
+            KvServer::<SeqRefRuntime>::new(&test_config(1)).runtime_label(),
+            "seqref"
+        );
     }
 }

@@ -3,6 +3,8 @@
 //! *different speculative task* — must commit all-or-nothing, and no
 //! concurrent transaction may ever observe a torn cross-shard state.
 
+use swisstm::SwisstmRuntime;
+use tlstm::TlstmRuntime;
 use tlstm_testutil::{bounded_threads, with_default_watchdog, TestRng};
 use txkv::{shard_of, KvOp, KvReply, KvServer, KvServerConfig, KvStoreParams};
 use txmem::{SeqRefRuntime, TxConfig, TxRuntime};
@@ -139,7 +141,7 @@ fn torn_state_hunt<R: TxRuntime>(server: &KvServer<R>, batch_tasks: usize) {
 #[test]
 fn swisstm_multi_key_cas_is_never_torn() {
     with_default_watchdog(|| {
-        let server = KvServer::swisstm(&config(1));
+        let server = KvServer::<SwisstmRuntime>::new(&config(1));
         torn_state_hunt(&server, 1);
     });
 }
@@ -149,7 +151,7 @@ fn tlstm_task_split_multi_key_cas_is_never_torn() {
     // The adversarial case: each cas of the batch runs in its own
     // speculative task (4 tasks, 4 shards), yet the batch must stay atomic.
     with_default_watchdog(|| {
-        let server = KvServer::tlstm(&config(4));
+        let server = KvServer::<TlstmRuntime>::new(&config(4));
         torn_state_hunt(&server, 4);
     });
 }
@@ -160,7 +162,7 @@ fn seqref_multi_key_cas_is_never_torn() {
     // lock, so tearing is impossible by construction — this pins that the
     // shared harness agrees.
     with_default_watchdog(|| {
-        let server = KvServer::seqref(&config(2));
+        let server = KvServer::<SeqRefRuntime>::new(&config(2));
         torn_state_hunt(&server, 2);
     });
 }

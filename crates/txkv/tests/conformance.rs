@@ -92,7 +92,7 @@ fn run_stream_against_oracle<R: TxRuntime>(
 fn swisstm_store_matches_oracle_on_seeded_streams() {
     with_default_watchdog(|| {
         for seed in [1u64, 0xBEEF, 42] {
-            let server = KvServer::swisstm(&config(1));
+            let server = KvServer::<SwisstmRuntime>::new(&config(1));
             run_stream_against_oracle(&server, seed, 40, 12);
         }
     });
@@ -104,7 +104,7 @@ fn swisstm_planned_batches_match_oracle() {
     // shares with a 4-task TLSTM server).
     with_default_watchdog(|| {
         for seed in [1u64, 0xBEEF, 42] {
-            let server = KvServer::swisstm(&config(4));
+            let server = KvServer::<SwisstmRuntime>::new(&config(4));
             run_stream_against_oracle(&server, seed, 40, 12);
         }
     });
@@ -114,7 +114,7 @@ fn swisstm_planned_batches_match_oracle() {
 fn tlstm_task_split_batches_match_oracle() {
     with_default_watchdog(|| {
         for (seed, tasks) in [(1u64, 2usize), (0xBEEF, 4), (42, 4)] {
-            let server = KvServer::tlstm(&config(tasks));
+            let server = KvServer::<TlstmRuntime>::new(&config(tasks));
             run_stream_against_oracle(&server, seed, 40, 12);
         }
     });
@@ -127,7 +127,7 @@ fn seqref_store_matches_oracle_on_seeded_streams() {
     // compared against.
     with_default_watchdog(|| {
         for (seed, tasks) in [(1u64, 1usize), (0xBEEF, 4), (42, 2)] {
-            let server = KvServer::seqref(&config(tasks));
+            let server = KvServer::<SeqRefRuntime>::new(&config(tasks));
             run_stream_against_oracle(&server, seed, 40, 12);
         }
     });

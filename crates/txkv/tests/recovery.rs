@@ -306,7 +306,7 @@ fn group_fsync_acks_are_never_lost() {
     with_default_watchdog(|| {
         let dir = TempDir::new("txkv-crash-group");
         let crash = CrashPoints::disabled();
-        let store = DurableKvStore::swisstm(
+        let store = DurableKvStore::<SwisstmRuntime>::boot(
             dir.path(),
             &config(
                 FsyncPolicy::Group(std::time::Duration::from_millis(1)),
@@ -330,7 +330,7 @@ fn group_fsync_acks_are_never_lost() {
         drop(session);
         drop(store);
 
-        let recovered = DurableKvStore::swisstm(
+        let recovered = DurableKvStore::<SwisstmRuntime>::boot(
             dir.path(),
             &config(FsyncPolicy::None, CrashPoints::disabled()),
         )
@@ -344,66 +344,62 @@ fn group_fsync_acks_are_never_lost() {
 /// Snapshot + truncation: recovery loads the snapshot and replays only the
 /// suffix; covered segments and older snapshots are pruned.
 fn snapshot_truncation_on<R: TxRuntime>() {
-    {
-        {
-            let label = R::LABEL;
-            let dir = TempDir::new("txkv-snap");
-            let store = boot::<R>(
-                dir.path(),
-                &config(FsyncPolicy::Always, CrashPoints::disabled()),
-            )
-            .unwrap();
-            let mut session = store.session();
-            let mut rng = TestRng::new(0xABCD);
-            let mut batches = Vec::new();
-            for _ in 0..6 {
-                let ops = gen_batch(&mut rng, 10);
-                batches.push(ops.clone());
-                session.batch(ops).unwrap();
-            }
-            let snap_lsn = store.snapshot().unwrap();
-            assert_eq!(snap_lsn, 6, "{label}");
-            for _ in 0..4 {
-                let ops = gen_batch(&mut rng, 10);
-                batches.push(ops.clone());
-                session.batch(ops).unwrap();
-            }
-            // A second snapshot prunes the first and the covered segments.
-            let snap_lsn = store.snapshot().unwrap();
-            assert_eq!(snap_lsn, 10, "{label}");
-            let snapshots = txlog::list_snapshots(dir.path()).unwrap();
-            assert_eq!(
-                snapshots.iter().map(|&(l, _)| l).collect::<Vec<_>>(),
-                vec![10],
-                "{label}: older snapshot not pruned"
-            );
-            for _ in 0..3 {
-                let ops = gen_batch(&mut rng, 10);
-                batches.push(ops.clone());
-                session.batch(ops).unwrap();
-            }
-            drop(session);
-            drop(store);
-
-            let recovered = boot::<R>(
-                dir.path(),
-                &config(FsyncPolicy::Always, CrashPoints::disabled()),
-            )
-            .unwrap();
-            let report = recovered.recovery().clone();
-            assert_eq!(report.snapshot_lsn, Some(10), "{label}");
-            assert_eq!(
-                report.replayed_records, 3,
-                "{label}: replay must start at the snapshot"
-            );
-            assert_eq!(report.next_lsn, 13, "{label}");
-            assert_eq!(
-                dump(&recovered),
-                oracle_prefix(&batches, batches.len()),
-                "{label}: snapshot+suffix recovery diverges"
-            );
-        }
+    let label = R::LABEL;
+    let dir = TempDir::new("txkv-snap");
+    let store = boot::<R>(
+        dir.path(),
+        &config(FsyncPolicy::Always, CrashPoints::disabled()),
+    )
+    .unwrap();
+    let mut session = store.session();
+    let mut rng = TestRng::new(0xABCD);
+    let mut batches = Vec::new();
+    for _ in 0..6 {
+        let ops = gen_batch(&mut rng, 10);
+        batches.push(ops.clone());
+        session.batch(ops).unwrap();
     }
+    let snap_lsn = store.snapshot().unwrap();
+    assert_eq!(snap_lsn, 6, "{label}");
+    for _ in 0..4 {
+        let ops = gen_batch(&mut rng, 10);
+        batches.push(ops.clone());
+        session.batch(ops).unwrap();
+    }
+    // A second snapshot prunes the first and the covered segments.
+    let snap_lsn = store.snapshot().unwrap();
+    assert_eq!(snap_lsn, 10, "{label}");
+    let snapshots = txlog::list_snapshots(dir.path()).unwrap();
+    assert_eq!(
+        snapshots.iter().map(|&(l, _)| l).collect::<Vec<_>>(),
+        vec![10],
+        "{label}: older snapshot not pruned"
+    );
+    for _ in 0..3 {
+        let ops = gen_batch(&mut rng, 10);
+        batches.push(ops.clone());
+        session.batch(ops).unwrap();
+    }
+    drop(session);
+    drop(store);
+
+    let recovered = boot::<R>(
+        dir.path(),
+        &config(FsyncPolicy::Always, CrashPoints::disabled()),
+    )
+    .unwrap();
+    let report = recovered.recovery().clone();
+    assert_eq!(report.snapshot_lsn, Some(10), "{label}");
+    assert_eq!(
+        report.replayed_records, 3,
+        "{label}: replay must start at the snapshot"
+    );
+    assert_eq!(report.next_lsn, 13, "{label}");
+    assert_eq!(
+        dump(&recovered),
+        oracle_prefix(&batches, batches.len()),
+        "{label}: snapshot+suffix recovery diverges"
+    );
 }
 
 #[test]
@@ -419,55 +415,49 @@ fn snapshot_truncates_the_log_and_recovery_uses_it() {
 /// log written under one runtime recovers under any other (the record
 /// stream is runtime-agnostic).
 fn restart_pair<A: TxRuntime, B: TxRuntime>() {
-    {
-        let label = A::LABEL;
-        {
-            let other_label = B::LABEL;
-            {
-                let dir = TempDir::new("txkv-restart");
-                let store = boot::<A>(
-                    dir.path(),
-                    &config(FsyncPolicy::Always, CrashPoints::disabled()),
-                )
-                .unwrap();
-                let mut session = store.session();
-                let mut rng = TestRng::new(0x5EED);
-                let mut batches = Vec::new();
-                for _ in 0..12 {
-                    let ops = gen_batch(&mut rng, 8);
-                    batches.push(ops.clone());
-                    session.batch(ops).unwrap();
-                }
-                let before = dump(&store);
-                drop(session);
-                drop(store);
-
-                let reopened = boot::<B>(
-                    dir.path(),
-                    &config(FsyncPolicy::Always, CrashPoints::disabled()),
-                )
-                .unwrap();
-                let context = format!("{label} -> {other_label}");
-                assert_eq!(reopened.recovery().next_lsn, 12, "{context}");
-                assert_eq!(
-                    dump(&reopened),
-                    before,
-                    "{context}: clean restart lost data"
-                );
-                assert_eq!(
-                    dump(&reopened),
-                    oracle_prefix(&batches, batches.len()),
-                    "{context}"
-                );
-                // LSNs continue densely after the restart.
-                let mut session = reopened.session();
-                let ops = gen_batch(&mut rng, 8);
-                batches.push(ops.clone());
-                session.batch(ops).unwrap();
-                assert_eq!(reopened.durable_lsn(), 13, "{context}");
-            }
-        }
+    let label = A::LABEL;
+    let other_label = B::LABEL;
+    let dir = TempDir::new("txkv-restart");
+    let store = boot::<A>(
+        dir.path(),
+        &config(FsyncPolicy::Always, CrashPoints::disabled()),
+    )
+    .unwrap();
+    let mut session = store.session();
+    let mut rng = TestRng::new(0x5EED);
+    let mut batches = Vec::new();
+    for _ in 0..12 {
+        let ops = gen_batch(&mut rng, 8);
+        batches.push(ops.clone());
+        session.batch(ops).unwrap();
     }
+    let before = dump(&store);
+    drop(session);
+    drop(store);
+
+    let reopened = boot::<B>(
+        dir.path(),
+        &config(FsyncPolicy::Always, CrashPoints::disabled()),
+    )
+    .unwrap();
+    let context = format!("{label} -> {other_label}");
+    assert_eq!(reopened.recovery().next_lsn, 12, "{context}");
+    assert_eq!(
+        dump(&reopened),
+        before,
+        "{context}: clean restart lost data"
+    );
+    assert_eq!(
+        dump(&reopened),
+        oracle_prefix(&batches, batches.len()),
+        "{context}"
+    );
+    // LSNs continue densely after the restart.
+    let mut session = reopened.session();
+    let ops = gen_batch(&mut rng, 8);
+    batches.push(ops.clone());
+    session.batch(ops).unwrap();
+    assert_eq!(reopened.durable_lsn(), 13, "{context}");
 }
 
 #[test]
@@ -489,52 +479,48 @@ fn clean_restart_and_cross_runtime_recovery() {
 /// appends into LSN order, so a clean restart reproduces the exact
 /// committed state.
 fn concurrent_restart_on<R: TxRuntime>() {
-    {
-        {
-            let label = R::LABEL;
-            let dir = TempDir::new("txkv-concurrent");
-            let store = boot::<R>(
-                dir.path(),
-                &config(
-                    FsyncPolicy::Group(std::time::Duration::from_millis(1)),
-                    CrashPoints::disabled(),
-                ),
-            )
-            .unwrap();
-            std::thread::scope(|scope| {
-                for thread in 0..3u64 {
-                    let store = &store;
-                    scope.spawn(move || {
-                        let mut session = store.session();
-                        let mut rng = TestRng::new(0xFEED ^ thread);
-                        for _ in 0..20 {
-                            let ops = gen_batch(&mut rng, 6);
-                            session.batch(ops).unwrap();
-                        }
-                    });
+    let label = R::LABEL;
+    let dir = TempDir::new("txkv-concurrent");
+    let store = boot::<R>(
+        dir.path(),
+        &config(
+            FsyncPolicy::Group(std::time::Duration::from_millis(1)),
+            CrashPoints::disabled(),
+        ),
+    )
+    .unwrap();
+    std::thread::scope(|scope| {
+        for thread in 0..3u64 {
+            let store = &store;
+            scope.spawn(move || {
+                let mut session = store.session();
+                let mut rng = TestRng::new(0xFEED ^ thread);
+                for _ in 0..20 {
+                    let ops = gen_batch(&mut rng, 6);
+                    session.batch(ops).unwrap();
                 }
             });
-            let before = dump(&store);
-            assert_eq!(store.durable_lsn(), 60, "{label}: every batch acked");
-            drop(store);
-
-            let reopened = boot::<R>(
-                dir.path(),
-                &config(FsyncPolicy::Always, CrashPoints::disabled()),
-            )
-            .unwrap();
-            assert_eq!(reopened.recovery().next_lsn, 60, "{label}");
-            assert_eq!(
-                dump(&reopened),
-                before,
-                "{label}: concurrent stream replay diverged"
-            );
-            reopened
-                .store()
-                .check_consistency(&mut reopened.server().direct())
-                .unwrap();
         }
-    }
+    });
+    let before = dump(&store);
+    assert_eq!(store.durable_lsn(), 60, "{label}: every batch acked");
+    drop(store);
+
+    let reopened = boot::<R>(
+        dir.path(),
+        &config(FsyncPolicy::Always, CrashPoints::disabled()),
+    )
+    .unwrap();
+    assert_eq!(reopened.recovery().next_lsn, 60, "{label}");
+    assert_eq!(
+        dump(&reopened),
+        before,
+        "{label}: concurrent stream replay diverged"
+    );
+    reopened
+        .store()
+        .check_consistency(&mut reopened.server().direct())
+        .unwrap();
 }
 
 #[test]
@@ -546,6 +532,76 @@ fn concurrent_sessions_survive_a_restart() {
     });
 }
 
+/// A snapshot taken while writers commit: every batch serialises either
+/// before the snapshot transaction (covered by it) or after it (left in the
+/// log), so the snapshot plus the replayed suffix account for every batch
+/// exactly once and reproduce the live state.
+fn snapshot_under_load_on<R: TxRuntime>() {
+    let label = R::LABEL;
+    let dir = TempDir::new("txkv-snap-load");
+    let store = boot::<R>(
+        dir.path(),
+        &config(
+            FsyncPolicy::Group(std::time::Duration::from_millis(1)),
+            CrashPoints::disabled(),
+        ),
+    )
+    .unwrap();
+    let taken = std::thread::scope(|scope| {
+        for thread in 0..3u64 {
+            let store = &store;
+            scope.spawn(move || {
+                let mut session = store.session();
+                let mut rng = TestRng::new(0x5AFE ^ thread);
+                for _ in 0..20 {
+                    session.batch(gen_batch(&mut rng, 6)).unwrap();
+                }
+            });
+        }
+        let store = &store;
+        scope
+            .spawn(move || {
+                while store.durable_lsn() < 20 {
+                    std::thread::yield_now();
+                }
+                store.snapshot().unwrap()
+            })
+            .join()
+            .unwrap()
+    });
+    assert!(taken >= 20, "{label}: the snapshot missed acked batches");
+    let live = dump(&store);
+    assert_eq!(store.durable_lsn(), 60, "{label}: every batch acked");
+    drop(store);
+
+    let reopened = boot::<R>(
+        dir.path(),
+        &config(FsyncPolicy::Always, CrashPoints::disabled()),
+    )
+    .unwrap();
+    let report = reopened.recovery();
+    assert_eq!(report.snapshot_lsn, Some(taken), "{label}");
+    assert_eq!(
+        taken + report.replayed_records,
+        60,
+        "{label}: snapshot and log suffix must cover each batch once"
+    );
+    assert_eq!(dump(&reopened), live, "{label}: recovered state diverges");
+    reopened
+        .store()
+        .check_consistency(&mut reopened.server().direct())
+        .unwrap();
+}
+
+#[test]
+fn snapshot_taken_while_writers_commit_recovers_the_live_state() {
+    with_default_watchdog(|| {
+        snapshot_under_load_on::<SwisstmRuntime>();
+        snapshot_under_load_on::<TlstmRuntime>();
+        snapshot_under_load_on::<SeqRefRuntime>();
+    });
+}
+
 /// Population is non-transactional and unlogged by design: without a
 /// snapshot it does not survive a restart (recovery replays the log onto an
 /// empty store). With a snapshot it does.
@@ -554,7 +610,7 @@ fn populate_is_volatile_until_snapshotted() {
     with_default_watchdog(|| {
         let dir = TempDir::new("txkv-populate");
         let cfg = config(FsyncPolicy::Always, CrashPoints::disabled());
-        let store = DurableKvStore::swisstm(dir.path(), &cfg).unwrap();
+        let store = DurableKvStore::<SwisstmRuntime>::boot(dir.path(), &cfg).unwrap();
         store.populate((0..32u64).map(|k| (k, vec![k, k])));
         let mut session = store.session();
         session.put(100, vec![1]).unwrap();
@@ -563,13 +619,13 @@ fn populate_is_volatile_until_snapshotted() {
 
         // Without a snapshot the populated base is gone; the logged put
         // replays onto an empty store.
-        let reopened = DurableKvStore::swisstm(dir.path(), &cfg).unwrap();
+        let reopened = DurableKvStore::<SwisstmRuntime>::boot(dir.path(), &cfg).unwrap();
         assert_eq!(dump(&reopened), vec![(100, vec![1])]);
         reopened.populate((0..32u64).map(|k| (k, vec![k, k])));
         reopened.snapshot().unwrap();
         drop(reopened);
 
-        let reopened = DurableKvStore::swisstm(dir.path(), &cfg).unwrap();
+        let reopened = DurableKvStore::<SwisstmRuntime>::boot(dir.path(), &cfg).unwrap();
         assert_eq!(reopened.recovery().snapshot_lsn, Some(1));
         assert_eq!(dump(&reopened).len(), 33, "snapshot persists the base");
     });
@@ -582,9 +638,11 @@ fn read_only_batches_bypass_the_wal() {
     with_default_watchdog(|| {
         let dir = TempDir::new("txkv-readonly");
         let crash = CrashPoints::disabled();
-        let store =
-            DurableKvStore::swisstm(dir.path(), &config(FsyncPolicy::Always, crash.clone()))
-                .unwrap();
+        let store = DurableKvStore::<SwisstmRuntime>::boot(
+            dir.path(),
+            &config(FsyncPolicy::Always, crash.clone()),
+        )
+        .unwrap();
         let mut session = store.session();
         session.put(5, vec![50]).unwrap();
         let replies = session

@@ -164,9 +164,9 @@ pub trait TxRuntime: Send + Sync + fmt::Debug + 'static {
     }
 }
 
-/// Statically asserts that [`TxMem`] stays object-safe: the `txkv` durable
-/// front-end (and every [`TxSession::run`] body) works through
-/// `&mut dyn TxMem` trait objects, so losing object safety is an API break.
+/// Statically asserts that [`TxMem`] stays object-safe: every task body
+/// ([`TaskBody`]) works through a `&mut dyn TxMem` trait object, so losing
+/// object safety is an API break.
 pub fn assert_txmem_object_safe(mem: &mut dyn TxMem) -> Result<u64, Abort> {
     let word = mem.alloc(1)?;
     mem.write(word, 1)?;

@@ -77,24 +77,6 @@ pub trait TxMem {
     }
 }
 
-/// Mutable references forward transparently, so code generic over `M: TxMem`
-/// can also be driven through `&mut dyn TxMem` trait objects (the `txkv`
-/// durable front-end hands closures a `&mut dyn TxMem` to stay generic over
-/// both runtimes without being generic itself).
-impl<M: TxMem + ?Sized> TxMem for &mut M {
-    fn read(&mut self, addr: WordAddr) -> Result<u64, Abort> {
-        (**self).read(addr)
-    }
-
-    fn write(&mut self, addr: WordAddr, value: u64) -> Result<(), Abort> {
-        (**self).write(addr, value)
-    }
-
-    fn alloc(&mut self, words: u64) -> Result<WordAddr, Abort> {
-        (**self).alloc(words)
-    }
-}
-
 /// A trivial, non-concurrent [`TxMem`] that applies operations directly to a
 /// heap without any concurrency control.
 ///

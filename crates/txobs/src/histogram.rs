@@ -11,6 +11,26 @@ use std::time::Duration;
 /// `u64` nanosecond range).
 pub const LATENCY_BUCKETS: usize = 64;
 
+/// The bucket a sample of `ns` nanoseconds lands in: `floor(log2(ns))`, with
+/// `ns == 0` in bucket 0.
+#[inline]
+pub(crate) fn bucket_of(ns: u64) -> usize {
+    if ns == 0 {
+        0
+    } else {
+        63 - ns.leading_zeros() as usize
+    }
+}
+
+/// The largest sample bucket `bucket` holds: `2^(bucket+1) - 1`.
+pub(crate) fn bucket_upper_ns(bucket: usize) -> u64 {
+    if bucket >= 63 {
+        u64::MAX
+    } else {
+        (1u64 << (bucket + 1)) - 1
+    }
+}
+
 /// A log₂-bucketed histogram of latencies in nanoseconds.
 ///
 /// Bucket `i` counts samples whose latency `ns` satisfies
@@ -68,12 +88,7 @@ impl LatencyHistogram {
     /// Records one latency sample given in nanoseconds.
     #[inline]
     pub fn record_ns(&mut self, ns: u64) {
-        let bucket = if ns == 0 {
-            0
-        } else {
-            63 - ns.leading_zeros() as usize
-        };
-        self.buckets[bucket] += 1;
+        self.buckets[bucket_of(ns)] += 1;
         self.count += 1;
         self.total_ns = self.total_ns.saturating_add(ns);
         self.max_ns = self.max_ns.max(ns);
@@ -147,13 +162,7 @@ impl LatencyHistogram {
         for (bucket, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                // Upper bound of bucket `i` is 2^(i+1) - 1.
-                let upper = if bucket >= 63 {
-                    u64::MAX
-                } else {
-                    (1u64 << (bucket + 1)) - 1
-                };
-                return upper.min(self.max_ns);
+                return bucket_upper_ns(bucket).min(self.max_ns);
             }
         }
         self.max_ns

@@ -14,7 +14,7 @@
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::histogram::{LatencyHistogram, LATENCY_BUCKETS};
+use crate::histogram::{bucket_of, bucket_upper_ns, LatencyHistogram, LATENCY_BUCKETS};
 
 /// A monotonically increasing counter.
 #[derive(Debug)]
@@ -121,12 +121,7 @@ impl AtomicHistogram {
     /// Records one sample in nanoseconds.
     #[inline]
     pub fn record_ns(&self, ns: u64) {
-        let bucket = if ns == 0 {
-            0
-        } else {
-            63 - ns.leading_zeros() as usize
-        };
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.total_ns.fetch_add(ns, Ordering::Relaxed);
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
@@ -445,11 +440,7 @@ fn render_histogram(out: &mut String, name: &str, hist: &LatencyHistogram) {
     }
     for (i, &n) in hist.buckets().iter().enumerate().take(last_nonzero + 1) {
         cumulative += n;
-        let upper = if i >= 63 {
-            u64::MAX
-        } else {
-            (1u64 << (i + 1)) - 1
-        };
+        let upper = bucket_upper_ns(i);
         let _ = writeln!(out, "{name}_bucket{{le=\"{upper}\"}} {cumulative}");
     }
     let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", hist.count());

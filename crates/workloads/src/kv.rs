@@ -573,7 +573,7 @@ mod tests {
         // batches (the reproducibility the tmbench --seed flag promises).
         let params = KvParams::tiny(KvMix::A);
         let dump = |seed: u64| {
-            let server = KvServer::swisstm(&params.server_config());
+            let server = KvServer::<SwisstmRuntime>::new(&params.server_config());
             populate(&server, &params);
             let dist = KeyDist::new(&params);
             let mut session = server.session();
