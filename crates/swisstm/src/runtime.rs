@@ -97,17 +97,6 @@ impl SwisstmRuntime {
         self.substrate.stats.snapshot()
     }
 
-    /// Per-shard statistics snapshots: entry `i` aggregates the activity of
-    /// the registered threads whose id is `i` modulo the shard count.
-    pub fn stats_per_shard(&self) -> Vec<StatsSnapshot> {
-        self.substrate.stats.shard_snapshots()
-    }
-
-    /// Resets the global statistics counters.
-    pub fn reset_stats(&self) {
-        self.substrate.stats.reset();
-    }
-
     /// The contention-manager policy in force.
     pub(crate) fn cm(&self) -> GreedyCm {
         self.cm
@@ -181,7 +170,7 @@ impl SwisstmThread {
         mut body: impl FnMut(&mut Transaction<'_>) -> Result<T, Abort>,
     ) -> T {
         let stats = self.runtime.substrate().stats.shard(self.id);
-        stats.bump(&stats.tx_starts);
+        stats.tx_starts.inc();
         loop {
             txobs::tx_begin();
             let priority = self.greedy_priority.unwrap_or(TIMID);
@@ -190,7 +179,7 @@ impl SwisstmThread {
             match outcome {
                 Ok(value) => {
                     tx.flush_op_counters();
-                    stats.bump(&stats.tx_commits);
+                    stats.tx_commits.inc();
                     txobs::tx_commit();
                     self.consecutive_aborts = 0;
                     self.greedy_priority = None;
@@ -199,7 +188,7 @@ impl SwisstmThread {
                 Err(abort) => {
                     tx.rollback(abort.reason);
                     tx.flush_op_counters();
-                    stats.bump(&stats.tx_aborts);
+                    stats.tx_aborts.inc();
                     txobs::tx_abort(abort.reason.trace_cause());
                     self.consecutive_aborts += 1;
                     if self.greedy_priority.is_none()
@@ -533,38 +522,6 @@ mod tests {
         let stats = rt.stats();
         assert_eq!(stats.reads, 1);
         assert_eq!(stats.writes, 1);
-    }
-
-    #[test]
-    fn per_shard_stats_attribute_commits_to_threads() {
-        let rt = runtime();
-        let a = rt.heap().alloc(2).unwrap();
-        let mut handles = Vec::new();
-        for (i, commits) in [(0u64, 10u64), (1, 20)] {
-            let rt = Arc::clone(&rt);
-            handles.push(std::thread::spawn(move || {
-                let mut thread = rt.register_thread();
-                let shard = thread.id();
-                for _ in 0..commits {
-                    thread.atomic(|tx| tx.write(a.offset(i), 1));
-                }
-                (shard, commits)
-            }));
-        }
-        let n_shards = rt.substrate().stats.num_shards();
-        let mut expected = vec![0u64; n_shards];
-        for h in handles {
-            let (shard, commits) = h.join().unwrap();
-            expected[shard as usize % n_shards] += commits;
-        }
-        let per_shard = rt.stats_per_shard();
-        for (i, snap) in per_shard.iter().enumerate() {
-            assert_eq!(
-                snap.tx_commits, expected[i],
-                "shard {i} misattributed commits"
-            );
-        }
-        assert_eq!(rt.stats().tx_commits, 30, "aggregate is the shard sum");
     }
 
     #[test]

@@ -111,11 +111,6 @@ impl<'a> Transaction<'a> {
         self.ctx.write_set.is_empty()
     }
 
-    /// Number of distinct write locks held.
-    pub fn locks_held(&self) -> usize {
-        self.ctx.acquired.len()
-    }
-
     /// The descriptor other threads use to signal this transaction.
     pub fn descriptor(&self) -> &std::sync::Arc<TxDescriptor> {
         &self.ctx.descriptor
@@ -144,10 +139,10 @@ impl<'a> Transaction<'a> {
     /// re-validating the read log (`extend` in the paper).
     fn extend(&mut self) -> Result<(), Abort> {
         let target = self.clock.now();
-        self.stats.bump(&self.stats.validations);
+        self.stats.validations.inc();
         if self.validate(None) {
             self.valid_ts = target;
-            self.stats.bump(&self.stats.extensions);
+            self.stats.extensions.inc();
             Ok(())
         } else {
             Err(Abort::new(AbortReason::ReadValidation))
@@ -229,7 +224,7 @@ impl<'a> Transaction<'a> {
             slot.1 = self.locks.entry(slot.0).lock_version();
         }
         let ts = self.clock.tick();
-        self.stats.bump(&self.stats.validations);
+        self.stats.validations.inc();
         if !self.validate(Some(&self.ctx.acquired)) {
             for &(idx, prev) in &self.ctx.acquired {
                 self.locks.entry(idx).set_version(prev);
@@ -264,11 +259,11 @@ impl<'a> Transaction<'a> {
     /// statistics shard.
     pub(crate) fn flush_op_counters(&mut self) {
         if self.local_reads > 0 {
-            self.stats.add(&self.stats.reads, self.local_reads);
+            self.stats.reads.add(self.local_reads);
             self.local_reads = 0;
         }
         if self.local_writes > 0 {
-            self.stats.add(&self.stats.writes, self.local_writes);
+            self.stats.writes.add(self.local_writes);
             self.local_writes = 0;
         }
     }
@@ -328,14 +323,14 @@ impl TxMem for Transaction<'_> {
                                 .resolve(self.ctx.descriptor.priority(), owner.as_ref());
                             if decision == CmDecision::AbortOwner {
                                 owner.signal_abort();
-                                self.stats.bump(&self.stats.cm_owner_aborts);
+                                self.stats.cm_owner_aborts.inc();
                             }
                             decision
                         }
                     };
                     match decision {
                         CmDecision::AbortSelf => {
-                            self.stats.bump(&self.stats.cm_self_aborts);
+                            self.stats.cm_self_aborts.inc();
                             return Err(Abort::new(AbortReason::InterThreadWriteConflict));
                         }
                         CmDecision::AbortOwner | CmDecision::Wait => {

@@ -145,18 +145,6 @@ impl TlstmRuntime {
         self.substrate.stats.snapshot()
     }
 
-    /// Per-shard statistics snapshots: entry `i` aggregates the activity of
-    /// the user-threads whose `ptid` is `i` modulo the shard count (worker
-    /// threads attribute their task activity to the owning user-thread).
-    pub fn stats_per_shard(&self) -> Vec<StatsSnapshot> {
-        self.substrate.stats.shard_snapshots()
-    }
-
-    /// Resets the global statistics counters.
-    pub fn reset_stats(&self) {
-        self.substrate.stats.reset();
-    }
-
     /// Registers a user-thread with the substrate's default speculative
     /// depth, letting the host decide how many lanes its tasks run on: each
     /// [`UThread::execute`] claims only helpers idle in the process-wide
@@ -273,7 +261,7 @@ impl UThread {
         let mut lanes: Vec<Vec<WorkItem<'a>>> = (0..crew).map(|_| Vec::new()).collect();
         let mut pending: Vec<Arc<TxnShared>> = Vec::with_capacity(txns.len());
         for spec in txns {
-            stats.bump(&stats.tx_starts);
+            stats.tx_starts.inc();
             txobs::tx_begin();
             let groups = split_contiguous(spec.tasks, crew);
             let start_serial = self.next_serial.get();
@@ -577,14 +565,16 @@ mod tests {
         assert_eq!(rt.stats().task_commits, 3);
         let u = rt.register_uthread_default();
         let lanes = txmem::pause::cores().min(3) as u64;
+        let mut window = StatsSnapshot::default();
         for _ in 0..1000 {
-            rt.reset_stats();
+            let before = rt.stats();
             u.run_transaction(vec![t.clone(); 3]);
-            if rt.stats().task_commits == lanes {
+            window = rt.stats().delta_since(&before);
+            if window.task_commits == lanes {
                 break;
             }
         }
-        assert_eq!(rt.stats().task_commits, lanes);
+        assert_eq!(window.task_commits, lanes);
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl TxSession for UThread {
 mod tests {
     use super::*;
     use txmem::runtime::run_once;
-    use txmem::TxMem;
+    use txmem::{StatsSnapshot, TxMem};
 
     #[test]
     fn run_returns_the_committed_result_through_borrowed_state() {
@@ -138,19 +138,20 @@ mod tests {
         // The group runs as two tasks only on a helper: never on one core,
         // and on more once other tests' default sessions leave one idle.
         let expected_tasks = if txmem::pause::multi_core() { 2 } else { 1 };
+        let mut window = StatsSnapshot::default();
         for _ in 0..1000 {
-            rt.reset_stats();
+            let before = TxRuntime::stats(&*rt);
             session.run_tasks(&mut tasks);
-            if TxRuntime::stats(&*rt).task_commits == expected_tasks {
+            window = TxRuntime::stats(&*rt).delta_since(&before);
+            if window.task_commits == expected_tasks {
                 break;
             }
         }
         assert_eq!(rt.heap().load_committed(block), 5);
         assert_eq!(rt.heap().load_committed(block.offset(1)), 10);
         assert_eq!(results, vec![5], "second task saw the first task's write");
-        let stats = TxRuntime::stats(&*rt);
-        assert_eq!(stats.tx_commits, 1);
-        assert_eq!(stats.task_commits, expected_tasks);
+        assert_eq!(window.tx_commits, 1);
+        assert_eq!(window.task_commits, expected_tasks);
     }
 
     #[test]

@@ -150,20 +150,9 @@ impl<'rt> TaskCtx<'rt> {
         self.uthread.ptid()
     }
 
-    /// `true` if this is the last task of its user-transaction (the
-    /// commit-task).
-    pub fn is_commit_task(&self) -> bool {
-        self.try_commit
-    }
-
     /// Serial of the first task of the enclosing user-transaction.
     pub fn tx_start_serial(&self) -> u64 {
         self.txn.start_serial()
-    }
-
-    /// Serial of the last task of the enclosing user-transaction.
-    pub fn tx_commit_serial(&self) -> u64 {
-        self.txn.commit_serial()
     }
 
     /// The snapshot timestamp the task's committed reads are valid at.
@@ -218,11 +207,11 @@ impl<'rt> TaskCtx<'rt> {
     /// statistics shard.
     pub(crate) fn flush_op_counters(&mut self) {
         if self.local_reads > 0 {
-            self.stats.add(&self.stats.reads, self.local_reads);
+            self.stats.reads.add(self.local_reads);
             self.local_reads = 0;
         }
         if self.local_writes > 0 {
-            self.stats.add(&self.stats.writes, self.local_writes);
+            self.stats.writes.add(self.local_writes);
             self.local_writes = 0;
         }
     }
@@ -261,7 +250,7 @@ impl<'rt> TaskCtx<'rt> {
     /// no past task has speculatively written to a location this task read
     /// from committed state.
     pub(crate) fn validate_task(&self) -> bool {
-        self.stats.bump(&self.stats.validations);
+        self.stats.validations.inc();
         // Part 1: reads from past tasks' speculative values.
         for rec in &self.bufs.task_read_log {
             let entry = self.substrate.locks.entry(rec.lock);
@@ -306,14 +295,14 @@ impl<'rt> TaskCtx<'rt> {
     /// Tries to extend `valid-ts` to the current commit timestamp.
     fn extend(&mut self) -> Result<(), Abort> {
         let target = self.substrate.clock.now();
-        self.stats.bump(&self.stats.validations);
+        self.stats.validations.inc();
         if self
             .substrate
             .locks
             .validate_read_log(&self.bufs.read_log, None)
         {
             self.valid_ts = target;
-            self.stats.bump(&self.stats.extensions);
+            self.stats.extensions.inc();
             Ok(())
         } else {
             Err(Abort::new(AbortReason::ReadValidation))
@@ -427,7 +416,7 @@ impl<'rt> TaskCtx<'rt> {
                 SpecProbe::WaitForWriter => {
                     // The most recent past writer is still running: wait for
                     // it to complete (Algorithm 1, line 11).
-                    self.stats.bump(&self.stats.reader_waits);
+                    self.stats.reader_waits.inc();
                     self.check_signals()?;
                     self.uthread.wait_slice();
                     continue;
@@ -577,10 +566,10 @@ impl<'rt> TaskCtx<'rt> {
                     };
                     match decision {
                         CmDecision::AbortSelf => {
-                            self.stats.bump(&self.stats.cm_self_aborts);
+                            self.stats.cm_self_aborts.inc();
                             return Err(Abort::new(AbortReason::InterThreadWriteConflict));
                         }
-                        CmDecision::AbortOwner => self.stats.bump(&self.stats.cm_owner_aborts),
+                        CmDecision::AbortOwner => self.stats.cm_owner_aborts.inc(),
                         CmDecision::Wait => {}
                     }
                 }
@@ -687,7 +676,7 @@ impl<'rt> TaskCtx<'rt> {
             // completed at different snapshots (§3.2 "Transaction Commit").
             let same_ts = all.windows(2).all(|w| w[0].1.valid_ts == w[1].1.valid_ts);
             if !same_ts {
-                self.stats.bump(&self.stats.validations);
+                self.stats.validations.inc();
                 let locks = &self.substrate.locks;
                 let valid = all
                     .iter()
@@ -720,7 +709,7 @@ impl<'rt> TaskCtx<'rt> {
             slot.1 = self.substrate.locks.entry(slot.0).lock_version();
         }
         let ts = self.substrate.clock.tick();
-        self.stats.bump(&self.stats.validations);
+        self.stats.validations.inc();
         // Reads under a lock this commit holds check its pre-lock version.
         let locked_by_me = Some(self.bufs.commit_locks.as_slice());
         let locks = &self.substrate.locks;
@@ -765,7 +754,7 @@ impl<'rt> TaskCtx<'rt> {
     }
 
     fn finish_transaction_commit(&mut self, wrote: bool, consumed_logs: Vec<(u64, TaskLogs)>) {
-        self.stats.bump(&self.stats.tx_commits);
+        self.stats.tx_commits.inc();
         txobs::tx_commit();
         self.txn.mark_committed();
         self.uthread.mark_completed(self.serial, wrote);

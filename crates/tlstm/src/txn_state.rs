@@ -284,11 +284,6 @@ impl TxnShared {
         logs.sort_by_key(|(serial, _)| *serial);
         logs
     }
-
-    /// Number of published logs (diagnostics / tests).
-    pub fn published_count(&self) -> usize {
-        self.logs.lock().len()
-    }
 }
 
 impl LockOwner for TxnShared {
@@ -378,7 +373,7 @@ mod tests {
         assert_eq!(logs[0].1.valid_ts, 9);
         assert_eq!(logs[1].0, 2);
         t.finish_rollback();
-        assert_eq!(t.published_count(), 0);
+        assert!(t.collect_logs().is_empty());
     }
 
     #[test]

@@ -95,11 +95,11 @@ impl Worker {
             ref txn,
             ref bodies,
         } = item;
-        // Task activity is attributed to the owning *user*-thread's shard, not
-        // to the lane's OS thread, so per-shard snapshots read as
-        // per-user-thread breakdowns.
+        // Every lane counts into the owning user-thread's shard: a helper
+        // lane serves whichever user-thread borrows it and has no thread id
+        // of its own in this substrate.
         let stats = self.substrate.stats.shard(self.uthread.ptid());
-        stats.bump(&stats.task_starts);
+        stats.task_starts.inc();
         let mut ctx = TaskCtx::new(
             &self.substrate,
             self.cm,
@@ -130,11 +130,11 @@ impl Worker {
                 .try_for_each(|body| body(&mut ctx))
                 .and_then(|()| ctx.task_commit());
             let Err(abort) = outcome else {
-                stats.bump(&stats.task_commits);
+                stats.task_commits.inc();
                 ctx.flush_op_counters();
                 return;
             };
-            stats.bump(&stats.task_aborts);
+            stats.task_aborts.inc();
             stats.record_abort_reason(abort.reason);
             txobs::tx_abort(abort.reason.trace_cause());
             ctx.remove_chain_entries();
@@ -203,7 +203,7 @@ impl Worker {
             uthread.wait_until(|| txn.acks() >= needed);
             uthread.reset_after_rollback(txn.start_serial());
             let stats = self.substrate.stats.shard(uthread.ptid());
-            stats.bump(&stats.tx_aborts);
+            stats.tx_aborts.inc();
             if txn.rollbacks() + 1 >= GREEDY_AFTER_ROLLBACKS
                 && txn.priority() == crate::txn_state::TIMID_PRIORITY
             {

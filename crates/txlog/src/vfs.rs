@@ -382,15 +382,6 @@ impl FaultPlan {
         self.inner.enabled.store(true, Ordering::Release);
     }
 
-    /// Lifts the fault armed on `op`, if any.
-    pub fn lift(&self, op: StorageOp) {
-        let mut armed = lock_plan(&self.inner.armed);
-        armed.retain(|(armed_op, _)| *armed_op != op);
-        if armed.is_empty() {
-            self.inner.enabled.store(false, Ordering::Release);
-        }
-    }
-
     /// Lifts every armed fault (the "storage recovered" transition a
     /// successful `try_rearm` depends on). The fired record is kept.
     pub fn clear(&self) {
@@ -565,14 +556,6 @@ impl FaultFs {
         FaultFs {
             inner,
             plan: FaultPlan::new(),
-        }
-    }
-
-    /// A fault layer over [`RealFs`] driven by an existing plan handle.
-    pub fn with_plan(plan: FaultPlan) -> FaultFs {
-        FaultFs {
-            inner: Arc::new(RealFs),
-            plan,
         }
     }
 

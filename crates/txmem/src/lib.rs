@@ -34,8 +34,10 @@
 //!   sequential reference runtime [`SeqRefRuntime`], so servers, workloads
 //!   and the benchmark matrix are generic over the runtime.
 //! * [`StatsCollector`] — cheap atomic counters for commits, aborts and
-//!   conflict classes, sharded per user-thread into cache-line-aligned
-//!   [`StatsShard`]s and used by the evaluation harness and by tests.
+//!   conflict classes, declared with `txobs::instrument_group!` and sharded
+//!   per user-thread into cache-line-aligned [`StatsShard`]s so committing
+//!   threads never share a counter line; read summed by the evaluation
+//!   harness and by tests.
 //!
 //! ## Example
 //!

@@ -151,17 +151,6 @@ pub trait TxRuntime: Send + Sync + fmt::Debug + 'static {
     fn stats(&self) -> StatsSnapshot {
         self.substrate().stats.snapshot()
     }
-
-    /// Per-shard statistics snapshots: entry `i` aggregates the activity of
-    /// the sessions whose thread id is `i` modulo the shard count.
-    fn stats_per_shard(&self) -> Vec<StatsSnapshot> {
-        self.substrate().stats.shard_snapshots()
-    }
-
-    /// Resets the global statistics counters.
-    fn reset_stats(&self) {
-        self.substrate().stats.reset();
-    }
 }
 
 /// Statically asserts that [`TxMem`] stays object-safe: every task body

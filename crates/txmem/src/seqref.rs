@@ -109,12 +109,12 @@ impl SeqRefSession {
         let substrate = &self.runtime.substrate;
         let _gate = self.runtime.gate.lock();
         let stats = substrate.stats.shard(self.id);
-        stats.bump(&stats.tx_starts);
+        stats.tx_starts.inc();
         txobs::tx_begin();
         let mut mem = DirectMem::new(&substrate.heap);
         match f(&mut mem) {
             Ok(value) => {
-                stats.bump(&stats.tx_commits);
+                stats.tx_commits.inc();
                 txobs::tx_commit();
                 value
             }
@@ -146,9 +146,9 @@ impl TxSession for SeqRefSession {
         let stats = self.runtime.substrate.stats.shard(self.id);
         self.locked(|mem| {
             for body in tasks.iter_mut() {
-                stats.bump(&stats.task_starts);
+                stats.task_starts.inc();
                 body(mem)?;
-                stats.bump(&stats.task_commits);
+                stats.task_commits.inc();
             }
             Ok(())
         })

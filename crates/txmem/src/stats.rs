@@ -1,101 +1,41 @@
 //! Runtime statistics, sharded per user-thread.
 //!
 //! Both runtimes update a shared [`StatsCollector`]; the evaluation harness
-//! and the tests read consistent snapshots through [`StatsCollector::snapshot`].
-//! Counters are deliberately coarse (relaxed atomics) — they are diagnostics,
-//! not part of the synchronisation protocol.
+//! and the tests read a window by taking [`StatsCollector::snapshot`] at both
+//! edges and subtracting. Counters are deliberately coarse (relaxed atomics) —
+//! they are diagnostics, not part of the synchronisation protocol.
 //!
-//! To keep the counters off the hot paths' shared cache lines, the collector
-//! is split into cache-line-aligned [`StatsShard`]s. Each user-thread bumps
-//! only its own shard (selected by its dense thread/user-thread id), so
-//! counter updates never ping-pong a cache line between threads; totals are
-//! aggregated lazily at snapshot time. The per-shard snapshots also give the
-//! benchmark harness a per-user-thread attribution of commits, aborts and
-//! contention-manager escalations.
+//! The counter group is declared with [`txobs::instrument_group!`], like the
+//! WAL, KV and network groups. Unlike those process-wide statics it is kept
+//! as cache-line-aligned [`StatsShard`]s, one per user-thread id (masked):
+//! with 64 committing threads, one shared line would take a cache miss on
+//! every counter bump. The shards are only ever read summed.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::AbortReason;
 
-/// Default number of shards in a [`StatsCollector`].
+/// Number of shards in a [`StatsCollector`].
 ///
 /// Shard selection masks the thread id by the shard count, so ids beyond the
-/// shard count wrap around (counts stay exact, only the per-thread attribution
-/// aliases). 64 shards cover every machine this reproduction targets while
-/// costing only a few kilobytes per collector.
+/// shard count wrap around (counts stay exact; only threads aliasing onto one
+/// shard share its line). 64 shards cover every machine this reproduction
+/// targets while costing only a few kilobytes per collector.
 pub const DEFAULT_STATS_SHARDS: usize = 64;
 
-macro_rules! counters {
-    ($(#[$shard_meta:meta])* shard $shard:ident;
-     $(#[$snapshot_meta:meta])* snapshot $snapshot:ident;
-     fields { $($(#[$field_meta:meta])* $field:ident),+ $(,)? }) => {
-        $(#[$shard_meta])*
-        #[derive(Debug, Default)]
-        #[repr(align(64))]
-        pub struct $shard {
-            $($(#[$field_meta])* pub $field: AtomicU64,)+
-        }
-
-        $(#[$snapshot_meta])*
-        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-        pub struct $snapshot {
-            $($(#[$field_meta])* pub $field: u64,)+
-        }
-
-        impl $shard {
-            /// Takes a snapshot of this shard's counters.
-            pub fn snapshot(&self) -> $snapshot {
-                $snapshot {
-                    $($field: self.$field.load(Ordering::Relaxed),)+
-                }
-            }
-
-            /// Resets every counter of this shard to zero.
-            pub fn reset(&self) {
-                $(self.$field.store(0, Ordering::Relaxed);)+
-            }
-        }
-
-        impl $snapshot {
-            /// Field-wise sum of two snapshots, saturating at `u64::MAX`.
-            pub fn merged(&self, other: &$snapshot) -> $snapshot {
-                $snapshot {
-                    $($field: self.$field.saturating_add(other.$field),)+
-                }
-            }
-
-            /// Difference between two snapshots (`self - earlier`), saturating
-            /// at 0.
-            pub fn delta_since(&self, earlier: &$snapshot) -> $snapshot {
-                $snapshot {
-                    $($field: self.$field.saturating_sub(earlier.$field),)+
-                }
-            }
-
-            /// Every counter as a `(name, value)` pair, in declaration order.
-            ///
-            /// Used by the benchmark reporter to serialise the full breakdown
-            /// without hand-maintaining a parallel field list.
-            pub fn fields(&self) -> Vec<(&'static str, u64)> {
-                vec![$((stringify!($field), self.$field),)+]
-            }
-        }
-    };
-}
-
-counters! {
-    /// One cache-line-aligned shard of atomic counters.
+txobs::instrument_group! {
+    /// One cache-line-aligned shard of the runtime counters.
     ///
     /// Each user-thread updates exactly one shard, so the relaxed
     /// `fetch_add`s of different threads never contend on the same cache
     /// line. The alignment also prevents false sharing between neighbouring
     /// shards in the collector's shard array.
-    shard StatsShard;
-    /// A point-in-time copy of one shard's — or, via
-    /// [`StatsCollector::snapshot`], the whole collector's — counters.
+    #[repr(align(64))]
+    group StatsShard;
+    /// A point-in-time copy of the collector's counters, summed over its
+    /// shards by [`StatsCollector::snapshot`].
     snapshot StatsSnapshot;
-    fields {
+    counters {
         /// User-transactions started (first attempt only).
         tx_starts,
         /// User-transactions committed.
@@ -143,18 +83,6 @@ counters! {
 }
 
 impl StatsShard {
-    /// Bumps a counter of this shard by one.
-    #[inline]
-    pub fn bump(&self, counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n` to a counter of this shard.
-    #[inline]
-    pub fn add(&self, counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Records an abort with the given reason against the per-reason counters.
     /// The caller is responsible for also bumping `tx_aborts`/`task_aborts` as
     /// appropriate.
@@ -169,40 +97,29 @@ impl StatsShard {
             AbortReason::UserRetry => &self.aborts_user_retry,
             AbortReason::OutOfMemory => &self.aborts_oom,
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        counter.inc();
     }
 }
 
 /// Sharded runtime statistics.
 ///
-/// The collector owns [`DEFAULT_STATS_SHARDS`] (or an explicit power-of-two
-/// number of) cache-line-aligned shards. Hot paths obtain their shard once via
-/// [`StatsCollector::shard`] and bump counters on it; reporting code sums the
-/// shards with [`StatsCollector::snapshot`] or inspects the per-thread
-/// attribution with [`StatsCollector::shard_snapshots`].
+/// The collector owns [`DEFAULT_STATS_SHARDS`] cache-line-aligned shards. Hot
+/// paths obtain their shard once via [`StatsCollector::shard`] and bump
+/// counters on it; reporting code sums the shards with
+/// [`StatsCollector::snapshot`].
 #[derive(Debug)]
 pub struct StatsCollector {
     shards: Box<[StatsShard]>,
 }
 
 impl StatsCollector {
-    /// Creates a collector with the default shard count, all counters zero.
+    /// Creates a collector with every counter zero.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_STATS_SHARDS)
-    }
-
-    /// Creates a collector with at least `shards` shards (rounded up to a
-    /// power of two so shard selection is a mask, never a division).
-    pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
         StatsCollector {
-            shards: (0..n).map(|_| StatsShard::default()).collect(),
+            shards: (0..DEFAULT_STATS_SHARDS)
+                .map(|_| StatsShard::new())
+                .collect(),
         }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// The shard user-thread `id` should update.
@@ -211,29 +128,16 @@ impl StatsCollector {
     /// ids beyond the shard count alias onto existing shards.
     #[inline]
     pub fn shard(&self, id: u32) -> &StatsShard {
-        &self.shards[id as usize & (self.shards.len() - 1)]
+        &self.shards[id as usize & (DEFAULT_STATS_SHARDS - 1)]
     }
 
-    /// Aggregated snapshot of all shards.
+    /// The counters summed over all shards.
     pub fn snapshot(&self) -> StatsSnapshot {
-        self.shards
-            .iter()
-            .fold(StatsSnapshot::default(), |acc, shard| {
-                acc.merged(&shard.snapshot())
-            })
-    }
-
-    /// Per-shard snapshots, in shard order (index = thread id modulo the
-    /// shard count). Shards that no thread ever used are all-zero.
-    pub fn shard_snapshots(&self) -> Vec<StatsSnapshot> {
-        self.shards.iter().map(StatsShard::snapshot).collect()
-    }
-
-    /// Resets every counter of every shard to zero.
-    pub fn reset(&self) {
+        let mut total = StatsSnapshot::default();
         for shard in self.shards.iter() {
-            shard.reset();
+            total.merge(&shard.snapshot());
         }
+        total
     }
 }
 
@@ -309,9 +213,9 @@ mod tests {
     fn snapshot_reflects_bumps() {
         let s = StatsCollector::new();
         let shard = s.shard(0);
-        shard.bump(&shard.tx_commits);
-        shard.bump(&shard.tx_commits);
-        shard.bump(&shard.reads);
+        shard.tx_commits.inc();
+        shard.tx_commits.inc();
+        shard.reads.inc();
         let snap = s.snapshot();
         assert_eq!(snap.tx_commits, 2);
         assert_eq!(snap.reads, 1);
@@ -347,23 +251,14 @@ mod tests {
     fn delta_since_subtracts() {
         let s = StatsCollector::new();
         let shard = s.shard(0);
-        shard.bump(&shard.reads);
+        shard.reads.inc();
         let early = s.snapshot();
-        shard.bump(&shard.reads);
-        shard.bump(&shard.writes);
+        shard.reads.inc();
+        shard.writes.inc();
         let late = s.snapshot();
         let delta = late.delta_since(&early);
         assert_eq!(delta.reads, 1);
         assert_eq!(delta.writes, 1);
-    }
-
-    #[test]
-    fn reset_zeroes_counters() {
-        let s = StatsCollector::new();
-        let shard = s.shard(9);
-        shard.bump(&shard.tx_aborts);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 
     #[test]
@@ -381,7 +276,7 @@ mod tests {
         assert_eq!(std::mem::align_of::<StatsShard>(), 64);
         // The shard array inherits the alignment, so neighbouring shards can
         // never share a cache line.
-        let s = StatsCollector::with_shards(4);
+        let s = StatsCollector::new();
         let a = s.shard(0) as *const _ as usize;
         let b = s.shard(1) as *const _ as usize;
         assert_eq!(a % 64, 0);
@@ -391,20 +286,12 @@ mod tests {
 
     #[test]
     fn shard_ids_wrap_by_masking() {
-        let s = StatsCollector::with_shards(4);
-        assert_eq!(s.num_shards(), 4);
-        // id 5 aliases onto shard 1.
-        assert!(std::ptr::eq(s.shard(5), s.shard(1)));
-        let shard = s.shard(5);
-        shard.bump(&shard.tx_commits);
-        assert_eq!(s.shard_snapshots()[1].tx_commits, 1);
-    }
-
-    #[test]
-    fn with_shards_rounds_up_to_power_of_two() {
-        assert_eq!(StatsCollector::with_shards(0).num_shards(), 1);
-        assert_eq!(StatsCollector::with_shards(3).num_shards(), 4);
-        assert_eq!(StatsCollector::with_shards(64).num_shards(), 64);
+        let s = StatsCollector::new();
+        // id 65 aliases onto shard 1.
+        let wrapped = DEFAULT_STATS_SHARDS as u32 + 1;
+        assert!(std::ptr::eq(s.shard(wrapped), s.shard(1)));
+        s.shard(wrapped).tx_commits.inc();
+        assert_eq!(s.shard(1).snapshot().tx_commits, 1);
     }
 
     #[test]
@@ -412,25 +299,19 @@ mod tests {
         // The sharded collector must report exactly the totals the old single
         // global collector produced: distribute bumps over many (aliasing)
         // shard ids and compare against a straight count.
-        let s = StatsCollector::with_shards(8);
+        let s = StatsCollector::new();
         let mut expected_commits = 0u64;
         let mut expected_reads = 0u64;
         for id in 0..100u32 {
             let shard = s.shard(id);
-            shard.bump(&shard.tx_commits);
+            shard.tx_commits.inc();
             expected_commits += 1;
-            shard.add(&shard.reads, u64::from(id));
+            shard.reads.add(u64::from(id));
             expected_reads += u64::from(id);
         }
         let snap = s.snapshot();
         assert_eq!(snap.tx_commits, expected_commits);
         assert_eq!(snap.reads, expected_reads);
-        // Per-shard attribution sums to the same totals.
-        let merged = s
-            .shard_snapshots()
-            .iter()
-            .fold(StatsSnapshot::default(), |acc, s| acc.merged(s));
-        assert_eq!(merged, snap);
     }
 
     #[test]

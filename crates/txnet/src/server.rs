@@ -78,11 +78,22 @@ use crate::frame::{
 };
 use crate::proto;
 
-/// How many full coalescing windows
-/// ([`NetServerConfig::max_coalesced_requests`]) of requests a serving
-/// thread parks behind the durable watermark before it stops reading
-/// sockets. Four windows already cover one group-commit interval of the
-/// repo's benchmark; the rest is headroom for slower disks.
+/// Upper bound on requests coalesced into one store batch (the coalescing
+/// window). The batch executes as a single transaction (and a single WAL
+/// record), so this bounds commit latency when many connections are readable
+/// at once; excess requests wait for a subsequent iteration, scanned from a
+/// rotating start so no connection starves.
+const MAX_COALESCED_REQUESTS: usize = 64;
+
+/// How long an idle serving thread sleeps between poll iterations (with
+/// rounds parked it waits on the WAL's ack instead, for at most this long,
+/// so an fsync wakes it at once).
+const IDLE_SLEEP: Duration = Duration::from_micros(200);
+
+/// How many full coalescing windows (64 requests each) a serving thread
+/// parks behind the durable watermark before it stops reading sockets. Four
+/// windows already cover one group-commit interval of the repo's benchmark;
+/// the rest is headroom for slower disks.
 pub const PARKED_ROUNDS_LIMIT: usize = 16;
 
 /// Unflushed reply bytes above which a connection is no longer read from:
@@ -106,16 +117,6 @@ pub struct NetServerConfig {
     /// closes its connection, a longer reply is replaced by a
     /// [`proto::ERR_REPLY_TOO_LARGE`] error reply.
     pub max_frame_len: u32,
-    /// How long an idle serving thread sleeps between poll iterations (with
-    /// rounds parked it waits on the WAL's ack instead, for at most this
-    /// long, so an fsync wakes it at once).
-    pub idle_sleep: Duration,
-    /// Upper bound on requests coalesced into one store batch. The batch
-    /// executes as a single transaction (and a single WAL record), so this
-    /// bounds commit latency when many connections are readable at once;
-    /// excess requests wait for a subsequent iteration, scanned from a
-    /// rotating start so no connection starves.
-    pub max_coalesced_requests: usize,
 }
 
 impl Default for NetServerConfig {
@@ -123,8 +124,6 @@ impl Default for NetServerConfig {
         NetServerConfig {
             threads: std::thread::available_parallelism().map_or(1, usize::from),
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            idle_sleep: Duration::from_micros(200),
-            max_coalesced_requests: 64,
         }
     }
 }
@@ -567,8 +566,7 @@ fn serve_loop<R: TxRuntime>(
     config: &NetServerConfig,
 ) {
     let net = txobs::metrics::net();
-    let window = config.max_coalesced_requests.max(1);
-    let park_limit = window.saturating_mul(PARKED_ROUNDS_LIMIT);
+    let park_limit = MAX_COALESCED_REQUESTS * PARKED_ROUNDS_LIMIT;
     let mut conns: Vec<Conn> = Vec::new();
     let mut next_conn_id = 0u64;
     let mut scratch = vec![0u8; 64 * 1024];
@@ -620,7 +618,7 @@ fn serve_loop<R: TxRuntime>(
             for step in 0..n_conns {
                 // The coalescing window is full: the remaining connections
                 // keep their bytes for a later iteration.
-                if round.routes.len() >= window {
+                if round.routes.len() >= MAX_COALESCED_REQUESTS {
                     break;
                 }
                 let conn = &mut conns[(scan_start + step) % n_conns];
@@ -629,7 +627,12 @@ fn serve_loop<R: TxRuntime>(
                     continue;
                 }
                 busy |= conn.fill(&mut scratch, config.max_frame_len);
-                conn.decode_into(&mut round, &mut ops, window, config.max_frame_len);
+                conn.decode_into(
+                    &mut round,
+                    &mut ops,
+                    MAX_COALESCED_REQUESTS,
+                    config.max_frame_len,
+                );
             }
         }
 
@@ -728,9 +731,9 @@ fn serve_loop<R: TxRuntime>(
             // fsync they wait for: sleep on the latter, which wakes at once.
             match parked.front().and_then(|round| round.gate.as_ref()) {
                 Some(gate) => {
-                    let _ = gate.wait_timeout(config.idle_sleep);
+                    let _ = gate.wait_timeout(IDLE_SLEEP);
                 }
-                None => std::thread::sleep(config.idle_sleep),
+                None => std::thread::sleep(IDLE_SLEEP),
             }
         }
     }

@@ -3,13 +3,20 @@
 //!
 //! The hot-path instruments ([`Counter`], [`Gauge`], [`AtomicHistogram`]) are
 //! plain relaxed atomics reachable through `&'static` structs — no registry
-//! lookup, no locking, no allocation on the update path. The WAL writer, the
-//! durable KV store and the network front-end update [`wal()`], [`kv()`] and
-//! [`net()`].
+//! lookup, no locking, no allocation on the update path. Every instrument
+//! group of the stack is declared once with
+//! [`instrument_group!`](crate::instrument_group), which generates its live
+//! struct, its snapshot with `delta_since`/`merge`, and its exposition. The
+//! WAL writer, the durable KV store and the network front-end update the
+//! process-wide groups [`wal()`], [`kv()`] and [`net()`]. The STM runtimes'
+//! group (`txmem::StatsShard`) is declared the same way but kept as one
+//! cache-line-aligned copy per user-thread shard, because 64 committing
+//! threads bumping one shared line would serialise on it; its shards are
+//! only ever read summed.
 //!
-//! [`metrics_text()`] renders everything in the Prometheus text format;
-//! [`parse_exposition`] is the matching minimal parser, used by tests and CI
-//! to prove the exposition round-trips.
+//! [`metrics_text()`] renders the process-wide groups in the Prometheus text
+//! format; [`parse_exposition`] is the matching minimal parser, used by tests
+//! and CI to prove the exposition round-trips.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::histogram::{bucket_of, bucket_upper_ns, LatencyHistogram, LATENCY_BUCKETS};
 
 /// A monotonically increasing counter.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
 impl Counter {
@@ -44,14 +51,8 @@ impl Counter {
     }
 }
 
-impl Default for Counter {
-    fn default() -> Self {
-        Counter::new()
-    }
-}
-
 /// A last-write-wins gauge.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
 
 impl Gauge {
@@ -85,12 +86,6 @@ impl Gauge {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Gauge::new()
     }
 }
 
@@ -153,56 +148,169 @@ impl Default for AtomicHistogram {
     }
 }
 
-/// Hot-path metrics of the WAL writer.
-#[derive(Debug, Default)]
-pub struct WalMetrics {
-    /// Commit batches handed to the writer.
-    pub enqueued: Counter,
-    /// Batches not yet acknowledged durable (enqueue minus watermark).
-    pub queue_depth: Gauge,
-    /// Physical write batches issued by the writer.
-    pub batches: Counter,
-    /// Log records coalesced across all write batches.
-    pub batch_records: Counter,
-    /// Bytes written across all write batches.
-    pub batch_bytes: Counter,
-    /// Latency of each physical batch write.
-    pub append_ns: AtomicHistogram,
-    /// Fsyncs issued by the writer.
-    pub fsyncs: Counter,
-    /// Latency of each fsync.
-    pub fsync_ns: AtomicHistogram,
-    /// Transient write errors retried by the writer.
-    pub retries: Counter,
-    /// Terminal WAL faults (the writer died).
-    pub faults: Counter,
-    /// Segment rotations.
-    pub rotations: Counter,
+/// Declares an instrument group from one field list: the only way to add a
+/// counter, gauge or histogram to the stack.
+///
+/// ```
+/// txobs::instrument_group! {
+///     group CacheMetrics;
+///     snapshot CacheSnapshot;
+///     counters { hits, misses }
+///     gauges { entries }
+///     histograms { lookup_ns }
+/// }
+///
+/// static CACHE: CacheMetrics = CacheMetrics::new();
+/// let before = CACHE.snapshot();
+/// CACHE.hits.inc();
+/// CACHE.lookup_ns.record_ns(250);
+/// let window = CACHE.snapshot().delta_since(&before);
+/// assert_eq!(window.fields(), vec![("hits", 1), ("misses", 0)]);
+/// assert_eq!(window.lookup_ns.count(), 1);
+/// ```
+///
+/// `group` names the live struct: one public [`Counter`], [`Gauge`] or
+/// [`AtomicHistogram`] field per entry, a `const fn new()` (so the group can
+/// be a `static`) and `render(prefix, kinds)`, which appends the Prometheus
+/// text of the counters (`{prefix}_{field}_total`), gauges and histograms to
+/// `kinds[0]`, `kinds[1]` and `kinds[2]`. Attributes before `group` go on the
+/// live struct.
+///
+/// The optional `snapshot` names a struct with the counters as `u64` and the
+/// histograms as [`LatencyHistogram`]s (gauges are instantaneous and left
+/// out), deriving `Debug, Clone, Default, PartialEq`, with `delta_since`,
+/// `merge` and `fields` (every counter as `(name, value)`); the live struct
+/// gains `snapshot()`. A window is read by snapshotting at both edges and
+/// subtracting. The `gauges` and `histograms` sections are optional.
+#[macro_export]
+macro_rules! instrument_group {
+    (@group [$($group_meta:tt)*] $group:ident;
+     counters { $($(#[$c_meta:meta])* $c:ident),* $(,)? }
+     $(gauges { $($(#[$g_meta:meta])* $g:ident),* $(,)? })?
+     $(histograms { $($(#[$h_meta:meta])* $h:ident),* $(,)? })?) => {
+        $($group_meta)*
+        #[derive(Debug, Default)]
+        pub struct $group {
+            $($(#[$c_meta])* pub $c: $crate::metrics::Counter,)*
+            $($($(#[$g_meta])* pub $g: $crate::metrics::Gauge,)*)?
+            $($($(#[$h_meta])* pub $h: $crate::metrics::AtomicHistogram,)*)?
+        }
+
+        impl $group {
+            /// A group with every instrument at zero.
+            pub const fn new() -> $group {
+                $group {
+                    $($c: $crate::metrics::Counter::new(),)*
+                    $($($g: $crate::metrics::Gauge::new(),)*)?
+                    $($($h: $crate::metrics::AtomicHistogram::new(),)*)?
+                }
+            }
+
+            /// Appends the exposition of this group's counters, gauges and
+            /// histograms, each named `{prefix}_{field}`, to `kinds[0]`,
+            /// `kinds[1]` and `kinds[2]`.
+            pub fn render(&self, prefix: &str, kinds: &mut [String; 3]) {
+                $($crate::metrics::render_value(
+                    &mut kinds[0], "counter", prefix,
+                    concat!(stringify!($c), "_total"), self.$c.get(),
+                );)*
+                $($($crate::metrics::render_value(
+                    &mut kinds[1], "gauge", prefix, stringify!($g), self.$g.get(),
+                );)*)?
+                $($($crate::metrics::render_histogram(
+                    &mut kinds[2], prefix, stringify!($h), &self.$h.snapshot(),
+                );)*)?
+            }
+        }
+    };
+    (@snapshot [$($snapshot_meta:tt)*] $group:ident $snapshot:ident;
+     counters { $($(#[$c_meta:meta])* $c:ident),* $(,)? }
+     $(gauges { $($(#[$g_meta:meta])* $g:ident),* $(,)? })?
+     $(histograms { $($(#[$h_meta:meta])* $h:ident),* $(,)? })?) => {
+        $($snapshot_meta)*
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct $snapshot {
+            $($(#[$c_meta])* pub $c: u64,)*
+            $($($(#[$h_meta])* pub $h: $crate::LatencyHistogram,)*)?
+        }
+
+        impl $group {
+            /// Reads every counter and histogram of the group.
+            pub fn snapshot(&self) -> $snapshot {
+                $snapshot {
+                    $($c: self.$c.get(),)*
+                    $($($h: self.$h.snapshot(),)*)?
+                }
+            }
+        }
+
+        impl $snapshot {
+            /// The activity since `earlier`, an older snapshot of the same
+            /// group (counters saturate at 0).
+            pub fn delta_since(&self, earlier: &$snapshot) -> $snapshot {
+                $snapshot {
+                    $($c: self.$c.saturating_sub(earlier.$c),)*
+                    $($($h: self.$h.delta_since(&earlier.$h),)*)?
+                }
+            }
+
+            /// Folds `other` into this snapshot: counters add (saturating at
+            /// `u64::MAX`), histograms merge.
+            pub fn merge(&mut self, other: &$snapshot) {
+                $(self.$c = self.$c.saturating_add(other.$c);)*
+                $($(self.$h.merge(&other.$h);)*)?
+            }
+
+            /// Every counter as a `(name, value)` pair, in declaration order.
+            pub fn fields(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($c), self.$c),)*]
+            }
+        }
+    };
+    ($(#[$group_meta:meta])* group $group:ident;
+     $(#[$snapshot_meta:meta])* snapshot $snapshot:ident;
+     $($body:tt)*) => {
+        $crate::instrument_group!(@group [$(#[$group_meta])*] $group; $($body)*);
+        $crate::instrument_group!(@snapshot [$(#[$snapshot_meta])*] $group $snapshot; $($body)*);
+    };
+    ($(#[$group_meta:meta])* group $group:ident; $($body:tt)*) => {
+        $crate::instrument_group!(@group [$(#[$group_meta])*] $group; $($body)*);
+    };
 }
 
-/// Point-in-time copy of [`WalMetrics`], subtractable across a run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct WalSnapshot {
-    /// See [`WalMetrics::enqueued`].
-    pub enqueued: u64,
-    /// See [`WalMetrics::batches`].
-    pub batches: u64,
-    /// See [`WalMetrics::batch_records`].
-    pub batch_records: u64,
-    /// See [`WalMetrics::batch_bytes`].
-    pub batch_bytes: u64,
-    /// See [`WalMetrics::fsyncs`].
-    pub fsyncs: u64,
-    /// See [`WalMetrics::retries`].
-    pub retries: u64,
-    /// See [`WalMetrics::faults`].
-    pub faults: u64,
-    /// See [`WalMetrics::rotations`].
-    pub rotations: u64,
-    /// See [`WalMetrics::append_ns`].
-    pub append_ns: LatencyHistogram,
-    /// See [`WalMetrics::fsync_ns`].
-    pub fsync_ns: LatencyHistogram,
+instrument_group! {
+    /// Hot-path metrics of the WAL writer.
+    group WalMetrics;
+    /// Point-in-time copy of [`WalMetrics`], subtractable across a run.
+    snapshot WalSnapshot;
+    counters {
+        /// Commit batches handed to the writer.
+        enqueued,
+        /// Physical write batches issued by the writer.
+        batches,
+        /// Log records coalesced across all write batches.
+        batch_records,
+        /// Bytes written across all write batches.
+        batch_bytes,
+        /// Fsyncs issued by the writer.
+        fsyncs,
+        /// Transient write errors retried by the writer.
+        retries,
+        /// Terminal WAL faults (the writer died).
+        faults,
+        /// Segment rotations.
+        rotations,
+    }
+    gauges {
+        /// Batches not yet acknowledged durable (enqueue minus watermark).
+        queue_depth,
+    }
+    histograms {
+        /// Latency of each physical batch write.
+        append_ns,
+        /// Latency of each fsync.
+        fsync_ns,
+    }
 }
 
 impl WalSnapshot {
@@ -214,205 +322,64 @@ impl WalSnapshot {
             self.batch_records as f64 / self.batches as f64
         }
     }
+}
 
-    /// The activity since `earlier` (an older snapshot of the same process).
-    pub fn delta_since(&self, earlier: &WalSnapshot) -> WalSnapshot {
-        WalSnapshot {
-            enqueued: self.enqueued.saturating_sub(earlier.enqueued),
-            batches: self.batches.saturating_sub(earlier.batches),
-            batch_records: self.batch_records.saturating_sub(earlier.batch_records),
-            batch_bytes: self.batch_bytes.saturating_sub(earlier.batch_bytes),
-            fsyncs: self.fsyncs.saturating_sub(earlier.fsyncs),
-            retries: self.retries.saturating_sub(earlier.retries),
-            faults: self.faults.saturating_sub(earlier.faults),
-            rotations: self.rotations.saturating_sub(earlier.rotations),
-            append_ns: self.append_ns.delta_since(&earlier.append_ns),
-            fsync_ns: self.fsync_ns.delta_since(&earlier.fsync_ns),
-        }
+instrument_group! {
+    /// Metrics of the durable KV store lifecycle.
+    group KvMetrics;
+    counters {
+        /// Successful WAL re-arms after degradation.
+        rearms,
     }
-
-    /// Folds another snapshot into this one (summing counters and merging
-    /// histograms) — used when averaging bench repetitions.
-    pub fn merge(&mut self, other: &WalSnapshot) {
-        self.enqueued += other.enqueued;
-        self.batches += other.batches;
-        self.batch_records += other.batch_records;
-        self.batch_bytes += other.batch_bytes;
-        self.fsyncs += other.fsyncs;
-        self.retries += other.retries;
-        self.faults += other.faults;
-        self.rotations += other.rotations;
-        self.append_ns.merge(&other.append_ns);
-        self.fsync_ns.merge(&other.fsync_ns);
+    gauges {
+        /// Current health (see [`crate::trace::health`]; 0 = no durable store
+        /// booted yet).
+        health,
     }
 }
 
-impl WalMetrics {
-    /// Snapshots every counter and histogram.
-    pub fn snapshot(&self) -> WalSnapshot {
-        WalSnapshot {
-            enqueued: self.enqueued.get(),
-            batches: self.batches.get(),
-            batch_records: self.batch_records.get(),
-            batch_bytes: self.batch_bytes.get(),
-            fsyncs: self.fsyncs.get(),
-            retries: self.retries.get(),
-            faults: self.faults.get(),
-            rotations: self.rotations.get(),
-            append_ns: self.append_ns.snapshot(),
-            fsync_ns: self.fsync_ns.snapshot(),
-        }
+instrument_group! {
+    /// Hot-path metrics of the network serving front-end.
+    group NetMetrics;
+    /// Point-in-time copy of [`NetMetrics`], subtractable across a benchmark
+    /// run.
+    snapshot NetSnapshot;
+    counters {
+        /// Request frames decoded across all serving threads.
+        requests,
+        /// Reply frames written back across all serving threads.
+        replies,
+        /// Request bytes read off all connections (frame headers included).
+        bytes_in,
+        /// Reply bytes written to all connections (frame headers included).
+        bytes_out,
+        /// Coalesced store batches executed (one per serving-thread drain that
+        /// found at least one request).
+        coalesced_batches,
+        /// Requests folded into those coalesced batches; divided by
+        /// `coalesced_batches` this is the server-side coalescing factor.
+        coalesced_requests,
+        /// Request frames rejected with a typed protocol error.
+        protocol_errors,
+    }
+    gauges {
+        /// Currently connected clients.
+        connections,
+        /// Executed rounds whose replies are parked behind the durable
+        /// watermark, across all serving threads.
+        parked_rounds,
+    }
+    histograms {
+        /// Ack lag: from a round's in-memory commit to the release of its
+        /// replies (the wait for the fsync covering it; ~0 for in-memory
+        /// rounds).
+        ack_lag_ns,
     }
 }
 
-/// Metrics of the durable KV store lifecycle.
-#[derive(Debug, Default)]
-pub struct KvMetrics {
-    /// Current health (see [`crate::trace::health`]; 0 = no durable store
-    /// booted yet).
-    pub health: Gauge,
-    /// Successful WAL re-arms after degradation.
-    pub rearms: Counter,
-}
-
-/// Hot-path metrics of the network serving front-end.
-#[derive(Debug, Default)]
-pub struct NetMetrics {
-    /// Request frames decoded across all serving threads.
-    pub requests: Counter,
-    /// Reply frames written back across all serving threads.
-    pub replies: Counter,
-    /// Request bytes read off all connections (frame headers included).
-    pub bytes_in: Counter,
-    /// Reply bytes written to all connections (frame headers included).
-    pub bytes_out: Counter,
-    /// Coalesced store batches executed (one per serving-thread drain that
-    /// found at least one request).
-    pub coalesced_batches: Counter,
-    /// Requests folded into those coalesced batches; divided by
-    /// `coalesced_batches` this is the server-side coalescing factor.
-    pub coalesced_requests: Counter,
-    /// Request frames rejected with a typed protocol error.
-    pub protocol_errors: Counter,
-    /// Currently connected clients.
-    pub connections: Gauge,
-    /// Executed rounds whose replies are parked behind the durable
-    /// watermark, across all serving threads.
-    pub parked_rounds: Gauge,
-    /// Ack lag: from a round's in-memory commit to the release of its
-    /// replies (the wait for the fsync covering it; ~0 for in-memory
-    /// rounds).
-    pub ack_lag_ns: AtomicHistogram,
-}
-
-/// Point-in-time copy of the [`NetMetrics`] counters, subtractable across a
-/// benchmark run (the gauges are instantaneous and therefore not part of the
-/// snapshot).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NetSnapshot {
-    /// See [`NetMetrics::requests`].
-    pub requests: u64,
-    /// See [`NetMetrics::replies`].
-    pub replies: u64,
-    /// See [`NetMetrics::bytes_in`].
-    pub bytes_in: u64,
-    /// See [`NetMetrics::bytes_out`].
-    pub bytes_out: u64,
-    /// See [`NetMetrics::coalesced_batches`].
-    pub coalesced_batches: u64,
-    /// See [`NetMetrics::coalesced_requests`].
-    pub coalesced_requests: u64,
-    /// See [`NetMetrics::protocol_errors`].
-    pub protocol_errors: u64,
-}
-
-impl NetSnapshot {
-    /// Mean requests folded into one coalesced store batch — the server-side
-    /// coalescing factor (0.0 before the first batch, never `NaN`).
-    pub fn mean_coalesced_requests(&self) -> f64 {
-        if self.coalesced_batches == 0 {
-            0.0
-        } else {
-            self.coalesced_requests as f64 / self.coalesced_batches as f64
-        }
-    }
-
-    /// The activity since `earlier` (an older snapshot of the same process).
-    pub fn delta_since(&self, earlier: &NetSnapshot) -> NetSnapshot {
-        NetSnapshot {
-            requests: self.requests.saturating_sub(earlier.requests),
-            replies: self.replies.saturating_sub(earlier.replies),
-            bytes_in: self.bytes_in.saturating_sub(earlier.bytes_in),
-            bytes_out: self.bytes_out.saturating_sub(earlier.bytes_out),
-            coalesced_batches: self
-                .coalesced_batches
-                .saturating_sub(earlier.coalesced_batches),
-            coalesced_requests: self
-                .coalesced_requests
-                .saturating_sub(earlier.coalesced_requests),
-            protocol_errors: self.protocol_errors.saturating_sub(earlier.protocol_errors),
-        }
-    }
-
-    /// Folds another snapshot into this one — used when averaging bench
-    /// repetitions.
-    pub fn merge(&mut self, other: &NetSnapshot) {
-        self.requests += other.requests;
-        self.replies += other.replies;
-        self.bytes_in += other.bytes_in;
-        self.bytes_out += other.bytes_out;
-        self.coalesced_batches += other.coalesced_batches;
-        self.coalesced_requests += other.coalesced_requests;
-        self.protocol_errors += other.protocol_errors;
-    }
-}
-
-impl NetMetrics {
-    /// Snapshots every counter.
-    pub fn snapshot(&self) -> NetSnapshot {
-        NetSnapshot {
-            requests: self.requests.get(),
-            replies: self.replies.get(),
-            bytes_in: self.bytes_in.get(),
-            bytes_out: self.bytes_out.get(),
-            coalesced_batches: self.coalesced_batches.get(),
-            coalesced_requests: self.coalesced_requests.get(),
-            protocol_errors: self.protocol_errors.get(),
-        }
-    }
-}
-
-static WAL: WalMetrics = WalMetrics {
-    enqueued: Counter::new(),
-    queue_depth: Gauge::new(),
-    batches: Counter::new(),
-    batch_records: Counter::new(),
-    batch_bytes: Counter::new(),
-    append_ns: AtomicHistogram::new(),
-    fsyncs: Counter::new(),
-    fsync_ns: AtomicHistogram::new(),
-    retries: Counter::new(),
-    faults: Counter::new(),
-    rotations: Counter::new(),
-};
-
-static KV: KvMetrics = KvMetrics {
-    health: Gauge::new(),
-    rearms: Counter::new(),
-};
-
-static NET: NetMetrics = NetMetrics {
-    requests: Counter::new(),
-    replies: Counter::new(),
-    bytes_in: Counter::new(),
-    bytes_out: Counter::new(),
-    coalesced_batches: Counter::new(),
-    coalesced_requests: Counter::new(),
-    protocol_errors: Counter::new(),
-    connections: Gauge::new(),
-    parked_rounds: Gauge::new(),
-    ack_lag_ns: AtomicHistogram::new(),
-};
+static WAL: WalMetrics = WalMetrics::new();
+static KV: KvMetrics = KvMetrics::new();
+static NET: NetMetrics = NetMetrics::new();
 
 /// The process-wide WAL writer metrics.
 pub fn wal() -> &'static WalMetrics {
@@ -429,74 +396,47 @@ pub fn net() -> &'static NetMetrics {
     &NET
 }
 
-fn render_histogram(out: &mut String, name: &str, hist: &LatencyHistogram) {
-    let _ = writeln!(out, "# TYPE {name} histogram");
+/// Appends one `kind` sample named `{prefix}_{field}`. Called by the code
+/// [`instrument_group!`](crate::instrument_group) generates; not part of the
+/// API.
+#[doc(hidden)]
+pub fn render_value(out: &mut String, kind: &str, prefix: &str, field: &str, value: u64) {
+    let _ = writeln!(out, "# TYPE {prefix}_{field} {kind}");
+    let _ = writeln!(out, "{prefix}_{field} {value}");
+}
+
+/// Appends one histogram named `{prefix}_{field}`, with cumulative buckets up
+/// to the last non-empty one. Called by the code
+/// [`instrument_group!`](crate::instrument_group) generates; not part of the
+/// API.
+#[doc(hidden)]
+pub fn render_histogram(out: &mut String, prefix: &str, field: &str, hist: &LatencyHistogram) {
+    let _ = writeln!(out, "# TYPE {prefix}_{field} histogram");
+    let last_nonzero = hist.buckets().iter().rposition(|&n| n > 0).unwrap_or(0);
     let mut cumulative = 0u64;
-    let mut last_nonzero = 0usize;
-    for (i, &n) in hist.buckets().iter().enumerate() {
-        if n > 0 {
-            last_nonzero = i;
-        }
-    }
     for (i, &n) in hist.buckets().iter().enumerate().take(last_nonzero + 1) {
         cumulative += n;
         let upper = bucket_upper_ns(i);
-        let _ = writeln!(out, "{name}_bucket{{le=\"{upper}\"}} {cumulative}");
+        let _ = writeln!(
+            out,
+            "{prefix}_{field}_bucket{{le=\"{upper}\"}} {cumulative}"
+        );
     }
-    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", hist.count());
-    let _ = writeln!(out, "{name}_sum {}", hist.total_ns());
-    let _ = writeln!(out, "{name}_count {}", hist.count());
+    let count = hist.count();
+    let _ = writeln!(out, "{prefix}_{field}_bucket{{le=\"+Inf\"}} {count}");
+    let _ = writeln!(out, "{prefix}_{field}_sum {}", hist.total_ns());
+    let _ = writeln!(out, "{prefix}_{field}_count {count}");
 }
 
-/// Renders every metric — the static WAL, KV and network instruments — in
-/// the Prometheus text exposition format.
+/// Renders every metric — the static WAL, KV and network groups — in the
+/// Prometheus text exposition format: all counters, then all gauges, then
+/// all histograms, each kind in group order.
 pub fn metrics_text() -> String {
-    let mut out = String::new();
-    let wal = wal();
-    for (name, counter) in [
-        ("txobs_wal_enqueued_total", &wal.enqueued),
-        ("txobs_wal_batches_total", &wal.batches),
-        ("txobs_wal_batch_records_total", &wal.batch_records),
-        ("txobs_wal_batch_bytes_total", &wal.batch_bytes),
-        ("txobs_wal_fsyncs_total", &wal.fsyncs),
-        ("txobs_wal_retries_total", &wal.retries),
-        ("txobs_wal_faults_total", &wal.faults),
-        ("txobs_wal_rotations_total", &wal.rotations),
-        ("txobs_kv_rearms_total", &kv().rearms),
-        ("txobs_net_requests_total", &net().requests),
-        ("txobs_net_replies_total", &net().replies),
-        ("txobs_net_bytes_in_total", &net().bytes_in),
-        ("txobs_net_bytes_out_total", &net().bytes_out),
-        (
-            "txobs_net_coalesced_batches_total",
-            &net().coalesced_batches,
-        ),
-        (
-            "txobs_net_coalesced_requests_total",
-            &net().coalesced_requests,
-        ),
-        ("txobs_net_protocol_errors_total", &net().protocol_errors),
-    ] {
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {}", counter.get());
-    }
-    for (name, gauge) in [
-        ("txobs_wal_queue_depth", &wal.queue_depth),
-        ("txobs_kv_health", &kv().health),
-        ("txobs_net_connections", &net().connections),
-        ("txobs_net_parked_rounds", &net().parked_rounds),
-    ] {
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name} {}", gauge.get());
-    }
-    render_histogram(&mut out, "txobs_wal_append_ns", &wal.append_ns.snapshot());
-    render_histogram(&mut out, "txobs_wal_fsync_ns", &wal.fsync_ns.snapshot());
-    render_histogram(
-        &mut out,
-        "txobs_net_ack_lag_ns",
-        &net().ack_lag_ns.snapshot(),
-    );
-    out
+    let mut kinds: [String; 3] = Default::default();
+    wal().render("txobs_wal", &mut kinds);
+    kv().render("txobs_kv", &mut kinds);
+    net().render("txobs_net", &mut kinds);
+    kinds.concat()
 }
 
 /// One parsed exposition sample.
@@ -605,27 +545,55 @@ mod tests {
 
     #[test]
     fn wal_snapshot_delta_and_merge() {
-        let a = WalSnapshot {
-            enqueued: 10,
-            batches: 4,
-            batch_records: 10,
-            batch_bytes: 4096,
-            fsyncs: 4,
-            ..WalSnapshot::default()
+        // A private group, so the process-wide statics other tests record
+        // into cannot interfere: every field gets a distinct increment, and
+        // the generated delta and merge must recover it field by field.
+        let group = WalMetrics::new();
+        let bump = |round: u64| {
+            let counters = [
+                &group.enqueued,
+                &group.batches,
+                &group.batch_records,
+                &group.batch_bytes,
+                &group.fsyncs,
+                &group.retries,
+                &group.faults,
+                &group.rotations,
+            ];
+            for (i, counter) in (1u64..).zip(counters) {
+                counter.add(i * round);
+            }
+            group.queue_depth.set(round);
+            group.append_ns.record_ns(100 * round);
+            group.fsync_ns.record_ns(100_000 * round);
         };
-        let mut later = a.clone();
-        later.enqueued = 25;
-        later.batches = 9;
-        later.batch_records = 25;
-        let d = later.delta_since(&a);
-        assert_eq!(d.enqueued, 15);
-        assert_eq!(d.batches, 5);
-        assert!((d.mean_batch_records() - 3.0).abs() < 1e-9);
-        let mut merged = d.clone();
-        merged.merge(&d);
-        assert_eq!(merged.enqueued, 30);
-        assert!((merged.mean_batch_records() - 3.0).abs() < 1e-9);
+        bump(1);
+        let before = group.snapshot();
+        bump(10);
+        let after = group.snapshot();
+        let delta = after.delta_since(&before);
+        let names = [
+            "enqueued",
+            "batches",
+            "batch_records",
+            "batch_bytes",
+            "fsyncs",
+            "retries",
+            "faults",
+            "rotations",
+        ];
+        let expected: Vec<(&str, u64)> = names.into_iter().zip((10u64..).step_by(10)).collect();
+        assert_eq!(delta.fields(), expected);
+        for (hist, ns) in [(&delta.append_ns, 1_000), (&delta.fsync_ns, 1_000_000)] {
+            assert_eq!((hist.count(), hist.total_ns()), (1, ns));
+        }
+        assert!((delta.mean_batch_records() - 3.0 / 2.0).abs() < 1e-9);
         assert_eq!(WalSnapshot::default().mean_batch_records(), 0.0);
+
+        let mut merged = before.clone();
+        merged.merge(&delta);
+        assert_eq!(merged, after);
+        assert_eq!(after.delta_since(&after), WalSnapshot::default());
     }
 
     #[test]
@@ -638,6 +606,7 @@ mod tests {
             coalesced_batches: 2,
             coalesced_requests: 10,
             protocol_errors: 1,
+            ..NetSnapshot::default()
         };
         let mut later = a.clone();
         later.requests = 40;
@@ -646,12 +615,15 @@ mod tests {
         let d = later.delta_since(&a);
         assert_eq!(d.requests, 30);
         assert_eq!(d.coalesced_batches, 3);
-        assert!((d.mean_coalesced_requests() - 10.0).abs() < 1e-9);
+        assert_eq!(d.coalesced_requests, 30);
+        assert_eq!((d.replies, d.bytes_in, d.protocol_errors), (0, 0, 0));
         let mut merged = d.clone();
         merged.merge(&d);
         assert_eq!(merged.requests, 60);
-        // A window with no coalesced batches reports 0.0, never NaN.
-        assert_eq!(NetSnapshot::default().mean_coalesced_requests(), 0.0);
+        assert_eq!(merged.coalesced_requests, 60);
+        // Snapshots taken out of order give an empty window, never a
+        // wrapped-around count.
+        assert_eq!(a.delta_since(&later), NetSnapshot::default());
     }
 
     #[test]

@@ -192,7 +192,7 @@ pub fn average_metrics(
         total_ops += run.throughput.ops;
         total_time += run.throughput.elapsed;
         latency.merge(&run.latency);
-        stats = stats.merged(&run.stats);
+        stats.merge(&run.stats);
         if let Some(run_wal) = run.wal {
             wal.get_or_insert_with(Default::default).merge(&run_wal);
         }
