@@ -24,12 +24,12 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
+use tlstm_bench::cell;
 use tlstm_bench::report::BenchReport;
 use tlstm_bench::scenarios::{
     build_scenarios, figure_scenarios, find_runtime, pinned_workload_labels, run_matrix,
     runtime_names, workload_selectors, MatrixSelection, RuntimeEntry, ScenarioSpec,
 };
-use tlstm_bench::{cell, env_u32, env_u64, DEFAULT_BENCH_MS};
 use tlstm_workloads::kv::FsyncPolicy;
 use tlstm_workloads::WorkloadConfig;
 
@@ -71,9 +71,9 @@ SCENARIO OPTIONS:
 MEASUREMENT OPTIONS:
     --quick              short runs (50 ms/point) for smoke testing
     --duration-ms N      measured duration per data point
-                         (default: TLSTM_BENCH_MS, else 300; 50 with --quick)
-    --reps N             repetitions to average (default: TLSTM_BENCH_REPS, else 1)
-    --seed N             workload RNG seed (default: TLSTM_BENCH_SEED, else 0xC0FFEE)
+                         (default: 300; 50 with --quick)
+    --reps N             repetitions to average (default: 1)
+    --seed N             workload RNG seed (default: 0xC0FFEE)
     --out FILE           write the JSON report to FILE
 
 OBSERVABILITY OPTIONS:
@@ -224,22 +224,16 @@ drop --workloads, --threads and --runtimes"
 }
 
 fn workload_config(cli: &CliArgs) -> WorkloadConfig {
-    let default_ms = if cli.quick {
-        QUICK_BENCH_MS
-    } else {
-        DEFAULT_BENCH_MS
+    let defaults = WorkloadConfig::default();
+    let duration = match (cli.duration_ms, cli.quick) {
+        (Some(ms), _) => Duration::from_millis(ms.max(1)),
+        (None, true) => Duration::from_millis(QUICK_BENCH_MS),
+        (None, false) => defaults.duration,
     };
-    let ms = cli
-        .duration_ms
-        .unwrap_or_else(|| env_u64("TLSTM_BENCH_MS", default_ms));
-    let reps = cli.reps.unwrap_or_else(|| env_u32("TLSTM_BENCH_REPS", 1));
-    let seed = cli
-        .seed
-        .unwrap_or_else(|| env_u64("TLSTM_BENCH_SEED", 0xC0FFEE));
     WorkloadConfig {
-        duration: Duration::from_millis(ms.max(1)),
-        repetitions: reps.max(1),
-        seed,
+        duration,
+        repetitions: cli.reps.unwrap_or(defaults.repetitions).max(1),
+        seed: cli.seed.unwrap_or(defaults.seed),
     }
 }
 
@@ -398,5 +392,31 @@ mod tests {
         assert!(warning.starts_with("warning:"), "{warning}");
         assert!(warning.contains("kv-a-durable-c1"), "{warning}");
         assert!(warning.contains("kv-a-durable-c64"), "{warning}");
+    }
+
+    #[test]
+    fn measurement_flags_fall_back_to_fixed_defaults() {
+        let config = |args: &[&str]| {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let c = workload_config(&parse_args(&args).unwrap());
+            (c.duration, c.repetitions, c.seed)
+        };
+        assert_eq!(config(&[]), (Duration::from_millis(300), 1, 0xC0FFEE));
+        assert_eq!(
+            config(&["--quick"]).0,
+            Duration::from_millis(QUICK_BENCH_MS)
+        );
+        assert_eq!(
+            config(&[
+                "--quick",
+                "--duration-ms",
+                "7",
+                "--reps",
+                "3",
+                "--seed",
+                "9"
+            ]),
+            (Duration::from_millis(7), 3, 9)
+        );
     }
 }

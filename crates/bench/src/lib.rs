@@ -17,52 +17,6 @@ pub mod json;
 pub mod report;
 pub mod scenarios;
 
-/// Default measured duration per data point, in milliseconds, when neither
-/// `TLSTM_BENCH_MS` nor a CLI flag overrides it.
-pub const DEFAULT_BENCH_MS: u64 = 300;
-
-/// Parses the raw value of the environment variable `name` as a `u64`,
-/// falling back to `default` — loudly, on stderr — when the value is present
-/// but malformed. Pass `raw = None` when the variable is unset (silent
-/// fallback).
-///
-/// This is the single place the `TLSTM_BENCH_*` variables are interpreted;
-/// the raw value is a parameter so the parsing rules are testable without
-/// mutating the process environment.
-pub fn parse_env_u64(name: &str, raw: Option<&str>, default: u64) -> u64 {
-    match raw {
-        None => default,
-        Some(text) => match text.trim().parse::<u64>() {
-            Ok(value) => value,
-            Err(err) => {
-                eprintln!(
-                    "warning: ignoring malformed {name}={text:?} ({err}); using default {default}"
-                );
-                default
-            }
-        },
-    }
-}
-
-/// Reads the environment variable `name` as a `u64` via [`parse_env_u64`].
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    let raw = std::env::var(name).ok();
-    parse_env_u64(name, raw.as_deref(), default)
-}
-
-/// Reads the environment variable `name` as a `u32` via [`env_u64`], warning
-/// and falling back to `default` when the value exceeds `u32::MAX`.
-pub fn env_u32(name: &str, default: u32) -> u32 {
-    let value = env_u64(name, u64::from(default));
-    u32::try_from(value).unwrap_or_else(|_| {
-        eprintln!(
-            "warning: {name}={value} exceeds {}; using default {default}",
-            u32::MAX
-        );
-        default
-    })
-}
-
 /// Formats a floating-point cell with sensible precision for throughput.
 pub fn cell(value: f64) -> String {
     if value >= 1000.0 {
@@ -75,45 +29,6 @@ pub fn cell(value: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tlstm_testutil::EnvVarGuard;
-
-    #[test]
-    fn env_defaults_are_sane() {
-        let _lock = EnvVarGuard::lock_only();
-        assert!(env_u64("TLSTM_BENCH_MS", DEFAULT_BENCH_MS) >= 1);
-        assert!(env_u32("TLSTM_BENCH_REPS", 1) >= 1);
-    }
-
-    #[test]
-    fn parse_env_u64_accepts_valid_values() {
-        assert_eq!(parse_env_u64("X", Some("150"), 300), 150);
-        assert_eq!(
-            parse_env_u64("X", Some(" 42 "), 300),
-            42,
-            "whitespace tolerated"
-        );
-        assert_eq!(
-            parse_env_u64("X", None, 300),
-            300,
-            "unset falls back silently"
-        );
-    }
-
-    #[test]
-    fn parse_env_u64_warns_and_defaults_on_malformed_values() {
-        for bad in ["abc", "", "12ms", "-5", "1.5"] {
-            assert_eq!(parse_env_u64("TLSTM_BENCH_MS", Some(bad), 300), 300);
-        }
-    }
-
-    #[test]
-    fn env_u32_rejects_overflowing_values() {
-        let _reps = EnvVarGuard::set("TLSTM_BENCH_REPS", "4294967296");
-        assert_eq!(env_u32("TLSTM_BENCH_REPS", 1), 1, "overflow falls back");
-        drop(_reps);
-        let _reps = EnvVarGuard::set("TLSTM_BENCH_REPS", "7");
-        assert_eq!(env_u32("TLSTM_BENCH_REPS", 1), 7);
-    }
 
     #[test]
     fn cell_formatting() {

@@ -10,7 +10,8 @@
 use std::sync::Arc;
 
 use tlstm::TlstmRuntime;
-use tlstm_workloads::harness::{chunk_ranges, DetRng};
+use tlstm_testutil::TestRng;
+use tlstm_workloads::harness::chunk_ranges;
 use tlstm_workloads::vacation::{execute_ops, generate_txn, Manager, VacationParams};
 use txmem::{run_boxed_tasks, BoxedTaskBody, TxMem, TxRuntime};
 
@@ -33,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let params = params.clone();
             scope.spawn(move || {
                 let mut session = runtime.session();
-                let mut rng = DetRng::new(0xB00C + server);
+                let mut rng = TestRng::new(0xB00C + server);
                 for _ in 0..clients_per_server {
                     let ops = generate_txn(&mut rng, &params);
                     let mut bodies: Vec<BoxedTaskBody<'_>> =

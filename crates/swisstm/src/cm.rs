@@ -5,12 +5,13 @@
 //! 1. **Timid phase** — a transaction starts without a ticket. On its first
 //!    conflicts it simply aborts itself: it has done little work, so the abort
 //!    is cheap and avoids any waiting.
-//! 2. **Greedy phase** — after a transaction has been aborted a configurable
-//!    number of times it draws a globally unique, monotonically increasing
-//!    ticket. From then on it behaves greedily: on conflict, the transaction
-//!    with the *older* (smaller) ticket wins; the loser either aborts itself
-//!    (if it is the requester) or is signalled to abort (if it owns the lock),
-//!    in which case the requester waits for the lock to be released.
+//! 2. **Greedy phase** — after a transaction has been aborted
+//!    [`GREEDY_AFTER_ABORTS`] times in a row it draws a globally unique,
+//!    monotonically increasing ticket. From then on it behaves greedily: on
+//!    conflict, the transaction with the *older* (smaller) ticket wins; the
+//!    loser either aborts itself (if it is the requester) or is signalled to
+//!    abort (if it owns the lock), in which case the requester waits for the
+//!    lock to be released.
 //!
 //! TLSTM reuses this manager as the tie-break when the task-aware rule (§3.2
 //! of the paper) finds both user-transactions equally speculative.
@@ -21,6 +22,10 @@ use txmem::{CmDecision, LockOwner};
 
 /// Priority value meaning "still in the timid phase".
 pub const TIMID: u64 = u64::MAX;
+
+/// Number of consecutive aborts (SwissTM) or rollbacks (TLSTM) after which a
+/// transaction leaves the timid phase and draws a greedy ticket.
+pub const GREEDY_AFTER_ABORTS: u32 = 2;
 
 /// Global source of greedy tickets.
 #[derive(Debug, Default)]
@@ -44,28 +49,17 @@ impl GreedyTicket {
 
 /// The two-phase greedy contention-manager policy.
 ///
-/// The policy itself is stateless; per-transaction state (the priority and the
+/// The policy is stateless; per-transaction state (the priority and the
 /// abort counter) lives in the transaction descriptors. This type exists so
 /// the decision rule can be unit-tested and reused by TLSTM.
 #[derive(Debug, Clone, Copy)]
-pub struct GreedyCm {
-    /// Number of consecutive aborts before a transaction turns greedy.
-    pub greedy_after_aborts: u32,
-}
-
-impl Default for GreedyCm {
-    fn default() -> Self {
-        GreedyCm {
-            greedy_after_aborts: 2,
-        }
-    }
-}
+pub struct GreedyCm;
 
 impl GreedyCm {
     /// Returns `true` if a transaction that has aborted `aborts` consecutive
     /// times should draw a greedy ticket.
-    pub fn should_turn_greedy(&self, aborts: u32) -> bool {
-        aborts >= self.greedy_after_aborts
+    pub fn should_turn_greedy(aborts: u32) -> bool {
+        aborts >= GREEDY_AFTER_ABORTS
     }
 
     /// Resolves a write/write conflict between a requesting transaction
@@ -74,7 +68,7 @@ impl GreedyCm {
     /// The decision only consults priorities; the *task-aware* progress rule
     /// of TLSTM is applied by the caller before falling back to this
     /// tie-break.
-    pub fn resolve(&self, requester_priority: u64, owner: &dyn LockOwner) -> CmDecision {
+    pub fn resolve(requester_priority: u64, owner: &dyn LockOwner) -> CmDecision {
         if owner.is_finishing() {
             // The owner is already committing or aborting: the lock will be
             // released shortly, so just wait.
@@ -142,41 +136,35 @@ mod tests {
 
     #[test]
     fn timid_requester_aborts_itself() {
-        let cm = GreedyCm::default();
         let owner = FakeOwner::new(TIMID, false);
-        assert_eq!(cm.resolve(TIMID, &owner), CmDecision::AbortSelf);
+        assert_eq!(GreedyCm::resolve(TIMID, &owner), CmDecision::AbortSelf);
     }
 
     #[test]
     fn greedy_beats_timid_owner() {
-        let cm = GreedyCm::default();
         let owner = FakeOwner::new(TIMID, false);
-        assert_eq!(cm.resolve(3, &owner), CmDecision::AbortOwner);
+        assert_eq!(GreedyCm::resolve(3, &owner), CmDecision::AbortOwner);
     }
 
     #[test]
     fn older_greedy_beats_younger_greedy() {
-        let cm = GreedyCm::default();
         let owner = FakeOwner::new(10, false);
-        assert_eq!(cm.resolve(5, &owner), CmDecision::AbortOwner);
-        assert_eq!(cm.resolve(20, &owner), CmDecision::AbortSelf);
+        assert_eq!(GreedyCm::resolve(5, &owner), CmDecision::AbortOwner);
+        assert_eq!(GreedyCm::resolve(20, &owner), CmDecision::AbortSelf);
     }
 
     #[test]
     fn finishing_owner_means_wait() {
-        let cm = GreedyCm::default();
         let owner = FakeOwner::new(TIMID, true);
-        assert_eq!(cm.resolve(0, &owner), CmDecision::Wait);
+        assert_eq!(GreedyCm::resolve(0, &owner), CmDecision::Wait);
     }
 
     #[test]
     fn greedy_threshold_respected() {
-        let cm = GreedyCm {
-            greedy_after_aborts: 3,
-        };
-        assert!(!cm.should_turn_greedy(0));
-        assert!(!cm.should_turn_greedy(2));
-        assert!(cm.should_turn_greedy(3));
-        assert!(cm.should_turn_greedy(10));
+        assert_eq!(GREEDY_AFTER_ABORTS, 2);
+        assert!(!GreedyCm::should_turn_greedy(0));
+        assert!(!GreedyCm::should_turn_greedy(1));
+        assert!(GreedyCm::should_turn_greedy(2));
+        assert!(GreedyCm::should_turn_greedy(10));
     }
 }

@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+use txmem::pause::contention_pause;
 use txmem::{
     Abort, DirectMem, OwnerHandle, OwnerToken, StatsSnapshot, TaskBody, ThreadIdAllocator,
     TxConfig, TxHeap, TxRuntime, TxSession, TxSubstrate,
@@ -10,7 +11,7 @@ use txmem::{
 
 use crate::cm::{GreedyCm, GreedyTicket, TIMID};
 use crate::context::TxContext;
-use crate::transaction::{contention_pause, Transaction};
+use crate::transaction::Transaction;
 
 /// Registry of the long-lived per-thread descriptors, indexed by thread id.
 ///
@@ -55,7 +56,6 @@ pub struct SwisstmRuntime {
     substrate: Arc<TxSubstrate>,
     thread_ids: ThreadIdAllocator,
     tickets: GreedyTicket,
-    cm: GreedyCm,
     owners: OwnerRegistry,
 }
 
@@ -72,7 +72,6 @@ impl SwisstmRuntime {
             substrate,
             thread_ids: ThreadIdAllocator::new(),
             tickets: GreedyTicket::new(),
-            cm: GreedyCm::default(),
             owners: OwnerRegistry::default(),
         })
     }
@@ -95,11 +94,6 @@ impl SwisstmRuntime {
     /// Snapshot of the global statistics counters.
     pub fn stats(&self) -> StatsSnapshot {
         self.substrate.stats.snapshot()
-    }
-
-    /// The contention-manager policy in force.
-    pub(crate) fn cm(&self) -> GreedyCm {
-        self.cm
     }
 
     /// Draws a greedy contention-manager ticket.
@@ -192,10 +186,7 @@ impl SwisstmThread {
                     txobs::tx_abort(abort.reason.trace_cause());
                     self.consecutive_aborts += 1;
                     if self.greedy_priority.is_none()
-                        && self
-                            .runtime
-                            .cm()
-                            .should_turn_greedy(self.consecutive_aborts)
+                        && GreedyCm::should_turn_greedy(self.consecutive_aborts)
                     {
                         self.greedy_priority = Some(self.runtime.draw_ticket());
                     }
@@ -529,7 +520,7 @@ mod tests {
         // Regression for the former HashMap-ordered write-back: writes must
         // be applied from the log in program order, so the committed value of
         // every word is its last write — including when several words share
-        // one lock entry (w, w+1 with words_per_lock = 4) and when distinct
+        // one lock entry (w, w+1 with WORDS_PER_LOCK = 4) and when distinct
         // regions collide on the same entry through table wrap-around
         // (TxConfig::small: 256 entries x 4 words = 1024 words apart).
         let rt = runtime();

@@ -32,6 +32,7 @@
 //! read, write, commit and rollback paths perform zero heap allocations;
 //! `crates/swisstm/tests/zero_alloc.rs` pins this with a counting allocator.
 
+use txmem::pause::contention_pause;
 use txmem::{
     Abort, AbortReason, CmDecision, GlobalClock, LockEntry, LockIndex, LockTable, OwnerToken,
     StatsShard, TxHeap, TxMem, WordAddr, LOCKED,
@@ -41,15 +42,6 @@ use crate::cm::GreedyCm;
 use crate::context::TxContext;
 use crate::descriptor::TxDescriptor;
 use crate::runtime::SwisstmRuntime;
-
-/// How many busy-spin iterations a waiter performs before yielding the CPU
-/// (spinning is skipped entirely on single-core hosts).
-const SPIN_BEFORE_YIELD: u32 = 64;
-
-/// Spin/yield helper used when waiting for a lock to be released.
-pub(crate) fn contention_pause(iteration: u32) {
-    txmem::pause::contention_pause(iteration, SPIN_BEFORE_YIELD);
-}
 
 /// A single SwissTM transaction attempt.
 ///
@@ -65,7 +57,6 @@ pub struct Transaction<'a> {
     stats: &'a StatsShard,
     /// Owner registry used to resolve write-lock conflicts.
     runtime: &'a SwisstmRuntime,
-    cm: GreedyCm,
     token: OwnerToken,
     valid_ts: u64,
     /// The thread's recycled speculative state.
@@ -92,7 +83,6 @@ impl<'a> Transaction<'a> {
             clock: &substrate.clock,
             stats: substrate.stats.shard(thread_id),
             runtime,
-            cm: runtime.cm(),
             token: OwnerToken::from_id(thread_id),
             valid_ts: substrate.clock.now(),
             ctx,
@@ -318,9 +308,8 @@ impl TxMem for Transaction<'_> {
                         // runtime): just wait for the lock and retry.
                         None => CmDecision::Wait,
                         Some(owner) => {
-                            let decision = self
-                                .cm
-                                .resolve(self.ctx.descriptor.priority(), owner.as_ref());
+                            let decision =
+                                GreedyCm::resolve(self.ctx.descriptor.priority(), owner.as_ref());
                             if decision == CmDecision::AbortOwner {
                                 owner.signal_abort();
                                 self.stats.cm_owner_aborts.inc();

@@ -1,19 +1,16 @@
 //! Shared deterministic harness for the workspace's multi-threaded STM tests.
 //!
-//! Three recurring needs of the integration/stress tests live here:
+//! The recurring needs of the integration/stress tests live here:
 //!
-//! * [`TestRng`] — a seeded, deterministic PRNG so every test run replays the
-//!   same operation streams (override the seed per call site, never from
-//!   ambient entropy);
+//! * [`TestRng`] — a seeded, deterministic PRNG so every test run (and every
+//!   `tlstm-workloads` benchmark run) replays the same operation streams
+//!   (override the seed per call site, never from ambient entropy);
 //! * [`bounded_threads`] — caps test thread counts at the machine's
 //!   parallelism so oversubscribed CI runners don't turn contention tests
 //!   into multi-minute crawls;
 //! * [`with_watchdog`] — runs a test body on a helper thread and panics if it
 //!   exceeds its deadline, turning a livelocked or deadlocked STM run into a
 //!   loud failure instead of a CI job that hangs forever;
-//! * [`EnvVarGuard`] — scoped, mutex-serialised environment-variable
-//!   overrides, so tests of env-driven configuration (`TLSTM_BENCH_*`) can't
-//!   race each other inside one test process;
 //! * [`CountingAlloc`] — an allocation-counting global allocator for the
 //!   zero-allocation hot-path tests;
 //! * [`CrashPoints`] — a named crash-point registry for deterministic
@@ -29,7 +26,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Process-wide counter behind [`CountingAlloc`].
@@ -86,8 +83,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// debug builds on slow CI, far below any CI-level job timeout.
 pub const DEFAULT_TEST_DEADLINE: Duration = Duration::from_secs(120);
 
-/// A small deterministic PRNG (xorshift*) for reproducible test inputs.
-#[derive(Debug, Clone)]
+/// A small deterministic PRNG (xorshift*) for reproducible test inputs, and
+/// the generator behind the workload streams and probabilistic storage
+/// faults, so seeded runs replay the same operations.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TestRng {
     state: u64,
 }
@@ -205,64 +204,6 @@ pub fn with_default_watchdog<T: Send + 'static>(body: impl FnOnce() -> T + Send 
     with_watchdog(DEFAULT_TEST_DEADLINE, body)
 }
 
-/// Serialises every environment-variable access that goes through
-/// [`EnvVarGuard`]. Rust's test harness runs tests of one binary on multiple
-/// threads, and `std::env::set_var` racing a concurrent `getenv` is undefined
-/// behaviour on most platforms — so all env-touching tests must go through
-/// this lock.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-/// A scoped environment-variable override.
-///
-/// [`EnvVarGuard::set`] acquires the process-wide env lock, remembers the
-/// variable's previous state and sets the new value; dropping the guard
-/// restores the variable and releases the lock. Tests that only *read* the
-/// environment should hold [`EnvVarGuard::lock_only`] for their duration so
-/// they cannot observe another test's half-applied overrides.
-#[derive(Debug)]
-#[must_use = "the override is reverted when the guard drops"]
-pub struct EnvVarGuard {
-    var: Option<(String, Option<String>)>,
-    _lock: Option<MutexGuard<'static, ()>>,
-}
-
-impl EnvVarGuard {
-    fn lock() -> MutexGuard<'static, ()> {
-        // A previous test panicking while holding the lock poisons it; the
-        // environment is still in a defined state (its Drop ran), so continue.
-        ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires the env lock and sets `name` to `value`.
-    pub fn set(name: &str, value: &str) -> EnvVarGuard {
-        let lock = Self::lock();
-        let mut guard = Self::set_unlocked(name, value);
-        guard._lock = Some(lock);
-        guard
-    }
-
-    /// Sets `name` to `value` *without* acquiring the env lock — only valid
-    /// while another [`EnvVarGuard`] in the same scope already holds it
-    /// (e.g. to override a second variable).
-    pub fn set_unlocked(name: &str, value: &str) -> EnvVarGuard {
-        let previous = std::env::var(name).ok();
-        std::env::set_var(name, value);
-        EnvVarGuard {
-            var: Some((name.to_string(), previous)),
-            _lock: None,
-        }
-    }
-
-    /// Acquires the env lock without overriding anything (for tests that read
-    /// the environment and must not race concurrent overrides).
-    pub fn lock_only() -> EnvVarGuard {
-        EnvVarGuard {
-            var: None,
-            _lock: Some(Self::lock()),
-        }
-    }
-}
-
 /// A named crash-point registry for deterministic crash-injection tests.
 ///
 /// Production code inserts `if crash_points.should_crash("component::point")`
@@ -286,10 +227,7 @@ impl EnvVarGuard {
 /// Handles are cheap clones sharing one registry, so a test can keep a handle
 /// while the component under test owns another. Each handle tree is
 /// independent: concurrently running tests arm their own registries without
-/// cross-talk (this crate deliberately provides no process-global instance;
-/// `txlog` hoists its own env-armed default into one). For cross-process
-/// experiments, [`CrashPoints::from_env`] arms the point named by an
-/// environment variable at construction time.
+/// cross-talk (there is no process-global instance).
 #[derive(Debug, Clone, Default)]
 pub struct CrashPoints {
     inner: Arc<CrashInner>,
@@ -307,18 +245,6 @@ impl CrashPoints {
     /// A disarmed registry (every `should_crash` answers `false`).
     pub fn disabled() -> Self {
         CrashPoints::default()
-    }
-
-    /// A registry armed from the environment variable `var`, if it is set to
-    /// a non-empty point name; disarmed otherwise.
-    pub fn from_env(var: &str) -> Self {
-        let points = CrashPoints::default();
-        if let Ok(point) = std::env::var(var) {
-            if !point.is_empty() {
-                points.arm(&point);
-            }
-        }
-        points
     }
 
     /// Arms `point`: the next `should_crash(point)` returns `true` (once).
@@ -401,17 +327,6 @@ impl Drop for TempDir {
     }
 }
 
-impl Drop for EnvVarGuard {
-    fn drop(&mut self) {
-        if let Some((name, previous)) = self.var.take() {
-            match previous {
-                Some(value) => std::env::set_var(&name, value),
-                None => std::env::remove_var(&name),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -452,21 +367,6 @@ mod tests {
     }
 
     #[test]
-    fn env_guard_sets_and_restores() {
-        let name = "TLSTM_TESTUTIL_ENV_GUARD_PROBE";
-        {
-            let _outer = EnvVarGuard::set(name, "outer");
-            assert_eq!(std::env::var(name).as_deref(), Ok("outer"));
-            {
-                let _inner = EnvVarGuard::set_unlocked(name, "inner");
-                assert_eq!(std::env::var(name).as_deref(), Ok("inner"));
-            }
-            assert_eq!(std::env::var(name).as_deref(), Ok("outer"));
-        }
-        assert!(std::env::var(name).is_err(), "guard must remove the var");
-    }
-
-    #[test]
     fn crash_points_fire_once_and_only_when_armed() {
         let points = CrashPoints::disabled();
         assert!(!points.should_crash("wal::before-append"));
@@ -487,19 +387,6 @@ mod tests {
         points.arm("x");
         points.disarm();
         assert!(!points.should_crash("x"));
-    }
-
-    #[test]
-    fn crash_points_arm_from_env() {
-        let var = "TLSTM_TESTUTIL_CRASH_POINT_PROBE";
-        {
-            let _guard = EnvVarGuard::set(var, "wal::before-append");
-            let points = CrashPoints::from_env(var);
-            assert!(points.should_crash("wal::before-append"));
-        }
-        let _guard = EnvVarGuard::lock_only();
-        let points = CrashPoints::from_env(var);
-        assert!(!points.should_crash("wal::before-append"));
     }
 
     #[test]

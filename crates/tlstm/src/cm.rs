@@ -19,12 +19,10 @@ use txmem::{CmDecision, LockOwner};
 
 use crate::txn_state::TxnShared;
 
-/// The task-aware contention-manager policy.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TaskAwareCm {
-    /// Tie-break policy (two-phase greedy).
-    pub greedy: GreedyCm,
-}
+/// The task-aware contention-manager policy (stateless, like its two-phase
+/// greedy tie-break).
+#[derive(Debug, Clone, Copy)]
+pub struct TaskAwareCm;
 
 impl TaskAwareCm {
     /// Resolves a conflict between the requesting task's user-transaction
@@ -32,7 +30,7 @@ impl TaskAwareCm {
     ///
     /// Returns what the *requester* should do; when the decision is
     /// [`CmDecision::AbortOwner`] the owner has already been signalled.
-    pub fn resolve(&self, requester: &TxnShared, owner: &dyn LockOwner) -> CmDecision {
+    pub fn resolve(requester: &TxnShared, owner: &dyn LockOwner) -> CmDecision {
         if owner.is_finishing() {
             // The owner is committing or already aborting: its locks will be
             // released shortly, so the requester just waits.
@@ -50,7 +48,7 @@ impl TaskAwareCm {
             return CmDecision::AbortSelf;
         }
         // Same progress: fall back to two-phase greedy priorities.
-        let decision = self.greedy.resolve(requester.priority(), owner);
+        let decision = GreedyCm::resolve(requester.priority(), owner);
         if decision == CmDecision::AbortOwner {
             owner.signal_abort();
         }
@@ -81,46 +79,43 @@ mod tests {
     fn less_speculative_transaction_wins() {
         let (_ua, a) = txn_with_progress(0, 2, 3); // 2 tasks completed
         let (_ub, b) = txn_with_progress(1, 0, 3); // none completed
-        let cm = TaskAwareCm::default();
+
         // a requests a lock owned by b: a has more progress, b gets aborted.
-        assert_eq!(cm.resolve(&a, &b), CmDecision::AbortOwner);
+        assert_eq!(TaskAwareCm::resolve(&a, &b), CmDecision::AbortOwner);
         assert!(b.abort_requested());
         // b requests a lock owned by a: b is more speculative, aborts itself.
         let (_ua, a) = txn_with_progress(0, 2, 3);
         let (_ub, b) = txn_with_progress(1, 0, 3);
-        assert_eq!(cm.resolve(&b, &a), CmDecision::AbortSelf);
+        assert_eq!(TaskAwareCm::resolve(&b, &a), CmDecision::AbortSelf);
         assert!(!a.abort_requested());
     }
 
     #[test]
     fn equal_progress_falls_back_to_greedy() {
-        let cm = TaskAwareCm::default();
         // Both timid, equal progress: requester politely aborts itself.
         let (_ua, a) = txn_with_progress(0, 1, 2);
         let (_ub, b) = txn_with_progress(1, 1, 2);
-        assert_eq!(cm.resolve(&a, &b), CmDecision::AbortSelf);
+        assert_eq!(TaskAwareCm::resolve(&a, &b), CmDecision::AbortSelf);
         // Requester holds an older greedy ticket: owner aborts.
         a.set_priority(1);
-        assert_eq!(cm.resolve(&a, &b), CmDecision::AbortOwner);
+        assert_eq!(TaskAwareCm::resolve(&a, &b), CmDecision::AbortOwner);
         assert!(b.abort_requested());
     }
 
     #[test]
     fn finishing_owner_means_wait() {
-        let cm = TaskAwareCm::default();
         let (_ua, a) = txn_with_progress(0, 2, 3);
         let (_ub, b) = txn_with_progress(1, 0, 3);
         b.set_finishing();
-        assert_eq!(cm.resolve(&a, &b), CmDecision::Wait);
+        assert_eq!(TaskAwareCm::resolve(&a, &b), CmDecision::Wait);
         assert!(!b.abort_requested());
     }
 
     #[test]
     fn already_aborting_owner_means_wait() {
-        let cm = TaskAwareCm::default();
         let (_ua, a) = txn_with_progress(0, 2, 3);
         let (_ub, b) = txn_with_progress(1, 0, 3);
         b.request_abort();
-        assert_eq!(cm.resolve(&a, &b), CmDecision::Wait);
+        assert_eq!(TaskAwareCm::resolve(&a, &b), CmDecision::Wait);
     }
 }

@@ -6,7 +6,6 @@ use std::sync::Arc;
 use swisstm::cm::GreedyTicket;
 use txmem::{Abort, DirectMem, StatsSnapshot, ThreadIdAllocator, TxConfig, TxHeap, TxSubstrate};
 
-use crate::cm::TaskAwareCm;
 use crate::pool::{self, AbortOnUnwind, Claim};
 use crate::task::{TaskBufs, TaskCtx};
 use crate::txn_state::{assert_task_count, TxnShared};
@@ -106,7 +105,6 @@ pub struct TlstmRuntime {
     substrate: Arc<TxSubstrate>,
     ptids: ThreadIdAllocator,
     tickets: Arc<GreedyTicket>,
-    cm: TaskAwareCm,
 }
 
 impl TlstmRuntime {
@@ -121,7 +119,6 @@ impl TlstmRuntime {
             substrate,
             ptids: ThreadIdAllocator::new(),
             tickets: Arc::new(GreedyTicket::new()),
-            cm: TaskAwareCm::default(),
         })
     }
 
@@ -180,7 +177,6 @@ impl TlstmRuntime {
             worker: Worker {
                 substrate: Arc::clone(&self.substrate),
                 uthread: Arc::clone(&shared),
-                cm: self.cm,
                 tickets: Arc::clone(&self.tickets),
                 claim,
             },

@@ -22,6 +22,7 @@
 use std::sync::Arc;
 
 use txmem::chain::{ChainRead, WriteChain};
+use txmem::pause::contention_pause;
 use txmem::{
     Abort, AbortReason, CmDecision, LockIndex, OwnerHandle, OwnerToken, TxMem, TxSubstrate,
     WordAddr, WriteSet, LOCKED,
@@ -31,14 +32,6 @@ use crate::acquired::AcquiredLocks;
 use crate::cm::TaskAwareCm;
 use crate::txn_state::{TaskLogs, TaskReadEntry, TxnShared};
 use crate::uthread_state::{TaskSlot, UThreadShared};
-
-/// Busy-spin iterations before falling back to `yield` (spinning is skipped
-/// entirely on single-core hosts).
-const SPIN_BEFORE_YIELD: u32 = 64;
-
-fn contention_pause(iteration: u32) {
-    txmem::pause::contention_pause(iteration, SPIN_BEFORE_YIELD);
-}
 
 /// Recyclable speculative buffers of one lane.
 ///
@@ -72,7 +65,6 @@ pub struct TaskCtx<'rt> {
     substrate: &'rt TxSubstrate,
     /// The owning user-thread's statistics shard.
     stats: &'rt txmem::StatsShard,
-    cm: TaskAwareCm,
     uthread: &'rt UThreadShared,
     /// The task's `owners[]` slot, resolved once: `check_signals` runs on
     /// every access and must not pay the `serial mod SPECDEPTH` division.
@@ -102,7 +94,6 @@ impl<'rt> TaskCtx<'rt> {
     /// Creates the context for one task.
     pub(crate) fn new(
         substrate: &'rt TxSubstrate,
-        cm: TaskAwareCm,
         uthread: &'rt UThreadShared,
         txn: Arc<TxnShared>,
         serial: u64,
@@ -121,7 +112,6 @@ impl<'rt> TaskCtx<'rt> {
         TaskCtx {
             substrate,
             stats,
-            cm,
             uthread,
             slot: uthread.slot(serial),
             txn,
@@ -562,7 +552,7 @@ impl<'rt> TaskCtx<'rt> {
                         // token read: retry and take the intra-thread path
                         // instead of contending against ourselves.
                         Some(spec) if spec.ptid == self.uthread.ptid() => CmDecision::Wait,
-                        Some(spec) => self.cm.resolve(&self.txn, spec.owner.as_ref()),
+                        Some(spec) => TaskAwareCm::resolve(&self.txn, spec.owner.as_ref()),
                     };
                     match decision {
                         CmDecision::AbortSelf => {

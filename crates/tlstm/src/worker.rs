@@ -21,10 +21,9 @@
 
 use std::sync::Arc;
 
-use swisstm::cm::GreedyTicket;
+use swisstm::cm::{GreedyTicket, GREEDY_AFTER_ABORTS};
 use txmem::{AbortReason, TxSubstrate};
 
-use crate::cm::TaskAwareCm;
 use crate::pool::Claim;
 use crate::task::{TaskBufs, TaskCtx};
 use crate::txn_state::TxnShared;
@@ -42,16 +41,12 @@ use crate::TaskFn;
 /// more rollbacks, without it; EXPERIMENTS.md, "borrowed lanes").
 const PESSIMISTIC_AFTER_ROLLBACKS: u32 = 2;
 
-/// After this many rollbacks a transaction turns greedy (draws a
-/// contention-manager ticket), mirroring the SwissTM two-phase policy.
-const GREEDY_AFTER_ROLLBACKS: u32 = 2;
-
 /// After this many *individual task* aborts decided by the inter-thread
 /// contention manager, the whole user-transaction turns greedy. Without this
 /// escalation two transactions whose tasks hold each other's write locks can
 /// self-abort in a symmetric-timid cycle forever: neither ever suffers a
 /// whole-transaction rollback (the locks they already hold stay held), so
-/// [`GREEDY_AFTER_ROLLBACKS`] alone never breaks the tie.
+/// [`GREEDY_AFTER_ABORTS`] rollbacks alone never break the tie.
 const GREEDY_AFTER_CM_SELF_ABORTS: u32 = 3;
 
 /// One task of one user-transaction, queued on a lane.
@@ -71,7 +66,6 @@ pub(crate) struct WorkItem<'a> {
 pub(crate) struct Worker {
     pub substrate: Arc<TxSubstrate>,
     pub uthread: Arc<UThreadShared>,
-    pub cm: TaskAwareCm,
     pub tickets: Arc<GreedyTicket>,
     /// How the user-thread's crews are claimed (its registration decided).
     pub claim: Claim,
@@ -102,7 +96,6 @@ impl Worker {
         stats.task_starts.inc();
         let mut ctx = TaskCtx::new(
             &self.substrate,
-            self.cm,
             &self.uthread,
             Arc::clone(txn),
             serial,
@@ -204,7 +197,9 @@ impl Worker {
             uthread.reset_after_rollback(txn.start_serial());
             let stats = self.substrate.stats.shard(uthread.ptid());
             stats.tx_aborts.inc();
-            if txn.rollbacks() + 1 >= GREEDY_AFTER_ROLLBACKS
+            // The rollback in progress counts: the SwissTM two-phase policy,
+            // applied per user-transaction.
+            if txn.rollbacks() + 1 >= GREEDY_AFTER_ABORTS
                 && txn.priority() == crate::txn_state::TIMID_PRIORITY
             {
                 txn.set_priority(self.tickets.draw());

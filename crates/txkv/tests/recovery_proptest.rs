@@ -8,8 +8,7 @@ use proptest::prelude::*;
 
 use swisstm::SwisstmRuntime;
 use tlstm::TlstmRuntime;
-use tlstm_testutil::TempDir;
-use tlstm_workloads::harness::DetRng;
+use tlstm_testutil::{TempDir, TestRng};
 use tlstm_workloads::kv::{generate_batch, KeyDist, KvMix, KvParams};
 use txkv::{
     CrashPoints, DurableKvConfig, DurableKvStore, FsyncPolicy, KvOp, KvServerConfig, KvStoreParams,
@@ -68,7 +67,7 @@ fn run_case<R: TxRuntime>(seed: u64, n_batches: usize, point_index: usize) {
 
         let params = workload_params();
         let dist = KeyDist::new(&params);
-        let mut rng = DetRng::new(seed);
+        let mut rng = TestRng::new(seed);
 
         // `logged[i]` is the i-th batch containing a write — its LSN is `i`
         // (single session ⇒ submission order is commit order). Read-only

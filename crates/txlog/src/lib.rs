@@ -123,10 +123,6 @@ pub mod crash_points {
     ];
 }
 
-/// Environment variable [`WalOptions::default`] arms crash points from, for
-/// cross-process crash experiments.
-pub const CRASH_POINT_ENV: &str = "TXLOG_CRASH_POINT";
-
 /// Default interval of [`FsyncPolicy::Group`].
 pub const DEFAULT_GROUP_INTERVAL: Duration = Duration::from_millis(2);
 

@@ -12,12 +12,7 @@
 //! The plan mirrors the [`tlstm_testutil::CrashPoints`] idiom: cheap cloned
 //! handles share one registry, a disarmed plan answers every check with a
 //! single relaxed atomic load, and everything that fired is recorded for the
-//! test to assert on. Schedules can also be written as strings (see
-//! [`FaultPlan::parse`]) for CLI/experiment use:
-//!
-//! ```text
-//! write:enospc:once:short ; fsync:eio:times=2 ; rename:eio:p=250,seed=7
-//! ```
+//! test to assert on. Plans are armed from code only ([`FaultPlan::arm`]).
 //!
 //! Fault *policy* — what the writer does when an injected (or real) error
 //! comes back — lives in [`crate::writer`]: bounded retry with exponential
@@ -30,6 +25,8 @@ use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+
+use tlstm_testutil::TestRng;
 
 /// The storage operations the WAL performs — the injection *sites* of a
 /// [`FaultPlan`] and the `op` carried by [`crate::WalError::Storage`].
@@ -75,7 +72,7 @@ impl StorageOp {
         StorageOp::SyncDir,
     ];
 
-    /// The identifier used in schedule strings and error messages.
+    /// The identifier used in error messages.
     pub fn label(&self) -> &'static str {
         match self {
             StorageOp::CreateDir => "create-dir",
@@ -90,10 +87,6 @@ impl StorageOp {
             StorageOp::Remove => "remove",
             StorageOp::SyncDir => "sync-dir",
         }
-    }
-
-    fn parse(token: &str) -> Option<StorageOp> {
-        StorageOp::ALL.into_iter().find(|op| op.label() == token)
     }
 }
 
@@ -246,19 +239,11 @@ impl FaultError {
         }
     }
 
-    /// The identifier used in schedule strings.
+    /// The identifier used in error messages.
     pub fn label(self) -> &'static str {
         match self {
             FaultError::Eio => "eio",
             FaultError::Enospc => "enospc",
-        }
-    }
-
-    fn parse(token: &str) -> Option<FaultError> {
-        match token {
-            "eio" => Some(FaultError::Eio),
-            "enospc" => Some(FaultError::Enospc),
-            _ => None,
         }
     }
 }
@@ -278,12 +263,12 @@ pub enum FaultBudget {
     /// Fail every matching operation until the plan is cleared.
     Forever,
     /// Fail each matching operation with probability `permille`/1000,
-    /// deterministically derived from the seeded xorshift state.
+    /// deterministically drawn from a generator seeded at arm time.
     Permille {
         /// Firing probability in 1/1000ths.
         permille: u32,
-        /// Current xorshift* state (seeded at arm time).
-        state: u64,
+        /// The draws' generator.
+        rng: TestRng,
     },
 }
 
@@ -331,11 +316,7 @@ impl Fault {
             error,
             budget: FaultBudget::Permille {
                 permille,
-                state: if seed == 0 {
-                    0x9E37_79B9_7F4A_7C15
-                } else {
-                    seed
-                },
+                rng: TestRng::new(seed),
             },
             short_write: false,
         }
@@ -412,15 +393,7 @@ impl FaultPlan {
                     true
                 }
                 FaultBudget::Forever => true,
-                FaultBudget::Permille { permille, state } => {
-                    // xorshift* step, same generator as testutil::TestRng.
-                    let mut x = *state;
-                    x ^= x >> 12;
-                    x ^= x << 25;
-                    x ^= x >> 27;
-                    *state = x;
-                    x.wrapping_mul(0x2545_F491_4F6C_DD1D) % 1000 < u64::from(*permille)
-                }
+                FaultBudget::Permille { permille, rng } => rng.below(1000) < u64::from(*permille),
             };
             if !fires {
                 return None;
@@ -452,75 +425,6 @@ impl FaultPlan {
             .iter()
             .filter(|(fired_op, _)| *fired_op == op)
             .count()
-    }
-
-    /// Parses a schedule string into a plan. Clauses are `;`-separated;
-    /// each clause is `op:error[:mode][:short]` with
-    ///
-    /// * `op` — a [`StorageOp::label`] (`write`, `fsync`, `set-len`, ...),
-    /// * `error` — `eio` or `enospc`,
-    /// * `mode` — `once` (default), `times=<n>`, `always`, or
-    ///   `p=<permille>[,seed=<s>]`,
-    /// * `short` — only meaningful on `write`: leave a half-written prefix.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending clause and the accepted
-    /// grammar.
-    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
-        let plan = FaultPlan::new();
-        for clause in spec.split(';') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            let bad = |why: &str| {
-                format!(
-                    "bad fault clause '{clause}' ({why}); want \
-                     op:error[:mode][:short] with op one of \
-                     {}, error eio|enospc, mode once|times=<n>|always|p=<permille>[,seed=<s>]",
-                    StorageOp::ALL.map(|op| op.label()).join("|"),
-                )
-            };
-            let mut parts = clause.split(':');
-            let op = parts
-                .next()
-                .and_then(StorageOp::parse)
-                .ok_or_else(|| bad("unknown op"))?;
-            let error = parts
-                .next()
-                .and_then(FaultError::parse)
-                .ok_or_else(|| bad("unknown error"))?;
-            let mut fault = Fault::once(error);
-            for part in parts {
-                match part {
-                    "once" => fault.budget = FaultBudget::Times(1),
-                    "always" => fault.budget = FaultBudget::Forever,
-                    "short" => fault.short_write = true,
-                    other => {
-                        if let Some(n) = other.strip_prefix("times=") {
-                            let n: u32 = n.parse().map_err(|_| bad("bad times=<n>"))?;
-                            fault.budget = FaultBudget::Times(n.max(1));
-                        } else if let Some(p) = other.strip_prefix("p=") {
-                            let (permille, seed) = match p.split_once(",seed=") {
-                                Some((p, s)) => (
-                                    p.parse().map_err(|_| bad("bad p=<permille>"))?,
-                                    s.parse().map_err(|_| bad("bad seed=<s>"))?,
-                                ),
-                                None => (p.parse().map_err(|_| bad("bad p=<permille>"))?, 1),
-                            };
-                            let short = fault.short_write;
-                            fault = Fault::permille(permille, seed, error);
-                            fault.short_write = short;
-                        } else {
-                            return Err(bad("unknown modifier"));
-                        }
-                    }
-                }
-            }
-            plan.arm(op, fault);
-        }
-        Ok(plan)
     }
 }
 
@@ -745,43 +649,6 @@ mod tests {
         assert!(clone.check(StorageOp::Remove).is_some());
         assert!(plan.check(StorageOp::Remove).is_none());
         assert_eq!(plan.fired_count(StorageOp::Remove), 1);
-    }
-
-    #[test]
-    fn schedule_strings_parse_and_reject() {
-        let plan = FaultPlan::parse("write:enospc:once:short ; fsync:eio:times=2").unwrap();
-        let (error, short) = plan.check(StorageOp::Write).expect("armed");
-        assert_eq!(error.kind(), io::ErrorKind::StorageFull);
-        assert!(short);
-        assert!(plan.check(StorageOp::Fsync).is_some());
-        assert!(plan.check(StorageOp::Fsync).is_some());
-        assert!(plan.check(StorageOp::Fsync).is_none());
-
-        let plan = FaultPlan::parse("rename:eio:p=1000,seed=3").unwrap();
-        assert!(
-            plan.check(StorageOp::Rename).is_some(),
-            "p=1000 always fires"
-        );
-
-        let plan = FaultPlan::parse("set-len:eio:always").unwrap();
-        for _ in 0..4 {
-            assert!(plan.check(StorageOp::SetLen).is_some());
-        }
-
-        assert!(FaultPlan::parse("")
-            .unwrap()
-            .check(StorageOp::Write)
-            .is_none());
-        for bad in [
-            "florp:eio",
-            "write:ebadf",
-            "write:eio:sometimes",
-            "write:eio:times=x",
-            "write:eio:p=",
-        ] {
-            let err = FaultPlan::parse(bad).unwrap_err();
-            assert!(err.contains("bad fault clause"), "{bad}: {err}");
-        }
     }
 
     #[test]

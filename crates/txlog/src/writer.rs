@@ -76,7 +76,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -85,20 +85,10 @@ use tlstm_testutil::CrashPoints;
 use crate::files::segment_path;
 use crate::frame::{encode_frame_into, FRAME_MAGIC};
 use crate::vfs::{StorageOp, WalFile, WalFs};
-use crate::{crash_points, FsyncPolicy, RealFs, WalError, CRASH_POINT_ENV};
+use crate::{crash_points, FsyncPolicy, RealFs, WalError};
 
 /// Default segment preallocation ([`WalOptions::preallocate_bytes`]).
 pub const DEFAULT_SEGMENT_PREALLOC: u64 = 4 * 1024 * 1024;
-
-/// The process-wide crash-point registry armed from [`CRASH_POINT_ENV`].
-///
-/// Read once: a process simulates at most one crash, and benchmarks open
-/// stores in a loop — re-parsing the environment per [`WalOptions::default`]
-/// would be wasted work (and was, before this was hoisted).
-fn env_crash_points() -> &'static CrashPoints {
-    static ENV: OnceLock<CrashPoints> = OnceLock::new();
-    ENV.get_or_init(|| CrashPoints::from_env(CRASH_POINT_ENV))
-}
 
 /// Bounded retry with exponential backoff for *transient* append errors
 /// ([`WalOptions::retry`]). Only `write` failures retry — see the module
@@ -147,9 +137,8 @@ pub struct WalOptions {
     pub start_lsn: u64,
     /// When appends are fsynced (and therefore acknowledged).
     pub fsync: FsyncPolicy,
-    /// Crash-injection registry; [`CrashPoints::disabled`] in production.
-    /// [`WalOptions::default`] hands out the process-wide registry armed
-    /// from [`CRASH_POINT_ENV`] (parsed once); tests inject their own.
+    /// Crash-injection registry; [`WalOptions::default`] hands out a fresh,
+    /// disarmed one ([`CrashPoints::disabled`]); tests inject their own.
     pub crash_points: CrashPoints,
     /// Size each new segment is extended to at creation (`set_len`), so
     /// steady-state fsyncs never pay a metadata update. `0` disables
@@ -167,7 +156,7 @@ impl Default for WalOptions {
         WalOptions {
             start_lsn: 0,
             fsync: FsyncPolicy::default(),
-            crash_points: env_crash_points().clone(),
+            crash_points: CrashPoints::disabled(),
             preallocate_bytes: DEFAULT_SEGMENT_PREALLOC,
             fs: RealFs::shared(),
             retry: RetryPolicy::default(),

@@ -5,7 +5,7 @@
 
 use std::time::Duration;
 
-use tlstm_testutil::{with_default_watchdog, CrashPoints, EnvVarGuard, TempDir};
+use tlstm_testutil::{with_default_watchdog, CrashPoints, TempDir};
 use txlog::files::segment_path;
 use txlog::{crash_points, recover, FsyncPolicy, LogWriter, WalError, WalOptions};
 
@@ -374,30 +374,22 @@ fn group_policy_acks_within_the_interval() {
     });
 }
 
-/// [`WalOptions::default`] hands out one process-wide registry parsed from
-/// [`txlog::CRASH_POINT_ENV`] exactly once, instead of re-reading the
-/// environment per call.
+/// Every [`WalOptions::default`] carries its own disarmed crash registry, so
+/// arming one writer's crash point never reaches a writer opened elsewhere
+/// in the process.
 #[test]
-fn default_options_share_one_env_parsed_registry() {
-    // First default() initialises the process-wide registry while the
-    // variable is guaranteed unset...
-    let guard = EnvVarGuard::lock_only();
+fn default_options_get_independent_disarmed_registries() {
     let a = WalOptions::default();
-    drop(guard);
-    // ...so setting it afterwards must change nothing: the environment is
-    // parsed once per process, not per call.
-    let _guard = EnvVarGuard::set(txlog::CRASH_POINT_ENV, crash_points::MID_FRAME);
     let b = WalOptions::default();
+    for point in crash_points::ALL {
+        assert!(!a.crash_points.should_crash(point), "{point} armed in a");
+        assert!(!b.crash_points.should_crash(point), "{point} armed in b");
+    }
+    a.crash_points.arm(crash_points::MID_FRAME);
     assert!(
         !b.crash_points.should_crash(crash_points::MID_FRAME),
-        "the env var must not be re-read on later default() calls"
+        "arming one default registry must not arm another"
     );
-    // Both handles share the same registry: arming through one is visible
-    // through the other (a probe name no real code path checks).
-    a.crash_points.arm("test::probe");
-    assert!(b.crash_points.should_crash("test::probe"));
-    assert_eq!(a.crash_points.fired(), Some("test::probe".to_string()));
-    // Leave the shared registry disarmed for any other user in this process.
     a.crash_points.disarm();
 }
 

@@ -19,9 +19,6 @@ pub struct TxConfig {
     /// SwissTM uses a fixed global table of lock pairs; word addresses are
     /// hashed into it, so a smaller table trades memory for false conflicts.
     pub lock_table_bits: u32,
-    /// Number of consecutive words covered by a single lock (the lock
-    /// granularity). SwissTM uses 4 words per lock entry by default.
-    pub words_per_lock: u64,
     /// Default speculative depth (`SPECDEPTH`): the maximum number of
     /// simultaneously active tasks per user-thread in the TLSTM runtime.
     pub spec_depth: usize,
@@ -35,7 +32,6 @@ impl TxConfig {
             heap_capacity_words: 1 << 16,
             heap_segment_words: 1 << 10,
             lock_table_bits: 8,
-            words_per_lock: 4,
             spec_depth: 4,
         }
     }
@@ -61,12 +57,6 @@ impl TxConfig {
                 self.lock_table_bits
             ));
         }
-        if !self.words_per_lock.is_power_of_two() {
-            return Err(format!(
-                "words_per_lock must be a power of two, got {}",
-                self.words_per_lock
-            ));
-        }
         if self.spec_depth == 0 {
             return Err("spec_depth must be at least 1".to_string());
         }
@@ -80,7 +70,6 @@ impl Default for TxConfig {
             heap_capacity_words: 1 << 26, // 64 Mi words = 512 MiB of address space
             heap_segment_words: 1 << 18,
             lock_table_bits: 20,
-            words_per_lock: 4,
             spec_depth: 4,
         }
     }
@@ -120,15 +109,6 @@ mod tests {
     fn zero_spec_depth_rejected() {
         let c = TxConfig {
             spec_depth: 0,
-            ..TxConfig::default()
-        };
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn non_power_of_two_words_per_lock_rejected() {
-        let c = TxConfig {
-            words_per_lock: 3,
             ..TxConfig::default()
         };
         assert!(c.validate().is_err());

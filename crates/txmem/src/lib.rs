@@ -83,7 +83,7 @@ pub use clock::{GlobalClock, ThreadIdAllocator};
 pub use config::TxConfig;
 pub use error::{Abort, AbortReason, MemError};
 pub use heap::TxHeap;
-pub use lock_table::{LockEntry, LockIndex, LockTable, LOCKED};
+pub use lock_table::{LockEntry, LockIndex, LockTable, LOCKED, WORDS_PER_LOCK};
 pub use owner::OwnerHandle;
 pub use owner::{CmDecision, LockOwner, OwnerToken};
 pub use runtime::{

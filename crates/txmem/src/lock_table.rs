@@ -11,7 +11,7 @@
 //!   entries of the owning user-thread's tasks ([`WriteChain`]).
 //!
 //! Multiple consecutive words share one lock entry (lock granularity,
-//! `words_per_lock`), and the table has a fixed power-of-two size, so distinct
+//! [`WORDS_PER_LOCK`]), and the table has a fixed power-of-two size, so distinct
 //! addresses can collide on the same entry. Collisions produce false conflicts
 //! exactly as they do in SwissTM.
 //!
@@ -177,12 +177,16 @@ impl LockEntry {
     }
 }
 
+/// Number of consecutive words covered by one lock entry (the lock
+/// granularity); SwissTM's 4. A power of two, so mapping an address is a
+/// shift.
+pub const WORDS_PER_LOCK: u64 = 4;
+
 /// The global table of lock pairs.
 #[derive(Debug)]
 pub struct LockTable {
     entries: Box<[LockEntry]>,
     mask: u64,
-    word_shift: u32,
 }
 
 impl LockTable {
@@ -201,7 +205,6 @@ impl LockTable {
         LockTable {
             entries: entries.into_boxed_slice(),
             mask: (len - 1) as u64,
-            word_shift: config.words_per_lock.trailing_zeros(),
         }
     }
 
@@ -218,7 +221,8 @@ impl LockTable {
     /// Maps a word address to its lock index (`map-addr-to-locks`).
     #[inline]
     pub fn index_for(&self, addr: WordAddr) -> LockIndex {
-        LockIndex(((addr.index() >> self.word_shift) & self.mask) as u32)
+        const WORD_SHIFT: u32 = WORDS_PER_LOCK.trailing_zeros();
+        LockIndex(((addr.index() >> WORD_SHIFT) & self.mask) as u32)
     }
 
     /// Returns the entry at a given index.
@@ -286,7 +290,7 @@ mod tests {
     #[test]
     fn adjacent_words_share_a_lock() {
         let t = table();
-        // With words_per_lock = 4, words 0..4 share an entry.
+        // With WORDS_PER_LOCK = 4, words 0..4 share an entry.
         assert_eq!(t.index_for(WordAddr::new(0)), t.index_for(WordAddr::new(3)));
         assert_ne!(t.index_for(WordAddr::new(0)), t.index_for(WordAddr::new(4)));
     }
@@ -295,9 +299,8 @@ mod tests {
     fn table_wraps_around_causing_false_sharing() {
         let t = table();
         let entries = t.len() as u64;
-        let words_per_lock = 4;
         let a = WordAddr::new(0);
-        let b = WordAddr::new(entries * words_per_lock);
+        let b = WordAddr::new(entries * WORDS_PER_LOCK);
         assert_eq!(t.index_for(a), t.index_for(b));
     }
 

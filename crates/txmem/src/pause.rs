@@ -26,12 +26,15 @@ pub fn multi_core() -> bool {
     cores() > 1
 }
 
+/// How many busy-spin iterations a waiter performs before yielding the CPU.
+pub const SPIN_BEFORE_YIELD: u32 = 64;
+
 /// Backs off inside a wait loop: spins on the `iteration`-th call only while
-/// that is useful (multi-core host and below `spin_limit`), otherwise yields
-/// the CPU to the thread being waited on.
+/// that is useful (multi-core host and below [`SPIN_BEFORE_YIELD`]), otherwise
+/// yields the CPU to the thread being waited on.
 #[inline]
-pub fn contention_pause(iteration: u32, spin_limit: u32) {
-    if multi_core() && iteration < spin_limit {
+pub fn contention_pause(iteration: u32) {
+    if multi_core() && iteration < SPIN_BEFORE_YIELD {
         std::hint::spin_loop();
     } else {
         std::thread::yield_now();
@@ -50,7 +53,7 @@ mod tests {
     #[test]
     fn contention_pause_terminates() {
         for i in 0..200 {
-            contention_pause(i, 64);
+            contention_pause(i);
         }
     }
 }

@@ -220,57 +220,10 @@ pub fn chunk_ranges(len: usize, tasks: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// A small, fast, deterministic PRNG (xorshift*), used by the workload
-/// generators so that runs are reproducible and re-executed tasks see the
-/// same operation stream.
-#[derive(Debug, Clone)]
-pub struct DetRng {
-    state: u64,
-}
-
-impl DetRng {
-    /// Creates a generator from a non-zero seed (zero is mapped to a fixed
-    /// constant).
-    pub fn new(seed: u64) -> Self {
-        DetRng {
-            state: if seed == 0 { 0x9E3779B97F4A7C15 } else { seed },
-        }
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545F4914F6CDD1D)
-    }
-
-    /// Uniform value in `[0, bound)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound` is zero.
-    pub fn below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be positive");
-        self.next_u64() % bound
-    }
-
-    /// Uniform value in `[lo, hi)`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.below(hi - lo)
-    }
-
-    /// `true` with probability `percent`/100.
-    pub fn percent(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tlstm_testutil::TestRng;
 
     #[test]
     fn throughput_arithmetic() {
@@ -329,21 +282,23 @@ mod tests {
         assert_eq!(m.stats.tx_commits, 10);
     }
 
+    /// The workload generators draw from `TestRng`: seeded runs replay the
+    /// same operation streams and re-executed tasks see the same ones.
     #[test]
     fn det_rng_is_deterministic_and_bounded() {
-        let mut a = DetRng::new(42);
-        let mut b = DetRng::new(42);
+        let mut a = TestRng::new(42);
+        let mut b = TestRng::new(42);
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-        let mut r = DetRng::new(7);
+        let mut r = TestRng::new(7);
         for _ in 0..1000 {
             let v = r.range(10, 20);
             assert!((10..20).contains(&v));
             let _ = r.percent(30);
         }
         // Seed zero must not get stuck at zero.
-        let mut z = DetRng::new(0);
+        let mut z = TestRng::new(0);
         assert_ne!(z.next_u64(), 0);
     }
 }

@@ -24,11 +24,11 @@
 
 use std::sync::atomic::Ordering;
 
-use tlstm_testutil::TempDir;
+use tlstm_testutil::{TempDir, TestRng};
 use txkv::{DurableKvConfig, DurableKvStore, KvOp, KvServer, KvServerConfig, KvStoreParams};
 use txmem::{TxConfig, TxRuntime};
 
-use crate::harness::{average_metrics, run_threads_metrics, DetRng, RunMetrics, WorkloadConfig};
+use crate::harness::{average_metrics, run_threads_metrics, RunMetrics, WorkloadConfig};
 
 pub use txkv::FsyncPolicy;
 
@@ -200,7 +200,7 @@ impl Zipfian {
     }
 
     /// Draws the next *rank* in `0..n` (rank 0 is the hottest).
-    pub fn next_rank(&self, rng: &mut DetRng) -> u64 {
+    pub fn next_rank(&self, rng: &mut TestRng) -> u64 {
         // 53 random bits → uniform in [0, 1).
         let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
         let uz = u * self.zetan;
@@ -219,7 +219,7 @@ impl Zipfian {
     /// The multiplier must stay odd: an even effective multiplier would map
     /// every rank to an even key under a power-of-two key space, silently
     /// halving the working set and the shard coverage.
-    pub fn next_key(&self, rng: &mut DetRng) -> u64 {
+    pub fn next_key(&self, rng: &mut TestRng) -> u64 {
         let rank = self.next_rank(rng);
         rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) % self.n
     }
@@ -256,7 +256,7 @@ impl KeyDist {
     }
 
     /// Draws the next key.
-    pub fn next(&self, rng: &mut DetRng) -> u64 {
+    pub fn next(&self, rng: &mut TestRng) -> u64 {
         match self {
             KeyDist::Uniform { n } => rng.below(*n),
             KeyDist::Zipfian(z) => z.next_key(rng),
@@ -273,7 +273,7 @@ pub fn initial_value(key: u64, value_words: u64) -> Vec<u64> {
 }
 
 /// Generates the operations of one client batch.
-pub fn generate_batch(rng: &mut DetRng, dist: &KeyDist, params: &KvParams) -> Vec<KvOp> {
+pub fn generate_batch(rng: &mut TestRng, dist: &KeyDist, params: &KvParams) -> Vec<KvOp> {
     let (read_pct, update_pct, _scan_pct) = params.mix.percentages();
     (0..params.ops_per_txn)
         .map(|_| {
@@ -313,7 +313,7 @@ fn measure_server<R: TxRuntime>(
         |client, stop, ops, hist| {
             let mut session = server.session();
             let dist = dist.clone();
-            let mut rng = DetRng::new(config.seed ^ (client as u64 + 1) ^ (u64::from(rep) << 32));
+            let mut rng = TestRng::new(config.seed ^ (client as u64 + 1) ^ (u64::from(rep) << 32));
             while !stop.load(Ordering::Relaxed) {
                 let batch = generate_batch(&mut rng, &dist, params);
                 let n = batch.len() as u64;
@@ -363,7 +363,7 @@ fn measure_durable<R: TxRuntime>(
         |client, stop, ops, hist| {
             let mut session = store.session();
             let dist = dist.clone();
-            let mut rng = DetRng::new(config.seed ^ (client as u64 + 1) ^ (u64::from(rep) << 32));
+            let mut rng = TestRng::new(config.seed ^ (client as u64 + 1) ^ (u64::from(rep) << 32));
             while !stop.load(Ordering::Relaxed) {
                 let batch = generate_batch(&mut rng, &dist, params);
                 let n = batch.len() as u64;
@@ -414,8 +414,8 @@ mod tests {
     #[test]
     fn zipfian_is_skewed_deterministic_and_in_range() {
         let z = Zipfian::new(1000, Zipfian::DEFAULT_THETA);
-        let mut a = DetRng::new(9);
-        let mut b = DetRng::new(9);
+        let mut a = TestRng::new(9);
+        let mut b = TestRng::new(9);
         let mut hot = 0u64;
         let mut counts = std::collections::HashMap::new();
         for _ in 0..20_000 {
@@ -442,7 +442,7 @@ mod tests {
     fn scrambled_keys_stay_in_range_and_spread() {
         let n = 500;
         let z = Zipfian::new(n, Zipfian::DEFAULT_THETA);
-        let mut rng = DetRng::new(3);
+        let mut rng = TestRng::new(3);
         let mut distinct = std::collections::HashSet::new();
         for _ in 0..5_000 {
             let k = z.next_key(&mut rng);
@@ -473,7 +473,7 @@ mod tests {
             ..KvParams::tiny(KvMix::C)
         };
         let dist = KeyDist::new(&params);
-        let mut rng = DetRng::new(5);
+        let mut rng = TestRng::new(5);
         let mut distinct = std::collections::HashSet::new();
         for _ in 0..2_000 {
             distinct.insert(dist.next(&mut rng));
@@ -485,7 +485,7 @@ mod tests {
     fn generated_batches_follow_the_mix() {
         let params = KvParams::tiny(KvMix::ScanHeavy);
         let dist = KeyDist::new(&params);
-        let mut rng = DetRng::new(11);
+        let mut rng = TestRng::new(11);
         let (mut gets, mut puts, mut scans) = (0, 0, 0);
         for _ in 0..200 {
             for op in generate_batch(&mut rng, &dist, &params) {
@@ -577,7 +577,7 @@ mod tests {
             populate(&server, &params);
             let dist = KeyDist::new(&params);
             let mut session = server.session();
-            let mut rng = DetRng::new(seed);
+            let mut rng = TestRng::new(seed);
             for _ in 0..30 {
                 session.batch(generate_batch(&mut rng, &dist, &params));
             }

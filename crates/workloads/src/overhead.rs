@@ -20,11 +20,12 @@
 
 use std::sync::atomic::Ordering;
 
+use tlstm_testutil::TestRng;
 use txmem::{
     run_boxed_tasks, Abort, BoxedTaskBody, TxConfig, TxMem, TxRuntime, TxSession, WordAddr,
 };
 
-use crate::harness::{average_metrics, run_threads_metrics, DetRng, RunMetrics, WorkloadConfig};
+use crate::harness::{average_metrics, run_threads_metrics, RunMetrics, WorkloadConfig};
 
 /// Parameters of the overhead microworkload.
 #[derive(Debug, Clone)]
@@ -95,7 +96,7 @@ fn run_ops<M: TxMem + ?Sized>(
     lo: u64,
     hi: u64,
 ) -> Result<(), Abort> {
-    let mut rng = DetRng::new(txn_seed);
+    let mut rng = TestRng::new(txn_seed);
     for i in 0..hi {
         let addr = region.offset(rng.below(params.words));
         if i < lo {
@@ -168,7 +169,7 @@ pub fn measure<R: TxRuntime>(params: &OverheadParams, config: &WorkloadConfig) -
                 let mut session = runtime.session();
                 let region = regions[thread_index];
                 let mut seeds =
-                    DetRng::new(config.seed ^ (thread_index as u64 + 1) ^ (u64::from(rep) << 32));
+                    TestRng::new(config.seed ^ (thread_index as u64 + 1) ^ (u64::from(rep) << 32));
                 while !stop.load(Ordering::Relaxed) {
                     let txn_seed = seeds.next_u64();
                     let t0 = std::time::Instant::now();

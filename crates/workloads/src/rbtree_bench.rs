@@ -12,11 +12,12 @@
 
 use std::sync::atomic::Ordering;
 
+use tlstm_testutil::TestRng;
 use txcollections::TxRbTree;
 use txmem::{run_boxed_tasks, Abort, BoxedTaskBody, TxConfig, TxMem, TxRuntime, TxSession};
 
 use crate::harness::{
-    average_metrics, chunk_ranges, run_threads_metrics, DetRng, RunMetrics, WorkloadConfig,
+    average_metrics, chunk_ranges, run_threads_metrics, RunMetrics, WorkloadConfig,
 };
 
 /// Parameters of the red-black-tree micro-benchmark.
@@ -86,7 +87,7 @@ fn lookup_batch<M: TxMem + ?Sized>(mem: &mut M, tree: TxRbTree, keys: &[u64]) ->
 }
 
 /// Generates the keys of one transaction.
-fn txn_keys(rng: &mut DetRng, params: &RbTreeBenchParams) -> Vec<u64> {
+fn txn_keys(rng: &mut TestRng, params: &RbTreeBenchParams) -> Vec<u64> {
     (0..params.ops_per_txn)
         .map(|_| rng.below(params.key_space))
         .collect()
@@ -105,7 +106,7 @@ pub fn measure<R: TxRuntime>(params: &RbTreeBenchParams, config: &WorkloadConfig
                 let tasks = params.tasks_for::<R>();
                 let mut session = runtime.session();
                 let mut rng =
-                    DetRng::new(config.seed ^ (thread_index as u64 + 1) ^ (u64::from(rep) << 32));
+                    TestRng::new(config.seed ^ (thread_index as u64 + 1) ^ (u64::from(rep) << 32));
                 while !stop.load(Ordering::Relaxed) {
                     let keys = txn_keys(&mut rng, params);
                     let t0 = std::time::Instant::now();
@@ -141,7 +142,7 @@ pub fn hit_count<R: TxRuntime>(params: &RbTreeBenchParams, txns: u64, seed: u64)
     let runtime = R::new(params.substrate_config());
     let tree = populate(&mut runtime.direct(), params).expect("populate cannot abort");
     let mut session = runtime.session();
-    let mut rng = DetRng::new(seed);
+    let mut rng = TestRng::new(seed);
     let tasks = params.tasks_for::<R>();
     let mut total = 0u64;
     for _ in 0..txns {

@@ -18,12 +18,13 @@
 
 use std::sync::atomic::Ordering;
 
+use tlstm_testutil::TestRng;
 use txmem::{
     run_boxed_tasks, Abort, BoxedTaskBody, TxConfig, TxMem, TxRuntime, TxSession, WordAddr,
 };
 
 use crate::harness::{
-    average_metrics, chunk_ranges, run_threads_metrics, DetRng, RunMetrics, WorkloadConfig,
+    average_metrics, chunk_ranges, run_threads_metrics, RunMetrics, WorkloadConfig,
 };
 
 // Complex assembly node: [kind=0, child0, child1, child2]
@@ -123,7 +124,7 @@ impl Stmbench7 {
         mem: &mut M,
         params: &Stmbench7Params,
     ) -> Result<Self, Abort> {
-        let mut rng = DetRng::new(0x57B7);
+        let mut rng = TestRng::new(0x57B7);
         // Shared pool of composite parts.
         let mut pool = Vec::with_capacity(params.composite_pool as usize);
         let mut next_atomic_id = 0u64;
@@ -149,7 +150,7 @@ impl Stmbench7 {
     fn build_assembly<M: TxMem + ?Sized>(
         mem: &mut M,
         params: &Stmbench7Params,
-        rng: &mut DetRng,
+        rng: &mut TestRng,
         pool: &[WordAddr],
         level: u32,
     ) -> Result<WordAddr, Abort> {
@@ -306,7 +307,7 @@ pub fn measure<R: TxRuntime>(params: &Stmbench7Params, config: &WorkloadConfig) 
                 let tasks = tasks_for::<R>(params);
                 let mut session = runtime.session();
                 let mut rng =
-                    DetRng::new(config.seed ^ (thread_index as u64 + 1) ^ (u64::from(rep) << 32));
+                    TestRng::new(config.seed ^ (thread_index as u64 + 1) ^ (u64::from(rep) << 32));
                 while !stop.load(Ordering::Relaxed) {
                     let write = !rng.percent(params.read_pct);
                     let t0 = std::time::Instant::now();

@@ -14,13 +14,14 @@
 
 use std::sync::atomic::Ordering;
 
+use tlstm_testutil::TestRng;
 use txcollections::{TxRbTree, TxSortedList};
 use txmem::{
     run_boxed_tasks, Abort, BoxedTaskBody, TxConfig, TxMem, TxRuntime, TxSession, WordAddr,
 };
 
 use crate::harness::{
-    average_metrics, chunk_ranges, run_threads_metrics, DetRng, RunMetrics, WorkloadConfig,
+    average_metrics, chunk_ranges, run_threads_metrics, RunMetrics, WorkloadConfig,
 };
 
 /// The three reservable resource kinds.
@@ -156,7 +157,7 @@ impl Manager {
             TxRbTree::create(mem)?,
         ];
         let customers = TxRbTree::create(mem)?;
-        let mut rng = DetRng::new(0xFACADE);
+        let mut rng = TestRng::new(0xFACADE);
         for kind in ResKind::ALL {
             for id in 0..params.relations {
                 let record = mem.alloc(REC_WORDS)?;
@@ -249,7 +250,7 @@ pub enum VacationOp {
 }
 
 /// Generates one operation.
-fn generate_op(rng: &mut DetRng, params: &VacationParams) -> VacationOp {
+fn generate_op(rng: &mut TestRng, params: &VacationParams) -> VacationOp {
     let range = params.query_range();
     if rng.percent(params.user_op_pct) {
         let customer = rng.below(params.customers);
@@ -276,7 +277,7 @@ fn generate_op(rng: &mut DetRng, params: &VacationParams) -> VacationOp {
 }
 
 /// Generates the operations of one client transaction.
-pub fn generate_txn(rng: &mut DetRng, params: &VacationParams) -> Vec<VacationOp> {
+pub fn generate_txn(rng: &mut TestRng, params: &VacationParams) -> Vec<VacationOp> {
     (0..params.ops_per_txn)
         .map(|_| generate_op(rng, params))
         .collect()
@@ -408,7 +409,7 @@ pub fn measure<R: TxRuntime>(params: &VacationParams, config: &WorkloadConfig) -
                 let tasks = tasks_for::<R>(params);
                 let mut session = runtime.session();
                 let mut rng =
-                    DetRng::new(config.seed ^ (client as u64 + 1) ^ (u64::from(rep) << 32));
+                    TestRng::new(config.seed ^ (client as u64 + 1) ^ (u64::from(rep) << 32));
                 while !stop.load(Ordering::Relaxed) {
                     let txn = generate_txn(&mut rng, params);
                     let t0 = std::time::Instant::now();
@@ -431,7 +432,7 @@ pub fn stream_total_used<R: TxRuntime>(params: &VacationParams, txns: u64, seed:
     let manager = Manager::populate(&mut runtime.direct(), params).expect("populate cannot abort");
     let tasks = tasks_for::<R>(params);
     let mut session = runtime.session();
-    let mut rng = DetRng::new(seed);
+    let mut rng = TestRng::new(seed);
     for _ in 0..txns {
         let txn = generate_txn(&mut rng, params);
         run_txn(&mut session, &manager, &txn, tasks);
