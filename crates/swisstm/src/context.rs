@@ -1,22 +1,23 @@
 //! The reusable per-thread transaction context.
 //!
 //! A [`TxContext`] owns every piece of speculative state a SwissTM
-//! transaction needs — the read log, the log-structured write set, the
-//! acquired-locks log and the shared [`TxDescriptor`] — and is **recycled
-//! across attempts and transactions** of its thread. [`SwisstmThread`]
-//! (see [`crate::runtime`]) creates one context at registration time and
-//! threads a `&mut` borrow of it through every [`Transaction`] it runs, so
-//! steady-state transactions build their state entirely inside retained
-//! capacity and perform **zero heap allocations** on the read, write, commit
-//! and rollback paths.
+//! transaction needs — the [`Snapshot`] (`valid-ts` and read log), the
+//! log-structured write set, the acquired-locks log and the shared
+//! [`TxDescriptor`] — and is **recycled across attempts and transactions**
+//! of its thread. [`SwisstmThread`] (see [`crate::runtime`]) creates one
+//! context at registration time and threads a `&mut` borrow of it through
+//! every [`Transaction`] it runs, so steady-state transactions build their
+//! state entirely inside retained capacity and perform **zero heap
+//! allocations** on the read, write, commit and rollback paths.
 //!
 //! [`SwisstmThread`]: crate::runtime::SwisstmThread
 //! [`Transaction`]: crate::transaction::Transaction
 //! [`TxDescriptor`]: crate::descriptor::TxDescriptor
+//! [`Snapshot`]: txmem::Snapshot
 
 use std::sync::Arc;
 
-use txmem::{LockIndex, OwnerHandle, WriteSet};
+use txmem::{LockIndex, OwnerHandle, Snapshot, WriteSet};
 
 use crate::descriptor::TxDescriptor;
 
@@ -32,8 +33,8 @@ pub struct TxContext {
     pub(crate) descriptor: Arc<TxDescriptor>,
     /// The same descriptor, type-erased for the owner registry.
     pub(crate) owner_handle: OwnerHandle,
-    /// Read log: (lock index, observed version).
-    pub(crate) read_log: Vec<(LockIndex, u64)>,
+    /// `valid-ts` and the read log.
+    pub(crate) snapshot: Snapshot,
     /// Log-structured buffered writes.
     pub(crate) write_set: WriteSet,
     /// Write locks acquired by the current transaction, paired with the
@@ -50,7 +51,7 @@ impl TxContext {
         TxContext {
             descriptor,
             owner_handle,
-            read_log: Vec::new(),
+            snapshot: Snapshot::default(),
             write_set: WriteSet::new(),
             acquired: Vec::new(),
         }
@@ -59,7 +60,7 @@ impl TxContext {
     /// Empties all speculative state (keeping capacity) and re-arms the
     /// descriptor for an attempt running at `priority`.
     pub(crate) fn reset_for_attempt(&mut self, priority: u64) {
-        self.read_log.clear();
+        self.snapshot.clear();
         self.write_set.clear();
         self.acquired.clear();
         self.descriptor.reset_for_attempt(priority);
@@ -70,7 +71,7 @@ impl TxContext {
     /// after a commit plus reset or a rollback plus reset (used by the
     /// context-reuse tests).
     pub fn is_clean(&self) -> bool {
-        self.read_log.is_empty()
+        self.snapshot.reads().is_empty()
             && self.write_set.is_empty()
             && self.acquired.is_empty()
             && !self.descriptor.abort_requested()
@@ -80,14 +81,29 @@ impl TxContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txmem::{LockOwner, WordAddr};
+    use txmem::{LockOwner, TxConfig, TxSubstrate, WordAddr};
+
+    /// Logs a committed read of each of the words `1..=n` through the
+    /// snapshot's read rule.
+    fn read_words(ctx: &mut TxContext, n: u64) {
+        let sub = TxSubstrate::new(TxConfig::small());
+        sub.heap.alloc(n).unwrap();
+        for i in 1..=n {
+            let addr = WordAddr::new(i);
+            let (idx, entry) = sub.locks.lookup(addr);
+            let stats = sub.stats.shard(0);
+            ctx.snapshot
+                .read_committed(&sub, stats, idx, entry, addr, || Ok(()))
+                .unwrap();
+        }
+    }
 
     #[test]
     fn reset_scrubs_all_speculative_state() {
         let mut ctx = TxContext::new(3);
         assert!(ctx.is_clean());
-        ctx.read_log.push((LockIndex(1), 7));
-        ctx.write_set.insert_new(WordAddr::new(9), 1, LockIndex(1));
+        read_words(&mut ctx, 1);
+        ctx.write_set.insert_new(WordAddr::new(9), 1);
         ctx.acquired.push((LockIndex(1), 0));
         ctx.descriptor.signal_abort();
         assert!(!ctx.is_clean());
@@ -99,14 +115,14 @@ mod tests {
     #[test]
     fn reset_retains_capacity() {
         let mut ctx = TxContext::new(0);
+        read_words(&mut ctx, 64);
         for i in 0..64 {
-            ctx.read_log.push((LockIndex(i), 0));
             ctx.acquired.push((LockIndex(i), 0));
         }
-        let read_cap = ctx.read_log.capacity();
+        let read_cap = ctx.snapshot.capacity();
         let acq_cap = ctx.acquired.capacity();
         ctx.reset_for_attempt(0);
-        assert_eq!(ctx.read_log.capacity(), read_cap);
+        assert_eq!(ctx.snapshot.capacity(), read_cap);
         assert_eq!(ctx.acquired.capacity(), acq_cap);
     }
 }

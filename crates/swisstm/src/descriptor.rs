@@ -16,7 +16,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use txmem::LockOwner;
+use txmem::{Abort, AbortReason, LockOwner};
 
 use crate::cm::TIMID;
 
@@ -65,6 +65,16 @@ impl TxDescriptor {
     /// `true` if another thread asked this transaction to abort.
     pub fn abort_requested(&self) -> bool {
         self.abort_requested.load(Ordering::Acquire)
+    }
+
+    /// [`AbortReason::TransactionAbortSignal`] if another thread asked this
+    /// transaction to abort.
+    pub(crate) fn check_abort(&self) -> Result<(), Abort> {
+        if self.abort_requested() {
+            Err(Abort::new(AbortReason::TransactionAbortSignal))
+        } else {
+            Ok(())
+        }
     }
 
     /// Marks the transaction as entering commit/abort; contenders will wait

@@ -3,7 +3,10 @@
 //! Implements the algorithm of §3.1 of the TLSTM paper: eager write/write
 //! locking through the global lock table, invisible reads with lazy
 //! counter-based validation (`valid-ts` + read-log extension), buffered writes
-//! applied at commit under the written locations' r-locks.
+//! applied at commit under the written locations' r-locks. The read rule,
+//! `extend` and the commit sequence are [`txmem::protocol`]'s, shared with
+//! TLSTM; this module adds the eager write path with its greedy contention
+//! manager.
 //!
 //! ## Zero-allocation hot path
 //!
@@ -13,8 +16,8 @@
 //! its own: it borrows its thread's recycled
 //! [`TxContext`], which provides
 //!
-//! * the **read log** — an append-only `(lock, version)` vector whose
-//!   capacity survives resets;
+//! * the **snapshot** ([`txmem::Snapshot`]) — `valid-ts` and an append-only
+//!   `(lock, version)` read log whose capacity survives resets;
 //! * the **log-structured write set** ([`txmem::WriteSet`]) — an append-only
 //!   write log in program order plus a 64-bit bloom summary, so the dominant
 //!   read-path question "did I write this address?" is answered by two bit
@@ -34,13 +37,12 @@
 
 use txmem::pause::contention_pause;
 use txmem::{
-    Abort, AbortReason, CmDecision, GlobalClock, LockEntry, LockIndex, LockTable, OwnerToken,
-    StatsShard, TxHeap, TxMem, WordAddr, LOCKED,
+    commit_locked, Abort, AbortReason, CmDecision, LockEntry, OpCounters, OwnerToken, StatsShard,
+    TxMem, TxSubstrate, WordAddr,
 };
 
 use crate::cm::GreedyCm;
 use crate::context::TxContext;
-use crate::descriptor::TxDescriptor;
 use crate::runtime::SwisstmRuntime;
 
 /// A single SwissTM transaction attempt.
@@ -50,20 +52,16 @@ use crate::runtime::SwisstmRuntime;
 /// [`TxMem`] trait.
 #[derive(Debug)]
 pub struct Transaction<'a> {
-    heap: &'a TxHeap,
-    locks: &'a LockTable,
-    clock: &'a GlobalClock,
+    sub: &'a TxSubstrate,
     /// This thread's statistics shard (never shared with other threads).
     stats: &'a StatsShard,
     /// Owner registry used to resolve write-lock conflicts.
     runtime: &'a SwisstmRuntime,
     token: OwnerToken,
-    valid_ts: u64,
     /// The thread's recycled speculative state.
     ctx: &'a mut TxContext,
     /// Local operation counters, flushed into the shared stats at the end.
-    local_reads: u64,
-    local_writes: u64,
+    ops: OpCounters,
 }
 
 impl<'a> Transaction<'a> {
@@ -75,118 +73,21 @@ impl<'a> Transaction<'a> {
         thread_id: u32,
         priority: u64,
     ) -> Self {
-        let substrate = runtime.substrate();
+        let sub = &**runtime.substrate();
         ctx.reset_for_attempt(priority);
+        ctx.snapshot.begin(&sub.clock);
         Transaction {
-            heap: &substrate.heap,
-            locks: &substrate.locks,
-            clock: &substrate.clock,
-            stats: substrate.stats.shard(thread_id),
+            sub,
+            stats: sub.stats.shard(thread_id),
             runtime,
             token: OwnerToken::from_id(thread_id),
-            valid_ts: substrate.clock.now(),
             ctx,
-            local_reads: 0,
-            local_writes: 0,
+            ops: OpCounters::default(),
         }
     }
 
-    /// The transaction's current validity timestamp.
-    pub fn valid_ts(&self) -> u64 {
-        self.valid_ts
-    }
-
-    /// `true` if this transaction has not written anything (read-only so far).
-    pub fn is_read_only(&self) -> bool {
-        self.ctx.write_set.is_empty()
-    }
-
-    /// The descriptor other threads use to signal this transaction.
-    pub fn descriptor(&self) -> &std::sync::Arc<TxDescriptor> {
-        &self.ctx.descriptor
-    }
-
-    fn check_abort_signal(&self) -> Result<(), Abort> {
-        if self.ctx.descriptor.abort_requested() {
-            Err(Abort::new(AbortReason::TransactionAbortSignal))
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Validates every read-log entry against the current lock-table state.
-    ///
-    /// `locked_by_me` supplies the `(lock, pre-lock version)` pairs of r-locks
-    /// this transaction itself locked during commit — **sorted by lock
-    /// index** — so that its own commit-time locking does not invalidate its
-    /// reads.
-    fn validate(&self, locked_by_me: Option<&[(LockIndex, u64)]>) -> bool {
-        self.locks
-            .validate_read_log(&self.ctx.read_log, locked_by_me)
-    }
-
-    /// Attempts to extend `valid-ts` to the current commit timestamp by
-    /// re-validating the read log (`extend` in the paper).
-    fn extend(&mut self) -> Result<(), Abort> {
-        let target = self.clock.now();
-        self.stats.validations.inc();
-        if self.validate(None) {
-            self.valid_ts = target;
-            self.stats.extensions.inc();
-            Ok(())
-        } else {
-            Err(Abort::new(AbortReason::ReadValidation))
-        }
-    }
-
-    /// Reads the committed value of `addr` consistently with respect to the
-    /// location's r-lock, extending `valid-ts` if the version is too new.
-    ///
-    /// The caller has already resolved `(idx, entry)` for `addr`, so the
-    /// lock-table mapping is computed exactly once per read.
-    ///
-    /// The extension happens *before* the value is used: a version newer than
-    /// `valid-ts` first forces a successful read-log extension and then the
-    /// read is retried under the new timestamp, which is what preserves
-    /// opacity (a stale value must never be returned alongside newer ones).
-    fn read_committed(
-        &mut self,
-        idx: LockIndex,
-        entry: &LockEntry,
-        addr: WordAddr,
-    ) -> Result<u64, Abort> {
-        let mut spin = 0u32;
-        loop {
-            let v1 = entry.version();
-            if v1 == LOCKED {
-                // A committing transaction is writing this location back;
-                // stay responsive to abort signals while waiting.
-                self.check_abort_signal()?;
-                contention_pause(spin);
-                spin = spin.wrapping_add(1);
-                continue;
-            }
-            if v1 > self.valid_ts {
-                // The location was committed after our snapshot: try to move
-                // the snapshot forward, then re-read the version.
-                self.extend()?;
-                continue;
-            }
-            let value = self.heap.load_committed(addr);
-            let v2 = entry.version();
-            if v1 != v2 {
-                contention_pause(spin);
-                spin = spin.wrapping_add(1);
-                continue;
-            }
-            self.ctx.read_log.push((idx, v1));
-            return Ok(value);
-        }
-    }
-
-    /// Commits the transaction: locks the written locations' r-locks, draws a
-    /// commit timestamp, validates the read log and writes the buffered
-    /// values back.
+    /// Commits the transaction through [`commit_locked`] over the locks it
+    /// acquired.
     ///
     /// Write-back iterates the log-structured write set, so every written
     /// word is stored exactly once with its final value, in first-write
@@ -198,72 +99,52 @@ impl<'a> Transaction<'a> {
     /// Returns [`Abort`] if validation fails or an abort was signalled; the
     /// caller must then roll the transaction back and retry.
     pub(crate) fn commit(&mut self) -> Result<(), Abort> {
-        self.check_abort_signal()?;
-        self.ctx.descriptor.set_finishing();
-        if self.ctx.write_set.is_empty() {
+        let ctx = &mut *self.ctx;
+        ctx.descriptor.check_abort()?;
+        ctx.descriptor.set_finishing();
+        if ctx.write_set.is_empty() {
             // Read-only transactions are already consistent at `valid-ts`.
             return Ok(());
         }
-        // Lock the r-locks of every written location, remembering the
-        // previous versions in the acquired-locks log so they can be restored
-        // if validation fails. Sorting first makes the log binary-searchable
-        // during validation (locking order is irrelevant: `lock_version` is a
-        // plain swap that only the w-lock holder may perform).
-        self.ctx.acquired.sort_unstable_by_key(|&(idx, _)| idx.0);
-        for slot in self.ctx.acquired.iter_mut() {
-            slot.1 = self.locks.entry(slot.0).lock_version();
-        }
-        let ts = self.clock.tick();
-        self.stats.validations.inc();
-        if !self.validate(Some(&self.ctx.acquired)) {
-            for &(idx, prev) in &self.ctx.acquired {
-                self.locks.entry(idx).set_version(prev);
-            }
-            return Err(Abort::new(AbortReason::ReadValidation));
-        }
-        // Write back and release.
-        for e in self.ctx.write_set.iter() {
-            self.heap.store_committed(e.addr, e.value);
-        }
-        for &(idx, _) in &self.ctx.acquired {
-            let entry = self.locks.entry(idx);
-            entry.set_version(ts);
-            entry.release_writer();
-        }
-        Ok(())
+        let (heap, write_set) = (&self.sub.heap, &ctx.write_set);
+        commit_locked(
+            self.sub,
+            self.stats,
+            &mut ctx.acquired,
+            [&ctx.snapshot],
+            || {
+                for e in write_set.iter() {
+                    heap.store_committed(e.addr, e.value);
+                }
+            },
+            LockEntry::release_writer,
+        )
     }
 
     /// Rolls the transaction back: releases all acquired write locks and
     /// clears the speculative state (retaining its capacity for the retry).
     pub(crate) fn rollback(&mut self, reason: AbortReason) {
         for &(idx, _) in &self.ctx.acquired {
-            self.locks.entry(idx).release_writer_if(self.token);
+            self.sub.locks.entry(idx).release_writer_if(self.token);
         }
         self.ctx.acquired.clear();
         self.ctx.write_set.clear();
-        self.ctx.read_log.clear();
+        self.ctx.snapshot.clear();
         self.stats.record_abort_reason(reason);
     }
 
     /// Flushes the per-transaction operation counters into this thread's
     /// statistics shard.
     pub(crate) fn flush_op_counters(&mut self) {
-        if self.local_reads > 0 {
-            self.stats.reads.add(self.local_reads);
-            self.local_reads = 0;
-        }
-        if self.local_writes > 0 {
-            self.stats.writes.add(self.local_writes);
-            self.local_writes = 0;
-        }
+        self.ops.flush(self.stats);
     }
 }
 
 impl TxMem for Transaction<'_> {
     fn read(&mut self, addr: WordAddr) -> Result<u64, Abort> {
-        self.local_reads += 1;
-        let locks = self.locks;
-        let (idx, entry) = locks.lookup(addr);
+        self.ops.reads += 1;
+        let sub = self.sub;
+        let (idx, entry) = sub.locks.lookup(addr);
         // Read-after-write is only possible under a lock this transaction
         // already owns, so the owner-token check (on a cache line the read
         // touches anyway) keeps unrelated reads out of the write set even
@@ -274,29 +155,36 @@ impl TxMem for Transaction<'_> {
                 return Ok(value);
             }
         }
-        self.read_committed(idx, entry, addr)
+        // The wait on a committer's write-back answers this thread's abort
+        // signal.
+        let ctx = &mut *self.ctx;
+        let descriptor = &ctx.descriptor;
+        ctx.snapshot
+            .read_committed(sub, self.stats, idx, entry, addr, || {
+                descriptor.check_abort()
+            })
     }
 
     fn write(&mut self, addr: WordAddr, value: u64) -> Result<(), Abort> {
-        self.local_writes += 1;
+        self.ops.writes += 1;
         // Repeated write to an address already in the set: update in place.
         if self.ctx.write_set.update(addr, value) {
             return Ok(());
         }
-        let locks = self.locks;
-        let (idx, entry) = locks.lookup(addr);
+        let sub = self.sub;
+        let (idx, entry) = sub.locks.lookup(addr);
         if entry.writer_token() == self.token {
             // Same lock already held (a neighbouring word was written first).
-            self.ctx.write_set.insert_new(addr, value, idx);
+            self.ctx.write_set.insert_new(addr, value);
             return Ok(());
         }
         let mut spin = 0u32;
         loop {
-            self.check_abort_signal()?;
+            self.ctx.descriptor.check_abort()?;
             match entry.try_acquire_writer(self.token) {
                 Ok(()) => {
                     self.ctx.acquired.push((idx, 0));
-                    self.ctx.write_set.insert_new(addr, value, idx);
+                    self.ctx.write_set.insert_new(addr, value);
                     break;
                 }
                 Err(owner_token) => {
@@ -331,17 +219,12 @@ impl TxMem for Transaction<'_> {
                 }
             }
         }
-        // Opacity check inherited from SwissTM (Algorithm 2, line 52): if the
-        // location has a version newer than valid-ts the read set must still
-        // be extendable, otherwise the transaction is doomed.
-        if entry.version() != LOCKED && entry.version() > self.valid_ts {
-            self.extend()?;
-        }
-        Ok(())
+        self.ctx.snapshot.after_write_lock(sub, self.stats, entry)
     }
 
     fn alloc(&mut self, words: u64) -> Result<WordAddr, Abort> {
-        self.heap
+        self.sub
+            .heap
             .alloc(words)
             .map_err(|_| Abort::new(AbortReason::OutOfMemory))
     }

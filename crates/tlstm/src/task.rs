@@ -4,15 +4,18 @@
 //! memory. It implements the read/write rules of Algorithms 1 and 2 of the
 //! paper and the per-task half of the commit/abort protocol of Algorithm 3
 //! (the whole-transaction commit performed by the commit-task lives in
-//! `TaskCtx::task_commit`).
+//! `TaskCtx::task_commit`). Reads of committed state, `extend` and the
+//! commit sequence are SwissTM's, defined once in [`txmem::protocol`]; this
+//! module adds what is TLSTM's: chain entries, `validate-task`, past-waiting
+//! and the collection of every task's logs at commit.
 //!
 //! ## Recycled task state
 //!
 //! All per-task speculative state lives in a `TaskBufs` owned by the
 //! *lane* — the calling thread or a pool helper — and lent to each
-//! [`TaskCtx`] it runs: the read logs, the log-structured write set
-//! ([`txmem::WriteSet`]) and the acquired-locks and commit scratch vectors
-//! are recycled across attempts **and across tasks**.
+//! [`TaskCtx`] it runs: the snapshot and task-read log, the log-structured
+//! write set ([`txmem::WriteSet`]) and the acquired-locks and commit scratch
+//! vectors are recycled across attempts **and across tasks**.
 //! Published [`TaskLogs`] are drawn from (and returned to) a per-user-thread
 //! pool, so in steady state the task read/write/commit/rollback paths stop
 //! allocating; only the per-transaction orchestration (the `TxnShared`
@@ -24,8 +27,8 @@ use std::sync::Arc;
 use txmem::chain::{ChainRead, WriteChain};
 use txmem::pause::contention_pause;
 use txmem::{
-    Abort, AbortReason, CmDecision, LockIndex, OwnerHandle, OwnerToken, TxMem, TxSubstrate,
-    WordAddr, WriteSet, LOCKED,
+    commit_locked, Abort, AbortReason, CmDecision, LockIndex, OpCounters, OwnerHandle, OwnerToken,
+    Snapshot, TxMem, TxSubstrate, WordAddr, WriteSet,
 };
 
 use crate::acquired::AcquiredLocks;
@@ -40,8 +43,8 @@ use crate::uthread_state::{TaskSlot, UThreadShared};
 /// across attempts and tasks.
 #[derive(Debug, Default)]
 pub(crate) struct TaskBufs {
-    /// Reads from committed state: (lock, observed version).
-    read_log: Vec<(LockIndex, u64)>,
+    /// `valid-ts` and the reads from committed state.
+    snapshot: Snapshot,
     /// Reads from past tasks' speculative values.
     task_read_log: Vec<TaskReadEntry>,
     /// Log-structured buffered writes.
@@ -74,11 +77,9 @@ pub struct TaskCtx<'rt> {
     serial: u64,
     try_commit: bool,
     token: OwnerToken,
-    valid_ts: u64,
     last_writer_events: u64,
     bufs: &'rt mut TaskBufs,
-    local_reads: u64,
-    local_writes: u64,
+    ops: OpCounters,
 }
 
 /// Internal result of probing a lock chain during a speculative read.
@@ -101,7 +102,6 @@ impl<'rt> TaskCtx<'rt> {
     ) -> Self {
         let token = OwnerToken::from_id(uthread.ptid());
         let txn_owner: OwnerHandle = Arc::clone(&txn) as _;
-        let valid_ts = substrate.clock.now();
         let last_writer_events = uthread.writer_events();
         let stats = substrate.stats.shard(uthread.ptid());
         let try_commit = serial == txn.commit_serial();
@@ -119,40 +119,10 @@ impl<'rt> TaskCtx<'rt> {
             serial,
             try_commit,
             token,
-            valid_ts,
             last_writer_events,
             bufs,
-            local_reads: 0,
-            local_writes: 0,
+            ops: OpCounters::default(),
         }
-    }
-
-    // --- public inspection ---------------------------------------------------
-
-    /// The task's serial number (its position in the user-thread's program
-    /// order).
-    pub fn serial(&self) -> u64 {
-        self.serial
-    }
-
-    /// The identifier of the user-thread this task belongs to.
-    pub fn ptid(&self) -> u32 {
-        self.uthread.ptid()
-    }
-
-    /// Serial of the first task of the enclosing user-transaction.
-    pub fn tx_start_serial(&self) -> u64 {
-        self.txn.start_serial()
-    }
-
-    /// The snapshot timestamp the task's committed reads are valid at.
-    pub fn valid_ts(&self) -> u64 {
-        self.valid_ts
-    }
-
-    /// `true` if the task has not written anything so far.
-    pub fn is_read_only(&self) -> bool {
-        self.bufs.write_set.is_empty()
     }
 
     /// Requests an explicit user-level retry of the task (and hence of its
@@ -166,7 +136,7 @@ impl<'rt> TaskCtx<'rt> {
     /// Prepares the context for a (re-)execution attempt of the task body.
     /// Clearing retains the recycled buffers' capacity.
     pub(crate) fn reset_for_attempt(&mut self) {
-        self.bufs.read_log.clear();
+        self.bufs.snapshot.begin(&self.substrate.clock);
         self.bufs.task_read_log.clear();
         self.bufs.write_set.clear();
         debug_assert!(
@@ -174,7 +144,6 @@ impl<'rt> TaskCtx<'rt> {
             "chain entries must be removed before reset"
         );
         self.bufs.acquired.clear();
-        self.valid_ts = self.substrate.clock.now();
         self.last_writer_events = self.uthread.writer_events();
         self.slot.install(self.serial);
     }
@@ -196,14 +165,7 @@ impl<'rt> TaskCtx<'rt> {
     /// Flushes the local read/write counters into the user-thread's
     /// statistics shard.
     pub(crate) fn flush_op_counters(&mut self) {
-        if self.local_reads > 0 {
-            self.stats.reads.add(self.local_reads);
-            self.local_reads = 0;
-        }
-        if self.local_writes > 0 {
-            self.stats.writes.add(self.local_writes);
-            self.local_writes = 0;
-        }
+        self.ops.flush(self.stats);
     }
 
     // --- signal handling ------------------------------------------------------
@@ -211,13 +173,7 @@ impl<'rt> TaskCtx<'rt> {
     /// Checks the abort-transaction and aborted-internally flags
     /// (Algorithm 1 line 12, Algorithm 2 lines 34/40, Algorithm 3 lines 67-68).
     fn check_signals(&self) -> Result<(), Abort> {
-        if self.txn.abort_requested() {
-            return Err(Abort::new(AbortReason::TransactionAbortSignal));
-        }
-        if self.slot.is_aborted(self.serial) {
-            return Err(Abort::new(AbortReason::TaskAbortSignal));
-        }
-        Ok(())
+        task_signals(&self.txn, self.slot, self.serial)
     }
 
     // --- intra-thread validation ---------------------------------------------
@@ -265,7 +221,7 @@ impl<'rt> TaskCtx<'rt> {
         }
         // Part 2: reads from committed state must not have been overwritten
         // speculatively by a past task of this user-thread.
-        for &(idx, _version) in &self.bufs.read_log {
+        for &(idx, _version) in self.bufs.snapshot.reads() {
             let entry = self.substrate.locks.entry(idx);
             // No chain allocated: nobody ever wrote speculatively here.
             let Some(chain) = entry.try_chain() else {
@@ -280,61 +236,6 @@ impl<'rt> TaskCtx<'rt> {
         true
     }
 
-    // --- inter-thread validation (inherited from SwissTM) ---------------------
-
-    /// Tries to extend `valid-ts` to the current commit timestamp.
-    fn extend(&mut self) -> Result<(), Abort> {
-        let target = self.substrate.clock.now();
-        self.stats.validations.inc();
-        if self
-            .substrate
-            .locks
-            .validate_read_log(&self.bufs.read_log, None)
-        {
-            self.valid_ts = target;
-            self.stats.extensions.inc();
-            Ok(())
-        } else {
-            Err(Abort::new(AbortReason::ReadValidation))
-        }
-    }
-
-    /// Reads the committed value of `addr` with the SwissTM consistency rule
-    /// (extend-before-use, re-checked version). The caller has already
-    /// resolved `(idx, entry)`, so the lock mapping is computed once per read.
-    fn read_committed(
-        &mut self,
-        idx: LockIndex,
-        entry: &txmem::LockEntry,
-        addr: WordAddr,
-    ) -> Result<u64, Abort> {
-        let mut spin = 0u32;
-        loop {
-            let v1 = entry.version();
-            if v1 == LOCKED {
-                // Only the waiting path needs to stay responsive to abort
-                // signals; the fast path was already checked by the caller.
-                self.check_signals()?;
-                contention_pause(spin);
-                spin = spin.wrapping_add(1);
-                continue;
-            }
-            if v1 > self.valid_ts {
-                self.extend()?;
-                continue;
-            }
-            let value = self.substrate.heap.load_committed(addr);
-            let v2 = entry.version();
-            if v1 != v2 {
-                contention_pause(spin);
-                spin = spin.wrapping_add(1);
-                continue;
-            }
-            self.bufs.read_log.push((idx, v1));
-            return Ok(value);
-        }
-    }
-
     // --- speculative read (Algorithm 1) ---------------------------------------
 
     fn read_word(&mut self, addr: WordAddr) -> Result<u64, Abort> {
@@ -347,7 +248,7 @@ impl<'rt> TaskCtx<'rt> {
                 // wrote is under a lock its user-thread holds, so this test
                 // also answers "not written by me" without probing the write
                 // set (whose bloom summary saturates on long tasks).
-                return self.read_committed(idx, entry, addr);
+                break;
             }
             // Reads from the task's own writes need no validation.
             if let Some(value) = self.bufs.write_set.lookup(addr) {
@@ -411,9 +312,7 @@ impl<'rt> TaskCtx<'rt> {
                     self.uthread.wait_slice();
                     continue;
                 }
-                SpecProbe::Fallback => {
-                    return self.read_committed(idx, entry, addr);
-                }
+                SpecProbe::Fallback => break,
                 SpecProbe::Released => {
                     // Ownership changed under us: re-evaluate from the top
                     // (the next iteration will take the committed-read path
@@ -422,6 +321,14 @@ impl<'rt> TaskCtx<'rt> {
                 }
             }
         }
+        // Only the wait on a committer's write-back re-checks the signals;
+        // the fast path was checked on entry.
+        let (txn, slot, serial) = (&self.txn, self.slot, self.serial);
+        self.bufs
+            .snapshot
+            .read_committed(self.substrate, self.stats, idx, entry, addr, || {
+                task_signals(txn, slot, serial)
+            })
     }
 
     // --- speculative write (Algorithm 2) ---------------------------------------
@@ -429,13 +336,7 @@ impl<'rt> TaskCtx<'rt> {
     /// Records the write in the lock's chain (the caller holds its mutex and
     /// has established that this task may write under the lock) and buffers
     /// the value in the write set. Shared by every write-recording path.
-    fn record_own_write(
-        &mut self,
-        chain: &mut WriteChain,
-        idx: LockIndex,
-        addr: WordAddr,
-        value: u64,
-    ) {
+    fn record_own_write(&mut self, chain: &mut WriteChain, addr: WordAddr, value: u64) {
         chain.record_write(
             self.uthread.ptid(),
             self.serial,
@@ -445,7 +346,7 @@ impl<'rt> TaskCtx<'rt> {
             value,
         );
         if !self.bufs.write_set.update(addr, value) {
-            self.bufs.write_set.insert_new(addr, value, idx);
+            self.bufs.write_set.insert_new(addr, value);
         }
     }
 
@@ -454,7 +355,7 @@ impl<'rt> TaskCtx<'rt> {
         let (idx, entry) = self.substrate.locks.lookup(addr);
         // Fast path: this task already has a chain entry under this lock.
         if self.bufs.acquired.holds(idx) {
-            self.record_own_write(&mut entry.chain(), idx, addr, value);
+            self.record_own_write(&mut entry.chain(), addr, value);
             return Ok(());
         }
         enum WwAction {
@@ -471,7 +372,7 @@ impl<'rt> TaskCtx<'rt> {
             let token = entry.writer_token();
             let action = if token.is_unlocked() {
                 if entry.try_acquire_writer(self.token).is_ok() {
-                    self.record_own_write(&mut entry.chain(), idx, addr, value);
+                    self.record_own_write(&mut entry.chain(), addr, value);
                     WwAction::Acquired
                 } else {
                     WwAction::Retry
@@ -492,7 +393,7 @@ impl<'rt> TaskCtx<'rt> {
                                 // this (future) task rolls back (Alg. 2 line 45).
                                 WwAction::SelfAbort
                             } else {
-                                self.record_own_write(&mut chain, idx, addr, value);
+                                self.record_own_write(&mut chain, addr, value);
                                 WwAction::Acquired
                             }
                         }
@@ -569,29 +470,28 @@ impl<'rt> TaskCtx<'rt> {
             spin = spin.wrapping_add(1);
         }
         // Post-write consistency checks (Algorithm 2, lines 52-53).
-        let version = entry.version();
-        if version != LOCKED && version > self.valid_ts {
-            self.extend()?;
-        }
+        self.bufs
+            .snapshot
+            .after_write_lock(self.substrate, self.stats, entry)?;
         self.maybe_validate_task()?;
         Ok(())
     }
 
     // --- task / transaction commit (Algorithm 3) --------------------------------
 
-    /// Builds the publishable snapshot of this task's logs.
+    /// Builds the publishable copy of this task's logs.
     ///
     /// The backing storage comes from the user-thread's `TaskLogs` pool: the
-    /// read logs are *swapped* with the pooled (empty, capacity-bearing)
-    /// vectors — once a task has completed it never validates itself again,
-    /// and a transaction rollback clears and rebuilds them anyway — while the
-    /// write log is copied in program order (the task still needs `acquired`
-    /// to dismantle its chain entries on rollback). In steady state the pool
-    /// round-trips the same buffers, so publishing allocates nothing.
+    /// snapshot and task-read log are *swapped* with the pooled (empty,
+    /// capacity-bearing) ones — once a task has completed it never validates
+    /// itself again, and a transaction rollback clears and rebuilds them
+    /// anyway — while the write log is copied in program order (the task
+    /// still needs `acquired` to dismantle its chain entries on rollback). In
+    /// steady state the pool round-trips the same buffers, so publishing
+    /// allocates nothing.
     fn make_logs(&mut self) -> TaskLogs {
         let mut logs = self.uthread.take_pooled_logs();
-        logs.valid_ts = self.valid_ts;
-        std::mem::swap(&mut logs.read_log, &mut self.bufs.read_log);
+        std::mem::swap(&mut logs.snapshot, &mut self.bufs.snapshot);
         std::mem::swap(&mut logs.task_read_log, &mut self.bufs.task_read_log);
         self.bufs.write_set.append_values_to(&mut logs.writes);
         logs.acquired
@@ -664,13 +564,13 @@ impl<'rt> TaskCtx<'rt> {
         if read_only {
             // Read user-transactions only need validation when their tasks
             // completed at different snapshots (§3.2 "Transaction Commit").
-            let same_ts = all.windows(2).all(|w| w[0].1.valid_ts == w[1].1.valid_ts);
+            let same_ts = all
+                .windows(2)
+                .all(|w| w[0].1.snapshot.valid_ts() == w[1].1.snapshot.valid_ts());
             if !same_ts {
                 self.stats.validations.inc();
                 let locks = &self.substrate.locks;
-                let valid = all
-                    .iter()
-                    .all(|(_, logs)| locks.validate_read_log(&logs.read_log, None));
+                let valid = all.iter().all(|(_, logs)| logs.snapshot.validate(locks));
                 if !valid {
                     self.txn.request_abort();
                     self.recycle_collected_logs(all);
@@ -681,63 +581,46 @@ impl<'rt> TaskCtx<'rt> {
             return Ok(());
         }
 
-        // Write transaction: acquire the r-locks of every written location.
-        // The lock set and the pre-lock versions live together in the
-        // recycled `commit_locks` scratch (sorted by lock index), which also
-        // serves as the undo list if validation fails.
+        // Write transaction: commit every task's writes under the union of
+        // their locks, kept in the recycled `commit_locks` scratch.
         self.txn.set_finishing();
-        self.bufs.commit_locks.clear();
-        self.bufs.commit_locks.extend(
+        let locked = &mut self.bufs.commit_locks;
+        locked.clear();
+        locked.extend(
             all.iter()
                 .flat_map(|(_, logs)| logs.acquired.iter().map(|&idx| (idx, 0u64))),
         );
-        self.bufs
-            .commit_locks
-            .sort_unstable_by_key(|&(idx, _)| idx.0);
-        self.bufs.commit_locks.dedup_by_key(|&mut (idx, _)| idx);
-        for slot in self.bufs.commit_locks.iter_mut() {
-            slot.1 = self.substrate.locks.entry(slot.0).lock_version();
-        }
-        let ts = self.substrate.clock.tick();
-        self.stats.validations.inc();
-        // Reads under a lock this commit holds check its pre-lock version.
-        let locked_by_me = Some(self.bufs.commit_locks.as_slice());
-        let locks = &self.substrate.locks;
-        if !all
-            .iter()
-            .all(|(_, logs)| locks.validate_read_log(&logs.read_log, locked_by_me))
-        {
-            for &(idx, prev) in &self.bufs.commit_locks {
-                self.substrate.locks.entry(idx).set_version(prev);
-            }
+        let (heap, txn, token) = (&self.substrate.heap, &self.txn, self.token);
+        let committed = commit_locked(
+            self.substrate,
+            self.stats,
+            locked,
+            all.iter().map(|(_, logs)| &logs.snapshot),
+            // Every task's buffered writes in program order — across tasks by
+            // ascending serial, within a task in write-log order — so later
+            // tasks' values win for locations written by several tasks and
+            // the applied order is deterministic.
+            || {
+                for (_, logs) in &all {
+                    for &(addr, value) in &logs.writes {
+                        heap.store_committed(addr, value);
+                    }
+                }
+            },
+            // Remove the transaction's speculative entries and release the
+            // write locks that become free.
+            |entry| {
+                let mut chain = entry.chain();
+                chain.remove_transaction(txn.start_serial(), txn.commit_serial());
+                if chain.is_empty() {
+                    entry.release_writer_if(token);
+                }
+            },
+        );
+        if let Err(abort) = committed {
             self.txn.request_abort();
             self.recycle_collected_logs(all);
-            return Err(Abort::new(AbortReason::ReadValidation));
-        }
-        // Write back every task's buffered writes in program order — across
-        // tasks by ascending serial, within a task in write-log order — so
-        // later tasks' values win for locations written by several tasks and
-        // the applied order is deterministic.
-        for (_, logs) in &all {
-            for &(addr, value) in &logs.writes {
-                self.substrate.heap.store_committed(addr, value);
-            }
-        }
-        // Publish the new version first, then remove the transaction's
-        // speculative entries and release the write locks that become free.
-        // The r-lock must be released (set_version) before the w-lock: a
-        // contender that grabbed a prematurely-released w-lock could run
-        // `lock_version` on the still-LOCKED r-lock, recording LOCKED as the
-        // version to restore and racing its swap against our store.
-        for i in 0..self.bufs.commit_locks.len() {
-            let idx = self.bufs.commit_locks[i].0;
-            let entry = self.substrate.locks.entry(idx);
-            entry.set_version(ts);
-            let mut chain = entry.chain();
-            chain.remove_transaction(self.txn.start_serial(), self.txn.commit_serial());
-            if chain.is_empty() {
-                entry.release_writer_if(self.token);
-            }
+            return Err(abort);
         }
         self.finish_transaction_commit(true, all);
         Ok(())
@@ -765,12 +648,12 @@ impl<'rt> TaskCtx<'rt> {
 
 impl TxMem for TaskCtx<'_> {
     fn read(&mut self, addr: WordAddr) -> Result<u64, Abort> {
-        self.local_reads += 1;
+        self.ops.reads += 1;
         self.read_word(addr)
     }
 
     fn write(&mut self, addr: WordAddr, value: u64) -> Result<(), Abort> {
-        self.local_writes += 1;
+        self.ops.writes += 1;
         self.write_word(addr, value)
     }
 
@@ -780,4 +663,16 @@ impl TxMem for TaskCtx<'_> {
             .alloc(words)
             .map_err(|_| Abort::new(AbortReason::OutOfMemory))
     }
+}
+
+/// Checks the abort-transaction and aborted-internally flags of task `serial`
+/// of `txn`, whose `owners[]` slot is `slot`.
+fn task_signals(txn: &TxnShared, slot: &TaskSlot, serial: u64) -> Result<(), Abort> {
+    if txn.abort_requested() {
+        return Err(Abort::new(AbortReason::TransactionAbortSignal));
+    }
+    if slot.is_aborted(serial) {
+        return Err(Abort::new(AbortReason::TaskAbortSignal));
+    }
+    Ok(())
 }

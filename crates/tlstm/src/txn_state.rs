@@ -18,13 +18,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use txmem::{LockIndex, LockOwner, WordAddr};
+use swisstm::cm::TIMID;
+use txmem::{LockIndex, LockOwner, Snapshot, WordAddr};
 
 use crate::uthread_state::UThreadShared;
-
-/// Priority value meaning "still in the timid phase" (same convention as the
-/// SwissTM greedy contention manager).
-pub(crate) const TIMID_PRIORITY: u64 = u64::MAX;
 
 /// One entry of a task-read-log: the task read a speculative value that a
 /// *past* task of the same user-thread wrote.
@@ -39,12 +36,10 @@ pub struct TaskReadEntry {
 }
 
 /// The logs a completed task publishes for its commit-task.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct TaskLogs {
-    /// Snapshot timestamp the task's committed reads are valid at.
-    pub valid_ts: u64,
-    /// Reads from committed state: (lock, observed version).
-    pub read_log: Vec<(LockIndex, u64)>,
+    /// `valid-ts` and the reads from committed state.
+    pub snapshot: Snapshot,
     /// Reads from past tasks' speculative values.
     pub task_read_log: Vec<TaskReadEntry>,
     /// Buffered writes in program order of last update: (address, value).
@@ -61,8 +56,7 @@ impl TaskLogs {
 
     /// Empties the logs, retaining the vectors' capacity (pool recycling).
     pub fn clear(&mut self) {
-        self.valid_ts = 0;
-        self.read_log.clear();
+        self.snapshot.clear();
         self.task_read_log.clear();
         self.writes.clear();
         self.acquired.clear();
@@ -142,7 +136,7 @@ impl TxnShared {
             epoch: AtomicU64::new(0),
             acks: AtomicU32::new(0),
             cm_retries: AtomicU32::new(0),
-            priority: AtomicU64::new(TIMID_PRIORITY),
+            priority: AtomicU64::new(TIMID),
             logs: Mutex::new(Vec::new()),
         }
     }
@@ -360,9 +354,9 @@ mod tests {
     #[test]
     fn log_publication_overwrites_by_serial() {
         let t = txn(4, 1, 2);
-        for (serial, valid_ts) in [(1, 3), (2, 4), (1, 9)] {
+        for (serial, tag) in [(1, 3), (2, 4), (1, 9)] {
             let logs = TaskLogs {
-                valid_ts,
+                acquired: vec![LockIndex(tag)],
                 ..Default::default()
             };
             t.publish_logs(serial, logs);
@@ -370,7 +364,7 @@ mod tests {
         let logs = t.collect_logs();
         assert_eq!(logs.len(), 2);
         assert_eq!(logs[0].0, 1);
-        assert_eq!(logs[0].1.valid_ts, 9);
+        assert_eq!(logs[0].1.acquired, [LockIndex(9)]);
         assert_eq!(logs[1].0, 2);
         t.finish_rollback();
         assert!(t.collect_logs().is_empty());
@@ -379,7 +373,7 @@ mod tests {
     #[test]
     fn priority_keeps_strongest_ticket() {
         let t = txn(2, 1, 1);
-        assert_eq!(t.priority(), TIMID_PRIORITY);
+        assert_eq!(t.priority(), TIMID);
         t.set_priority(10);
         t.set_priority(20);
         assert_eq!(t.priority(), 10);

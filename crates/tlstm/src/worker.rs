@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use swisstm::cm::{GreedyTicket, GREEDY_AFTER_ABORTS};
+use swisstm::cm::{GreedyTicket, GREEDY_AFTER_ABORTS, TIMID};
 use txmem::{AbortReason, TxSubstrate};
 
 use crate::pool::Claim;
@@ -133,7 +133,7 @@ impl Worker {
             ctx.remove_chain_entries();
             if abort.reason == AbortReason::InterThreadWriteConflict
                 && txn.note_cm_self_abort() >= GREEDY_AFTER_CM_SELF_ABORTS
-                && txn.priority() == crate::txn_state::TIMID_PRIORITY
+                && txn.priority() == TIMID
             {
                 txn.set_priority(self.tickets.draw());
             }
@@ -199,9 +199,7 @@ impl Worker {
             stats.tx_aborts.inc();
             // The rollback in progress counts: the SwissTM two-phase policy,
             // applied per user-transaction.
-            if txn.rollbacks() + 1 >= GREEDY_AFTER_ABORTS
-                && txn.priority() == crate::txn_state::TIMID_PRIORITY
-            {
+            if txn.rollbacks() + 1 >= GREEDY_AFTER_ABORTS && txn.priority() == TIMID {
                 txn.set_priority(self.tickets.draw());
             }
             txn.finish_rollback();

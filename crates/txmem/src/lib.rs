@@ -22,6 +22,9 @@
 //!   and a generation-stamped index, recyclable so steady-state transactions
 //!   allocate nothing.
 //! * [`GlobalClock`] — the global commit counter (`commit-ts` in the paper).
+//! * [`protocol`] — SwissTM's committed-state protocol, written once for both
+//!   runtimes: the [`Snapshot`] read rule and `extend`, and the
+//!   [`commit_locked`] commit sequence.
 //! * [`TxMem`] — the uniform access trait implemented by both runtimes'
 //!   transaction/task handles, so that transactional data structures
 //!   (`txcollections`) and benchmarks (`tlstm-workloads`) are written once and
@@ -71,6 +74,7 @@ pub mod heap;
 pub mod lock_table;
 pub mod owner;
 pub mod pause;
+pub mod protocol;
 pub mod runtime;
 pub mod seqref;
 pub mod stats;
@@ -86,11 +90,12 @@ pub use heap::TxHeap;
 pub use lock_table::{LockEntry, LockIndex, LockTable, LOCKED, WORDS_PER_LOCK};
 pub use owner::OwnerHandle;
 pub use owner::{CmDecision, LockOwner, OwnerToken};
+pub use protocol::{commit_locked, Snapshot};
 pub use runtime::{
     assert_txmem_object_safe, run_boxed_tasks, BoxedTaskBody, TaskBody, TxRuntime, TxSession,
 };
 pub use seqref::{SeqRefRuntime, SeqRefSession};
-pub use stats::{StatsCollector, StatsShard, StatsSnapshot};
+pub use stats::{OpCounters, StatsCollector, StatsShard, StatsSnapshot};
 pub use traits::{DirectMem, TxMem};
 pub use write_set::{WriteEntry, WriteSet};
 

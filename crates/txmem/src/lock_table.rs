@@ -243,40 +243,6 @@ impl LockTable {
         let idx = self.index_for(addr);
         (idx, self.entry(idx))
     }
-
-    /// Validates a read log against the table: every `(lock, observed
-    /// version)` entry must still hold its observed version.
-    ///
-    /// `locked_by_me` lists the `(lock, pre-lock version)` pairs of r-locks
-    /// the calling transaction itself [`LOCKED`] during commit, **sorted by
-    /// lock index**; an entry reading [`LOCKED`] is still valid if the
-    /// caller locked it and the pre-lock version matches the observation.
-    /// Shared by the SwissTM and TLSTM commit/extension paths.
-    pub fn validate_read_log(
-        &self,
-        read_log: &[(LockIndex, u64)],
-        locked_by_me: Option<&[(LockIndex, u64)]>,
-    ) -> bool {
-        for &(idx, observed) in read_log {
-            let current = self.entry(idx).version();
-            if current == observed {
-                continue;
-            }
-            if current == LOCKED {
-                if let Some(mine) = locked_by_me {
-                    if mine
-                        .binary_search_by_key(&idx, |&(i, _)| i)
-                        .map(|pos| mine[pos].1 == observed)
-                        .unwrap_or(false)
-                    {
-                        continue;
-                    }
-                }
-            }
-            return false;
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -369,28 +335,6 @@ mod tests {
         f.set_version(3);
         f.release_writer();
         assert!(!f.chain_allocated());
-    }
-
-    #[test]
-    fn validate_read_log_honours_own_commit_locks() {
-        let t = table();
-        let (i0, e0) = t.lookup(WordAddr::new(0));
-        let (i1, e1) = t.lookup(WordAddr::new(4));
-        e0.set_version(5);
-        e1.set_version(7);
-        let log = vec![(i0, 5u64), (i1, 7u64)];
-        assert!(t.validate_read_log(&log, None));
-        // A foreign commit lock invalidates the entry...
-        e0.lock_version();
-        assert!(!t.validate_read_log(&log, None));
-        // ...unless it is our own and the pre-lock version matches.
-        let mut mine = vec![(i0, 5u64)];
-        mine.sort_unstable_by_key(|&(i, _)| i.0);
-        assert!(t.validate_read_log(&log, Some(&mine)));
-        assert!(!t.validate_read_log(&log, Some(&[(i0, 4u64)])));
-        // A genuinely newer version always fails.
-        e0.set_version(9);
-        assert!(!t.validate_read_log(&log, Some(&mine)));
     }
 
     #[test]

@@ -101,6 +101,28 @@ impl StatsShard {
     }
 }
 
+/// A transaction handle's read and write counts, kept as plain integers on
+/// the access paths and flushed into the thread's shard once per attempt.
+#[derive(Debug, Default)]
+pub struct OpCounters {
+    /// Transactional reads since the last flush.
+    pub reads: u64,
+    /// Transactional writes since the last flush.
+    pub writes: u64,
+}
+
+impl OpCounters {
+    /// Adds the counts to `stats` and zeroes them.
+    pub fn flush(&mut self, stats: &StatsShard) {
+        if self.reads > 0 {
+            stats.reads.add(std::mem::take(&mut self.reads));
+        }
+        if self.writes > 0 {
+            stats.writes.add(std::mem::take(&mut self.writes));
+        }
+    }
+}
+
 /// Sharded runtime statistics.
 ///
 /// The collector owns [`DEFAULT_STATS_SHARDS`] cache-line-aligned shards. Hot

@@ -21,7 +21,6 @@
 //!   allocate nothing.
 
 use crate::addr::WordAddr;
-use crate::lock_table::LockIndex;
 
 /// Write sets at most this large answer lookups by linear scan instead of
 /// consulting the open-addressed index.
@@ -39,8 +38,6 @@ pub struct WriteEntry {
     pub addr: WordAddr,
     /// The buffered (most recent) value.
     pub value: u64,
-    /// The lock-table entry covering the word.
-    pub lock: LockIndex,
 }
 
 /// A recyclable, log-structured write set.
@@ -154,13 +151,13 @@ impl WriteSet {
     /// Appends a write of a word **not yet present** in the set (the caller
     /// established absence via [`update`](Self::update) or
     /// [`lookup`](Self::lookup) returning negative).
-    pub fn insert_new(&mut self, addr: WordAddr, value: u64, lock: LockIndex) {
+    pub fn insert_new(&mut self, addr: WordAddr, value: u64) {
         debug_assert!(
             self.position_slow(addr).is_none(),
             "insert_new called for an address already in the write set"
         );
         self.bloom |= Self::signature(addr);
-        self.log.push(WriteEntry { addr, value, lock });
+        self.log.push(WriteEntry { addr, value });
         if self.log.len() > SMALL_SCAN_MAX {
             // The first crossing of the scan threshold must (re-)index the
             // entries appended while scanning was in force — even when the
@@ -248,17 +245,13 @@ mod tests {
         WordAddr::new(i)
     }
 
-    fn lock(i: u32) -> LockIndex {
-        LockIndex(i)
-    }
-
     #[test]
     fn lookup_update_insert_round_trip() {
         let mut ws = WriteSet::new();
         assert!(ws.is_empty());
         assert_eq!(ws.lookup(a(5)), None);
         assert!(!ws.update(a(5), 1));
-        ws.insert_new(a(5), 1, lock(0));
+        ws.insert_new(a(5), 1);
         assert_eq!(ws.lookup(a(5)), Some(1));
         assert!(ws.update(a(5), 2));
         assert_eq!(ws.lookup(a(5)), Some(2));
@@ -270,7 +263,7 @@ mod tests {
     fn log_preserves_first_write_order_with_final_values() {
         let mut ws = WriteSet::new();
         for (addr, v) in [(3u64, 30u64), (1, 10), (2, 20)] {
-            ws.insert_new(a(addr), v, lock(addr as u32));
+            ws.insert_new(a(addr), v);
         }
         assert!(ws.update(a(3), 33));
         assert!(ws.update(a(1), 11));
@@ -284,7 +277,7 @@ mod tests {
         let n = 1000u64;
         for i in 0..n {
             // Spread addresses to mix bloom/index slots.
-            ws.insert_new(a(i * 37 + 5), i, lock(i as u32));
+            ws.insert_new(a(i * 37 + 5), i);
         }
         assert_eq!(ws.len(), n as usize);
         for i in 0..n {
@@ -299,7 +292,7 @@ mod tests {
     fn clear_is_complete_and_recycles_storage() {
         let mut ws = WriteSet::new();
         for i in 0..100u64 {
-            ws.insert_new(a(i), i, lock(0));
+            ws.insert_new(a(i), i);
         }
         let slots_before = ws.slots.len();
         let cap_before = ws.log.capacity();
@@ -311,7 +304,7 @@ mod tests {
         assert_eq!(ws.slots.len(), slots_before, "index storage released");
         assert_eq!(ws.log.capacity(), cap_before, "log storage released");
         // The recycled set is fully usable.
-        ws.insert_new(a(7), 70, lock(1));
+        ws.insert_new(a(7), 70);
         assert_eq!(ws.lookup(a(7)), Some(70));
         assert_eq!(ws.len(), 1);
     }
@@ -324,13 +317,13 @@ mod tests {
         // miss them and writes duplicate.
         let mut ws = WriteSet::new();
         for i in 0..100u64 {
-            ws.insert_new(a(i), i, lock(0));
+            ws.insert_new(a(i), i);
         }
         ws.clear();
         for round in 0..3 {
             for i in 0..40u64 {
                 if !ws.update(a(i), i + round) {
-                    ws.insert_new(a(i), i + round, lock(0));
+                    ws.insert_new(a(i), i + round);
                 }
             }
             assert_eq!(ws.len(), 40, "round {round} duplicated entries");
@@ -345,13 +338,13 @@ mod tests {
     fn generation_wrap_wipes_the_slots() {
         let mut ws = WriteSet::new();
         for i in 0..32u64 {
-            ws.insert_new(a(i), i, lock(0));
+            ws.insert_new(a(i), i);
         }
         ws.gen = u32::MAX;
         ws.clear(); // wraps to 0 -> wiped, reset to 1
         assert_eq!(ws.gen, 1);
         assert!(ws.slots.iter().all(|&s| s == 0));
-        ws.insert_new(a(3), 3, lock(0));
+        ws.insert_new(a(3), 3);
         assert_eq!(ws.lookup(a(3)), Some(3));
     }
 
@@ -359,7 +352,7 @@ mod tests {
     fn bloom_never_reports_false_negatives() {
         let mut ws = WriteSet::new();
         for i in (0..500u64).step_by(7) {
-            ws.insert_new(a(i), i, lock(0));
+            ws.insert_new(a(i), i);
             assert!(ws.maybe_written(a(i)));
         }
         for i in (0..500u64).step_by(7) {
@@ -370,8 +363,8 @@ mod tests {
     #[test]
     fn append_values_to_preserves_log_order() {
         let mut ws = WriteSet::new();
-        ws.insert_new(a(9), 90, lock(0));
-        ws.insert_new(a(4), 40, lock(1));
+        ws.insert_new(a(9), 90);
+        ws.insert_new(a(4), 40);
         ws.update(a(9), 91);
         let mut out = vec![(a(0), 0u64)];
         ws.append_values_to(&mut out);
