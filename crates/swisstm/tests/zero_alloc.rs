@@ -11,7 +11,7 @@
 //! pollutes the global counter.
 
 use swisstm::SwisstmRuntime;
-use tlstm_testutil::{allocation_count as allocations, CountingAlloc};
+use tlstm_testutil::{thread_allocation_count as allocations, CountingAlloc};
 use txmem::{Abort, TxConfig, TxMem, WordAddr};
 
 #[global_allocator]

@@ -23,6 +23,7 @@
 #![deny(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -32,14 +33,30 @@ use std::time::Duration;
 /// Process-wide counter behind [`CountingAlloc`].
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Per-thread counter behind [`CountingAlloc`]. `const`-initialised, so
+    /// touching it from inside the allocator never allocates.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation, process-wide and on the calling thread.
+fn count_allocation() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    // `try_with` cannot panic, even during thread teardown.
+    let _ = THREAD_ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
 /// An allocation-counting wrapper around the system allocator.
 ///
 /// Install it in a test binary with
 /// `#[global_allocator] static GLOBAL: CountingAlloc = CountingAlloc;` and
-/// read the running count with [`allocation_count`]. Every `alloc`,
-/// `alloc_zeroed` and `realloc` increments the counter; `dealloc` does not.
-/// Keep one measuring `#[test]` per binary — tests in a binary run
-/// concurrently and would pollute each other's counts.
+/// read the running count with [`allocation_count`] (the whole process) or
+/// [`thread_allocation_count`] (the calling thread). Every `alloc`,
+/// `alloc_zeroed` and `realloc` increments both; `dealloc` does not. Keep
+/// one measuring `#[test]` per binary — tests in a binary run concurrently
+/// and would pollute each other's process-wide counts. A test whose measured
+/// code runs on its own thread should read the per-thread count: the
+/// process-wide one also sees the test harness's own threads allocating.
 pub struct CountingAlloc;
 
 impl std::fmt::Debug for CountingAlloc {
@@ -54,23 +71,30 @@ pub fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+/// Number of heap allocations the calling thread has performed so far (only
+/// counted while [`CountingAlloc`] is installed as the global allocator).
+pub fn thread_allocation_count() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, so the
 // `GlobalAlloc` contract holds exactly as it does for `System`; counting is a
-// relaxed atomic add, which neither allocates nor unwinds.
+// relaxed atomic add plus a `Cell` bump in a `const`-initialised thread-local
+// (no lazy initialiser, no destructor), none of which allocates or unwinds.
 #[allow(unsafe_code)]
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -330,6 +354,31 @@ impl Drop for TempDir {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[global_allocator]
+    static GLOBAL: CountingAlloc = CountingAlloc;
+
+    #[test]
+    fn thread_allocation_count_sees_only_the_calling_thread() {
+        let before = thread_allocation_count();
+        let boxed = std::hint::black_box(Box::new(7u64));
+        assert_eq!(thread_allocation_count() - before, 1);
+        drop(boxed);
+
+        let before = thread_allocation_count();
+        let spawned = std::thread::spawn(|| {
+            let start = thread_allocation_count();
+            let boxes: Vec<Box<u64>> = (0..1_000).map(Box::new).collect();
+            drop(std::hint::black_box(boxes));
+            thread_allocation_count() - start
+        })
+        .join()
+        .unwrap();
+        // Spawning allocates a little on this thread; the spawned thread's
+        // thousand boxes must not show up here.
+        assert!(spawned > 1_000);
+        assert!(thread_allocation_count() - before < 1_000);
+    }
 
     #[test]
     fn rng_is_deterministic() {

@@ -61,7 +61,6 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_code)]
 
-mod acquired;
 pub mod cm;
 mod pool;
 pub mod runtime;

@@ -7,20 +7,23 @@
 //! `TaskCtx::task_commit`). Reads of committed state, `extend` and the
 //! commit sequence are SwissTM's, defined once in [`txmem::protocol`]; this
 //! module adds what is TLSTM's: chain entries, `validate-task`, past-waiting
-//! and the collection of every task's logs at commit.
+//! and the commit of every task's logs by the commit-task.
 //!
-//! ## Recycled task state
+//! ## One copy of a task's state
 //!
 //! All per-task speculative state lives in a `TaskBufs` owned by the
 //! *lane* — the calling thread or a pool helper — and lent to each
 //! [`TaskCtx`] it runs: the snapshot and task-read log, the log-structured
-//! write set ([`txmem::WriteSet`]) and the acquired-locks and commit scratch
-//! vectors are recycled across attempts **and across tasks**.
-//! Published [`TaskLogs`] are drawn from (and returned to) a per-user-thread
-//! pool, so in steady state the task read/write/commit/rollback paths stop
+//! write set ([`txmem::WriteSet`]), the locks under which the task holds
+//! chain entries and the commit scratch vector are recycled across attempts
+//! **and across tasks**. A completed intermediate task *moves* its buffers
+//! into the transaction's mailbox, where the commit-task reads them in
+//! place, and takes them back once the transaction has committed or started
+//! its rollback; the move copies a few `Vec` headers and allocates nothing.
+//! So in steady state the task read/write/commit/rollback paths stop
 //! allocating; only the per-transaction orchestration (the `TxnShared`
-//! handle, work items and task closures) still allocates, independent of how
-//! many transactional operations a task performs.
+//! handle and its mailbox, work items and task closures) still allocates,
+//! independent of how many transactional operations a task performs.
 
 use std::sync::Arc;
 
@@ -31,9 +34,8 @@ use txmem::{
     Snapshot, TxMem, TxSubstrate, WordAddr, WriteSet,
 };
 
-use crate::acquired::AcquiredLocks;
 use crate::cm::TaskAwareCm;
-use crate::txn_state::{TaskLogs, TaskReadEntry, TxnShared};
+use crate::txn_state::{TaskReadEntry, TxnShared};
 use crate::uthread_state::{TaskSlot, UThreadShared};
 
 /// Recyclable speculative buffers of one lane.
@@ -49,8 +51,9 @@ pub(crate) struct TaskBufs {
     task_read_log: Vec<TaskReadEntry>,
     /// Log-structured buffered writes.
     write_set: WriteSet,
-    /// Locks under which this task created chain entries.
-    acquired: AcquiredLocks,
+    /// Locks under which this task created chain entries, in acquisition
+    /// order. Whether the task holds one is the lock chain's to answer.
+    pub(crate) acquired: Vec<LockIndex>,
     /// Commit-task scratch: the whole transaction's `(lock, pre-lock
     /// version)` pairs, sorted by lock index (replaces the former
     /// `old_versions` hash map).
@@ -143,7 +146,6 @@ impl<'rt> TaskCtx<'rt> {
             self.bufs.acquired.is_empty(),
             "chain entries must be removed before reset"
         );
-        self.bufs.acquired.clear();
         self.last_writer_events = self.uthread.writer_events();
         self.slot.install(self.serial);
     }
@@ -151,7 +153,7 @@ impl<'rt> TaskCtx<'rt> {
     /// Removes every speculative chain entry this task installed and releases
     /// write locks whose chains become empty. Called on every rollback.
     pub(crate) fn remove_chain_entries(&mut self) {
-        for &idx in self.bufs.acquired.as_slice() {
+        for &idx in &self.bufs.acquired {
             let entry = self.substrate.locks.entry(idx);
             let mut chain = entry.chain();
             chain.remove_serial(self.serial);
@@ -336,11 +338,11 @@ impl<'rt> TaskCtx<'rt> {
     /// Records the write in the lock's chain (the caller holds its mutex and
     /// has established that this task may write under the lock) and buffers
     /// the value in the write set. Shared by every write-recording path.
-    fn record_own_write(&mut self, chain: &mut WriteChain, addr: WordAddr, value: u64) {
-        chain.record_write(
+    /// Returns `true` if the write created this task's entry in the chain.
+    fn record_own_write(&mut self, chain: &mut WriteChain, addr: WordAddr, value: u64) -> bool {
+        let created = chain.record_write(
             self.uthread.ptid(),
             self.serial,
-            self.txn.start_serial(),
             &self.txn_owner,
             addr,
             value,
@@ -348,18 +350,29 @@ impl<'rt> TaskCtx<'rt> {
         if !self.bufs.write_set.update(addr, value) {
             self.bufs.write_set.insert_new(addr, value);
         }
+        created
     }
 
     fn write_word(&mut self, addr: WordAddr, value: u64) -> Result<(), Abort> {
         self.check_signals()?;
         let (idx, entry) = self.substrate.locks.lookup(addr);
         // Fast path: this task already has a chain entry under this lock.
-        if self.bufs.acquired.holds(idx) {
-            self.record_own_write(&mut entry.chain(), addr, value);
-            return Ok(());
+        // While it does, the w-lock stays its user-thread's and the entry is
+        // the newest: a future writer that meets it self-aborts (Alg. 2
+        // line 45), and a past writer signals it and waits until it is gone.
+        // Serials are numbered per user-thread, so the ptid is compared too.
+        if entry.writer_token() == self.token {
+            let mut chain = entry.chain();
+            if chain
+                .newest()
+                .is_some_and(|e| e.ptid == self.uthread.ptid() && e.serial == self.serial)
+            {
+                self.record_own_write(&mut chain, addr, value);
+                return Ok(());
+            }
         }
         enum WwAction {
-            Acquired,
+            Acquired { created: bool },
             SelfAbort,
             SignalRunning(u64),
             SignalCompletedTxn(OwnerHandle),
@@ -372,8 +385,8 @@ impl<'rt> TaskCtx<'rt> {
             let token = entry.writer_token();
             let action = if token.is_unlocked() {
                 if entry.try_acquire_writer(self.token).is_ok() {
-                    self.record_own_write(&mut entry.chain(), addr, value);
-                    WwAction::Acquired
+                    let created = self.record_own_write(&mut entry.chain(), addr, value);
+                    WwAction::Acquired { created }
                 } else {
                     WwAction::Retry
                 }
@@ -393,8 +406,8 @@ impl<'rt> TaskCtx<'rt> {
                                 // this (future) task rolls back (Alg. 2 line 45).
                                 WwAction::SelfAbort
                             } else {
-                                self.record_own_write(&mut chain, addr, value);
-                                WwAction::Acquired
+                                let created = self.record_own_write(&mut chain, addr, value);
+                                WwAction::Acquired { created }
                             }
                         }
                         Some(newest) => {
@@ -420,9 +433,11 @@ impl<'rt> TaskCtx<'rt> {
                 WwAction::InterThread
             };
             match action {
-                WwAction::Acquired => {
-                    let first_under_lock = self.bufs.acquired.insert(idx);
-                    debug_assert!(first_under_lock, "the fast path handles held locks");
+                WwAction::Acquired { created } => {
+                    debug_assert!(created, "the fast path handles held locks");
+                    if created {
+                        self.bufs.acquired.push(idx);
+                    }
                     break;
                 }
                 WwAction::SelfAbort => {
@@ -479,26 +494,6 @@ impl<'rt> TaskCtx<'rt> {
 
     // --- task / transaction commit (Algorithm 3) --------------------------------
 
-    /// Builds the publishable copy of this task's logs.
-    ///
-    /// The backing storage comes from the user-thread's `TaskLogs` pool: the
-    /// snapshot and task-read log are *swapped* with the pooled (empty,
-    /// capacity-bearing) ones — once a task has completed it never validates
-    /// itself again, and a transaction rollback clears and rebuilds them
-    /// anyway — while the write log is copied in program order (the task
-    /// still needs `acquired` to dismantle its chain entries on rollback). In
-    /// steady state the pool round-trips the same buffers, so publishing
-    /// allocates nothing.
-    fn make_logs(&mut self) -> TaskLogs {
-        let mut logs = self.uthread.take_pooled_logs();
-        std::mem::swap(&mut logs.snapshot, &mut self.bufs.snapshot);
-        std::mem::swap(&mut logs.task_read_log, &mut self.bufs.task_read_log);
-        self.bufs.write_set.append_values_to(&mut logs.writes);
-        logs.acquired
-            .extend_from_slice(self.bufs.acquired.as_slice());
-        logs
-    }
-
     /// Commits the task: waits for every past task of the user-thread to
     /// complete, re-validates intra-thread conflicts, and then either waits
     /// for the commit-task (intermediate tasks) or commits the whole
@@ -525,21 +520,24 @@ impl<'rt> TaskCtx<'rt> {
         self.maybe_validate_task()?;
 
         if !self.try_commit {
-            // Intermediate task (lines 71-77): publish logs, mark completion,
-            // then wait for the outcome of the whole user-transaction.
+            // Intermediate task (lines 71-77): lend the buffers to the
+            // commit-task, mark completion, then wait for the outcome of the
+            // whole user-transaction.
             let wrote = !self.bufs.write_set.is_empty();
-            let logs = self.make_logs();
-            self.txn.publish_logs(self.serial, logs);
+            self.txn
+                .publish(self.serial, std::mem::take(&mut *self.bufs));
             self.uthread.mark_completed(self.serial, wrote);
             let txn = &self.txn;
             self.uthread
                 .wait_until(|| txn.is_committed() || txn.rollback_started());
+            // Taken back on either outcome: a rollback dismantles the chain
+            // entries `acquired` lists, and the commit-task's rollback
+            // expects an empty mailbox once every task has acknowledged.
+            *self.bufs = self.txn.take_back(self.serial);
             if !self.txn.is_committed() {
                 return Err(Abort::new(AbortReason::TransactionAbortSignal));
             }
-            // The commit-task dismantled the transaction's chain entries;
-            // hand the recycled buffers to the next task with a clean
-            // acquired list.
+            // The commit-task dismantled the transaction's chain entries.
             self.bufs.acquired.clear();
             return Ok(());
         }
@@ -550,60 +548,76 @@ impl<'rt> TaskCtx<'rt> {
 
     /// Performs the user-transaction commit on behalf of every task.
     fn commit_transaction(&mut self) -> Result<(), Abort> {
-        let own_logs = self.make_logs();
-        let mut all = self.txn.collect_logs();
-        all.push((self.serial, own_logs));
-        all.sort_by_key(|(serial, _)| *serial);
-        debug_assert_eq!(
-            all.len() as u64,
-            self.txn.n_tasks(),
-            "commit-task must see the logs of every task of its transaction"
-        );
+        let mut locked = std::mem::take(&mut self.bufs.commit_locks);
+        let outcome = self.commit_all_tasks(&mut locked);
+        self.bufs.commit_locks = locked;
+        // The mailbox is unlocked again, so the tasks this wakes can take
+        // their buffers back.
+        let wrote = match outcome {
+            Ok(wrote) => wrote,
+            Err(abort) => {
+                self.txn.request_abort();
+                return Err(abort);
+            }
+        };
+        self.stats.tx_commits.inc();
+        txobs::tx_commit();
+        self.txn.mark_committed();
+        self.uthread.mark_completed(self.serial, wrote);
+        // The transaction's chain entries are gone; nothing left to dismantle.
+        self.bufs.acquired.clear();
+        Ok(())
+    }
 
-        let read_only = all.iter().all(|(_, logs)| logs.is_read_only());
-        if read_only {
+    /// Validates and writes back every task of the transaction, reading the
+    /// buffers lent to the mailbox in place and this task's own last (its
+    /// serial is the highest). `locked` is the recycled scratch for the
+    /// `(lock, pre-lock version)` pairs. Returns whether the transaction
+    /// wrote.
+    fn commit_all_tasks(&self, locked: &mut Vec<(LockIndex, u64)>) -> Result<bool, Abort> {
+        let mut published = self.txn.published();
+        published.sort_unstable_by_key(|&(serial, _)| serial);
+        debug_assert_eq!(
+            published.len() as u64 + 1,
+            self.txn.n_tasks(),
+            "commit-task must see the buffers of every task of its transaction"
+        );
+        let own: &TaskBufs = self.bufs;
+        let tasks = || published.iter().map(|(_, bufs)| bufs).chain([own]);
+
+        if tasks().all(|bufs| bufs.write_set.is_empty()) {
             // Read user-transactions only need validation when their tasks
             // completed at different snapshots (§3.2 "Transaction Commit").
-            let same_ts = all
-                .windows(2)
-                .all(|w| w[0].1.snapshot.valid_ts() == w[1].1.snapshot.valid_ts());
-            if !same_ts {
+            let valid_ts = own.snapshot.valid_ts();
+            if !tasks().all(|bufs| bufs.snapshot.valid_ts() == valid_ts) {
                 self.stats.validations.inc();
                 let locks = &self.substrate.locks;
-                let valid = all.iter().all(|(_, logs)| logs.snapshot.validate(locks));
-                if !valid {
-                    self.txn.request_abort();
-                    self.recycle_collected_logs(all);
+                if !tasks().all(|bufs| bufs.snapshot.validate(locks)) {
                     return Err(Abort::new(AbortReason::ReadValidation));
                 }
             }
-            self.finish_transaction_commit(false, all);
-            return Ok(());
+            return Ok(false);
         }
 
         // Write transaction: commit every task's writes under the union of
-        // their locks, kept in the recycled `commit_locks` scratch.
+        // their locks.
         self.txn.set_finishing();
-        let locked = &mut self.bufs.commit_locks;
         locked.clear();
-        locked.extend(
-            all.iter()
-                .flat_map(|(_, logs)| logs.acquired.iter().map(|&idx| (idx, 0u64))),
-        );
+        locked.extend(tasks().flat_map(|bufs| bufs.acquired.iter().map(|&idx| (idx, 0u64))));
         let (heap, txn, token) = (&self.substrate.heap, &self.txn, self.token);
-        let committed = commit_locked(
+        commit_locked(
             self.substrate,
             self.stats,
             locked,
-            all.iter().map(|(_, logs)| &logs.snapshot),
+            tasks().map(|bufs| &bufs.snapshot),
             // Every task's buffered writes in program order — across tasks by
             // ascending serial, within a task in write-log order — so later
             // tasks' values win for locations written by several tasks and
             // the applied order is deterministic.
             || {
-                for (_, logs) in &all {
-                    for &(addr, value) in &logs.writes {
-                        heap.store_committed(addr, value);
+                for bufs in tasks() {
+                    for write in bufs.write_set.iter() {
+                        heap.store_committed(write.addr, write.value);
                     }
                 }
             },
@@ -616,33 +630,8 @@ impl<'rt> TaskCtx<'rt> {
                     entry.release_writer_if(token);
                 }
             },
-        );
-        if let Err(abort) = committed {
-            self.txn.request_abort();
-            self.recycle_collected_logs(all);
-            return Err(abort);
-        }
-        self.finish_transaction_commit(true, all);
-        Ok(())
-    }
-
-    fn finish_transaction_commit(&mut self, wrote: bool, consumed_logs: Vec<(u64, TaskLogs)>) {
-        self.stats.tx_commits.inc();
-        txobs::tx_commit();
-        self.txn.mark_committed();
-        self.uthread.mark_completed(self.serial, wrote);
-        // The transaction's chain entries are gone; nothing left to dismantle.
-        self.bufs.acquired.clear();
-        self.recycle_collected_logs(consumed_logs);
-    }
-
-    /// Returns a batch of consumed per-task logs (collected for a commit
-    /// attempt, successful or not) to the user-thread's pool, so the next
-    /// publications — including the rollback retry's — reuse their storage.
-    fn recycle_collected_logs(&self, consumed_logs: Vec<(u64, TaskLogs)>) {
-        for (_, logs) in consumed_logs {
-            self.uthread.recycle_logs(logs);
-        }
+        )?;
+        Ok(true)
     }
 }
 
@@ -675,4 +664,74 @@ fn task_signals(txn: &TxnShared, slot: &TaskSlot, serial: u64) -> Result<(), Abo
         return Err(Abort::new(AbortReason::TaskAbortSignal));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use txmem::{TxConfig, WORDS_PER_LOCK};
+
+    /// Two tasks of one transaction write several words under one lock: the
+    /// chain holds one entry per task, each task lists the lock once, and the
+    /// commit-task's commit (reading the first task's lent buffers) leaves
+    /// the chain empty and the w-lock free.
+    #[test]
+    fn tasks_sharing_a_lock_list_it_once_and_commit_clears_the_chain() {
+        let substrate = TxSubstrate::new(TxConfig::small());
+        let region = substrate.heap.alloc(2 * WORDS_PER_LOCK).unwrap();
+        let base = region.index().next_multiple_of(WORDS_PER_LOCK);
+        let word = |i: u64| WordAddr::new(base + i);
+        let (idx, entry) = substrate.locks.lookup(word(0));
+        assert!((1..WORDS_PER_LOCK).all(|i| substrate.locks.lookup(word(i)).0 == idx));
+        let uthread = Arc::new(UThreadShared::new(1, 2));
+        let txn = Arc::new(TxnShared::new(Arc::clone(&uthread), 1, 2));
+
+        let mut first_bufs = TaskBufs::default();
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| {
+                let mut ctx =
+                    TaskCtx::new(&substrate, &uthread, Arc::clone(&txn), 1, &mut first_bufs);
+                ctx.reset_for_attempt();
+                for i in 0..3 {
+                    ctx.write(word(i), 10 + i).unwrap();
+                }
+                assert_eq!(ctx.bufs.acquired, [idx]);
+                // Lends the buffers and waits for the commit.
+                ctx.task_commit()
+            });
+            uthread.wait_until(|| uthread.completed_task() >= 1 || first.is_finished());
+            if first.is_finished() {
+                panic!(
+                    "the first task ended before lending its buffers: {:?}",
+                    first.join()
+                );
+            }
+
+            let mut bufs = TaskBufs::default();
+            let mut ctx = TaskCtx::new(&substrate, &uthread, Arc::clone(&txn), 2, &mut bufs);
+            ctx.reset_for_attempt();
+            for i in 1..WORDS_PER_LOCK {
+                ctx.write(word(i), 20 + i).unwrap();
+            }
+            assert_eq!(ctx.bufs.acquired, [idx]);
+            assert_eq!(entry.chain().len(), 2);
+            let published = txn.published();
+            assert_eq!(published.len(), 1);
+            assert_eq!(published[0].0, 1);
+            assert_eq!(published[0].1.acquired, [idx]);
+            drop(published);
+
+            ctx.task_commit().unwrap();
+            assert!(ctx.bufs.acquired.is_empty());
+            first.join().unwrap().unwrap();
+        });
+        assert!(first_bufs.acquired.is_empty());
+        assert!(txn.is_committed());
+        assert!(entry.chain().is_empty());
+        assert!(entry.writer_token().is_unlocked());
+        assert_eq!(substrate.heap.load_committed(word(0)), 10);
+        for i in 1..WORDS_PER_LOCK {
+            assert_eq!(substrate.heap.load_committed(word(i)), 20 + i);
+        }
+    }
 }

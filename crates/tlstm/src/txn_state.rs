@@ -9,18 +9,21 @@
 //! 2. it carries the **abort-transaction flag** and the rollback coordination
 //!    state (acknowledgement counter + rollback epoch) that drive the
 //!    "all tasks of the transaction restart together" protocol of §3.2;
-//! 3. it is the **mailbox where completed intermediate tasks publish their
-//!    logs**, so the commit-task can validate every task's reads and write
-//!    back every task's writes at transaction commit (Algorithm 3).
+//! 3. it is the **mailbox where completed intermediate tasks lend their
+//!    buffers** (moved, never copied), so the commit-task can validate every
+//!    task's reads and write back every task's writes in place at
+//!    transaction commit (Algorithm 3); each task takes its buffers back
+//!    once the transaction has committed or started its rollback.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use swisstm::cm::TIMID;
-use txmem::{LockIndex, LockOwner, Snapshot, WordAddr};
+use txmem::{LockIndex, LockOwner, WordAddr};
 
+use crate::task::TaskBufs;
 use crate::uthread_state::UThreadShared;
 
 /// One entry of a task-read-log: the task read a speculative value that a
@@ -33,34 +36,6 @@ pub struct TaskReadEntry {
     pub addr: WordAddr,
     /// Serial of the past writer task whose value was observed.
     pub writer_serial: u64,
-}
-
-/// The logs a completed task publishes for its commit-task.
-#[derive(Debug, Default)]
-pub struct TaskLogs {
-    /// `valid-ts` and the reads from committed state.
-    pub snapshot: Snapshot,
-    /// Reads from past tasks' speculative values.
-    pub task_read_log: Vec<TaskReadEntry>,
-    /// Buffered writes in program order of last update: (address, value).
-    pub writes: Vec<(WordAddr, u64)>,
-    /// Locks under which this task created chain entries.
-    pub acquired: Vec<LockIndex>,
-}
-
-impl TaskLogs {
-    /// `true` if the task performed no writes.
-    pub fn is_read_only(&self) -> bool {
-        self.writes.is_empty()
-    }
-
-    /// Empties the logs, retaining the vectors' capacity (pool recycling).
-    pub fn clear(&mut self) {
-        self.snapshot.clear();
-        self.task_read_log.clear();
-        self.writes.clear();
-        self.acquired.clear();
-    }
 }
 
 /// Panics unless a user-transaction of `n_tasks` tasks can run on a
@@ -106,8 +81,8 @@ pub struct TxnShared {
     cm_retries: AtomicU32,
     /// Two-phase greedy priority of the whole user-transaction.
     priority: AtomicU64,
-    /// Logs published by completed tasks, keyed by serial.
-    logs: Mutex<Vec<(u64, TaskLogs)>>,
+    /// Buffers lent by completed intermediate tasks, keyed by serial.
+    mailbox: Mutex<Vec<(u64, TaskBufs)>>,
 }
 
 impl TxnShared {
@@ -137,7 +112,7 @@ impl TxnShared {
             acks: AtomicU32::new(0),
             cm_retries: AtomicU32::new(0),
             priority: AtomicU64::new(TIMID),
-            logs: Mutex::new(Vec::new()),
+            mailbox: Mutex::new(Vec::new()),
         }
     }
 
@@ -246,10 +221,10 @@ impl TxnShared {
     /// has acknowledged. Resets the coordination state, bumps the epoch and
     /// wakes everyone so they re-execute.
     pub fn finish_rollback(&self) {
-        // Recycle the discarded log buffers instead of dropping them.
-        for (_, logs) in std::mem::take(&mut *self.logs.lock()) {
-            self.uthread.recycle_logs(logs);
-        }
+        debug_assert!(
+            self.mailbox.lock().is_empty(),
+            "every task takes its buffers back before it acknowledges"
+        );
         self.rollbacks.fetch_add(1, Ordering::Relaxed);
         self.acks.store(0, Ordering::Release);
         self.finishing.store(false, Ordering::Release);
@@ -259,24 +234,32 @@ impl TxnShared {
         self.uthread.notify();
     }
 
-    // --- log publication ----------------------------------------------------
+    // --- the mailbox ------------------------------------------------------
 
-    /// Publishes (or republishes) the logs of a completed task.
-    pub fn publish_logs(&self, serial: u64, logs: TaskLogs) {
-        let mut guard = self.logs.lock();
-        if let Some(slot) = guard.iter_mut().find(|(s, _)| *s == serial) {
-            slot.1 = logs;
-        } else {
-            guard.push((serial, logs));
-        }
+    /// Lends the buffers of completed task `serial` to the commit-task.
+    pub(crate) fn publish(&self, serial: u64, bufs: TaskBufs) {
+        self.mailbox.lock().push((serial, bufs));
     }
 
-    /// Takes every published log, sorted by serial (used by the commit-task,
-    /// which consumes them; a later rollback republishes fresh logs anyway).
-    pub fn collect_logs(&self) -> Vec<(u64, TaskLogs)> {
-        let mut logs = std::mem::take(&mut *self.logs.lock());
-        logs.sort_by_key(|(serial, _)| *serial);
-        logs
+    /// Takes back the buffers task `serial` lent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the task lent none.
+    pub(crate) fn take_back(&self, serial: u64) -> TaskBufs {
+        let mut mailbox = self.mailbox.lock();
+        let pos = mailbox
+            .iter()
+            .position(|&(s, _)| s == serial)
+            .expect("a task takes back only the buffers it lent");
+        mailbox.swap_remove(pos).1
+    }
+
+    /// The lent buffers, locked for the commit-task to read in place. The
+    /// guard must be dropped before the outcome is announced, so the woken
+    /// tasks can take their buffers back.
+    pub(crate) fn published(&self) -> MutexGuard<'_, Vec<(u64, TaskBufs)>> {
+        self.mailbox.lock()
     }
 }
 
@@ -352,22 +335,20 @@ mod tests {
     }
 
     #[test]
-    fn log_publication_overwrites_by_serial() {
-        let t = txn(4, 1, 2);
-        for (serial, tag) in [(1, 3), (2, 4), (1, 9)] {
-            let logs = TaskLogs {
-                acquired: vec![LockIndex(tag)],
-                ..Default::default()
-            };
-            t.publish_logs(serial, logs);
+    fn lent_buffers_round_trip_by_serial() {
+        let t = txn(4, 1, 3);
+        for serial in [2, 1] {
+            let mut bufs = TaskBufs::default();
+            bufs.acquired.push(LockIndex(serial as u32 * 10));
+            t.publish(serial, bufs);
         }
-        let logs = t.collect_logs();
-        assert_eq!(logs.len(), 2);
-        assert_eq!(logs[0].0, 1);
-        assert_eq!(logs[0].1.acquired, [LockIndex(9)]);
-        assert_eq!(logs[1].0, 2);
+        assert_eq!(t.published().len(), 2);
+        assert_eq!(t.take_back(2).acquired, [LockIndex(20)]);
+        assert_eq!(t.take_back(1).acquired, [LockIndex(10)]);
+        assert!(t.published().is_empty());
+        // An empty mailbox is what a rollback expects.
+        t.request_abort();
         t.finish_rollback();
-        assert!(t.collect_logs().is_empty());
     }
 
     #[test]

@@ -11,8 +11,6 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::txn_state::TaskLogs;
-
 /// How long a waiter sleeps on the progress condition variable before
 /// re-checking its predicate. A timeout bounds the damage of any missed
 /// notification.
@@ -34,11 +32,6 @@ impl TaskSlot {
     /// Installs task `serial` in this slot, clearing any stale abort flag.
     pub fn install(&self, serial: u64) {
         self.serial.store(serial, Ordering::Release);
-        self.aborted_internally.store(false, Ordering::Release);
-    }
-
-    /// Clears the abort flag (used when the installed task restarts).
-    pub fn clear_abort(&self) {
         self.aborted_internally.store(false, Ordering::Release);
     }
 
@@ -89,10 +82,6 @@ pub struct UThreadShared {
     /// counters above change or a transaction commits / aborts.
     progress_lock: Mutex<()>,
     progress_cv: Condvar,
-    /// Pool of recycled [`TaskLogs`] buffers: tasks publish their logs into
-    /// pooled storage and the commit-task (or rollback) returns the consumed
-    /// buffers, so steady-state log publication allocates nothing.
-    log_pool: Mutex<Vec<TaskLogs>>,
 }
 
 impl UThreadShared {
@@ -117,7 +106,6 @@ impl UThreadShared {
             helper_lanes: AtomicUsize::new(0),
             progress_lock: Mutex::new(()),
             progress_cv: Condvar::new(),
-            log_pool: Mutex::new(Vec::new()),
         }
     }
 
@@ -230,22 +218,6 @@ impl UThreadShared {
         }
     }
 
-    /// Takes a recycled [`TaskLogs`] (empty, capacity retained) from the
-    /// pool, or a fresh one if the pool is dry.
-    pub(crate) fn take_pooled_logs(&self) -> TaskLogs {
-        self.log_pool.lock().pop().unwrap_or_default()
-    }
-
-    /// Returns a consumed [`TaskLogs`] to the pool (bounded by a small
-    /// multiple of the speculative depth).
-    pub(crate) fn recycle_logs(&self, mut logs: TaskLogs) {
-        let mut pool = self.log_pool.lock();
-        if pool.len() < self.spec_depth * 4 {
-            logs.clear();
-            pool.push(logs);
-        }
-    }
-
     /// Backs off briefly inside polling loops that must also observe
     /// non-counter state (such as lock chains): spins, then yields, without
     /// parking — the caller re-checks its own condition after every call.
@@ -284,8 +256,8 @@ mod tests {
         // Signalling the installed serial works.
         assert!(u.slot(3).signal_abort(3));
         assert!(u.slot(3).is_aborted(3));
-        // Restart clears the flag.
-        u.slot(3).clear_abort();
+        // A restart re-installs the task, which clears the flag.
+        u.slot(3).install(3);
         assert!(!u.slot(3).is_aborted(3));
         // Installing a new task clears it too.
         u.slot(3).signal_abort(3);

@@ -3,17 +3,17 @@
 //! TLSTM's *orchestration* layer allocates a constant amount per submitted
 //! user-transaction (the shared `TxnShared` handle, one work item and one
 //! task closure per task) — but the task read/write/commit/rollback paths
-//! must not allocate per *operation*: each lane's recycled `TaskBufs`, the
-//! pooled `TaskLogs` and the lock chains' recycled entry buffers absorb all
-//! speculative state in steady state.
+//! must not allocate per *operation*: each lane's recycled `TaskBufs` (lent
+//! by move to the commit-task, never copied) and the lock chains' recycled
+//! entry buffers absorb all speculative state in steady state.
 //!
 //! The proof: after warm-up, the allocation count of a batch of transactions
 //! with **2 048 ops per task** must not exceed that of an identical batch
 //! with **4 ops per task** by more than one allocation per transaction of
 //! slack. Any per-operation allocation would add thousands per transaction.
 //! At 2 048 writes a task holds about a thousand locks, so the batch also
-//! covers the acquired-locks index well past its first table: once grown, it
-//! too is recycled without allocating.
+//! covers a long acquired-locks list: once grown, it too is recycled without
+//! allocating.
 //!
 //! This file deliberately contains a single `#[test]` so no concurrent test
 //! pollutes the global counter.

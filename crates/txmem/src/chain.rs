@@ -17,18 +17,13 @@
 use crate::addr::WordAddr;
 use crate::owner::OwnerHandle;
 
-/// One task's (or, for SwissTM, one transaction's) speculative write entry for
-/// a given lock.
+/// One TLSTM task's speculative write entry for a given lock.
 #[derive(Debug, Clone)]
 pub struct SpecEntry {
     /// Program-thread (user-thread) identifier of the writer.
     pub ptid: u32,
-    /// Serial number of the writer task within its user-thread
-    /// (0 for plain SwissTM transactions, which have a single implicit task).
+    /// Serial number of the writer task within its user-thread.
     pub serial: u64,
-    /// Serial number of the first task of the writer's user-transaction;
-    /// identifies which user-transaction the entry belongs to.
-    pub tx_start_serial: u64,
     /// Contention-manager handle of the writer's user-transaction.
     pub owner: OwnerHandle,
     /// Speculative values written under this lock, as `(address, value)`
@@ -139,16 +134,6 @@ impl WriteChain {
         self.entries.last().map(|e| e.serial)
     }
 
-    /// The most recent entry with `serial <= reader_serial`, i.e. the entry a
-    /// reader task reaches after walking `previous-entry` links past all
-    /// future tasks' entries.
-    pub fn latest_at_or_before(&self, reader_serial: u64) -> Option<&SpecEntry> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|e| e.serial <= reader_serial)
-    }
-
     /// The entry belonging to exactly `serial`, if present.
     pub fn entry_for_serial(&self, serial: u64) -> Option<&SpecEntry> {
         self.entries.iter().find(|e| e.serial == serial)
@@ -184,12 +169,10 @@ impl WriteChain {
 
     /// Records a speculative write by the task `(ptid, serial)`, creating its
     /// entry if necessary. Returns `true` if a new entry was created.
-    #[allow(clippy::too_many_arguments)]
     pub fn record_write(
         &mut self,
         ptid: u32,
         serial: u64,
-        tx_start_serial: u64,
         owner: &OwnerHandle,
         addr: WordAddr,
         value: u64,
@@ -204,7 +187,6 @@ impl WriteChain {
         let entry = SpecEntry {
             ptid,
             serial,
-            tx_start_serial,
             owner: OwnerHandle::clone(owner),
             writes,
         };
@@ -247,13 +229,6 @@ impl WriteChain {
         }
         before - self.entries.len()
     }
-
-    /// Removes all entries (defensive cleanup paths and tests).
-    pub fn clear(&mut self) {
-        while let Some(entry) = self.entries.pop() {
-            self.recycle(entry.writes);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -292,10 +267,10 @@ mod tests {
     fn record_and_read_own_write() {
         let mut chain = WriteChain::new();
         let o = owner(0);
-        assert!(chain.record_write(0, 5, 5, &o, addr(1), 42));
+        assert!(chain.record_write(0, 5, &o, addr(1), 42));
         assert_eq!(chain.read_visible(addr(1), 5), ChainRead::Own(42));
         // overwrite
-        assert!(!chain.record_write(0, 5, 5, &o, addr(1), 43));
+        assert!(!chain.record_write(0, 5, &o, addr(1), 43));
         assert_eq!(chain.read_visible(addr(1), 5), ChainRead::Own(43));
         assert_eq!(chain.len(), 1);
     }
@@ -304,7 +279,7 @@ mod tests {
     fn future_entries_are_invisible_to_past_readers() {
         let mut chain = WriteChain::new();
         let o = owner(0);
-        chain.record_write(0, 7, 7, &o, addr(1), 70);
+        chain.record_write(0, 7, &o, addr(1), 70);
         assert_eq!(chain.read_visible(addr(1), 5), ChainRead::Committed);
         assert_eq!(
             chain.read_visible(addr(1), 9),
@@ -319,9 +294,9 @@ mod tests {
     fn reader_sees_most_recent_past_writer() {
         let mut chain = WriteChain::new();
         let o = owner(0);
-        chain.record_write(0, 2, 2, &o, addr(1), 20);
-        chain.record_write(0, 4, 4, &o, addr(1), 40);
-        chain.record_write(0, 6, 6, &o, addr(1), 60);
+        chain.record_write(0, 2, &o, addr(1), 20);
+        chain.record_write(0, 4, &o, addr(1), 40);
+        chain.record_write(0, 6, &o, addr(1), 60);
         assert_eq!(
             chain.read_visible(addr(1), 5),
             ChainRead::Past {
@@ -342,7 +317,7 @@ mod tests {
     fn chain_falls_back_to_committed_for_unwritten_addresses() {
         let mut chain = WriteChain::new();
         let o = owner(0);
-        chain.record_write(0, 2, 2, &o, addr(1), 20);
+        chain.record_write(0, 2, &o, addr(1), 20);
         assert_eq!(chain.read_visible(addr(9), 5), ChainRead::Committed);
     }
 
@@ -350,13 +325,12 @@ mod tests {
     fn entries_stay_sorted_regardless_of_insertion_order() {
         let mut chain = WriteChain::new();
         let o = owner(0);
-        chain.record_write(0, 6, 6, &o, addr(1), 60);
-        chain.record_write(0, 2, 2, &o, addr(1), 20);
-        chain.record_write(0, 4, 4, &o, addr(1), 40);
+        chain.record_write(0, 6, &o, addr(1), 60);
+        chain.record_write(0, 2, &o, addr(1), 20);
+        chain.record_write(0, 4, &o, addr(1), 40);
         let serials: Vec<u64> = chain.iter().map(|e| e.serial).collect();
         assert_eq!(serials, vec![2, 4, 6]);
         assert_eq!(chain.newest_serial(), Some(6));
-        assert_eq!(chain.latest_at_or_before(5).unwrap().serial, 4);
         assert_eq!(
             chain.entry_for_serial(4).unwrap().value_of(addr(1)),
             Some(40)
@@ -368,7 +342,7 @@ mod tests {
         let mut chain = WriteChain::new();
         let o = owner(0);
         for s in [2, 3, 4, 7] {
-            chain.record_write(0, s, s, &o, addr(s), s * 10);
+            chain.record_write(0, s, &o, addr(s), s * 10);
         }
         assert!(chain.remove_serial(3));
         assert!(!chain.remove_serial(3));
@@ -376,7 +350,7 @@ mod tests {
         assert_eq!(chain.remove_transaction(2, 4), 2);
         assert_eq!(chain.len(), 1);
         assert_eq!(chain.newest_serial(), Some(7));
-        chain.clear();
+        assert!(chain.remove_serial(7));
         assert!(chain.is_empty());
         assert_eq!(chain.owner_ptid(), None);
     }
@@ -388,13 +362,13 @@ mod tests {
         // Grow an entry's write buffer, remove it, and re-install: the new
         // entry must reuse the retained buffer capacity.
         for i in 0..16 {
-            chain.record_write(0, 1, 1, &o, addr(i), i);
+            chain.record_write(0, 1, &o, addr(i), i);
         }
         assert!(chain.remove_serial(1));
         assert_eq!(chain.spare.len(), 1);
         let spare_cap = chain.spare[0].capacity();
         assert!(spare_cap >= 16);
-        assert!(chain.record_write(0, 2, 2, &o, addr(0), 1));
+        assert!(chain.record_write(0, 2, &o, addr(0), 1));
         assert!(
             chain.spare.is_empty(),
             "new entry must pop the spare buffer"
@@ -402,7 +376,7 @@ mod tests {
         assert_eq!(chain.newest().unwrap().writes.capacity(), spare_cap);
         // Recycling never changes observable behaviour.
         assert_eq!(chain.read_visible(addr(0), 2), ChainRead::Own(1));
-        chain.clear();
+        assert!(chain.remove_serial(2));
         assert!(chain.is_empty());
         assert_eq!(chain.spare.len(), 1);
     }
@@ -411,7 +385,7 @@ mod tests {
     fn owner_ptid_reflects_entries() {
         let mut chain = WriteChain::new();
         let o = owner(3);
-        chain.record_write(3, 1, 1, &o, addr(0), 5);
+        chain.record_write(3, 1, &o, addr(0), 5);
         assert_eq!(chain.owner_ptid(), Some(3));
         assert_eq!(chain.newest().unwrap().owner.owner_id(), 3);
     }

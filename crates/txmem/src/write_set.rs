@@ -230,11 +230,6 @@ impl WriteSet {
     pub fn iter(&self) -> impl Iterator<Item = &WriteEntry> {
         self.log.iter()
     }
-
-    /// Appends the `(addr, value)` pairs of the log, in log order, to `out`.
-    pub fn append_values_to(&self, out: &mut Vec<(WordAddr, u64)>) {
-        out.extend(self.log.iter().map(|e| (e.addr, e.value)));
-    }
 }
 
 #[cfg(test)]
@@ -358,16 +353,5 @@ mod tests {
         for i in (0..500u64).step_by(7) {
             assert!(ws.maybe_written(a(i)));
         }
-    }
-
-    #[test]
-    fn append_values_to_preserves_log_order() {
-        let mut ws = WriteSet::new();
-        ws.insert_new(a(9), 90);
-        ws.insert_new(a(4), 40);
-        ws.update(a(9), 91);
-        let mut out = vec![(a(0), 0u64)];
-        ws.append_values_to(&mut out);
-        assert_eq!(out, vec![(a(0), 0), (a(9), 91), (a(4), 40)]);
     }
 }

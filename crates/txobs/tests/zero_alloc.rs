@@ -18,7 +18,7 @@ fn probe_paths_do_not_allocate_with_tracing_enabled() {
     let wal = txobs::metrics::wal();
     wal.append_ns.record_ns(1);
 
-    let before = tlstm_testutil::allocation_count();
+    let before = tlstm_testutil::thread_allocation_count();
     for i in 0..4096u64 {
         txobs::tx_begin();
         txobs::tx_commit();
@@ -35,7 +35,7 @@ fn probe_paths_do_not_allocate_with_tracing_enabled() {
         wal.fsync_ns.record_ns(i * 3);
         txobs::metrics::kv().health.set(trace::health::HEALTHY);
     }
-    let after = tlstm_testutil::allocation_count();
+    let after = tlstm_testutil::thread_allocation_count();
     txobs::set_tracing(false);
     assert_eq!(
         after - before,
