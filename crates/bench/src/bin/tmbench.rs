@@ -64,8 +64,11 @@ SCENARIO OPTIONS:
                          swisstm,tlstm,seqref (default: all registered;
                          seqref is the sequential conformance reference)
     --fsync POLICY       WAL fsync policy of the kv-durable scenarios: always,
-                         group, group:<ms>, none (default: group; scenario
-                         names are unaffected, so runs stay comparable)
+                         group, group:<ms>, none (default: group). group
+                         fsyncs each written batch at once, exactly like
+                         always: its interval is accepted and ignored.
+                         Scenario names are unaffected, so runs stay
+                         comparable
     --list               print scenario names without running anything
 
 MEASUREMENT OPTIONS:

@@ -465,8 +465,8 @@ pub fn default_workloads() -> Vec<WorkloadKind> {
         },
         // The durable twins of the write-bearing kv mixes: the throughput
         // delta vs kv-a / kv-b is the WAL's group-commit overhead. The
-        // default policy is the group-commit clock; override per run with
-        // `--fsync always|group[:<ms>]|none`.
+        // default policy fsyncs each written batch at once (`always` and
+        // `group[:<ms>]` both mean that); `--fsync none` drops the fsync.
         WorkloadKind::KvDurable {
             mix: KvMix::A,
             fsync: FsyncPolicy::default(),

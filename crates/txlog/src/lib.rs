@@ -123,21 +123,22 @@ pub mod crash_points {
     ];
 }
 
-/// Default interval of [`FsyncPolicy::Group`].
+/// The interval [`FsyncPolicy::Group`] carries when none is given. The
+/// writer does not read it.
 pub const DEFAULT_GROUP_INTERVAL: Duration = Duration::from_millis(2);
 
 /// When the log writer issues `fsync` — the durability/latency trade-off of
 /// the write-ahead log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// Fsync every drained batch before acknowledging it. Group commit still
-    /// amortises the fsync over every record that arrived while the previous
-    /// batch was being written, but no acknowledged record can be lost.
+    /// Fsync every written batch at once, then acknowledge it. Group commit
+    /// needs no clock: every record that arrives while an fsync is in flight
+    /// rides the next one, so the device's fsync latency paces the batches
+    /// and no acknowledged record can be lost.
     Always,
-    /// Fsync at most once per interval: records are acknowledged when the
-    /// periodic fsync covers them, bounding acknowledged-write loss to zero
-    /// while batching fsyncs harder than [`FsyncPolicy::Always`] under light
-    /// load (committers wait up to one interval for their ack).
+    /// Exactly [`FsyncPolicy::Always`]: the writer ignores the interval.
+    /// The variant keeps its shape, and its `group[:<ms>]` spelling, for the
+    /// callers and reports that name it.
     Group(Duration),
     /// Never fsync (acknowledge as soon as the OS has the bytes). For
     /// benchmarking the logging overhead in isolation — acknowledged writes

@@ -14,6 +14,11 @@
 //! single relaxed atomic load, and everything that fired is recorded for the
 //! test to assert on. Plans are armed from code only ([`FaultPlan::arm`]).
 //!
+//! A plan can also *hold* an operation ([`FaultPlan::hold`]): the next
+//! matching operation parks before it touches the inner file system until
+//! the test [releases](FaultPlan::release) it. A held fsync keeps records
+//! unacknowledged for exactly as long as a test needs, with no clock.
+//!
 //! Fault *policy* — what the writer does when an injected (or real) error
 //! comes back — lives in [`crate::writer`]: bounded retry with exponential
 //! backoff for appends, poison-never-retry for fsync, typed
@@ -24,7 +29,7 @@ use std::fs;
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use tlstm_testutil::TestRng;
 
@@ -329,14 +334,54 @@ impl Fault {
     }
 }
 
+/// The state of a [`FaultPlan::hold`] latch on one op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Hold {
+    /// The next matching operation parks.
+    Armed,
+    /// A thread is parked in the operation until the latch is released.
+    Parked,
+}
+
+#[derive(Debug, Default)]
+struct Armed {
+    /// Armed faults, at most one per op (re-arming replaces).
+    faults: Vec<(StorageOp, Fault)>,
+    /// Latches, at most one per op.
+    holds: Vec<(StorageOp, Hold)>,
+}
+
+impl Armed {
+    /// Whether a `check` must take the slow path.
+    fn active(&self) -> bool {
+        !self.faults.is_empty() || self.holds.iter().any(|&(_, hold)| hold == Hold::Armed)
+    }
+
+    fn parked(&self, op: StorageOp) -> bool {
+        self.holds.contains(&(op, Hold::Parked))
+    }
+}
+
 #[derive(Debug, Default)]
 struct PlanInner {
     /// Fast-path gate: `false` ⇒ nothing armed, `check` is one load.
     enabled: AtomicBool,
-    /// Armed faults, at most one per op (re-arming replaces).
-    armed: Mutex<Vec<(StorageOp, Fault)>>,
+    armed: Mutex<Armed>,
+    /// Signals every change of a latch (parked, released).
+    latch_cv: Condvar,
     /// Every fault that fired, in order.
     fired: Mutex<Vec<(StorageOp, FaultError)>>,
+}
+
+impl PlanInner {
+    /// Re-derives the fast-path gate; called with `armed` locked.
+    fn refresh(&self, armed: &Armed) {
+        self.enabled.store(armed.active(), Ordering::Release);
+    }
+
+    fn wait<'a>(&self, armed: MutexGuard<'a, Armed>) -> MutexGuard<'a, Armed> {
+        self.latch_cv.wait(armed).unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// A shared, armable fault schedule (the [`CrashPoints`] idiom for storage
@@ -358,22 +403,60 @@ impl FaultPlan {
     /// Arms `fault` on `op`, replacing any fault already armed there.
     pub fn arm(&self, op: StorageOp, fault: Fault) {
         let mut armed = lock_plan(&self.inner.armed);
-        armed.retain(|(armed_op, _)| *armed_op != op);
-        armed.push((op, fault));
-        self.inner.enabled.store(true, Ordering::Release);
+        armed.faults.retain(|(armed_op, _)| *armed_op != op);
+        armed.faults.push((op, fault));
+        self.inner.refresh(&armed);
     }
 
-    /// Lifts every armed fault (the "storage recovered" transition a
-    /// successful `try_rearm` depends on). The fired record is kept.
+    /// Lifts every armed fault and latch, releasing a parked operation (the
+    /// "storage recovered" transition a successful `try_rearm` depends on).
+    /// The fired record is kept.
     pub fn clear(&self) {
-        lock_plan(&self.inner.armed).clear();
-        self.inner.enabled.store(false, Ordering::Release);
+        let mut armed = lock_plan(&self.inner.armed);
+        *armed = Armed::default();
+        self.inner.refresh(&armed);
+        self.inner.latch_cv.notify_all();
     }
 
-    /// Consults the plan for `op`. `Some((error, short_write))` means the
-    /// operation must fail with `error` (after a half-buffer prefix write if
-    /// `short_write` and the op is a write). Decrements/consumes budgets and
-    /// records the firing.
+    /// Holds `op`: the next matching operation parks before it touches the
+    /// inner file system, until [`FaultPlan::release`]. Later matching
+    /// operations pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `op` is already held.
+    pub fn hold(&self, op: StorageOp) {
+        let mut armed = lock_plan(&self.inner.armed);
+        assert!(
+            armed.holds.iter().all(|&(held, _)| held != op),
+            "{op} is already held"
+        );
+        armed.holds.push((op, Hold::Armed));
+        self.inner.refresh(&armed);
+    }
+
+    /// Returns once a thread is parked in a held `op`.
+    pub fn wait_held(&self, op: StorageOp) {
+        let mut armed = lock_plan(&self.inner.armed);
+        while !armed.parked(op) {
+            armed = self.inner.wait(armed);
+        }
+    }
+
+    /// Lifts the latch on `op`: a thread parked there goes on; if none had
+    /// arrived yet, none will park.
+    pub fn release(&self, op: StorageOp) {
+        let mut armed = lock_plan(&self.inner.armed);
+        armed.holds.retain(|&(held, _)| held != op);
+        self.inner.refresh(&armed);
+        self.inner.latch_cv.notify_all();
+    }
+
+    /// Consults the plan for `op`, first parking in a held `op` until it is
+    /// released. `Some((error, short_write))` means the operation must fail
+    /// with `error` (after a half-buffer prefix write if `short_write` and
+    /// the op is a write). Decrements/consumes budgets and records the
+    /// firing.
     pub fn check(&self, op: StorageOp) -> Option<(io::Error, bool)> {
         if !self.inner.enabled.load(Ordering::Acquire) {
             return None;
@@ -384,9 +467,24 @@ impl FaultPlan {
     #[cold]
     fn check_slow(&self, op: StorageOp) -> Option<(io::Error, bool)> {
         let mut armed = lock_plan(&self.inner.armed);
-        let index = armed.iter().position(|(armed_op, _)| *armed_op == op)?;
+        if let Some(latch) = armed
+            .holds
+            .iter_mut()
+            .find(|latch| **latch == (op, Hold::Armed))
+        {
+            latch.1 = Hold::Parked;
+            self.inner.refresh(&armed);
+            self.inner.latch_cv.notify_all();
+            while armed.parked(op) {
+                armed = self.inner.wait(armed);
+            }
+        }
+        let index = armed
+            .faults
+            .iter()
+            .position(|(armed_op, _)| *armed_op == op)?;
         let (error, short) = {
-            let fault = &mut armed[index].1;
+            let fault = &mut armed.faults[index].1;
             let fires = match &mut fault.budget {
                 FaultBudget::Times(n) => {
                     *n = n.saturating_sub(1);
@@ -400,11 +498,9 @@ impl FaultPlan {
             }
             (fault.error, fault.short_write)
         };
-        if matches!(armed[index].1.budget, FaultBudget::Times(0)) {
-            armed.remove(index);
-            if armed.is_empty() {
-                self.inner.enabled.store(false, Ordering::Release);
-            }
+        if matches!(armed.faults[index].1.budget, FaultBudget::Times(0)) {
+            armed.faults.remove(index);
+            self.inner.refresh(&armed);
         }
         drop(armed);
         lock_plan(&self.inner.fired).push((op, error));
@@ -431,7 +527,7 @@ impl FaultPlan {
 /// Poisoned-plan policy: the plan's locks protect test-harness bookkeeping
 /// only; a panic while holding one means the *test* is already failing, so
 /// continuing with the inner value cannot corrupt anything durable.
-fn lock_plan<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+fn lock_plan<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
@@ -649,6 +745,42 @@ mod tests {
         assert!(clone.check(StorageOp::Remove).is_some());
         assert!(plan.check(StorageOp::Remove).is_none());
         assert_eq!(plan.fired_count(StorageOp::Remove), 1);
+    }
+
+    #[test]
+    fn a_held_sync_data_blocks_until_released() {
+        let dir = tlstm_testutil::TempDir::new("txlog-vfs-hold");
+        let fs = FaultFs::new();
+        let plan = fs.plan();
+        let mut file = fs.create(&dir.path().join("probe")).unwrap();
+        file.write_all(b"0123").unwrap();
+
+        plan.hold(StorageOp::Fsync);
+        plan.hold(StorageOp::Write);
+        plan.release(StorageOp::Write);
+        file.write_all(b"4567").unwrap();
+        let returned = Arc::new(AtomicBool::new(false));
+        let syncer = {
+            let returned = Arc::clone(&returned);
+            std::thread::spawn(move || {
+                let synced = file.sync_data();
+                returned.store(true, Ordering::SeqCst);
+                synced.and_then(|()| file.sync_data())
+            })
+        };
+        plan.wait_held(StorageOp::Fsync);
+        assert!(
+            !returned.load(Ordering::SeqCst),
+            "a held fsync must not return"
+        );
+        assert!(plan.check(StorageOp::Fsync).is_none(), "only one op parks");
+        plan.release(StorageOp::Fsync);
+        syncer
+            .join()
+            .unwrap()
+            .expect("released: the fsync and the next one pass");
+        assert!(returned.load(Ordering::SeqCst));
+        assert_eq!(plan.fired(), Vec::new(), "a latch is not a fault");
     }
 
     #[test]

@@ -2,21 +2,20 @@
 //! current segment file. Each turn of its loop:
 //!
 //! 1. waits for work: a contiguous run of pending records, a rotation
-//!    request, shutdown, or the [`Group`](FsyncPolicy::Group) deadline of
-//!    records already written;
+//!    request, or shutdown;
 //! 2. drains committed `(lsn, payload)` records from the pending map
 //!    (re-sequencing out-of-order arrivals so the on-disk log is always a
 //!    dense, in-order prefix), encodes them into one batch buffer and
 //!    `write`s it;
-//! 3. fsyncs when the [`FsyncPolicy`] says it is due — at once for
-//!    [`Always`](FsyncPolicy::Always), at `last_fsync + interval` for
-//!    [`Group`](FsyncPolicy::Group), never for [`None`](FsyncPolicy::None)
-//!    (which acknowledges right after the `write`) — and acknowledges every
-//!    record the fsync covered.
+//! 3. fsyncs the batch at once — under every policy but
+//!    [`None`](FsyncPolicy::None), which acknowledges right after the
+//!    `write` — and acknowledges every record the fsync covered.
 //!
-//! Committers never block the writer: records that arrive while it is
-//! inside `fsync(2)` collect in the pending map and go out together as the
-//! next batch, under the next fsync.
+//! Group commit needs no clock: committers never block the writer, so
+//! records that arrive while it is inside `fsync(2)` collect in the pending
+//! map and go out together as the next batch, under the next fsync. The
+//! device's fsync latency paces the batches, and nothing written is left
+//! owing its fsync from one turn to the next.
 //!
 //! Segments are pre-allocated with `set_len` when created, so steady-state
 //! appends stay inside the allocated extent and `sync_data` never pays a
@@ -185,9 +184,9 @@ struct State {
     /// (or, while the writer is between drain and `write`, in its batch).
     next_append: u64,
     /// All records with `lsn < durable_upto` are durable and acknowledged
-    /// (≤ `next_append`; below it from a drain until the ack, which under
-    /// [`FsyncPolicy::Group`] can be an interval later). Mirrored into
-    /// [`Shared::durable_watermark`] under this lock.
+    /// (≤ `next_append`; below it from a drain until the fsync that ends
+    /// the same turn returns). Mirrored into [`Shared::durable_watermark`]
+    /// under this lock.
     durable_upto: u64,
     /// Rotation handshake: requests vs completions.
     rotations_requested: u64,
@@ -364,7 +363,6 @@ impl LogWriter {
             dir: dir.to_path_buf(),
             file,
             written_bytes: 0,
-            last_fsync: Instant::now(),
             preallocate: options.preallocate_bytes,
             fsync: options.fsync,
             retry: options.retry,
@@ -608,8 +606,6 @@ struct Writer {
     /// Valid bytes written to the current segment (the trim point for
     /// rotation/shutdown; everything beyond is preallocated zeros).
     written_bytes: u64,
-    /// When the last fsync returned: the [`FsyncPolicy::Group`] clock.
-    last_fsync: Instant,
     preallocate: u64,
     fsync: FsyncPolicy,
     retry: RetryPolicy,
@@ -625,35 +621,19 @@ impl Writer {
             let mut last_frame_start = 0usize;
             let mut frames = 0u64;
             let written_upto;
-            let owed;
             let rotate_now;
             let exit_now;
             {
                 let mut state: MutexGuard<'_, State> = lock(&self.shared.state);
-                loop {
-                    let has_work = state.pending.contains_key(&state.next_append);
-                    let rotate_pending = state.rotations_requested > state.rotations_done;
-                    if has_work || rotate_pending || state.shutdown {
-                        break;
-                    }
-                    state = if state.next_append > state.durable_upto {
-                        // Written records still owe their group fsync: sleep
-                        // until it is due, collecting what arrives meanwhile.
-                        let left = self.fsync_wait();
-                        if left.is_zero() {
-                            break;
-                        }
-                        self.shared
-                            .work_cv
-                            .wait_timeout(state, left)
-                            .expect("WAL mutex poisoned: a writer thread panicked mid-update")
-                            .0
-                    } else {
-                        self.shared
-                            .work_cv
-                            .wait(state)
-                            .expect("WAL mutex poisoned: a writer thread panicked mid-update")
-                    };
+                while !state.pending.contains_key(&state.next_append)
+                    && state.rotations_requested == state.rotations_done
+                    && !state.shutdown
+                {
+                    state = self
+                        .shared
+                        .work_cv
+                        .wait(state)
+                        .expect("WAL mutex poisoned: a writer thread panicked mid-update");
                 }
                 loop {
                     let next = state.next_append;
@@ -668,7 +648,6 @@ impl Writer {
                     }
                 }
                 written_upto = state.next_append;
-                owed = written_upto > state.durable_upto;
                 rotate_now = state.rotations_requested > state.rotations_done;
                 // A clean shutdown flushes the contiguous prefix; records
                 // stranded behind a sequence gap can never be written and
@@ -714,9 +693,9 @@ impl Writer {
                 }
             }
 
-            // Phase 3: fsync (unless the policy is `None`) and acknowledge
-            // once the policy says the written records are due.
-            if owed && self.fsync_wait().is_zero() {
+            // Phase 3: fsync the batch at once (unless the policy is `None`)
+            // and acknowledge it. What arrived meanwhile is the next batch.
+            if !batch.is_empty() {
                 if self.fsync != FsyncPolicy::None {
                     if let Err(error) = self.sync(written_upto, false) {
                         return self.shared.fail(error);
@@ -741,18 +720,6 @@ impl Writer {
             if exit_now {
                 return self.finish(written_upto);
             }
-        }
-    }
-
-    /// How long until written records are owed their fsync and ack: the
-    /// rest of the interval under [`FsyncPolicy::Group`], zero (at once)
-    /// otherwise.
-    fn fsync_wait(&self) -> Duration {
-        match self.fsync {
-            FsyncPolicy::Group(interval) => {
-                (self.last_fsync + interval).saturating_duration_since(Instant::now())
-            }
-            FsyncPolicy::Always | FsyncPolicy::None => Duration::ZERO,
         }
     }
 
@@ -811,7 +778,6 @@ impl Writer {
         wal.fsync_ns
             .record_ns(fsync_started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
         txobs::trace::trace(txobs::EventKind::WalFsyncDone, upto);
-        self.last_fsync = Instant::now();
         self.shared.note_synced(upto);
         Ok(())
     }
@@ -833,9 +799,6 @@ impl Writer {
         self.file
             .sync_all()
             .map_err(|e| WalError::storage(StorageOp::Fsync, e.kind()))?;
-        // Everything written so far lives in the outgoing segment and the
-        // sync_all above covered it.
-        self.shared.note_synced(next_start);
         let file = self
             .fs
             .create(&segment_path(&self.dir, next_start))
@@ -863,8 +826,10 @@ impl Writer {
         }
         self.file = file;
         self.written_bytes = 0;
-        self.shared.ack_durable(next_start);
         let mut state = lock(&self.shared.state);
+        // Phase 3 acknowledged every batch in the turn that wrote it, so
+        // the rotation has no records of its own to acknowledge.
+        debug_assert_eq!(state.durable_upto, next_start);
         state.segment_start = next_start;
         state.rotations_done += 1;
         txobs::metrics::wal().rotations.inc();

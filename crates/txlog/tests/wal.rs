@@ -3,11 +3,15 @@
 //! acknowledgement, and deterministic crash injection on both the append and
 //! the rotation path.
 
-use std::time::Duration;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::{Duration, Instant};
 
 use tlstm_testutil::{with_default_watchdog, CrashPoints, TempDir};
 use txlog::files::segment_path;
-use txlog::{crash_points, recover, FsyncPolicy, LogWriter, WalError, WalOptions};
+use txlog::{
+    crash_points, recover, FaultFs, FaultPlan, FsyncPolicy, LogWriter, StorageOp, WalError,
+    WalOptions,
+};
 
 /// Small preallocation for tests: big enough that no test segment outgrows
 /// it, small enough that untrimmed tails stay cheap to scan.
@@ -34,9 +38,59 @@ fn payload(lsn: u64) -> Vec<u8> {
     format!("record-{lsn}").into_bytes()
 }
 
+/// The WAL counters are process-wide: a test that reads them holds this
+/// lock exclusively, every other test that runs a writer holds it shared.
+static COUNTERS: RwLock<()> = RwLock::new(());
+
+fn shared_counters() -> RwLockReadGuard<'static, ()> {
+    COUNTERS.read().unwrap_or_else(|e| e.into_inner())
+}
+
+fn exclusive_counters() -> RwLockWriteGuard<'static, ()> {
+    COUNTERS.write().unwrap_or_else(|e| e.into_inner())
+}
+
+/// [`options`] over a [`FaultFs`] whose plan holds the next fsync after
+/// the writer opened, and a handle to that plan. Dropping the handle
+/// releases the latch, so a failing assertion cannot leave the writer
+/// parked and its `Drop` waiting forever.
+fn held_fsync_writer(dir: &TempDir, fsync: FsyncPolicy) -> (LogWriter, HeldFsync) {
+    let fs = FaultFs::new();
+    let plan = fs.plan();
+    let writer = LogWriter::open(
+        dir.path(),
+        &WalOptions {
+            fs: Arc::new(fs),
+            ..options(fsync)
+        },
+    )
+    .unwrap();
+    plan.hold(StorageOp::Fsync);
+    (writer, HeldFsync(plan))
+}
+
+struct HeldFsync(FaultPlan);
+
+impl HeldFsync {
+    fn wait_held(&self) {
+        self.0.wait_held(StorageOp::Fsync);
+    }
+
+    fn release(&self) {
+        self.0.release(StorageOp::Fsync);
+    }
+}
+
+impl Drop for HeldFsync {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
 #[test]
 fn out_of_order_appends_are_resequenced() {
     with_default_watchdog(|| {
+        let _counters = shared_counters();
         let dir = TempDir::new("txlog-wal");
         let writer = LogWriter::open(dir.path(), &options(FsyncPolicy::Always)).unwrap();
         // LSN 2 and 1 arrive before 0: nothing can be written until the run
@@ -66,6 +120,7 @@ fn out_of_order_appends_are_resequenced() {
 #[test]
 fn concurrent_committers_all_become_durable() {
     with_default_watchdog(|| {
+        let _counters = shared_counters();
         let dir = TempDir::new("txlog-wal");
         for fsync in [
             FsyncPolicy::Always,
@@ -102,6 +157,7 @@ fn concurrent_committers_all_become_durable() {
 #[test]
 fn notify_one_wakeups_are_never_lost_under_contention() {
     with_default_watchdog(|| {
+        let _counters = shared_counters();
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 32;
         for fsync in [
@@ -148,6 +204,7 @@ fn notify_one_wakeups_are_never_lost_under_contention() {
 #[test]
 fn ticket_storm_acks_densely_and_watermark_agrees() {
     with_default_watchdog(|| {
+        let _counters = shared_counters();
         const THREADS: u64 = 64;
         const PER_THREAD: u64 = 4;
         let dir = TempDir::new("txlog-wal-storm");
@@ -204,9 +261,10 @@ fn ticket_storm_acks_densely_and_watermark_agrees() {
 #[test]
 fn shutdown_with_gap_stranded_records_fails_their_tickets() {
     with_default_watchdog(|| {
+        let _counters = shared_counters();
         for fsync in [
             FsyncPolicy::Always,
-            FsyncPolicy::Group(Duration::from_secs(60)), // interval never expires
+            FsyncPolicy::Group(Duration::from_secs(60)), // behaves as `Always`
             FsyncPolicy::None,
         ] {
             let dir = TempDir::new("txlog-wal-gap");
@@ -233,6 +291,7 @@ fn shutdown_with_gap_stranded_records_fails_their_tickets() {
 #[test]
 fn rotation_starts_a_new_segment_and_keeps_every_record() {
     with_default_watchdog(|| {
+        let _counters = shared_counters();
         let dir = TempDir::new("txlog-wal");
         let writer = LogWriter::open(dir.path(), &options(FsyncPolicy::Always)).unwrap();
         for lsn in 0..5 {
@@ -262,6 +321,7 @@ fn rotation_starts_a_new_segment_and_keeps_every_record() {
 #[test]
 fn preallocated_segments_are_trimmed_at_rotation_and_shutdown() {
     with_default_watchdog(|| {
+        let _counters = shared_counters();
         let dir = TempDir::new("txlog-wal-prealloc");
         let writer = LogWriter::open(dir.path(), &options(FsyncPolicy::Always)).unwrap();
         assert_eq!(
@@ -307,9 +367,10 @@ fn preallocated_segments_are_trimmed_at_rotation_and_shutdown() {
 #[test]
 fn clean_shutdown_flushes_under_every_policy() {
     with_default_watchdog(|| {
+        let _counters = shared_counters();
         for fsync in [
             FsyncPolicy::Always,
-            FsyncPolicy::Group(Duration::from_secs(60)), // interval never expires
+            FsyncPolicy::Group(Duration::from_secs(60)), // behaves as `Always`
             FsyncPolicy::None,
         ] {
             let dir = TempDir::new("txlog-wal");
@@ -327,50 +388,102 @@ fn clean_shutdown_flushes_under_every_policy() {
     });
 }
 
-/// A rotation acknowledges what its `sync_all` covered through the same path
-/// as an fsync: records written under a group interval that never expires
-/// become durable by `rotate()` alone, and the watermark agrees with the
-/// locked read afterwards.
+/// A rotation requested while an fsync is in flight waits for it: the
+/// records written before the request are fsynced and acknowledged in the
+/// turn that wrote them, the new segment starts after all of them, and the
+/// watermark agrees with the locked read afterwards.
 #[test]
-fn rotation_alone_acknowledges_written_records() {
+fn rotation_requested_during_an_fsync_starts_after_every_written_record() {
     with_default_watchdog(|| {
-        let dir = TempDir::new("txlog-wal-rotate-ack");
-        let writer = LogWriter::open(
-            dir.path(),
-            &options(FsyncPolicy::Group(Duration::from_secs(60))),
-        )
-        .unwrap();
+        let _counters = shared_counters();
+        let dir = TempDir::new("txlog-wal-rotate-held");
+        let (writer, held) = held_fsync_writer(&dir, FsyncPolicy::Always);
         let tickets: Vec<_> = (0..4)
-            .map(|lsn| writer.append(lsn, payload(lsn)).unwrap())
+            .map(|lsn| {
+                let ticket = writer.append(lsn, payload(lsn)).unwrap();
+                if lsn == 0 {
+                    held.wait_held();
+                }
+                ticket
+            })
             .collect();
         assert!(
             tickets.iter().all(|ticket| ticket.poll().is_none()),
-            "no fsync is due for a minute"
+            "nothing is acknowledged while the fsync is held"
         );
-        assert_eq!(writer.rotate(), Ok(4));
+        let rotated = std::thread::scope(|scope| {
+            let rotation = scope.spawn(|| writer.rotate());
+            held.release();
+            rotation.join().unwrap()
+        });
+        assert_eq!(rotated, Ok(4));
         for ticket in &tickets {
             assert_eq!(ticket.poll(), Some(Ok(())), "LSN {}", ticket.lsn());
         }
         assert_eq!(writer.durable_lsn(), 4);
         assert_eq!(writer.durable_watermark(), writer.durable_lsn());
         drop(writer);
+        let segments = txlog::list_segments(dir.path()).unwrap();
+        assert_eq!(
+            segments.iter().map(|&(s, _)| s).collect::<Vec<_>>(),
+            vec![0, 4]
+        );
         assert_eq!(recover(dir.path()).unwrap().next_lsn, 4);
     });
 }
 
+/// `Group` carries an interval the writer no longer reads: a record is
+/// fsynced and acknowledged as soon as it is written, not a minute later.
 #[test]
-fn group_policy_acks_within_the_interval() {
+fn group_policy_acks_without_waiting_out_the_interval() {
     with_default_watchdog(|| {
+        let _counters = shared_counters();
         let dir = TempDir::new("txlog-wal");
         let writer = LogWriter::open(
             dir.path(),
-            &options(FsyncPolicy::Group(Duration::from_millis(2))),
+            &options(FsyncPolicy::Group(Duration::from_secs(60))),
         )
         .unwrap();
-        // Waiting on the ticket parks until the periodic fsync covers it; the
-        // ack must arrive without any further appends.
+        let started = Instant::now();
         writer.append(0, payload(0)).unwrap().wait().unwrap();
-        assert!(writer.durable_lsn() >= 1);
+        let waited = started.elapsed();
+        assert!(
+            waited < Duration::from_secs(1),
+            "the ack waited {waited:?}: the writer slept out the interval"
+        );
+        assert_eq!(writer.durable_lsn(), 1);
+    });
+}
+
+/// Group commit without a clock: records that arrive while an fsync is in
+/// flight go out as one batch under the next fsync.
+#[test]
+fn records_arriving_during_an_fsync_share_the_next() {
+    with_default_watchdog(|| {
+        let _counters = exclusive_counters();
+        let dir = TempDir::new("txlog-wal-share");
+        let (writer, held) = held_fsync_writer(&dir, FsyncPolicy::default());
+        let before = txobs::metrics::wal().snapshot();
+        let first = writer.append(0, payload(0)).unwrap();
+        held.wait_held();
+        let rest: Vec<_> = (1..=9)
+            .map(|lsn| writer.append(lsn, payload(lsn)).unwrap())
+            .collect();
+        assert_eq!(writer.durable_lsn(), 0, "the fsync of LSN 0 is held");
+        held.release();
+        first.wait().unwrap();
+        for ticket in rest {
+            ticket.wait().unwrap();
+        }
+        let wal = txobs::metrics::wal().snapshot().delta_since(&before);
+        assert_eq!(wal.enqueued, 10);
+        assert_eq!(
+            wal.fsyncs, 2,
+            "LSN 0 under the held fsync, LSNs 1..=9 under the next one"
+        );
+        assert_eq!(writer.durable_lsn(), 10);
+        drop(writer);
+        assert_eq!(recover(dir.path()).unwrap().next_lsn, 10);
     });
 }
 
@@ -400,6 +513,7 @@ fn default_options_get_independent_disarmed_registries() {
 #[test]
 fn crash_points_kill_the_writer_and_preserve_acked_prefix() {
     with_default_watchdog(|| {
+        let _counters = shared_counters();
         for point in crash_points::APPEND {
             let dir = TempDir::new("txlog-wal-crash");
             let crash = CrashPoints::disabled();
@@ -480,6 +594,7 @@ fn crash_points_kill_the_writer_and_preserve_acked_prefix() {
 #[test]
 fn rotation_crash_points_kill_the_writer_and_preserve_acked_records() {
     with_default_watchdog(|| {
+        let _counters = shared_counters();
         for point in crash_points::ROTATION {
             let dir = TempDir::new("txlog-wal-rotate-crash");
             let crash = CrashPoints::disabled();
@@ -534,6 +649,7 @@ fn rotation_crash_points_kill_the_writer_and_preserve_acked_records() {
 #[test]
 fn crash_with_waiters_behind_a_gap_fails_them_all() {
     with_default_watchdog(|| {
+        let _counters = shared_counters();
         let dir = TempDir::new("txlog-wal-crash");
         let crash = CrashPoints::disabled();
         let writer = LogWriter::open(dir.path(), &crash_options(&crash)).unwrap();

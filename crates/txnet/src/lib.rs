@@ -32,9 +32,9 @@
 //!   WAL record — and **pipeline** durability: a round is committed in
 //!   memory ([`txkv::DurableKvSession::submit`]), its replies wait in a
 //!   per-thread FIFO for the durable watermark, and the thread executes the
-//!   next round meanwhile, so the rounds of one sync interval share one
-//!   fsync. And the blocking pipelined client the open-loop load generator
-//!   drives.
+//!   next round meanwhile, so the rounds committed while one fsync is in
+//!   flight share the next. And the blocking pipelined client the open-loop
+//!   load generator drives.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -24,8 +24,9 @@
 //! Step 3 is the point of the coalescing: N clients' concurrent batches share
 //! a single STM commit and a single WAL record. Steps 4–5 are what lets the
 //! group-commit WAL run at its design point: the serving thread keeps
-//! committing rounds during the sync interval, so every round that arrived
-//! in it lands under one fsync instead of one fsync per round.
+//! committing rounds while an fsync is in flight, so every round that
+//! arrived meanwhile lands under the next fsync instead of one fsync per
+//! round.
 //!
 //! **The gate** of a round is the highest LSN this thread had appended when
 //! the round committed: a round with writes is gated by its own ticket, a
@@ -92,8 +93,8 @@ const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
 /// How many full coalescing windows (64 requests each) a serving thread
 /// parks behind the durable watermark before it stops reading sockets. Four
-/// windows already cover one group-commit interval of the repo's benchmark;
-/// the rest is headroom for slower disks.
+/// windows already cover the 256 callers of the repo's benchmark; the rest
+/// is headroom for slower disks.
 pub const PARKED_ROUNDS_LIMIT: usize = 16;
 
 /// Unflushed reply bytes above which a connection is no longer read from:
@@ -202,7 +203,7 @@ impl NetServer {
     /// Serves the durable [`DurableKvStore`] on `addr`: no reply leaves
     /// before every write it could have observed is durable per the store's
     /// fsync policy, coalesced requests share one WAL record, and rounds
-    /// committed during one sync interval share one fsync.
+    /// committed while one fsync is in flight share the next.
     ///
     /// # Errors
     ///

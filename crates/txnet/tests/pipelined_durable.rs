@@ -1,15 +1,19 @@
 //! The durable serving path pipelines: a serving thread commits rounds in
 //! memory, parks their replies behind the WAL's durable watermark and keeps
-//! executing, so the rounds of one sync interval share one fsync.
+//! executing, so the rounds committed while one fsync is in flight share the
+//! next fsync.
 //!
-//! Every test runs the store under `FsyncPolicy::Group(250 ms)` and first
-//! sends one blocking write: its acknowledgement restarts the interval
-//! clock, so whatever is sent next is committed at once and stays parked for
-//! the best part of 250 ms — long enough for the test to line several
-//! rounds up behind one fsync. Contracts:
+//! Every test runs the store over a `FaultFs`, sends one blocking write, and
+//! then *holds* the WAL's next fsync (`FaultPlan::hold`): the first round
+//! sent after that is written and stays parked in its fsync for as long as
+//! the test needs, with no clock, while the serving thread commits and parks
+//! whatever is sent next. The tests wait for the serving thread on its
+//! counters, not on sleeps. Contracts:
 //!
-//! * overlap — 4 × 64 pipelined puts are acknowledged within 2 intervals
-//!   under at most 2 fsyncs (one fsync per round took 4 fsyncs, 3 intervals);
+//! * overlap — 4 × 64 pipelined puts are acknowledged under at most 2 fsyncs
+//!   (rounds 2–4 are committed while round 1's fsync is held and share the
+//!   next one; one fsync per round took 4), and no reply leaves while the
+//!   fsync is held;
 //! * no early ack, in order — no reply, a read's and a typed protocol
 //!   error's included, is received before the watermark covers every write
 //!   this connection had committed ahead of it, and replies keep the request
@@ -19,15 +23,16 @@
 //!   stays open, reads keep serving, and a reboot recovers a request-order
 //!   prefix holding every acknowledged write.
 
-use std::io::Write;
+use std::io::{self, Write};
+use std::ops::Deref;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use swisstm::SwisstmRuntime;
 use tlstm_testutil::{with_default_watchdog, TempDir};
 use txkv::{
-    CrashPoints, DurableKvConfig, DurableKvStore, FsyncPolicy, KvOp, KvReply, KvServerConfig,
-    KvStoreParams, RefStore,
+    CrashPoints, DurableKvConfig, DurableKvStore, FaultFs, FaultPlan, FsyncPolicy, KvOp, KvReply,
+    KvServerConfig, KvStoreParams, RefStore, StorageOp,
 };
 use txlog::crash_points;
 use txmem::TxConfig;
@@ -35,13 +40,13 @@ use txnet::{
     encode_frame, encode_request, NetClient, NetError, NetServer, NetServerConfig, RemoteError,
     ERR_WAL,
 };
+use txobs::metrics::{NetSnapshot, WalSnapshot};
 
 const SHARDS: u64 = 8;
-const INTERVAL: Duration = Duration::from_millis(250);
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
-/// Far longer than the 200 µs poll sleep: a frame sent this long ago has
-/// been decoded, executed and parked.
-const ROUND_GAP: Duration = Duration::from_millis(20);
+/// How long the client listens for a reply that must not come. Only a
+/// failure can depend on it: a broken server might answer after it.
+const QUIET: Duration = Duration::from_millis(20);
 
 type Runtime = SwisstmRuntime;
 
@@ -51,7 +56,7 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn durable_config(crash_points: CrashPoints) -> DurableKvConfig {
+fn durable_config(crash_points: CrashPoints, fs: &FaultFs) -> DurableKvConfig {
     DurableKvConfig {
         server: KvServerConfig {
             store: KvStoreParams {
@@ -63,25 +68,48 @@ fn durable_config(crash_points: CrashPoints) -> DurableKvConfig {
             batch_tasks: 1,
             tx: TxConfig::small(),
         },
-        fsync: FsyncPolicy::Group(INTERVAL),
+        fsync: FsyncPolicy::default(),
         crash_points,
+        fs: Arc::new(fs.clone()),
         ..DurableKvConfig::default()
     }
 }
 
+/// The rig's fault plan. Dropping it lifts every latch, so a failing
+/// assertion cannot leave the WAL writer parked and the store's drop
+/// waiting for it.
+struct Plan(FaultPlan);
+
+impl Deref for Plan {
+    type Target = FaultPlan;
+
+    fn deref(&self) -> &FaultPlan {
+        &self.0
+    }
+}
+
+impl Drop for Plan {
+    fn drop(&mut self) {
+        self.0.clear();
+    }
+}
+
 struct Rig {
+    plan: Plan,
     dir: TempDir,
     store: Arc<DurableKvStore<Runtime>>,
     net: NetServer,
     client: NetClient,
 }
 
-/// Boots a store and a one-thread server, connects, and sends the blocking
-/// write (key 0) that restarts the group-commit interval.
+/// Boots a store over a [`FaultFs`] and a one-thread server, connects, and
+/// sends one blocking write (key 0).
 fn rig(crash_points: CrashPoints) -> Rig {
     let dir = TempDir::new("txnet-pipelined");
+    let fs = FaultFs::new();
+    let plan = Plan(fs.plan());
     let store = Arc::new(
-        DurableKvStore::<Runtime>::boot(dir.path(), &durable_config(crash_points))
+        DurableKvStore::<Runtime>::boot(dir.path(), &durable_config(crash_points, &fs))
             .expect("boot failed"),
     );
     let config = NetServerConfig {
@@ -92,9 +120,10 @@ fn rig(crash_points: CrashPoints) -> Rig {
         .expect("bind failed");
     let mut client = NetClient::connect(net.addr()).expect("connect failed");
     client.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
-    assert!(client.put(0, vec![0]).expect("interval-restarting write"));
+    assert!(client.put(0, vec![0]).expect("first write"));
     assert_eq!(store.durable_lsn(), 1);
     Rig {
+        plan,
         dir,
         store,
         net,
@@ -112,22 +141,78 @@ fn put(key: u64) -> KvOp {
 /// What a reboot of the rig's directory recovers.
 fn reboot(rig: Rig) -> Vec<(u64, Vec<u64>)> {
     let Rig {
+        plan,
         dir,
         store,
         net,
         client,
     } = rig;
+    drop(plan);
     drop(client);
     net.shutdown();
     drop(Arc::into_inner(store).expect("the serving thread is joined"));
-    let recovered =
-        DurableKvStore::<Runtime>::boot(dir.path(), &durable_config(CrashPoints::disabled()))
-            .expect("recovery failed");
+    let recovered = DurableKvStore::<Runtime>::boot(
+        dir.path(),
+        &durable_config(CrashPoints::disabled(), &FaultFs::new()),
+    )
+    .expect("recovery failed");
     let dump = recovered
         .store()
         .dump(&mut recovered.server().direct())
         .expect("direct dump cannot abort");
     dump
+}
+
+/// The net and WAL counters when a test started sending. They are
+/// process-wide; the tests run one at a time.
+struct Since {
+    net: NetSnapshot,
+    wal: WalSnapshot,
+}
+
+impl Since {
+    fn now() -> Since {
+        Since {
+            net: txobs::metrics::net().snapshot(),
+            wal: txobs::metrics::wal().snapshot(),
+        }
+    }
+
+    /// The net and WAL counters' growth since [`Since::now`].
+    fn deltas(&self) -> (NetSnapshot, WalSnapshot) {
+        // The net counters first: a round counts as executed before its
+        // record is appended.
+        let net = txobs::metrics::net().snapshot().delta_since(&self.net);
+        let wal = txobs::metrics::wal().snapshot().delta_since(&self.wal);
+        (net, wal)
+    }
+
+    /// Polls the counters until `done` holds (the watchdog bounds the wait).
+    fn wait_until(&self, done: impl Fn(&NetSnapshot, &WalSnapshot) -> bool) {
+        loop {
+            let (net, wal) = self.deltas();
+            if done(&net, &wal) {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+}
+
+/// Asserts that no reply byte has reached the client.
+fn assert_no_reply(rig: &mut Rig, why: &str) {
+    let stream = rig.client.stream();
+    stream.set_read_timeout(Some(QUIET)).unwrap();
+    let peeked = stream.peek(&mut [0u8; 1]);
+    stream.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+    match peeked {
+        Err(e)
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) => {}
+        other => panic!("{why}: a reply arrived while the fsync was held ({other:?})"),
+    }
 }
 
 /// The oracle after the rig's first write and then `puts`, in order.
@@ -141,16 +226,15 @@ fn oracle_after(puts: &[u64]) -> Vec<(u64, Vec<u64>)> {
 }
 
 #[test]
-fn four_rounds_of_one_interval_share_one_fsync() {
+fn rounds_written_during_one_fsync_share_the_next() {
     with_default_watchdog(|| {
         let _serial = serial();
         const ROUNDS: u64 = 4;
         const PER_ROUND: u64 = 64; // the default coalescing window
         let mut rig = rig(CrashPoints::disabled());
 
-        let wal_before = txobs::metrics::wal().snapshot();
-        let net_before = txobs::metrics::net().snapshot();
-        let started = Instant::now();
+        let since = Since::now();
+        rig.plan.hold(StorageOp::Fsync);
         let mut wire = Vec::new();
         for id in 1..=ROUNDS * PER_ROUND {
             wire.extend_from_slice(&encode_frame(id, &encode_request(&[put(id)])));
@@ -159,14 +243,22 @@ fn four_rounds_of_one_interval_share_one_fsync() {
             .stream()
             .write_all(&wire)
             .expect("pipelined write");
+        // Round 1 is written and its fsync held; every later round is
+        // committed and appended behind it.
+        rig.plan.wait_held(StorageOp::Fsync);
+        since.wait_until(|net, wal| {
+            net.coalesced_requests == ROUNDS * PER_ROUND && wal.enqueued == net.coalesced_batches
+        });
+        assert_eq!(rig.store.durable_lsn(), 1, "the fsync is held");
+        assert_no_reply(&mut rig, "every round is parked");
+        rig.plan.release(StorageOp::Fsync);
+
         for id in 1..=ROUNDS * PER_ROUND {
             let (got, result) = rig.client.recv().expect("pipelined recv");
             assert_eq!(got, id, "replies must keep the request order");
             assert_eq!(result.expect("put reply"), vec![KvReply::Inserted(true)]);
         }
-        let elapsed = started.elapsed();
-        let wal = txobs::metrics::wal().snapshot().delta_since(&wal_before);
-        let net = txobs::metrics::net().snapshot().delta_since(&net_before);
+        let (net, wal) = since.deltas();
 
         assert_eq!(net.coalesced_requests, ROUNDS * PER_ROUND);
         assert!(
@@ -177,14 +269,9 @@ fn four_rounds_of_one_interval_share_one_fsync() {
         assert_eq!(wal.enqueued, net.coalesced_batches, "one record per round");
         assert!(
             wal.fsyncs <= 2,
-            "{} rounds took {} fsyncs: they did not overlap the sync interval",
+            "{} rounds took {} fsyncs: the rounds committed during one fsync did not share the next",
             net.coalesced_batches,
             wal.fsyncs
-        );
-        assert!(
-            elapsed < 2 * INTERVAL,
-            "{} rounds took {elapsed:?}: the serving thread waited out an fsync per round",
-            net.coalesced_batches
         );
         assert_eq!(rig.store.durable_lsn(), 1 + net.coalesced_batches);
         let keys: Vec<u64> = (1..=ROUNDS * PER_ROUND).collect();
@@ -197,27 +284,34 @@ fn no_reply_leaves_before_the_writes_ahead_of_it_are_durable() {
     with_default_watchdog(|| {
         let _serial = serial();
         let mut rig = rig(CrashPoints::disabled());
-        let mut send = |id: u64, payload: Vec<u8>| {
+        let since = Since::now();
+        rig.plan.hold(StorageOp::Fsync);
+        // One round per request: the next is sent once the serving thread
+        // has decoded this one, and `records` is the WAL's count after it.
+        let mut send = |id: u64, payload: Vec<u8>, records: u64| {
             rig.client
                 .stream()
                 .write_all(&encode_frame(id, &payload))
                 .expect("send");
-            std::thread::sleep(ROUND_GAP);
+            since.wait_until(|net, wal| net.requests == id && wal.enqueued == records);
         };
 
-        // Four rounds, all parked behind the next group fsync: a write
-        // (LSN 1), a read of it, an undecodable payload, a second write
-        // (LSN 2) — and a fifth request decoded after the watermark moved.
-        let sent = Instant::now();
-        send(1, encode_request(&[put(5)]));
-        send(2, encode_request(&[KvOp::Get { key: 5 }]));
-        send(3, vec![9]); // bad protocol version: a payload-level error
-        send(4, encode_request(&[put(6)]));
+        // Four rounds, all parked behind the held fsync of the first: a
+        // write (LSN 1), a read of it, an undecodable payload, a second
+        // write (LSN 2) — and a fifth request decoded after the watermark
+        // moved.
+        send(1, encode_request(&[put(5)]), 1);
+        rig.plan.wait_held(StorageOp::Fsync);
+        send(2, encode_request(&[KvOp::Get { key: 5 }]), 1);
+        send(3, vec![9], 1); // bad protocol version: a payload-level error
+        send(4, encode_request(&[put(6)]), 2);
         assert_eq!(
             rig.store.durable_lsn(),
             1,
-            "the interval has not elapsed: nothing new may be durable yet"
+            "the fsync is held: nothing new may be durable yet"
         );
+        assert_no_reply(&mut rig, "four rounds are parked");
+        rig.plan.release(StorageOp::Fsync);
 
         let mut expect = |id: u64, covers: u64| -> Result<Vec<KvReply>, RemoteError> {
             let (got, result) = rig.client.recv().expect("recv");
@@ -230,10 +324,6 @@ fn no_reply_leaves_before_the_writes_ahead_of_it_are_durable() {
             result
         };
         assert_eq!(expect(1, 2), Ok(vec![KvReply::Inserted(true)]));
-        assert!(
-            sent.elapsed() >= INTERVAL / 2,
-            "the first write was acknowledged before the group fsync could have run"
-        );
         assert_eq!(expect(2, 2), Ok(vec![KvReply::Value(Some(vec![35, 5]))]));
         assert_eq!(expect(3, 2).unwrap_err().code, 4);
         assert_eq!(expect(4, 3), Ok(vec![KvReply::Inserted(true)]));
@@ -243,25 +333,44 @@ fn no_reply_leaves_before_the_writes_ahead_of_it_are_durable() {
     });
 }
 
-/// Sends two writes as two rounds (keys 1 and 2) with `point` armed before
-/// the first (`arm_before` = 1) or the second (= 2), and returns their
-/// results.
+/// Sends two writes as two rounds (keys 1 and 2) that meet `point` in one
+/// batch, and returns their results. A blocker write (key 0, its value
+/// unchanged) goes first and its fsync is held, so both rounds are
+/// committed and appended behind it; the writer then writes them as one
+/// batch, and `point` is armed while that write is held.
 fn two_parked_rounds_meet(
     rig: &mut Rig,
     crash: &CrashPoints,
     point: &str,
-    arm_before: u64,
 ) -> Vec<Result<Vec<KvReply>, RemoteError>> {
+    const BLOCKER: u64 = 99;
+    let since = Since::now();
+    rig.plan.hold(StorageOp::Fsync);
+    let blocker = KvOp::Put {
+        key: 0,
+        value: vec![0],
+    };
+    rig.client
+        .stream()
+        .write_all(&encode_frame(BLOCKER, &encode_request(&[blocker])))
+        .expect("send");
+    rig.plan.wait_held(StorageOp::Fsync);
     for id in 1..=2 {
-        if id == arm_before {
-            crash.arm(point);
-        }
         rig.client
             .stream()
             .write_all(&encode_frame(id, &encode_request(&[put(id)])))
             .expect("send");
-        std::thread::sleep(ROUND_GAP);
+        since.wait_until(|net, wal| net.requests == 1 + id && wal.enqueued == 1 + id);
     }
+    rig.plan.hold(StorageOp::Write);
+    rig.plan.release(StorageOp::Fsync);
+    rig.plan.wait_held(StorageOp::Write);
+    crash.arm(point);
+    rig.plan.release(StorageOp::Write);
+
+    let (got, result) = rig.client.recv().expect("recv");
+    assert_eq!(got, BLOCKER, "{point}: replies must keep the request order");
+    assert_eq!(result, Ok(vec![KvReply::Inserted(false)]), "{point}");
     let results = (1..=2)
         .map(|id| {
             let (got, result) = rig.client.recv().expect("recv");
@@ -296,9 +405,9 @@ fn parked_rounds_the_last_fsync_covered_are_acknowledged_when_the_writer_dies() 
         let point = crash_points::AFTER_FSYNC_BEFORE_ACK;
         let crash = CrashPoints::disabled();
         let mut rig = rig(crash.clone());
-        // Both rounds are written when the group fsync runs; the writer dies
+        // Both rounds are written when their fsync runs; the writer dies
         // right after it returned, before the ack.
-        let results = two_parked_rounds_meet(&mut rig, &crash, point, 1);
+        let results = two_parked_rounds_meet(&mut rig, &crash, point);
         for result in results {
             assert_eq!(result, Ok(vec![KvReply::Inserted(true)]));
         }
@@ -314,15 +423,16 @@ fn parked_rounds_no_fsync_covered_get_err_wal_when_the_writer_dies() {
         let point = crash_points::AFTER_APPEND_BEFORE_FSYNC;
         let crash = CrashPoints::disabled();
         let mut rig = rig(crash.clone());
-        // Round 1 is written and parked; the writer dies right after
-        // writing round 2, an interval before any fsync would cover either.
-        let results = two_parked_rounds_meet(&mut rig, &crash, point, 2);
+        // Both rounds are written; the writer dies right after the write,
+        // before any fsync covers either.
+        let results = two_parked_rounds_meet(&mut rig, &crash, point);
         for result in results {
             assert_eq!(result.unwrap_err().code, ERR_WAL);
         }
         assert_degraded_service(&mut rig, point);
-        // Nothing past the first write was acknowledged; either unsynced
-        // record may have reached the file, in order.
+        // Nothing past the blocker (key 0, its value unchanged) was
+        // acknowledged; either unsynced record may have reached the file,
+        // in order.
         let recovered = reboot(rig);
         assert!(
             [&[][..], &[1], &[1, 2]]
