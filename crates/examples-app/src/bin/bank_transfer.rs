@@ -3,12 +3,13 @@
 //! Several user-threads transfer money between random accounts; the total
 //! balance must be conserved no matter how many conflicts and rollbacks
 //! happen. One generic driver runs unchanged on the SwissTM baseline, on
-//! TLSTM (where each transfer is split into a withdraw task and a deposit
-//! task that communicate through a speculatively-written scratch word), and
-//! on the sequential `seqref` reference runtime.
+//! TLSTM and on the sequential `seqref` reference runtime: each transfer is
+//! split into a withdraw task and a deposit task that communicate through a
+//! scratch word, run as speculative tasks on TLSTM and in order inside one
+//! transaction on the other two.
 //!
 //! ```text
-//! cargo run -p tlstm-examples --release --bin bank_transfer
+//! cargo run -p examples-app --release --bin bank_transfer
 //! ```
 
 use std::sync::Arc;
@@ -16,7 +17,7 @@ use std::time::Instant;
 
 use swisstm::SwisstmRuntime;
 use tlstm::TlstmRuntime;
-use txmem::{Abort, SeqRefRuntime, TxConfig, TxMem, TxRuntime, TxSession, WordAddr};
+use txmem::{SeqRefRuntime, TxConfig, TxMem, TxRuntime, TxSession, WordAddr};
 
 const ACCOUNTS: u64 = 64;
 const INITIAL_BALANCE: u64 = 1_000;
@@ -59,45 +60,27 @@ fn report(label: &str, transfers: u64, elapsed: std::time::Duration, grand_total
     assert_eq!(grand_total, ACCOUNTS * INITIAL_BALANCE);
 }
 
-/// One transfer as a 2-task speculative user-transaction: the withdraw task
-/// parks the amount in a per-thread scratch word, the deposit task reads it
-/// back speculatively.
-fn transfer_tasks<S: TxSession>(
+/// One transfer as a 2-task transaction: the withdraw task parks the amount
+/// in a per-thread scratch word, the deposit task reads it back (on TLSTM,
+/// speculatively, before the withdraw task has committed).
+fn transfer<S: TxSession>(
     session: &mut S,
     accounts: WordAddr,
     scratch: WordAddr,
     from: u64,
     to: u64,
 ) {
-    let mut withdraw = |mem: &mut dyn TxMem| -> Result<(), Abort> {
-        let f = mem.read(accounts.offset(from))?;
-        let amount = if f > 0 { 1 + f % 10 } else { 0 };
-        mem.write(accounts.offset(from), f - amount)?;
-        mem.write(scratch, amount)?;
-        Ok(())
-    };
-    let mut deposit = |mem: &mut dyn TxMem| -> Result<(), Abort> {
-        // Reads the speculative value written by the withdraw task of the
-        // same user-transaction.
-        let amount = mem.read(scratch)?;
-        let bal = mem.read(accounts.offset(to))?;
-        mem.write(accounts.offset(to), bal + amount)?;
-        Ok(())
-    };
-    session.run_tasks(&mut [&mut withdraw, &mut deposit]);
-}
-
-/// One transfer as a single flat transaction (non-speculative runtimes).
-fn transfer_flat<S: TxSession>(session: &mut S, accounts: WordAddr, from: u64, to: u64) {
-    session.run(|mem| {
-        let f = mem.read(accounts.offset(from))?;
-        if f > 0 {
-            let amount = 1 + f % 10;
-            let bal = mem.read(accounts.offset(to))?;
+    session.run_split(2, |task, mem| {
+        if task == 0 {
+            let f = mem.read(accounts.offset(from))?;
+            let amount = if f > 0 { 1 + f % 10 } else { 0 };
             mem.write(accounts.offset(from), f - amount)?;
-            mem.write(accounts.offset(to), bal + amount)?;
+            mem.write(scratch, amount)
+        } else {
+            let amount = mem.read(scratch)?;
+            let bal = mem.read(accounts.offset(to))?;
+            mem.write(accounts.offset(to), bal + amount)
         }
-        Ok(())
     });
 }
 
@@ -122,26 +105,17 @@ fn run<R: TxRuntime>() {
                 let mut session = runtime.session();
                 let mut seed = 0x1234_5678 + t as u64;
                 // A scratch word per user-thread carries the withdrawn amount
-                // from the first task to the second on speculative runtimes.
+                // from the first task to the second.
                 let scratch = runtime.heap().alloc(1).unwrap();
                 for _ in 0..TRANSFERS_PER_THREAD {
                     let (from, to) = pick_accounts(&mut seed);
-                    if R::SPECULATIVE {
-                        transfer_tasks(&mut session, accounts, scratch, from, to);
-                    } else {
-                        transfer_flat(&mut session, accounts, from, to);
-                    }
+                    transfer(&mut session, accounts, scratch, from, to);
                 }
             });
         }
     });
-    let label = if R::SPECULATIVE {
-        format!("{} (2 tasks per transfer)", R::LABEL)
-    } else {
-        R::LABEL.to_string()
-    };
     report(
-        &label,
+        &format!("{} (2 tasks per transfer)", R::LABEL),
         THREADS as u64 * TRANSFERS_PER_THREAD,
         started.elapsed(),
         total(runtime.heap(), accounts),

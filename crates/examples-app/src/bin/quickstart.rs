@@ -2,11 +2,11 @@
 //! written against the runtime-agnostic [`TxRuntime`]/[`TxSession`] API.
 //!
 //! ```text
-//! cargo run -p tlstm-examples --release --bin quickstart
+//! cargo run -p examples-app --release --bin quickstart
 //! ```
 
 use tlstm::TlstmRuntime;
-use txmem::{Abort, TxConfig, TxMem, TxRuntime, TxSession};
+use txmem::{TxConfig, TxMem, TxRuntime, TxSession};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A runtime owns the transactional heap, the global lock table and the
@@ -28,22 +28,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // sessions from the same method — the code below runs on any of them.
     let mut session = runtime.session();
 
-    // A user-transaction decomposed into two tasks: the first withdraws from
-    // account A, the second deposits into account B *reading the speculative
-    // state left by the first*. On sequential runtimes the same bodies run
-    // in order inside one transaction.
-    let mut withdraw = |mem: &mut dyn TxMem| -> Result<(), Abort> {
+    // A user-transaction split into two tasks: task 0 withdraws from
+    // account A, task 1 deposits into account B *reading the speculative
+    // state left by task 0*. On sequential runtimes the same tasks run in
+    // order inside one transaction. Each task returns a value; `run_split`
+    // hands back the committed execution's values in task order.
+    let balances = session.run_split(2, |task, mem| {
         let a = mem.read(account_a)?;
-        mem.write(account_a, a - 40)?;
-        Ok(())
-    };
-    let mut deposit = |mem: &mut dyn TxMem| -> Result<(), Abort> {
-        let a = mem.read(account_a)?; // sees 60, the speculative value
-        let b = mem.read(account_b)?;
-        mem.write(account_b, b + (100 - a))?;
-        Ok(())
-    };
-    session.run_tasks(&mut [&mut withdraw, &mut deposit]);
+        if task == 0 {
+            mem.write(account_a, a - 40)?;
+            return Ok(a - 40);
+        }
+        let b = mem.read(account_b)? + (100 - a); // a is 60, the speculative value
+        mem.write(account_b, b)?;
+        Ok(b)
+    });
+    assert_eq!(balances, [60, 40]);
 
     println!(
         "account A = {}, account B = {}",

@@ -13,7 +13,7 @@
 //! (cross-transaction speculation has no meaning on non-speculative runtimes).
 //!
 //! ```text
-//! cargo run -p tlstm-examples --release --bin speculative_pipeline
+//! cargo run -p examples-app --release --bin speculative_pipeline
 //! ```
 
 use std::time::Instant;
@@ -47,18 +47,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut session = runtime.session();
     let started = Instant::now();
     for id in 0..BATCH {
-        // Task 1: CPU/read-heavy prologue (independent work, parallelisable).
-        let mut prologue =
-            |mem: &mut dyn TxMem| busy_reads(mem, scratch, WORK_PER_TASK).map(|_| ());
-        // Task 2: appends the transaction id to the log (carries the true
+        // Task 0: CPU/read-heavy prologue (independent work, parallelisable).
+        // Task 1: appends the transaction id to the log (carries the true
         // data dependency between transactions).
-        let mut append = |mem: &mut dyn TxMem| -> Result<(), Abort> {
+        session.run_split(2, |task, mem| {
+            if task == 0 {
+                return busy_reads(mem, scratch, WORK_PER_TASK).map(|_| ());
+            }
             let pos = mem.read(cursor)?;
             mem.write(log.offset(pos), id)?;
-            mem.write(cursor, pos + 1)?;
-            Ok(())
-        };
-        session.run_tasks(&mut [&mut prologue, &mut append]);
+            mem.write(cursor, pos + 1)
+        });
     }
     let serial = started.elapsed();
     drop(session);

@@ -4,16 +4,15 @@
 //! statistics.
 //!
 //! ```text
-//! cargo run -p tlstm-examples --release --bin travel_booking
+//! cargo run -p examples-app --release --bin travel_booking
 //! ```
 
 use std::sync::Arc;
 
 use tlstm::TlstmRuntime;
 use tlstm_testutil::TestRng;
-use tlstm_workloads::harness::chunk_ranges;
-use tlstm_workloads::vacation::{execute_ops, generate_txn, Manager, VacationParams};
-use txmem::{run_boxed_tasks, BoxedTaskBody, TxMem, TxRuntime};
+use tlstm_workloads::vacation::{generate_txn, run_txn, Manager, VacationParams};
+use txmem::TxRuntime;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = VacationParams::low_contention();
@@ -37,17 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 let mut rng = TestRng::new(0xB00C + server);
                 for _ in 0..clients_per_server {
                     let ops = generate_txn(&mut rng, &params);
-                    let mut bodies: Vec<BoxedTaskBody<'_>> =
-                        chunk_ranges(ops.len(), params.tasks_per_txn)
-                            .into_iter()
-                            .map(|(lo, hi)| {
-                                let ops = &ops[lo..hi];
-                                let manager = &manager;
-                                Box::new(move |mem: &mut dyn TxMem| execute_ops(mem, manager, ops))
-                                    as BoxedTaskBody<'_>
-                            })
-                            .collect();
-                    run_boxed_tasks(&mut session, &mut bodies);
+                    run_txn(&mut session, &manager, &ops, params.tasks_per_txn);
                 }
             });
         }

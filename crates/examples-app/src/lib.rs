@@ -11,6 +11,6 @@
 //! * `speculative_pipeline` — demonstrates speculative execution of *future*
 //!   transactions within one user-thread and the program-order guarantee.
 //!
-//! Run them with `cargo run -p tlstm-examples --release --bin <name>`.
+//! Run them with `cargo run -p examples-app --release --bin <name>`.
 
 #![forbid(unsafe_code)]

@@ -5,8 +5,8 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 use txmem::pause::contention_pause;
 use txmem::{
-    Abort, DirectMem, OwnerHandle, OwnerToken, StatsSnapshot, TaskBody, ThreadIdAllocator,
-    TxConfig, TxHeap, TxRuntime, TxSession, TxSubstrate,
+    Abort, DirectMem, OwnerHandle, OwnerToken, StatsSnapshot, ThreadIdAllocator, TxConfig, TxHeap,
+    TxRuntime, TxSession, TxSubstrate,
 };
 
 use crate::cm::{GreedyCm, GreedyTicket, TIMID};
@@ -247,21 +247,6 @@ impl TxSession for SwisstmThread {
         F: for<'t> Fn(&mut Transaction<'t>) -> Result<T, Abort> + Send + Sync,
     {
         self.atomic(|tx| body(tx))
-    }
-
-    /// Executes the ordered bodies sequentially inside *one* transaction —
-    /// SwissTM has no task decomposition, so a task group degenerates to a
-    /// single transaction applying the bodies in program order.
-    fn run_tasks(&mut self, tasks: &mut [TaskBody<'_>]) {
-        if tasks.is_empty() {
-            return;
-        }
-        self.atomic(|tx| {
-            for body in tasks.iter_mut() {
-                body(tx)?;
-            }
-            Ok(())
-        });
     }
 }
 

@@ -1,16 +1,17 @@
 //! The [`TxRuntime`]/[`TxSession`] implementation for TLSTM.
 //!
-//! The generic session API hands bodies in by *borrowed* closure
-//! (`&impl Fn` / `&mut dyn FnMut` — no `'static`, no `Arc`). TLSTM's own
-//! task API takes borrowed bodies too ([`crate::TaskFn`] carries a lifetime, and
-//! [`UThread::execute`] is scoped), so both methods are thin safe calls into
-//! it: the one lifetime erasure that lets a borrowed body run on a pooled
-//! helper thread lives in `execute`, with its safety argument.
+//! TLSTM overrides one method of [`TxSession`]: `run_split` submits one
+//! user-transaction whose task `i` runs `body(i, ..)` and stores its value
+//! in slot `i`, and `run` is a split of one task. The body is borrowed, not
+//! `'static`: TLSTM's task API takes borrowed bodies too ([`crate::TaskFn`]
+//! carries a lifetime, and [`UThread::execute`] is scoped), so the one
+//! lifetime erasure that lets a borrowed body run on a pooled helper thread
+//! lives in `execute`, with its safety argument.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use txmem::{Abort, TaskBody, TxConfig, TxRuntime, TxSession, TxSubstrate};
+use txmem::{Abort, TxConfig, TxRuntime, TxSession, TxSubstrate};
 
 use crate::runtime::{task, TlstmRuntime, TxnSpec, UThread};
 use crate::task::TaskCtx;
@@ -34,10 +35,10 @@ impl TxRuntime for TlstmRuntime {
     }
 
     /// Registers a user-thread whose speculative depth is the substrate's
-    /// [`TxConfig::spec_depth`] — callers that submit task groups size the
+    /// [`TxConfig::spec_depth`] — callers that split transactions size the
     /// config accordingly (e.g. `KvServerConfig` raises it to the batch's
     /// group count). The caller decides the depth; the host decides how much
-    /// of it is used: a task group runs on the calling thread plus the pool
+    /// of it is used: a split runs on the calling thread plus the pool
     /// helpers that are idle, merged in program order onto that crew — on a
     /// one-core host, all on the calling thread
     /// ([`TlstmRuntime::register_uthread_default`]).
@@ -54,38 +55,48 @@ impl TxSession for UThread {
         T: Send,
         F: for<'t> Fn(&mut TaskCtx<'t>) -> Result<T, Abort> + Send + Sync,
     {
-        // The committed execution writes the slot last (re-executions of an
-        // aborted attempt simply overwrite earlier values), so after
-        // `execute` returns the slot holds the committed body's result.
-        let slot: Mutex<Option<T>> = Mutex::new(None);
-        self.atomic(|ctx: &mut TaskCtx<'_>| {
-            *slot.lock() = Some(body(ctx)?);
-            Ok(())
-        });
-        slot.into_inner()
-            .expect("committed transaction must have produced a value")
+        self.run_split(1, |_, ctx| body(ctx))
+            .pop()
+            .expect("a one-task split returns one value")
     }
 
-    /// Submits the group as *one* user-transaction with one speculative task
-    /// per body, preserving program order through the task serials.
+    /// Submits *one* user-transaction with one speculative task per index,
+    /// preserving program order through the task serials. Each task stores
+    /// its value in its own slot; a task's executions run one after another
+    /// on one lane, each overwriting the slot, so once `execute` returns
+    /// every slot holds its committed execution's value.
     ///
     /// # Panics
     ///
-    /// Panics if the group exceeds this user-thread's speculative depth.
-    fn run_tasks(&mut self, tasks: &mut [TaskBody<'_>]) {
-        if tasks.is_empty() {
-            return;
+    /// Panics if `tasks` exceeds this user-thread's speculative depth.
+    fn run_split<T, F>(&mut self, tasks: usize, body: F) -> Vec<T>
+    where
+        T: Send,
+        F: for<'t> Fn(usize, &mut TaskCtx<'t>) -> Result<T, Abort> + Send + Sync,
+    {
+        if tasks == 0 {
+            return Vec::new();
         }
-        // A task's executions are serialised on one lane, so its lock is
-        // never contended: it only turns the `&mut` body into a shared one.
-        let bodies = tasks
-            .iter_mut()
-            .map(|body| {
-                let body = Mutex::new(body);
-                task(move |ctx: &mut TaskCtx<'_>| (body.lock())(ctx))
+        let slots: Vec<Mutex<Option<T>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
+        let body = &body;
+        let bodies = slots
+            .iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                task(move |ctx: &mut TaskCtx<'_>| {
+                    *slot.lock() = Some(body(i, ctx)?);
+                    Ok(())
+                })
             })
             .collect();
         self.execute(vec![TxnSpec::new(bodies)]);
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("a committed task has stored its value")
+            })
+            .collect()
     }
 }
 
@@ -134,14 +145,13 @@ mod tests {
             results_ref.push(v);
             mem.write(block.offset(1), v * 2)
         };
-        let mut tasks: [TaskBody<'_>; 2] = [&mut first, &mut second];
         // The group runs as two tasks only on a helper: never on one core,
         // and on more once other tests' default sessions leave one idle.
         let expected_tasks = if txmem::pause::multi_core() { 2 } else { 1 };
         let mut window = StatsSnapshot::default();
         for _ in 0..1000 {
             let before = TxRuntime::stats(&*rt);
-            session.run_tasks(&mut tasks);
+            session.run_tasks(&mut [&mut first, &mut second]);
             window = TxRuntime::stats(&*rt).delta_since(&before);
             if window.task_commits == expected_tasks {
                 break;

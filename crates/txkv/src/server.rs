@@ -6,22 +6,21 @@
 //! transaction** regardless of how many shards it touches.
 //!
 //! The server is generic over the runtime: every non-empty shard-group of a
-//! batch plan (see [`crate::ops::plan_batch`]) becomes one task body of a
-//! [`TxSession::run_tasks`] group. Under TLSTM those bodies run as
-//! speculative tasks that commit in plan order — the paper's
+//! batch plan (see [`crate::ops::plan_batch`]) becomes one task of a
+//! [`TxSession::run_split`], which returns each group's replies (and group
+//! 0's commit stamp) from its committed execution. Under TLSTM the groups
+//! run as speculative tasks that commit in plan order — the paper's
 //! TLS-inside-transactions model applied to the canonical middleware
 //! long-transaction, a multi-key read-modify-write batch. Sequential
 //! runtimes (SwissTM, `seqref`) execute the identical plan in order inside
 //! one transaction, which is what makes the runtimes directly comparable
-//! (and conformance-testable against [`crate::RefStore::batch`]).
+//! (and conformance-testable against [`crate::RefStore::batch`]). The
+//! in-memory and the durable server share this one path.
 //!
 //! A server is booted on a runtime by naming it:
 //! `KvServer::<TlstmRuntime>::new(&config)`.
 
-use txmem::{
-    run_boxed_tasks, Abort, BoxedTaskBody, DirectMem, StatsSnapshot, TxConfig, TxMem, TxRuntime,
-    TxSession, WordAddr,
-};
+use txmem::{Abort, DirectMem, StatsSnapshot, TxConfig, TxMem, TxRuntime, TxSession, WordAddr};
 
 use std::sync::Arc;
 
@@ -72,7 +71,7 @@ pub struct KvServer<R: TxRuntime> {
 impl<R: TxRuntime> KvServer<R> {
     /// Boots a server on runtime `R`. The substrate's speculative depth is
     /// raised to at least [`KvServerConfig::batch_tasks`], so sessions can
-    /// always run a full batch plan as one task group.
+    /// always run a full batch plan as one split transaction.
     pub fn new(config: &KvServerConfig) -> Self {
         let runtime = R::new(config.substrate());
         let store = KvStore::create(&mut runtime.direct(), &config.store)
@@ -226,62 +225,21 @@ impl<R: TxRuntime> KvSession<R> {
             .into_iter()
             .filter(|group| !group.is_empty())
             .collect();
-        if !R::SPECULATIVE {
-            // Sequential runtimes apply the plan's groups in order inside one
-            // monomorphized transaction: the memory operations inline into
-            // the runtime's transaction loop instead of going through the
-            // task group's `&mut dyn TxMem` erasure.
-            let groups = &groups;
-            let (filled, lsn) = self.session.run(|mem| {
-                let lsn = stamp_batch(mem, stamp)?;
-                let mut filled = Vec::with_capacity(ops.len());
-                for group in groups {
-                    apply_group(store, mem, ops, group, &mut filled)?;
-                }
-                Ok((filled, lsn))
-            });
-            return (scatter(ops.len(), filled), lsn);
-        }
-        // One slot per group, filled inside the transaction; a body may
-        // re-execute after a conflict, and each execution overwrites its
-        // slot, so only the committed execution's stamp and replies survive.
         // Group 0 carries the stamp: its position inside the transaction is
         // irrelevant for the commit order it captures.
-        let mut slots: Vec<_> = groups
-            .iter()
-            .map(|group| (None, Vec::with_capacity(group.len())))
-            .collect();
-        let mut bodies: Vec<BoxedTaskBody<'_>> = groups
-            .iter()
-            .zip(slots.iter_mut())
-            .enumerate()
-            .map(|(i, (group, (lsn, replies)))| {
-                let stamp = if i == 0 { stamp } else { None };
-                Box::new(move |mem: &mut dyn TxMem| {
-                    *lsn = stamp_batch(mem, stamp)?;
-                    replies.clear();
-                    apply_group(store, mem, ops, group, replies)
-                }) as BoxedTaskBody<'_>
-            })
-            .collect();
-        run_boxed_tasks(&mut self.session, &mut bodies);
-        drop(bodies);
-        let lsn = slots[0].0;
-        (
-            scatter(
-                ops.len(),
-                slots.into_iter().flat_map(|(_, replies)| replies),
-            ),
-            lsn,
-        )
+        let groups = &groups;
+        let results = self.session.run_split(groups.len(), |i, mem| {
+            let lsn = stamp_batch(mem, stamp.filter(|_| i == 0))?;
+            Ok((lsn, apply_group(store, mem, ops, &groups[i])?))
+        });
+        let lsn = results[0].0;
+        let filled = results.into_iter().flat_map(|(_, replies)| replies);
+        (scatter(ops.len(), filled), lsn)
     }
 }
 
 /// Reads and increments the `stamp` word, if any, returning the value read.
-fn stamp_batch<M: TxMem + ?Sized>(
-    mem: &mut M,
-    stamp: Option<WordAddr>,
-) -> Result<Option<u64>, Abort> {
+fn stamp_batch<M: TxMem>(mem: &mut M, stamp: Option<WordAddr>) -> Result<Option<u64>, Abort> {
     let Some(seq) = stamp else {
         return Ok(None);
     };
@@ -290,18 +248,19 @@ fn stamp_batch<M: TxMem + ?Sized>(
     Ok(Some(lsn))
 }
 
-/// Applies one shard-group of the plan, appending `(op index, reply)` pairs.
-fn apply_group<M: TxMem + ?Sized>(
+/// Applies one shard-group of the plan, returning its `(op index, reply)`
+/// pairs.
+fn apply_group<M: TxMem>(
     store: KvStore,
     mem: &mut M,
     ops: &[KvOp],
     group: &[usize],
-    out: &mut Vec<(usize, KvReply)>,
-) -> Result<(), Abort> {
+) -> Result<Vec<(usize, KvReply)>, Abort> {
+    let mut replies = Vec::with_capacity(group.len());
     for &index in group {
-        out.push((index, store.apply(mem, &ops[index])?));
+        replies.push((index, store.apply(mem, &ops[index])?));
     }
-    Ok(())
+    Ok(replies)
 }
 
 /// Puts the `(op index, reply)` pairs of a committed plan back in submission

@@ -2,13 +2,18 @@
 //! every registered runtime — SwissTM, TLSTM (including the batched
 //! task-split mode), and the sequential `seqref` reference — must produce
 //! exactly the replies and final contents of the sequential `RefStore`
-//! oracle, and must agree with each other pairwise.
+//! oracle, and must agree with each other pairwise. The split transaction
+//! under the store, `TxSession::run_split`, is checked on every runtime too.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use swisstm::SwisstmRuntime;
 use tlstm::TlstmRuntime;
 use tlstm_testutil::{with_default_watchdog, TestRng};
 use txkv::{KvOp, KvServer, KvServerConfig, KvStoreParams, RefStore};
-use txmem::{SeqRefRuntime, TxConfig, TxRuntime};
+use txmem::{Abort, SeqRefRuntime, TxConfig, TxMem, TxRuntime, TxSession, WordAddr};
 
 const SHARDS: u64 = 8;
 
@@ -201,5 +206,115 @@ fn concurrent_sessions_preserve_store_invariants() {
         hammer_concurrently::<SwisstmRuntime>();
         hammer_concurrently::<TlstmRuntime>();
         hammer_concurrently::<SeqRefRuntime>();
+    });
+}
+
+/// Words of a split chain sit this far apart, in distinct lock entries, so
+/// a stale read is a write-after-read conflict, not a write-lock one.
+const STRIDE: u64 = 64;
+
+/// A split whose task `i` returns word `i`, which task `i − 1` wrote (task 0
+/// returns `first`), and writes `3 · value + 1` to word `i + 1`.
+fn chain<S: TxSession>(session: &mut S, words: WordAddr, first: u64, tasks: usize) -> Vec<u64> {
+    session.run_split(tasks, |i, mem| {
+        let i = i as u64;
+        let value = if i == 0 {
+            first
+        } else {
+            mem.read(words.offset(i * STRIDE))?
+        };
+        mem.write(words.offset((i + 1) * STRIDE), 3 * value + 1)?;
+        Ok(value)
+    })
+}
+
+/// Runs `chain` splits of `tasks` tasks on `session` and checks each returns
+/// the program-order values, commits one transaction, and that zero tasks
+/// start none.
+fn check_run_split<R: TxRuntime>(rt: &Arc<R>, session: &mut impl TxSession, tasks: usize) {
+    let label = R::LABEL;
+    let words = rt.heap().alloc((tasks as u64 + 1) * STRIDE).unwrap();
+    for first in 0..20u64 {
+        let before = rt.stats();
+        let got = chain(session, words, first, tasks);
+        let want: Vec<u64> = std::iter::successors(Some(first), |v| Some(3 * v + 1))
+            .take(tasks)
+            .collect();
+        assert_eq!(got, want, "{label}/k{tasks}: not the program-order values");
+        let window = rt.stats().delta_since(&before);
+        assert_eq!(window.tx_commits, 1, "{label}/k{tasks}: one transaction");
+        if !R::SPECULATIVE {
+            assert_eq!(window.task_commits, 0, "{label}: a split counts no tasks");
+        }
+    }
+    let before = rt.stats().tx_starts;
+    let none: Vec<u64> = session.run_split(0, |_, _| -> Result<u64, Abort> {
+        unreachable!("a split of zero tasks runs no body")
+    });
+    assert!(none.is_empty());
+    assert_eq!(
+        rt.stats().tx_starts,
+        before,
+        "{label}: zero tasks ran a transaction"
+    );
+}
+
+#[test]
+fn run_split_returns_program_order_values_on_every_runtime() {
+    with_default_watchdog(|| {
+        let config = TxConfig {
+            spec_depth: 4,
+            ..TxConfig::small()
+        };
+        let swisstm = SwisstmRuntime::new(config.clone());
+        let seqref = SeqRefRuntime::new(config.clone());
+        let tlstm = TlstmRuntime::new(config);
+        for tasks in [1, 2, 4] {
+            check_run_split(&swisstm, &mut swisstm.session(), tasks);
+            check_run_split(&seqref, &mut seqref.session(), tasks);
+            // A full crew on any host, and a default session's idle helpers.
+            check_run_split(&tlstm, &mut tlstm.register_uthread(tasks), tasks);
+            check_run_split(&tlstm, &mut TxRuntime::session(&tlstm), tasks);
+        }
+    });
+}
+
+#[test]
+fn tlstm_run_split_returns_the_committed_execution_of_a_rolled_back_task() {
+    // Task 0 writes word 1 only after task 1 has read it, so task 1's first
+    // attempt reads the stale 0 and must lose to an intra-thread WAR; the
+    // value returned for it is the re-execution's.
+    with_default_watchdog(|| {
+        let rt = TlstmRuntime::new(TxConfig {
+            spec_depth: 2,
+            ..TxConfig::small()
+        });
+        let words = rt.heap().alloc(3 * STRIDE).unwrap();
+        let mut session = rt.register_uthread(2);
+        let reads = AtomicU64::new(0);
+        let before = rt.stats();
+        let got = session.run_split(2, |i, mem| {
+            if i == 0 {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while reads.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                mem.write(words.offset(STRIDE), 7)?;
+                return Ok(0);
+            }
+            let value = mem.read(words.offset(STRIDE))?;
+            reads.fetch_add(1, Ordering::SeqCst);
+            mem.write(words.offset(2 * STRIDE), 3 * value + 1)?;
+            Ok(value)
+        });
+        let window = rt.stats().delta_since(&before);
+        assert_eq!(got, [0, 7], "task 1 returned its stale first attempt");
+        assert!(
+            reads.load(Ordering::SeqCst) >= 2,
+            "task 1 never re-executed"
+        );
+        assert!(window.aborts_intra_war >= 1, "no WAR rollback: {window}");
+        assert_eq!(window.tx_commits, 1);
+        assert_eq!(rt.heap().load_committed(words.offset(2 * STRIDE)), 22);
     });
 }

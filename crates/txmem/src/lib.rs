@@ -31,8 +31,9 @@
 //!   run unchanged on either runtime.
 //! * [`TxRuntime`] / [`TxSession`] — the *inter*-transaction counterpart to
 //!   [`TxMem`]: construction from a config or shared substrate, per-thread
-//!   sessions with a commit-retry loop ([`TxSession::run`]) and ordered
-//!   task-group submission ([`TxSession::run_tasks`]), and statistics access.
+//!   sessions with a commit-retry loop ([`TxSession::run`]) and one
+//!   transaction split into ordered tasks ([`TxSession::run_split`]), and
+//!   statistics access.
 //!   Implemented by the `swisstm` and `tlstm` runtimes and by the in-crate
 //!   sequential reference runtime [`SeqRefRuntime`], so servers, workloads
 //!   and the benchmark matrix are generic over the runtime.

@@ -6,19 +6,20 @@
 //! [`multi_core`] and fall straight through to `yield_now` when there is no
 //! parallelism to exploit.
 
+use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
-/// The host's units of parallelism.
-///
-/// Cached after the first call; `usize::MAX` (spinning always allowed) when
-/// the parallelism cannot be determined.
+/// The host's units of parallelism, cached after the first call.
 pub fn cores() -> usize {
     static CACHE: OnceLock<usize> = OnceLock::new();
-    *CACHE.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(usize::MAX)
-    })
+    *CACHE.get_or_init(|| cores_from(std::thread::available_parallelism()))
+}
+
+/// A core count from `available_parallelism`'s answer: 1 when the
+/// parallelism cannot be determined, assuming no spare core (no helpers, no
+/// spinning) rather than unbounded ones.
+fn cores_from(parallelism: std::io::Result<NonZeroUsize>) -> usize {
+    parallelism.map_or(1, NonZeroUsize::get)
 }
 
 /// `true` if the host exposes more than one unit of parallelism.
@@ -44,6 +45,12 @@ pub fn contention_pause(iteration: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn unknown_parallelism_counts_as_one_core() {
+        assert_eq!(cores_from(Err(std::io::Error::other("unknown"))), 1);
+        assert_eq!(cores_from(Ok(NonZeroUsize::new(8).unwrap())), 8);
+    }
 
     #[test]
     fn multi_core_is_stable() {

@@ -9,38 +9,39 @@
 //! ```text
 //! TxRuntime  — construction (TxConfig / shared TxSubstrate), stats access
 //!    └─ TxSession  — one per driving thread: `run` (retry loop) and
-//!       │           `run_tasks` (one transaction split into ordered tasks)
-//!       └─ &mut dyn TxMem — what a body sees while it executes
+//!       │           `run_split` (one transaction split into ordered tasks)
+//!       └─ &mut Self::Mem — what a body sees while it executes
 //! ```
 //!
 //! Three runtimes implement the interface:
 //!
-//! * `swisstm::SwisstmRuntime` — the SwissTM baseline; `run_tasks` executes
-//!   the bodies sequentially inside one transaction;
-//! * `tlstm::TlstmRuntime` — the unified STM+TLS runtime; `run_tasks` turns
-//!   every body into one speculative task of one user-transaction;
+//! * `swisstm::SwisstmRuntime` — the SwissTM baseline;
+//! * `tlstm::TlstmRuntime` — the unified STM+TLS runtime; its `run_split`
+//!   runs every task index as one speculative task of one user-transaction;
 //! * [`crate::SeqRefRuntime`] — a global-lock sequential reference runtime
 //!   used as the conformance baseline of the benchmark matrix.
 //!
+//! The two sequential runtimes keep [`TxSession::run_split`]'s provided
+//! body: the task bodies run in index order inside one `run` transaction.
+//!
 //! Bodies must obey the usual STM contract: they may be re-executed any
 //! number of times (aborted attempts roll back), so they must be idempotent
-//! apart from their transactional reads/writes, and any side buffer they fill
-//! must be cleared at the start of each execution.
+//! apart from their transactional reads/writes, and their results travel in
+//! their return values, not in captured buffers.
 
 use std::fmt;
 use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use crate::error::Abort;
 use crate::stats::StatsSnapshot;
 use crate::traits::{DirectMem, TxMem};
 use crate::{TxConfig, TxHeap, TxSubstrate};
 
-/// One ordered task body of a [`TxSession::run_tasks`] group.
-///
-/// The bodies of a group together form *one* atomic transaction; sequential
-/// runtimes execute them in order inside a single transaction, speculative
-/// runtimes run one task per body. A body may be re-executed (speculation or
-/// retry), so it must reset any captured output buffer when it starts.
+/// One type-erased task body of a [`TxSession::run_tasks`] group. A body
+/// may be re-executed, so it must reset any captured output buffer when it
+/// starts; [`TxSession::run_split`] returns task results instead.
 pub type TaskBody<'a> = &'a mut (dyn FnMut(&mut dyn TxMem) -> Result<(), Abort> + Send);
 
 /// An owned task body; see [`TaskBody`]. Callers that build a group
@@ -67,13 +68,11 @@ pub fn run_boxed_tasks<S: TxSession + ?Sized>(session: &mut S, bodies: &mut [Box
 /// Sessions are `Send` but not `Sync`: each driving OS thread opens its own
 /// session (exactly the paper's user-thread model).
 pub trait TxSession {
-    /// The concrete [`TxMem`] handle bodies of [`TxSession::run`] receive.
+    /// The concrete [`TxMem`] handle bodies receive.
     ///
-    /// Exposing the concrete type (rather than `&mut dyn TxMem`) keeps the
-    /// single-body fast path fully monomorphized: the memory operations of a
-    /// `run` body inline into the transaction loop exactly as the runtimes'
-    /// inherent APIs do. Task groups ([`TxSession::run_tasks`]) still use
-    /// `&mut dyn TxMem` bodies — heterogeneous groups need the erasure.
+    /// Exposing the concrete type (rather than `&mut dyn TxMem`) keeps bodies
+    /// fully monomorphized: their memory operations inline into the
+    /// transaction loop exactly as the runtimes' inherent APIs do.
     type Mem<'t>: TxMem;
 
     /// Runs `body` as one atomic transaction, retrying until it commits, and
@@ -87,18 +86,46 @@ pub trait TxSession {
         T: Send,
         F: for<'t> Fn(&mut Self::Mem<'t>) -> Result<T, Abort> + Send + Sync;
 
-    /// Runs an ordered group of task bodies as *one* atomic transaction.
+    /// Runs `tasks` ordered task bodies as *one* atomic transaction and
+    /// returns each task's committed value, in task order.
     ///
-    /// Sequential runtimes apply the bodies in order inside a single
-    /// transaction; the TLSTM runtime executes one speculative task per body
-    /// (program order is preserved by the task serials). An empty group is a
-    /// no-op.
+    /// `body(i, mem)` is task `i`: it observes the writes of tasks `0..i`.
+    /// The provided body, which both sequential runtimes keep, runs the
+    /// tasks in order inside one [`TxSession::run`] transaction; TLSTM runs
+    /// one speculative task per index. Each execution of a task overwrites
+    /// its result, so the values returned are the committed execution's.
+    /// Zero tasks run no transaction.
     ///
     /// # Panics
     ///
-    /// Panics if the group exceeds the session's speculative depth on a
+    /// Panics if `tasks` exceeds the session's speculative depth on a
     /// runtime with bounded depth (such a transaction could never commit).
-    fn run_tasks(&mut self, tasks: &mut [TaskBody<'_>]);
+    fn run_split<T, F>(&mut self, tasks: usize, body: F) -> Vec<T>
+    where
+        T: Send,
+        F: for<'t> Fn(usize, &mut Self::Mem<'t>) -> Result<T, Abort> + Send + Sync,
+    {
+        if tasks == 0 {
+            return Vec::new();
+        }
+        self.run(|mem| {
+            let mut values = Vec::with_capacity(tasks);
+            for i in 0..tasks {
+                values.push(body(i, mem)?);
+            }
+            Ok(values)
+        })
+    }
+
+    /// Runs an ordered group of type-erased task bodies as one
+    /// [`TxSession::run_split`] transaction, one task per body. An empty
+    /// group is a no-op.
+    fn run_tasks(&mut self, tasks: &mut [TaskBody<'_>]) {
+        // A task's executions never overlap, so its lock is never contended:
+        // it only turns the `&mut` body into a shared one.
+        let bodies: Vec<Mutex<&mut TaskBody<'_>>> = tasks.iter_mut().map(Mutex::new).collect();
+        self.run_split(bodies.len(), |i, mem| (bodies[i].lock())(mem));
+    }
 }
 
 /// A pluggable transactional runtime over the shared [`TxSubstrate`].
@@ -116,8 +143,8 @@ pub trait TxRuntime: Send + Sync + fmt::Debug + 'static {
     /// names (`"swisstm"`, `"tlstm"`, `"seqref"`).
     const LABEL: &'static str;
 
-    /// `true` if the runtime executes the bodies of a [`TxSession::run_tasks`]
-    /// group as parallel speculative tasks (so the benchmark matrix expands
+    /// `true` if the runtime executes the tasks of a [`TxSession::run_split`]
+    /// as parallel speculative tasks (so the benchmark matrix expands
     /// it over the task-split axis); `false` for sequential runtimes.
     const SPECULATIVE: bool;
 

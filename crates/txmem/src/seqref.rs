@@ -24,7 +24,7 @@ use parking_lot::Mutex;
 
 use crate::clock::ThreadIdAllocator;
 use crate::error::Abort;
-use crate::runtime::{TaskBody, TxRuntime, TxSession};
+use crate::runtime::{TxRuntime, TxSession};
 use crate::traits::DirectMem;
 use crate::{TxConfig, TxSubstrate};
 
@@ -138,27 +138,12 @@ impl TxSession for SeqRefSession {
     {
         self.locked(|mem| body(mem))
     }
-
-    fn run_tasks(&mut self, tasks: &mut [TaskBody<'_>]) {
-        if tasks.is_empty() {
-            return;
-        }
-        let stats = self.runtime.substrate.stats.shard(self.id);
-        self.locked(|mem| {
-            for body in tasks.iter_mut() {
-                stats.task_starts.inc();
-                body(mem)?;
-                stats.task_commits.inc();
-            }
-            Ok(())
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::run_once;
+    use crate::runtime::{run_once, TaskBody};
     use crate::traits::TxMem;
 
     #[test]
@@ -195,7 +180,6 @@ mod tests {
         assert_eq!(rt.heap().load_committed(word), 15);
         let stats = TxRuntime::stats(&*rt);
         assert_eq!(stats.tx_commits, 1);
-        assert_eq!(stats.task_commits, 2);
         // An empty group is a no-op, not a transaction.
         session.run_tasks(&mut []);
         assert_eq!(TxRuntime::stats(&*rt).tx_commits, 1);

@@ -110,7 +110,7 @@ pub const WRITE_BUF_HARD_LIMIT: usize = 16 * WRITE_BUF_SOFT_LIMIT;
 /// Configuration of a [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct NetServerConfig {
-    /// Serving threads. Defaults to one per core (`available_parallelism`) —
+    /// Serving threads. Defaults to one per core ([`txmem::pause::cores`]) —
     /// coalescing happens *within* a thread, so fewer threads mean wider
     /// coalescing and more threads mean more parallel commits.
     pub threads: usize,
@@ -123,7 +123,7 @@ pub struct NetServerConfig {
 impl Default for NetServerConfig {
     fn default() -> Self {
         NetServerConfig {
-            threads: std::thread::available_parallelism().map_or(1, usize::from),
+            threads: txmem::pause::cores(),
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
         }
     }

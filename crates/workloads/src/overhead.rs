@@ -21,11 +21,11 @@
 use std::sync::atomic::Ordering;
 
 use tlstm_testutil::TestRng;
-use txmem::{
-    run_boxed_tasks, Abort, BoxedTaskBody, TxConfig, TxMem, TxRuntime, TxSession, WordAddr,
-};
+use txmem::{Abort, TxConfig, TxMem, TxRuntime, TxSession, WordAddr};
 
-use crate::harness::{average_metrics, run_threads_metrics, RunMetrics, WorkloadConfig};
+use crate::harness::{
+    average_metrics, chunk_ranges, run_threads_metrics, RunMetrics, WorkloadConfig,
+};
 
 /// Parameters of the overhead microworkload.
 #[derive(Debug, Clone)]
@@ -88,7 +88,7 @@ impl OverheadParams {
 /// aborted attempts replay the identical operation sequence and the driver
 /// never materialises a per-transaction key buffer (the measurement stays a
 /// pure fast-path measurement).
-fn run_ops<M: TxMem + ?Sized>(
+fn run_ops<M: TxMem>(
     mem: &mut M,
     region: WordAddr,
     params: &OverheadParams,
@@ -112,30 +112,19 @@ fn run_ops<M: TxMem + ?Sized>(
     Ok(())
 }
 
-/// Runs the transaction seeded by `txn_seed` as `tasks` tasks covering
-/// disjoint, consecutive ranges of its op stream; a single task goes
-/// through [`TxSession::run`], which keeps the steady state allocation-free.
+/// Runs the transaction seeded by `txn_seed` as one task per `(lo, hi)`
+/// range of its op stream.
 fn run_txn<S: TxSession>(
     session: &mut S,
     region: WordAddr,
     params: &OverheadParams,
-    tasks: usize,
+    chunks: &[(usize, usize)],
     txn_seed: u64,
 ) {
-    if tasks <= 1 {
-        session.run(|mem| run_ops(mem, region, params, txn_seed, 0, params.ops_per_txn));
-        return;
-    }
-    let chunk = params.ops_per_txn.div_ceil(tasks as u64).max(1);
-    let mut bodies: Vec<BoxedTaskBody<'_>> = (0..tasks as u64)
-        .map(|t| {
-            let lo = (t * chunk).min(params.ops_per_txn);
-            let hi = ((t + 1) * chunk).min(params.ops_per_txn);
-            Box::new(move |mem: &mut dyn TxMem| run_ops(mem, region, params, txn_seed, lo, hi))
-                as BoxedTaskBody<'_>
-        })
-        .collect();
-    run_boxed_tasks(session, &mut bodies);
+    session.run_split(chunks.len(), |t, mem| {
+        let (lo, hi) = chunks[t];
+        run_ops(mem, region, params, txn_seed, lo as u64, hi as u64)
+    });
 }
 
 /// Allocates one private region per thread.
@@ -161,11 +150,14 @@ pub fn measure<R: TxRuntime>(params: &OverheadParams, config: &WorkloadConfig) -
             params.threads.max(1),
             config.duration,
             |thread_index, stop, ops, hist| {
+                // A task replays the op stream up to its chunk's end, so a
+                // sequential runtime runs the stream as one task.
                 let tasks = if R::SPECULATIVE {
-                    params.tasks_per_txn.max(1)
+                    params.tasks_per_txn
                 } else {
                     1
                 };
+                let chunks = chunk_ranges(params.ops_per_txn as usize, tasks);
                 let mut session = runtime.session();
                 let region = regions[thread_index];
                 let mut seeds =
@@ -173,7 +165,7 @@ pub fn measure<R: TxRuntime>(params: &OverheadParams, config: &WorkloadConfig) -
                 while !stop.load(Ordering::Relaxed) {
                     let txn_seed = seeds.next_u64();
                     let t0 = std::time::Instant::now();
-                    run_txn(&mut session, region, params, tasks, txn_seed);
+                    run_txn(&mut session, region, params, &chunks, txn_seed);
                     hist.record(t0.elapsed());
                     ops.fetch_add(params.ops_per_txn, Ordering::Relaxed);
                 }
@@ -253,9 +245,10 @@ mod tests {
             let runtime = R::new(params.substrate_config());
             let word = regions(runtime.heap(), &params)[0];
             let mut session = runtime.session();
+            let chunks = chunk_ranges(params.ops_per_txn as usize, params.tasks_per_txn);
             let txns = 100;
             for txn_seed in 0..txns {
-                run_txn(&mut session, word, &params, params.tasks_per_txn, txn_seed);
+                run_txn(&mut session, word, &params, &chunks, txn_seed);
             }
             assert_eq!(
                 runtime.heap().load_committed(word),

@@ -6,15 +6,15 @@
 //! each. The paper reports the speed-up of TLSTM-2 and TLSTM-4 over SwissTM
 //! for `N ∈ {2, 4, 8, 16, 32, 64}`.
 //!
-//! The whole benchmark is written once against [`TxRuntime`]: a speculative
-//! runtime receives the transaction as a task group (one task per key chunk),
-//! sequential runtimes run the whole lookup batch as one body.
+//! The whole benchmark is written once against [`TxRuntime`]: every runtime
+//! receives the transaction as a [`TxSession::run_split`] of one task per key
+//! chunk, which sequential runtimes run in order inside one transaction.
 
 use std::sync::atomic::Ordering;
 
 use tlstm_testutil::TestRng;
 use txcollections::TxRbTree;
-use txmem::{run_boxed_tasks, Abort, BoxedTaskBody, TxConfig, TxMem, TxRuntime, TxSession};
+use txmem::{Abort, TxConfig, TxMem, TxRuntime, TxSession};
 
 use crate::harness::{
     average_metrics, chunk_ranges, run_threads_metrics, RunMetrics, WorkloadConfig,
@@ -31,7 +31,7 @@ pub struct RbTreeBenchParams {
     /// Lookups per transaction (`N`, the x-axis of Figure 1a).
     pub ops_per_txn: u64,
     /// Tasks the transaction is split into (1 = plain SwissTM behaviour;
-    /// ignored by non-speculative runtimes).
+    /// sequential runtimes run the tasks in order inside one transaction).
     pub tasks_per_txn: usize,
     /// Number of user-threads (Figure 1a uses one).
     pub threads: usize,
@@ -56,15 +56,6 @@ impl RbTreeBenchParams {
             ..TxConfig::default()
         }
     }
-
-    /// The task count a runtime actually uses for this parameter set.
-    fn tasks_for<R: TxRuntime>(&self) -> usize {
-        if R::SPECULATIVE {
-            self.tasks_per_txn.max(1)
-        } else {
-            1
-        }
-    }
 }
 
 /// Pre-loads a tree with `initial_keys` evenly spread keys.
@@ -75,15 +66,6 @@ fn populate<M: TxMem + ?Sized>(mem: &mut M, params: &RbTreeBenchParams) -> Resul
         tree.insert(mem, i * stride, i)?;
     }
     Ok(tree)
-}
-
-/// The per-transaction lookup batch, written once against `TxMem` so the same
-/// code runs on every runtime.
-fn lookup_batch<M: TxMem + ?Sized>(mem: &mut M, tree: TxRbTree, keys: &[u64]) -> Result<(), Abort> {
-    for &key in keys {
-        let _ = tree.get(mem, key)?;
-    }
-    Ok(())
 }
 
 /// Generates the keys of one transaction.
@@ -103,27 +85,13 @@ pub fn measure<R: TxRuntime>(params: &RbTreeBenchParams, config: &WorkloadConfig
             params.threads,
             config.duration,
             |thread_index, stop, ops, hist| {
-                let tasks = params.tasks_for::<R>();
                 let mut session = runtime.session();
                 let mut rng =
                     TestRng::new(config.seed ^ (thread_index as u64 + 1) ^ (u64::from(rep) << 32));
                 while !stop.load(Ordering::Relaxed) {
                     let keys = txn_keys(&mut rng, params);
                     let t0 = std::time::Instant::now();
-                    if tasks <= 1 {
-                        session.run(|mem| lookup_batch(mem, tree, &keys));
-                    } else {
-                        let keys = &keys;
-                        let mut bodies: Vec<BoxedTaskBody<'_>> = chunk_ranges(keys.len(), tasks)
-                            .into_iter()
-                            .map(|(lo, hi)| {
-                                Box::new(move |mem: &mut dyn TxMem| {
-                                    lookup_batch(mem, tree, &keys[lo..hi])
-                                }) as BoxedTaskBody<'_>
-                            })
-                            .collect();
-                        run_boxed_tasks(&mut session, &mut bodies);
-                    }
+                    run_lookups(&mut session, tree, &keys, params.tasks_per_txn);
                     hist.record(t0.elapsed());
                     ops.fetch_add(params.ops_per_txn, Ordering::Relaxed);
                 }
@@ -133,45 +101,43 @@ pub fn measure<R: TxRuntime>(params: &RbTreeBenchParams, config: &WorkloadConfig
     })
 }
 
+/// Runs one lookup transaction split into `tasks` contiguous key chunks and
+/// returns each task's hit count.
+fn run_lookups<S: TxSession>(
+    session: &mut S,
+    tree: TxRbTree,
+    keys: &[u64],
+    tasks: usize,
+) -> Vec<u64> {
+    let chunks = chunk_ranges(keys.len(), tasks);
+    session.run_split(chunks.len(), |i, mem| {
+        let (lo, hi) = chunks[i];
+        let mut hits = 0;
+        for &key in &keys[lo..hi] {
+            hits += u64::from(tree.get(mem, key)?.is_some());
+        }
+        Ok(hits)
+    })
+}
+
 /// Correctness cross-check used by tests: runs `txns` deterministic lookup
 /// transactions and returns the total hit count. The same `(params, seed)`
-/// pair must produce the same count on every runtime — each task writes its
-/// hit count into a per-task result slot that is *stored* (not added to), so
-/// re-executed speculative attempts cannot over-count.
+/// pair must produce the same count on every runtime: each task returns its
+/// committed execution's hit count, so re-executed speculative attempts
+/// cannot over-count.
 pub fn hit_count<R: TxRuntime>(params: &RbTreeBenchParams, txns: u64, seed: u64) -> u64 {
     let runtime = R::new(params.substrate_config());
     let tree = populate(&mut runtime.direct(), params).expect("populate cannot abort");
     let mut session = runtime.session();
     let mut rng = TestRng::new(seed);
-    let tasks = params.tasks_for::<R>();
-    let mut total = 0u64;
-    for _ in 0..txns {
-        let keys = txn_keys(&mut rng, params);
-        let mut slots = vec![0u64; tasks];
-        {
-            let keys = &keys;
-            let ranges = chunk_ranges(keys.len(), tasks);
-            let mut bodies: Vec<BoxedTaskBody<'_>> = slots
-                .iter_mut()
-                .zip(ranges)
-                .map(|(slot, (lo, hi))| {
-                    Box::new(move |mem: &mut dyn TxMem| {
-                        let mut h = 0u64;
-                        for &k in &keys[lo..hi] {
-                            if tree.get(mem, k)?.is_some() {
-                                h += 1;
-                            }
-                        }
-                        *slot = h;
-                        Ok(())
-                    }) as BoxedTaskBody<'_>
-                })
-                .collect();
-            run_boxed_tasks(&mut session, &mut bodies);
-        }
-        total += slots.iter().sum::<u64>();
-    }
-    total
+    (0..txns)
+        .map(|_| {
+            let keys = txn_keys(&mut rng, params);
+            run_lookups(&mut session, tree, &keys, params.tasks_per_txn)
+                .iter()
+                .sum::<u64>()
+        })
+        .sum()
 }
 
 #[cfg(test)]

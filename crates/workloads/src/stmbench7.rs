@@ -19,9 +19,7 @@
 use std::sync::atomic::Ordering;
 
 use tlstm_testutil::TestRng;
-use txmem::{
-    run_boxed_tasks, Abort, BoxedTaskBody, TxConfig, TxMem, TxRuntime, TxSession, WordAddr,
-};
+use txmem::{Abort, TxConfig, TxMem, TxRuntime, TxSession, WordAddr};
 
 use crate::harness::{
     average_metrics, chunk_ranges, run_threads_metrics, RunMetrics, WorkloadConfig,
@@ -249,7 +247,8 @@ pub fn traverse<M: TxMem + ?Sized>(
     Ok(sum)
 }
 
-/// The task count a runtime actually uses for this parameter set.
+/// The task count a runtime uses for this parameter set: one on a
+/// sequential runtime, whose single task walks from the root.
 fn tasks_for<R: TxRuntime>(params: &Stmbench7Params) -> usize {
     if R::SPECULATIVE {
         params.tasks_per_txn.max(1)
@@ -258,9 +257,10 @@ fn tasks_for<R: TxRuntime>(params: &Stmbench7Params) -> usize {
     }
 }
 
-/// Runs one long traversal on an open session: whole-tree as a single body
-/// on a sequential runtime, or one task per subtree chunk on a speculative
-/// one (3 tasks → one root subtree each, 9 → one depth-2 subtree each).
+/// Runs one long traversal on an open session as `tasks` tasks: a single
+/// task walks the tree from the root, more split the subtree roots into
+/// contiguous chunks (3 tasks → one root subtree each, 9 → one depth-2
+/// subtree each).
 fn run_traversal<S: TxSession>(
     session: &mut S,
     params: &Stmbench7Params,
@@ -269,22 +269,19 @@ fn run_traversal<S: TxSession>(
     tasks: usize,
     write: bool,
 ) {
-    if tasks <= 1 {
-        session.run(|mem| traverse(mem, params, root, write).map(|_| ()));
+    let starts = if tasks <= 1 {
+        std::slice::from_ref(&root)
     } else {
-        let mut bodies: Vec<BoxedTaskBody<'_>> = chunk_ranges(subtrees.len(), tasks)
-            .into_iter()
-            .map(|(lo, hi)| {
-                Box::new(move |mem: &mut dyn TxMem| {
-                    for &subtree in &subtrees[lo..hi] {
-                        traverse(mem, params, subtree, write)?;
-                    }
-                    Ok(())
-                }) as BoxedTaskBody<'_>
-            })
-            .collect();
-        run_boxed_tasks(session, &mut bodies);
-    }
+        subtrees
+    };
+    let chunks = chunk_ranges(starts.len(), tasks);
+    session.run_split(chunks.len(), |i, mem| {
+        let (lo, hi) = chunks[i];
+        for &node in &starts[lo..hi] {
+            traverse(mem, params, node, write)?;
+        }
+        Ok(())
+    });
 }
 
 /// Measures the long-traversal workload on any [`TxRuntime`], with

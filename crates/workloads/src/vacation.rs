@@ -16,9 +16,7 @@ use std::sync::atomic::Ordering;
 
 use tlstm_testutil::TestRng;
 use txcollections::{TxRbTree, TxSortedList};
-use txmem::{
-    run_boxed_tasks, Abort, BoxedTaskBody, TxConfig, TxMem, TxRuntime, TxSession, WordAddr,
-};
+use txmem::{Abort, TxConfig, TxMem, TxRuntime, TxSession, WordAddr};
 
 use crate::harness::{
     average_metrics, chunk_ranges, run_threads_metrics, RunMetrics, WorkloadConfig,
@@ -366,37 +364,22 @@ pub fn execute_ops<M: TxMem + ?Sized>(
     Ok(())
 }
 
-/// The task count a runtime actually uses for this parameter set.
-fn tasks_for<R: TxRuntime>(params: &VacationParams) -> usize {
-    if R::SPECULATIVE {
-        params.tasks_per_txn.max(1)
-    } else {
-        1
-    }
-}
-
-/// Runs one client transaction on an open session: as a single body on a
-/// sequential runtime, as `tasks` chunked task bodies on a speculative one.
-fn run_txn<S: TxSession>(session: &mut S, manager: &Manager, txn: &[VacationOp], tasks: usize) {
-    if tasks <= 1 {
-        session.run(|mem| execute_ops(mem, manager, txn));
-    } else {
-        let mut bodies: Vec<BoxedTaskBody<'_>> = chunk_ranges(txn.len(), tasks)
-            .into_iter()
-            .map(|(lo, hi)| {
-                Box::new(move |mem: &mut dyn TxMem| execute_ops(mem, manager, &txn[lo..hi]))
-                    as BoxedTaskBody<'_>
-            })
-            .collect();
-        run_boxed_tasks(session, &mut bodies);
-    }
+/// Runs one client transaction on an open session, split into `tasks`
+/// contiguous chunks of its operations (sequential runtimes run the chunks in
+/// order inside one transaction).
+pub fn run_txn<S: TxSession>(session: &mut S, manager: &Manager, txn: &[VacationOp], tasks: usize) {
+    let chunks = chunk_ranges(txn.len(), tasks);
+    session.run_split(chunks.len(), |i, mem| {
+        let (lo, hi) = chunks[i];
+        execute_ops(mem, manager, &txn[lo..hi])
+    });
 }
 
 /// Measures Vacation on any [`TxRuntime`] with `params.clients` client
 /// threads, with per-transaction latencies and the runtime's statistics
 /// breakdown. Throughput is reported in client *operations* (not
-/// transactions). On a speculative runtime each client transaction is split
-/// into `params.tasks_per_txn` tasks (the paper uses 2).
+/// transactions). Each client transaction is split into
+/// `params.tasks_per_txn` tasks (the paper uses 2).
 pub fn measure<R: TxRuntime>(params: &VacationParams, config: &WorkloadConfig) -> RunMetrics {
     average_metrics(config.repetitions, |rep| {
         let runtime = R::new(params.substrate_config());
@@ -406,14 +389,13 @@ pub fn measure<R: TxRuntime>(params: &VacationParams, config: &WorkloadConfig) -
             params.clients,
             config.duration,
             |client, stop, ops, hist| {
-                let tasks = tasks_for::<R>(params);
                 let mut session = runtime.session();
                 let mut rng =
                     TestRng::new(config.seed ^ (client as u64 + 1) ^ (u64::from(rep) << 32));
                 while !stop.load(Ordering::Relaxed) {
                     let txn = generate_txn(&mut rng, params);
                     let t0 = std::time::Instant::now();
-                    run_txn(&mut session, &manager, &txn, tasks);
+                    run_txn(&mut session, &manager, &txn, params.tasks_per_txn);
                     hist.record(t0.elapsed());
                     ops.fetch_add(txn.len() as u64, Ordering::Relaxed);
                 }
@@ -430,12 +412,11 @@ pub fn measure<R: TxRuntime>(params: &VacationParams, config: &WorkloadConfig) -
 pub fn stream_total_used<R: TxRuntime>(params: &VacationParams, txns: u64, seed: u64) -> u64 {
     let runtime = R::new(params.substrate_config());
     let manager = Manager::populate(&mut runtime.direct(), params).expect("populate cannot abort");
-    let tasks = tasks_for::<R>(params);
     let mut session = runtime.session();
     let mut rng = TestRng::new(seed);
     for _ in 0..txns {
         let txn = generate_txn(&mut rng, params);
-        run_txn(&mut session, &manager, &txn, tasks);
+        run_txn(&mut session, &manager, &txn, params.tasks_per_txn);
     }
     drop(session);
     manager
