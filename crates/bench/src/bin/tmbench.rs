@@ -28,7 +28,7 @@ use tlstm_bench::cell;
 use tlstm_bench::report::BenchReport;
 use tlstm_bench::scenarios::{
     build_scenarios, figure_scenarios, find_runtime, pinned_workload_labels, run_matrix,
-    runtime_names, workload_selectors, MatrixSelection, RuntimeEntry, ScenarioSpec,
+    runtime_names, selectors_of, workload_selectors, MatrixSelection, RuntimeEntry, ScenarioSpec,
 };
 use tlstm_workloads::kv::FsyncPolicy;
 use tlstm_workloads::WorkloadConfig;
@@ -51,8 +51,10 @@ SCENARIO OPTIONS:
                          (STMBench7 vs read-only %), 2b (STMBench7 mixes on
                          1-3 threads), ablation (TLSTM's task-split cost:
                          spec-depth sweep, chained reads, intra-thread WAW).
-                         Fixes workloads, threads and runtimes, so it
-                         excludes --workloads, --threads and --runtimes
+                         Fixes threads and runtimes, so it excludes
+                         --threads and --runtimes; --workloads narrows its
+                         rows to the named families or labels of that figure
+                         (--figure ablation --workloads shared-write-n8-w1)
     --threads A,B,...    thread counts to measure (default: 1)
     --workloads LIST     comma-separated families (rbtree,vacation,stmbench7,
                          overhead,kv,kv-durable) or concrete labels (kv-a,
@@ -169,17 +171,8 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             }
             "--workloads" => {
                 let v = value_of(&mut i, arg)?;
-                let selectors = workload_selectors();
-                for part in v.split(',') {
-                    let token = part.trim().to_lowercase();
-                    if !selectors.contains(&token) {
-                        return Err(format!(
-                            "unknown workload '{token}' (want one of: {})",
-                            selectors.join(", ")
-                        ));
-                    }
-                    cli.workloads.push(token);
-                }
+                cli.workloads
+                    .extend(v.split(',').map(|part| part.trim().to_lowercase()));
             }
             "--runtimes" => {
                 let v = value_of(&mut i, arg)?;
@@ -214,14 +207,25 @@ fn parse_args(args: &[String]) -> Result<CliArgs, String> {
         }
         i += 1;
     }
-    if cli.figure.is_some()
-        && (cli.threads.is_some() || !cli.workloads.is_empty() || !cli.runtimes.is_empty())
-    {
+    if cli.figure.is_some() && (cli.threads.is_some() || !cli.runtimes.is_empty()) {
         return Err(
-            "--figure fixes the workloads, threads and runtimes of its rows; \
-drop --workloads, --threads and --runtimes"
+            "--figure fixes the threads and runtimes of its rows; drop --threads and --runtimes"
                 .to_string(),
         );
+    }
+    // Workload tokens select among the figure's rows, or the matrix's.
+    let selectors = match &cli.figure {
+        Some(rows) => selectors_of(rows.iter().map(|r| &r.workload)),
+        None => workload_selectors(),
+    };
+    if let Some(token) = cli.workloads.iter().find(|t| !selectors.contains(t)) {
+        return Err(format!(
+            "unknown workload '{token}' (want one of: {})",
+            selectors.join(", ")
+        ));
+    }
+    if let Some(rows) = &mut cli.figure {
+        rows.retain(|r| r.workload.selected_by(&cli.workloads));
     }
     Ok(cli)
 }

@@ -191,6 +191,15 @@ impl WorkloadKind {
         }
     }
 
+    /// `true` if `selectors` (`--workloads` tokens: families or labels) is
+    /// empty or names this workload.
+    pub fn selected_by(&self, selectors: &[String]) -> bool {
+        selectors.is_empty()
+            || selectors
+                .iter()
+                .any(|s| s == self.family() || *s == self.label())
+    }
+
     /// The CLI filter family this workload belongs to (`rbtree`, `vacation`,
     /// `stmbench7`, `overhead`, `kv`, `kv-durable`).
     pub fn family(&self) -> &'static str {
@@ -502,13 +511,22 @@ pub fn default_workloads() -> Vec<WorkloadKind> {
 /// The selectors a `--workloads` filter token may name: every family plus
 /// every concrete workload label of the default matrix.
 pub fn workload_selectors() -> Vec<String> {
+    selectors_of(&default_workloads())
+}
+
+/// The `--workloads` tokens that select among `workloads`: every family and
+/// every label, once each, in first-appearance order.
+pub fn selectors_of<'a>(workloads: impl IntoIterator<Item = &'a WorkloadKind>) -> Vec<String> {
     let mut selectors = Vec::new();
-    for workload in default_workloads() {
+    for workload in workloads {
         let family = workload.family().to_string();
         if !selectors.contains(&family) {
             selectors.push(family);
         }
-        selectors.push(workload.label());
+        let label = workload.label();
+        if !selectors.contains(&label) {
+            selectors.push(label);
+        }
     }
     selectors
 }
@@ -526,12 +544,7 @@ pub fn build_scenarios(selection: &MatrixSelection) -> Vec<ScenarioSpec> {
     };
     let mut scenarios = Vec::new();
     for workload in default_workloads() {
-        if !selection.workload_families.is_empty()
-            && !selection
-                .workload_families
-                .iter()
-                .any(|f| f == workload.family() || *f == workload.label())
-        {
+        if !workload.selected_by(&selection.workload_families) {
             continue;
         }
         let workload = match selection.fsync {

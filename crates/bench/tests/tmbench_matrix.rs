@@ -86,9 +86,28 @@ fn figure_presets_list_their_series_and_reject_usage_errors() {
             assert!(listed.lines().any(|l| l == "stmbench7-r60/tlstm/t3/k9"));
         }
     }
+    // --workloads narrows a figure to one series.
+    let out = tmbench(&[
+        "--figure",
+        "ablation",
+        "--workloads",
+        "shared-write-n8-w1",
+        "--list",
+    ]);
+    assert!(out.status.success(), "--figure ablation --workloads failed");
+    let listed = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(listed.lines().count(), 4, "{listed}");
+    assert!(listed.lines().all(|l| l.starts_with("shared-write-n8-w1/")));
     for usage_error in [
         &["--figure", "3c", "--list"][..],
-        &["--figure", "1a", "--workloads", "rbtree", "--list"],
+        &[
+            "--figure",
+            "ablation",
+            "--workloads",
+            "no-such-row",
+            "--list",
+        ],
+        &["--figure", "1a", "--workloads", "vacation", "--list"],
         &["--figure", "1a", "--threads", "2", "--list"],
         &["--figure", "1a", "--runtimes", "tlstm", "--list"],
     ] {

@@ -6,8 +6,8 @@
 //!    conflicts it simply aborts itself: it has done little work, so the abort
 //!    is cheap and avoids any waiting.
 //! 2. **Greedy phase** — after a transaction has been aborted
-//!    [`GREEDY_AFTER_ABORTS`] times in a row it draws a globally unique,
-//!    monotonically increasing ticket. From then on it behaves greedily: on
+//!    [`GREEDY_AFTER_ABORTS`] times in a row it draws a unique, monotonically
+//!    increasing ticket from its substrate ([`txmem::GreedyTicket`]). From then on it behaves greedily: on
 //!    conflict, the transaction with the *older* (smaller) ticket wins; the
 //!    loser either aborts itself (if it is the requester) or is signalled to
 //!    abort (if it owns the lock), in which case the requester waits for the
@@ -15,8 +15,6 @@
 //!
 //! TLSTM reuses this manager as the tie-break when the task-aware rule (§3.2
 //! of the paper) finds both user-transactions equally speculative.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use txmem::{CmDecision, LockOwner};
 
@@ -26,26 +24,6 @@ pub const TIMID: u64 = u64::MAX;
 /// Number of consecutive aborts (SwissTM) or rollbacks (TLSTM) after which a
 /// transaction leaves the timid phase and draws a greedy ticket.
 pub const GREEDY_AFTER_ABORTS: u32 = 2;
-
-/// Global source of greedy tickets.
-#[derive(Debug, Default)]
-pub struct GreedyTicket {
-    next: AtomicU64,
-}
-
-impl GreedyTicket {
-    /// Creates a ticket source.
-    pub fn new() -> Self {
-        GreedyTicket {
-            next: AtomicU64::new(0),
-        }
-    }
-
-    /// Draws the next ticket (smaller = older = stronger).
-    pub fn draw(&self) -> u64 {
-        self.next.fetch_add(1, Ordering::Relaxed)
-    }
-}
 
 /// The two-phase greedy contention-manager policy.
 ///
@@ -89,7 +67,7 @@ impl GreedyCm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[derive(Debug)]
     struct FakeOwner {
@@ -121,17 +99,6 @@ mod tests {
         fn cm_priority(&self) -> u64 {
             self.priority
         }
-        fn owner_id(&self) -> u32 {
-            0
-        }
-    }
-
-    #[test]
-    fn tickets_are_unique_and_increasing() {
-        let t = GreedyTicket::new();
-        let a = t.draw();
-        let b = t.draw();
-        assert!(b > a);
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::descriptor::TxDescriptor;
 ///
 /// All vectors and the write set retain their capacity across
 /// `reset_for_attempt`; the descriptor is a single long-lived allocation
-/// shared with contending threads through the runtime's owner registry.
+/// shared with contending threads through the substrate's owner registry.
 #[derive(Debug)]
 pub struct TxContext {
     /// The thread's long-lived descriptor (re-armed per attempt, never

@@ -3,7 +3,7 @@
 //! A [`TxDescriptor`] is the shared handle other threads see when they hit one
 //! of this transaction's write locks. It carries the abort-request flag and
 //! the contention-manager priority. Contenders reach it (type-erased as a
-//! [`txmem::LockOwner`]) through the runtime's owner registry, keyed by the
+//! [`txmem::LockOwner`]) through the substrate's owner registry, keyed by the
 //! thread id encoded in the write lock's owner token.
 //!
 //! Descriptors are **allocated once per thread and recycled** across every
@@ -113,10 +113,6 @@ impl LockOwner for TxDescriptor {
     fn cm_priority(&self) -> u64 {
         self.priority()
     }
-
-    fn owner_id(&self) -> u32 {
-        self.thread_id
-    }
 }
 
 #[cfg(test)]
@@ -131,7 +127,6 @@ mod tests {
         d.signal_abort();
         assert!(d.abort_requested());
         assert!(d.is_finishing());
-        assert_eq!(d.owner_id(), 3);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod descriptor;
 pub mod runtime;
 pub mod transaction;
 
-pub use cm::{GreedyCm, GreedyTicket};
+pub use cm::GreedyCm;
 pub use context::TxContext;
 pub use descriptor::TxDescriptor;
 pub use runtime::{SwisstmRuntime, SwisstmThread};

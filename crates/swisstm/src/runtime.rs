@@ -2,61 +2,19 @@
 
 use std::sync::Arc;
 
-use parking_lot::RwLock;
 use txmem::pause::contention_pause;
-use txmem::{
-    Abort, DirectMem, OwnerHandle, OwnerToken, StatsSnapshot, ThreadIdAllocator, TxConfig, TxHeap,
-    TxRuntime, TxSession, TxSubstrate,
-};
+use txmem::{Abort, DirectMem, StatsSnapshot, TxConfig, TxHeap, TxRuntime, TxSession, TxSubstrate};
 
-use crate::cm::{GreedyCm, GreedyTicket, TIMID};
+use crate::cm::{GreedyCm, TIMID};
 use crate::context::TxContext;
 use crate::transaction::Transaction;
 
-/// Registry of the long-lived per-thread descriptors, indexed by thread id.
-///
-/// A transaction that loses a `try_acquire_writer` race recovers the owner's
-/// thread id from the observed [`OwnerToken`] and resolves the descriptor
-/// here, instead of dereferencing state stored in the lock table. This is
-/// what lets SwissTM leave the lock entries' write chains untouched (and
-/// unallocated): the only per-lock state it uses are the two atomic words.
-///
-/// Lookups happen exclusively on the conflict path, so an `RwLock` around the
-/// slot vector is plenty; registration happens once per thread.
-#[derive(Debug, Default)]
-struct OwnerRegistry {
-    slots: RwLock<Vec<Option<OwnerHandle>>>,
-}
-
-impl OwnerRegistry {
-    fn register(&self, id: u32, handle: OwnerHandle) {
-        let mut slots = self.slots.write();
-        if slots.len() <= id as usize {
-            slots.resize(id as usize + 1, None);
-        }
-        slots[id as usize] = Some(handle);
-    }
-
-    fn unregister(&self, id: u32) {
-        let mut slots = self.slots.write();
-        if let Some(slot) = slots.get_mut(id as usize) {
-            *slot = None;
-        }
-    }
-
-    fn get(&self, id: u32) -> Option<OwnerHandle> {
-        self.slots.read().get(id as usize).cloned().flatten()
-    }
-}
-
 /// The SwissTM runtime: owns (a reference to) the shared substrate and hands
-/// out per-thread handles.
+/// out per-thread handles. Thread ids, greedy tickets and the owner registry
+/// are the substrate's, shared by every handle over it.
 #[derive(Debug)]
 pub struct SwisstmRuntime {
     substrate: Arc<TxSubstrate>,
-    thread_ids: ThreadIdAllocator,
-    tickets: GreedyTicket,
-    owners: OwnerRegistry,
 }
 
 impl SwisstmRuntime {
@@ -66,14 +24,10 @@ impl SwisstmRuntime {
     }
 
     /// Creates a runtime over an existing substrate (shared with other
-    /// runtimes or with non-transactional initialisation code).
+    /// runtimes or with non-transactional initialisation code; see
+    /// [`TxRuntime::with_substrate`] for what sharing guarantees).
     pub fn with_substrate(substrate: Arc<TxSubstrate>) -> Arc<Self> {
-        Arc::new(SwisstmRuntime {
-            substrate,
-            thread_ids: ThreadIdAllocator::new(),
-            tickets: GreedyTicket::new(),
-            owners: OwnerRegistry::default(),
-        })
+        Arc::new(SwisstmRuntime { substrate })
     }
 
     /// The shared substrate.
@@ -96,26 +50,15 @@ impl SwisstmRuntime {
         self.substrate.stats.snapshot()
     }
 
-    /// Draws a greedy contention-manager ticket.
-    pub(crate) fn draw_ticket(&self) -> u64 {
-        self.tickets.draw()
-    }
-
-    /// Resolves the descriptor of the thread owning `token`, if it is a
-    /// registered thread of this runtime.
-    pub(crate) fn owner_for(&self, token: OwnerToken) -> Option<OwnerHandle> {
-        self.owners.get(token.id()?)
-    }
-
     /// Registers a new application thread and returns its handle.
     ///
     /// The handle owns the thread's recycled [`TxContext`] (descriptor, read
     /// log, write set, acquired-locks log); its descriptor is published in
-    /// the runtime's owner registry so contenders can reach it.
+    /// the substrate's owner registry so contenders can reach it.
     pub fn register_thread(self: &Arc<Self>) -> SwisstmThread {
-        let id = self.thread_ids.allocate();
+        let id = self.substrate.ids.allocate();
         let ctx = TxContext::new(id);
-        self.owners.register(id, ctx.owner_handle.clone());
+        self.substrate.owners.register(id, ctx.owner_handle.clone());
         SwisstmThread {
             runtime: Arc::clone(self),
             id,
@@ -168,7 +111,8 @@ impl SwisstmThread {
         loop {
             txobs::tx_begin();
             let priority = self.greedy_priority.unwrap_or(TIMID);
-            let mut tx = Transaction::new(&self.runtime, &mut self.ctx, self.id, priority);
+            let mut tx =
+                Transaction::new(&self.runtime.substrate, &mut self.ctx, self.id, priority);
             let outcome = body(&mut tx).and_then(|value| tx.commit().map(|()| value));
             match outcome {
                 Ok(value) => {
@@ -188,7 +132,7 @@ impl SwisstmThread {
                     if self.greedy_priority.is_none()
                         && GreedyCm::should_turn_greedy(self.consecutive_aborts)
                     {
-                        self.greedy_priority = Some(self.runtime.draw_ticket());
+                        self.greedy_priority = Some(self.runtime.substrate.tickets.draw());
                     }
                     // Brief randomised-ish backoff proportional to the abort
                     // streak, to break symmetric livelocks.
@@ -211,7 +155,7 @@ impl Drop for SwisstmThread {
     fn drop(&mut self) {
         // Retire this thread's descriptor from the owner registry; late
         // contenders then simply wait for (already released) locks.
-        self.runtime.owners.unregister(self.id);
+        self.runtime.substrate.owners.unregister(self.id);
     }
 }
 

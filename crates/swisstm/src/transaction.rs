@@ -27,7 +27,7 @@
 //!   that double as the commit-time undo list, replacing the per-commit
 //!   `old_versions` hash map;
 //! * the thread's **reused descriptor**, re-armed per attempt and published
-//!   to contenders through the runtime's owner registry (the lock table's
+//!   to contenders through the substrate's owner registry (the lock table's
 //!   write chains are no longer touched by SwissTM at all — chains are a
 //!   TLSTM-only structure, allocated lazily).
 //!
@@ -43,7 +43,6 @@ use txmem::{
 
 use crate::cm::GreedyCm;
 use crate::context::TxContext;
-use crate::runtime::SwisstmRuntime;
 
 /// A single SwissTM transaction attempt.
 ///
@@ -55,8 +54,6 @@ pub struct Transaction<'a> {
     sub: &'a TxSubstrate,
     /// This thread's statistics shard (never shared with other threads).
     stats: &'a StatsShard,
-    /// Owner registry used to resolve write-lock conflicts.
-    runtime: &'a SwisstmRuntime,
     token: OwnerToken,
     /// The thread's recycled speculative state.
     ctx: &'a mut TxContext,
@@ -68,18 +65,16 @@ impl<'a> Transaction<'a> {
     /// Starts a new transaction attempt on behalf of `thread_id`, recycling
     /// the thread's context (which is reset here).
     pub(crate) fn new(
-        runtime: &'a SwisstmRuntime,
+        sub: &'a TxSubstrate,
         ctx: &'a mut TxContext,
         thread_id: u32,
         priority: u64,
     ) -> Self {
-        let sub = &**runtime.substrate();
         ctx.reset_for_attempt(priority);
         ctx.snapshot.begin(&sub.clock);
         Transaction {
             sub,
             stats: sub.stats.shard(thread_id),
-            runtime,
             token: OwnerToken::from_id(thread_id),
             ctx,
             ops: OpCounters::default(),
@@ -188,12 +183,12 @@ impl TxMem for Transaction<'_> {
                     break;
                 }
                 Err(owner_token) => {
-                    // Reach the owner's descriptor through the runtime's
+                    // Reach the owner's descriptor through the substrate's
                     // registry (the token encodes the owning thread id); the
                     // lock's write chain is never touched by SwissTM.
-                    let decision = match self.runtime.owner_for(owner_token) {
-                        // Owner released (or is not a SwissTM thread of this
-                        // runtime): just wait for the lock and retry.
+                    let decision = match sub.owners.get(owner_token) {
+                        // Owner released (or is not a SwissTM thread):
+                        // just wait for the lock and retry.
                         None => CmDecision::Wait,
                         Some(owner) => {
                             let decision =

@@ -3,8 +3,7 @@
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
-use swisstm::cm::GreedyTicket;
-use txmem::{Abort, DirectMem, StatsSnapshot, ThreadIdAllocator, TxConfig, TxHeap, TxSubstrate};
+use txmem::{Abort, DirectMem, StatsSnapshot, TxConfig, TxHeap, TxSubstrate};
 
 use crate::pool::{self, AbortOnUnwind, Claim};
 use crate::task::{TaskBufs, TaskCtx};
@@ -100,11 +99,11 @@ pub struct TxnOutcome {
 }
 
 /// The TLSTM runtime: owns the shared substrate and registers user-threads.
+/// User-thread ids and greedy tickets are the substrate's, shared by every
+/// handle over it.
 #[derive(Debug)]
 pub struct TlstmRuntime {
     substrate: Arc<TxSubstrate>,
-    ptids: ThreadIdAllocator,
-    tickets: Arc<GreedyTicket>,
 }
 
 impl TlstmRuntime {
@@ -113,13 +112,12 @@ impl TlstmRuntime {
         Self::with_substrate(Arc::new(TxSubstrate::new(config)))
     }
 
-    /// Creates a runtime over an existing substrate.
+    /// Creates a runtime over an existing substrate (see
+    /// [`TxRuntime::with_substrate`] for what sharing guarantees).
+    ///
+    /// [`TxRuntime::with_substrate`]: txmem::TxRuntime::with_substrate
     pub fn with_substrate(substrate: Arc<TxSubstrate>) -> Arc<Self> {
-        Arc::new(TlstmRuntime {
-            substrate,
-            ptids: ThreadIdAllocator::new(),
-            tickets: Arc::new(GreedyTicket::new()),
-        })
+        Arc::new(TlstmRuntime { substrate })
     }
 
     /// The shared substrate.
@@ -171,13 +169,15 @@ impl TlstmRuntime {
     }
 
     fn new_uthread(self: &Arc<Self>, spec_depth: usize, claim: Claim) -> UThread {
-        let shared = Arc::new(UThreadShared::new(self.ptids.allocate(), spec_depth));
+        let shared = Arc::new(UThreadShared::new(
+            self.substrate.ids.allocate(),
+            spec_depth,
+        ));
         UThread {
             runtime: Arc::clone(self),
             worker: Worker {
                 substrate: Arc::clone(&self.substrate),
                 uthread: Arc::clone(&shared),
-                tickets: Arc::clone(&self.tickets),
                 claim,
             },
             shared,

@@ -11,15 +11,18 @@
 //!
 //! ## One copy of a task's state
 //!
-//! All per-task speculative state lives in a `TaskBufs` owned by the
-//! *lane* — the calling thread or a pool helper — and lent to each
-//! [`TaskCtx`] it runs: the snapshot and task-read log, the log-structured
-//! write set ([`txmem::WriteSet`]), the locks under which the task holds
-//! chain entries and the commit scratch vector are recycled across attempts
-//! **and across tasks**. A completed intermediate task *moves* its buffers
-//! into the transaction's mailbox, where the commit-task reads them in
-//! place, and takes them back once the transaction has committed or started
-//! its rollback; the move copies a few `Vec` headers and allocates nothing.
+//! A task's writes live only in its entries of the lock chains
+//! ([`txmem::chain`]): its own reads, other tasks' reads and `validate-task`
+//! read them there while the task may still be running, and the commit-task
+//! writes them back from there. Everything else a task keeps lives in a
+//! `TaskBufs` owned by the *lane* — the calling thread or a pool helper —
+//! and lent to each [`TaskCtx`] it runs: the snapshot and task-read log, the
+//! locks under which the task holds chain entries and the commit scratch
+//! vector are recycled across attempts **and across tasks**. A completed
+//! intermediate task *moves* its buffers into the transaction's mailbox,
+//! where the commit-task reads them in place, and takes them back once the
+//! transaction has committed or started its rollback; the move copies a few
+//! `Vec` headers and allocates nothing.
 //! So in steady state the task read/write/commit/rollback paths stop
 //! allocating; only the per-transaction orchestration (the `TxnShared`
 //! handle and its mailbox, work items and task closures) still allocates,
@@ -30,8 +33,8 @@ use std::sync::Arc;
 use txmem::chain::{ChainRead, WriteChain};
 use txmem::pause::contention_pause;
 use txmem::{
-    commit_locked, Abort, AbortReason, CmDecision, LockIndex, OpCounters, OwnerHandle, OwnerToken,
-    Snapshot, TxMem, TxSubstrate, WordAddr, WriteSet,
+    commit_locked, Abort, AbortReason, CmDecision, LockEntry, LockIndex, OpCounters, OwnerHandle,
+    OwnerToken, Snapshot, TxMem, TxSubstrate, WordAddr,
 };
 
 use crate::cm::TaskAwareCm;
@@ -41,18 +44,17 @@ use crate::uthread_state::{TaskSlot, UThreadShared};
 /// Recyclable speculative buffers of one lane.
 ///
 /// A lane keeps one `TaskBufs` for its lifetime and lends it to every
-/// [`TaskCtx`] it runs; all vectors and the write set retain their capacity
-/// across attempts and tasks.
+/// [`TaskCtx`] it runs; all vectors retain their capacity across attempts
+/// and tasks.
 #[derive(Debug, Default)]
 pub(crate) struct TaskBufs {
     /// `valid-ts` and the reads from committed state.
     snapshot: Snapshot,
     /// Reads from past tasks' speculative values.
     task_read_log: Vec<TaskReadEntry>,
-    /// Log-structured buffered writes.
-    write_set: WriteSet,
     /// Locks under which this task created chain entries, in acquisition
-    /// order. Whether the task holds one is the lock chain's to answer.
+    /// order; the task wrote iff it is non-empty. The entries themselves,
+    /// and whether the task holds one, are the lock chain's.
     pub(crate) acquired: Vec<LockIndex>,
     /// Commit-task scratch: the whole transaction's `(lock, pre-lock
     /// version)` pairs, sorted by lock index (replaces the former
@@ -141,7 +143,6 @@ impl<'rt> TaskCtx<'rt> {
     pub(crate) fn reset_for_attempt(&mut self) {
         self.bufs.snapshot.begin(&self.substrate.clock);
         self.bufs.task_read_log.clear();
-        self.bufs.write_set.clear();
         debug_assert!(
             self.bufs.acquired.is_empty(),
             "chain entries must be removed before reset"
@@ -206,7 +207,7 @@ impl<'rt> TaskCtx<'rt> {
             let Some(chain) = entry.try_chain() else {
                 return false;
             };
-            if chain.owner_ptid() != Some(self.uthread.ptid()) {
+            if !self.owns_chain(entry) {
                 // The writer's transaction committed or aborted and released
                 // the lock: the speculative read is no longer backed.
                 return false;
@@ -229,13 +230,18 @@ impl<'rt> TaskCtx<'rt> {
             let Some(chain) = entry.try_chain() else {
                 continue;
             };
-            if chain.owner_ptid() == Some(self.uthread.ptid())
-                && chain.iter().any(|e| e.serial < self.serial)
-            {
+            if self.owns_chain(entry) && chain.iter().any(|e| e.serial < self.serial) {
                 return false;
             }
         }
         true
+    }
+
+    /// `true` if this task's user-thread holds `entry`'s w-lock. Asked with
+    /// the entry's chain mutex held, it also answers whether every entry of
+    /// the chain is this user-thread's (see [`txmem::chain`]).
+    fn owns_chain(&self, entry: &LockEntry) -> bool {
+        entry.writer_token() == self.token
     }
 
     // --- speculative read (Algorithm 1) ---------------------------------------
@@ -244,17 +250,12 @@ impl<'rt> TaskCtx<'rt> {
         self.check_signals()?;
         let (idx, entry) = self.substrate.locks.lookup(addr);
         loop {
-            if entry.writer_token() != self.token {
+            if !self.owns_chain(entry) {
                 // Not locked by this user-thread (or just released): read the
                 // committed value exactly as SwissTM would. A word this task
                 // wrote is under a lock its user-thread holds, so this test
-                // also answers "not written by me" without probing the write
-                // set (whose bloom summary saturates on long tasks).
+                // also answers "not written by me".
                 break;
-            }
-            // Reads from the task's own writes need no validation.
-            if let Some(value) = self.bufs.write_set.lookup(addr) {
-                return Ok(value);
             }
             let probe = {
                 // `try_chain` never allocates: a missing chain behaves like
@@ -263,33 +264,31 @@ impl<'rt> TaskCtx<'rt> {
                 // Re-check ownership under the chain mutex: the lock may have
                 // been released and re-acquired by another user-thread between
                 // the token check above and taking the mutex.
-                if chain
-                    .as_deref()
-                    .is_none_or(|c| c.is_empty() || c.owner_ptid() != Some(self.uthread.ptid()))
-                {
-                    SpecProbe::Released
-                } else {
-                    let chain = chain.as_deref().expect("checked non-empty above");
-                    match chain.read_visible(addr, self.serial) {
-                        ChainRead::Own(value) => SpecProbe::Own(value),
-                        ChainRead::Past {
-                            writer_serial,
-                            value,
-                        } => {
-                            if self.uthread.completed_task() >= writer_serial {
-                                SpecProbe::Past {
-                                    writer_serial,
-                                    value,
+                match chain.as_deref() {
+                    Some(chain) if !chain.is_empty() && self.owns_chain(entry) => {
+                        match chain.read_visible(addr, self.serial) {
+                            ChainRead::Own(value) => SpecProbe::Own(value),
+                            ChainRead::Past {
+                                writer_serial,
+                                value,
+                            } => {
+                                if self.uthread.completed_task() >= writer_serial {
+                                    SpecProbe::Past {
+                                        writer_serial,
+                                        value,
+                                    }
+                                } else {
+                                    SpecProbe::WaitForWriter
                                 }
-                            } else {
-                                SpecProbe::WaitForWriter
                             }
+                            ChainRead::Committed => SpecProbe::Fallback,
                         }
-                        ChainRead::Committed => SpecProbe::Fallback,
                     }
+                    _ => SpecProbe::Released,
                 }
             };
             match probe {
+                // Reads from the task's own writes need no validation.
                 SpecProbe::Own(value) => return Ok(value),
                 SpecProbe::Past {
                     writer_serial,
@@ -335,39 +334,20 @@ impl<'rt> TaskCtx<'rt> {
 
     // --- speculative write (Algorithm 2) ---------------------------------------
 
-    /// Records the write in the lock's chain (the caller holds its mutex and
-    /// has established that this task may write under the lock) and buffers
-    /// the value in the write set. Shared by every write-recording path.
-    /// Returns `true` if the write created this task's entry in the chain.
-    fn record_own_write(&mut self, chain: &mut WriteChain, addr: WordAddr, value: u64) -> bool {
-        let created = chain.record_write(
-            self.uthread.ptid(),
-            self.serial,
-            &self.txn_owner,
-            addr,
-            value,
-        );
-        if !self.bufs.write_set.update(addr, value) {
-            self.bufs.write_set.insert_new(addr, value);
-        }
-        created
-    }
-
     fn write_word(&mut self, addr: WordAddr, value: u64) -> Result<(), Abort> {
         self.check_signals()?;
         let (idx, entry) = self.substrate.locks.lookup(addr);
+        let (serial, owner) = (self.serial, &self.txn_owner);
         // Fast path: this task already has a chain entry under this lock.
         // While it does, the w-lock stays its user-thread's and the entry is
         // the newest: a future writer that meets it self-aborts (Alg. 2
         // line 45), and a past writer signals it and waits until it is gone.
-        // Serials are numbered per user-thread, so the ptid is compared too.
-        if entry.writer_token() == self.token {
+        // Serials are numbered per user-thread, so ownership is re-read
+        // under the chain mutex before the serial is trusted.
+        if self.owns_chain(entry) {
             let mut chain = entry.chain();
-            if chain
-                .newest()
-                .is_some_and(|e| e.ptid == self.uthread.ptid() && e.serial == self.serial)
-            {
-                self.record_own_write(&mut chain, addr, value);
+            if self.owns_chain(entry) && chain.newest().is_some_and(|e| e.serial == serial) {
+                chain.record_write(serial, owner, addr, value);
                 return Ok(());
             }
         }
@@ -385,7 +365,7 @@ impl<'rt> TaskCtx<'rt> {
             let token = entry.writer_token();
             let action = if token.is_unlocked() {
                 if entry.try_acquire_writer(self.token).is_ok() {
-                    let created = self.record_own_write(&mut entry.chain(), addr, value);
+                    let created = entry.chain().record_write(serial, owner, addr, value);
                     WwAction::Acquired { created }
                 } else {
                     WwAction::Retry
@@ -406,7 +386,7 @@ impl<'rt> TaskCtx<'rt> {
                                 // this (future) task rolls back (Alg. 2 line 45).
                                 WwAction::SelfAbort
                             } else {
-                                let created = self.record_own_write(&mut chain, addr, value);
+                                let created = chain.record_write(serial, owner, addr, value);
                                 WwAction::Acquired { created }
                             }
                         }
@@ -462,14 +442,16 @@ impl<'rt> TaskCtx<'rt> {
                     // contention management (Alg. 2 lines 41-43, 54-64).
                     // `try_chain` keeps this inspection allocation-free: a
                     // missing chain reads as "no entry yet", i.e. Wait.
-                    let decision = match entry.try_chain().as_deref().and_then(|c| c.newest()) {
+                    let chain = entry.try_chain();
+                    let decision = match chain.as_deref().and_then(WriteChain::newest) {
                         None => CmDecision::Wait,
                         // Ownership switched to our own user-thread since the
                         // token read: retry and take the intra-thread path
                         // instead of contending against ourselves.
-                        Some(spec) if spec.ptid == self.uthread.ptid() => CmDecision::Wait,
+                        Some(_) if self.owns_chain(entry) => CmDecision::Wait,
                         Some(spec) => TaskAwareCm::resolve(&self.txn, spec.owner.as_ref()),
                     };
+                    drop(chain);
                     match decision {
                         CmDecision::AbortSelf => {
                             self.stats.cm_self_aborts.inc();
@@ -523,7 +505,7 @@ impl<'rt> TaskCtx<'rt> {
             // Intermediate task (lines 71-77): lend the buffers to the
             // commit-task, mark completion, then wait for the outcome of the
             // whole user-transaction.
-            let wrote = !self.bufs.write_set.is_empty();
+            let wrote = !self.bufs.acquired.is_empty();
             self.txn
                 .publish(self.serial, std::mem::take(&mut *self.bufs));
             self.uthread.mark_completed(self.serial, wrote);
@@ -583,16 +565,19 @@ impl<'rt> TaskCtx<'rt> {
             "commit-task must see the buffers of every task of its transaction"
         );
         let own: &TaskBufs = self.bufs;
-        let tasks = || published.iter().map(|(_, bufs)| bufs).chain([own]);
+        let tasks = || {
+            let lent = published.iter().map(|(serial, bufs)| (*serial, bufs));
+            lent.chain([(self.serial, own)])
+        };
+        let (heap, locks) = (&self.substrate.heap, &self.substrate.locks);
 
-        if tasks().all(|bufs| bufs.write_set.is_empty()) {
+        if tasks().all(|(_, bufs)| bufs.acquired.is_empty()) {
             // Read user-transactions only need validation when their tasks
             // completed at different snapshots (§3.2 "Transaction Commit").
             let valid_ts = own.snapshot.valid_ts();
-            if !tasks().all(|bufs| bufs.snapshot.valid_ts() == valid_ts) {
+            if !tasks().all(|(_, bufs)| bufs.snapshot.valid_ts() == valid_ts) {
                 self.stats.validations.inc();
-                let locks = &self.substrate.locks;
-                if !tasks().all(|bufs| bufs.snapshot.validate(locks)) {
+                if !tasks().all(|(_, bufs)| bufs.snapshot.validate(locks)) {
                     return Err(Abort::new(AbortReason::ReadValidation));
                 }
             }
@@ -603,21 +588,26 @@ impl<'rt> TaskCtx<'rt> {
         // their locks.
         self.txn.set_finishing();
         locked.clear();
-        locked.extend(tasks().flat_map(|bufs| bufs.acquired.iter().map(|&idx| (idx, 0u64))));
-        let (heap, txn, token) = (&self.substrate.heap, &self.txn, self.token);
+        locked.extend(tasks().flat_map(|(_, bufs)| bufs.acquired.iter().map(|&idx| (idx, 0u64))));
+        let (txn, token) = (&self.txn, self.token);
         commit_locked(
             self.substrate,
             self.stats,
             locked,
-            tasks().map(|bufs| &bufs.snapshot),
-            // Every task's buffered writes in program order — across tasks by
-            // ascending serial, within a task in write-log order — so later
+            tasks().map(|(_, bufs)| &bufs.snapshot),
+            // Every task's chain-entry writes by ascending serial, so later
             // tasks' values win for locations written by several tasks and
             // the applied order is deterministic.
             || {
-                for bufs in tasks() {
-                    for write in bufs.write_set.iter() {
-                        heap.store_committed(write.addr, write.value);
+                for (serial, bufs) in tasks() {
+                    for &idx in &bufs.acquired {
+                        let chain = locks.entry(idx).chain();
+                        let entry = chain
+                            .entry_for_serial(serial)
+                            .expect("a lock a task lists holds its chain entry until commit");
+                        for &(addr, value) in &entry.writes {
+                            heap.store_committed(addr, value);
+                        }
                     }
                 }
             },

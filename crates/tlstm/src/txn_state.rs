@@ -286,10 +286,6 @@ impl LockOwner for TxnShared {
     fn cm_priority(&self) -> u64 {
         self.priority()
     }
-
-    fn owner_id(&self) -> u32 {
-        self.uthread.ptid()
-    }
 }
 
 #[cfg(test)]
@@ -367,7 +363,6 @@ mod tests {
         t.mark_committed();
         assert!(t.is_committed());
         assert!(t.is_finishing());
-        assert_eq!(t.owner_id(), 7);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use swisstm::cm::{GreedyTicket, GREEDY_AFTER_ABORTS, TIMID};
+use swisstm::cm::{GREEDY_AFTER_ABORTS, TIMID};
 use txmem::{AbortReason, TxSubstrate};
 
 use crate::pool::Claim;
@@ -66,7 +66,6 @@ pub(crate) struct WorkItem<'a> {
 pub(crate) struct Worker {
     pub substrate: Arc<TxSubstrate>,
     pub uthread: Arc<UThreadShared>,
-    pub tickets: Arc<GreedyTicket>,
     /// How the user-thread's crews are claimed (its registration decided).
     pub claim: Claim,
 }
@@ -135,7 +134,7 @@ impl Worker {
                 && txn.note_cm_self_abort() >= GREEDY_AFTER_CM_SELF_ABORTS
                 && txn.priority() == TIMID
             {
-                txn.set_priority(self.tickets.draw());
+                txn.set_priority(self.substrate.tickets.draw());
             }
             if abort.reason == AbortReason::TransactionAbortSignal || txn.abort_requested() {
                 self.participate_in_rollback(txn, serial);
@@ -200,7 +199,7 @@ impl Worker {
             // The rollback in progress counts: the SwissTM two-phase policy,
             // applied per user-transaction.
             if txn.rollbacks() + 1 >= GREEDY_AFTER_ABORTS && txn.priority() == TIMID {
-                txn.set_priority(self.tickets.draw());
+                txn.set_priority(self.substrate.tickets.draw());
             }
             txn.finish_rollback();
         } else {

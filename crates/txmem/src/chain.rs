@@ -13,6 +13,13 @@
 //! exactly the set of accesses that dereference `w-lock` in the paper, so
 //! guarding it with the lock entry's mutex preserves the algorithm's
 //! contention behaviour.
+//! The entries are a TLSTM task's only copy of its writes.
+//!
+//! An entry names its task's serial but not its user-thread: the w-lock
+//! does. A task adds an entry only while its user-thread holds the w-lock,
+//! which is released only once the chain is empty, under the chain's mutex
+//! (SwissTM adds none). So, under the mutex, a non-empty chain belongs to the
+//! w-lock's holder, whose token is unique per lock table.
 
 use crate::addr::WordAddr;
 use crate::owner::OwnerHandle;
@@ -20,8 +27,6 @@ use crate::owner::OwnerHandle;
 /// One TLSTM task's speculative write entry for a given lock.
 #[derive(Debug, Clone)]
 pub struct SpecEntry {
-    /// Program-thread (user-thread) identifier of the writer.
-    pub ptid: u32,
     /// Serial number of the writer task within its user-thread.
     pub serial: u64,
     /// Contention-manager handle of the writer's user-transaction.
@@ -118,11 +123,6 @@ impl WriteChain {
         self.entries.len()
     }
 
-    /// The program-thread id of the owning user-thread, if any entry exists.
-    pub fn owner_ptid(&self) -> Option<u32> {
-        self.entries.first().map(|e| e.ptid)
-    }
-
     /// The most speculative (highest-serial) entry, if any. This is what the
     /// raw `w-lock` pointer refers to in the paper.
     pub fn newest(&self) -> Option<&SpecEntry> {
@@ -167,25 +167,23 @@ impl WriteChain {
         ChainRead::Committed
     }
 
-    /// Records a speculative write by the task `(ptid, serial)`, creating its
-    /// entry if necessary. Returns `true` if a new entry was created.
+    /// Records a speculative write by task `serial` of the w-lock's holder,
+    /// creating its entry if necessary. Returns `true` if a new entry was
+    /// created.
     pub fn record_write(
         &mut self,
-        ptid: u32,
         serial: u64,
         owner: &OwnerHandle,
         addr: WordAddr,
         value: u64,
     ) -> bool {
         if let Some(entry) = self.entries.iter_mut().find(|e| e.serial == serial) {
-            debug_assert_eq!(entry.ptid, ptid, "chain entries must share one user-thread");
             entry.record_write(addr, value);
             return false;
         }
         let mut writes = self.spare.pop().unwrap_or_default();
         writes.push((addr, value));
         let entry = SpecEntry {
-            ptid,
             serial,
             owner: OwnerHandle::clone(owner),
             writes,
@@ -238,7 +236,7 @@ mod tests {
     use std::sync::Arc;
 
     #[derive(Debug)]
-    struct DummyOwner(u32);
+    struct DummyOwner;
     impl LockOwner for DummyOwner {
         fn signal_abort(&self) {}
         fn is_finishing(&self) -> bool {
@@ -250,13 +248,10 @@ mod tests {
         fn cm_priority(&self) -> u64 {
             u64::MAX
         }
-        fn owner_id(&self) -> u32 {
-            self.0
-        }
     }
 
-    fn owner(id: u32) -> OwnerHandle {
-        Arc::new(DummyOwner(id))
+    fn owner() -> OwnerHandle {
+        Arc::new(DummyOwner)
     }
 
     fn addr(i: u64) -> WordAddr {
@@ -266,11 +261,11 @@ mod tests {
     #[test]
     fn record_and_read_own_write() {
         let mut chain = WriteChain::new();
-        let o = owner(0);
-        assert!(chain.record_write(0, 5, &o, addr(1), 42));
+        let o = owner();
+        assert!(chain.record_write(5, &o, addr(1), 42));
         assert_eq!(chain.read_visible(addr(1), 5), ChainRead::Own(42));
         // overwrite
-        assert!(!chain.record_write(0, 5, &o, addr(1), 43));
+        assert!(!chain.record_write(5, &o, addr(1), 43));
         assert_eq!(chain.read_visible(addr(1), 5), ChainRead::Own(43));
         assert_eq!(chain.len(), 1);
     }
@@ -278,8 +273,8 @@ mod tests {
     #[test]
     fn future_entries_are_invisible_to_past_readers() {
         let mut chain = WriteChain::new();
-        let o = owner(0);
-        chain.record_write(0, 7, &o, addr(1), 70);
+        let o = owner();
+        chain.record_write(7, &o, addr(1), 70);
         assert_eq!(chain.read_visible(addr(1), 5), ChainRead::Committed);
         assert_eq!(
             chain.read_visible(addr(1), 9),
@@ -293,10 +288,10 @@ mod tests {
     #[test]
     fn reader_sees_most_recent_past_writer() {
         let mut chain = WriteChain::new();
-        let o = owner(0);
-        chain.record_write(0, 2, &o, addr(1), 20);
-        chain.record_write(0, 4, &o, addr(1), 40);
-        chain.record_write(0, 6, &o, addr(1), 60);
+        let o = owner();
+        chain.record_write(2, &o, addr(1), 20);
+        chain.record_write(4, &o, addr(1), 40);
+        chain.record_write(6, &o, addr(1), 60);
         assert_eq!(
             chain.read_visible(addr(1), 5),
             ChainRead::Past {
@@ -316,18 +311,18 @@ mod tests {
     #[test]
     fn chain_falls_back_to_committed_for_unwritten_addresses() {
         let mut chain = WriteChain::new();
-        let o = owner(0);
-        chain.record_write(0, 2, &o, addr(1), 20);
+        let o = owner();
+        chain.record_write(2, &o, addr(1), 20);
         assert_eq!(chain.read_visible(addr(9), 5), ChainRead::Committed);
     }
 
     #[test]
     fn entries_stay_sorted_regardless_of_insertion_order() {
         let mut chain = WriteChain::new();
-        let o = owner(0);
-        chain.record_write(0, 6, &o, addr(1), 60);
-        chain.record_write(0, 2, &o, addr(1), 20);
-        chain.record_write(0, 4, &o, addr(1), 40);
+        let o = owner();
+        chain.record_write(6, &o, addr(1), 60);
+        chain.record_write(2, &o, addr(1), 20);
+        chain.record_write(4, &o, addr(1), 40);
         let serials: Vec<u64> = chain.iter().map(|e| e.serial).collect();
         assert_eq!(serials, vec![2, 4, 6]);
         assert_eq!(chain.newest_serial(), Some(6));
@@ -340,9 +335,9 @@ mod tests {
     #[test]
     fn remove_serial_and_transaction() {
         let mut chain = WriteChain::new();
-        let o = owner(0);
+        let o = owner();
         for s in [2, 3, 4, 7] {
-            chain.record_write(0, s, &o, addr(s), s * 10);
+            chain.record_write(s, &o, addr(s), s * 10);
         }
         assert!(chain.remove_serial(3));
         assert!(!chain.remove_serial(3));
@@ -352,23 +347,22 @@ mod tests {
         assert_eq!(chain.newest_serial(), Some(7));
         assert!(chain.remove_serial(7));
         assert!(chain.is_empty());
-        assert_eq!(chain.owner_ptid(), None);
     }
 
     #[test]
     fn removed_entries_recycle_their_write_buffers() {
         let mut chain = WriteChain::new();
-        let o = owner(0);
+        let o = owner();
         // Grow an entry's write buffer, remove it, and re-install: the new
         // entry must reuse the retained buffer capacity.
         for i in 0..16 {
-            chain.record_write(0, 1, &o, addr(i), i);
+            chain.record_write(1, &o, addr(i), i);
         }
         assert!(chain.remove_serial(1));
         assert_eq!(chain.spare.len(), 1);
         let spare_cap = chain.spare[0].capacity();
         assert!(spare_cap >= 16);
-        assert!(chain.record_write(0, 2, &o, addr(0), 1));
+        assert!(chain.record_write(2, &o, addr(0), 1));
         assert!(
             chain.spare.is_empty(),
             "new entry must pop the spare buffer"
@@ -379,14 +373,5 @@ mod tests {
         assert!(chain.remove_serial(2));
         assert!(chain.is_empty());
         assert_eq!(chain.spare.len(), 1);
-    }
-
-    #[test]
-    fn owner_ptid_reflects_entries() {
-        let mut chain = WriteChain::new();
-        let o = owner(3);
-        chain.record_write(3, 1, &o, addr(0), 5);
-        assert_eq!(chain.owner_ptid(), Some(3));
-        assert_eq!(chain.newest().unwrap().owner.owner_id(), 3);
     }
 }

@@ -1,4 +1,5 @@
-//! The global commit clock (`commit-ts`) and thread id allocation.
+//! The global counters of a substrate: the commit clock (`commit-ts`), owner
+//! ids and greedy contention-manager tickets.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
@@ -36,9 +37,8 @@ impl GlobalClock {
 
 /// Allocates small dense identifiers for user-threads / transactions.
 ///
-/// Used by both runtimes to hand out the `tid` / program-thread identifiers
-/// that the lock table stores as owner tokens and that the contention manager
-/// compares.
+/// One allocator per lock table ([`crate::TxSubstrate::ids`]), so the owner
+/// tokens the table stores are unique across runtime handles.
 #[derive(Debug, Default)]
 pub struct ThreadIdAllocator {
     next: AtomicU32,
@@ -60,6 +60,27 @@ impl ThreadIdAllocator {
     /// Number of identifiers handed out so far.
     pub fn allocated(&self) -> u32 {
         self.next.load(Ordering::Relaxed)
+    }
+}
+
+/// Source of two-phase greedy contention-manager tickets, one per lock table
+/// ([`crate::TxSubstrate::tickets`]).
+#[derive(Debug, Default)]
+pub struct GreedyTicket {
+    next: AtomicU64,
+}
+
+impl GreedyTicket {
+    /// Creates a ticket source.
+    pub fn new() -> Self {
+        GreedyTicket {
+            next: AtomicU64::new(0),
+        }
+    }
+
+    /// Draws the next ticket (smaller = older = stronger).
+    pub fn draw(&self) -> u64 {
+        self.next.fetch_add(1, Ordering::Relaxed)
     }
 }
 
@@ -103,5 +124,13 @@ mod tests {
         let ids: Vec<u32> = (0..10).map(|_| alloc.allocate()).collect();
         assert_eq!(ids, (0..10).collect::<Vec<_>>());
         assert_eq!(alloc.allocated(), 10);
+    }
+
+    #[test]
+    fn tickets_are_unique_and_increasing() {
+        let t = GreedyTicket::new();
+        let a = t.draw();
+        let b = t.draw();
+        assert!(b > a);
     }
 }

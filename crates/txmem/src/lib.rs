@@ -10,18 +10,19 @@
 //!
 //! * [`TxHeap`] — a growable arena of 64-bit words ([`WordAddr`] addressed).
 //!   Committed state is stored in plain atomics, so no `unsafe` is required
-//!   for speculative execution: speculative values live in per-task logs and
-//!   in per-lock write chains until commit.
+//!   for speculative execution: speculative values live in SwissTM's write
+//!   sets and TLSTM's per-lock write chains until commit.
 //! * [`LockTable`] — the global table mapping every word address to an
 //!   (r-lock, w-lock) pair, exactly as SwissTM does. The r-lock holds either a
-//!   commit timestamp or a `LOCKED` sentinel; the w-lock holds the owner of
-//!   the location plus a chain of speculative write entries
-//!   ([`WriteChain`]) used by TLSTM tasks of the owning user-thread.
-//! * [`WriteSet`] — the log-structured transactional write set shared by both
-//!   runtimes: an append-only write log in program order with a bloom summary
-//!   and a generation-stamped index, recyclable so steady-state transactions
-//!   allocate nothing.
+//!   commit timestamp or a `LOCKED` sentinel; the w-lock holds the owner's
+//!   token and, under TLSTM, heads the chain of its tasks' write entries
+//!   ([`WriteChain`]), the only copy of a TLSTM write.
+//! * [`WriteSet`] — SwissTM's log-structured write set: an append-only write
+//!   log in program order with a bloom summary and a generation-stamped
+//!   index, recyclable so steady-state transactions allocate nothing.
 //! * [`GlobalClock`] — the global commit counter (`commit-ts` in the paper).
+//! * [`ThreadIdAllocator`], [`GreedyTicket`], [`OwnerRegistry`] — owner ids,
+//!   greedy tickets and SwissTM's descriptors, one of each per lock table.
 //! * [`protocol`] — SwissTM's committed-state protocol, written once for both
 //!   runtimes: the [`Snapshot`] read rule and `extend`, and the
 //!   [`commit_locked`] commit sequence.
@@ -84,13 +85,12 @@ pub mod write_set;
 
 pub use addr::{WordAddr, NULL_ADDR};
 pub use chain::{SpecEntry, WriteChain};
-pub use clock::{GlobalClock, ThreadIdAllocator};
+pub use clock::{GlobalClock, GreedyTicket, ThreadIdAllocator};
 pub use config::TxConfig;
 pub use error::{Abort, AbortReason, MemError};
 pub use heap::TxHeap;
 pub use lock_table::{LockEntry, LockIndex, LockTable, LOCKED, WORDS_PER_LOCK};
-pub use owner::OwnerHandle;
-pub use owner::{CmDecision, LockOwner, OwnerToken};
+pub use owner::{CmDecision, LockOwner, OwnerHandle, OwnerRegistry, OwnerToken};
 pub use protocol::{commit_locked, Snapshot};
 pub use runtime::{
     assert_txmem_object_safe, run_boxed_tasks, BoxedTaskBody, TaskBody, TxRuntime, TxSession,
@@ -100,11 +100,11 @@ pub use stats::{OpCounters, StatsCollector, StatsShard, StatsSnapshot};
 pub use traits::{DirectMem, TxMem};
 pub use write_set::{WriteEntry, WriteSet};
 
-/// Shared, immutable bundle of the global structures a runtime needs.
+/// Shared bundle of the global structures a runtime needs.
 ///
-/// Both the SwissTM and the TLSTM runtime are built around one [`TxSubstrate`]
-/// instance; benchmarks that compare the two runtimes on the *same* data
-/// simply hand the same substrate to both.
+/// Every runtime handle is built around one [`TxSubstrate`]; benchmarks that
+/// compare the runtimes on the *same* data hand the same substrate to each
+/// (see [`TxRuntime::with_substrate`] for what sharing guarantees).
 #[derive(Debug)]
 pub struct TxSubstrate {
     /// The word heap holding committed state.
@@ -117,6 +117,12 @@ pub struct TxSubstrate {
     pub stats: StatsCollector,
     /// Configuration used to build the substrate.
     pub config: TxConfig,
+    /// Owner ids (SwissTM threads, TLSTM user-threads, seqref sessions).
+    pub ids: ThreadIdAllocator,
+    /// Two-phase greedy contention-manager tickets.
+    pub tickets: GreedyTicket,
+    /// SwissTM threads' descriptors, keyed by owner id.
+    pub owners: OwnerRegistry,
 }
 
 impl TxSubstrate {
@@ -128,6 +134,9 @@ impl TxSubstrate {
             clock: GlobalClock::new(),
             stats: StatsCollector::new(),
             config,
+            ids: ThreadIdAllocator::new(),
+            tickets: GreedyTicket::new(),
+            owners: OwnerRegistry::default(),
         }
     }
 }

@@ -4,11 +4,15 @@
 //! a location's write lock, other threads that want the lock must consult the
 //! contention manager. The contention manager needs to (a) inspect the owner's
 //! progress/priority and (b) possibly signal it to abort. Both runtimes expose
-//! that capability through the [`LockOwner`] trait so that the lock table can
-//! store the owner uniformly.
+//! that capability through the [`LockOwner`] trait. The w-lock itself stores
+//! only the owner's [`OwnerToken`]; a contender turns it into a [`LockOwner`]
+//! through the substrate's [`OwnerRegistry`] (SwissTM) or the newest entry of
+//! the lock's write chain (TLSTM).
 
 use std::fmt;
 use std::sync::Arc;
+
+use parking_lot::RwLock;
 
 /// A compact token identifying which user-thread (TLSTM) or transaction
 /// descriptor (SwissTM) owns a write lock.
@@ -102,13 +106,45 @@ pub trait LockOwner: Send + Sync + fmt::Debug {
     /// Two-phase greedy assigns `u64::MAX` until the transaction aborts for
     /// the first time and acquires a real ticket.
     fn cm_priority(&self) -> u64;
-
-    /// Identifier of the owning user-thread, for assertions and tracing.
-    fn owner_id(&self) -> u32;
 }
 
 /// Reference-counted owner handle stored in the lock table.
 pub type OwnerHandle = Arc<dyn LockOwner>;
+
+/// SwissTM's descriptors, indexed by owner id, one registry per lock table
+/// ([`crate::TxSubstrate::owners`]): a SwissTM transaction that loses a
+/// `try_acquire_writer` race resolves the owner's token here, so SwissTM
+/// never touches the write chains, and every SwissTM handle over a substrate
+/// reaches every other's descriptors. Lookups happen only on the conflict
+/// path, so an `RwLock` is plenty. TLSTM user-threads do not register.
+#[derive(Debug, Default)]
+pub struct OwnerRegistry {
+    slots: RwLock<Vec<Option<OwnerHandle>>>,
+}
+
+impl OwnerRegistry {
+    /// Publishes `handle` as the descriptor of owner `id`.
+    pub fn register(&self, id: u32, handle: OwnerHandle) {
+        let mut slots = self.slots.write();
+        if slots.len() <= id as usize {
+            slots.resize(id as usize + 1, None);
+        }
+        slots[id as usize] = Some(handle);
+    }
+
+    /// Retires owner `id`: late contenders wait for its released locks.
+    pub fn unregister(&self, id: u32) {
+        if let Some(slot) = self.slots.write().get_mut(id as usize) {
+            *slot = None;
+        }
+    }
+
+    /// The registered descriptor of the owner holding `token`, if any.
+    pub fn get(&self, token: OwnerToken) -> Option<OwnerHandle> {
+        let id = token.id()? as usize;
+        self.slots.read().get(id).cloned().flatten()
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -153,6 +153,14 @@ pub trait TxRuntime: Send + Sync + fmt::Debug + 'static {
 
     /// Creates a runtime over an existing substrate (shared with other
     /// runtimes or with non-transactional initialisation code).
+    ///
+    /// Owner ids come from [`TxSubstrate::ids`], so no two sessions of any
+    /// handles share an owner token (`tlstm/tests/shared_substrate.rs`):
+    /// * handles of one runtime kind may share a substrate;
+    /// * a SwissTM and a TLSTM handle share one safely but can deadlock:
+    ///   TLSTM owners are not in [`TxSubstrate::owners`], so in a lock cycle
+    ///   between them each side waits on the other;
+    /// * a seqref handle's gate serialises only its own sessions.
     fn with_substrate(substrate: Arc<TxSubstrate>) -> Arc<Self>;
 
     /// The shared substrate.

@@ -1,10 +1,11 @@
 //! `seqref` — the sequential global-lock reference runtime.
 //!
-//! The simplest possible [`TxRuntime`]: one process-wide mutex serialises
-//! every transaction, and bodies run against [`DirectMem`] (committed state,
-//! no logging, no rollback). It exists for two reasons:
+//! The simplest possible [`TxRuntime`]: one mutex per runtime handle (its
+//! `gate`, which no other handle over the substrate takes) serialises its
+//! sessions' transactions, and bodies run against [`DirectMem`] (committed
+//! state, no logging, no rollback). It exists for two reasons:
 //!
-//! * **Conformance baseline.** Under the global lock there are no conflicts,
+//! * **Conformance baseline.** Under the gate there are no conflicts,
 //!   no speculation and no retries, so a seeded workload's replies and final
 //!   state on `seqref` are the ground truth the concurrent runtimes must
 //!   match (`tmbench --runtimes seqref`, the `txkv` conformance suites).
@@ -16,24 +17,22 @@
 //! [`Abort`] cannot be rolled back; `seqref` treats that as a caller bug and
 //! panics. This is sound for every consumer in this repository: KV batches
 //! report failures as replies (not aborts), and workload bodies only abort on
-//! conflicts, which cannot occur while the global lock is held.
+//! conflicts, which cannot occur while the gate is held.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::clock::ThreadIdAllocator;
 use crate::error::Abort;
 use crate::runtime::{TxRuntime, TxSession};
 use crate::traits::DirectMem;
 use crate::{TxConfig, TxSubstrate};
 
-/// The sequential reference runtime: a global lock around [`DirectMem`].
+/// The sequential reference runtime: a lock around [`DirectMem`].
 #[derive(Debug)]
 pub struct SeqRefRuntime {
     substrate: Arc<TxSubstrate>,
     gate: Mutex<()>,
-    thread_ids: ThreadIdAllocator,
 }
 
 impl SeqRefRuntime {
@@ -47,7 +46,6 @@ impl SeqRefRuntime {
         Arc::new(SeqRefRuntime {
             substrate,
             gate: Mutex::new(()),
-            thread_ids: ThreadIdAllocator::new(),
         })
     }
 
@@ -60,7 +58,7 @@ impl SeqRefRuntime {
     pub fn session(self: &Arc<Self>) -> SeqRefSession {
         SeqRefSession {
             runtime: Arc::clone(self),
-            id: self.thread_ids.allocate(),
+            id: self.substrate.ids.allocate(),
         }
     }
 }
@@ -91,7 +89,7 @@ impl TxRuntime for SeqRefRuntime {
 /// A per-thread session of the [`SeqRefRuntime`].
 ///
 /// Holds the thread's dense id for stats attribution; every transaction takes
-/// the runtime's global lock for its whole duration.
+/// the runtime's gate for its whole duration.
 #[derive(Debug)]
 pub struct SeqRefSession {
     runtime: Arc<SeqRefRuntime>,
@@ -104,7 +102,7 @@ impl SeqRefSession {
         self.id
     }
 
-    /// Executes `f` under the global lock with stats bumped around it.
+    /// Executes `f` under the gate with stats bumped around it.
     fn locked<T>(&self, f: impl FnOnce(&mut DirectMem<'_>) -> Result<T, Abort>) -> T {
         let substrate = &self.runtime.substrate;
         let _gate = self.runtime.gate.lock();

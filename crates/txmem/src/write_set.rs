@@ -3,7 +3,8 @@
 //! SwissTM-style STMs keep the write set *log-structured*: an append-only
 //! array of write entries in program order, plus a small index so
 //! read-after-write checks stay cheap. This module provides that structure
-//! for both runtimes, replacing the former `HashMap<u64, u64>` buffers:
+//! for SwissTM (TLSTM's write log is its tasks' chain entries,
+//! [`crate::chain`]), replacing the former `HashMap<u64, u64>` buffers:
 //!
 //! * **Append-only log** — one [`WriteEntry`] per distinct written word, in
 //!   first-write program order. A later write to the same word updates the
