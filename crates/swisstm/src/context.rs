@@ -12,14 +12,12 @@
 //!
 //! [`SwisstmThread`]: crate::runtime::SwisstmThread
 //! [`Transaction`]: crate::transaction::Transaction
-//! [`TxDescriptor`]: crate::descriptor::TxDescriptor
+//! [`TxDescriptor`]: txmem::TxDescriptor
 //! [`Snapshot`]: txmem::Snapshot
 
 use std::sync::Arc;
 
-use txmem::{LockIndex, OwnerHandle, Snapshot, WriteSet};
-
-use crate::descriptor::TxDescriptor;
+use txmem::{LockIndex, Snapshot, TxDescriptor, WriteSet};
 
 /// Recyclable speculative state of one thread's transactions.
 ///
@@ -29,10 +27,8 @@ use crate::descriptor::TxDescriptor;
 #[derive(Debug)]
 pub struct TxContext {
     /// The thread's long-lived descriptor (re-armed per attempt, never
-    /// reallocated).
+    /// reallocated), also published in the substrate's owner registry.
     pub(crate) descriptor: Arc<TxDescriptor>,
-    /// The same descriptor, type-erased for the owner registry.
-    pub(crate) owner_handle: OwnerHandle,
     /// `valid-ts` and the read log.
     pub(crate) snapshot: Snapshot,
     /// Log-structured buffered writes.
@@ -45,12 +41,9 @@ pub struct TxContext {
 
 impl TxContext {
     /// Creates the context for a newly registered thread.
-    pub(crate) fn new(thread_id: u32) -> Self {
-        let descriptor = Arc::new(TxDescriptor::timid(thread_id));
-        let owner_handle: OwnerHandle = Arc::clone(&descriptor) as _;
+    pub(crate) fn new() -> Self {
         TxContext {
-            descriptor,
-            owner_handle,
+            descriptor: Arc::default(),
             snapshot: Snapshot::default(),
             write_set: WriteSet::new(),
             acquired: Vec::new(),
@@ -100,7 +93,7 @@ mod tests {
 
     #[test]
     fn reset_scrubs_all_speculative_state() {
-        let mut ctx = TxContext::new(3);
+        let mut ctx = TxContext::new();
         assert!(ctx.is_clean());
         read_words(&mut ctx, 1);
         ctx.write_set.insert_new(WordAddr::new(9), 1);
@@ -114,7 +107,7 @@ mod tests {
 
     #[test]
     fn reset_retains_capacity() {
-        let mut ctx = TxContext::new(0);
+        let mut ctx = TxContext::new();
         read_words(&mut ctx, 64);
         for i in 0..64 {
             ctx.acquired.push((LockIndex(i), 0));

@@ -11,8 +11,9 @@
 //! * a global lock table mapping each location to an (r-lock, w-lock) pair
 //!   ([`txmem::LockTable`]);
 //! * **eager write/write conflict detection**: a transaction wishing to write
-//!   first acquires the location's w-lock; conflicts are resolved by a
-//!   two-phase greedy contention manager;
+//!   first acquires the location's w-lock; conflicts are resolved by the
+//!   substrate's contention manager ([`txmem::cm`]), which between two
+//!   SwissTM transactions is two-phase greedy;
 //! * **lazy (counter-based) read validation**: each transaction keeps a
 //!   `valid-ts`; reading a location with a newer version triggers a read-log
 //!   extension, which re-validates every read so far at the new timestamp;
@@ -43,15 +44,11 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod cm;
 pub mod context;
-pub mod descriptor;
 pub mod runtime;
 pub mod transaction;
 
-pub use cm::GreedyCm;
 pub use context::TxContext;
-pub use descriptor::TxDescriptor;
 pub use runtime::{SwisstmRuntime, SwisstmThread};
 pub use transaction::Transaction;
 

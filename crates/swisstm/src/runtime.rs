@@ -3,9 +3,11 @@
 use std::sync::Arc;
 
 use txmem::pause::contention_pause;
-use txmem::{Abort, DirectMem, StatsSnapshot, TxConfig, TxHeap, TxRuntime, TxSession, TxSubstrate};
+use txmem::{
+    should_turn_greedy, Abort, DirectMem, OwnerHandle, StatsSnapshot, TxConfig, TxHeap, TxRuntime,
+    TxSession, TxSubstrate, TIMID,
+};
 
-use crate::cm::{GreedyCm, TIMID};
 use crate::context::TxContext;
 use crate::transaction::Transaction;
 
@@ -57,8 +59,9 @@ impl SwisstmRuntime {
     /// the substrate's owner registry so contenders can reach it.
     pub fn register_thread(self: &Arc<Self>) -> SwisstmThread {
         let id = self.substrate.ids.allocate();
-        let ctx = TxContext::new(id);
-        self.substrate.owners.register(id, ctx.owner_handle.clone());
+        let ctx = TxContext::new();
+        let descriptor: OwnerHandle = ctx.descriptor.clone();
+        self.substrate.owners.register(id, descriptor);
         SwisstmThread {
             runtime: Arc::clone(self),
             id,
@@ -129,8 +132,7 @@ impl SwisstmThread {
                     stats.tx_aborts.inc();
                     txobs::tx_abort(abort.reason.trace_cause());
                     self.consecutive_aborts += 1;
-                    if self.greedy_priority.is_none()
-                        && GreedyCm::should_turn_greedy(self.consecutive_aborts)
+                    if self.greedy_priority.is_none() && should_turn_greedy(self.consecutive_aborts)
                     {
                         self.greedy_priority = Some(self.runtime.substrate.tickets.draw());
                     }

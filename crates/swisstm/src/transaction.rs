@@ -5,8 +5,8 @@
 //! counter-based validation (`valid-ts` + read-log extension), buffered writes
 //! applied at commit under the written locations' r-locks. The read rule,
 //! `extend` and the commit sequence are [`txmem::protocol`]'s, shared with
-//! TLSTM; this module adds the eager write path with its greedy contention
-//! manager.
+//! TLSTM; this module adds the eager write path, which resolves conflicts
+//! through the substrate's contention layer ([`TxSubstrate::contend`]).
 //!
 //! ## Zero-allocation hot path
 //!
@@ -26,10 +26,10 @@
 //! * the **acquired-locks log** — `(lock, previous r-lock version)` pairs
 //!   that double as the commit-time undo list, replacing the per-commit
 //!   `old_versions` hash map;
-//! * the thread's **reused descriptor**, re-armed per attempt and published
-//!   to contenders through the substrate's owner registry (the lock table's
-//!   write chains are no longer touched by SwissTM at all — chains are a
-//!   TLSTM-only structure, allocated lazily).
+//! * the thread's **reused descriptor** ([`txmem::TxDescriptor`]), re-armed
+//!   per attempt and published to contenders through the substrate's owner
+//!   registry (SwissTM adds no chain entries; its conflict path reads a
+//!   lock's chain only to find a TLSTM owner).
 //!
 //! After a thread's context has warmed up to the workload's footprint, the
 //! read, write, commit and rollback paths perform zero heap allocations;
@@ -37,11 +37,10 @@
 
 use txmem::pause::contention_pause;
 use txmem::{
-    commit_locked, Abort, AbortReason, CmDecision, LockEntry, OpCounters, OwnerToken, StatsShard,
-    TxMem, TxSubstrate, WordAddr,
+    commit_locked, Abort, AbortReason, LockEntry, OpCounters, OwnerToken, StatsShard, TxMem,
+    TxSubstrate, WordAddr,
 };
 
-use crate::cm::GreedyCm;
 use crate::context::TxContext;
 
 /// A single SwissTM transaction attempt.
@@ -183,34 +182,12 @@ impl TxMem for Transaction<'_> {
                     break;
                 }
                 Err(owner_token) => {
-                    // Reach the owner's descriptor through the substrate's
-                    // registry (the token encodes the owning thread id); the
-                    // lock's write chain is never touched by SwissTM.
-                    let decision = match sub.owners.get(owner_token) {
-                        // Owner released (or is not a SwissTM thread):
-                        // just wait for the lock and retry.
-                        None => CmDecision::Wait,
-                        Some(owner) => {
-                            let decision =
-                                GreedyCm::resolve(self.ctx.descriptor.priority(), owner.as_ref());
-                            if decision == CmDecision::AbortOwner {
-                                owner.signal_abort();
-                                self.stats.cm_owner_aborts.inc();
-                            }
-                            decision
-                        }
-                    };
-                    match decision {
-                        CmDecision::AbortSelf => {
-                            self.stats.cm_self_aborts.inc();
-                            return Err(Abort::new(AbortReason::InterThreadWriteConflict));
-                        }
-                        CmDecision::AbortOwner | CmDecision::Wait => {
-                            contention_pause(spin);
-                            spin = spin.wrapping_add(1);
-                            continue;
-                        }
-                    }
+                    // The owner may be a SwissTM thread or a TLSTM
+                    // user-transaction; unless this transaction must abort,
+                    // wait for the lock and retry.
+                    sub.contend(self.stats, entry, owner_token, &*self.ctx.descriptor)?;
+                    contention_pause(spin);
+                    spin = spin.wrapping_add(1);
                 }
             }
         }

@@ -25,9 +25,10 @@
 //!   write-after-read and write-after-write conflicts are detected and
 //!   resolved by rolling individual tasks back);
 //! * **opacity across user-transactions** — exactly as the underlying
-//!   SwissTM algorithm provides, extended with a *task-aware* contention
-//!   manager that aborts the more speculative of two conflicting
-//!   user-transactions.
+//!   SwissTM algorithm provides, with the substrate's *task-aware*
+//!   contention manager ([`txmem::cm`]) aborting the more speculative of two
+//!   conflicting user-transactions, whether the other is a TLSTM or a
+//!   SwissTM one.
 //!
 //! ## Example
 //!
@@ -61,7 +62,6 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_code)]
 
-pub mod cm;
 mod pool;
 pub mod runtime;
 pub mod session;
@@ -70,7 +70,6 @@ pub mod txn_state;
 pub mod uthread_state;
 pub mod worker;
 
-pub use cm::TaskAwareCm;
 pub use runtime::{task, TlstmRuntime, TxnOutcome, TxnSpec, UThread};
 pub use task::TaskCtx;
 pub use txn_state::TxnShared;

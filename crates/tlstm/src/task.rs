@@ -30,14 +30,13 @@
 
 use std::sync::Arc;
 
-use txmem::chain::{ChainRead, WriteChain};
+use txmem::chain::ChainRead;
 use txmem::pause::contention_pause;
 use txmem::{
-    commit_locked, Abort, AbortReason, CmDecision, LockEntry, LockIndex, OpCounters, OwnerHandle,
-    OwnerToken, Snapshot, TxMem, TxSubstrate, WordAddr,
+    commit_locked, Abort, AbortReason, LockEntry, LockIndex, OpCounters, OwnerHandle, OwnerToken,
+    Snapshot, TxMem, TxSubstrate, WordAddr,
 };
 
-use crate::cm::TaskAwareCm;
 use crate::txn_state::{TaskReadEntry, TxnShared};
 use crate::uthread_state::{TaskSlot, UThreadShared};
 
@@ -356,7 +355,7 @@ impl<'rt> TaskCtx<'rt> {
             SelfAbort,
             SignalRunning(u64),
             SignalCompletedTxn(OwnerHandle),
-            InterThread,
+            InterThread(OwnerToken),
             Retry,
         }
         let mut spin = 0u32;
@@ -410,7 +409,7 @@ impl<'rt> TaskCtx<'rt> {
                     }
                 }
             } else {
-                WwAction::InterThread
+                WwAction::InterThread(token)
             };
             match action {
                 WwAction::Acquired { created } => {
@@ -437,29 +436,14 @@ impl<'rt> TaskCtx<'rt> {
                     self.uthread.wait_slice();
                     continue;
                 }
-                WwAction::InterThread => {
-                    // Write lock held by another user-thread: task-aware
-                    // contention management (Alg. 2 lines 41-43, 54-64).
-                    // `try_chain` keeps this inspection allocation-free: a
-                    // missing chain reads as "no entry yet", i.e. Wait.
-                    let chain = entry.try_chain();
-                    let decision = match chain.as_deref().and_then(WriteChain::newest) {
-                        None => CmDecision::Wait,
-                        // Ownership switched to our own user-thread since the
-                        // token read: retry and take the intra-thread path
-                        // instead of contending against ourselves.
-                        Some(_) if self.owns_chain(entry) => CmDecision::Wait,
-                        Some(spec) => TaskAwareCm::resolve(&self.txn, spec.owner.as_ref()),
-                    };
-                    drop(chain);
-                    match decision {
-                        CmDecision::AbortSelf => {
-                            self.stats.cm_self_aborts.inc();
-                            return Err(Abort::new(AbortReason::InterThreadWriteConflict));
-                        }
-                        CmDecision::AbortOwner => self.stats.cm_owner_aborts.inc(),
-                        CmDecision::Wait => {}
-                    }
+                WwAction::InterThread(token) => {
+                    // Write lock held by another user-thread or a SwissTM
+                    // thread: task-aware contention management (Alg. 2 lines
+                    // 41-43, 54-64). An owner that is gone, or a lock that
+                    // passed to this user-thread since the token read, means
+                    // retry.
+                    self.substrate
+                        .contend(self.stats, entry, token, &*self.txn)?;
                 }
                 WwAction::Retry => {}
             }
@@ -494,7 +478,7 @@ impl<'rt> TaskCtx<'rt> {
         let txn = &self.txn;
         uthread.wait_until(|| {
             uthread.completed_task() >= serial.saturating_sub(1)
-                || txn.abort_requested()
+                || txn.descriptor().abort_requested()
                 || slot.is_aborted(serial)
         });
         self.check_signals()?;
@@ -586,7 +570,7 @@ impl<'rt> TaskCtx<'rt> {
 
         // Write transaction: commit every task's writes under the union of
         // their locks.
-        self.txn.set_finishing();
+        self.txn.descriptor().set_finishing();
         locked.clear();
         locked.extend(tasks().flat_map(|(_, bufs)| bufs.acquired.iter().map(|&idx| (idx, 0u64))));
         let (txn, token) = (&self.txn, self.token);
@@ -647,9 +631,7 @@ impl TxMem for TaskCtx<'_> {
 /// Checks the abort-transaction and aborted-internally flags of task `serial`
 /// of `txn`, whose `owners[]` slot is `slot`.
 fn task_signals(txn: &TxnShared, slot: &TaskSlot, serial: u64) -> Result<(), Abort> {
-    if txn.abort_requested() {
-        return Err(Abort::new(AbortReason::TransactionAbortSignal));
-    }
+    txn.descriptor().check_abort()?;
     if slot.is_aborted(serial) {
         return Err(Abort::new(AbortReason::TaskAbortSignal));
     }

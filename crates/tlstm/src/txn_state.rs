@@ -5,7 +5,8 @@
 //!
 //! 1. it is the **contention-manager handle** other user-threads reach through
 //!    the lock table (the `w-lock.owner` of the paper) — hence the
-//!    [`txmem::LockOwner`] implementation;
+//!    [`txmem::LockOwner`] implementation: a [`TxDescriptor`], as a SwissTM
+//!    transaction has, plus the transaction's task progress;
 //! 2. it carries the **abort-transaction flag** and the rollback coordination
 //!    state (acknowledgement counter + rollback epoch) that drive the
 //!    "all tasks of the transaction restart together" protocol of §3.2;
@@ -20,8 +21,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 
-use swisstm::cm::TIMID;
-use txmem::{LockIndex, LockOwner, WordAddr};
+use txmem::{LockIndex, LockOwner, TxDescriptor, WordAddr};
 
 use crate::task::TaskBufs;
 use crate::uthread_state::UThreadShared;
@@ -54,15 +54,15 @@ pub struct TxnShared {
     uthread: Arc<UThreadShared>,
     start_serial: u64,
     commit_serial: u64,
-    /// `abort-transaction`: the whole user-transaction must roll back.
-    abort_requested: AtomicBool,
+    /// `abort-transaction` (the whole user-transaction must roll back), the
+    /// commit-task's write-back having begun (contenders should simply
+    /// wait), and the transaction's two-phase greedy priority.
+    descriptor: TxDescriptor,
     /// The commit-task has started the rollback protocol. Completed
     /// intermediate tasks dismantle their speculative state only when this is
     /// set (not on `abort_requested` alone), which keeps them from racing with
     /// a commit-task that decided to commit before the request arrived.
     rollback_started: AtomicBool,
-    /// The commit-task has begun write-back (contenders should simply wait).
-    finishing: AtomicBool,
     /// The user-transaction has committed.
     committed: AtomicBool,
     /// Number of times the transaction has been rolled back so far.
@@ -79,8 +79,6 @@ pub struct TxnShared {
     /// conflict cycles both sides stay timid, keep self-aborting and deadlock
     /// unless one of them eventually draws a ticket.
     cm_retries: AtomicU32,
-    /// Two-phase greedy priority of the whole user-transaction.
-    priority: AtomicU64,
     /// Buffers lent by completed intermediate tasks, keyed by serial.
     mailbox: Mutex<Vec<(u64, TaskBufs)>>,
 }
@@ -103,15 +101,13 @@ impl TxnShared {
             uthread,
             start_serial,
             commit_serial,
-            abort_requested: AtomicBool::new(false),
+            descriptor: TxDescriptor::default(),
             rollback_started: AtomicBool::new(false),
-            finishing: AtomicBool::new(false),
             committed: AtomicBool::new(false),
             rollbacks: AtomicU32::new(0),
             epoch: AtomicU64::new(0),
             acks: AtomicU32::new(0),
             cm_retries: AtomicU32::new(0),
-            priority: AtomicU64::new(TIMID),
             mailbox: Mutex::new(Vec::new()),
         }
     }
@@ -147,21 +143,17 @@ impl TxnShared {
         self.uthread.notify();
     }
 
-    /// `true` if the whole transaction has been asked to abort.
-    pub fn abort_requested(&self) -> bool {
-        self.abort_requested.load(Ordering::Acquire)
+    /// The transaction's abort request, finishing flag and greedy priority.
+    #[inline]
+    pub fn descriptor(&self) -> &TxDescriptor {
+        &self.descriptor
     }
 
     /// Requests the abort of the whole transaction (used by the task-aware
     /// contention manager and by internal escalation).
     pub fn request_abort(&self) {
-        self.abort_requested.store(true, Ordering::Release);
+        self.descriptor.signal_abort();
         self.uthread.notify();
-    }
-
-    /// Marks the transaction as entering its commit write-back phase.
-    pub fn set_finishing(&self) {
-        self.finishing.store(true, Ordering::Release);
     }
 
     /// `true` once the commit-task has started the rollback protocol for the
@@ -186,16 +178,6 @@ impl TxnShared {
     /// transaction and returns the running total.
     pub fn note_cm_self_abort(&self) -> u32 {
         self.cm_retries.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Current greedy priority.
-    pub fn priority(&self) -> u64 {
-        self.priority.load(Ordering::Relaxed)
-    }
-
-    /// Installs a greedy priority ticket (keeps the strongest if called twice).
-    pub fn set_priority(&self, ticket: u64) {
-        self.priority.fetch_min(ticket, Ordering::Relaxed);
     }
 
     // --- rollback coordination --------------------------------------------
@@ -227,9 +209,8 @@ impl TxnShared {
         );
         self.rollbacks.fetch_add(1, Ordering::Relaxed);
         self.acks.store(0, Ordering::Release);
-        self.finishing.store(false, Ordering::Release);
         self.rollback_started.store(false, Ordering::Release);
-        self.abort_requested.store(false, Ordering::Release);
+        self.descriptor.clear_flags();
         self.epoch.fetch_add(1, Ordering::AcqRel);
         self.uthread.notify();
     }
@@ -269,9 +250,7 @@ impl LockOwner for TxnShared {
     }
 
     fn is_finishing(&self) -> bool {
-        self.finishing.load(Ordering::Acquire)
-            || self.committed.load(Ordering::Acquire)
-            || self.abort_requested()
+        self.descriptor.is_finishing() || self.committed.load(Ordering::Acquire)
     }
 
     fn completed_progress(&self) -> u64 {
@@ -284,13 +263,14 @@ impl LockOwner for TxnShared {
     }
 
     fn cm_priority(&self) -> u64 {
-        self.priority()
+        self.descriptor.priority()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use txmem::{resolve, CmDecision, TxConfig, TxSubstrate, TIMID};
 
     fn txn(depth: usize, start: u64, commit: u64) -> TxnShared {
         TxnShared::new(Arc::new(UThreadShared::new(7, depth)), start, commit)
@@ -315,9 +295,9 @@ mod tests {
     #[test]
     fn abort_and_rollback_cycle() {
         let t = txn(4, 1, 3);
-        assert!(!t.abort_requested());
+        assert!(!t.descriptor().abort_requested());
         t.request_abort();
-        assert!(t.abort_requested());
+        assert!(t.descriptor().abort_requested());
         assert!(t.is_finishing());
         t.ack_abort();
         t.ack_abort();
@@ -326,7 +306,8 @@ mod tests {
         t.finish_rollback();
         assert_eq!(t.epoch(), epoch + 1);
         assert_eq!(t.acks(), 0);
-        assert!(!t.abort_requested());
+        assert!(!t.descriptor().abort_requested());
+        assert!(!t.is_finishing());
         assert_eq!(t.rollbacks(), 1);
     }
 
@@ -350,10 +331,37 @@ mod tests {
     #[test]
     fn priority_keeps_strongest_ticket() {
         let t = txn(2, 1, 1);
-        assert_eq!(t.priority(), TIMID);
-        t.set_priority(10);
-        t.set_priority(20);
-        assert_eq!(t.priority(), 10);
+        assert_eq!(t.cm_priority(), TIMID);
+        let tickets = &TxSubstrate::new(TxConfig::small()).tickets;
+        t.descriptor().turn_greedy(tickets);
+        t.descriptor().turn_greedy(tickets);
+        assert_eq!(t.cm_priority(), 0);
+        // The ticket survives a rollback.
+        t.request_abort();
+        t.finish_rollback();
+        assert_eq!(t.cm_priority(), 0);
+    }
+
+    /// The one rule between a TLSTM transaction and a SwissTM descriptor:
+    /// completed tasks win in both directions, and a tie goes to greedy.
+    #[test]
+    fn resolves_against_a_swisstm_descriptor() {
+        let u = Arc::new(UThreadShared::new(0, 2));
+        let t = TxnShared::new(Arc::clone(&u), 1, 2);
+        let swiss = TxDescriptor::new(0);
+        assert_eq!(
+            resolve(&t, &swiss),
+            CmDecision::AbortSelf,
+            "tie: older ticket"
+        );
+        assert_eq!(resolve(&swiss, &t), CmDecision::AbortOwner);
+        assert!(t.descriptor().abort_requested());
+        t.finish_rollback();
+        u.mark_completed(1, true);
+        assert_eq!(resolve(&swiss, &t), CmDecision::AbortSelf);
+        assert!(!t.is_finishing());
+        assert_eq!(resolve(&t, &swiss), CmDecision::AbortOwner);
+        assert!(swiss.abort_requested());
     }
 
     #[test]

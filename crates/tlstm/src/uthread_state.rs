@@ -1,10 +1,11 @@
 //! Shared per-user-thread state.
 //!
 //! Every task running on behalf of a user-thread shares one
-//! [`UThreadShared`]: the `completed-task` / `completed-writer` counters of
-//! the paper, the `owners[SPECDEPTH]` slot array used to signal individual
-//! tasks, the running `execute`'s count of unfinished helper lanes, and a
-//! condition variable that waiters use instead of burning CPU.
+//! [`UThreadShared`]: the paper's `completed-task` counter and, in place of
+//! its `completed-writer`, a writer-event counter; the `owners[SPECDEPTH]`
+//! slot array used to signal individual tasks; the running `execute`'s count
+//! of unfinished helper lanes; and a condition variable that waiters use
+//! instead of burning CPU.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
@@ -64,13 +65,12 @@ pub struct UThreadShared {
     spin_waits: bool,
     /// Serial of the last completed task (0 = none yet). `completed-task`.
     completed_task: AtomicU64,
-    /// Serial of the last completed *writer* task. `completed-writer`.
-    completed_writer: AtomicU64,
-    /// Monotonic counter bumped every time `completed_writer` changes *or* a
-    /// user-transaction rolls back. Tasks snapshot it as their `last-writer`
-    /// and re-run intra-thread validation whenever it has advanced; unlike the
-    /// raw `completed-writer` value it never repeats after a rollback, so a
-    /// needed validation can never be skipped.
+    /// Monotonic counter bumped every time a writer task completes *or* a
+    /// user-transaction rolls back: the paper's `completed-writer`, made
+    /// monotonic. Tasks snapshot it as their `last-writer` and re-run
+    /// intra-thread validation whenever it has advanced; unlike a writer's
+    /// serial it never repeats after a rollback, so a needed validation can
+    /// never be skipped.
     writer_events: AtomicU64,
     /// `owners[SPECDEPTH]`.
     owners: Box<[TaskSlot]>,
@@ -100,7 +100,6 @@ impl UThreadShared {
             spec_depth,
             spin_waits: txmem::pause::cores() > spec_depth,
             completed_task: AtomicU64::new(0),
-            completed_writer: AtomicU64::new(0),
             writer_events: AtomicU64::new(0),
             owners: owners.into_boxed_slice(),
             helper_lanes: AtomicUsize::new(0),
@@ -129,11 +128,6 @@ impl UThreadShared {
         self.completed_task.load(Ordering::Acquire)
     }
 
-    /// Serial of the last completed writer task.
-    pub fn completed_writer(&self) -> u64 {
-        self.completed_writer.load(Ordering::Acquire)
-    }
-
     /// Current writer-event counter (see the field documentation).
     pub fn writer_events(&self) -> u64 {
         self.writer_events.load(Ordering::Acquire)
@@ -143,7 +137,6 @@ impl UThreadShared {
     /// writer task.
     pub fn mark_completed(&self, serial: u64, wrote: bool) {
         if wrote {
-            self.completed_writer.store(serial, Ordering::Release);
             self.writer_events.fetch_add(1, Ordering::AcqRel);
         }
         self.completed_task.store(serial, Ordering::Release);
@@ -157,7 +150,6 @@ impl UThreadShared {
         // Clamp rather than overwrite: the counters can never exceed the
         // rolled-back transaction's serials at this point, but be defensive.
         let _ = self.completed_task.fetch_min(floor, Ordering::AcqRel);
-        let _ = self.completed_writer.fetch_min(floor, Ordering::AcqRel);
         self.writer_events.fetch_add(1, Ordering::AcqRel);
         self.notify();
     }
@@ -268,13 +260,16 @@ mod tests {
     #[test]
     fn completion_counters_track_writers_separately() {
         let u = UThreadShared::new(0, 4);
+        let events_before = u.writer_events();
         u.mark_completed(1, false);
         assert_eq!(u.completed_task(), 1);
-        assert_eq!(u.completed_writer(), 0);
-        let events_before = u.writer_events();
+        assert_eq!(
+            u.writer_events(),
+            events_before,
+            "a reader task is no event"
+        );
         u.mark_completed(2, true);
         assert_eq!(u.completed_task(), 2);
-        assert_eq!(u.completed_writer(), 2);
         assert_eq!(u.writer_events(), events_before + 1);
     }
 
@@ -284,10 +279,10 @@ mod tests {
         u.mark_completed(1, true);
         u.mark_completed(2, true);
         let events = u.writer_events();
+        assert_eq!(events, 2);
         u.reset_after_rollback(2);
         assert_eq!(u.completed_task(), 1);
-        assert_eq!(u.completed_writer(), 1);
-        assert!(u.writer_events() > events);
+        assert_eq!(u.writer_events(), events + 1);
         // Rolling back a transaction that starts before the counters does not
         // raise them.
         u.reset_after_rollback(5);

@@ -21,8 +21,7 @@
 
 use std::sync::Arc;
 
-use swisstm::cm::{GREEDY_AFTER_ABORTS, TIMID};
-use txmem::{AbortReason, TxSubstrate};
+use txmem::{should_turn_greedy, AbortReason, TxSubstrate};
 
 use crate::pool::Claim;
 use crate::task::{TaskBufs, TaskCtx};
@@ -46,7 +45,7 @@ const PESSIMISTIC_AFTER_ROLLBACKS: u32 = 2;
 /// escalation two transactions whose tasks hold each other's write locks can
 /// self-abort in a symmetric-timid cycle forever: neither ever suffers a
 /// whole-transaction rollback (the locks they already hold stay held), so
-/// [`GREEDY_AFTER_ABORTS`] rollbacks alone never break the tie.
+/// [`txmem::GREEDY_AFTER_ABORTS`] rollbacks alone never break the tie.
 const GREEDY_AFTER_CM_SELF_ABORTS: u32 = 3;
 
 /// One task of one user-transaction, queued on a lane.
@@ -105,14 +104,14 @@ impl Worker {
             attempt = attempt.wrapping_add(1);
             // If a rollback of this transaction is already pending, join it
             // before (re-)executing the body.
-            if txn.abort_requested() {
+            if txn.descriptor().abort_requested() {
                 self.participate_in_rollback(txn, serial);
             }
             // Pessimistic fallback: after repeated transaction rollbacks, run
             // the tasks of this transaction in program order.
             if txn.rollbacks() >= PESSIMISTIC_AFTER_ROLLBACKS {
                 self.wait_for_past(txn, serial);
-                if txn.abort_requested() {
+                if txn.descriptor().abort_requested() {
                     continue;
                 }
             }
@@ -132,11 +131,12 @@ impl Worker {
             ctx.remove_chain_entries();
             if abort.reason == AbortReason::InterThreadWriteConflict
                 && txn.note_cm_self_abort() >= GREEDY_AFTER_CM_SELF_ABORTS
-                && txn.priority() == TIMID
             {
-                txn.set_priority(self.substrate.tickets.draw());
+                txn.descriptor().turn_greedy(&self.substrate.tickets);
             }
-            if abort.reason == AbortReason::TransactionAbortSignal || txn.abort_requested() {
+            if abort.reason == AbortReason::TransactionAbortSignal
+                || txn.descriptor().abort_requested()
+            {
                 self.participate_in_rollback(txn, serial);
             }
             // Re-execute only once the cause of the abort has passed, holding
@@ -164,7 +164,8 @@ impl Worker {
     /// until `txn` must first be rolled back.
     fn wait_for_past(&self, txn: &TxnShared, serial: u64) {
         self.uthread.wait_until(|| {
-            self.uthread.completed_task() >= serial.saturating_sub(1) || txn.abort_requested()
+            self.uthread.completed_task() >= serial.saturating_sub(1)
+                || txn.descriptor().abort_requested()
         });
     }
 
@@ -198,8 +199,8 @@ impl Worker {
             stats.tx_aborts.inc();
             // The rollback in progress counts: the SwissTM two-phase policy,
             // applied per user-transaction.
-            if txn.rollbacks() + 1 >= GREEDY_AFTER_ABORTS && txn.priority() == TIMID {
-                txn.set_priority(self.substrate.tickets.draw());
+            if should_turn_greedy(txn.rollbacks() + 1) {
+                txn.descriptor().turn_greedy(&self.substrate.tickets);
             }
             txn.finish_rollback();
         } else {

@@ -23,6 +23,11 @@
 //! * [`GlobalClock`] — the global commit counter (`commit-ts` in the paper).
 //! * [`ThreadIdAllocator`], [`GreedyTicket`], [`OwnerRegistry`] — owner ids,
 //!   greedy tickets and SwissTM's descriptors, one of each per lock table.
+//! * The contention layer of both runtimes: [`TxDescriptor`] (a
+//!   transaction's abort request, finishing flag and greedy priority),
+//!   [`TxSubstrate::owner_of`] (the holder of a w-lock, whichever runtime it
+//!   belongs to) and [`resolve`] (the paper's task-aware rule with two-phase
+//!   greedy as its tie-break), joined by [`TxSubstrate::contend`].
 //! * [`protocol`] — SwissTM's committed-state protocol, written once for both
 //!   runtimes: the [`Snapshot`] read rule and `extend`, and the
 //!   [`commit_locked`] commit sequence.
@@ -70,7 +75,9 @@
 pub mod addr;
 pub mod chain;
 pub mod clock;
+pub mod cm;
 pub mod config;
+pub mod descriptor;
 pub mod error;
 pub mod heap;
 pub mod lock_table;
@@ -86,7 +93,9 @@ pub mod write_set;
 pub use addr::{WordAddr, NULL_ADDR};
 pub use chain::{SpecEntry, WriteChain};
 pub use clock::{GlobalClock, GreedyTicket, ThreadIdAllocator};
+pub use cm::{resolve, should_turn_greedy, GREEDY_AFTER_ABORTS, TIMID};
 pub use config::TxConfig;
+pub use descriptor::TxDescriptor;
 pub use error::{Abort, AbortReason, MemError};
 pub use heap::TxHeap;
 pub use lock_table::{LockEntry, LockIndex, LockTable, LOCKED, WORDS_PER_LOCK};
@@ -121,7 +130,8 @@ pub struct TxSubstrate {
     pub ids: ThreadIdAllocator,
     /// Two-phase greedy contention-manager tickets.
     pub tickets: GreedyTicket,
-    /// SwissTM threads' descriptors, keyed by owner id.
+    /// SwissTM threads' descriptors, keyed by owner id; read through
+    /// [`TxSubstrate::owner_of`], which finds TLSTM owners in the chains.
     pub owners: OwnerRegistry,
 }
 

@@ -1,18 +1,22 @@
-//! Lock-owner abstraction used by the contention managers.
+//! Who holds a write lock: owner tokens and the one owner lookup.
 //!
 //! When a transaction (SwissTM) or a user-thread's set of tasks (TLSTM) holds
 //! a location's write lock, other threads that want the lock must consult the
-//! contention manager. The contention manager needs to (a) inspect the owner's
+//! contention manager ([`crate::cm`]), which needs to (a) inspect the owner's
 //! progress/priority and (b) possibly signal it to abort. Both runtimes expose
 //! that capability through the [`LockOwner`] trait. The w-lock itself stores
-//! only the owner's [`OwnerToken`]; a contender turns it into a [`LockOwner`]
-//! through the substrate's [`OwnerRegistry`] (SwissTM) or the newest entry of
-//! the lock's write chain (TLSTM).
+//! only the owner's [`OwnerToken`]; [`TxSubstrate::owner_of`] turns it into a
+//! [`LockOwner`] for a contender of either runtime, from the substrate's
+//! [`OwnerRegistry`] (SwissTM) or else the newest entry of the lock's write
+//! chain (TLSTM).
 
 use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+
+use crate::lock_table::LockEntry;
+use crate::TxSubstrate;
 
 /// A compact token identifying which user-thread (TLSTM) or transaction
 /// descriptor (SwissTM) owns a write lock.
@@ -70,7 +74,7 @@ impl fmt::Display for OwnerToken {
     }
 }
 
-/// Decision returned by a contention manager when two owners conflict.
+/// Decision returned by [`crate::cm::resolve`] when two owners conflict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmDecision {
     /// The requester must abort (roll back its transaction / task).
@@ -83,11 +87,11 @@ pub enum CmDecision {
     Wait,
 }
 
-/// Interface the lock table exposes to contention managers for the current
+/// Interface the lock table exposes to the contention manager for the current
 /// owner of a write lock.
 ///
-/// Implemented by the SwissTM transaction descriptor and by the TLSTM
-/// user-transaction descriptor.
+/// Implemented by [`crate::TxDescriptor`] (a SwissTM transaction) and by the
+/// TLSTM user-transaction, which embeds one.
 pub trait LockOwner: Send + Sync + fmt::Debug {
     /// Signals the owner that its user-transaction must abort.
     fn signal_abort(&self);
@@ -97,9 +101,9 @@ pub trait LockOwner: Send + Sync + fmt::Debug {
     /// and waiting is the right strategy.
     fn is_finishing(&self) -> bool;
 
-    /// Progress measure used by the task-aware TLSTM contention manager:
-    /// number of tasks of the owner's user-transaction that have already
-    /// completed (always `0` for plain SwissTM transactions).
+    /// Progress measure used by the task-aware contention manager: number
+    /// of tasks of the owner's user-transaction that have already completed
+    /// (always `0` for plain SwissTM transactions).
     fn completed_progress(&self) -> u64;
 
     /// Greedy-contention-manager priority: smaller value = older = stronger.
@@ -112,11 +116,12 @@ pub trait LockOwner: Send + Sync + fmt::Debug {
 pub type OwnerHandle = Arc<dyn LockOwner>;
 
 /// SwissTM's descriptors, indexed by owner id, one registry per lock table
-/// ([`crate::TxSubstrate::owners`]): a SwissTM transaction that loses a
-/// `try_acquire_writer` race resolves the owner's token here, so SwissTM
-/// never touches the write chains, and every SwissTM handle over a substrate
-/// reaches every other's descriptors. Lookups happen only on the conflict
-/// path, so an `RwLock` is plenty. TLSTM user-threads do not register.
+/// ([`crate::TxSubstrate::owners`]), read by [`TxSubstrate::owner_of`] only:
+/// every handle over a substrate reaches every SwissTM thread's descriptor.
+/// Lookups happen only on the conflict path, so an `RwLock` is plenty.
+/// TLSTM user-threads do not register: one of them can have several
+/// transactions in flight under one token, and only the lock's chain says
+/// which holds it.
 #[derive(Debug, Default)]
 pub struct OwnerRegistry {
     slots: RwLock<Vec<Option<OwnerHandle>>>,
@@ -146,6 +151,24 @@ impl OwnerRegistry {
     }
 }
 
+impl TxSubstrate {
+    /// The owner of `entry`'s w-lock while it is held under `token`, for a
+    /// contender of either runtime: the registered SwissTM descriptor of
+    /// `token`, or else the newest chain entry's TLSTM user-transaction,
+    /// read under the chain mutex while the w-lock is still `token`'s.
+    /// `None` once the owner is gone (the lock is about to be released).
+    pub fn owner_of(&self, entry: &LockEntry, token: OwnerToken) -> Option<OwnerHandle> {
+        if let Some(owner) = self.owners.get(token) {
+            return Some(owner);
+        }
+        let chain = entry.try_chain()?;
+        if entry.writer_token() != token {
+            return None;
+        }
+        chain.newest().map(|spec| OwnerHandle::clone(&spec.owner))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,6 +187,30 @@ mod tests {
     fn token_display() {
         assert_eq!(OwnerToken::from_id(3).to_string(), "owner#3");
         assert_eq!(OwnerToken::UNLOCKED.to_string(), "unlocked");
+    }
+
+    #[test]
+    fn owner_of_finds_registered_descriptors_then_chain_owners() {
+        let sub = TxSubstrate::new(crate::TxConfig::small());
+        let addr = sub.heap.alloc(1).unwrap();
+        let (_, entry) = sub.locks.lookup(addr);
+        let (swiss, tlstm) = (OwnerToken::from_id(0), OwnerToken::from_id(1));
+        let descriptor: OwnerHandle = Arc::new(crate::TxDescriptor::new(7));
+        sub.owners.register(0, Arc::clone(&descriptor));
+        let found = sub.owner_of(entry, swiss).expect("registered");
+        assert!(Arc::ptr_eq(&found, &descriptor));
+        // An unregistered token with no chain entry has no owner to resolve.
+        assert!(sub.owner_of(entry, tlstm).is_none());
+        // A TLSTM owner is the newest chain entry's, while the w-lock is its.
+        let txn: OwnerHandle = Arc::new(crate::TxDescriptor::new(3));
+        entry.try_acquire_writer(tlstm).unwrap();
+        entry.chain().record_write(1, &txn, addr, 9);
+        let found = sub.owner_of(entry, tlstm).expect("chain entry");
+        assert!(Arc::ptr_eq(&found, &txn));
+        // A stale token (the lock changed hands) finds nobody.
+        assert!(sub.owner_of(entry, OwnerToken::from_id(2)).is_none());
+        sub.owners.unregister(0);
+        assert!(sub.owner_of(entry, swiss).is_none());
     }
 
     #[test]

@@ -156,10 +156,10 @@ pub trait TxRuntime: Send + Sync + fmt::Debug + 'static {
     ///
     /// Owner ids come from [`TxSubstrate::ids`], so no two sessions of any
     /// handles share an owner token (`tlstm/tests/shared_substrate.rs`):
-    /// * handles of one runtime kind may share a substrate;
-    /// * a SwissTM and a TLSTM handle share one safely but can deadlock:
-    ///   TLSTM owners are not in [`TxSubstrate::owners`], so in a lock cycle
-    ///   between them each side waits on the other;
+    /// * handles of any runtime kinds may share a substrate;
+    /// * mixed SwissTM and TLSTM handles resolve lock cycles through one
+    ///   rule: both conflict paths call [`TxSubstrate::contend`], which sees
+    ///   either runtime's owners ([`TxSubstrate::owner_of`]);
     /// * a seqref handle's gate serialises only its own sessions.
     fn with_substrate(substrate: Arc<TxSubstrate>) -> Arc<Self>;
 

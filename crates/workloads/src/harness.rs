@@ -22,6 +22,12 @@ use txmem::StatsSnapshot;
 /// Default measured duration of one data point.
 pub const DEFAULT_DURATION: Duration = Duration::from_millis(300);
 
+/// How long a run's window stays open past its duration while no driver has
+/// completed an operation: a driver scheduled after a short window still
+/// gets to report one, and a run that completes nothing in this time still
+/// reports 0.
+const FIRST_OP_GRACE: Duration = Duration::from_secs(3);
+
 /// Common knobs of a benchmark run.
 #[derive(Debug, Clone)]
 pub struct WorkloadConfig {
@@ -128,7 +134,9 @@ impl RunMetrics {
 }
 
 /// Runs `driver` on `n_threads` OS threads for `duration` and returns the
-/// aggregated throughput and latency.
+/// aggregated throughput and latency. The window stays open past `duration`
+/// until some driver has completed an operation (at most a few seconds
+/// longer), and the throughput divides by the whole window.
 ///
 /// Each driver receives its thread index, a stop flag to poll between
 /// operations, a counter to add committed operations to, and a
@@ -161,6 +169,13 @@ where
             })
             .collect();
         std::thread::sleep(duration);
+        let grace_end = Instant::now() + FIRST_OP_GRACE;
+        while ops.load(Ordering::Relaxed) == 0
+            && Instant::now() < grace_end
+            && !handles.iter().all(|handle| handle.is_finished())
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         stop.store(true, Ordering::Relaxed);
         for handle in handles {
             merged.merge(&handle.join().expect("benchmark driver thread panicked"));
@@ -253,6 +268,19 @@ mod tests {
         assert!(t.ops > 0);
         assert_eq!(hist.count(), t.ops, "one latency sample per operation");
         assert!(hist.mean_ns() > 0.0);
+    }
+
+    #[test]
+    fn window_stays_open_for_a_driver_scheduled_after_it() {
+        let window = Duration::from_millis(5);
+        let (t, _) = run_threads_metrics(1, window, |_idx, stop, ops, _h| {
+            std::thread::sleep(window * 10);
+            while !stop.load(Ordering::Relaxed) {
+                ops.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        assert!(t.ops > 0, "the late driver's operations count");
+        assert!(t.elapsed >= window * 10);
     }
 
     #[test]
