@@ -81,8 +81,10 @@ impl NetClient {
                     payload,
                     consumed,
                 } => {
+                    // The payload borrows `read_buf`: decode, then drain.
+                    let reply = proto::decode_reply(payload);
                     self.read_buf.drain(..consumed);
-                    return Ok((req_id, proto::decode_reply(&payload)?));
+                    return Ok((req_id, reply?));
                 }
                 FrameDecode::Incomplete => {
                     let mut scratch = [0u8; 16 * 1024];

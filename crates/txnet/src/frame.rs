@@ -2,7 +2,9 @@
 //! request-id in the header word. A socket is not a file: a prefix of a frame
 //! is [`FrameDecode::Incomplete`] (read more bytes), and every other
 //! rejection is the matching frame-level [`ProtocolError`] (close the
-//! connection).
+//! connection). A decoded frame borrows its payload from the caller's
+//! buffer: the payload is never copied out, and the caller decodes it before
+//! it drops the frame's bytes.
 
 use txlog::frame::{self, FrameError};
 
@@ -31,15 +33,16 @@ pub fn encode_frame(req_id: u64, payload: &[u8]) -> Vec<u8> {
 }
 
 /// The outcome of attempting to decode one frame from a stream buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FrameDecode {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FrameDecode<'a> {
     /// A complete, CRC-valid frame. The caller must drop the first
-    /// `consumed` bytes of its buffer before the next attempt.
+    /// `consumed` bytes of its buffer before the next attempt — after it is
+    /// done with `payload`, which borrows them.
     Frame {
         /// The request-id the frame carries.
         req_id: u64,
-        /// The validated payload.
-        payload: Vec<u8>,
+        /// The validated payload, borrowed from the decoded buffer.
+        payload: &'a [u8],
         /// Total frame size in the buffer (header + payload).
         consumed: usize,
     },
@@ -54,11 +57,11 @@ pub enum FrameDecode {
 ///
 /// All returned [`ProtocolError`]s are frame-level: the stream can no longer
 /// be trusted and the connection should be closed.
-pub fn decode_frame(buf: &[u8], max_frame_len: u32) -> Result<FrameDecode, ProtocolError> {
+pub fn decode_frame(buf: &[u8], max_frame_len: u32) -> Result<FrameDecode<'_>, ProtocolError> {
     match frame::decode_frame(buf, FRAME_MAGIC, max_frame_len) {
         Ok(frame) => Ok(FrameDecode::Frame {
             req_id: frame.word,
-            payload: frame.payload.to_vec(),
+            payload: frame.payload,
             consumed: frame.len,
         }),
         Err(FrameError::Incomplete) => Ok(FrameDecode::Incomplete),

@@ -53,8 +53,9 @@ pub use frame::{
     FRAME_HEADER_LEN, FRAME_MAGIC,
 };
 pub use proto::{
-    decode_reply, decode_request, encode_err_reply, encode_ok_reply, encode_request,
-    ERR_REPLY_TOO_LARGE, ERR_WAL, PROTO_VERSION,
+    decode_reply, decode_request, decode_request_into, encode_err_reply, encode_err_reply_into,
+    encode_ok_reply, encode_ok_reply_into, encode_request, ERR_REPLY_TOO_LARGE, ERR_WAL,
+    PROTO_VERSION,
 };
 pub use server::{
     NetServer, NetServerConfig, PARKED_ROUNDS_LIMIT, WRITE_BUF_HARD_LIMIT, WRITE_BUF_SOFT_LIMIT,

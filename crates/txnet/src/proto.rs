@@ -10,6 +10,13 @@
 //! typed payload-level [`ProtocolError`], which the server answers on the
 //! still-live connection (the frame around the payload was CRC-valid, so
 //! the request-id is trustworthy).
+//!
+//! Each codec has one implementation, its `_into` form, which appends to a
+//! caller's buffer: the server decodes a request straight into its round's
+//! operation list ([`decode_request_into`]) and encodes a reply straight
+//! into its round's reply buffer ([`encode_ok_reply_into`],
+//! [`encode_err_reply_into`]). [`decode_request`], [`encode_ok_reply`] and
+//! [`encode_err_reply`] wrap them for callers that want a fresh `Vec`.
 
 use txkv::{decode_op, encode_op, KvOp, KvReply};
 use txlog::codec::{put_words, Cursor};
@@ -58,31 +65,60 @@ pub fn encode_request(ops: &[KvOp]) -> Vec<u8> {
     out
 }
 
-/// Decodes one request batch.
+/// Decodes one request batch (convenience over [`decode_request_into`]).
 ///
 /// # Errors
 ///
 /// All returned errors are payload-level (the connection stays live).
 pub fn decode_request(payload: &[u8]) -> Result<Vec<KvOp>, ProtocolError> {
+    let mut ops = Vec::new();
+    decode_request_into(payload, &mut ops).map(|()| ops)
+}
+
+/// Decodes one request batch, appending its operations to `ops`. On an
+/// error `ops` is left exactly as it was: no operation of a rejected
+/// request — not even a prefix that decoded — may execute.
+///
+/// # Errors
+///
+/// All returned errors are payload-level (the connection stays live).
+pub fn decode_request_into(payload: &[u8], ops: &mut Vec<KvOp>) -> Result<(), ProtocolError> {
+    let start = ops.len();
+    let decoded = append_ops(payload, ops);
+    if decoded.is_err() {
+        ops.truncate(start);
+    }
+    decoded
+}
+
+/// [`decode_request_into`] without the rollback: on an error, the
+/// operations decoded so far stay appended.
+fn append_ops(payload: &[u8], ops: &mut Vec<KvOp>) -> Result<(), ProtocolError> {
     let mut cur = Cursor::new(payload);
     read_version(&mut cur)?;
     let n_ops = cur.u32().ok_or(ProtocolError::Malformed)? as usize;
     if n_ops > payload.len() {
         return Err(ProtocolError::Malformed);
     }
-    let mut ops = Vec::with_capacity(n_ops);
+    ops.reserve(n_ops);
     for _ in 0..n_ops {
         ops.push(decode_op(&mut cur)?);
     }
     if !cur.done() {
         return Err(ProtocolError::Malformed);
     }
-    Ok(ops)
+    Ok(())
 }
 
-/// Encodes a success reply: one [`KvReply`] per request operation.
+/// Encodes a success reply (convenience over [`encode_ok_reply_into`]).
 pub fn encode_ok_reply(replies: &[KvReply]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + replies.len() * 8);
+    encode_ok_reply_into(&mut out, replies);
+    out
+}
+
+/// Appends a success reply to `out`: one [`KvReply`] per request operation.
+pub fn encode_ok_reply_into(out: &mut Vec<u8>, replies: &[KvReply]) {
     out.push(PROTO_VERSION);
     out.push(STATUS_OK);
     out.extend_from_slice(&(replies.len() as u32).to_le_bytes());
@@ -94,7 +130,7 @@ pub fn encode_ok_reply(replies: &[KvReply]) -> Vec<u8> {
                     None => out.push(0),
                     Some(words) => {
                         out.push(1);
-                        put_words(&mut out, words);
+                        put_words(out, words);
                     }
                 }
             }
@@ -120,20 +156,25 @@ pub fn encode_ok_reply(replies: &[KvReply]) -> Vec<u8> {
             }
         }
     }
+}
+
+/// Encodes an error reply (convenience over [`encode_err_reply_into`]).
+pub fn encode_err_reply(code: u8, message: &str) -> Vec<u8> {
+    let mut out = Vec::with_capacity(5 + message.len().min(u16::MAX as usize));
+    encode_err_reply_into(&mut out, code, message);
     out
 }
 
-/// Encodes an error reply carrying `code` and a human-readable message.
-pub fn encode_err_reply(code: u8, message: &str) -> Vec<u8> {
+/// Appends an error reply carrying `code` and a human-readable message
+/// (cut at `u16::MAX` bytes) to `out`.
+pub fn encode_err_reply_into(out: &mut Vec<u8>, code: u8, message: &str) {
     let bytes = message.as_bytes();
     let len = bytes.len().min(u16::MAX as usize);
-    let mut out = Vec::with_capacity(5 + len);
     out.push(PROTO_VERSION);
     out.push(STATUS_ERR);
     out.push(code);
     out.extend_from_slice(&(len as u16).to_le_bytes());
     out.extend_from_slice(&bytes[..len]);
-    out
 }
 
 /// Decodes a reply payload into either the reply list or the server's typed
@@ -260,10 +301,17 @@ mod tests {
     #[test]
     fn every_truncation_of_a_request_is_a_typed_error() {
         let payload = encode_request(&sample_ops());
+        // A list that already holds another request's operations, as a
+        // round's does: a rejected request must leave it as it found it.
+        let prefilled = vec![KvOp::Delete { key: 3 }, KvOp::Get { key: 4 }];
         for cut in 0..payload.len() {
             let got = decode_request(&payload[..cut]);
             assert!(got.is_err(), "cut at {cut} decoded as {got:?}");
             assert!(!got.unwrap_err().is_frame_level(), "cut at {cut}");
+            let mut ops = prefilled.clone();
+            let got = decode_request_into(&payload[..cut], &mut ops);
+            assert!(got.is_err(), "cut at {cut} decoded into the list");
+            assert_eq!(ops, prefilled, "cut at {cut} left a decoded prefix");
         }
     }
 

@@ -339,8 +339,9 @@ impl Conn {
     }
 
     /// Decodes buffered request frames into `round` (their operations into
-    /// the round's flat `ops` list) until the coalescing `window` is full;
-    /// an undecoded tail stays in `read_buf` for the next iteration.
+    /// the round's flat `ops` list, straight from `read_buf`) until the
+    /// coalescing `window` is full; an undecoded tail stays in `read_buf`
+    /// for the next iteration.
     fn decode_into(
         &mut self,
         round: &mut Round,
@@ -360,22 +361,24 @@ impl Conn {
                     offset += consumed;
                     txobs::trace::trace(txobs::EventKind::NetRead, payload.len() as u64);
                     net.requests.inc();
-                    let (span, executed) = match proto::decode_request(&payload) {
-                        Ok(request) => {
-                            let start = ops.len();
-                            ops.extend(request);
+                    let start = ops.len();
+                    let (span, executed) = match proto::decode_request_into(payload, ops) {
+                        Ok(()) => {
                             round.executed += 1;
                             (start..ops.len(), true)
                         }
                         Err(error) => {
                             // Payload-level: a typed error reply on the live
                             // connection, parked with the round so it leaves
-                            // in request order.
+                            // in request order. None of the request's
+                            // operations stayed in `ops`.
                             debug_assert!(!error.is_frame_level());
                             net.protocol_errors.inc();
-                            let reply =
-                                proto::encode_err_reply(error.wire_code(), &error.to_string());
-                            (push_payload(&mut round.payloads, &reply), false)
+                            let payloads = &mut round.payloads;
+                            let start = payloads.len();
+                            let message = error.to_string();
+                            proto::encode_err_reply_into(payloads, error.wire_code(), &message);
+                            (start..payloads.len(), false)
                         }
                     };
                     round.routes.push(Route {
@@ -469,13 +472,6 @@ struct Route {
     /// `false` for a request rejected at decode (payload-level protocol
     /// error): its reply is fixed, whatever becomes of the round.
     executed: bool,
-}
-
-/// Appends one encoded reply payload to a round's buffer; returns its span.
-fn push_payload(payloads: &mut Vec<u8>, payload: &[u8]) -> Range<usize> {
-    let start = payloads.len();
-    payloads.extend_from_slice(payload);
-    start..payloads.len()
 }
 
 /// One executed round waiting in a serving thread's FIFO for its gate.
@@ -654,18 +650,25 @@ fn serve_loop<R: TxRuntime>(
             match backend.execute(ops) {
                 Ok((replies, ticket)) => {
                     for route in executed {
-                        let mut reply = proto::encode_ok_reply(&replies[route.span.clone()]);
-                        if reply.len() > config.max_frame_len as usize {
-                            // The peer would take this frame for corruption.
+                        let start = payloads.len();
+                        proto::encode_ok_reply_into(payloads, &replies[route.span.clone()]);
+                        let len = payloads.len() - start;
+                        if len > config.max_frame_len as usize {
+                            // The peer would take this frame for corruption:
+                            // the error reply takes the encoded reply's place.
+                            payloads.truncate(start);
                             let message = format!(
-                                "the request was executed, but its {}-byte reply exceeds \
+                                "the request was executed, but its {len}-byte reply exceeds \
                                  the {}-byte frame limit",
-                                reply.len(),
                                 config.max_frame_len
                             );
-                            reply = proto::encode_err_reply(proto::ERR_REPLY_TOO_LARGE, &message);
+                            proto::encode_err_reply_into(
+                                payloads,
+                                proto::ERR_REPLY_TOO_LARGE,
+                                &message,
+                            );
                         }
-                        route.span = push_payload(payloads, &reply);
+                        route.span = start..payloads.len();
                     }
                     *gate = ticket;
                 }
@@ -674,8 +677,9 @@ fn serve_loop<R: TxRuntime>(
                     // already dead): every request gets the typed
                     // durability error — through the FIFO, behind the
                     // replies of the rounds ahead.
-                    let reply = proto::encode_err_reply(proto::ERR_WAL, &wal.to_string());
-                    let span = push_payload(payloads, &reply);
+                    let start = payloads.len();
+                    proto::encode_err_reply_into(payloads, proto::ERR_WAL, &wal.to_string());
+                    let span = start..payloads.len();
                     for route in executed {
                         route.span = span.clone();
                     }

@@ -153,9 +153,7 @@ fn garbage_and_desynced_streams_close_cleanly() {
             }) => {
                 assert_eq!(req_id, 42);
                 assert_eq!(consumed, got.len(), "trailing bytes after the reply");
-                assert!(txnet::decode_reply(&payload)
-                    .expect("reply decodes")
-                    .is_ok());
+                assert!(txnet::decode_reply(payload).expect("reply decodes").is_ok());
             }
             other => panic!("frame then garbage: expected one reply frame, got {other:?}"),
         }
@@ -312,6 +310,63 @@ fn interleaved_good_and_bad_pipelined_requests_are_answered_in_request_order() {
                 KvReply::Inserted(false),
                 KvReply::Value(Some(vec![12])),
             ]
+        );
+        server.shutdown();
+    });
+}
+
+#[test]
+fn a_rejected_requests_decoded_prefix_never_executes() {
+    with_default_watchdog(|| {
+        let server = start_server();
+        let mut client = NetClient::connect(server.addr()).expect("connect failed");
+        client.set_read_timeout(Some(READ_TIMEOUT)).unwrap();
+
+        // The middle request's first op decodes, its second has no valid
+        // tag: the whole request is rejected, and the `Put` that did decode
+        // must not run with the round it was decoded into.
+        let rejected = {
+            let mut p = encode_request(&[KvOp::Put {
+                key: 1,
+                value: vec![99],
+            }]);
+            p[1..5].copy_from_slice(&2u32.to_le_bytes());
+            p.push(200); // tag 200 is not an op
+            p
+        };
+        let requests = [
+            encode_request(&[KvOp::Put {
+                key: 1,
+                value: vec![11],
+            }]),
+            rejected,
+            encode_request(&[KvOp::Get { key: 1 }]),
+        ];
+        // One write: the three frames reach the server together and are
+        // decoded into one round, the rejected request's prefix included.
+        let mut wire = Vec::new();
+        for (req_id, payload) in (1u64..).zip(&requests) {
+            wire.extend_from_slice(&encode_frame(req_id, payload));
+        }
+        client.stream().write_all(&wire).expect("pipelined write");
+
+        let (id, put) = client.recv().expect("put reply");
+        assert_eq!((id, put), (1, Ok(vec![KvReply::Inserted(true)])));
+        let (id, rejected) = client.recv().expect("rejected reply");
+        assert_eq!(id, 2);
+        let remote = rejected.expect_err("a request with a bad tag must be rejected");
+        // `UnknownTag` (5) or `Malformed` (6): a payload-level error.
+        assert!(
+            [5, 6].contains(&remote.code),
+            "code {}: {}",
+            remote.code,
+            remote.message
+        );
+        let (id, get) = client.recv().expect("get reply");
+        assert_eq!(
+            (id, get),
+            (3, Ok(vec![KvReply::Value(Some(vec![11]))])),
+            "the rejected request's decoded Put executed"
         );
         server.shutdown();
     });
