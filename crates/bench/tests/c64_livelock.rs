@@ -5,9 +5,10 @@
 //! (hundreds of ops/s, ~10⁵ aborts) while SwissTM pushes a million. A
 //! session (`TlstmRuntime::register_uthread_default`) therefore borrows its
 //! lanes from a process-wide pool — all sessions together at most
-//! `cores − 1` helpers — and runs each batch's tasks merged onto that crew,
-//! which must keep TLSTM within an order of magnitude of SwissTM — on one
-//! bounded core, where sessions get no helper, and on the host as it is.
+//! `cores − 1` helpers — and the caller and those helpers claim a batch's
+//! tasks in program order, which must keep TLSTM within an order of
+//! magnitude of SwissTM — on one bounded core, where sessions get no helper
+//! and the caller runs every task itself, and on the host as it is.
 //!
 //! The pinned test re-executes itself bound to CPU 0 with `taskset`;
 //! `available_parallelism` honours the affinity mask, so sessions in the

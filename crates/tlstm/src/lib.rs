@@ -12,8 +12,9 @@
 //! that run out of order on a small pool of worker threads (at most
 //! `SPECDEPTH` simultaneously active tasks per user-thread) and *commit in
 //! program order*. Here that pool is process-wide and the user-thread's own
-//! thread is one of its lanes ([`UThread::execute`]); a transaction with more
-//! tasks than the lanes it can borrow runs them merged, in program order. A
+//! thread is one of its lanes ([`UThread::execute`]); the lanes claim tasks
+//! in program order, so with no helper awake the calling thread runs them
+//! all, one after another. A
 //! user-transaction is a consecutive sequence of one or more tasks; its last
 //! task (the *commit-task*) commits the whole transaction on behalf of all of
 //! them.

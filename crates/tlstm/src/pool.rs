@@ -1,14 +1,15 @@
 //! The process-wide pool of helper threads TLSTM user-threads borrow lanes
-//! from. A helper runs one [`Job`] — one lane's tasks, each to retirement —
-//! goes back on the idle list and reports to the user-thread. Helpers are
-//! named `tlstm-helper-N` and never exit; a claim never blocks.
+//! from. A helper runs one [`Job`] — the claim loop over one `execute`'s
+//! batch, until it finds nothing to claim — then drops its clone of the
+//! batch and wakes the user-thread. The `execute` that claimed a helper
+//! takes back a job it has not started and returns it to the idle list.
+//! Helpers are named `tlstm-helper-N` and never exit; a claim never blocks.
 
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::task::TaskBufs;
-use crate::worker::{WorkItem, Worker};
+use crate::worker::{Batch, Worker};
 
 /// How a user-thread's claims are served; its constructor decides.
 #[derive(Debug, Clone, Copy)]
@@ -17,20 +18,20 @@ pub(crate) enum Claim {
     /// them out on such claims at once — none on a one-core host — and the
     /// pool grows for such a claim only while it holds fewer than that.
     Idle,
-    /// `register_uthread(depth)`: the whole crew, spawning helpers when too
-    /// few are idle.
+    /// `register_uthread(depth)`: every helper asked for, spawning helpers
+    /// when too few are idle.
     Full,
 }
 
-/// One helper lane of an `execute`: its tasks in serial order, and the
-/// calling user-thread's context to run them in. The items' borrow is
-/// erased (`UThread::execute` argues why that is sound).
+/// One helper lane of an `execute`: a clone of the batch to claim tasks
+/// from, and the calling user-thread's context to run them in. The batch's
+/// borrow is erased (`UThread::execute` argues why that is sound).
 struct Job {
     worker: Worker,
-    items: Vec<WorkItem<'static>>,
+    batch: Arc<Batch<'static>>,
 }
 
-/// A helper thread's mailbox.
+/// A helper thread's job slot.
 pub(crate) struct Helper {
     job: Mutex<Option<Job>>,
     wake: Condvar,
@@ -39,7 +40,7 @@ pub(crate) struct Helper {
 struct Pool {
     idle: Vec<Arc<Helper>>,
     spawned: usize,
-    /// Helpers out on [`Claim::Idle`] crews, whoever spawned them.
+    /// Helpers out on [`Claim::Idle`] claims, whoever spawned them.
     lent_idle: usize,
 }
 
@@ -66,16 +67,16 @@ pub(crate) fn claim(want: usize, policy: Claim) -> Vec<Arc<Helper>> {
         }
     };
     let keep = pool.idle.len().saturating_sub(want);
-    let mut crew = pool.idle.split_off(keep);
+    let mut helpers = pool.idle.split_off(keep);
     let first = pool.spawned;
-    pool.spawned += (want - crew.len()).min(room);
+    pool.spawned += (want - helpers.len()).min(room);
     let last = pool.spawned;
     if let Claim::Idle = policy {
-        pool.lent_idle += crew.len() + (last - first);
+        pool.lent_idle += helpers.len() + (last - first);
     }
     drop(pool);
-    crew.extend((first..last).map(Helper::spawn));
-    crew
+    helpers.extend((first..last).map(Helper::spawn));
+    helpers
 }
 
 impl Helper {
@@ -93,16 +94,19 @@ impl Helper {
     }
 
     /// Hands this claimed helper a lane of `worker`'s user-thread.
-    pub(crate) fn start(&self, worker: Worker, items: Vec<WorkItem<'static>>) {
-        *self.job.lock() = Some(Job { worker, items });
+    pub(crate) fn start(&self, worker: Worker, batch: Arc<Batch<'static>>) {
+        *self.job.lock() = Some(Job { worker, batch });
         self.wake.notify_one();
     }
 
+    /// Takes back (and drops) a job this helper has not started.
+    pub(crate) fn take_back(&self) {
+        self.job.lock().take();
+    }
+
     fn serve(self: Arc<Self>) {
-        // Recycled across every task of every user-thread the helper serves.
-        let mut bufs = TaskBufs::default();
         loop {
-            let Job { worker, items } = {
+            let Job { worker, batch } = {
                 let mut job = self.job.lock();
                 loop {
                     match job.take() {
@@ -111,29 +115,32 @@ impl Helper {
                     }
                 }
             };
-            {
-                let _abort = AbortOnUnwind;
-                // Consumes the items: the borrowed bodies are gone before
-                // the caller hears the lane is done.
-                worker.run_lane(items, &mut bufs);
-            }
-            // Idle before the caller hears the lane is done, so its next
-            // `execute` can claim this helper straight back.
-            let mut pool = POOL.lock();
-            pool.idle.push(Arc::clone(&self));
-            if let Claim::Idle = worker.claim {
-                pool.lent_idle -= 1;
-            }
-            drop(pool);
-            worker.uthread.finish_helper_lane();
+            let _abort = AbortOnUnwind;
+            worker.run_batch(&batch, false);
+            // The caller waits for this drop, the helper's last touch of it.
+            drop(batch);
+            worker.uthread.notify();
         }
     }
 }
 
+/// Puts the helpers one `execute` claimed back on the idle list, once none
+/// of them runs its job any more.
+pub(crate) fn release(helpers: Vec<Arc<Helper>>, policy: Claim) {
+    if helpers.is_empty() {
+        return;
+    }
+    let mut pool = POOL.lock();
+    if let Claim::Idle = policy {
+        pool.lent_idle -= helpers.len();
+    }
+    pool.idle.extend(helpers);
+}
+
 /// Aborts the process, after the panic message, when dropped during a panic.
 /// Guards every lane that runs while helpers are out: a panicked task never
-/// retires, so the rest of its crew would wait forever — and unwinding the
-/// caller would free borrowed bodies (`UThread::execute`) helpers still run.
+/// retires, so the other lanes would wait forever — and unwinding the
+/// caller would free the batch (`UThread::execute`) helpers still claim from.
 pub(crate) struct AbortOnUnwind;
 
 impl Drop for AbortOnUnwind {

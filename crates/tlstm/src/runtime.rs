@@ -1,15 +1,15 @@
 //! The TLSTM runtime and the user-thread handle.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use txmem::{Abort, DirectMem, StatsSnapshot, TxConfig, TxHeap, TxSubstrate};
 
 use crate::pool::{self, AbortOnUnwind, Claim};
-use crate::task::{TaskBufs, TaskCtx};
+use crate::task::TaskCtx;
 use crate::txn_state::{assert_task_count, TxnShared};
 use crate::uthread_state::UThreadShared;
-use crate::worker::{WorkItem, Worker};
+use crate::worker::{Batch, BatchTxn, Worker};
 use crate::TaskFn;
 
 /// Wraps a closure into a [`TaskFn`] (convenience for building [`TxnSpec`]s).
@@ -72,19 +72,6 @@ impl std::fmt::Debug for TxnSpec<'_> {
             .field("tasks", &self.tasks.len())
             .finish()
     }
-}
-
-/// Splits `items` into at most `groups` contiguous runs whose lengths differ
-/// by at most one, the longer runs first.
-fn split_contiguous<T>(mut items: Vec<T>, groups: usize) -> Vec<Vec<T>> {
-    let groups = groups.min(items.len());
-    let mut runs = Vec::with_capacity(groups);
-    for left in (1..=groups).rev() {
-        // This run takes its share of what is left, rounded up.
-        let rest = items.split_off(items.len().div_ceil(left));
-        runs.push(std::mem::replace(&mut items, rest));
-    }
-    runs
 }
 
 /// Outcome of one committed user-transaction.
@@ -156,10 +143,10 @@ impl TlstmRuntime {
 
     /// Registers a user-thread with an explicit speculative depth
     /// (`SPECDEPTH`): the maximum number of simultaneously active tasks. Here
-    /// the caller decides: each [`UThread::execute`] gets its full crew,
-    /// spawning pool helpers when too few are idle, so every task runs as
-    /// its own speculative task whatever the host looks like (protocol tests
-    /// and ablation benchmarks rely on that).
+    /// the caller decides: each [`UThread::execute`] gets one helper per task
+    /// beyond the first (up to `spec_depth − 1`), spawning pool helpers when
+    /// too few are idle, so its tasks can overlap whatever the host looks
+    /// like (protocol tests rely on that).
     ///
     /// # Panics
     ///
@@ -181,7 +168,6 @@ impl TlstmRuntime {
                 claim,
             },
             shared,
-            inline_bufs: RefCell::default(),
             next_serial: Cell::new(1),
         }
     }
@@ -199,11 +185,8 @@ impl TlstmRuntime {
 pub struct UThread {
     runtime: Arc<TlstmRuntime>,
     shared: Arc<UThreadShared>,
-    /// The calling thread's lane-0 context, cloned into every helper job.
+    /// The calling thread's lane context, cloned into every helper job.
     worker: Worker,
-    /// Lane 0's speculative buffers, recycled across batches as a helper
-    /// recycles its own.
-    inline_bufs: RefCell<TaskBufs>,
     next_serial: Cell<u64>,
 }
 
@@ -228,18 +211,18 @@ impl UThread {
     ///
     /// Transactions in the batch are executed in program order, but their
     /// tasks — including tasks of *future* transactions — run speculatively in
-    /// parallel on a *crew*: the calling thread (lane 0) plus the pool helpers
-    /// this call can claim, `min(spec_depth, tasks in the batch) − 1` at most
-    /// (how many it gets, the registration decided). A transaction with more
-    /// tasks than the crew has lanes runs as that many contiguous groups,
-    /// each one task that runs its bodies in program order: identical
-    /// semantics, fewer hand-offs, no intra-group conflicts.
+    /// parallel: the calling thread and the pool helpers this call can claim
+    /// (`min(spec_depth, tasks) − 1` at most; the registration decides)
+    /// claim them one at a time, in program order. The calling thread starts
+    /// at once, so if no helper wakes in time it runs every task itself; a
+    /// helper job not yet started when the batch has committed is taken back.
     ///
     /// The call is *scoped*: task bodies may borrow the caller's state, since
     /// every body has been run and dropped by the time it returns.
     ///
-    /// A panicking task body unwinds out of a crew of one and aborts the
-    /// process otherwise: its crew could never retire the transaction.
+    /// A panicking task body unwinds out of a call that started no helper
+    /// and aborts the process otherwise: no lane could retire its
+    /// transaction.
     ///
     /// # Panics
     ///
@@ -251,67 +234,68 @@ impl UThread {
             assert_task_count(spec.tasks.len() as u64, depth);
         }
         let tasks: usize = txns.iter().map(TxnSpec::len).sum();
-        let helpers = pool::claim(tasks.min(depth).saturating_sub(1), self.worker.claim);
-        let crew = helpers.len() + 1;
         let stats = self.runtime.substrate.stats.shard(self.shared.ptid());
-        let mut lanes: Vec<Vec<WorkItem<'a>>> = (0..crew).map(|_| Vec::new()).collect();
-        let mut pending: Vec<Arc<TxnShared>> = Vec::with_capacity(txns.len());
-        for spec in txns {
-            stats.tx_starts.inc();
-            txobs::tx_begin();
-            let groups = split_contiguous(spec.tasks, crew);
-            let start_serial = self.next_serial.get();
-            let commit_serial = start_serial + groups.len() as u64 - 1;
-            self.next_serial.set(commit_serial + 1);
-            let txn = Arc::new(TxnShared::new(
-                Arc::clone(&self.shared),
-                start_serial,
-                commit_serial,
-            ));
-            for (serial, bodies) in (start_serial..).zip(groups) {
-                lanes[serial as usize % crew].push(WorkItem {
-                    serial,
-                    txn: Arc::clone(&txn),
-                    bodies,
-                });
-            }
-            pending.push(txn);
-        }
-        // Slots stay `serial mod spec_depth`. Each lane runs its serials in
-        // order, each to retirement, and transactions commit in serial order,
-        // so the running tasks are always the crew's lowest unretired serials
-        // r .. r + crew − 1. Since crew ≤ spec_depth they occupy distinct
-        // slots, and serial s + spec_depth reinstalls s's slot only once
-        // r > s, i.e. after s's transaction has committed.
-        let own = lanes.remove(0);
-        let _abort = (crew > 1).then_some(AbortOnUnwind);
-        self.shared.start_helper_lanes(helpers.len());
-        // Helpers are pooled `'static` threads, so their lanes' bodies travel
-        // with the borrow `'a` erased.
-        //
-        // SAFETY: every use of a helper lane's items happens-before this call
-        // returns, while `'a` is still live:
-        // 1. a helper drops its job's items before it calls
-        //    `finish_helper_lane` (`Helper::serve`: `run_lane` consumes them);
-        // 2. `execute` returns only after `wait_for_helper_lanes`, whose
-        //    acquire load sees every helper's release decrement;
-        // 3. `_abort` is live from the first `start` until that wait returns,
-        //    so no unwind can skip the wait: a panic aborts the process.
-        // Only the lifetime changes, so the layouts are identical.
-        // `tests/helper_pool.rs` checks 1 and 2 by counting body references.
-        #[allow(unsafe_code)]
-        let lanes = unsafe {
-            std::mem::transmute::<Vec<Vec<WorkItem<'a>>>, Vec<Vec<WorkItem<'static>>>>(lanes)
-        };
-        for (helper, items) in helpers.iter().zip(lanes) {
-            helper.start(self.worker.clone(), items);
-        }
-        self.worker
-            .run_lane(own, &mut self.inline_bufs.borrow_mut());
-        self.shared.wait_for_helper_lanes();
-        pending
+        let txns = txns
             .into_iter()
-            .map(|txn| {
+            .map(|spec| {
+                stats.tx_starts.inc();
+                txobs::tx_begin();
+                let start_serial = self.next_serial.get();
+                let commit_serial = start_serial + spec.tasks.len() as u64 - 1;
+                self.next_serial.set(commit_serial + 1);
+                BatchTxn {
+                    txn: Arc::new(TxnShared::new(
+                        Arc::clone(&self.shared),
+                        start_serial,
+                        commit_serial,
+                    )),
+                    bodies: spec.tasks,
+                }
+            })
+            .collect();
+        let mut batch = Arc::new(Batch::new(txns));
+        // Slots stay `serial mod spec_depth`. A lane claims serial s only
+        // while s < r + spec_depth, r being the lowest unretired serial, so
+        // the claimed and completed-but-unretired serials all lie in
+        // r .. r + spec_depth − 1 and occupy distinct slots: serial
+        // s + spec_depth reinstalls s's slot only once r > s, i.e. after s's
+        // transaction has committed.
+        let helpers = pool::claim(tasks.min(depth).saturating_sub(1), self.worker.claim);
+        let _abort = (!helpers.is_empty()).then_some(AbortOnUnwind);
+        // Helpers are pooled `'static` threads, so the batch they claim from
+        // travels with its borrow `'a` erased.
+        //
+        // SAFETY: no helper holds or uses the batch once this call returns,
+        // while `'a` is still live:
+        // 1. a job taken back below is dropped unstarted, with its clone;
+        // 2. a helper that started drops its clone when it leaves
+        //    `run_batch` (`Helper::serve`);
+        // 3. `execute` returns only once its clone is the last one
+        //    (`Arc::get_mut`, whose acquire load sees every other clone's
+        //    release drop), and then drops it, and with it the bodies;
+        // 4. `_abort` is live from the first `start` until that wait returns,
+        //    so no unwind can skip the wait: a panic aborts the process.
+        // Only the lifetimes change, so the layouts are identical.
+        // `tests/helper_pool.rs` checks 2 and 3 by counting body references.
+        #[allow(unsafe_code)]
+        let published = unsafe {
+            std::mem::transmute::<Arc<Batch<'a>>, Arc<Batch<'static>>>(Arc::clone(&batch))
+        };
+        for helper in &helpers {
+            helper.start(self.worker.clone(), Arc::clone(&published));
+        }
+        drop(published);
+        self.worker.run_batch(&batch, true);
+        for helper in &helpers {
+            helper.take_back();
+        }
+        self.shared
+            .wait_until(|| Arc::get_mut(&mut batch).is_some());
+        pool::release(helpers, self.worker.claim);
+        batch
+            .txns
+            .iter()
+            .map(|BatchTxn { txn, .. }| {
                 debug_assert!(txn.is_committed());
                 TxnOutcome {
                     start_serial: txn.start_serial(),
@@ -516,7 +500,7 @@ mod tests {
 
     #[test]
     fn oversized_transaction_panics() {
-        // Whatever crew it would get, a transaction the speculative depth
+        // Whatever helpers it would get, a transaction the speculative depth
         // cannot hold — or an empty one — is refused with the same message,
         // and a batch that holds one commits nothing.
         let rt = runtime();
@@ -552,65 +536,113 @@ mod tests {
 
     #[test]
     fn only_default_registration_consults_the_host() {
-        // An explicit depth always gets its full crew; a default session
-        // gets at most `cores − 1` helpers, once other tests' default
-        // sessions leave them idle, and merges onto its crew.
+        // An explicit depth always gets every helper it asks for; a default
+        // session gets idle helpers only, at most `cores − 1` of them out at
+        // once. Either way every task runs as its own task.
+        let full = pool::claim(3, Claim::Full);
+        assert_eq!(full.len(), 3);
+        pool::release(full, Claim::Full);
+        let cap = txmem::pause::cores() - 1;
+        let idle = pool::claim(cap + 3, Claim::Idle);
+        assert!(
+            idle.len() <= cap,
+            "{} idle helpers over a cap of {cap}",
+            idle.len()
+        );
+        pool::release(idle, Claim::Idle);
         let rt = runtime();
         let t = task(|_ctx: &mut TaskCtx<'_>| Ok(()));
-        rt.register_uthread(3).run_transaction(vec![t.clone(); 3]);
-        assert_eq!(rt.stats().task_commits, 3);
-        let u = rt.register_uthread_default();
-        let lanes = txmem::pause::cores().min(3) as u64;
-        let mut window = StatsSnapshot::default();
-        for _ in 0..1000 {
+        for u in [rt.register_uthread(3), rt.register_uthread_default()] {
             let before = rt.stats();
             u.run_transaction(vec![t.clone(); 3]);
-            window = rt.stats().delta_since(&before);
-            if window.task_commits == lanes {
-                break;
-            }
+            let window = rt.stats().delta_since(&before);
+            assert_eq!((window.tx_commits, window.task_commits), (1, 3));
         }
-        assert_eq!(window.task_commits, lanes);
     }
 
     #[test]
     fn merged_tasks_preserve_program_order_semantics() {
-        // A default session's crew has at most `cores` lanes, so a
-        // transaction of `cores + 1` tasks is always merged, its first group
-        // holding at least the first two tasks (all of them on one core):
-        // the later task's write must still win inside the merged task.
-        let rt = runtime();
-        let a = rt.heap().alloc(1).unwrap();
+        // The tasks of one transaction commit as one, in program order. A
+        // default session gets at most `cores − 1` helpers (none under
+        // `taskset -c 0`), yet a transaction of `cores + 1` tasks still runs
+        // as that many tasks: the lanes there are claim them one by one. The
+        // second task's write must win over the first's.
         let k = txmem::pause::cores() + 1;
-        let u = rt.new_uthread(k, Claim::Idle);
+        let rt = TlstmRuntime::new(TxConfig {
+            spec_depth: k,
+            ..TxConfig::small()
+        });
+        let a = rt.heap().alloc(1).unwrap();
+        let u = rt.register_uthread_default();
         let mut tasks = vec![task(move |ctx: &mut TaskCtx<'_>| ctx.write(a, 1))];
         tasks.push(task(move |ctx: &mut TaskCtx<'_>| {
             let v = ctx.read(a)?;
             ctx.write(a, v + 41)
         }));
         tasks.resize(k, task(|_ctx: &mut TaskCtx<'_>| Ok(())));
-        let outcome = u.run_transaction(tasks);
-        assert_eq!(rt.heap().load_committed(a), 42);
-        let ran = rt.stats().task_commits;
-        assert_eq!(ran, outcome.commit_serial - outcome.start_serial + 1);
-        assert!(ran < k as u64, "{ran} of {k} tasks ran unmerged");
-        if !txmem::pause::multi_core() {
-            assert_eq!(ran, 1);
+        for round in 1..=20u64 {
+            let before = rt.stats();
+            let outcome = u.run_transaction(tasks.clone());
+            let window = rt.stats().delta_since(&before);
+            assert_eq!(rt.heap().load_committed(a), 42, "round {round}");
+            assert_eq!(outcome.commit_serial - outcome.start_serial + 1, k as u64);
+            assert_eq!(window.tx_commits, 1, "round {round}");
+            assert_eq!(window.task_commits, k as u64, "round {round}");
         }
     }
 
     #[test]
-    fn contiguous_split_keeps_order_and_puts_the_longer_runs_first() {
-        let runs = split_contiguous((0..7).collect(), 3);
-        assert_eq!(runs, vec![vec![0, 1, 2], vec![3, 4], vec![5, 6]]);
-        for n in 1..20 {
-            for groups in 1..8 {
-                let runs = split_contiguous((0..n).collect(), groups);
-                assert_eq!(runs.len(), groups.min(n));
-                let lens: Vec<usize> = runs.iter().map(Vec::len).collect();
-                assert!(lens.windows(2).all(|w| w[0] == w[1] || w[0] == w[1] + 1));
-                assert_eq!(runs.concat(), (0..n).collect::<Vec<_>>());
-            }
+    fn a_commit_task_rollback_reopens_the_completed_tasks_claims() {
+        // Task 1 reads `x` and writes `y`, and completes. The commit-task then
+        // has another user-thread commit a write to `x` (first attempt only),
+        // so the transaction's commit-time validation fails with task 1
+        // completed and holding its write: the commit-task rolls back alone,
+        // dismantles task 1's entry and re-opens its claim.
+        for registration in [Claim::Full, Claim::Idle] {
+            let rt = runtime();
+            // A lock each, so the other user-thread's write meets no lock
+            // of this one.
+            let stride = txmem::WORDS_PER_LOCK;
+            let words = rt.heap().alloc(3 * stride).unwrap();
+            let (x, y, z) = (words, words.offset(stride), words.offset(2 * stride));
+            let other = parking_lot::Mutex::new(rt.register_uthread(1));
+            let u = rt.new_uthread(2, registration);
+            let first_runs = std::sync::atomic::AtomicU64::new(0);
+            let commit_runs = std::sync::atomic::AtomicU64::new(0);
+            let before = rt.stats();
+            let first = task(|ctx: &mut TaskCtx<'_>| {
+                let v = ctx.read(x)?;
+                ctx.write(y, v + 10)?;
+                first_runs.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                Ok(())
+            });
+            let commit = task(|ctx: &mut TaskCtx<'_>| {
+                if commit_runs.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0 {
+                    // Task 1 has read `x` once this attempt sees `y`.
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                    while first_runs.load(std::sync::atomic::Ordering::SeqCst) == 0
+                        && std::time::Instant::now() < deadline
+                    {
+                        std::thread::yield_now();
+                    }
+                    other.lock().atomic(move |ctx| ctx.write(x, 1));
+                }
+                let v = ctx.read(y)?;
+                ctx.write(z, v * 2)
+            });
+            let outcome = u.run_transaction(vec![first, commit]);
+            let window = rt.stats().delta_since(&before);
+            assert_eq!(rt.heap().load_committed(y), 11, "{registration:?}");
+            assert_eq!(rt.heap().load_committed(z), 22, "{registration:?}");
+            assert_eq!(window.tx_aborts, 1, "{registration:?}: {window}");
+            assert_eq!(outcome.rollbacks, 1, "{registration:?}");
+            assert_eq!(
+                first_runs.into_inner(),
+                2,
+                "{registration:?}: task 1 re-ran once"
+            );
+            // The other user-thread's transaction and this one.
+            assert_eq!(window.tx_commits, 2, "{registration:?}");
         }
     }
 }

@@ -12,24 +12,19 @@
 //! ## One copy of a task's state
 //!
 //! A task's writes live only in its entries of the lock chains
-//! ([`txmem::chain`]): its own reads, other tasks' reads and `validate-task`
-//! read them there while the task may still be running, and the commit-task
-//! writes them back from there. Everything else a task keeps lives in a
-//! `TaskBufs` owned by the *lane* — the calling thread or a pool helper —
-//! and lent to each [`TaskCtx`] it runs: the snapshot and task-read log, the
-//! locks under which the task holds chain entries and the commit scratch
-//! vector are recycled across attempts **and across tasks**. A completed
-//! intermediate task *moves* its buffers into the transaction's mailbox,
-//! where the commit-task reads them in place, and takes them back once the
-//! transaction has committed or started its rollback; the move copies a few
-//! `Vec` headers and allocates nothing.
-//! So in steady state the task read/write/commit/rollback paths stop
-//! allocating; only the per-transaction orchestration (the `TxnShared`
-//! handle and its mailbox, work items and task closures) still allocates,
-//! independent of how many transactional operations a task performs.
+//! ([`txmem::chain`]), where its own and other tasks' reads, `validate-task`
+//! and the commit-task's write-back find them. Everything else it keeps (the
+//! snapshot, the task-read log, the locks it holds chain entries under, the
+//! commit scratch) lives in the `TaskBufs` of its `owners[]` slot, recycled
+//! across attempts and tasks: the lane running the task holds them, and once
+//! it completes the commit-task reads them in place (or, on a rollback,
+//! dismantles their chain entries). So in steady state the task paths do not
+//! allocate; only the per-transaction orchestration (the `TxnShared`, the
+//! batch, the task closures) does.
 
 use std::sync::Arc;
 
+use parking_lot::MutexGuard;
 use txmem::chain::ChainRead;
 use txmem::pause::contention_pause;
 use txmem::{
@@ -40,11 +35,10 @@ use txmem::{
 use crate::txn_state::{TaskReadEntry, TxnShared};
 use crate::uthread_state::{TaskSlot, UThreadShared};
 
-/// Recyclable speculative buffers of one lane.
+/// Recyclable speculative buffers of one `owners[]` slot.
 ///
-/// A lane keeps one `TaskBufs` for its lifetime and lends it to every
-/// [`TaskCtx`] it runs; all vectors retain their capacity across attempts
-/// and tasks.
+/// Every task that occupies the slot builds its state here; all vectors
+/// retain their capacity across attempts and tasks.
 #[derive(Debug, Default)]
 pub(crate) struct TaskBufs {
     /// `valid-ts` and the reads from committed state.
@@ -65,8 +59,8 @@ pub(crate) struct TaskBufs {
 ///
 /// The same context is reused across re-executions of the task (after
 /// intra-thread or inter-thread conflicts); `TaskCtx::reset_for_attempt`
-/// clears the speculative state between attempts. The backing buffers come
-/// from the lane's recycled `TaskBufs`.
+/// clears the speculative state between attempts. The backing buffers are
+/// the task's slot's recycled `TaskBufs`.
 #[derive(Debug)]
 pub struct TaskCtx<'rt> {
     substrate: &'rt TxSubstrate,
@@ -111,7 +105,7 @@ impl<'rt> TaskCtx<'rt> {
         let try_commit = serial == txn.commit_serial();
         debug_assert!(
             bufs.acquired.is_empty(),
-            "recycled buffers must be handed over with no chain entries"
+            "a slot's buffers are reused with no chain entries"
         );
         TaskCtx {
             substrate,
@@ -153,15 +147,12 @@ impl<'rt> TaskCtx<'rt> {
     /// Removes every speculative chain entry this task installed and releases
     /// write locks whose chains become empty. Called on every rollback.
     pub(crate) fn remove_chain_entries(&mut self) {
-        for &idx in &self.bufs.acquired {
-            let entry = self.substrate.locks.entry(idx);
-            let mut chain = entry.chain();
-            chain.remove_serial(self.serial);
-            if chain.is_empty() {
-                entry.release_writer_if(self.token);
-            }
-        }
-        self.bufs.acquired.clear();
+        remove_chain_entries(
+            self.substrate,
+            self.token,
+            self.serial,
+            &mut self.bufs.acquired,
+        );
     }
 
     /// Flushes the local read/write counters into the user-thread's
@@ -461,8 +452,8 @@ impl<'rt> TaskCtx<'rt> {
     // --- task / transaction commit (Algorithm 3) --------------------------------
 
     /// Commits the task: waits for every past task of the user-thread to
-    /// complete, re-validates intra-thread conflicts, and then either waits
-    /// for the commit-task (intermediate tasks) or commits the whole
+    /// complete, re-validates intra-thread conflicts, and then either marks
+    /// the task completed (intermediate tasks) or commits the whole
     /// user-transaction (the commit-task).
     ///
     /// # Errors
@@ -486,25 +477,10 @@ impl<'rt> TaskCtx<'rt> {
         self.maybe_validate_task()?;
 
         if !self.try_commit {
-            // Intermediate task (lines 71-77): lend the buffers to the
-            // commit-task, mark completion, then wait for the outcome of the
-            // whole user-transaction.
-            let wrote = !self.bufs.acquired.is_empty();
-            self.txn
-                .publish(self.serial, std::mem::take(&mut *self.bufs));
-            self.uthread.mark_completed(self.serial, wrote);
-            let txn = &self.txn;
+            // Intermediate task (lines 71-77): mark completion. Its state
+            // stays in its slot for the commit-task, and its lane moves on.
             self.uthread
-                .wait_until(|| txn.is_committed() || txn.rollback_started());
-            // Taken back on either outcome: a rollback dismantles the chain
-            // entries `acquired` lists, and the commit-task's rollback
-            // expects an empty mailbox once every task has acknowledged.
-            *self.bufs = self.txn.take_back(self.serial);
-            if !self.txn.is_committed() {
-                return Err(Abort::new(AbortReason::TransactionAbortSignal));
-            }
-            // The commit-task dismantled the transaction's chain entries.
-            self.bufs.acquired.clear();
+                .mark_completed(self.serial, !self.bufs.acquired.is_empty());
             return Ok(());
         }
         // Commit-task: commit the whole user-transaction (lines 78-94).
@@ -514,44 +490,43 @@ impl<'rt> TaskCtx<'rt> {
 
     /// Performs the user-transaction commit on behalf of every task.
     fn commit_transaction(&mut self) -> Result<(), Abort> {
+        // The completed tasks' buffers, read in place in their slots.
+        let mut past: Vec<MutexGuard<'_, TaskBufs>> = (self.txn.start_serial()..self.serial)
+            .map(|serial| self.uthread.slot(serial).bufs.lock())
+            .collect();
         let mut locked = std::mem::take(&mut self.bufs.commit_locks);
-        let outcome = self.commit_all_tasks(&mut locked);
+        let outcome = self.commit_all_tasks(&past, &mut locked);
         self.bufs.commit_locks = locked;
-        // The mailbox is unlocked again, so the tasks this wakes can take
-        // their buffers back.
-        let wrote = match outcome {
-            Ok(wrote) => wrote,
-            Err(abort) => {
-                self.txn.request_abort();
-                return Err(abort);
-            }
-        };
+        let wrote = outcome.inspect_err(|_| self.txn.request_abort())?;
+        // The transaction's chain entries are gone; nothing left to dismantle.
+        for bufs in &mut past {
+            bufs.acquired.clear();
+        }
+        drop(past);
+        self.bufs.acquired.clear();
         self.stats.tx_commits.inc();
         txobs::tx_commit();
         self.txn.mark_committed();
         self.uthread.mark_completed(self.serial, wrote);
-        // The transaction's chain entries are gone; nothing left to dismantle.
-        self.bufs.acquired.clear();
         Ok(())
     }
 
-    /// Validates and writes back every task of the transaction, reading the
-    /// buffers lent to the mailbox in place and this task's own last (its
-    /// serial is the highest). `locked` is the recycled scratch for the
-    /// `(lock, pre-lock version)` pairs. Returns whether the transaction
+    /// Validates and writes back every task of the transaction: the
+    /// completed tasks' buffers `past`, in serial order, then this task's
+    /// own (its serial is the highest). `locked` is the recycled scratch for
+    /// the `(lock, pre-lock version)` pairs. Returns whether the transaction
     /// wrote.
-    fn commit_all_tasks(&self, locked: &mut Vec<(LockIndex, u64)>) -> Result<bool, Abort> {
-        let mut published = self.txn.published();
-        published.sort_unstable_by_key(|&(serial, _)| serial);
-        debug_assert_eq!(
-            published.len() as u64 + 1,
-            self.txn.n_tasks(),
-            "commit-task must see the buffers of every task of its transaction"
-        );
+    fn commit_all_tasks(
+        &self,
+        past: &[MutexGuard<'_, TaskBufs>],
+        locked: &mut Vec<(LockIndex, u64)>,
+    ) -> Result<bool, Abort> {
         let own: &TaskBufs = self.bufs;
         let tasks = || {
-            let lent = published.iter().map(|(serial, bufs)| (*serial, bufs));
-            lent.chain([(self.serial, own)])
+            let start = self.txn.start_serial();
+            (start..)
+                .zip(past.iter().map(|bufs| &**bufs))
+                .chain([(self.serial, own)])
         };
         let (heap, locks) = (&self.substrate.heap, &self.substrate.locks);
 
@@ -628,6 +603,26 @@ impl TxMem for TaskCtx<'_> {
     }
 }
 
+/// Removes every chain entry task `serial` installed under the locks in
+/// `acquired`, and releases the write locks (held as `token`) whose chains
+/// become empty. Called on every rollback.
+pub(crate) fn remove_chain_entries(
+    substrate: &TxSubstrate,
+    token: OwnerToken,
+    serial: u64,
+    acquired: &mut Vec<LockIndex>,
+) {
+    for &idx in acquired.iter() {
+        let entry = substrate.locks.entry(idx);
+        let mut chain = entry.chain();
+        chain.remove_serial(serial);
+        if chain.is_empty() {
+            entry.release_writer_if(token);
+        }
+    }
+    acquired.clear();
+}
+
 /// Checks the abort-transaction and aborted-internally flags of task `serial`
 /// of `txn`, whose `owners[]` slot is `slot`.
 fn task_signals(txn: &TxnShared, slot: &TaskSlot, serial: u64) -> Result<(), Abort> {
@@ -645,8 +640,8 @@ mod tests {
 
     /// Two tasks of one transaction write several words under one lock: the
     /// chain holds one entry per task, each task lists the lock once, and the
-    /// commit-task's commit (reading the first task's lent buffers) leaves
-    /// the chain empty and the w-lock free.
+    /// commit-task's commit (reading the completed first task's state in its
+    /// slot) leaves the chain empty, the w-lock free and both slots clean.
     #[test]
     fn tasks_sharing_a_lock_list_it_once_and_commit_clears_the_chain() {
         let substrate = TxSubstrate::new(TxConfig::small());
@@ -658,46 +653,31 @@ mod tests {
         let uthread = Arc::new(UThreadShared::new(1, 2));
         let txn = Arc::new(TxnShared::new(Arc::clone(&uthread), 1, 2));
 
-        let mut first_bufs = TaskBufs::default();
-        std::thread::scope(|scope| {
-            let first = scope.spawn(|| {
-                let mut ctx =
-                    TaskCtx::new(&substrate, &uthread, Arc::clone(&txn), 1, &mut first_bufs);
-                ctx.reset_for_attempt();
-                for i in 0..3 {
-                    ctx.write(word(i), 10 + i).unwrap();
-                }
-                assert_eq!(ctx.bufs.acquired, [idx]);
-                // Lends the buffers and waits for the commit.
-                ctx.task_commit()
-            });
-            uthread.wait_until(|| uthread.completed_task() >= 1 || first.is_finished());
-            if first.is_finished() {
-                panic!(
-                    "the first task ended before lending its buffers: {:?}",
-                    first.join()
-                );
-            }
-
-            let mut bufs = TaskBufs::default();
-            let mut ctx = TaskCtx::new(&substrate, &uthread, Arc::clone(&txn), 2, &mut bufs);
+        {
+            let mut bufs = uthread.slot(1).bufs.lock();
+            let mut ctx = TaskCtx::new(&substrate, &uthread, Arc::clone(&txn), 1, &mut bufs);
             ctx.reset_for_attempt();
-            for i in 1..WORDS_PER_LOCK {
-                ctx.write(word(i), 20 + i).unwrap();
+            for i in 0..3 {
+                ctx.write(word(i), 10 + i).unwrap();
             }
             assert_eq!(ctx.bufs.acquired, [idx]);
-            assert_eq!(entry.chain().len(), 2);
-            let published = txn.published();
-            assert_eq!(published.len(), 1);
-            assert_eq!(published[0].0, 1);
-            assert_eq!(published[0].1.acquired, [idx]);
-            drop(published);
-
+            // Completes without waiting for the commit: its lane is free.
             ctx.task_commit().unwrap();
-            assert!(ctx.bufs.acquired.is_empty());
-            first.join().unwrap().unwrap();
-        });
-        assert!(first_bufs.acquired.is_empty());
+        }
+        assert_eq!(uthread.completed_task(), 1);
+        assert_eq!(uthread.slot(1).bufs.lock().acquired, [idx]);
+
+        let mut bufs = uthread.slot(2).bufs.lock();
+        let mut ctx = TaskCtx::new(&substrate, &uthread, Arc::clone(&txn), 2, &mut bufs);
+        ctx.reset_for_attempt();
+        for i in 1..WORDS_PER_LOCK {
+            ctx.write(word(i), 20 + i).unwrap();
+        }
+        assert_eq!(ctx.bufs.acquired, [idx]);
+        assert_eq!(entry.chain().len(), 2);
+        ctx.task_commit().unwrap();
+        assert!(ctx.bufs.acquired.is_empty());
+        assert!(uthread.slot(1).bufs.lock().acquired.is_empty());
         assert!(txn.is_committed());
         assert!(entry.chain().is_empty());
         assert!(entry.writer_token().is_unlocked());

@@ -1,29 +1,21 @@
 //! Shared per-user-transaction state.
 //!
-//! Every task of a user-transaction shares one [`TxnShared`]. It plays three
+//! Every task of a user-transaction shares one [`TxnShared`]. It plays two
 //! roles:
 //!
 //! 1. it is the **contention-manager handle** other user-threads reach through
 //!    the lock table (the `w-lock.owner` of the paper) — hence the
 //!    [`txmem::LockOwner`] implementation: a [`TxDescriptor`], as a SwissTM
 //!    transaction has, plus the transaction's task progress;
-//! 2. it carries the **abort-transaction flag** and the rollback coordination
-//!    state (acknowledgement counter + rollback epoch) that drive the
-//!    "all tasks of the transaction restart together" protocol of §3.2;
-//! 3. it is the **mailbox where completed intermediate tasks lend their
-//!    buffers** (moved, never copied), so the commit-task can validate every
-//!    task's reads and write back every task's writes in place at
-//!    transaction commit (Algorithm 3); each task takes its buffers back
-//!    once the transaction has committed or started its rollback.
+//! 2. it carries the **abort-transaction flag** of the "all tasks of the
+//!    transaction restart together" protocol of §3.2, which the commit-task
+//!    drives, and the transaction's rollback count.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
-
-use parking_lot::{Mutex, MutexGuard};
 
 use txmem::{LockIndex, LockOwner, TxDescriptor, WordAddr};
 
-use crate::task::TaskBufs;
 use crate::uthread_state::UThreadShared;
 
 /// One entry of a task-read-log: the task read a speculative value that a
@@ -58,20 +50,10 @@ pub struct TxnShared {
     /// commit-task's write-back having begun (contenders should simply
     /// wait), and the transaction's two-phase greedy priority.
     descriptor: TxDescriptor,
-    /// The commit-task has started the rollback protocol. Completed
-    /// intermediate tasks dismantle their speculative state only when this is
-    /// set (not on `abort_requested` alone), which keeps them from racing with
-    /// a commit-task that decided to commit before the request arrived.
-    rollback_started: AtomicBool,
     /// The user-transaction has committed.
     committed: AtomicBool,
     /// Number of times the transaction has been rolled back so far.
     rollbacks: AtomicU32,
-    /// Rollback epoch: incremented after every completed rollback cleanup;
-    /// restarting tasks wait for it to advance before re-executing.
-    epoch: AtomicU64,
-    /// Tasks that have acknowledged the current abort request.
-    acks: AtomicU32,
     /// Individual task aborts decided by the inter-thread contention manager
     /// against this transaction. Unlike whole-transaction rollbacks these can
     /// accumulate without the transaction ever restarting as a unit, so they
@@ -79,8 +61,6 @@ pub struct TxnShared {
     /// conflict cycles both sides stay timid, keep self-aborting and deadlock
     /// unless one of them eventually draws a ticket.
     cm_retries: AtomicU32,
-    /// Buffers lent by completed intermediate tasks, keyed by serial.
-    mailbox: Mutex<Vec<(u64, TaskBufs)>>,
 }
 
 impl TxnShared {
@@ -102,13 +82,9 @@ impl TxnShared {
             start_serial,
             commit_serial,
             descriptor: TxDescriptor::default(),
-            rollback_started: AtomicBool::new(false),
             committed: AtomicBool::new(false),
             rollbacks: AtomicU32::new(0),
-            epoch: AtomicU64::new(0),
-            acks: AtomicU32::new(0),
             cm_retries: AtomicU32::new(0),
-            mailbox: Mutex::new(Vec::new()),
         }
     }
 
@@ -125,11 +101,6 @@ impl TxnShared {
     /// Number of tasks in the transaction.
     pub fn n_tasks(&self) -> u64 {
         self.commit_serial - self.start_serial + 1
-    }
-
-    /// The user-thread this transaction belongs to.
-    pub fn uthread(&self) -> &Arc<UThreadShared> {
-        &self.uthread
     }
 
     /// `true` once the transaction has committed.
@@ -156,19 +127,6 @@ impl TxnShared {
         self.uthread.notify();
     }
 
-    /// `true` once the commit-task has started the rollback protocol for the
-    /// current abort request.
-    pub fn rollback_started(&self) -> bool {
-        self.rollback_started.load(Ordering::Acquire)
-    }
-
-    /// Begins the rollback protocol (called by the commit-task before it
-    /// waits for the other tasks' acknowledgements).
-    pub fn start_rollback(&self) {
-        self.rollback_started.store(true, Ordering::Release);
-        self.uthread.notify();
-    }
-
     /// Number of rollbacks suffered so far.
     pub fn rollbacks(&self) -> u32 {
         self.rollbacks.load(Ordering::Relaxed)
@@ -180,67 +138,13 @@ impl TxnShared {
         self.cm_retries.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    // --- rollback coordination --------------------------------------------
-
-    /// Current rollback epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// A non-commit task acknowledges the pending abort after having removed
-    /// its own speculative chain entries.
-    pub fn ack_abort(&self) {
-        self.acks.fetch_add(1, Ordering::AcqRel);
-        self.uthread.notify();
-    }
-
-    /// Number of tasks that have acknowledged the pending abort.
-    pub fn acks(&self) -> u32 {
-        self.acks.load(Ordering::Acquire)
-    }
-
-    /// Completes a rollback: called by the commit-task once every other task
-    /// has acknowledged. Resets the coordination state, bumps the epoch and
-    /// wakes everyone so they re-execute.
+    /// Completes a rollback: called by the commit-task once it has
+    /// dismantled the transaction's speculative state. Counts the rollback,
+    /// clears the abort request and wakes everyone.
     pub fn finish_rollback(&self) {
-        debug_assert!(
-            self.mailbox.lock().is_empty(),
-            "every task takes its buffers back before it acknowledges"
-        );
         self.rollbacks.fetch_add(1, Ordering::Relaxed);
-        self.acks.store(0, Ordering::Release);
-        self.rollback_started.store(false, Ordering::Release);
         self.descriptor.clear_flags();
-        self.epoch.fetch_add(1, Ordering::AcqRel);
         self.uthread.notify();
-    }
-
-    // --- the mailbox ------------------------------------------------------
-
-    /// Lends the buffers of completed task `serial` to the commit-task.
-    pub(crate) fn publish(&self, serial: u64, bufs: TaskBufs) {
-        self.mailbox.lock().push((serial, bufs));
-    }
-
-    /// Takes back the buffers task `serial` lent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the task lent none.
-    pub(crate) fn take_back(&self, serial: u64) -> TaskBufs {
-        let mut mailbox = self.mailbox.lock();
-        let pos = mailbox
-            .iter()
-            .position(|&(s, _)| s == serial)
-            .expect("a task takes back only the buffers it lent");
-        mailbox.swap_remove(pos).1
-    }
-
-    /// The lent buffers, locked for the commit-task to read in place. The
-    /// guard must be dropped before the outcome is announced, so the woken
-    /// tasks can take their buffers back.
-    pub(crate) fn published(&self) -> MutexGuard<'_, Vec<(u64, TaskBufs)>> {
-        self.mailbox.lock()
     }
 }
 
@@ -299,33 +203,10 @@ mod tests {
         t.request_abort();
         assert!(t.descriptor().abort_requested());
         assert!(t.is_finishing());
-        t.ack_abort();
-        t.ack_abort();
-        assert_eq!(t.acks(), 2);
-        let epoch = t.epoch();
         t.finish_rollback();
-        assert_eq!(t.epoch(), epoch + 1);
-        assert_eq!(t.acks(), 0);
         assert!(!t.descriptor().abort_requested());
         assert!(!t.is_finishing());
         assert_eq!(t.rollbacks(), 1);
-    }
-
-    #[test]
-    fn lent_buffers_round_trip_by_serial() {
-        let t = txn(4, 1, 3);
-        for serial in [2, 1] {
-            let mut bufs = TaskBufs::default();
-            bufs.acquired.push(LockIndex(serial as u32 * 10));
-            t.publish(serial, bufs);
-        }
-        assert_eq!(t.published().len(), 2);
-        assert_eq!(t.take_back(2).acquired, [LockIndex(20)]);
-        assert_eq!(t.take_back(1).acquired, [LockIndex(10)]);
-        assert!(t.published().is_empty());
-        // An empty mailbox is what a rollback expects.
-        t.request_abort();
-        t.finish_rollback();
     }
 
     #[test]

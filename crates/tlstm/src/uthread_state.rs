@@ -3,14 +3,15 @@
 //! Every task running on behalf of a user-thread shares one
 //! [`UThreadShared`]: the paper's `completed-task` counter and, in place of
 //! its `completed-writer`, a writer-event counter; the `owners[SPECDEPTH]`
-//! slot array used to signal individual tasks; the running `execute`'s count
-//! of unfinished helper lanes; and a condition variable that waiters use
-//! instead of burning CPU.
+//! slot array used to signal individual tasks and to keep their speculative
+//! state; and a condition variable that waiters use instead of burning CPU.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
+
+use crate::task::TaskBufs;
 
 /// How long a waiter sleeps on the progress condition variable before
 /// re-checking its predicate. A timeout bounds the damage of any missed
@@ -18,7 +19,8 @@ use parking_lot::{Condvar, Mutex};
 pub(crate) const WAIT_SLICE: Duration = Duration::from_micros(200);
 
 /// One entry of the `owners[SPECDEPTH]` array: the task currently occupying
-/// the slot and its individual abort flag (`aborted-internally`).
+/// the slot, its individual abort flag (`aborted-internally`) and its
+/// speculative state.
 #[derive(Debug, Default)]
 pub struct TaskSlot {
     /// Serial number of the task currently installed in this slot
@@ -27,6 +29,10 @@ pub struct TaskSlot {
     /// `aborted-internally`: set when another task of the same user-thread
     /// decides this task must roll back individually (intra-thread WAW).
     aborted_internally: AtomicBool,
+    /// The occupying task's state: held by the lane running it, then read by
+    /// its commit-task once it has completed. The claim bound keeps every
+    /// unretired serial in a slot of its own.
+    pub(crate) bufs: Mutex<TaskBufs>,
 }
 
 impl TaskSlot {
@@ -74,10 +80,6 @@ pub struct UThreadShared {
     writer_events: AtomicU64,
     /// `owners[SPECDEPTH]`.
     owners: Box<[TaskSlot]>,
-    /// Helper lanes of the running `execute` that have not finished yet. A
-    /// helper's release decrement, acquired by the caller's wait, publishes
-    /// everything its lane's tasks did (result slots included).
-    helper_lanes: AtomicUsize,
     /// Progress lock + condition variable: notified whenever any of the
     /// counters above change or a transaction commits / aborts.
     progress_lock: Mutex<()>,
@@ -102,7 +104,6 @@ impl UThreadShared {
             completed_task: AtomicU64::new(0),
             writer_events: AtomicU64::new(0),
             owners: owners.into_boxed_slice(),
-            helper_lanes: AtomicUsize::new(0),
             progress_lock: Mutex::new(()),
             progress_cv: Condvar::new(),
         }
@@ -152,22 +153,6 @@ impl UThreadShared {
         let _ = self.completed_task.fetch_min(floor, Ordering::AcqRel);
         self.writer_events.fetch_add(1, Ordering::AcqRel);
         self.notify();
-    }
-
-    /// Arms the counter for an `execute` that hands `lanes` jobs to helpers.
-    pub(crate) fn start_helper_lanes(&self, lanes: usize) {
-        self.helper_lanes.store(lanes, Ordering::Release);
-    }
-
-    /// A helper reports that its lane's last task has retired.
-    pub(crate) fn finish_helper_lane(&self) {
-        self.helper_lanes.fetch_sub(1, Ordering::AcqRel);
-        self.notify();
-    }
-
-    /// Blocks the caller until every helper lane of its `execute` finished.
-    pub(crate) fn wait_for_helper_lanes(&self) {
-        self.wait_until(|| self.helper_lanes.load(Ordering::Acquire) == 0);
     }
 
     /// Wakes every task waiting on this user-thread's progress.

@@ -1,30 +1,33 @@
-//! Task execution: the attempt/abort/rollback loop every lane runs.
+//! Task execution: the claim loop every lane runs.
 //!
-//! A user-thread owns no threads. Each [`UThread::execute`] runs on a *crew*:
-//! the calling thread as lane 0 plus the helpers it borrows from the
-//! process-wide pool. Task `serial` runs on lane `serial mod crew`, which
-//! starts its next task only once this one has *retired* (its
-//! user-transaction committed): at most `crew ≤ SPECDEPTH` tasks of the
-//! user-thread are active at any time, the paper's admission rule.
+//! Each [`UThread::execute`] publishes its tasks as one `Batch` and runs
+//! the claim loop on the calling thread; the pool helpers it wakes run it
+//! too. A lane claims the lowest unclaimed serial `s` of the oldest
+//! transaction that has one, while `s < r + SPECDEPTH` for the lowest
+//! unretired serial `r`: the paper's admission rule, which also keeps every
+//! unretired task in an `owners[]` slot of its own. A completed task leaves
+//! its state in its slot for the commit-task and frees its lane. If no
+//! helper wakes in time, the caller runs every task itself, in order.
 //!
-//! `Worker::run_task` implements the rollback protocols:
-//!
-//! * **individual task rollback** (intra-thread WAR/WAW, losing an
-//!   inter-thread conflict): remove the task's speculative chain entries,
-//!   reset its logs and re-run the body — after an intra-thread loss, only
-//!   once every past task has completed;
-//! * **user-transaction rollback**: every task removes its own entries and
-//!   acknowledges; the commit-task waits for all acknowledgements, resets the
-//!   user-thread counters, bumps the rollback epoch and everyone re-executes.
+//! * **Individual task rollback** (intra-thread WAR/WAW, losing an
+//!   inter-thread conflict): remove the task's chain entries and re-run the
+//!   body — after an intra-thread loss, only once its whole past completed.
+//! * **User-transaction rollback**: a running task that sees the abort
+//!   request removes its entries and gives its claim back. The commit-task
+//!   drives the rollback alone: once no other task of the transaction runs,
+//!   it dismantles the completed tasks' entries, resets the user-thread
+//!   counters, re-arms the transaction and re-opens all of its claims.
 //!
 //! [`UThread::execute`]: crate::UThread::execute
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use txmem::{should_turn_greedy, AbortReason, TxSubstrate};
+use parking_lot::Mutex;
+use txmem::{should_turn_greedy, AbortReason, OwnerToken, TxSubstrate};
 
 use crate::pool::Claim;
-use crate::task::{TaskBufs, TaskCtx};
+use crate::task::{remove_chain_entries, TaskCtx};
 use crate::txn_state::TxnShared;
 use crate::uthread_state::UThreadShared;
 use crate::TaskFn;
@@ -48,82 +51,193 @@ const PESSIMISTIC_AFTER_ROLLBACKS: u32 = 2;
 /// [`txmem::GREEDY_AFTER_ABORTS`] rollbacks alone never break the tie.
 const GREEDY_AFTER_CM_SELF_ABORTS: u32 = 3;
 
-/// One task of one user-transaction, queued on a lane.
-pub(crate) struct WorkItem<'a> {
-    /// Serial number of the task.
-    pub serial: u64,
-    /// Shared state of the enclosing user-transaction.
+/// Where a task of the batch stands.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum TaskState {
+    /// Unclaimed: the next lane that reaches it within the bound runs it.
+    Open,
+    /// A lane runs it.
+    Running,
+    /// Completed; its state waits in its slot for the commit-task.
+    Done,
+}
+
+/// One user-transaction of a batch: its shared state and its task bodies.
+pub(crate) struct BatchTxn<'a> {
     pub txn: Arc<TxnShared>,
-    /// The task's bodies, run in program order: one, or a contiguous group
-    /// of the transaction's tasks merged onto this lane.
     pub bodies: Vec<TaskFn<'a>>,
 }
 
-/// Everything needed to run tasks of one user-thread: the caller's lane-0
-/// context, cloned into each job it hands to a helper.
+/// The transactions of one `execute`, in program order (their serials
+/// consecutive), with the claim state of every task.
+pub(crate) struct Batch<'a> {
+    pub txns: Vec<BatchTxn<'a>>,
+    claims: Mutex<Claims>,
+}
+
+struct Claims {
+    /// One state per serial of the batch.
+    tasks: Vec<TaskState>,
+    /// How many transactions of the batch have committed (a prefix).
+    retired: usize,
+}
+
+/// What a lane does next.
+enum Next<'b, 'a> {
+    Run(&'b Arc<TxnShared>, u64, &'b TaskFn<'a>),
+    Wait,
+    Done,
+}
+
+impl<'a> Batch<'a> {
+    /// Publishes `txns`, whose serials are consecutive.
+    pub(crate) fn new(txns: Vec<BatchTxn<'a>>) -> Self {
+        let tasks = vec![TaskState::Open; txns.iter().map(|t| t.bodies.len()).sum()];
+        let claims = Mutex::new(Claims { tasks, retired: 0 });
+        Batch { txns, claims }
+    }
+
+    fn index(&self, serial: u64) -> usize {
+        (serial - self.txns[0].txn.start_serial()) as usize
+    }
+
+    /// Claims the lowest open serial below `r + depth`. A transaction whose
+    /// abort is pending hands out only its commit-task, which drives the
+    /// rollback.
+    fn claim(&self, depth: u64) -> Next<'_, 'a> {
+        let mut claims = self.claims.lock();
+        let Claims { tasks, retired } = &mut *claims;
+        let committed = self.txns[*retired..]
+            .iter()
+            .take_while(|t| t.txn.is_committed());
+        *retired += committed.count();
+        let Some(oldest) = self.txns.get(*retired) else {
+            return Next::Done;
+        };
+        let bound = oldest.txn.start_serial() + depth;
+        for BatchTxn { txn, bodies } in &self.txns[*retired..] {
+            let pending = txn.descriptor().abort_requested();
+            for (serial, body) in (txn.start_serial()..).zip(bodies) {
+                if serial >= bound {
+                    return Next::Wait;
+                }
+                let state = &mut tasks[self.index(serial)];
+                if *state == TaskState::Open && (!pending || serial == txn.commit_serial()) {
+                    *state = TaskState::Running;
+                    return Next::Run(txn, serial, body);
+                }
+            }
+        }
+        Next::Wait
+    }
+
+    /// Records that the lane running `serial` completed it or gave it back.
+    fn settle(&self, serial: u64, completed: bool) {
+        self.claims.lock().tasks[self.index(serial)] = if completed {
+            TaskState::Done
+        } else {
+            TaskState::Open
+        };
+    }
+
+    /// Once no task of `txn` but its commit-task runs, re-opens the claims
+    /// of its completed tasks and returns their serials: a prefix of the
+    /// transaction, since tasks complete in order. The abort still pending
+    /// keeps them unclaimed until it is cleared. `None` while a task runs.
+    fn reopen_completed(&self, txn: &TxnShared) -> Option<Range<u64>> {
+        let mut claims = self.claims.lock();
+        let (start, mut end) = (txn.start_serial(), txn.start_serial());
+        if (start..txn.commit_serial()).any(|s| claims.tasks[self.index(s)] == TaskState::Running) {
+            return None;
+        }
+        for serial in start..txn.commit_serial() {
+            let state = &mut claims.tasks[self.index(serial)];
+            if *state == TaskState::Done {
+                debug_assert_eq!(serial, end, "completed tasks form a prefix");
+                *state = TaskState::Open;
+                end = serial + 1;
+            }
+        }
+        Some(start..end)
+    }
+}
+
+/// Everything needed to run tasks of one user-thread: the caller's context,
+/// cloned into each job it hands to a helper.
 #[derive(Clone, Debug)]
 pub(crate) struct Worker {
     pub substrate: Arc<TxSubstrate>,
     pub uthread: Arc<UThreadShared>,
-    /// How the user-thread's crews are claimed (its registration decided).
+    /// How the user-thread's helpers are claimed (its registration decided).
     pub claim: Claim,
 }
 
 impl Worker {
-    /// Runs one lane's tasks in serial order, each until it retires.
-    pub(crate) fn run_lane(&self, items: Vec<WorkItem<'_>>, bufs: &mut TaskBufs) {
-        for item in items {
-            self.run_task(&item, bufs);
+    /// The claim loop: claims and runs `batch`'s tasks. The calling thread
+    /// (`caller`) stays until every transaction of the batch has committed;
+    /// a helper leaves as soon as it finds nothing to claim, rather than
+    /// park where every task completion would have to wake it.
+    pub(crate) fn run_batch(&self, batch: &Batch<'_>, caller: bool) {
+        let depth = self.uthread.spec_depth() as u64;
+        loop {
+            let mut next = batch.claim(depth);
+            if let (Next::Wait, true) = (&next, caller) {
+                self.uthread.wait_until(|| {
+                    next = batch.claim(depth);
+                    !matches!(next, Next::Wait)
+                });
+            }
+            let Next::Run(txn, serial, body) = next else {
+                return;
+            };
+            let completed = self.run_task(txn, serial, body);
+            if !completed && serial == txn.commit_serial() {
+                self.roll_back(batch, txn);
+            }
+            batch.settle(serial, completed);
+            // A claim given back may be another lane's next one; a completion
+            // matters to a commit-task waiting to roll back.
+            if !completed || txn.descriptor().abort_requested() {
+                self.uthread.notify();
+            }
         }
     }
 
-    /// Executes task `serial` of `txn` until it retires (its
-    /// user-transaction commits), building its speculative state inside the
-    /// recycled `bufs`. This is the one attempt/abort/rollback loop of the
-    /// runtime: the caller's lane and every helper lane run it.
-    fn run_task(&self, item: &WorkItem<'_>, bufs: &mut TaskBufs) {
-        let &WorkItem {
-            serial,
-            ref txn,
-            ref bodies,
-        } = item;
+    /// Executes task `serial` of `txn` until it completes (`true`) or, its
+    /// transaction's rollback pending, leaves with its chain entries removed
+    /// (`false`), building its speculative state in its slot's buffers. This
+    /// is the one attempt/abort loop of the runtime.
+    fn run_task(&self, txn: &Arc<TxnShared>, serial: u64, body: &TaskFn<'_>) -> bool {
         // Every lane counts into the owning user-thread's shard: a helper
         // lane serves whichever user-thread borrows it and has no thread id
         // of its own in this substrate.
         let stats = self.substrate.stats.shard(self.uthread.ptid());
         stats.task_starts.inc();
+        let mut bufs = self.uthread.slot(serial).bufs.lock();
         let mut ctx = TaskCtx::new(
             &self.substrate,
             &self.uthread,
             Arc::clone(txn),
             serial,
-            bufs,
+            &mut bufs,
         );
         let mut attempt = 0u32;
         loop {
             attempt = attempt.wrapping_add(1);
-            // If a rollback of this transaction is already pending, join it
-            // before (re-)executing the body.
-            if txn.descriptor().abort_requested() {
-                self.participate_in_rollback(txn, serial);
-            }
             // Pessimistic fallback: after repeated transaction rollbacks, run
             // the tasks of this transaction in program order.
             if txn.rollbacks() >= PESSIMISTIC_AFTER_ROLLBACKS {
                 self.wait_for_past(txn, serial);
-                if txn.descriptor().abort_requested() {
-                    continue;
-                }
+            }
+            if txn.descriptor().abort_requested() {
+                return false;
             }
             ctx.reset_for_attempt();
-            let outcome = bodies
-                .iter()
-                .try_for_each(|body| body(&mut ctx))
-                .and_then(|()| ctx.task_commit());
+            let outcome = body(&mut ctx).and_then(|()| ctx.task_commit());
             let Err(abort) = outcome else {
                 stats.task_commits.inc();
                 ctx.flush_op_counters();
-                return;
+                return true;
             };
             stats.task_aborts.inc();
             stats.record_abort_reason(abort.reason);
@@ -137,7 +251,7 @@ impl Worker {
             if abort.reason == AbortReason::TransactionAbortSignal
                 || txn.descriptor().abort_requested()
             {
-                self.participate_in_rollback(txn, serial);
+                return false;
             }
             // Re-execute only once the cause of the abort has passed, holding
             // no locks or chain entries meanwhile.
@@ -183,30 +297,37 @@ impl Worker {
         }
     }
 
-    /// Joins the coordinated rollback of the task's user-transaction.
-    ///
-    /// Non-commit tasks acknowledge and wait for the rollback epoch to
-    /// advance; the commit-task drives the protocol (waits for every other
-    /// task, resets the user-thread counters and re-arms the transaction).
-    fn participate_in_rollback(&self, txn: &TxnShared, serial: u64) {
-        let uthread = &self.uthread;
-        if serial == txn.commit_serial() {
-            txn.start_rollback();
-            let needed = (txn.n_tasks() - 1) as u32;
-            uthread.wait_until(|| txn.acks() >= needed);
-            uthread.reset_after_rollback(txn.start_serial());
-            let stats = self.substrate.stats.shard(uthread.ptid());
-            stats.tx_aborts.inc();
-            // The rollback in progress counts: the SwissTM two-phase policy,
-            // applied per user-transaction.
-            if should_turn_greedy(txn.rollbacks() + 1) {
-                txn.descriptor().turn_greedy(&self.substrate.tickets);
-            }
-            txn.finish_rollback();
-        } else {
-            let epoch = txn.epoch();
-            txn.ack_abort();
-            uthread.wait_until(|| txn.epoch() > epoch);
+    /// The commit-task's rollback of `txn`: waits until no other task of it
+    /// runs (each one that sees the abort gives its claim back), dismantles
+    /// the completed tasks' chain entries from their slots, resets the
+    /// user-thread counters and re-arms the transaction. The completed tasks'
+    /// claims re-open while the abort is still pending, so no lane claims
+    /// them before their entries are gone. It then backs off, so the other
+    /// user-thread that asked for the rollback can take the locks it
+    /// released before the tasks re-acquire them.
+    fn roll_back(&self, batch: &Batch<'_>, txn: &TxnShared) {
+        let uthread = &*self.uthread;
+        // Already raised by whatever aborted the commit-task; raised again so
+        // the precondition does not depend on it.
+        txn.request_abort();
+        let mut completed = None;
+        uthread.wait_until(|| {
+            completed = batch.reopen_completed(txn);
+            completed.is_some()
+        });
+        let token = OwnerToken::from_id(uthread.ptid());
+        for serial in completed.unwrap_or_default() {
+            let mut bufs = uthread.slot(serial).bufs.lock();
+            remove_chain_entries(&self.substrate, token, serial, &mut bufs.acquired);
         }
+        uthread.reset_after_rollback(txn.start_serial());
+        self.substrate.stats.shard(uthread.ptid()).tx_aborts.inc();
+        // The rollback in progress counts: the SwissTM two-phase policy,
+        // applied per user-transaction.
+        if should_turn_greedy(txn.rollbacks() + 1) {
+            txn.descriptor().turn_greedy(&self.substrate.tickets);
+        }
+        txn.finish_rollback();
+        Self::abort_backoff(txn.rollbacks());
     }
 }

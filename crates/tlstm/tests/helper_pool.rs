@@ -1,6 +1,6 @@
 //! The process-wide helper pool: how many threads TLSTM sessions cost, where
-//! a single-task transaction runs, that helpers are done with borrowed task
-//! bodies when `execute` returns, and what a panicking helper does.
+//! a single-task transaction runs, that helpers are done with the borrowed
+//! batch when `execute` returns, and what a panicking helper does.
 //!
 //! The thread-count and panic cases re-run themselves alone in a child
 //! process (`run_alone`), so no other test's threads are counted and an
@@ -48,6 +48,20 @@ fn run_alone(name: &str) -> (ExitStatus, String) {
         .read_to_string(&mut stderr)
         .expect("read the child's stderr");
     (status, stderr)
+}
+
+/// Called by a task body: on the calling thread, waits (at most 10 s) until a
+/// body has run on a helper, so every round hands work to one; on a helper,
+/// counts itself in `off_caller`.
+fn share_with_a_helper(caller: std::thread::ThreadId, off_caller: &AtomicUsize) {
+    if std::thread::current().id() != caller {
+        off_caller.fetch_add(1, Ordering::SeqCst);
+        return;
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while off_caller.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
 }
 
 fn threads() -> usize {
@@ -134,24 +148,31 @@ impl Drop for SlowDrop {
 
 #[test]
 fn execute_returns_only_after_every_lane_dropped_its_bodies() {
-    // `execute` erases its bodies' borrow to hand them to pooled helpers; that
-    // is sound only because no lane still holds one when it returns. Every
-    // body holds a clone of `probe`, so the count shows any that survive.
+    // `execute` erases the borrow of its batch, which owns the bodies, to
+    // share it with pooled helpers; that is sound only because every helper
+    // has dropped its clone of the batch when it returns. Every round makes
+    // a helper run bodies that borrow the round's locals; every body holds a
+    // clone of `probe`, so the count shows a batch that survives the call.
     const ROUNDS: u64 = 200;
     let rt = TlstmRuntime::new(TxConfig::small());
     let words = rt.heap().alloc(12).unwrap();
-    // A full crew: two helper lanes beside the caller's, on any host.
+    // Two helpers beside the caller, on any host.
     let u = rt.register_uthread(3);
     let probe = Arc::new(());
+    let caller = std::thread::current().id();
     for round in 0..ROUNDS {
+        let off_caller = AtomicUsize::new(0);
         let batch: Vec<TxnSpec> = (0..4u64)
             .map(|t| {
                 let bodies = (0..3u64)
                     .map(|k| {
                         let probe = SlowDrop(Arc::clone(&probe));
-                        let word = words.offset(t * 3 + k);
+                        let (word, off_caller) = (words.offset(t * 3 + k), &off_caller);
                         task(move |ctx: &mut TaskCtx<'_>| {
                             assert!(Arc::strong_count(&probe.0) > 1);
+                            if t == 0 {
+                                share_with_a_helper(caller, off_caller);
+                            }
                             let v = ctx.read(word)?;
                             ctx.write(word, v + 1)
                         })
@@ -161,10 +182,14 @@ fn execute_returns_only_after_every_lane_dropped_its_bodies() {
             })
             .collect();
         u.execute(batch);
+        assert!(
+            off_caller.into_inner() >= 1,
+            "round {round}: no helper claimed a task"
+        );
         assert_eq!(
             Arc::strong_count(&probe),
             1,
-            "round {round}: a lane still held a task body after execute returned"
+            "round {round}: a task body outlived execute"
         );
     }
     for w in 0..12 {
@@ -193,9 +218,7 @@ fn task_bodies_on_helpers_borrow_the_callers_stack() {
                 let (results, off_caller) = (&results, &off_caller);
                 task(move |ctx: &mut TaskCtx<'_>| {
                     results.lock().unwrap()[i] = ctx.read(words[i])?;
-                    if std::thread::current().id() != caller {
-                        off_caller.fetch_add(1, Ordering::Relaxed);
-                    }
+                    share_with_a_helper(caller, off_caller);
                     Ok(())
                 })
             })
@@ -203,10 +226,9 @@ fn task_bodies_on_helpers_borrow_the_callers_stack() {
         u.execute(vec![TxnSpec::new(bodies)]);
         let expected: Vec<u64> = (0..3).map(|i| round * 10 + i).collect();
         assert_eq!(results.into_inner().unwrap(), expected);
-        // Task `serial` runs on lane `serial mod 3`: two of each round's
-        // three serials fall on the crew's helper lanes.
+        // The caller's first task waits for a helper to claim one.
         assert!(
-            off_caller.into_inner() >= 2,
+            off_caller.into_inner() >= 1,
             "round {round}: the tasks did not run on helpers"
         );
     }
@@ -224,13 +246,14 @@ fn a_panicking_helper_task_aborts_the_process() {
     let rt = TlstmRuntime::new(TxConfig::small());
     let u = rt.register_uthread(2);
     let caller = std::thread::current().id();
-    // Serial 1 runs on lane 1 of the crew of two, a helper; the commit-task
-    // then waits forever for it.
-    let first = task(move |_ctx: &mut TaskCtx<'_>| {
+    // Whichever task the helper claims panics there; the caller's task waits
+    // for it, and the transaction then waits forever for the panicked one.
+    let on_helper = AtomicUsize::new(0);
+    let body = task(|_ctx: &mut TaskCtx<'_>| {
+        share_with_a_helper(caller, &on_helper);
         assert_eq!(std::thread::current().id(), caller, "{MESSAGE}");
         Ok(())
     });
-    let commit = task(|_ctx: &mut TaskCtx<'_>| Ok(()));
-    u.run_transaction(vec![first, commit]);
-    unreachable!("the first task ran on the calling thread");
+    u.run_transaction(vec![body.clone(), body]);
+    unreachable!("no task ran on a helper");
 }

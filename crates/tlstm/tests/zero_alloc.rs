@@ -1,11 +1,12 @@
 //! Counting-allocator proof that the TLSTM task paths are allocation-free.
 //!
 //! TLSTM's *orchestration* layer allocates a constant amount per submitted
-//! user-transaction (the shared `TxnShared` handle, one work item and one
+//! user-transaction (the shared `TxnShared` handle, its batch entry and one
 //! task closure per task) — but the task read/write/commit/rollback paths
-//! must not allocate per *operation*: each lane's recycled `TaskBufs` (lent
-//! by move to the commit-task, never copied) and the lock chains' recycled
-//! entry buffers absorb all speculative state in steady state.
+//! must not allocate per *operation*: each `owners[]` slot's recycled
+//! `TaskBufs` (read in place by the commit-task, never copied) and the lock
+//! chains' recycled entry buffers absorb all speculative state in steady
+//! state.
 //!
 //! The proof: after warm-up, the allocation count of a batch of transactions
 //! with **2 048 ops per task** must not exceed that of an identical batch
@@ -73,7 +74,7 @@ fn task_op_paths_do_not_allocate_per_operation() {
     let region = rt.heap().alloc(TASKS as u64 * TASK_WORDS).unwrap();
     let u = rt.register_uthread(TASKS);
 
-    // Warm-up: materialise heap segments, grow the lanes' recycled
+    // Warm-up: materialise heap segments, grow the slots' recycled
     // buffers, the chains' entry pools and the log pool to the footprint of
     // the *large* variant.
     for round in 0..32 {
@@ -88,8 +89,8 @@ fn task_op_paths_do_not_allocate_per_operation() {
         "allocations over {txns} txns: {small} at 4 ops/task, {large} at {LARGE_OPS} ops/task"
     );
 
-    // The per-transaction orchestration cost (TxnShared, work items, task
-    // closures, the helper claim and its lane) is identical in both batches; any
+    // The per-transaction orchestration cost (TxnShared, the batch, task
+    // closures, the helper claim) is identical in both batches; any
     // per-operation allocation in the task paths would add ~4 000 allocations
     // per transaction to the large batch. Allow one allocation per
     // transaction of slack for incidental variance.

@@ -464,22 +464,13 @@ mod tests {
         let mut session = server.session();
         // A batch over many keys lands in several shard-groups.
         let ops: Vec<KvOp> = (0..32u64).map(|k| KvOp::Get { key: k * 3 }).collect();
-        // The plan always has several groups; TLSTM runs them as separate
-        // tasks only on pool helpers, which exist where the host has a core
-        // to overlap them on, and which other sessions may hold for a while.
-        let mut stats = server.stats();
-        for _ in 0..1000 {
-            assert_eq!(session.batch(ops.clone()).len(), 32);
-            stats = server.stats();
-            if stats.task_commits > stats.tx_commits {
-                break;
-            }
-        }
-        assert_eq!(
+        // The plan always has several groups, and TLSTM runs each as its own
+        // task on whichever lane claims it, on any host.
+        assert_eq!(session.batch(ops).len(), 32);
+        let stats = server.stats();
+        assert!(
             stats.task_commits > stats.tx_commits,
-            txmem::pause::multi_core(),
-            "a split batch commits more tasks than transactions exactly on a \
-             multi-core host (tasks={}, txns={})",
+            "a split batch commits more tasks than transactions (tasks={}, txns={})",
             stats.task_commits,
             stats.tx_commits
         );
