@@ -7,6 +7,10 @@
 //! `extend` and the commit sequence are [`txmem::protocol`]'s, shared with
 //! TLSTM; this module adds the eager write path, which resolves conflicts
 //! through the substrate's contention layer ([`TxSubstrate::contend`]).
+//! As in SwissTM, a commit validates the read log only if another commit
+//! drew a timestamp since `valid-ts`: a transaction no other commit
+//! overtook commits without re-reading a lock, and a read-only one never
+//! validates at commit.
 //!
 //! ## Zero-allocation hot path
 //!

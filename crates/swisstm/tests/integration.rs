@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use swisstm::SwisstmRuntime;
 use tlstm_testutil::with_default_watchdog;
 use txcollections::TxRbTree;
-use txmem::{TxConfig, TxMem};
+use txmem::{TxConfig, TxMem, WORDS_PER_LOCK};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -167,4 +167,33 @@ fn contended_rbtree_updates_are_exact() {
         assert_eq!(sum, 4 * per_thread);
         tree.check_invariants(&mut mem).unwrap();
     });
+}
+
+/// A commit overtaken by another validates its read log: handle B, over the
+/// same substrate, commits a write to `x` inside A's body after A read it. A's
+/// commit must abort once with `ReadValidation`, and the retry must see B's
+/// value. A commit that skipped validation would write the stale value.
+#[test]
+fn a_commit_overtaken_by_another_revalidates_and_retries() {
+    let rt = SwisstmRuntime::new(TxConfig::small());
+    let other = SwisstmRuntime::with_substrate(Arc::clone(rt.substrate()));
+    let x = rt.heap().alloc(WORDS_PER_LOCK).unwrap();
+    let z = rt.heap().alloc(WORDS_PER_LOCK).unwrap();
+    let locks = &rt.substrate().locks;
+    assert_ne!(locks.index_for(x), locks.index_for(z));
+    let (mut a, mut b) = (rt.register_thread(), other.register_thread());
+    let mut attempts = 0;
+    let seen = a.atomic(|tx| {
+        attempts += 1;
+        let seen = tx.read(x)?;
+        if attempts == 1 {
+            b.atomic(|tx| tx.write(x, 42));
+        }
+        tx.write(z, seen)?;
+        Ok(seen)
+    });
+    assert_eq!((seen, attempts), (42, 2), "the stale read committed");
+    assert_eq!(rt.heap().load_committed(z), 42);
+    let stats = rt.stats();
+    assert_eq!((stats.tx_aborts, stats.aborts_read_validation), (1, 1));
 }

@@ -9,6 +9,13 @@
 //! module adds what is TLSTM's: chain entries, `validate-task`, past-waiting
 //! and the commit of every task's logs by the commit-task.
 //!
+//! Each task keeps its own snapshot, so the commit-task commits several: the
+//! commit sequence checks only those another commit may have invalidated (a
+//! snapshot whose `valid-ts` is the tick before the commit's timestamp is
+//! skipped), and a read-only transaction only those older than the clock's
+//! now ([`txmem::validate_at_now`]). A stale snapshot is checked even when
+//! its sibling tasks' are fresh: tasks begin and extend independently.
+//!
 //! ## One copy of a task's state
 //!
 //! A task's writes live only in its entries of the lock chains
@@ -28,8 +35,8 @@ use parking_lot::MutexGuard;
 use txmem::chain::ChainRead;
 use txmem::pause::contention_pause;
 use txmem::{
-    commit_locked, Abort, AbortReason, LockEntry, LockIndex, OpCounters, OwnerHandle, OwnerToken,
-    Snapshot, TxMem, TxSubstrate, WordAddr,
+    commit_locked, validate_at_now, Abort, AbortReason, LockEntry, LockIndex, OpCounters,
+    OwnerHandle, OwnerToken, Snapshot, TxMem, TxSubstrate, WordAddr,
 };
 
 use crate::txn_state::{TaskReadEntry, TxnShared};
@@ -532,13 +539,12 @@ impl<'rt> TaskCtx<'rt> {
 
         if tasks().all(|(_, bufs)| bufs.acquired.is_empty()) {
             // Read user-transactions only need validation when their tasks
-            // completed at different snapshots (§3.2 "Transaction Commit").
+            // completed at different snapshots (§3.2 "Transaction Commit"),
+            // and then only of the snapshots older than the clock's now.
             let valid_ts = own.snapshot.valid_ts();
             if !tasks().all(|(_, bufs)| bufs.snapshot.valid_ts() == valid_ts) {
-                self.stats.validations.inc();
-                if !tasks().all(|(_, bufs)| bufs.snapshot.validate(locks)) {
-                    return Err(Abort::new(AbortReason::ReadValidation));
-                }
+                let snapshots = tasks().map(|(_, bufs)| &bufs.snapshot);
+                validate_at_now(self.substrate, self.stats, snapshots)?;
             }
             return Ok(false);
         }

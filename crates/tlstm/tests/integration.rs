@@ -2,14 +2,14 @@
 //! tasks and SwissTM transactions, equivalence between the two runtimes on
 //! identical operation streams, and stress tests of the conflict machinery.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use swisstm::SwisstmRuntime;
 use tlstm::{task, TaskCtx, TlstmRuntime, TxnSpec};
 use tlstm_testutil::with_default_watchdog;
 use txcollections::{TxHashMap, TxRbTree};
-use txmem::{TxConfig, TxMem};
+use txmem::{TxConfig, TxMem, TxSession, WORDS_PER_LOCK};
 
 fn config(depth: usize) -> TxConfig {
     TxConfig {
@@ -253,4 +253,45 @@ fn stats_reflect_committed_transactions_and_tasks() {
     assert!(stats.reads >= 30);
     assert!(stats.writes >= 30);
     assert_eq!(rt.heap().load_committed(word), 30);
+}
+
+/// The commit validates a stale task snapshot even when its sibling's is
+/// fresh. In a 2-task split, task 0 reads `x`; a SwissTM handle over the same
+/// substrate then commits `x` and `y`. Task 1 reads `y` after that commit, so
+/// its snapshot extends to the commit's timestamp and the transaction's own
+/// commit tick follows it directly; only task 0's snapshot is stale. The
+/// commit must abort once with `ReadValidation`, and the retry must see the
+/// new `x`.
+#[test]
+fn a_stale_task_snapshot_is_validated_beside_a_fresh_one() {
+    with_default_watchdog(|| {
+        let rt = TlstmRuntime::new(config(2));
+        let other = SwisstmRuntime::with_substrate(Arc::clone(rt.substrate()));
+        let [x, y, z] = [(); 3].map(|()| rt.heap().alloc(WORDS_PER_LOCK).unwrap());
+        let b = Mutex::new(other.register_thread());
+        let b_committed = AtomicBool::new(false);
+        let mut session = rt.register_uthread(2);
+        let values = session.run_split(2, |i, ctx| {
+            if i == 0 {
+                let seen = ctx.read(x)?;
+                if !b_committed.load(Ordering::Acquire) {
+                    b.lock().unwrap().atomic(|tx| {
+                        tx.write(x, 42)?;
+                        tx.write(y, 7)
+                    });
+                    b_committed.store(true, Ordering::Release);
+                }
+                return Ok(seen);
+            }
+            while !b_committed.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            let seen = ctx.read(y)?;
+            ctx.write(z, seen)?;
+            Ok(seen)
+        });
+        assert_eq!(values, [42, 7], "task 0's stale read committed");
+        let stats = rt.stats();
+        assert_eq!((stats.tx_aborts, stats.aborts_read_validation), (1, 1));
+    });
 }

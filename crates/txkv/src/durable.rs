@@ -500,8 +500,9 @@ impl<R: TxRuntime> DurableKvSession<R> {
     /// [`Self::batch`].
     pub fn submit(
         &mut self,
-        ops: Vec<KvOp>,
+        ops: impl AsRef<[KvOp]>,
     ) -> Result<(Vec<KvReply>, Option<CommitTicket>), WalError> {
+        let ops = ops.as_ref();
         if !ops.iter().any(op_writes) {
             return Ok((self.inner.batch(ops), None));
         }
@@ -525,8 +526,8 @@ impl<R: TxRuntime> DurableKvSession<R> {
             });
         }
         // The LSN lives in the frame header, not the payload.
-        let payload = encode_record(self.shards, self.groups, &ops);
-        let (replies, lsn) = self.inner.execute(&ops, Some(self.seq));
+        let payload = encode_record(self.shards, self.groups, ops);
+        let (replies, lsn) = self.inner.execute(ops, Some(self.seq));
         let lsn = lsn.expect("a stamped write batch carries its LSN");
         Ok((replies, Some(writer.append(lsn, payload)?)))
     }
@@ -549,7 +550,7 @@ impl<R: TxRuntime> DurableKvSession<R> {
     /// * [`WalError::Degraded`] — the log was already poisoned when this
     ///   batch arrived; it was refused **before** the in-memory commit, so
     ///   the store state is untouched. Reads keep working throughout.
-    pub fn batch(&mut self, ops: Vec<KvOp>) -> Result<Vec<KvReply>, WalError> {
+    pub fn batch(&mut self, ops: impl AsRef<[KvOp]>) -> Result<Vec<KvReply>, WalError> {
         let (replies, ticket) = self.submit(ops)?;
         if let Some(ticket) = ticket {
             ticket.wait()?;
@@ -575,7 +576,7 @@ impl<R: TxRuntime> DurableKvSession<R> {
         requests: Vec<Vec<KvOp>>,
     ) -> Result<Vec<Vec<KvReply>>, WalError> {
         let lens: Vec<usize> = requests.iter().map(Vec::len).collect();
-        let replies = self.batch(requests.into_iter().flatten().collect())?;
+        let replies = self.batch(requests.into_iter().flatten().collect::<Vec<_>>())?;
         Ok(crate::ops::split_replies(&lens, replies))
     }
 

@@ -190,8 +190,8 @@ impl<R: TxRuntime> KvSession<R> {
     /// operation, in submission order. Execution follows the batch plan (see
     /// [`crate::ops::plan_batch`]); under a speculative runtime each
     /// non-empty shard-group runs as its own task.
-    pub fn batch(&mut self, ops: Vec<KvOp>) -> Vec<KvReply> {
-        self.execute(&ops, None).0
+    pub fn batch(&mut self, ops: impl AsRef<[KvOp]>) -> Vec<KvReply> {
+        self.execute(ops.as_ref(), None).0
     }
 
     /// Executes several independently-submitted sub-batches (typically one
@@ -202,7 +202,7 @@ impl<R: TxRuntime> KvSession<R> {
     /// empty sub-batches yield empty reply lists.
     pub fn batch_with_replies(&mut self, requests: Vec<Vec<KvOp>>) -> Vec<Vec<KvReply>> {
         let lens: Vec<usize> = requests.iter().map(Vec::len).collect();
-        let replies = self.batch(requests.into_iter().flatten().collect());
+        let replies = self.batch(requests.into_iter().flatten().collect::<Vec<_>>());
         crate::ops::split_replies(&lens, replies)
     }
 

@@ -29,6 +29,9 @@ impl GlobalClock {
 
     /// Atomically increments `commit-ts` and returns the *new* value
     /// (the `increment&get` of Algorithm 3).
+    ///
+    /// Only [`commit_locked`](crate::commit_locked) ticks, after locking its
+    /// r-locks: the commit's validation skip relies on it.
     #[inline]
     pub fn tick(&self) -> u64 {
         self.commit_ts.fetch_add(1, Ordering::AcqRel) + 1

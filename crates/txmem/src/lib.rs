@@ -30,7 +30,8 @@
 //!   greedy as its tie-break), joined by [`TxSubstrate::contend`].
 //! * [`protocol`] — SwissTM's committed-state protocol, written once for both
 //!   runtimes: the [`Snapshot`] read rule and `extend`, and the
-//!   [`commit_locked`] commit sequence.
+//!   [`commit_locked`] commit sequence, which validates a snapshot only if
+//!   another commit drew a timestamp since the snapshot's `valid-ts`.
 //! * [`TxMem`] — the uniform access trait implemented by both runtimes'
 //!   transaction/task handles, so that transactional data structures
 //!   (`txcollections`) and benchmarks (`tlstm-workloads`) are written once and
@@ -100,7 +101,7 @@ pub use error::{Abort, AbortReason, MemError};
 pub use heap::TxHeap;
 pub use lock_table::{LockEntry, LockIndex, LockTable, LOCKED, WORDS_PER_LOCK};
 pub use owner::{CmDecision, LockOwner, OwnerHandle, OwnerRegistry, OwnerToken};
-pub use protocol::{commit_locked, Snapshot};
+pub use protocol::{commit_locked, validate_at_now, Snapshot};
 pub use runtime::{
     assert_txmem_object_safe, run_boxed_tasks, BoxedTaskBody, TaskBody, TxRuntime, TxSession,
 };

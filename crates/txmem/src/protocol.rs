@@ -4,7 +4,11 @@
 //! tasks add chains, task validation and past-waiting, but committed state is
 //! read, extended and committed by SwissTM's rules, defined here once — the
 //! [`Snapshot`] read rule, `extend` and post-lock check, and the
-//! [`commit_locked`] sequence. Runtime-specific steps (observing an abort
+//! [`commit_locked`] sequence. A commit validates only the snapshots that
+//! another commit may have invalidated: one whose `valid-ts` is the tick just
+//! before the commit's timestamp is skipped (SwissTM's and TL2's clock rule),
+//! so a transaction no other commit overtook commits without re-reading a
+//! lock. Runtime-specific steps (observing an abort
 //! signal, writing back, releasing a w-lock) enter as generic closures, so
 //! neither runtime boxes or allocates on these paths.
 
@@ -16,6 +20,15 @@ use crate::{GlobalClock, StatsShard, TxSubstrate, WordAddr};
 /// A view of committed state: `valid-ts` and the `(lock, observed version)`
 /// read log, whose capacity survives [`begin`](Self::begin) and
 /// [`clear`](Self::clear) so a recycled snapshot stops allocating.
+///
+/// Every logged read holds at `valid-ts`. A commit whose timestamp is at
+/// most `valid-ts` locked its r-locks before it drew that timestamp, so
+/// before the snapshot read `valid-ts`: the reads saw its lock or its
+/// version, or the validation that extended the snapshot to `valid-ts` did.
+/// So a snapshot still valid at the moment it is used needs no validation:
+/// at a commit whose timestamp is `valid-ts + 1` ([`commit_locked`]), or in a
+/// read-only commit while the clock still reads `valid-ts`
+/// ([`validate_at_now`]).
 #[derive(Debug, Default)]
 pub struct Snapshot {
     valid_ts: u64,
@@ -50,7 +63,7 @@ impl Snapshot {
     }
 
     /// `true` if every logged read still holds the version it observed.
-    pub fn validate(&self, locks: &LockTable) -> bool {
+    fn validate(&self, locks: &LockTable) -> bool {
         self.holds(locks, &[])
     }
 
@@ -153,13 +166,61 @@ impl Snapshot {
     }
 }
 
+/// Checks, honouring `locked_by_me`, every snapshot of `read_logs` that is
+/// valid only before `upto`, and counts one validation if any check runs. A
+/// snapshot valid at `upto` is skipped: see [`Snapshot`].
+fn holds_at<'s>(
+    sub: &TxSubstrate,
+    stats: &StatsShard,
+    read_logs: impl IntoIterator<Item = &'s Snapshot>,
+    upto: u64,
+    locked_by_me: &[(LockIndex, u64)],
+) -> bool {
+    let mut stale = read_logs
+        .into_iter()
+        .filter(|s| s.valid_ts < upto)
+        .peekable();
+    if stale.peek().is_some() {
+        stats.validations.inc();
+    }
+    stale.all(|s| s.holds(&sub.locks, locked_by_me))
+}
+
+/// The commit of a read-only transaction made of several snapshots (TLSTM's
+/// tasks, each with its own `valid-ts`): makes every logged read valid at the
+/// clock's now. A snapshot valid at now is already; every other one is
+/// checked (one validation is counted if any is).
+///
+/// # Errors
+///
+/// [`AbortReason::ReadValidation`] if a logged read has changed.
+pub fn validate_at_now<'s>(
+    sub: &TxSubstrate,
+    stats: &StatsShard,
+    read_logs: impl IntoIterator<Item = &'s Snapshot>,
+) -> Result<(), Abort> {
+    if holds_at(sub, stats, read_logs, sub.clock.now(), &[]) {
+        Ok(())
+    } else {
+        Err(Abort::new(AbortReason::ReadValidation))
+    }
+}
+
 /// Commits a write set whose w-locks the caller holds, listed in `locked` as
 /// `(lock, _)` pairs (the second half is scratch for the pre-lock version):
 ///
 /// 1. sort and dedup `locked` (several tasks may write under one lock), then
 ///    lock each r-lock, recording its pre-lock version;
 /// 2. draw the commit timestamp `ts`;
-/// 3. validate every snapshot of `read_logs` (one validation is counted);
+/// 3. validate each snapshot of `read_logs` whose `valid-ts` is older than
+///    `ts - 1` (one validation is counted if any is). A snapshot valid at
+///    `ts - 1` is not checked, SwissTM's rule (TL2's `wv = rv + 1`): every
+///    committer locks its r-locks *before* it draws its timestamp, so the
+///    snapshot cannot have missed a commit with a timestamp at most
+///    `valid-ts` (see [`Snapshot`]), and a tick right after `valid-ts`
+///    means no commit drew a timestamp in between. Commits that draw a
+///    later one serialize after this one. The rule is sound only while
+///    every commit ticks the clock here, after locking;
 /// 4. on failure, restore every pre-lock version and return
 ///    [`AbortReason::ReadValidation`] without running `write_back` or
 ///    `release`: the w-locks stay held for the caller's rollback;
@@ -192,8 +253,7 @@ pub fn commit_locked<'s>(
         slot.1 = sub.locks.entry(slot.0).lock_version();
     }
     let ts = sub.clock.tick();
-    stats.validations.inc();
-    if !read_logs.into_iter().all(|s| s.holds(&sub.locks, locked)) {
+    if !holds_at(sub, stats, read_logs, ts - 1, locked) {
         for &(idx, prev) in locked.iter() {
             sub.locks.entry(idx).set_version(prev);
         }
@@ -360,6 +420,60 @@ mod tests {
         assert_eq!(locked.len(), 2);
         // A second `lock_version` would have recorded LOCKED as the version.
         assert!(locked.iter().all(|&(_, prev)| prev == 3));
+    }
+
+    /// Commits under `lock` (w-locked by `ME`) with `snap` as the read log.
+    fn commit_one(sub: &TxSubstrate, lock: LockIndex, snap: &Snapshot) -> Result<(), Abort> {
+        let mut locked = vec![(lock, 0)];
+        let stats = sub.stats.shard(ME);
+        commit_locked(
+            sub,
+            stats,
+            &mut locked,
+            [snap],
+            || {},
+            LockEntry::release_writer,
+        )
+    }
+
+    #[test]
+    fn a_commit_validates_only_after_another_commit_ticked() {
+        let sub = substrate();
+        let validations = || sub.stats.shard(ME).validations.get();
+        let held = two_held_locks(&sub, [0, 0]);
+        let read = WordAddr::new(64);
+        // No commit since `valid-ts`: the commit's tick follows it directly.
+        let snap = snapshot_reading(&sub, &[read]);
+        commit_one(&sub, held[0].0, &snap).unwrap();
+        assert_eq!(validations(), 0, "validated although no commit intervened");
+        // Another commit ticks between the snapshot and the commit.
+        let snap = snapshot_reading(&sub, &[read]);
+        sub.clock.tick();
+        commit_one(&sub, held[1].0, &snap).unwrap();
+        assert_eq!(validations(), 1, "an intervening commit went unchecked");
+    }
+
+    #[test]
+    fn a_read_only_commit_checks_only_snapshots_older_than_now() {
+        let sub = substrate();
+        let stats = sub.stats.shard(ME);
+        let (a, b) = (WordAddr::new(8), WordAddr::new(16));
+        let old = snapshot_reading(&sub, &[a]);
+        sub.locks.entry_for(b).set_version(sub.clock.tick());
+        let fresh = snapshot_reading(&sub, &[b]);
+        validate_at_now(&sub, stats, [&fresh]).unwrap();
+        assert_eq!(
+            stats.validations.get(),
+            0,
+            "a snapshot valid at now was checked"
+        );
+        validate_at_now(&sub, stats, [&fresh, &old]).unwrap();
+        assert_eq!(stats.validations.get(), 1);
+        // The stale snapshot is checked even though its sibling is fresh.
+        sub.locks.entry_for(a).set_version(sub.clock.tick());
+        let fresh = snapshot_reading(&sub, &[b]);
+        let err = validate_at_now(&sub, stats, [&fresh, &old]).unwrap_err();
+        assert_eq!(err.reason, AbortReason::ReadValidation);
     }
 
     #[test]

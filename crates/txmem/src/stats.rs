@@ -71,7 +71,9 @@ txobs::instrument_group! {
         aborts_oom,
         /// Successful read-log extensions (`extend`).
         extensions,
-        /// Full task/transaction validations executed.
+        /// Full task/transaction validations executed: `extend`s,
+        /// `validate-task`s, and commits that check at least one snapshot
+        /// (a commit no other commit overtook checks none).
         validations,
         /// Times a reader had to wait for a past writer task to complete.
         reader_waits,

@@ -141,10 +141,7 @@ impl<R: TxRuntime> Backend<R> {
     /// Commits one coalesced round in memory. The durable path also returns
     /// the ticket of the round's redo record — the round's gate — without
     /// waiting on it; an `Err` is a refusal *before* the commit.
-    fn execute(
-        &mut self,
-        ops: Vec<KvOp>,
-    ) -> Result<(Vec<KvReply>, Option<CommitTicket>), WalError> {
+    fn execute(&mut self, ops: &[KvOp]) -> Result<(Vec<KvReply>, Option<CommitTicket>), WalError> {
         match self {
             Backend::Mem(session) => Ok((session.batch(ops), None)),
             Backend::Durable(session) => session.submit(ops),
@@ -578,6 +575,9 @@ fn serve_loop<R: TxRuntime>(
     // coalescing window fills before the scan completes, the connections
     // that were skipped go first next time.
     let mut scan_start = 0usize;
+    // The operations decoded this iteration, emptied after each execution
+    // and kept for its capacity.
+    let mut ops: Vec<KvOp> = Vec::new();
     while !shutdown.load(Ordering::Acquire) {
         let mut busy = false;
 
@@ -604,7 +604,6 @@ fn serve_loop<R: TxRuntime>(
         // requests are parked already: then the bytes stay in the kernel's
         // socket buffers (TCP backpressure) until the WAL catches up.
         let mut round = spare.pop().unwrap_or_else(Round::new);
-        let mut ops: Vec<KvOp> = Vec::new();
         let n_conns = conns.len();
         scan_start = if n_conns == 0 {
             0
@@ -647,7 +646,9 @@ fn serve_loop<R: TxRuntime>(
                 ..
             } = &mut round;
             let executed = routes.iter_mut().filter(|route| route.executed);
-            match backend.execute(ops) {
+            let executed_round = backend.execute(&ops);
+            ops.clear();
+            match executed_round {
                 Ok((replies, ticket)) => {
                     for route in executed {
                         let start = payloads.len();
