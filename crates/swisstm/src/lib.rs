@@ -20,6 +20,12 @@
 //! * writes are buffered in a private write log and applied at commit, while
 //!   the written locations' r-locks are held.
 //!
+//! The transaction itself ([`Transaction`], its recycled [`TxContext`] and
+//! the retry loop) is defined in [`txmem::transaction`]: TLSTM runs every
+//! batch that claims no helper lane on the same transaction, so that a
+//! TLSTM transaction no other lane can see costs what a SwissTM one does.
+//! This crate adds the runtime and the per-thread handle.
+//!
 //! ## Example
 //!
 //! ```rust
@@ -44,13 +50,12 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod context;
 pub mod runtime;
-pub mod transaction;
 
-pub use context::TxContext;
 pub use runtime::{SwisstmRuntime, SwisstmThread};
-pub use transaction::Transaction;
+/// SwissTM's transaction and its recycled per-thread context live in
+/// [`txmem::transaction`], where TLSTM runs them too.
+pub use txmem::{Transaction, TxContext};
 
 // Re-export the substrate types users need to interact with the API.
 pub use txmem::{Abort, AbortReason, StatsSnapshot, TxConfig, TxMem, WordAddr};

@@ -2,14 +2,10 @@
 
 use std::sync::Arc;
 
-use txmem::pause::contention_pause;
 use txmem::{
-    should_turn_greedy, Abort, DirectMem, OwnerHandle, StatsSnapshot, TxConfig, TxHeap, TxRuntime,
-    TxSession, TxSubstrate, TIMID,
+    Abort, DirectMem, StatsSnapshot, Transaction, TxConfig, TxContext, TxHeap, TxRuntime,
+    TxSession, TxSubstrate,
 };
-
-use crate::context::TxContext;
-use crate::transaction::Transaction;
 
 /// The SwissTM runtime: owns (a reference to) the shared substrate and hands
 /// out per-thread handles. Thread ids, greedy tickets and the owner registry
@@ -58,15 +54,10 @@ impl SwisstmRuntime {
     /// log, write set, acquired-locks log); its descriptor is published in
     /// the substrate's owner registry so contenders can reach it.
     pub fn register_thread(self: &Arc<Self>) -> SwisstmThread {
-        let id = self.substrate.ids.allocate();
-        let ctx = TxContext::new();
-        let descriptor: OwnerHandle = ctx.descriptor.clone();
-        self.substrate.owners.register(id, descriptor);
+        let ctx = TxContext::new(self.substrate.ids.allocate());
+        self.substrate.owners.register(ctx.id(), ctx.owner());
         SwisstmThread {
             runtime: Arc::clone(self),
-            id,
-            consecutive_aborts: 0,
-            greedy_priority: None,
             ctx,
         }
     }
@@ -83,16 +74,13 @@ impl SwisstmRuntime {
 #[derive(Debug)]
 pub struct SwisstmThread {
     runtime: Arc<SwisstmRuntime>,
-    id: u32,
-    consecutive_aborts: u32,
-    greedy_priority: Option<u64>,
     ctx: TxContext,
 }
 
 impl SwisstmThread {
     /// The dense identifier assigned to this thread.
     pub fn id(&self) -> u32 {
-        self.id
+        self.ctx.id()
     }
 
     /// The runtime this thread belongs to.
@@ -105,46 +93,8 @@ impl SwisstmThread {
     ///
     /// The body must access shared state exclusively through the transaction
     /// handle it receives; it may be re-executed an arbitrary number of times.
-    pub fn atomic<T>(
-        &mut self,
-        mut body: impl FnMut(&mut Transaction<'_>) -> Result<T, Abort>,
-    ) -> T {
-        let stats = self.runtime.substrate().stats.shard(self.id);
-        stats.tx_starts.inc();
-        loop {
-            txobs::tx_begin();
-            let priority = self.greedy_priority.unwrap_or(TIMID);
-            let mut tx =
-                Transaction::new(&self.runtime.substrate, &mut self.ctx, self.id, priority);
-            let outcome = body(&mut tx).and_then(|value| tx.commit().map(|()| value));
-            match outcome {
-                Ok(value) => {
-                    tx.flush_op_counters();
-                    stats.tx_commits.inc();
-                    txobs::tx_commit();
-                    self.consecutive_aborts = 0;
-                    self.greedy_priority = None;
-                    return value;
-                }
-                Err(abort) => {
-                    tx.rollback(abort.reason);
-                    tx.flush_op_counters();
-                    stats.tx_aborts.inc();
-                    txobs::tx_abort(abort.reason.trace_cause());
-                    self.consecutive_aborts += 1;
-                    if self.greedy_priority.is_none() && should_turn_greedy(self.consecutive_aborts)
-                    {
-                        self.greedy_priority = Some(self.runtime.substrate.tickets.draw());
-                    }
-                    // Brief randomised-ish backoff proportional to the abort
-                    // streak, to break symmetric livelocks.
-                    let pause = self.consecutive_aborts.min(16);
-                    for i in 0..pause * 8 {
-                        contention_pause(i);
-                    }
-                }
-            }
-        }
+    pub fn atomic<T>(&mut self, body: impl FnMut(&mut Transaction<'_>) -> Result<T, Abort>) -> T {
+        self.ctx.atomic(&self.runtime.substrate, body).0
     }
 
     /// The thread's recycled transaction context (tests and diagnostics).
@@ -157,7 +107,7 @@ impl Drop for SwisstmThread {
     fn drop(&mut self) {
         // Retire this thread's descriptor from the owner registry; late
         // contenders then simply wait for (already released) locks.
-        self.runtime.substrate.owners.unregister(self.id);
+        self.runtime.substrate.owners.unregister(self.ctx.id());
     }
 }
 

@@ -19,6 +19,16 @@
 //! task (the *commit-task*) commits the whole transaction on behalf of all of
 //! them.
 //!
+//! TLSTM is built on SwissTM, and a batch that claims no helper lane runs on
+//! SwissTM's own transaction ([`txmem::Transaction`]): *solo*, each
+//! transaction's task bodies in program order on the calling thread, with
+//! no chain entries or task logs, since no other lane can see them. A
+//! default session ([`TlstmRuntime::register_uthread_default`]) also stops
+//! claiming helpers for a task count whose tasks lost to their past (a
+//! departure from the paper, which always speculates): run-ahead that only
+//! loses is wasted work, so such transactions run solo, and the count is
+//! re-probed now and then.
+//!
 //! The runtime guarantees:
 //!
 //! * **sequential semantics within a user-thread** — a task observes all
@@ -63,6 +73,7 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_code)]
 
+mod admission;
 mod pool;
 pub mod runtime;
 pub mod session;

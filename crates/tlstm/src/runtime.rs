@@ -1,10 +1,11 @@
 //! The TLSTM runtime and the user-thread handle.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
-use txmem::{Abort, DirectMem, StatsSnapshot, TxConfig, TxHeap, TxSubstrate};
+use txmem::{Abort, DirectMem, StatsSnapshot, TxConfig, TxContext, TxHeap, TxSubstrate};
 
+use crate::admission::Admission;
 use crate::pool::{self, AbortOnUnwind, Claim};
 use crate::task::TaskCtx;
 use crate::txn_state::{assert_task_count, TxnShared};
@@ -128,13 +129,21 @@ impl TlstmRuntime {
     }
 
     /// Registers a user-thread with the substrate's default speculative
-    /// depth, letting the host decide how many lanes its tasks run on: each
-    /// [`UThread::execute`] claims only helpers idle in the process-wide
-    /// pool, and all such user-threads together hold at most `cores − 1` at
-    /// once ([`txmem::pause::cores`]). A one-core host thus runs everything
-    /// on the calling thread; on any host a single-task transaction never
-    /// leaves it. This is the constructor behind [`TxRuntime::session`], i.e.
-    /// the one everything that serves traffic uses.
+    /// depth, letting the host and the user-thread's history decide how many
+    /// lanes its tasks run on. Each [`UThread::execute`] claims only helpers
+    /// idle in the process-wide pool, and all such user-threads together
+    /// hold at most `cores − 1` at once ([`txmem::pause::cores`]); and it
+    /// claims none for a batch whose transactions' task counts are all
+    /// closed, because the last speculative transaction with that many tasks
+    /// had a task lose to its past (a closed count is re-probed after an
+    /// interval that doubles with each losing probe, up to a constant cap).
+    /// So the helper count is `min(spec_depth, tasks) − 1` at most, not
+    /// always. A batch that claims no helper runs solo: on the calling
+    /// thread, each transaction as one SwissTM transaction. A one-core host
+    /// thus runs everything solo, and on any host a single-task transaction
+    /// never leaves the calling thread. This is the constructor behind
+    /// [`TxRuntime::session`], i.e. the one everything that serves traffic
+    /// uses.
     ///
     /// [`TxRuntime::session`]: txmem::TxRuntime::session
     pub fn register_uthread_default(self: &Arc<Self>) -> UThread {
@@ -146,7 +155,9 @@ impl TlstmRuntime {
     /// the caller decides: each [`UThread::execute`] gets one helper per task
     /// beyond the first (up to `spec_depth − 1`), spawning pool helpers when
     /// too few are idle, so its tasks can overlap whatever the host looks
-    /// like (protocol tests rely on that).
+    /// like and whatever they did before (protocol tests rely on that). Only
+    /// a batch of one single-task transaction, or any batch at depth 1, gets
+    /// none, and runs solo.
     ///
     /// # Panics
     ///
@@ -156,11 +167,12 @@ impl TlstmRuntime {
     }
 
     fn new_uthread(self: &Arc<Self>, spec_depth: usize, claim: Claim) -> UThread {
-        let shared = Arc::new(UThreadShared::new(
-            self.substrate.ids.allocate(),
-            spec_depth,
-        ));
+        let solo = TxContext::new(self.substrate.ids.allocate());
+        self.substrate.owners.register(solo.id(), solo.owner());
+        let shared = Arc::new(UThreadShared::new(solo.id(), spec_depth));
         UThread {
+            solo: RefCell::new(solo),
+            history: RefCell::new(Admission::new(spec_depth)),
             runtime: Arc::clone(self),
             worker: Worker {
                 substrate: Arc::clone(&self.substrate),
@@ -188,6 +200,11 @@ pub struct UThread {
     /// The calling thread's lane context, cloned into every helper job.
     worker: Worker,
     next_serial: Cell<u64>,
+    /// The transaction every batch that claims no helper runs on, its
+    /// descriptor registered under the user-thread's token.
+    solo: RefCell<TxContext>,
+    /// Which task counts a default session may run ahead.
+    history: RefCell<Admission>,
 }
 
 impl UThread {
@@ -209,13 +226,21 @@ impl UThread {
     /// Submits a batch of user-transactions for (speculative, pipelined)
     /// execution and blocks until every one of them has committed.
     ///
-    /// Transactions in the batch are executed in program order, but their
-    /// tasks — including tasks of *future* transactions — run speculatively in
-    /// parallel: the calling thread and the pool helpers this call can claim
-    /// (`min(spec_depth, tasks) − 1` at most; the registration decides)
-    /// claim them one at a time, in program order. The calling thread starts
-    /// at once, so if no helper wakes in time it runs every task itself; a
-    /// helper job not yet started when the batch has committed is taken back.
+    /// Transactions in the batch are executed in program order. When this
+    /// call claims pool helpers — `min(spec_depth, tasks) − 1` at most; the
+    /// registration, the host and, for a default session, the user-thread's
+    /// history decide how many, possibly none — their tasks, including tasks
+    /// of *future* transactions, run speculatively in parallel: the calling
+    /// thread and the helpers claim them one at a time, in program order.
+    /// The calling thread starts at once, so if no helper wakes in time it
+    /// runs every task itself; a helper job not yet started when the batch
+    /// has committed is taken back.
+    ///
+    /// When it claims no helper, the batch runs *solo* on the calling thread:
+    /// each transaction in turn as one SwissTM transaction
+    /// ([`txmem::TxContext::atomic`]), its bodies in program order and a
+    /// rollback re-running them all. A task start is counted per body run
+    /// and a task commit per body committed, as on the speculative path.
     ///
     /// The call is *scoped*: task bodies may borrow the caller's state, since
     /// every body has been run and dropped by the time it returns.
@@ -234,15 +259,29 @@ impl UThread {
             assert_task_count(spec.tasks.len() as u64, depth);
         }
         let tasks: usize = txns.iter().map(TxnSpec::len).sum();
+        let admitted = match self.worker.claim {
+            Claim::Full => true,
+            Claim::Idle => {
+                let history = self.history.borrow();
+                txns.iter().any(|spec| history.admits(spec.len()))
+            }
+        };
+        let want = if admitted {
+            tasks.min(depth).saturating_sub(1)
+        } else {
+            0
+        };
+        let helpers = pool::claim(want, self.worker.claim);
+        if helpers.is_empty() {
+            return self.run_solo(txns);
+        }
         let stats = self.runtime.substrate.stats.shard(self.shared.ptid());
         let txns = txns
             .into_iter()
             .map(|spec| {
                 stats.tx_starts.inc();
                 txobs::tx_begin();
-                let start_serial = self.next_serial.get();
-                let commit_serial = start_serial + spec.tasks.len() as u64 - 1;
-                self.next_serial.set(commit_serial + 1);
+                let (start_serial, commit_serial) = self.take_serials(spec.len());
                 BatchTxn {
                     txn: Arc::new(TxnShared::new(
                         Arc::clone(&self.shared),
@@ -260,8 +299,7 @@ impl UThread {
         // r .. r + spec_depth − 1 and occupy distinct slots: serial
         // s + spec_depth reinstalls s's slot only once r > s, i.e. after s's
         // transaction has committed.
-        let helpers = pool::claim(tasks.min(depth).saturating_sub(1), self.worker.claim);
-        let _abort = (!helpers.is_empty()).then_some(AbortOnUnwind);
+        let _abort = AbortOnUnwind;
         // Helpers are pooled `'static` threads, so the batch they claim from
         // travels with its borrow `'a` erased.
         //
@@ -292,11 +330,15 @@ impl UThread {
         self.shared
             .wait_until(|| Arc::get_mut(&mut batch).is_some());
         pool::release(helpers, self.worker.claim);
+        let mut history = self.history.borrow_mut();
         batch
             .txns
             .iter()
             .map(|BatchTxn { txn, .. }| {
                 debug_assert!(txn.is_committed());
+                if let Claim::Idle = self.worker.claim {
+                    history.after_speculative(txn.n_tasks() as usize, txn.lost_to_past());
+                }
                 TxnOutcome {
                     start_serial: txn.start_serial(),
                     commit_serial: txn.commit_serial(),
@@ -304,6 +346,48 @@ impl UThread {
                 }
             })
             .collect()
+    }
+
+    /// Hands out the serials of a transaction of `tasks` tasks.
+    fn take_serials(&self, tasks: usize) -> (u64, u64) {
+        let start_serial = self.next_serial.get();
+        let commit_serial = start_serial + tasks as u64 - 1;
+        self.next_serial.set(commit_serial + 1);
+        (start_serial, commit_serial)
+    }
+
+    /// Runs a batch that claimed no helper on the calling thread: each
+    /// transaction in turn as one SwissTM transaction ([`TxContext::atomic`])
+    /// whose bodies run in program order, a rollback re-running them all.
+    /// Counts a task start per body run and a task commit per body committed.
+    fn run_solo(&self, txns: Vec<TxnSpec<'_>>) -> Vec<TxnOutcome> {
+        let substrate = &*self.runtime.substrate;
+        let stats = substrate.stats.shard(self.shared.ptid());
+        let mut solo = self.solo.borrow_mut();
+        let mut history = self.history.borrow_mut();
+        // Collected in place: the outcomes reuse the specs' buffer.
+        let outcomes = txns
+            .into_iter()
+            .map(|spec| {
+                let (start_serial, commit_serial) = self.take_serials(spec.len());
+                let ((), rollbacks) = solo.atomic(substrate, |tx| {
+                    for body in &spec.tasks {
+                        stats.task_starts.inc();
+                        body(&mut TaskCtx::solo(tx.reborrow()))?;
+                    }
+                    Ok(())
+                });
+                stats.task_commits.add(spec.len() as u64);
+                history.after_solo(spec.len());
+                TxnOutcome {
+                    start_serial,
+                    commit_serial,
+                    rollbacks,
+                }
+            })
+            .collect();
+        self.shared.complete_solo(self.next_serial.get() - 1);
+        outcomes
     }
 
     /// Runs a single user-transaction decomposed into `tasks` and blocks until
@@ -323,6 +407,14 @@ impl UThread {
         self.execute(vec![TxnSpec::single(body)])
             .pop()
             .expect("execute returns one outcome per submitted transaction")
+    }
+}
+
+impl Drop for UThread {
+    fn drop(&mut self) {
+        // Retire the solo descriptor; late contenders then wait for the
+        // (already released) locks.
+        self.runtime.substrate.owners.unregister(self.shared.ptid());
     }
 }
 

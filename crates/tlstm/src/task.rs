@@ -36,7 +36,7 @@ use txmem::chain::ChainRead;
 use txmem::pause::contention_pause;
 use txmem::{
     commit_locked, validate_at_now, Abort, AbortReason, LockEntry, LockIndex, OpCounters,
-    OwnerHandle, OwnerToken, Snapshot, TxMem, TxSubstrate, WordAddr,
+    OwnerHandle, OwnerToken, Snapshot, Transaction, TxMem, TxSubstrate, WordAddr,
 };
 
 use crate::txn_state::{TaskReadEntry, TxnShared};
@@ -62,14 +62,31 @@ pub(crate) struct TaskBufs {
     commit_locks: Vec<(LockIndex, u64)>,
 }
 
+/// The handle a task body accesses transactional memory through.
+///
+/// It dispatches once per access to one of two states. A batch that claimed
+/// no helper lane runs *solo*: the bodies of each transaction one after
+/// another, in program order, inside one [`Transaction`] (SwissTM's), so a
+/// task nobody else can see pays no task bookkeeping. Otherwise it is a
+/// speculative task of the paper, with its chain entries, task-read log and
+/// `validate-task`.
+#[derive(Debug)]
+pub struct TaskCtx<'rt>(Mode<'rt>);
+
+#[derive(Debug)]
+enum Mode<'rt> {
+    Solo(Transaction<'rt>),
+    Spec(SpecTask<'rt>),
+}
+
 /// Execution context of one speculative task attempt.
 ///
 /// The same context is reused across re-executions of the task (after
-/// intra-thread or inter-thread conflicts); `TaskCtx::reset_for_attempt`
-/// clears the speculative state between attempts. The backing buffers are
-/// the task's slot's recycled `TaskBufs`.
+/// intra-thread or inter-thread conflicts); `reset_for_attempt` clears the
+/// speculative state between attempts. The backing buffers are the task's
+/// slot's recycled `TaskBufs`.
 #[derive(Debug)]
-pub struct TaskCtx<'rt> {
+pub(crate) struct SpecTask<'rt> {
     substrate: &'rt TxSubstrate,
     /// The owning user-thread's statistics shard.
     stats: &'rt txmem::StatsShard,
@@ -97,8 +114,43 @@ enum SpecProbe {
 }
 
 impl<'rt> TaskCtx<'rt> {
-    /// Creates the context for one task.
+    /// The context of a speculative task (see [`SpecTask::new`]).
     pub(crate) fn new(
+        substrate: &'rt TxSubstrate,
+        uthread: &'rt UThreadShared,
+        txn: Arc<TxnShared>,
+        serial: u64,
+        bufs: &'rt mut TaskBufs,
+    ) -> Self {
+        TaskCtx(Mode::Spec(SpecTask::new(
+            substrate, uthread, txn, serial, bufs,
+        )))
+    }
+
+    /// The context of a body that runs inside the solo transaction `tx`.
+    pub(crate) fn solo(tx: Transaction<'rt>) -> Self {
+        TaskCtx(Mode::Solo(tx))
+    }
+
+    /// Requests an explicit user-level retry of the task (and hence of its
+    /// user-transaction once it propagates).
+    pub fn retry<T>(&self) -> Result<T, Abort> {
+        Err(Abort::user_retry())
+    }
+
+    /// The speculative task's state; the worker drives only speculative
+    /// contexts.
+    pub(crate) fn spec(&mut self) -> &mut SpecTask<'rt> {
+        match &mut self.0 {
+            Mode::Spec(task) => task,
+            Mode::Solo(_) => unreachable!("a solo body has no task lifecycle"),
+        }
+    }
+}
+
+impl<'rt> SpecTask<'rt> {
+    /// Creates the context for one task.
+    fn new(
         substrate: &'rt TxSubstrate,
         uthread: &'rt UThreadShared,
         txn: Arc<TxnShared>,
@@ -114,7 +166,7 @@ impl<'rt> TaskCtx<'rt> {
             bufs.acquired.is_empty(),
             "a slot's buffers are reused with no chain entries"
         );
-        TaskCtx {
+        SpecTask {
             substrate,
             stats,
             uthread,
@@ -128,12 +180,6 @@ impl<'rt> TaskCtx<'rt> {
             bufs,
             ops: OpCounters::default(),
         }
-    }
-
-    /// Requests an explicit user-level retry of the task (and hence of its
-    /// user-transaction once it propagates).
-    pub fn retry<T>(&self) -> Result<T, Abort> {
-        Err(Abort::user_retry())
     }
 
     // --- crate-internal lifecycle -------------------------------------------
@@ -591,21 +637,37 @@ impl<'rt> TaskCtx<'rt> {
 }
 
 impl TxMem for TaskCtx<'_> {
+    #[inline]
     fn read(&mut self, addr: WordAddr) -> Result<u64, Abort> {
-        self.ops.reads += 1;
-        self.read_word(addr)
+        match &mut self.0 {
+            Mode::Solo(tx) => tx.read(addr),
+            Mode::Spec(task) => {
+                task.ops.reads += 1;
+                task.read_word(addr)
+            }
+        }
     }
 
+    #[inline]
     fn write(&mut self, addr: WordAddr, value: u64) -> Result<(), Abort> {
-        self.ops.writes += 1;
-        self.write_word(addr, value)
+        match &mut self.0 {
+            Mode::Solo(tx) => tx.write(addr, value),
+            Mode::Spec(task) => {
+                task.ops.writes += 1;
+                task.write_word(addr, value)
+            }
+        }
     }
 
     fn alloc(&mut self, words: u64) -> Result<WordAddr, Abort> {
-        self.substrate
-            .heap
-            .alloc(words)
-            .map_err(|_| Abort::new(AbortReason::OutOfMemory))
+        match &mut self.0 {
+            Mode::Solo(tx) => tx.alloc(words),
+            Mode::Spec(task) => task
+                .substrate
+                .heap
+                .alloc(words)
+                .map_err(|_| Abort::new(AbortReason::OutOfMemory)),
+        }
     }
 }
 
@@ -662,27 +724,27 @@ mod tests {
         {
             let mut bufs = uthread.slot(1).bufs.lock();
             let mut ctx = TaskCtx::new(&substrate, &uthread, Arc::clone(&txn), 1, &mut bufs);
-            ctx.reset_for_attempt();
+            ctx.spec().reset_for_attempt();
             for i in 0..3 {
                 ctx.write(word(i), 10 + i).unwrap();
             }
-            assert_eq!(ctx.bufs.acquired, [idx]);
+            assert_eq!(ctx.spec().bufs.acquired, [idx]);
             // Completes without waiting for the commit: its lane is free.
-            ctx.task_commit().unwrap();
+            ctx.spec().task_commit().unwrap();
         }
         assert_eq!(uthread.completed_task(), 1);
         assert_eq!(uthread.slot(1).bufs.lock().acquired, [idx]);
 
         let mut bufs = uthread.slot(2).bufs.lock();
         let mut ctx = TaskCtx::new(&substrate, &uthread, Arc::clone(&txn), 2, &mut bufs);
-        ctx.reset_for_attempt();
+        ctx.spec().reset_for_attempt();
         for i in 1..WORDS_PER_LOCK {
             ctx.write(word(i), 20 + i).unwrap();
         }
-        assert_eq!(ctx.bufs.acquired, [idx]);
+        assert_eq!(ctx.spec().bufs.acquired, [idx]);
         assert_eq!(entry.chain().len(), 2);
-        ctx.task_commit().unwrap();
-        assert!(ctx.bufs.acquired.is_empty());
+        ctx.spec().task_commit().unwrap();
+        assert!(ctx.spec().bufs.acquired.is_empty());
         assert!(uthread.slot(1).bufs.lock().acquired.is_empty());
         assert!(txn.is_committed());
         assert!(entry.chain().is_empty());

@@ -61,6 +61,10 @@ pub struct TxnShared {
     /// conflict cycles both sides stay timid, keep self-aborting and deadlock
     /// unless one of them eventually draws a ticket.
     cm_retries: AtomicU32,
+    /// A task of the transaction lost to its own past (intra-thread WAR or
+    /// WAW, or an abort signal from a past writer). Raised on the abort path
+    /// only; its user-thread folds it into its admission history.
+    lost_to_past: AtomicBool,
 }
 
 impl TxnShared {
@@ -85,6 +89,7 @@ impl TxnShared {
             committed: AtomicBool::new(false),
             rollbacks: AtomicU32::new(0),
             cm_retries: AtomicU32::new(0),
+            lost_to_past: AtomicBool::new(false),
         }
     }
 
@@ -136,6 +141,16 @@ impl TxnShared {
     /// transaction and returns the running total.
     pub fn note_cm_self_abort(&self) -> u32 {
         self.cm_retries.fetch_add(1, Ordering::Relaxed) + 1
+    }
+
+    /// Notes that a task of the transaction lost to its own past.
+    pub fn note_lost_to_past(&self) {
+        self.lost_to_past.store(true, Ordering::Relaxed);
+    }
+
+    /// `true` if a task of the transaction lost to its own past.
+    pub fn lost_to_past(&self) -> bool {
+        self.lost_to_past.load(Ordering::Relaxed)
     }
 
     /// Completes a rollback: called by the commit-task once it has

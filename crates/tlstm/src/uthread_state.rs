@@ -144,6 +144,13 @@ impl UThreadShared {
         self.notify();
     }
 
+    /// Marks every task up to `serial` completed after the user-thread ran
+    /// them solo. No lane runs or waits on its behalf meanwhile, so there is
+    /// nobody to notify.
+    pub(crate) fn complete_solo(&self, serial: u64) {
+        self.completed_task.store(serial, Ordering::Release);
+    }
+
     /// Resets the counters after a user-transaction rollback: the transaction
     /// starting at `start_serial` un-completes all of its tasks.
     pub fn reset_after_rollback(&self, start_serial: u64) {

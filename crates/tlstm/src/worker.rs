@@ -232,17 +232,25 @@ impl Worker {
             if txn.descriptor().abort_requested() {
                 return false;
             }
-            ctx.reset_for_attempt();
-            let outcome = body(&mut ctx).and_then(|()| ctx.task_commit());
+            ctx.spec().reset_for_attempt();
+            let outcome = body(&mut ctx).and_then(|()| ctx.spec().task_commit());
             let Err(abort) = outcome else {
                 stats.task_commits.inc();
-                ctx.flush_op_counters();
+                ctx.spec().flush_op_counters();
                 return true;
             };
             stats.task_aborts.inc();
             stats.record_abort_reason(abort.reason);
+            if matches!(
+                abort.reason,
+                AbortReason::IntraThreadWar
+                    | AbortReason::IntraThreadWaw
+                    | AbortReason::TaskAbortSignal
+            ) {
+                txn.note_lost_to_past();
+            }
             txobs::tx_abort(abort.reason.trace_cause());
-            ctx.remove_chain_entries();
+            ctx.spec().remove_chain_entries();
             if abort.reason == AbortReason::InterThreadWriteConflict
                 && txn.note_cm_self_abort() >= GREEDY_AFTER_CM_SELF_ABORTS
             {

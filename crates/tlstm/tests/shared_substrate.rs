@@ -11,15 +11,17 @@
 //! TLSTM side that each look only where their own runtime keeps owners,
 //! both sides wait forever.
 
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::thread::Scope;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use swisstm::SwisstmRuntime;
-use tlstm::TlstmRuntime;
+use tlstm::{task, TaskCtx, TlstmRuntime, UThread};
 use tlstm_testutil::{with_default_watchdog, with_watchdog};
 use txmem::{
-    SeqRefRuntime, TxConfig, TxMem, TxRuntime, TxSession, TxSubstrate, WordAddr, WORDS_PER_LOCK,
+    Abort, SeqRefRuntime, TxConfig, TxMem, TxRuntime, TxSession, TxSubstrate, WordAddr,
+    WORDS_PER_LOCK,
 };
 
 /// Words each transaction reads after its increments: they keep its w-locks
@@ -124,4 +126,158 @@ fn swisstm_and_single_task_tlstm_resolve_lock_cycles() {
 #[test]
 fn swisstm_and_two_task_tlstm_resolve_lock_cycles() {
     assert_eq!(swisstm_against_tlstm(2), [10_000, 10_000], "final [x, y]");
+}
+
+/// Increments `word` by one.
+fn increment(mem: &mut dyn TxMem, word: WordAddr) -> Result<(), Abort> {
+    let v = mem.read(word)?;
+    mem.write(word, v + 1)
+}
+
+/// Waits (at most ten seconds) until `flag` is raised.
+fn wait_for(flag: &AtomicBool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !flag.load(Ordering::SeqCst) && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+}
+
+/// The body of a one-thread transaction that contends with a speculative
+/// one while holding a greedy ticket older than it: its first two attempts
+/// retry, which draws the ticket. It then increments `hold`, raises
+/// `holding`, waits until a speculative task has written `want`, and
+/// increments `want` too.
+fn greedy_then_cross(
+    mem: &mut dyn TxMem,
+    attempts: &AtomicU32,
+    [hold, want]: [WordAddr; 2],
+    holding: &AtomicBool,
+    written: &AtomicBool,
+) -> Result<(), Abort> {
+    if attempts.fetch_add(1, Ordering::SeqCst) < 2 {
+        return Err(Abort::user_retry());
+    }
+    increment(mem, hold)?;
+    holding.store(true, Ordering::SeqCst);
+    wait_for(written);
+    increment(mem, want)
+}
+
+/// One speculative transaction against greedy contenders: task 2 runs ahead
+/// and writes `want`, which each contender then wants; task 1 waits until
+/// every contender holds its word of `holds`, then increments them all, so
+/// it loses to the older tickets until its transaction rolls back.
+fn speculate_into(
+    uthread: &UThread,
+    holds: &[WordAddr],
+    holding: &[AtomicBool],
+    want: WordAddr,
+    written: &AtomicBool,
+) {
+    uthread.run_transaction(vec![
+        task(|ctx: &mut TaskCtx<'_>| {
+            holding.iter().for_each(wait_for);
+            holds.iter().try_for_each(|&word| increment(ctx, word))
+        }),
+        task(|ctx: &mut TaskCtx<'_>| {
+            increment(ctx, want)?;
+            written.store(true, Ordering::SeqCst);
+            Ok(())
+        }),
+    ]);
+}
+
+/// A substrate with `N` counters, each under a lock of its own.
+fn counters<const N: usize>() -> (Arc<TxSubstrate>, [WordAddr; N]) {
+    let substrate = Arc::new(TxSubstrate::new(TxConfig::small()));
+    let words = [(); N].map(|()| substrate.heap.alloc(WORDS_PER_LOCK).unwrap());
+    (substrate, words)
+}
+
+/// Rounds of the lock-cycle cases below.
+const CYCLES: u64 = 20;
+
+/// A user-thread registers the descriptor of its solo transactions under the
+/// token its speculative transactions lock with. Here a SwissTM thread holds
+/// `x`, a default session's solo transaction holds `w`, and both want `y`,
+/// which task 2 of an explicit-depth user-thread holds while its task 1
+/// wants `x` and `w`. Both one-thread sides hold greedy tickets older than
+/// the speculative transaction's, so the cycle breaks only when a contender
+/// finds that transaction in `y`'s chain and asks it to roll back. When the
+/// registry answers first, both contenders resolve against the speculative
+/// side's idle solo descriptor and wait forever.
+#[test]
+fn a_solo_uthread_a_swisstm_thread_and_a_speculative_uthread_resolve_a_lock_cycle() {
+    let totals = with_watchdog(Duration::from_secs(30), || {
+        let (substrate, [x, y, w]) = counters::<3>();
+        let swisstm = SwisstmRuntime::with_substrate(Arc::clone(&substrate));
+        let tlstm = TlstmRuntime::with_substrate(Arc::clone(&substrate));
+        let mut thread = swisstm.register_thread();
+        let mut solo = tlstm.register_uthread_default();
+        let speculative = tlstm.register_uthread(2);
+        for _ in 0..CYCLES {
+            let holding = [AtomicBool::new(false), AtomicBool::new(false)];
+            let written = AtomicBool::new(false);
+            let attempts = [AtomicU32::new(0), AtomicU32::new(0)];
+            std::thread::scope(|scope| {
+                let (holding, written, attempts) = (&holding, &written, &attempts);
+                let solo = &mut solo;
+                scope.spawn(|| {
+                    thread.atomic(|tx| {
+                        greedy_then_cross(tx, &attempts[0], [x, y], &holding[0], written)
+                    });
+                });
+                scope.spawn(move || {
+                    solo.atomic(|ctx| {
+                        greedy_then_cross(ctx, &attempts[1], [w, y], &holding[1], written)
+                    });
+                });
+                speculate_into(&speculative, &[x, w], holding, y, written);
+            });
+        }
+        [x, y, w].map(|word| substrate.heap.load_committed(word))
+    });
+    assert_eq!(
+        totals,
+        [2 * CYCLES, 3 * CYCLES, 2 * CYCLES],
+        "final [x, y, w]"
+    );
+}
+
+/// One explicit-depth user-thread alternates single-task transactions, which
+/// run solo on its registered descriptor, and two-task ones, which run
+/// speculatively, against a SwissTM thread with an older greedy ticket that
+/// meets the speculative ones in a lock cycle: it holds `x` and wants `y`,
+/// which task 2 holds while task 1 wants `x`. Only the chain names the
+/// transaction to roll back; the registry names the idle solo descriptor,
+/// `finishing` since the last solo commit, and the SwissTM side waits
+/// forever.
+#[test]
+fn a_uthread_alternating_solo_and_speculative_transactions_resolves_lock_cycles() {
+    let totals = with_watchdog(Duration::from_secs(30), || {
+        let (substrate, [x, y]) = counters::<2>();
+        let swisstm = SwisstmRuntime::with_substrate(Arc::clone(&substrate));
+        let tlstm = TlstmRuntime::with_substrate(Arc::clone(&substrate));
+        let mut thread = swisstm.register_thread();
+        let uthread = tlstm.register_uthread(2);
+        for _ in 0..CYCLES {
+            uthread.atomic(|ctx| {
+                increment(ctx, x)?;
+                increment(ctx, y)
+            });
+            let holding = [AtomicBool::new(false)];
+            let written = AtomicBool::new(false);
+            let attempts = AtomicU32::new(0);
+            std::thread::scope(|scope| {
+                let (holding, written, attempts) = (&holding, &written, &attempts);
+                scope.spawn(|| {
+                    thread
+                        .atomic(|tx| greedy_then_cross(tx, attempts, [x, y], &holding[0], written));
+                });
+                speculate_into(&uthread, &[x], holding, y, written);
+            });
+        }
+        [x, y].map(|word| substrate.heap.load_committed(word))
+    });
+    assert_eq!(totals, [3 * CYCLES; 2], "final [x, y]");
 }

@@ -16,12 +16,18 @@
 //! covers a long acquired-locks list: once grown, it too is recycled without
 //! allocating.
 //!
+//! A batch that claims no helper runs solo: each transaction as one SwissTM
+//! transaction over the user-thread's recycled context, its bodies in
+//! program order on the calling thread. That path allocates nothing at all
+//! once warm, the call to `execute` included (the outcomes reuse the specs'
+//! buffer); the second half of the test counts it on the calling thread.
+//!
 //! This file deliberately contains a single `#[test]` so no concurrent test
 //! pollutes the global counter.
 
 use tlstm::{task, TaskCtx, TlstmRuntime, TxnSpec, UThread};
-use tlstm_testutil::{allocation_count as allocations, CountingAlloc};
-use txmem::{TxConfig, TxMem, WordAddr};
+use tlstm_testutil::{allocation_count as allocations, thread_allocation_count, CountingAlloc};
+use txmem::{Abort, TxConfig, TxMem, WordAddr};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -103,4 +109,50 @@ fn task_op_paths_do_not_allocate_per_operation() {
     let stats = rt.stats();
     assert_eq!(stats.tx_commits, 64 + 2 * txns);
     assert!(stats.reads > 0 && stats.writes > 0);
+
+    // The solo path: a user-thread of depth 1 never claims a helper, so it
+    // runs every batch solo. Each batch is four single-task transactions,
+    // one of which rolls back once (its body retries).
+    let solo = rt.register_uthread(1);
+    let retried = std::sync::atomic::AtomicBool::new(false);
+    let batch = |round: u64| -> Vec<TxnSpec<'_>> {
+        retried.store(false, std::sync::atomic::Ordering::Relaxed);
+        (0..4u64)
+            .map(|t| {
+                let retried = &retried;
+                TxnSpec::single(move |ctx: &mut TaskCtx<'_>| {
+                    for i in 0..64 {
+                        let w = t * 1024 + (round * 13 + i * 5) % 1024;
+                        let v = ctx.read(region.offset(w))?;
+                        ctx.write(region.offset(w), v ^ i)?;
+                    }
+                    if t == 3 && !retried.swap(true, std::sync::atomic::Ordering::Relaxed) {
+                        return Err(Abort::user_retry());
+                    }
+                    Ok(())
+                })
+            })
+            .collect()
+    };
+    for round in 0..32 {
+        solo.execute(batch(round));
+    }
+    let before = rt.stats();
+    let mut solo_allocations = 0;
+    for round in 0..txns {
+        let specs = batch(round);
+        let counted = thread_allocation_count();
+        let outcomes = solo.execute(specs);
+        solo_allocations += thread_allocation_count() - counted;
+        assert_eq!(outcomes.iter().map(|o| o.rollbacks).sum::<u32>(), 1);
+    }
+    let window = rt.stats().delta_since(&before);
+    assert_eq!(
+        solo_allocations, 0,
+        "{txns} solo batches of 4 transactions allocated {solo_allocations} times"
+    );
+    assert_eq!(
+        (window.tx_commits, window.tx_aborts, window.task_commits),
+        (4 * txns, txns, 4 * txns)
+    );
 }

@@ -32,6 +32,10 @@
 //!   runtimes: the [`Snapshot`] read rule and `extend`, and the
 //!   [`commit_locked`] commit sequence, which validates a snapshot only if
 //!   another commit drew a timestamp since the snapshot's `valid-ts`.
+//! * [`Transaction`] over a recycled [`TxContext`] — SwissTM's transaction
+//!   and retry loop ([`TxContext::atomic`]): the one transaction type of
+//!   every transaction that stays on one thread, whether a `swisstm` thread
+//!   or a `tlstm` user-thread that claimed no helper runs it.
 //! * [`TxMem`] — the uniform access trait implemented by both runtimes'
 //!   transaction/task handles, so that transactional data structures
 //!   (`txcollections`) and benchmarks (`tlstm-workloads`) are written once and
@@ -89,6 +93,7 @@ pub mod runtime;
 pub mod seqref;
 pub mod stats;
 pub mod traits;
+pub mod transaction;
 pub mod write_set;
 
 pub use addr::{WordAddr, NULL_ADDR};
@@ -108,6 +113,7 @@ pub use runtime::{
 pub use seqref::{SeqRefRuntime, SeqRefSession};
 pub use stats::{OpCounters, StatsCollector, StatsShard, StatsSnapshot};
 pub use traits::{DirectMem, TxMem};
+pub use transaction::{Transaction, TxContext};
 pub use write_set::{WriteEntry, WriteSet};
 
 /// Shared bundle of the global structures a runtime needs.

@@ -6,9 +6,9 @@
 //! progress/priority and (b) possibly signal it to abort. Both runtimes expose
 //! that capability through the [`LockOwner`] trait. The w-lock itself stores
 //! only the owner's [`OwnerToken`]; [`TxSubstrate::owner_of`] turns it into a
-//! [`LockOwner`] for a contender of either runtime, from the substrate's
-//! [`OwnerRegistry`] (SwissTM) or else the newest entry of the lock's write
-//! chain (TLSTM).
+//! [`LockOwner`] for a contender of either runtime, from the newest entry of
+//! the lock's write chain (a speculative TLSTM transaction) or else the
+//! substrate's [`OwnerRegistry`] (a transaction on one thread).
 
 use std::fmt;
 use std::sync::Arc;
@@ -115,13 +115,14 @@ pub trait LockOwner: Send + Sync + fmt::Debug {
 /// Reference-counted owner handle stored in the lock table.
 pub type OwnerHandle = Arc<dyn LockOwner>;
 
-/// SwissTM's descriptors, indexed by owner id, one registry per lock table
+/// The descriptors of one-thread transactions ([`crate::Transaction`]),
+/// indexed by owner id, one registry per lock table
 /// ([`crate::TxSubstrate::owners`]), read by [`TxSubstrate::owner_of`] only:
-/// every handle over a substrate reaches every SwissTM thread's descriptor.
-/// Lookups happen only on the conflict path, so an `RwLock` is plenty.
-/// TLSTM user-threads do not register: one of them can have several
-/// transactions in flight under one token, and only the lock's chain says
-/// which holds it.
+/// every handle over a substrate reaches every SwissTM thread's descriptor,
+/// and every TLSTM user-thread's solo one. A user-thread's speculative
+/// transactions are not registered: several can be in flight under one
+/// token, and only the lock's chain says which holds it. Lookups happen
+/// only on the conflict path, so an `RwLock` is plenty.
 #[derive(Debug, Default)]
 pub struct OwnerRegistry {
     slots: RwLock<Vec<Option<OwnerHandle>>>,
@@ -153,19 +154,26 @@ impl OwnerRegistry {
 
 impl TxSubstrate {
     /// The owner of `entry`'s w-lock while it is held under `token`, for a
-    /// contender of either runtime: the registered SwissTM descriptor of
-    /// `token`, or else the newest chain entry's TLSTM user-transaction,
-    /// read under the chain mutex while the w-lock is still `token`'s.
-    /// `None` once the owner is gone (the lock is about to be released).
+    /// contender of either runtime: the newest chain entry's TLSTM
+    /// user-transaction, read under the chain mutex while the w-lock is
+    /// still `token`'s, or else the registered descriptor of `token`'s
+    /// one-thread transaction. The chain goes first: a TLSTM user-thread
+    /// registers the descriptor of its solo transactions under the same
+    /// token as its speculative ones, and only the chain says that a
+    /// speculative one holds the lock. A solo transaction adds no chain
+    /// entry, and its w-locks were free, so their chains are empty while it
+    /// holds them. `None` once the owner is gone (the lock is about to be
+    /// released).
     pub fn owner_of(&self, entry: &LockEntry, token: OwnerToken) -> Option<OwnerHandle> {
-        if let Some(owner) = self.owners.get(token) {
-            return Some(owner);
+        if let Some(chain) = entry.try_chain() {
+            if entry.writer_token() != token {
+                return None;
+            }
+            if let Some(spec) = chain.newest() {
+                return Some(OwnerHandle::clone(&spec.owner));
+            }
         }
-        let chain = entry.try_chain()?;
-        if entry.writer_token() != token {
-            return None;
-        }
-        chain.newest().map(|spec| OwnerHandle::clone(&spec.owner))
+        self.owners.get(token)
     }
 }
 
@@ -207,6 +215,11 @@ mod tests {
         entry.chain().record_write(1, &txn, addr, 9);
         let found = sub.owner_of(entry, tlstm).expect("chain entry");
         assert!(Arc::ptr_eq(&found, &txn));
+        // The user-thread's registered solo descriptor does not shadow it.
+        sub.owners
+            .register(1, Arc::new(crate::TxDescriptor::new(5)));
+        let found = sub.owner_of(entry, tlstm).expect("chain entry");
+        assert!(Arc::ptr_eq(&found, &txn), "the registry shadowed the chain");
         // A stale token (the lock changed hands) finds nobody.
         assert!(sub.owner_of(entry, OwnerToken::from_id(2)).is_none());
         sub.owners.unregister(0);
