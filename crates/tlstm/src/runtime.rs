@@ -3,7 +3,9 @@
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 
-use txmem::{Abort, DirectMem, StatsSnapshot, TxConfig, TxContext, TxHeap, TxSubstrate};
+use txmem::{
+    Abort, DirectMem, StatsSnapshot, Transaction, TxConfig, TxContext, TxHeap, TxSubstrate,
+};
 
 use crate::admission::Admission;
 use crate::pool::{self, AbortOnUnwind, Claim};
@@ -258,23 +260,78 @@ impl UThread {
         for spec in &txns {
             assert_task_count(spec.tasks.len() as u64, depth);
         }
-        let tasks: usize = txns.iter().map(TxnSpec::len).sum();
-        let admitted = match self.worker.claim {
-            Claim::Full => true,
-            Claim::Idle => {
-                let history = self.history.borrow();
-                txns.iter().any(|spec| history.admits(spec.len()))
-            }
+        let tasks = txns.iter().map(TxnSpec::len).sum();
+        let helpers = self.claim_helpers(tasks, txns.iter().map(TxnSpec::len));
+        if helpers.is_empty() {
+            // Collected in place: the outcomes reuse the specs' buffer.
+            return txns
+                .into_iter()
+                .map(|spec| {
+                    let ((), outcome) = self.solo(spec.len(), |tx| {
+                        spec.tasks
+                            .iter()
+                            .try_for_each(|body| body(&mut TaskCtx::solo(tx.reborrow())))
+                    });
+                    outcome
+                })
+                .collect();
+        }
+        self.speculate(txns, helpers)
+    }
+
+    /// Claims the helpers for a batch of `tasks` tasks whose transactions
+    /// have the task counts `shapes`: `min(spec_depth, tasks) − 1`, unless
+    /// this is a default session and every one of those counts is closed
+    /// (then none), and as many of those as the pool lends.
+    pub(crate) fn claim_helpers(
+        &self,
+        tasks: usize,
+        mut shapes: impl Iterator<Item = usize>,
+    ) -> Vec<Arc<pool::Helper>> {
+        let admitted = matches!(self.worker.claim, Claim::Full) || {
+            let history = self.history.borrow();
+            shapes.any(|n| history.admits(n))
         };
         let want = if admitted {
-            tasks.min(depth).saturating_sub(1)
+            tasks.min(self.spec_depth()).saturating_sub(1)
         } else {
             0
         };
-        let helpers = pool::claim(want, self.worker.claim);
-        if helpers.is_empty() {
-            return self.run_solo(txns);
-        }
+        pool::claim(want, self.worker.claim)
+    }
+
+    /// Runs one transaction of `tasks` task bodies solo, on the calling
+    /// thread: `body` runs them in program order inside one SwissTM
+    /// transaction ([`TxContext::atomic`]), and a rollback re-runs them all.
+    /// Counts a task start and a task commit per body.
+    pub(crate) fn solo<T>(
+        &self,
+        tasks: usize,
+        body: impl FnMut(&mut Transaction<'_>) -> Result<T, Abort>,
+    ) -> (T, TxnOutcome) {
+        let substrate = &*self.runtime.substrate;
+        let stats = substrate.stats.shard(self.shared.ptid());
+        let (start_serial, commit_serial) = self.take_serials(tasks);
+        stats.task_starts.add(tasks as u64);
+        let (value, rollbacks) = self.solo.borrow_mut().atomic(substrate, body);
+        stats.task_commits.add(tasks as u64);
+        self.history.borrow_mut().after_solo(tasks);
+        self.shared.complete_solo(commit_serial);
+        let outcome = TxnOutcome {
+            start_serial,
+            commit_serial,
+            rollbacks,
+        };
+        (value, outcome)
+    }
+
+    /// Runs a batch on `helpers` (at least one) and the calling thread: the
+    /// speculative path.
+    pub(crate) fn speculate<'a>(
+        &self,
+        txns: Vec<TxnSpec<'a>>,
+        helpers: Vec<Arc<pool::Helper>>,
+    ) -> Vec<TxnOutcome> {
         let stats = self.runtime.substrate.stats.shard(self.shared.ptid());
         let txns = txns
             .into_iter()
@@ -308,7 +365,7 @@ impl UThread {
         // 1. a job taken back below is dropped unstarted, with its clone;
         // 2. a helper that started drops its clone when it leaves
         //    `run_batch` (`Helper::serve`);
-        // 3. `execute` returns only once its clone is the last one
+        // 3. `speculate` returns only once its clone is the last one
         //    (`Arc::get_mut`, whose acquire load sees every other clone's
         //    release drop), and then drops it, and with it the bodies;
         // 4. `_abort` is live from the first `start` until that wait returns,
@@ -336,9 +393,7 @@ impl UThread {
             .iter()
             .map(|BatchTxn { txn, .. }| {
                 debug_assert!(txn.is_committed());
-                if let Claim::Idle = self.worker.claim {
-                    history.after_speculative(txn.n_tasks() as usize, txn.lost_to_past());
-                }
+                history.after_speculative(txn.n_tasks() as usize, txn.lost_to_past());
                 TxnOutcome {
                     start_serial: txn.start_serial(),
                     commit_serial: txn.commit_serial(),
@@ -354,40 +409,6 @@ impl UThread {
         let commit_serial = start_serial + tasks as u64 - 1;
         self.next_serial.set(commit_serial + 1);
         (start_serial, commit_serial)
-    }
-
-    /// Runs a batch that claimed no helper on the calling thread: each
-    /// transaction in turn as one SwissTM transaction ([`TxContext::atomic`])
-    /// whose bodies run in program order, a rollback re-running them all.
-    /// Counts a task start per body run and a task commit per body committed.
-    fn run_solo(&self, txns: Vec<TxnSpec<'_>>) -> Vec<TxnOutcome> {
-        let substrate = &*self.runtime.substrate;
-        let stats = substrate.stats.shard(self.shared.ptid());
-        let mut solo = self.solo.borrow_mut();
-        let mut history = self.history.borrow_mut();
-        // Collected in place: the outcomes reuse the specs' buffer.
-        let outcomes = txns
-            .into_iter()
-            .map(|spec| {
-                let (start_serial, commit_serial) = self.take_serials(spec.len());
-                let ((), rollbacks) = solo.atomic(substrate, |tx| {
-                    for body in &spec.tasks {
-                        stats.task_starts.inc();
-                        body(&mut TaskCtx::solo(tx.reborrow()))?;
-                    }
-                    Ok(())
-                });
-                stats.task_commits.add(spec.len() as u64);
-                history.after_solo(spec.len());
-                TxnOutcome {
-                    start_serial,
-                    commit_serial,
-                    rollbacks,
-                }
-            })
-            .collect();
-        self.shared.complete_solo(self.next_serial.get() - 1);
-        outcomes
     }
 
     /// Runs a single user-transaction decomposed into `tasks` and blocks until

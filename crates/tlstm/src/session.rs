@@ -1,20 +1,24 @@
 //! The [`TxRuntime`]/[`TxSession`] implementation for TLSTM.
 //!
-//! TLSTM overrides one method of [`TxSession`]: `run_split` submits one
-//! user-transaction whose task `i` runs `body(i, ..)` and stores its value
-//! in slot `i`, and `run` is a split of one task. The body is borrowed, not
-//! `'static`: TLSTM's task API takes borrowed bodies too ([`crate::TaskFn`]
-//! carries a lifetime, and [`UThread::execute`] is scoped), so the one
-//! lifetime erasure that lets a borrowed body run on a pooled helper thread
-//! lives in `execute`, with its safety argument.
+//! TLSTM overrides two methods of [`TxSession`]. `run_split` runs solo when
+//! it claims no helper (the bodies `0..n` in order inside one SwissTM
+//! transaction, as the provided body does) and otherwise submits one
+//! speculative user-transaction whose task `i` runs `body(i, ..)` and
+//! stores its value in slot `i`; `run`, one task, never claims a helper and
+//! always runs solo. The body is borrowed, not `'static`: TLSTM's task API
+//! takes borrowed bodies too ([`crate::TaskFn`] carries a lifetime, and
+//! [`UThread::execute`] is scoped), so the one lifetime erasure that lets a
+//! borrowed body run on a pooled helper thread lives in the speculative path
+//! shared by both, with its safety argument.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use txmem::{Abort, TxConfig, TxRuntime, TxSession, TxSubstrate};
+use txmem::{Abort, Transaction, TxConfig, TxRuntime, TxSession, TxSubstrate};
 
 use crate::runtime::{task, TlstmRuntime, TxnSpec, UThread};
 use crate::task::TaskCtx;
+use crate::txn_state::assert_task_count;
 
 impl TxRuntime for TlstmRuntime {
     type Session = UThread;
@@ -55,17 +59,20 @@ impl TxSession for UThread {
         T: Send,
         F: for<'t> Fn(&mut TaskCtx<'t>) -> Result<T, Abort> + Send + Sync,
     {
-        self.run_split(1, |_, ctx| body(ctx))
-            .pop()
-            .expect("a one-task split returns one value")
+        // One task never claims a helper: it runs solo, with no task state
+        // to build.
+        self.solo(1, |tx| body(&mut TaskCtx::solo(tx.reborrow()))).0
     }
 
-    /// Submits *one* user-transaction with one speculative task per index,
-    /// preserving program order through the task serials. Each task stores
-    /// its value in its own slot; a task's executions never overlap (a
-    /// rolled-back task is claimed again only once its earlier execution has
-    /// given its claim back), each overwriting the slot, so once `execute`
-    /// returns every slot holds its committed execution's value.
+    /// Runs *one* user-transaction of `tasks` tasks. When it claims no
+    /// helper (see [`TlstmRuntime::register_uthread_default`]) the bodies
+    /// run solo, in index order, inside one SwissTM transaction. Otherwise
+    /// it submits one speculative task per index, preserving program order
+    /// through the task serials. Each task stores its value in its own slot;
+    /// a task's executions never overlap (a rolled-back task is claimed
+    /// again only once its earlier execution has given its claim back), each
+    /// overwriting the slot, so once the transaction has committed every
+    /// slot holds its committed execution's value.
     ///
     /// # Panics
     ///
@@ -77,6 +84,16 @@ impl TxSession for UThread {
     {
         if tasks == 0 {
             return Vec::new();
+        }
+        assert_task_count(tasks as u64, self.spec_depth());
+        let helpers = self.claim_helpers(tasks, std::iter::once(tasks));
+        if helpers.is_empty() {
+            let run_all = |tx: &mut Transaction<'_>| {
+                (0..tasks)
+                    .map(|i| body(i, &mut TaskCtx::solo(tx.reborrow())))
+                    .collect()
+            };
+            return self.solo(tasks, run_all).0;
         }
         let slots: Vec<Mutex<Option<T>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
         let body = &body;
@@ -90,7 +107,7 @@ impl TxSession for UThread {
                 })
             })
             .collect();
-        self.execute(vec![TxnSpec::new(bodies)]);
+        self.speculate(vec![TxnSpec::new(bodies)], helpers);
         slots
             .into_iter()
             .map(|slot| {

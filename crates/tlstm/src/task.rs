@@ -1,7 +1,9 @@
 //! The speculative task execution context.
 //!
 //! A [`TaskCtx`] is the handle a task body uses to access transactional
-//! memory. It implements the read/write rules of Algorithms 1 and 2 of the
+//! memory. In a batch that claimed no helper lane it forwards each access
+//! to the solo [`Transaction`] (SwissTM's), and nothing below applies.
+//! Otherwise it implements the read/write rules of Algorithms 1 and 2 of the
 //! paper and the per-task half of the commit/abort protocol of Algorithm 3
 //! (the whole-transaction commit performed by the commit-task lives in
 //! `TaskCtx::task_commit`). Reads of committed state, `extend` and the

@@ -1,8 +1,10 @@
 //! Task execution: the claim loop every lane runs.
 //!
-//! Each [`UThread::execute`] publishes its tasks as one `Batch` and runs
-//! the claim loop on the calling thread; the pool helpers it wakes run it
-//! too. A lane claims the lowest unclaimed serial `s` of the oldest
+//! Each [`UThread::execute`] that claims a helper publishes its tasks as one
+//! `Batch` and runs the claim loop on the calling thread; the pool helpers
+//! it wakes run it too. (One that claims none runs its batch solo, on
+//! SwissTM's transaction, and never gets here.) A lane claims the lowest
+//! unclaimed serial `s` of the oldest
 //! transaction that has one, while `s < r + SPECDEPTH` for the lowest
 //! unretired serial `r`: the paper's admission rule, which also keeps every
 //! unretired task in an `owners[]` slot of its own. A completed task leaves

@@ -20,14 +20,15 @@
 //! transaction over the user-thread's recycled context, its bodies in
 //! program order on the calling thread. That path allocates nothing at all
 //! once warm, the call to `execute` included (the outcomes reuse the specs'
-//! buffer); the second half of the test counts it on the calling thread.
+//! buffer), and neither does `TxSession::run`; the second half of the test
+//! counts them on the calling thread.
 //!
 //! This file deliberately contains a single `#[test]` so no concurrent test
 //! pollutes the global counter.
 
 use tlstm::{task, TaskCtx, TlstmRuntime, TxnSpec, UThread};
 use tlstm_testutil::{allocation_count as allocations, thread_allocation_count, CountingAlloc};
-use txmem::{Abort, TxConfig, TxMem, WordAddr};
+use txmem::{Abort, TxConfig, TxMem, TxSession, WordAddr};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -154,5 +155,21 @@ fn task_op_paths_do_not_allocate_per_operation() {
     assert_eq!(
         (window.tx_commits, window.tx_aborts, window.task_commits),
         (4 * txns, txns, 4 * txns)
+    );
+
+    // `TxSession::run` (one task, so never a helper) runs solo with no task
+    // state to build at all.
+    let mut session = solo;
+    let counted = thread_allocation_count();
+    for round in 0..txns {
+        session.run(|mem| {
+            let v = mem.read(region.offset(round))?;
+            mem.write(region.offset(round), v + 1)
+        });
+    }
+    let run_allocations = thread_allocation_count() - counted;
+    assert_eq!(
+        run_allocations, 0,
+        "{txns} solo runs allocated {run_allocations} times"
     );
 }
