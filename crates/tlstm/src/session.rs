@@ -41,11 +41,12 @@ impl TxRuntime for TlstmRuntime {
     /// Registers a user-thread whose speculative depth is the substrate's
     /// [`TxConfig::spec_depth`] — callers that split transactions size the
     /// config accordingly (e.g. `KvServerConfig` raises it to the batch's
-    /// group count). The caller decides the depth; the host decides how many
-    /// lanes claim the tasks of a split: the calling thread plus the pool
-    /// helpers that are idle — on a one-core host, the calling thread alone,
-    /// which then runs every task in program order
-    /// ([`TlstmRuntime::register_uthread_default`]).
+    /// group count). The caller decides the depth; the host and the
+    /// session's history decide how many lanes claim the tasks of a split:
+    /// the calling thread plus the pool helpers that are idle, none for a
+    /// task count whose tasks lost to their past — and with none, the split
+    /// runs solo, its bodies in program order on the calling thread, as on
+    /// a one-core host ([`TlstmRuntime::register_uthread_default`]).
     fn session(self: &Arc<Self>) -> UThread {
         self.register_uthread_default()
     }

@@ -15,8 +15,9 @@
 //! * [`KvServer`] / [`KvSession`] — the in-process front-end: one of the
 //!   three runtimes (SwissTM, TLSTM or the sequential `seqref` reference) and
 //!   per-client session handles. Under TLSTM a batch
-//!   is split into speculative tasks, one per shard-group, demonstrating the
-//!   paper's TLS-inside-transactions win on long multi-key operations.
+//!   is split into speculative tasks, one per shard-group, the paper's
+//!   TLS-inside-transactions model for long multi-key operations (run in
+//!   order inside one transaction when the session claims no helper).
 //! * [`RefStore`] — the sequential oracle with identical semantics
 //!   (including batch plan order), used by the conformance tests.
 //!

@@ -7,7 +7,8 @@
 //! operations are partitioned into `groups` shard-groups (by the shard of the
 //! key they touch) and applied group by group, preserving submission order
 //! inside each group. Under TLSTM each group becomes one speculative task, so
-//! a long multi-key batch runs as parallel tasks that commit in plan order;
+//! a long multi-key batch runs as parallel tasks that commit in plan order
+//! (or, when its session claims no helper, as one solo transaction);
 //! under SwissTM and in the reference oracle the plan is applied sequentially.
 //! Because every execution path shares the same plan, identical batches
 //! produce identical replies and identical committed state on all three.

@@ -9,7 +9,8 @@
 //! batch plan (see [`crate::ops::plan_batch`]) becomes one task of a
 //! [`TxSession::run_split`], which returns each group's replies (and group
 //! 0's commit stamp) from its committed execution. Under TLSTM the groups
-//! run as speculative tasks that commit in plan order — the paper's
+//! run as speculative tasks that commit in plan order whenever the session
+//! holds a helper, and in order inside one transaction otherwise — the paper's
 //! TLS-inside-transactions model applied to the canonical middleware
 //! long-transaction, a multi-key read-modify-write batch. Sequential
 //! runtimes (SwissTM, `seqref`) execute the identical plan in order inside
